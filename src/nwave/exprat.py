@@ -6,12 +6,20 @@ ExpRational is a normalized quotient of two ExpPolys.  Both are closed under
 the field operations and under the characteristic derivatives ``D_{i,j}``,
 so every identity this package verifies reduces to ``is_zero`` on an exactly
 cancelled numerator.
+
+Internally an ExpPoly lives on an integer lattice: exponents are integer
+pairs ``(A, B)`` at a per-polynomial scale ``L`` (so ``a = A/L``), and
+coefficients are integers times one rational content.  Ring operations then
+run on ints; ``terms`` shows the rational view at the boundary.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Dict, Iterable, Tuple, Union
 
 import mpmath
@@ -21,14 +29,16 @@ LinForm = Tuple[Fraction, Fraction]
 
 RatLike = Union[int, str, Fraction]
 
-#: |denominator evaluation| below this aborts numeric evaluation.
-POLE_THRESHOLD = 1e-30
-
 #: Binary precision for numeric evaluation (well above a 64-bit significand).
 EVAL_PRECISION = 120
 
-#: Hard stop for exact-division loops; legitimate quotients here are far smaller.
-DIVEXACT_MAX_STEPS = 200_000
+#: A denominator counts as vanishing at a point when its value is below its
+#: mass (sum of absolute term values) times 2**-POLE_BITS: the rounding error
+#: of the evaluation, with margin.  A same-sign denominator never does.
+POLE_BITS = EVAL_PRECISION // 2
+
+_ZERO_KEY = (0, 0)
+_FRAC_ZERO = Fraction(0)
 
 
 class DivisionByZeroField(ZeroDivisionError):
@@ -36,7 +46,7 @@ class DivisionByZeroField(ZeroDivisionError):
 
 
 class EvalPole(ArithmeticError):
-    """Numeric evaluation hit a denominator smaller than POLE_THRESHOLD."""
+    """Numeric evaluation hit a denominator that vanishes to working precision."""
 
 
 class InexactDivision(ArithmeticError):
@@ -84,41 +94,64 @@ def wave_constants(c1: RatLike, c2: RatLike, d1: RatLike, d2: RatLike) -> WaveCo
 class ExpPoly:
     """Canonical finite sum of rational multiples of exp(a*t + b*x).
 
-    The zero element is the empty term map; no zero coefficients are stored,
-    so structural equality is functional equality.
+    Stored as ``content * sum_k n_k * exp((A_k*t + B_k*x) / scale)`` with
+    integer ``n_k``, integer keys ``(A_k, B_k)`` and a positive integer
+    scale.  The form is canonical: the scale is minimal (no common factor
+    with every exponent), the ``n_k`` are nonzero, coprime, and positive at
+    the lexicographically least key, and the sign lives in the content.  So
+    structural equality and hashing are functional equality, negation and
+    scalar multiplication only change the content, and zero is the empty
+    term map.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_scale", "_ints", "_content", "_min")
 
-    def __init__(self, terms: Union[None, Dict[LinForm, Fraction], Iterable] = None):
-        canon: Dict[LinForm, Fraction] = {}
+    def __init__(self, terms: Union[None, Mapping, Iterable] = None):
+        """Sum of the given ((a, b), coefficient) terms; repeated keys add up."""
+        keys, coefs = [], []
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key, coef in items:
-                a, b = key
-                k = (as_frac(a), as_frac(b))
-                c = canon.get(k, Fraction(0)) + as_frac(coef)
-                if c:
-                    canon[k] = c
-                elif k in canon:
-                    del canon[k]
-        self.terms = canon
+            items = terms.items() if isinstance(terms, Mapping) else terms
+            for (a, b), coef in items:
+                keys.append((as_frac(a), as_frac(b)))
+                coefs.append(as_frac(coef))
+        d = lcm(*(c.denominator for c in coefs))
+        p = _from_rational_keys(keys, [c.numerator * (d // c.denominator) for c in coefs],
+                                Fraction(1, d))
+        self._scale, self._ints, self._content, self._min = (
+            p._scale, p._ints, p._content, p._min)
 
     @staticmethod
     def zero() -> "ExpPoly":
-        return ExpPoly()
+        return _ZERO
 
     @staticmethod
     def const(c: RatLike) -> "ExpPoly":
         c = as_frac(c)
-        return ExpPoly({(Fraction(0), Fraction(0)): c}) if c else ExpPoly()
+        return _poly(1, {_ZERO_KEY: 1}, c, _ZERO_KEY) if c else _ZERO
 
     @staticmethod
     def term(coef: RatLike, a: RatLike, b: RatLike) -> "ExpPoly":
         coef = as_frac(coef)
         if not coef:
-            return ExpPoly()
-        return ExpPoly({(as_frac(a), as_frac(b)): coef})
+            return _ZERO
+        a, b = as_frac(a), as_frac(b)
+        scale = lcm(a.denominator, b.denominator)
+        key = (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
+        return _poly(scale, {key: 1}, coef, key)
+
+    # -- the rational view -------------------------------------------------
+
+    @property
+    def terms(self) -> Mapping:
+        """Read-only map (a, b) -> coefficient, keyed and valued by Fractions."""
+        return _Terms(self)
+
+    def lattice(self) -> Tuple[int, Dict[Tuple[int, int], int], Fraction]:
+        """(scale, {(A, B): n}, content): the term n * content * exp((A*t + B*x)/scale).
+
+        The dict is shared with the polynomial and must not be modified.
+        """
+        return self._scale, self._ints, self._content
 
     # -- ring operations ---------------------------------------------------
 
@@ -126,23 +159,33 @@ class ExpPoly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms:
+        if not self._ints:
             return other
-        if not other.terms:
+        if not other._ints:
             return self
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return _raw_poly(out)
+        scale, t1, t2, _, _ = _common_scale(self, other)
+        c1, c2 = self._content, other._content
+        if c1 == c2:
+            m1 = m2 = 1
+            content = c1
+        else:
+            g = gcd(c1.numerator, c2.numerator)
+            d = lcm(c1.denominator, c2.denominator)
+            content = Fraction(g, d)
+            m1 = c1.numerator // g * (d // c1.denominator)
+            m2 = c2.numerator // g * (d // c2.denominator)
+        out = dict(t1) if m1 == 1 else {k: v * m1 for k, v in t1.items()}
+        get = out.get
+        for k, v in t2.items():
+            out[k] = get(k, 0) + v * m2
+        return _canonical(scale, out, content)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExpPoly":
-        return _raw_poly({k: -c for k, c in self.terms.items()})
+        if not self._ints:
+            return self
+        return _poly(self._scale, self._ints, -self._content, self._min)
 
     def __sub__(self, other) -> "ExpPoly":
         other = _coerce_poly(other)
@@ -158,24 +201,34 @@ class ExpPoly:
 
     def __mul__(self, other) -> "ExpPoly":
         if isinstance(other, (int, Fraction)):
-            c = as_frac(other)
-            if not c:
-                return ExpPoly()
-            return _raw_poly({k: v * c for k, v in self.terms.items()})
+            if not other or not self._ints:
+                return _ZERO
+            return _poly(self._scale, self._ints, self._content * other, self._min)
         if not isinstance(other, ExpPoly):
             return NotImplemented
-        if not self.terms or not other.terms:
-            return ExpPoly()
-        out: Dict[LinForm, Fraction] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
+        if not self._ints or not other._ints:
+            return _ZERO
+        content = self._content * other._content
+        if other._min == _ZERO_KEY and len(other._ints) == 1:
+            return _poly(self._scale, self._ints, content, self._min)
+        if self._min == _ZERO_KEY and len(self._ints) == 1:
+            return _poly(other._scale, other._ints, content, other._min)
+        scale, t1, t2, m1, m2 = _common_scale(self, other)
+        if len(t1) > len(t2):
+            t1, t2 = t2, t1
+        out: Dict[Tuple[int, int], int] = {}
+        get = out.get
+        inner = list(t2.items())
+        for (a1, b1), n1 in t1.items():
+            for (a2, b2), n2 in inner:
                 k = (a1 + a2, b1 + b2)
-                s = out.get(k, Fraction(0)) + c1 * c2
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
-        return _raw_poly(out)
+                out[k] = get(k, 0) + n1 * n2
+        if 0 in out.values():
+            out = {k: v for k, v in out.items() if v}
+        # Gauss's lemma keeps the product of primitive parts primitive, and
+        # the least key of a product is the sum of the least keys, with
+        # coefficient n1 * n2 > 0: only the scale can need reducing.
+        return _reduced(scale, out, content, (m1[0] + m2[0], m1[1] + m2[1]))
 
     __rmul__ = __mul__
 
@@ -183,16 +236,17 @@ class ExpPoly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return (self._content == other._content and self._scale == other._scale
+                and self._ints == other._ints)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((self._scale, self._content, frozenset(self._ints.items())))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._ints
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._ints)
 
     # -- calculus ----------------------------------------------------------
 
@@ -200,57 +254,56 @@ class ExpPoly:
         """Characteristic derivative D_{i,j}: term (a,b) scales by
         ((i*c1+j*c2)*a + (i*d1+j*d2)*b)/delta."""
         p, q = w.deriv_speeds(i, j)
-        out: Dict[LinForm, Fraction] = {}
-        for (a, b), c in self.terms.items():
-            f = p * a + q * b
+        # p*a + q*b = (P*A + Q*B) / (pd*qd*scale) on the lattice
+        pn, qn = p.numerator * q.denominator, q.numerator * p.denominator
+        out = {}
+        for (a, b), n in self._ints.items():
+            f = pn * a + qn * b
             if f:
-                out[(a, b)] = c * f
-        return _raw_poly(out)
+                out[(a, b)] = n * f
+        return _canonical(self._scale, out,
+                          self._content / (p.denominator * q.denominator * self._scale))
 
     def map_exponents(self, fn) -> "ExpPoly":
         """Apply a linear substitution (a, b) -> fn(a, b) to every exponent."""
-        out: Dict[LinForm, Fraction] = {}
-        for (a, b), c in self.terms.items():
-            k = fn(a, b)
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return _raw_poly(out)
+        scale = self._scale
+        keys = []
+        for a, b in self._ints:
+            fa, fb = fn(Fraction(a, scale), Fraction(b, scale))
+            keys.append((as_frac(fa), as_frac(fb)))
+        return _from_rational_keys(keys, list(self._ints.values()), self._content)
 
     # -- inspection --------------------------------------------------------
 
     def sorted_terms(self):
-        """Terms in canonical (lexicographic exponent) order."""
-        return sorted(self.terms.items())
+        """Terms ((a, b), coefficient) in canonical (lexicographic exponent) order."""
+        scale, c = self._scale, self._content
+        return [((Fraction(a, scale), Fraction(b, scale)), c * n)
+                for (a, b), n in sorted(self._ints.items())]
 
-    def min_key(self) -> LinForm:
-        return min(self.terms)
-
-    def max_key(self) -> LinForm:
-        return max(self.terms)
+    def _eval_sums(self, t: RatLike, x: RatLike):
+        """(value, mass) at (t, x): the signed and absolute sums of the terms."""
+        t, x = as_frac(t), as_frac(x)
+        scale = self._scale
+        with mpmath.workprec(EVAL_PRECISION):
+            total = mass = mpmath.mpf(0)
+            for (a, b), n in self._ints.items():
+                v = n * mpmath.exp(_mpf_frac((a * t + b * x) / scale))
+                total += v
+                mass += abs(v)
+            c = _mpf_frac(self._content)
+            return total * c, mass * abs(c)
 
     def eval(self, t: RatLike, x: RatLike):
         """High-precision numeric value at rational (t, x), as mpmath mpf."""
-        t, x = as_frac(t), as_frac(x)
-        with mpmath.workprec(EVAL_PRECISION):
-            total = mpmath.mpf(0)
-            for (a, b), c in self.terms.items():
-                total += _mpf_frac(c) * mpmath.exp(_mpf_frac(a * t + b * x))
-            return total
+        return self._eval_sums(t, x)[0]
 
     def eval_mass(self, t: RatLike, x: RatLike):
         """Sum of absolute term values at (t, x): the pre-cancellation scale."""
-        t, x = as_frac(t), as_frac(x)
-        with mpmath.workprec(EVAL_PRECISION):
-            total = mpmath.mpf(0)
-            for (a, b), c in self.terms.items():
-                total += abs(_mpf_frac(c)) * mpmath.exp(_mpf_frac(a * t + b * x))
-            return total
+        return self._eval_sums(t, x)[1]
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._ints:
             return "ExpPoly(0)"
         bits = []
         for (a, b), c in self.sorted_terms():
@@ -259,11 +312,100 @@ class ExpPoly:
         return "ExpPoly(" + " + ".join(bits) + ")"
 
 
-def _raw_poly(terms: Dict[LinForm, Fraction]) -> ExpPoly:
-    """Wrap an already-canonical term dict without re-checking."""
-    p = ExpPoly.__new__(ExpPoly)
-    p.terms = terms
+class _Terms(Mapping):
+    """The terms of an ExpPoly as a read-only map (a, b) -> c over Fractions."""
+
+    __slots__ = ("_p",)
+
+    def __init__(self, p: ExpPoly):
+        self._p = p
+
+    def __len__(self) -> int:
+        return len(self._p._ints)
+
+    def __iter__(self):
+        scale = self._p._scale
+        return ((Fraction(a, scale), Fraction(b, scale)) for a, b in self._p._ints)
+
+    def __getitem__(self, key) -> Fraction:
+        p = self._p
+        a, b = (as_frac(v) * p._scale for v in key)
+        n = None
+        if a.denominator == 1 and b.denominator == 1:
+            n = p._ints.get((a.numerator, b.numerator))
+        if n is None:
+            raise KeyError(key)
+        return p._content * n
+
+
+def _poly(scale: int, ints: Dict[Tuple[int, int], int], content: Fraction,
+          least: Tuple[int, int]) -> ExpPoly:
+    """Wrap an already-canonical lattice form without re-checking."""
+    p = object.__new__(ExpPoly)
+    p._scale, p._ints, p._content, p._min = scale, ints, content, least
     return p
+
+
+_ZERO = _poly(1, {}, _FRAC_ZERO, None)
+
+
+def _reduced(scale, ints, content, least) -> ExpPoly:
+    """Wrap primitive, sign-normalized coefficients, at the minimal scale."""
+    if not ints:
+        return _ZERO
+    if scale != 1:
+        s = scale
+        for a, b in ints:
+            s = gcd(s, a, b)
+            if s == 1:
+                break
+        if s != 1:
+            ints = {(a // s, b // s): n for (a, b), n in ints.items()}
+            scale //= s
+            least = (least[0] // s, least[1] // s)
+    return _poly(scale, ints, content, least)
+
+
+def _canonical(scale, ints, content) -> ExpPoly:
+    """Canonical ExpPoly from integer coefficients (zeros allowed) and a content."""
+    if 0 in ints.values():
+        ints = {k: n for k, n in ints.items() if n}
+    if not ints or not content:
+        return _ZERO
+    least = min(ints)
+    g = gcd(*ints.values())
+    if ints[least] < 0:
+        g = -g
+    if g != 1:
+        ints = {k: n // g for k, n in ints.items()}
+        content = content * g
+    return _reduced(scale, ints, content, least)
+
+
+def _from_rational_keys(keys, ints, content: Fraction) -> ExpPoly:
+    """Canonical ExpPoly of sum(content * n * exp(a*t + b*x)) over Fraction
+    keys (a, b) and integers n; repeated keys add up."""
+    scale = lcm(*(v.denominator for k in keys for v in k))
+    out: Dict[Tuple[int, int], int] = {}
+    get = out.get
+    for (a, b), n in zip(keys, ints):
+        k = (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
+        out[k] = get(k, 0) + n
+    return _canonical(scale, out, content)
+
+
+def _rescaled(ints, f):
+    return {(a * f, b * f): n for (a, b), n in ints.items()}
+
+
+def _common_scale(p: ExpPoly, q: ExpPoly):
+    """(scale, ints of p, ints of q, least key of p, least key of q) on one lattice."""
+    if p._scale == q._scale:
+        return p._scale, p._ints, q._ints, p._min, q._min
+    scale = lcm(p._scale, q._scale)
+    fp, fq = scale // p._scale, scale // q._scale
+    return (scale, _rescaled(p._ints, fp), _rescaled(q._ints, fq),
+            (p._min[0] * fp, p._min[1] * fp), (q._min[0] * fq, q._min[1] * fq))
 
 
 def _coerce_poly(v) -> ExpPoly:
@@ -284,31 +426,59 @@ ONE = ExpPoly.const(1)
 def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
     """Exact quotient num/den in the exponential-polynomial ring.
 
-    Eliminates the lexicographically greatest term at each step (every
-    monomial is invertible, so the ring is an ordered-group ring and an
-    integral domain; when the quotient exists this terminates in exactly
-    len(quotient) steps).  Raises InexactDivision if no ring quotient exists.
+    Eliminates the lexicographically greatest term of the remainder at each
+    step, updating the remainder in place and finding its greatest key with
+    a max-heap.  Every monomial is invertible, so the ring is an
+    ordered-group ring and an integral domain, and a quotient q with
+    num = q*den has Newton polytope N(num) = N(q) + N(den): each key of q
+    lies in the box [min(num) - min(den), max(num) - max(den)], taken per
+    coordinate, and is lexicographically at least min(num) - min(den).  A
+    candidate key outside those bounds proves that no quotient exists; so
+    does a leading coefficient that does not divide, since by Gauss's lemma
+    the quotient of primitive integer parts is integral.  Every step takes
+    a new candidate key, smaller than the one before, from the finite set of
+    lattice points in the box, so the loop ends.  Raises InexactDivision if
+    no ring quotient exists.
     """
     if den.is_zero():
         raise DivisionByZeroField("divexact by zero")
     if num.is_zero():
-        return ExpPoly()
-    (da, db), dc = max(den.terms.items())
-    quot: Dict[LinForm, Fraction] = {}
-    rem = num
-    steps = 0
-    while rem.terms:
-        steps += 1
-        if steps > DIVEXACT_MAX_STEPS:
-            raise InexactDivision("quotient did not terminate")
-        (ra, rb), rc = max(rem.terms.items())
-        k = (ra - da, rb - db)
-        c = rc / dc
-        quot[k] = quot.get(k, Fraction(0)) + c
-        rem = rem - ExpPoly.term(c, k[0], k[1]) * den
-        if (ra, rb) in rem.terms:
-            raise InexactDivision("leading term failed to cancel")
-    return ExpPoly({k: c for k, c in quot.items() if c})
+        return _ZERO
+    scale, tn, td, mn, md = _common_scale(num, den)
+    lead = max(td)
+    lead_n = td[lead]
+    lo_a = min(a for a, _ in tn) - min(a for a, _ in td)
+    hi_a = max(a for a, _ in tn) - lead[0]
+    lo_b = min(b for _, b in tn) - min(b for _, b in td)
+    hi_b = max(b for _, b in tn) - max(b for _, b in td)
+    least = (mn[0] - md[0], mn[1] - md[1])
+    rest = [(k, n) for k, n in td.items() if k != lead]
+    rem = dict(tn)
+    heap = [(-a, -b) for a, b in rem]
+    heapify(heap)
+    quot: Dict[Tuple[int, int], int] = {}
+    while heap:
+        na, nb = heappop(heap)
+        r = rem.pop((-na, -nb))
+        if not r:
+            continue
+        qa, qb = -na - lead[0], -nb - lead[1]
+        if not (lo_a <= qa <= hi_a and lo_b <= qb <= hi_b) or (qa, qb) < least:
+            raise InexactDivision(
+                f"quotient key ({qa}/{scale}, {qb}/{scale}) outside the Newton-polytope bounds")
+        qn, left = divmod(r, lead_n)
+        if left:
+            raise InexactDivision("leading coefficient does not divide")
+        quot[(qa, qb)] = qn
+        for (a, b), n in rest:
+            k = (qa + a, qb + b)
+            old = rem.get(k)
+            if old is None:
+                rem[k] = -qn * n
+                heappush(heap, (-k[0], -k[1]))
+            else:
+                rem[k] = old - qn * n
+    return _reduced(scale, quot, num._content / den._content, least)
 
 
 class ExpRational:
@@ -330,17 +500,18 @@ class ExpRational:
         if den.is_zero():
             raise DivisionByZeroField("zero denominator")
         if num.is_zero():
-            self.num, self.den = ExpPoly(), ONE
+            self.num, self.den = _ZERO, ONE
             return
-        anchor = den.terms[den.min_key()]
+        least_n = den._ints[den._min]
+        anchor = den._content * least_n
         if anchor != 1:
-            inv = 1 / anchor
-            num, den = num * inv, den * inv
+            num = _poly(num._scale, num._ints, num._content / anchor, num._min)
+            den = _poly(den._scale, den._ints, Fraction(1, least_n), den._min)
         self.num, self.den = num, den
 
     @staticmethod
     def zero() -> "ExpRational":
-        return ExpRational(ExpPoly())
+        return ExpRational(_ZERO)
 
     @staticmethod
     def const(c: RatLike) -> "ExpRational":
@@ -452,20 +623,20 @@ class ExpRational:
     def as_constant(self):
         """Return this value as a Fraction if it is constant, else None."""
         if self.is_zero():
-            return Fraction(0)
-        quot = None
+            return _FRAC_ZERO
         try:
             quot = divexact(self.num, self.den)
         except InexactDivision:
             return None
-        if len(quot.terms) == 1 and (Fraction(0), Fraction(0)) in quot.terms:
-            return quot.terms[(Fraction(0), Fraction(0))]
+        if quot._min == _ZERO_KEY and len(quot._ints) == 1:
+            return quot._content
         return None
 
     def eval(self, t: RatLike, x: RatLike) -> float:
-        """Numeric value at rational (t, x); EvalPole near denominator zeros."""
-        dv = self.den.eval(t, x)
-        if abs(dv) < POLE_THRESHOLD:
+        """Numeric value at rational (t, x); EvalPole where the denominator
+        vanishes to working precision (see POLE_BITS)."""
+        dv, dm = self.den._eval_sums(t, x)
+        if abs(dv) <= mpmath.ldexp(dm, -POLE_BITS):
             raise EvalPole(f"denominator ~ {mpmath.nstr(dv, 5)} at (t={t}, x={x})")
         return float(self.num.eval(t, x) / dv)
 

@@ -90,10 +90,6 @@ def wave_exponent(lam: Fraction, mu: Fraction, w: WaveConstants) -> LinForm:
     return (lam * w.d1 + mu * w.d2, -(lam * w.c1 + mu * w.c2))
 
 
-def e_wave(lam: RatLike, w: WaveConstants, coef: RatLike = 1) -> ExpPoly:
-    return ExpPoly.term(as_frac(coef), *wave_exponent(as_frac(lam), Fraction(0), w))
-
-
 def f_wave(mu: RatLike, w: WaveConstants, coef: RatLike = 1) -> ExpPoly:
     return ExpPoly.term(as_frac(coef), *wave_exponent(Fraction(0), as_frac(mu), w))
 

@@ -158,10 +158,9 @@ class ABChain:
 
 
 def _as_poly(f: ExpRational, what: str) -> ExpPoly:
-    c = f.den.terms.get((Fraction(0), Fraction(0)))
-    if len(f.den.terms) != 1 or c is None:
+    if not f.is_poly():
         raise ValueError(f"{what} must be polynomial (constant denominator)")
-    return f.num * (1 / c)
+    return f.num
 
 
 def ab_init(s: SpectralData) -> ABChain:

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from nwave.cli import config_from_doc, config_to_doc, main
-from nwave.exprat import ExpPoly, ExpRational, wave_constants
+from nwave.exprat import ExpPoly, ExpRational, InexactDivision, wave_constants
+from nwave.verify import Check, Report
 from nwave.wavesys import field_label, model, zero_config
 
 SPEC_11 = {
@@ -161,10 +162,17 @@ def test_verify_report_file_schema(tmp_path):
     assert all({"name", "pass"} <= set(c) for c in doc["checks"])
 
 
-def test_advisory_suite_exits_zero(capsys):
+def test_g2_suite_gates_the_exit_code(capsys, monkeypatch):
     rc = main(["verify", "--suite", "g2-hypothesis"])
+    out = capsys.readouterr().out
     assert rc == 0
-    assert "advisory" in capsys.readouterr().out
+    assert "suite g2-hypothesis: PASS (0/4 failed)" in out
+    # a failing order fails the run, as in every other suite
+    failing = Report(title="suite g2-hypothesis", mode="exact",
+                     checks=[Check("order (1,1)", False, "nonzero: D(1,0) f+1.0")])
+    monkeypatch.setattr("nwave.cli.verify_suite", lambda name: failing)
+    assert main(["verify", "--suite", "g2-hypothesis"]) == 1
+    assert "suite g2-hypothesis: FAIL (1/1 failed)" in capsys.readouterr().out
 
 
 def test_numeric_mode_accepts_solution(tmp_path):
@@ -230,6 +238,19 @@ def test_dead_pivot_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "chain step 0" in err
     assert "pivot" in err
+
+
+def test_inexact_division_exits_3(tmp_path, capsys, monkeypatch):
+    def inexact(tids, cfg):
+        raise InexactDivision("leading coefficient does not divide")
+
+    monkeypatch.setattr("nwave.cli.apply_chain", inexact)
+    w = wave_constants("1", "1/2", "1/3", "1")
+    path = write_json(tmp_path / "b2_zero.json", config_to_doc(zero_config("B2", w)))
+    rc = main(["transform", "--chain", "T10", "--in", path])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "error: leading coefficient does not divide\n"
 
 
 def test_unknown_suite_rejected_by_parser(capsys):

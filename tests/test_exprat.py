@@ -1,5 +1,6 @@
 """Exact-arithmetic core: ring/field laws, derivatives, division, evaluation."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from nwave.exprat import (
     divexact,
     wave_constants,
 )
+
+import _fracpoly as ref
 
 W = wave_constants(1, "1/2", "1/3", 1)  # delta = 5/6
 
@@ -108,6 +111,73 @@ def test_zero_rational_is_canonical():
 def test_zero_denominator_rejected():
     with pytest.raises(DivisionByZeroField):
         ExpRational(ExpPoly.const(1), ExpPoly())
+
+
+# -- the integer lattice against the Fraction-dict reference -----------------
+
+lattice_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-6, max_value=6),
+    st.sampled_from([1, 2, 3, 4, 6]),
+)
+term_lists = st.lists(
+    st.tuples(lattice_rationals.filter(bool), lattice_rationals, lattice_rationals),
+    max_size=5,
+)
+
+
+def _poly_and_reference(terms):
+    p = ExpPoly()
+    for c, a, b in terms:
+        p = p + ExpPoly.term(c, a, b)
+    return p, ref.from_terms(terms)
+
+
+def _shear(a, b):
+    return (a + b / 2, 3 * a - b)
+
+
+@settings(max_examples=60)
+@given(term_lists, term_lists, st.integers(0, 2), st.integers(0, 3))
+def test_lattice_core_matches_fraction_reference(ft, gt, i, j):
+    f, rf = _poly_and_reference(ft)
+    g, rg = _poly_and_reference(gt)
+    assert dict(f.terms) == rf
+    assert len(f.terms) == len(rf)
+    assert dict((f + g).terms) == ref.add(rf, rg)
+    assert dict((f - g).terms) == ref.add(rf, {k: -c for k, c in rg.items()})
+    assert dict((f * g).terms) == ref.mul(rf, rg)
+    assert dict((f * Fraction(-3, 2)).terms) == ref.mul(rf, {(F(0), F(0)): Fraction(-3, 2)})
+    assert dict(f.deriv(i, j, W).terms) == ref.deriv(rf, i, j, W)
+    assert dict(f.map_exponents(_shear).terms) == ref.map_exponents(rf, _shear)
+    assert (f == g) == (rf == rg)
+    # the same value reached another way is structurally equal, hash included
+    same = (f + g) - g
+    assert same == f and hash(same) == hash(f)
+    if rg:
+        assert dict(divexact(f * g, g).terms) == rf
+
+
+def test_mixed_scales_meet_on_the_finer_lattice():
+    half = ExpPoly.term(1, "1/2", 0)
+    square = half * half
+    assert square == ExpPoly.term(1, 1, 0)
+    assert hash(square) == hash(ExpPoly.term(1, 1, 0))
+    assert square.lattice()[0] == 1
+    mixed = half * ExpPoly.term(1, 0, "1/3")
+    assert dict(mixed.terms) == {(F("1/2"), F("1/3")): 1}
+    assert mixed.lattice()[0] == 6
+    assert mixed * ExpPoly.term(1, "-1/2", "-1/3") == ExpPoly.const(1)
+
+
+def test_canonical_form_is_primitive_with_positive_least_coefficient():
+    p = ExpPoly.term("-4/3", 1, 0) + ExpPoly.term("2/3", 0, 0)  # (2/3)(1 - 2e^t)
+    assert p.lattice() == (1, {(0, 0): 1, (1, 0): -2}, Fraction(2, 3))
+    assert (-p).lattice() == (1, {(0, 0): 1, (1, 0): -2}, Fraction(-2, 3))
+    assert p.terms[(0, 0)] == Fraction(2, 3) and p.terms[(F(1), 0)] == Fraction(-4, 3)
+    assert (Fraction(1, 2), 0) not in p.terms
+    with pytest.raises(TypeError):
+        p.terms[(0, 0)] = 1
 
 
 # -- characteristic derivatives ----------------------------------------------
@@ -212,12 +282,30 @@ def test_divexact_roundtrip(f, g):
     assert divexact(f * g, g) == f
 
 
+ONE = ExpPoly.const(1)
+
+
 def test_divexact_inexact_raises():
     num = ExpPoly.term(1, 1, 0) + ExpPoly.const(1)
     den = ExpPoly.term(1, "1/2", 0) + ExpPoly.const(-1)
-    # num/(den) = (e^{t/2}+1)(e^{t/2}-1)... num = e^t + 1 is NOT divisible by e^{t/2} - 1
-    with pytest.raises(InexactDivision):
+    # e^t + 1 is NOT divisible by e^{t/2} - 1 (e^t - 1 is); the third
+    # candidate quotient key leaves the Newton-polytope box
+    with pytest.raises(InexactDivision, match="Newton-polytope"):
         divexact(num, den)
+
+
+# 1/(1+e^x): the a coordinate never moves; the b bound refuses
+@pytest.mark.parametrize("den", [ONE + ExpPoly.term(1, 1, 0), ONE + ExpPoly.term(1, 0, 1)],
+                         ids=["1/(1+e^t)", "1/(1+e^x)"])
+def test_divexact_refuses_one_over_a_binomial_at_once(den):
+    with pytest.raises(InexactDivision, match="Newton-polytope"):
+        divexact(ONE, den)
+
+
+def test_divexact_refuses_a_leading_coefficient_that_does_not_divide():
+    # (1 + e^{2t}) / (1 + 2e^t): the first quotient coefficient would be 1/2
+    with pytest.raises(InexactDivision, match="does not divide"):
+        divexact(ONE + ExpPoly.term(1, 2, 0), ONE + ExpPoly.term(2, 1, 0))
 
 
 def test_divexact_telescoping_quotient():
@@ -239,6 +327,9 @@ def test_as_constant():
     assert ExpRational(ExpPoly.term(1, 1, 0)).as_constant() is None
     nonconst = ExpRational(ExpPoly.term(1, 1, 0) + ExpPoly.const(1), ExpPoly.term(1, 0, 1))
     assert nonconst.as_constant() is None
+    assert ExpRational(ONE, ONE + ExpPoly.term(1, 1, 0)).as_constant() is None
+    half = ExpRational(ONE + ExpPoly.term(3, 1, 0), ONE * 2 + ExpPoly.term(6, 1, 0))
+    assert half.as_constant() == Fraction(1, 2)
 
 
 def test_eval_basics():
@@ -253,6 +344,13 @@ def test_eval_pole():
     r = ExpRational(ExpPoly.const(1), den)
     with pytest.raises(EvalPole):
         r.eval(0, 0)
+
+
+def test_eval_of_a_tiny_positive_denominator_is_no_pole():
+    # e^{2000t} + e^{2001t} is about 1e-87 at t = -1/10, but never zero
+    den = ExpPoly.term(1, 2000, 0) + ExpPoly.term(1, 2001, 0)
+    v = ExpRational(ONE, den).eval(Fraction(-1, 10), 0)
+    assert math.isclose(v, math.exp(200) / (1 + math.exp(-0.1)), rel_tol=1e-12)
 
 
 @settings(max_examples=25)

@@ -9,6 +9,7 @@ from nwave.tau import solution_from_tau
 from nwave.verify import (
     GRID,
     SUITES,
+    _GridValues,
     _numeric_residual_check,
     render_poly,
     verify_config,
@@ -86,8 +87,7 @@ def test_report_dict_shape_and_determinism():
     d2 = verify_config(m, bad, "exact").as_dict()
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
     assert set(d1) == {
-        "schema", "title", "mode", "pass", "advisory",
-        "counts", "checks", "counterexample",
+        "schema", "title", "mode", "pass", "counts", "checks", "counterexample",
     }
     assert d1["schema"] == 1
     assert d1["pass"] is False
@@ -135,6 +135,14 @@ def test_numeric_check_skips_pole_points_and_continues():
     assert "poles skipped" in detail
     assert "(-1,-1/3)" in detail and "(0,0)" in detail
     assert "over 7 points" in detail
+
+
+def test_same_sign_denominator_never_makes_a_pole():
+    # e^{2000t} + e^{2001t} is about 1e-869 at t = -1, far below any absolute
+    # threshold, but it is positive everywhere: no grid point is a pole
+    den = ExpPoly.term(1, 2000, 0) + ExpPoly.term(1, 2001, 0)
+    grid = _GridValues({"r": ExpRational(ExpPoly.const(1), den)})
+    assert all(values["r"] is not None for values in grid.points)
 
 
 def test_numeric_check_flags_a_genuinely_nonzero_value():
@@ -195,21 +203,19 @@ def test_unknown_suite_rejected():
 def test_cheap_suites_pass(name):
     rep = verify_suite(name)
     assert rep.passed
-    assert not rep.advisory
     d = rep.as_dict()
     assert d["counts"]["failed"] == 0
     assert d["counts"]["total"] == len(d["checks"])
 
 
-def test_g2_suite_is_advisory_and_records_all_orders():
+def test_g2_suite_gates_every_order():
     rep = verify_suite("g2-hypothesis")
-    assert rep.advisory
     names = [c.name for c in rep.checks]
     assert names == [
         "order (0,0)", "order (1,0)", "order (0,1)", "order (1,1)",
     ]
-    # the base order is a hard requirement; the rest are recorded findings
-    assert rep.checks[0].passed
+    assert [c.name for c in rep.checks if not c.passed] == []
+    assert rep.passed
 
 
 def test_suite_reports_are_deterministic():
