@@ -22,12 +22,14 @@ import json
 import sys
 from fractions import Fraction
 
+import mpmath
+
 from .exprat import (
     DivisionByZeroField, EvalPole, ExpPoly, ExpRational, InexactDivision, wave_constants,
 )
 from .spectral import InvalidSpectralData, spectral_data
 from .tau import TauZero, solution_from_tau
-from .transforms import PivotZero, TRANSFORM_ALGEBRA, apply_chain
+from .transforms import TRANSFORMS, PivotZero, apply_chain
 from .verify import SUITES, verify_config, verify_suite
 from .wavesys import FieldConfig, field_label, model, parse_field_label
 
@@ -176,9 +178,9 @@ def _resolve_chain(spec: str, algebra: str) -> list:
         name = raw.strip()
         if not name:
             continue
-        full = name if name in TRANSFORM_ALGEBRA else f"{algebra}_{name}"
-        if TRANSFORM_ALGEBRA.get(full) != algebra:
-            valid = sorted(t for t, a in TRANSFORM_ALGEBRA.items() if a == algebra)
+        full = name if name in TRANSFORMS else f"{algebra}_{name}"
+        if full not in TRANSFORMS or TRANSFORMS[full].algebra != algebra:
+            valid = sorted(t for t, tr in TRANSFORMS.items() if tr.algebra == algebra)
             raise InputError(
                 f"unknown transform {name!r} for {algebra} (valid: {', '.join(valid)})"
             )
@@ -239,7 +241,7 @@ def cmd_sample(args) -> int:
             cells = [str(float(t)), str(float(x))]
             for k in keys:
                 try:
-                    cells.append(str(cfg.fields[k].eval(t, x)))
+                    cells.append(mpmath.nstr(cfg.fields[k].eval(t, x), 17))
                 except EvalPole:
                     cells.append("")
             lines.append(",".join(cells))

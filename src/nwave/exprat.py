@@ -264,15 +264,6 @@ class ExpPoly:
         return _canonical(self._scale, out,
                           self._content / (p.denominator * q.denominator * self._scale))
 
-    def map_exponents(self, fn) -> "ExpPoly":
-        """Apply a linear substitution (a, b) -> fn(a, b) to every exponent."""
-        scale = self._scale
-        keys = []
-        for a, b in self._ints:
-            fa, fb = fn(Fraction(a, scale), Fraction(b, scale))
-            keys.append((as_frac(fa), as_frac(fb)))
-        return _from_rational_keys(keys, list(self._ints.values()), self._content)
-
     # -- inspection --------------------------------------------------------
 
     def sorted_terms(self):
@@ -617,9 +608,6 @@ class ExpRational:
         dd = self.den.deriv(i, j, w)
         return ExpRational(dn * self.den - self.num * dd, self.num * self.den)
 
-    def map_exponents(self, fn) -> "ExpRational":
-        return ExpRational(self.num.map_exponents(fn), self.den.map_exponents(fn))
-
     def as_constant(self):
         """Return this value as a Fraction if it is constant, else None."""
         if self.is_zero():
@@ -632,13 +620,15 @@ class ExpRational:
             return quot._content
         return None
 
-    def eval(self, t: RatLike, x: RatLike) -> float:
-        """Numeric value at rational (t, x); EvalPole where the denominator
-        vanishes to working precision (see POLE_BITS)."""
+    def eval(self, t: RatLike, x: RatLike):
+        """Numeric value at rational (t, x), as an mpmath mpf (no float
+        overflow or underflow); EvalPole where the denominator vanishes to
+        working precision (see POLE_BITS)."""
         dv, dm = self.den._eval_sums(t, x)
         if abs(dv) <= mpmath.ldexp(dm, -POLE_BITS):
             raise EvalPole(f"denominator ~ {mpmath.nstr(dv, 5)} at (t={t}, x={x})")
-        return float(self.num.eval(t, x) / dv)
+        with mpmath.workprec(EVAL_PRECISION):
+            return self.num.eval(t, x) / dv
 
     def __repr__(self) -> str:
         if self.is_poly():

@@ -91,10 +91,6 @@ def tau_V_B2(s: SpectralData, n1: int, n2: int, n3: int) -> ExpPoly:
     return _tau(s, n1, (n2, n3))
 
 
-def tau_V_G2(s: SpectralData, n1: int, n2: int, n3: int, n4: int) -> ExpPoly:
-    return _tau(s, n1, (n2, n3, n4))
-
-
 # -- ratio solutions -----------------------------------------------------------
 #
 # Per field: (order shifts, frozen calibration constant).  The field at chain

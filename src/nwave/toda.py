@@ -77,26 +77,29 @@ def det_bareiss(rows: Sequence[Sequence[ExpPoly]]) -> ExpPoly:
 # -- the Toda chain of the second simple root ------------------------------------
 
 
+#: The chain's seed field and the D_{i,j} its Hankel entries differentiate by.
+CHAIN_SEED_KEY: FieldKey = (MINUS, (0, 1))
+CHAIN_DIRECTION = (1, 0)
+
+
 @dataclass
 class HankelChain:
     """Lazily extended main minors Det_n of the Hankel matrix of one seed.
 
-    Entry (i, j) of the matrix is the (i+j)-th derivative of the seed in the
-    fixed direction; Det_0 = 1 and Det_{-1} = 0 by convention (the n = 0 and
+    Entry (i, j) of the matrix is the (i+j)-th derivative of the seed along
+    CHAIN_DIRECTION; Det_0 = 1 and Det_{-1} = 0 by convention (the n = 0 and
     n = -1 cases of the chain relations force both).
     """
 
     seed: ExpPoly
     constants: WaveConstants
-    direction: Tuple[int, int] = (1, 0)
-    seed_key: FieldKey = (MINUS, (0, 1))
     _ders: List[ExpPoly] = field(default_factory=list, repr=False)
     _dets: List[ExpPoly] = field(default_factory=list, repr=False)
 
     def derivative(self, k: int) -> ExpPoly:
         if not self._ders:
             self._ders.append(self.seed)
-        i, j = self.direction
+        i, j = CHAIN_DIRECTION
         while len(self._ders) <= k:
             self._ders.append(self._ders[-1].deriv(i, j, self.constants))
         return self._ders[k]
@@ -137,8 +140,8 @@ def toda_residual(chain: HankelChain, n: int) -> ExpRational:
     """
     dn = chain.det(n)
     if dn.is_zero():
-        raise PivotZero("TODA_CHAIN", chain.seed_key, step=n)
-    i, j = chain.direction
+        raise PivotZero("TODA_CHAIN", CHAIN_SEED_KEY, step=n)
+    i, j = CHAIN_DIRECTION
     d1 = dn.deriv(i, j, chain.constants)
     d2 = d1.deriv(i, j, chain.constants)
     num = dn * d2 - d1 * d1 - chain.det(n - 1) * chain.det(n + 1)
@@ -183,10 +186,10 @@ def ab_step(prev: ABChain, chain: HankelChain) -> ABChain:
     n = prev.level
     dn = chain.det(n)
     if dn.is_zero():
-        raise PivotZero("AB_CHAIN", chain.seed_key, step=n)
+        raise PivotZero("AB_CHAIN", CHAIN_SEED_KEY, step=n)
     dn1 = chain.det(n + 1)
     w = chain.constants
-    i, j = chain.direction
+    i, j = CHAIN_DIRECTION
 
     def d(f: ExpPoly) -> ExpPoly:
         return f.deriv(i, j, w)
@@ -225,7 +228,7 @@ def ab_f10(prev: ABChain, chain: HankelChain) -> ExpRational:
     """The remaining field at level n+1: f^-_{1.0} = B^n / Det_{n+1}^2."""
     dn1 = chain.det(prev.level + 1)
     if dn1.is_zero():
-        raise PivotZero("AB_CHAIN", chain.seed_key, step=prev.level + 1)
+        raise PivotZero("AB_CHAIN", CHAIN_SEED_KEY, step=prev.level + 1)
     return ExpRational(prev.B, dn1 * dn1)
 
 

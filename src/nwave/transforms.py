@@ -2,9 +2,17 @@
 
 Each transformation maps a FieldConfig to a new FieldConfig of the same
 algebra, exactly: derivatives via the bilinear D_{i,j} rule, divisions as
-normalized ExpRational quotients.  The defining property — verified by the
-tests and exposed via verify_invariance — is that solutions map to
-solutions.
+normalized ExpRational quotients.  The defining property, checked by the
+verify suites and proved for every map by the symbolic jet tests, is that
+solutions map to solutions.
+
+A map's rows are written once, as ``rows(F, d, dlog)``: ``F`` maps each
+FieldKey to a value, ``d(i, j, e)`` is the derivation D_{i,j} and
+``dlog(i, j, e)`` the log-derivative D_{i,j} e / e.  Rows use only field
+arithmetic, integer and Fraction scalars, ``d`` and ``dlog``, so the same
+functions run on ExpRational values (``apply``) and on sympy jets (the
+tests).  Every row is evaluated in the order written: an ExpRational's
+stored form depends on the order of operations.
 
 Naming: local aliases like m10 / p12 stand for f^-_{1.0} / f^+_{1.2}.
 
@@ -16,51 +24,25 @@ check, never the printed glyph.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict
 
-from .exprat import ExpRational, WaveConstants
-from .wavesys import MINUS, PLUS, FieldConfig, FieldKey, field_label, model, residuals
+from .wavesys import (
+    G2_SUBST_D, G2_SUBST_F, MINUS, PLUS, FieldConfig, FieldKey, field_label,
+)
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
-TRANSFORM_IDS = (
-    "A2_T1",
-    "A2_T2",
-    "A2_T3",
-    "B2_TM",
-    "B2_T10",
-    "B2_T10_INV",
-    "B2_T2A2",
-    "G2_T1",
-    "G2_TA1_3A2",
-)
 
-TRANSFORM_ALGEBRA = {
-    "A2_T1": "A2",
-    "A2_T2": "A2",
-    "A2_T3": "A2",
-    "B2_TM": "B2",
-    "B2_T10": "B2",
-    "B2_T10_INV": "B2",
-    "B2_T2A2": "B2",
-    "G2_T1": "G2",
-    "G2_TA1_3A2": "G2",
-}
-
-#: Field that must not vanish identically for the map to be defined.
-TRANSFORM_PIVOT: Dict[str, FieldKey] = {
-    "A2_T1": (MINUS, (1, 0)),
-    "A2_T2": (MINUS, (0, 1)),
-    "A2_T3": (MINUS, (1, 1)),
-    "B2_TM": (MINUS, (1, 2)),
-    "B2_T10": (MINUS, (1, 0)),
-    "B2_T10_INV": (PLUS, (1, 0)),
-    "B2_T2A2": (MINUS, (1, 2)),
-    "G2_T1": (MINUS, (1, 0)),
-    "G2_TA1_3A2": (MINUS, (1, 3)),
-}
+@dataclass(frozen=True)
+class Transform:
+    algebra: str
+    #: Field that must not vanish identically for the map to be defined.
+    pivot: FieldKey
+    #: rows(F, d, dlog) -> the image of every field.
+    rows: Callable[..., Dict[FieldKey, object]]
 
 
 class PivotZero(ZeroDivisionError):
@@ -74,78 +56,66 @@ class PivotZero(ZeroDivisionError):
         super().__init__(f"{transform_id}{at}: pivot {field_label(key)} is identically zero")
 
 
-def _check(tid: str, cfg: FieldConfig) -> None:
-    want = TRANSFORM_ALGEBRA[tid]
-    if cfg.algebra != want:
-        raise ValueError(f"{tid} acts on {want} configs, got {cfg.algebra}")
-    if cfg[TRANSFORM_PIVOT[tid]].is_zero():
-        raise PivotZero(tid, TRANSFORM_PIVOT[tid])
+def _values(F, roots):
+    """The f^+ values over ``roots``, then the f^- values."""
+    return [F[(PLUS, r)] for r in roots] + [F[(MINUS, r)] for r in roots]
 
 
-def _a2_t1(cfg: FieldConfig) -> Dict[FieldKey, ExpRational]:
-    w = cfg.constants
-    p10, p01, p11 = cfg[(PLUS, (1, 0))], cfg[(PLUS, (0, 1))], cfg[(PLUS, (1, 1))]
-    m10, m01, m11 = cfg[(MINUS, (1, 0))], cfg[(MINUS, (0, 1))], cfg[(MINUS, (1, 1))]
+_A2_ROOTS = ((1, 0), (0, 1), (1, 1))
+_B2_ROOTS = ((1, 0), (0, 1), (1, 1), (1, 2))
+_G2_ROOTS = ((1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3))
+
+
+def _a2_t1(F, d, dlog):
+    p10, p01, p11, m10, m01, m11 = _values(F, _A2_ROOTS)
     return {
-        (PLUS, (1, 0)): m10.inv(),
+        (PLUS, (1, 0)): 1 / m10,
         (MINUS, (0, 1)): m11 / m10,
         (PLUS, (1, 1)): -p01 / m10,
-        (PLUS, (0, 1)): (p01 / m10).deriv(1, 1, w) * m10,
-        (MINUS, (1, 1)): (m11 / m10).deriv(0, 1, w) * m10,
-        (MINUS, (1, 0)): (p10 * m10 + m10.dlog(1, 1, w).deriv(0, 1, w)) * m10,
+        (PLUS, (0, 1)): d(1, 1, p01 / m10) * m10,
+        (MINUS, (1, 1)): d(0, 1, m11 / m10) * m10,
+        (MINUS, (1, 0)): (p10 * m10 + d(0, 1, dlog(1, 1, m10))) * m10,
     }
 
 
-def _a2_t2(cfg: FieldConfig) -> Dict[FieldKey, ExpRational]:
-    w = cfg.constants
-    p10, p01, p11 = cfg[(PLUS, (1, 0))], cfg[(PLUS, (0, 1))], cfg[(PLUS, (1, 1))]
-    m10, m01, m11 = cfg[(MINUS, (1, 0))], cfg[(MINUS, (0, 1))], cfg[(MINUS, (1, 1))]
+def _a2_t2(F, d, dlog):
+    p10, p01, p11, m10, m01, m11 = _values(F, _A2_ROOTS)
     return {
-        (PLUS, (0, 1)): m01.inv(),
+        (PLUS, (0, 1)): 1 / m01,
         (MINUS, (1, 0)): -m11 / m01,
         (PLUS, (1, 1)): p10 / m01,
-        (PLUS, (1, 0)): -(p10 / m01).deriv(1, 1, w) * m01,
-        (MINUS, (1, 1)): -(m11 / m01).deriv(1, 0, w) * m01,
-        (MINUS, (0, 1)): (p01 * m01 + m01.dlog(1, 1, w).deriv(1, 0, w)) * m01,
+        (PLUS, (1, 0)): -d(1, 1, p10 / m01) * m01,
+        (MINUS, (1, 1)): -d(1, 0, m11 / m01) * m01,
+        (MINUS, (0, 1)): (p01 * m01 + d(1, 0, dlog(1, 1, m01))) * m01,
     }
 
 
-def _a2_t3(cfg: FieldConfig) -> Dict[FieldKey, ExpRational]:
-    w = cfg.constants
-    p10, p01, p11 = cfg[(PLUS, (1, 0))], cfg[(PLUS, (0, 1))], cfg[(PLUS, (1, 1))]
-    m10, m01, m11 = cfg[(MINUS, (1, 0))], cfg[(MINUS, (0, 1))], cfg[(MINUS, (1, 1))]
+def _a2_t3(F, d, dlog):
+    p10, p01, p11, m10, m01, m11 = _values(F, _A2_ROOTS)
     return {
-        (PLUS, (1, 1)): m11.inv(),
+        (PLUS, (1, 1)): 1 / m11,
         (PLUS, (1, 0)): -m01 / m11,
         (PLUS, (0, 1)): m10 / m11,
-        (MINUS, (0, 1)): -(m01 / m11).deriv(1, 0, w) * m11,
-        (MINUS, (1, 0)): (m10 / m11).deriv(0, 1, w) * m11,
-        (MINUS, (1, 1)): (p11 * m11 - m11.dlog(0, 1, w).deriv(1, 0, w)) * m11,
+        (MINUS, (0, 1)): -d(1, 0, m01 / m11) * m11,
+        (MINUS, (1, 0)): d(0, 1, m10 / m11) * m11,
+        (MINUS, (1, 1)): (p11 * m11 - d(1, 0, dlog(0, 1, m11))) * m11,
     }
 
 
-def _b2_fields(cfg: FieldConfig):
-    return (
-        cfg[(PLUS, (1, 0))], cfg[(PLUS, (0, 1))], cfg[(PLUS, (1, 1))], cfg[(PLUS, (1, 2))],
-        cfg[(MINUS, (1, 0))], cfg[(MINUS, (0, 1))], cfg[(MINUS, (1, 1))], cfg[(MINUS, (1, 2))],
-    )
+def _b2_tm(F, d, dlog):
+    p10, p01, p11, p12, m10, m01, m11, m12 = _values(F, _B2_ROOTS)
 
+    def D(f):
+        return d(1, 0, f)
 
-def _b2_tm(cfg: FieldConfig) -> Dict[FieldKey, ExpRational]:
-    w = cfg.constants
-    p10, p01, p11, p12, m10, m01, m11, m12 = _b2_fields(cfg)
-
-    def D(f: ExpRational) -> ExpRational:
-        return f.deriv(1, 0, w)
-
-    dlog12 = m12.dlog(1, 0, w)
+    dlog12 = dlog(1, 0, m12)
     tm12 = (
-        m12.dlog(1, 0, w).deriv(1, 0, w) * QUARTER
+        D(dlog12) * QUARTER
         + (m11 * D(m01) - m01 * D(m11)) / (m12 * 2)
         + p12 * m12 + p11 * m11 + p01 * m01
     ) * m12
     return {
-        (PLUS, (1, 2)): m12.inv(),
+        (PLUS, (1, 2)): 1 / m12,
         (PLUS, (0, 1)): m11 / m12,
         (PLUS, (1, 1)): -m01 / m12,
         (PLUS, (1, 0)): p10 + m01 * m01 / m12,
@@ -156,21 +126,20 @@ def _b2_tm(cfg: FieldConfig) -> Dict[FieldKey, ExpRational]:
     }
 
 
-def _b2_t10(cfg: FieldConfig) -> Dict[FieldKey, ExpRational]:
-    w = cfg.constants
-    p10, p01, p11, p12, m10, m01, m11, m12 = _b2_fields(cfg)
+def _b2_t10(F, d, dlog):
+    p10, p01, p11, p12, m10, m01, m11, m12 = _values(F, _B2_ROOTS)
 
-    def D(f: ExpRational) -> ExpRational:
-        return f.deriv(1, 2, w)
+    def D(f):
+        return d(1, 2, f)
 
-    dlog10 = m10.dlog(1, 2, w)
+    dlog10 = dlog(1, 2, m10)
     tm10 = (
-        m10.dlog(1, 2, w).deriv(1, 2, w) * QUARTER
+        D(dlog10) * QUARTER
         + (p01 * D(m11) - m11 * D(p01)) / (m10 * 2)
         + p10 * m10 + p11 * m11 + p01 * m01
     ) * m10
     return {
-        (PLUS, (1, 0)): m10.inv(),
+        (PLUS, (1, 0)): 1 / m10,
         (MINUS, (0, 1)): m11 / m10,
         (PLUS, (1, 1)): -p01 / m10,
         (PLUS, (1, 2)): p12 + p01 * p01 / m10,
@@ -181,15 +150,14 @@ def _b2_t10(cfg: FieldConfig) -> Dict[FieldKey, ExpRational]:
     }
 
 
-def _b2_t10_inv(cfg: FieldConfig) -> Dict[FieldKey, ExpRational]:
-    w = cfg.constants
-    G, N1, K, tp12, Z, H, M1, tm12 = _b2_fields(cfg)
+def _b2_t10_inv(F, d, dlog):
+    G, N1, K, tp12, Z, H, M1, tm12 = _values(F, _B2_ROOTS)
 
-    def D(f: ExpRational) -> ExpRational:
-        return f.deriv(1, 2, w)
+    def D(f):
+        return d(1, 2, f)
 
-    dlogG = G.dlog(1, 2, w)
-    m10 = G.inv()
+    dlogG = dlog(1, 2, G)
+    m10 = 1 / G
     m11 = H / G
     p01 = -K / G
     p12 = tp12 - K * K / G
@@ -198,7 +166,7 @@ def _b2_t10_inv(cfg: FieldConfig) -> Dict[FieldKey, ExpRational]:
     p11 = -D(K) + K * dlogG * HALF - N1 * G
     p10 = (
         Z * G * G
-        + dlogG.deriv(1, 2, w) * G * QUARTER
+        + D(dlogG) * G * QUARTER
         + (m11 * D(p01) - p01 * D(m11)) * G * G * HALF
         - (p11 * m11 + p01 * m01) * G
     )
@@ -214,25 +182,15 @@ def _b2_t10_inv(cfg: FieldConfig) -> Dict[FieldKey, ExpRational]:
     }
 
 
-def _g2_fields(cfg: FieldConfig):
-    keys = [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3)]
-    plus = {k: cfg[(PLUS, k)] for k in keys}
-    minus = {k: cfg[(MINUS, k)] for k in keys}
-    return plus, minus
+def _g2_t1(F, d, dlog):
+    p10, p01, p11, p12, p13, p23, m10, m01, m11, m12, m13, m23 = _values(F, _G2_ROOTS)
 
+    def D(f):
+        return d(1, 2, f)
 
-def _g2_t1(cfg: FieldConfig) -> Dict[FieldKey, ExpRational]:
-    w = cfg.constants
-    p, m = _g2_fields(cfg)
-    p10, p01, p11, p12, p13, p23 = (p[k] for k in [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3)])
-    m10, m01, m11, m12, m13, m23 = (m[k] for k in [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3)])
+    dlog10 = dlog(1, 2, m10)
 
-    def D(f: ExpRational) -> ExpRational:
-        return f.deriv(1, 2, w)
-
-    dlog10 = m10.dlog(1, 2, w)
-
-    def half_deriv(f: ExpRational) -> ExpRational:
+    def half_deriv(f):
         # (m10*Df - (1/2) f*Dm10) / m10  ==  Df - (1/2) f * dlog10
         return D(f) - f * dlog10 * HALF
 
@@ -253,7 +211,7 @@ def _g2_t1(cfg: FieldConfig) -> Dict[FieldKey, ExpRational]:
         - (p01 * p01 * m23 * 2 + m11 * m11 * p01 + m23 * m11 * p13) / (m10 * 2)
     )
     tm10 = (
-        dlog10.deriv(1, 2, w) * QUARTER
+        D(dlog10) * QUARTER
         + m10 * p10
         + (m01 * p01 + m11 * p11) * Fraction(3, 2)
         + (m23 * p23 + m13 * p13) * HALF
@@ -268,7 +226,7 @@ def _g2_t1(cfg: FieldConfig) -> Dict[FieldKey, ExpRational]:
         ) / (m10 * m10) * QUARTER
     ) * m10
     return {
-        (PLUS, (1, 0)): m10.inv(),
+        (PLUS, (1, 0)): 1 / m10,
         (MINUS, (1, 3)): -m23 / m10,
         (PLUS, (1, 1)): -p01 / m10,
         (MINUS, (0, 1)): m11 / m10,
@@ -283,59 +241,60 @@ def _g2_t1(cfg: FieldConfig) -> Dict[FieldKey, ExpRational]:
     }
 
 
-# The index exchange of the G2 system (see wavesys.G2_SUBST_*): on exponents
-# it reflects the F-charge, (Lam, M) -> (Lam, 3*Lam - M); on fields it
-# relabels with signs.  Conjugating G2_T1 by it yields the second-root map.
+def _b2_t2a2(F, d, dlog):
+    # the second-root map factors as TM followed by T10^-1
+    return _b2_t10_inv(_b2_tm(F, d, dlog), d, dlog)
 
 
-def _g2_sigma(cfg: FieldConfig) -> FieldConfig:
-    from .wavesys import G2_SUBST_F
+def _g2_ta1_3a2(F, d, dlog):
+    """G2_T1 conjugated by the index exchange sigma of the G2 system.
 
-    w = cfg.constants
+    sigma relabels fields with signs (G2_SUBST_F) and reflects the charges
+    of every exponent, (Lam, M) -> (Lam, 3*Lam - M).  D_{i,j} scales a term
+    of charges (Lam, M) by i*M - j*Lam, so D_{i,j} o sigma = -sigma o
+    D_{i,3i-j}: the table G2_SUBST_D.  The reflection is an involution and
+    commutes with field arithmetic, so it cancels between input and output;
+    only the relabelling and the substituted derivations remain.
+    """
 
-    def omega(a: Fraction, b: Fraction) -> Tuple[Fraction, Fraction]:
-        lam = (-w.c2 * a - w.d2 * b) / w.delta
-        mm = (w.c1 * a + w.d1 * b) / w.delta
-        m2 = lam * 3 - mm
-        return (lam * w.d1 + m2 * w.d2, -(lam * w.c1 + m2 * w.c2))
+    def sub(deriv):
+        def out(i, j, f):
+            eta, (i2, j2) = G2_SUBST_D[(i, j)]
+            return deriv(i2, j2, f) * eta
 
-    fields: Dict[FieldKey, ExpRational] = {}
-    for key, f in cfg.fields.items():
-        eps, target = G2_SUBST_F[key]
-        fields[target] = f.map_exponents(omega) * eps
-    return FieldConfig(cfg.algebra, w, fields)
+        return out
 
-
-def _g2_ta1_3a2(cfg: FieldConfig) -> Dict[FieldKey, ExpRational]:
-    inner = _g2_sigma(cfg)
-    # the conjugated pivot: sigma sends f-1.3 onto -f-1.0
-    out = _g2_sigma(FieldConfig("G2", cfg.constants, _g2_t1(inner)))
-    return dict(out.fields)
+    inner = {target: F[key] * eps for key, (eps, target) in G2_SUBST_F.items()}
+    image = _g2_t1(inner, sub(d), sub(dlog))
+    return {target: image[key] * eps for key, (eps, target) in G2_SUBST_F.items()}
 
 
-def _b2_t2a2(cfg: FieldConfig) -> Dict[FieldKey, ExpRational]:
-    mid = FieldConfig("B2", cfg.constants, _b2_tm(cfg))
-    return _b2_t10_inv(mid)
-
-
-_BODIES: Dict[str, Callable[[FieldConfig], Dict[FieldKey, ExpRational]]] = {
-    "A2_T1": _a2_t1,
-    "A2_T2": _a2_t2,
-    "A2_T3": _a2_t3,
-    "B2_TM": _b2_tm,
-    "B2_T10": _b2_t10,
-    "B2_T10_INV": _b2_t10_inv,
-    "B2_T2A2": _b2_t2a2,
-    "G2_T1": _g2_t1,
-    "G2_TA1_3A2": _g2_ta1_3a2,
+TRANSFORMS: Dict[str, Transform] = {
+    "A2_T1": Transform("A2", (MINUS, (1, 0)), _a2_t1),
+    "A2_T2": Transform("A2", (MINUS, (0, 1)), _a2_t2),
+    "A2_T3": Transform("A2", (MINUS, (1, 1)), _a2_t3),
+    "B2_TM": Transform("B2", (MINUS, (1, 2)), _b2_tm),
+    "B2_T10": Transform("B2", (MINUS, (1, 0)), _b2_t10),
+    "B2_T10_INV": Transform("B2", (PLUS, (1, 0)), _b2_t10_inv),
+    "B2_T2A2": Transform("B2", (MINUS, (1, 2)), _b2_t2a2),
+    "G2_T1": Transform("G2", (MINUS, (1, 0)), _g2_t1),
+    # sigma sends f-1.3 onto -f-1.0, the pivot of G2_T1
+    "G2_TA1_3A2": Transform("G2", (MINUS, (1, 3)), _g2_ta1_3a2),
 }
 
 
 def apply(tid: str, cfg: FieldConfig) -> FieldConfig:
-    if tid not in _BODIES:
+    t = TRANSFORMS.get(tid)
+    if t is None:
         raise ValueError(f"unknown transform {tid!r}")
-    _check(tid, cfg)
-    return FieldConfig(cfg.algebra, cfg.constants, _BODIES[tid](cfg))
+    if cfg.algebra != t.algebra:
+        raise ValueError(f"{tid} acts on {t.algebra} configs, got {cfg.algebra}")
+    if cfg[t.pivot].is_zero():
+        raise PivotZero(tid, t.pivot)
+    w = cfg.constants
+    fields = t.rows(cfg.fields,
+                    lambda i, j, f: f.deriv(i, j, w), lambda i, j, f: f.dlog(i, j, w))
+    return FieldConfig(cfg.algebra, w, fields)
 
 
 def apply_chain(tids, cfg: FieldConfig) -> FieldConfig:
@@ -345,12 +304,3 @@ def apply_chain(tids, cfg: FieldConfig) -> FieldConfig:
         except PivotZero as e:
             raise PivotZero(e.transform_id, e.key, step=step) from None
     return cfg
-
-
-def verify_invariance(tid: str, cfg: FieldConfig) -> dict:
-    """Apply the map, then report exact residuals of the output."""
-    out = apply(tid, cfg)
-    m = model(out.algebra)
-    res = residuals(m, out)
-    nonzero = [field_label(k) for k, v in res.items() if not v.is_zero()]
-    return {"transform": tid, "pass": not nonzero, "nonzero_residuals": nonzero}

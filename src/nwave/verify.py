@@ -360,14 +360,12 @@ def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Rep
 
 
 def _solution_checks(rep: Report, name: str, m: AlgebraModel, cfg: FieldConfig) -> None:
-    bad = []
-    witness = None
-    for eq in m.equations:
-        r = residual(m, cfg, eq)
-        if not r.is_zero():
-            bad.append(_eq_name(eq))
-            witness = witness if witness is not None else r.num
-    rep.add(name, not bad, "" if not bad else "nonzero: " + ", ".join(bad), witness)
+    """One check named ``name``: the exact verify_config verdict of ``cfg``."""
+    sub = verify_config(m, cfg)
+    bad = [c.name for c in sub.checks if not c.passed]
+    rep.add(name, not bad, "" if not bad else "nonzero: " + ", ".join(bad))
+    if rep.counterexample is None:
+        rep.counterexample = sub.counterexample
 
 
 # -- verification suites ------------------------------------------------------------

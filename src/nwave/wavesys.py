@@ -11,9 +11,9 @@ transformation engine share a single source of truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 from .exprat import ExpRational, WaveConstants
 
@@ -176,14 +176,6 @@ def residual(m: AlgebraModel, cfg: FieldConfig, eq: EquationSpec) -> ExpRational
     for coef, a, b in eq.rhs:
         acc = acc - cfg[a] * cfg[b] * Fraction(coef)
     return acc
-
-
-def residuals(m: AlgebraModel, cfg: FieldConfig) -> Dict[FieldKey, ExpRational]:
-    return {eq.lhs: residual(m, cfg, eq) for eq in m.equations}
-
-
-def is_exact_solution(m: AlgebraModel, cfg: FieldConfig) -> bool:
-    return all(residual(m, cfg, eq).is_zero() for eq in m.equations)
 
 
 # -- G2 structural symmetry ----------------------------------------------------

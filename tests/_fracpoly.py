@@ -48,10 +48,3 @@ def deriv(p, i, j, w):
         if f:
             out[(a, b)] = c * f
     return out
-
-
-def map_exponents(p, fn):
-    out = {}
-    for (a, b), c in p.items():
-        _put(out, fn(a, b), c)
-    return out

@@ -8,20 +8,18 @@ Every rational expression in fields and derivatives then has a normal form
 in these coordinates, and an identity holds on the whole solution manifold
 iff its normal form is zero — no probe data involved.
 
-The transformation rows are restated here in sympy terms; the equation
-tables come straight from the package model, so a drift between this file
-and the real implementation shows up as a failing residual, not a silent
-pass.
+The transformation rows are the package's own (transforms.TRANSFORMS),
+run on jets with d = JetRing.d and dlog(i, j, e) = d(i, j, e) / e, and the
+equation tables come straight from the package model, so the proof covers
+the code that ships.
 """
 from fractions import Fraction
 
 import sympy as sp
 from sympy import Rational as Q
 
-from nwave.wavesys import PLUS, model
-
-HALF = Q(1, 2)
-QUARTER = Q(1, 4)
+from nwave.transforms import TRANSFORMS
+from nwave.wavesys import PLUS, field_label, model
 
 
 def _name(key):
@@ -30,26 +28,25 @@ def _name(key):
 
 
 class JetRing:
+    """Jet coordinates of one algebra's solution manifold, keyed by FieldKey."""
+
     def __init__(self, algebra: str):
         m = model(algebra)
         self.keys = list(m.field_keys)
         self.equations = m.equations
-        self.evo = {_name(eq.lhs): eq.d_index for eq in m.equations}
+        self.evo = {eq.lhs: eq.d_index for eq in m.equations}
+        self._ctower = {f: ("t" if self.evo[f] == (0, 1) else "x") for f in self.keys}
         self.sym = {}
-        for key in self.keys:
-            f = _name(key)
-            tower = "t" if self.evo[f] == (0, 1) else "x"
+        for f in self.keys:
             for k in range(0, 9):
-                nm = f if k == 0 else f"{f}_{tower}{k}"
+                nm = _name(f) if k == 0 else f"{_name(f)}_{self._ctower[f]}{k}"
                 self.sym[(f, k)] = sp.Symbol(nm)
-        self.F = {_name(k): self.sym[(_name(k), 0)] for k in self.keys}
+        self.F = {f: self.sym[(f, 0)] for f in self.keys}
         self.R = {}
         for eq in m.equations:
-            self.R[_name(eq.lhs)] = sp.Add(*[
-                Q(Fraction(c)) * self.F[_name(a)] * self.F[_name(b)]
-                for c, a, b in eq.rhs
+            self.R[eq.lhs] = sp.Add(*[
+                Q(Fraction(c)) * self.F[a] * self.F[b] for c, a, b in eq.rhs
             ])
-        self._ctower = {f: ("t" if self.evo[f] == (0, 1) else "x") for f in self.F}
         self._dt_cache = {}
         self._dx_cache = {}
         self._owner = {s: fk for fk, s in self.sym.items()}
@@ -106,196 +103,37 @@ class JetRing:
         bad = []
         for eq in self.equations:
             i, j = eq.d_index
-            r = self.d(i, j, rows[_name(eq.lhs)])
+            r = self.d(i, j, rows[eq.lhs])
             for c, a, b in eq.rhs:
-                r = r - Q(Fraction(c)) * rows[_name(a)] * rows[_name(b)]
+                r = r - Q(Fraction(c)) * rows[a] * rows[b]
             if sp.expand(sp.numer(sp.together(r))) != 0:
-                bad.append(f"{_name(eq.lhs)} D{eq.d_index}")
+                bad.append(f"D{eq.d_index} {field_label(eq.lhs)}")
         return bad
 
 
-def _rows_a2_t1(J):
-    F = J.F
-    p10, p01, m10, m11 = F["p10"], F["p01"], F["m10"], F["m11"]
-    return {
-        "p10": 1 / m10,
-        "m01": m11 / m10,
-        "p11": -p01 / m10,
-        "p01": J.d(1, 1, p01) - p01 * J.d(1, 1, m10) / m10,
-        "m11": J.d(0, 1, m11) - m11 * J.d(0, 1, m10) / m10,
-        "m10": (p10 * m10 + J.d(0, 1, J.d(1, 1, m10) / m10)) * m10,
-    }
-
-
-def _rows_a2_t2(J):
-    F = J.F
-    p10, p01, m01, m11 = F["p10"], F["p01"], F["m01"], F["m11"]
-    return {
-        "p01": 1 / m01,
-        "m10": -m11 / m01,
-        "p11": p10 / m01,
-        "p10": -(J.d(1, 1, p10) - p10 * J.d(1, 1, m01) / m01),
-        "m11": -(J.d(1, 0, m11) - m11 * J.d(1, 0, m01) / m01),
-        "m01": (p01 * m01 + J.d(1, 0, J.d(1, 1, m01) / m01)) * m01,
-    }
-
-
-def _rows_a2_t3(J):
-    F = J.F
-    p11, m10, m01, m11 = F["p11"], F["m10"], F["m01"], F["m11"]
-    return {
-        "p11": 1 / m11,
-        "p10": -m01 / m11,
-        "p01": m10 / m11,
-        "m01": -(J.d(1, 0, m01) - m01 * J.d(1, 0, m11) / m11),
-        "m10": J.d(0, 1, m10) - m10 * J.d(0, 1, m11) / m11,
-        "m11": (p11 * m11 - J.d(1, 0, J.d(0, 1, m11) / m11)) * m11,
-    }
-
-
-def _rows_b2_tm(J, F=None):
-    F = J.F if F is None else F
-    p10, p01, p11, p12 = F["p10"], F["p01"], F["p11"], F["p12"]
-    m10, m01, m11, m12 = F["m10"], F["m01"], F["m11"], F["m12"]
-    D = lambda e: J.d(1, 0, e)
-    dlog12 = D(m12) / m12
-    tm12 = (
-        J.d(1, 0, dlog12) * QUARTER
-        + (m11 * D(m01) - m01 * D(m11)) / (m12 * 2)
-        + p12 * m12 + p11 * m11 + p01 * m01
-    ) * m12
-    return {
-        "p12": 1 / m12,
-        "p01": m11 / m12,
-        "p11": -m01 / m12,
-        "p10": p10 + m01 * m01 / m12,
-        "m10": m10 - m11 * m11 / m12,
-        "m01": -D(m01) - p11 * m12 + m01 * dlog12 * HALF,
-        "m11": -D(m11) + p01 * m12 + m11 * dlog12 * HALF,
-        "m12": tm12,
-    }
-
-
-def _rows_b2_t10(J):
-    F = J.F
-    p10, p01, p11, p12 = F["p10"], F["p01"], F["p11"], F["p12"]
-    m10, m01, m11, m12 = F["m10"], F["m01"], F["m11"], F["m12"]
-    D = lambda e: J.d(1, 2, e)
-    dlog10 = D(m10) / m10
-    tm10 = (
-        J.d(1, 2, dlog10) * QUARTER
-        + (p01 * D(m11) - m11 * D(p01)) / (m10 * 2)
-        + p10 * m10 + p11 * m11 + p01 * m01
-    ) * m10
-    return {
-        "p10": 1 / m10,
-        "m01": m11 / m10,
-        "p11": -p01 / m10,
-        "p12": p12 + p01 * p01 / m10,
-        "m12": m12 - m11 * m11 / m10,
-        "p01": D(p01) - p11 * m10 - p01 * dlog10 * HALF,
-        "m11": D(m11) + m01 * m10 - m11 * dlog10 * HALF,
-        "m10": tm10,
-    }
-
-
-def _rows_b2_t10_inv(J, F=None):
-    F = J.F if F is None else F
-    G, N1, K, TP12 = F["p10"], F["p01"], F["p11"], F["p12"]
-    Z, H, M1, TM12 = F["m10"], F["m01"], F["m11"], F["m12"]
-    D = lambda e: J.d(1, 2, e)
-    dlogG = D(G) / G
-    m11 = H / G
-    p01 = -K / G
-    m01 = M1 * G - D(H) + H * dlogG * HALF
-    p11 = -D(K) + K * dlogG * HALF - N1 * G
-    p10 = (
-        Z * G * G
-        + J.d(1, 2, dlogG) * G * QUARTER
-        + (m11 * D(p01) - p01 * D(m11)) * G * G * HALF
-        - (p11 * m11 + p01 * m01) * G
-    )
-    return {
-        "p10": p10,
-        "p01": p01,
-        "p11": p11,
-        "p12": TP12 - K * K / G,
-        "m10": 1 / G,
-        "m01": m01,
-        "m11": m11,
-        "m12": TM12 + H * H / G,
-    }
-
-
-def _rows_g2_t1(J):
-    F = J.F
-    p10, p01, p11, p12, p13, p23 = (F[k] for k in ["p10", "p01", "p11", "p12", "p13", "p23"])
-    m10, m01, m11, m12, m13, m23 = (F[k] for k in ["m10", "m01", "m11", "m12", "m13", "m23"])
-    D = lambda e: J.d(1, 2, e)
-    dlog10 = D(m10) / m10
-    hd = lambda f: D(f) - f * dlog10 * HALF
-    tm23 = hd(m23) - m10 * m13 + (-(m23 ** 2) * p13 + 2 * m11 ** 3 + 3 * m23 * m11 * p01) / (2 * m10)
-    tp01 = hd(p01) - p11 * m10 + (2 * m11 ** 2 * p13 + p01 ** 2 * m11 + m23 * p01 * p13) / (2 * m10)
-    tp13 = hd(p13) + p23 * m10 + (p13 ** 2 * m23 - 3 * p13 * m11 * p01 - 2 * p01 ** 3) / (2 * m10)
-    tm11 = hd(m11) + m01 * m10 - (2 * p01 ** 2 * m23 + m11 ** 2 * p01 + m23 * m11 * p13) / (2 * m10)
-    tm10 = (
-        J.d(1, 2, dlog10) * QUARTER
-        + m10 * p10
-        + (m01 * p01 + m11 * p11) * Q(3, 2)
-        + (m23 * p23 + m13 * p13) * HALF
-        + (p01 * D(m11) - m11 * D(p01)) / m10 * Q(3, 4)
-        - (p13 * D(m23) - m23 * D(p13)) / m10 * QUARTER
-        - ((m11 * p01) ** 2 * 3
-           - (m23 * p13) ** 2
-           + m11 * p01 * m23 * p13 * 6
-           + m11 ** 3 * p13 * 4
-           + p01 ** 3 * m23 * 4) / (m10 * m10) * QUARTER
-    ) * m10
-    return {
-        "p10": 1 / m10,
-        "m13": -m23 / m10,
-        "p11": -p01 / m10,
-        "m01": m11 / m10,
-        "p23": p13 / m10,
-        "p12": p12 + (m11 * p13 + p01 * p01) / m10,
-        "m12": m12 - (m23 * p01 + m11 * m11) / m10,
-        "m23": tm23,
-        "p01": tp01,
-        "p13": tp13,
-        "m11": tm11,
-        "m10": tm10,
-    }
-
-
-ROWS = {
-    "A2_T1": ("A2", _rows_a2_t1),
-    "A2_T2": ("A2", _rows_a2_t2),
-    "A2_T3": ("A2", _rows_a2_t3),
-    "B2_TM": ("B2", _rows_b2_tm),
-    "B2_T10": ("B2", _rows_b2_t10),
-    "B2_T10_INV": ("B2", _rows_b2_t10_inv),
-    "G2_T1": ("G2", _rows_g2_t1),
-}
+def _run(J, rows, F=None):
+    """A registry row set on jets, each row normalised by sp.cancel (exact)."""
+    out = rows(J.F if F is None else F, J.d, lambda i, j, e: J.d(i, j, e) / e)
+    return {k: sp.cancel(v) for k, v in out.items()}
 
 
 def manifold_residuals(tid: str):
-    algebra, rows_fn = ROWS[tid]
-    J = JetRing(algebra)
-    return J.residual_labels(rows_fn(J))
+    t = TRANSFORMS[tid]
+    J = JetRing(t.algebra)
+    return J.residual_labels(_run(J, t.rows))
 
 
 def b2_factorization_mismatches():
-    """Fields where T10_INV∘TM differs from TM∘T10_INV on the B2 manifold.
-
-    The second-root map is built as the left composite; the identity says
-    the two composition orders agree on every solution.
+    """Fields where B2_T2A2 = T10_INV∘TM differs from TM∘T10_INV on the B2
+    manifold: the identity says the two composition orders agree on every
+    solution.
     """
     J = JetRing("B2")
-    lhs = _rows_b2_t10_inv(J, F=_rows_b2_tm(J))
-    rhs = _rows_b2_tm(J, F=_rows_b2_t10_inv(J))
+    lhs = _run(J, TRANSFORMS["B2_T2A2"].rows)
+    rhs = _run(J, TRANSFORMS["B2_TM"].rows, F=_run(J, TRANSFORMS["B2_T10_INV"].rows))
     bad = []
-    for name in sorted(lhs):
-        d = sp.together(lhs[name] - rhs[name])
+    for key in sorted(lhs):
+        d = sp.together(lhs[key] - rhs[key])
         if sp.expand(sp.numer(d)) != 0:
-            bad.append(name)
+            bad.append(field_label(key))
     return bad

@@ -19,8 +19,8 @@ from nwave.spectral import initial_config, spectral_data
 from nwave.tau import TauZero, check_gra, solution_from_tau, tau_U
 from nwave.toda import ab_closed, ab_init, ab_step, det_n, hankel_chain, toda_residual
 from nwave.transforms import PivotZero, apply, apply_chain
-from nwave.verify import verify_config, verify_suite
-from nwave.wavesys import MINUS, PLUS, FieldConfig, model
+from nwave.verify import _const_solution, _generic_config, verify_config, verify_suite
+from nwave.wavesys import MINUS, PLUS, model
 
 W = wave_constants("1", "1/2", "1/3", "1")
 P1 = [("5", "1")]
@@ -246,29 +246,6 @@ def test_criterion_04_composition_and_iterated_chains_match_tau_ratios():
     _verdict(4, "T1/T2/T3 composition on 3 datasets; chains vs tau, n1+n2<=3", 10, t0)
 
 
-def _arbitrary_b2_config():
-    # Off the solution set on purpose, every field (hence every pivot) alive.
-    m = model("B2")
-    data = {}
-    for k, (key, c) in enumerate(zip(m.field_keys, (2, 3, 5, 7, 11, 13, 17, 19))):
-        num = ExpPoly.const(c) + ExpPoly.term(
-            Fraction(1 + k % 3), Fraction(k - 3, 2), Fraction(4 - k, 3))
-        data[key] = ExpRational(num, ExpPoly.const(1))
-    return FieldConfig("B2", W, data)
-
-
-def _const_b2_solution():
-    # Constant minus-sector values (2, 3, 5) with f^-_{0.1} = 0 and f^+ = 0
-    # solve every B2 equation (each surviving product has a vanishing
-    # factor); its first-root image has every pivot alive, which makes it
-    # the cheapest input on which both factor maps apply.
-    m = model("B2")
-    data = {k: ExpRational.zero() for k in m.field_keys}
-    for r, c in zip(((1, 0), (1, 1), (1, 2)), (2, 3, 5)):
-        data[(MINUS, r)] = ExpRational.const(c)
-    return FieldConfig("B2", W, data)
-
-
 def test_criterion_05_b2_maps_preserve_solutions_invert_and_factor():
     t0 = time.perf_counter()
     m = model("B2")
@@ -278,7 +255,7 @@ def test_criterion_05_b2_maps_preserve_solutions_invert_and_factor():
     images = {label.split()[0]: cfg for label, (_, cfg, _, _) in _verified(_b2_seed_images).items()}
     # The first-root round trip is an identity of the formulas themselves:
     # it holds on arbitrary fields, not just solutions.
-    g = _arbitrary_b2_config()
+    g = _generic_config(W)
     assert apply_chain(["B2_T10", "B2_T10_INV"], g) == g
     assert apply_chain(["B2_T10_INV", "B2_T10"], g) == g
     # The factorisation of the second-root map through TM and T10^-1 is an
@@ -288,7 +265,7 @@ def test_criterion_05_b2_maps_preserve_solutions_invert_and_factor():
     from _jet import b2_factorization_mismatches
 
     assert b2_factorization_mismatches() == []
-    inst = apply("B2_T10", _const_b2_solution())
+    inst = apply("B2_T10", _const_solution(W))
     assert apply("B2_T2A2", inst) == apply_chain(["B2_T10_INV", "B2_TM"], inst)
     # Zero patterns: the seed keeps the whole plus sector zero; T10 switches
     # on f^+_{1.0} only; T2A2 switches on f^+_{0.1} only and lands exactly

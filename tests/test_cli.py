@@ -2,6 +2,7 @@
 
 import json
 
+import mpmath
 import pytest
 
 from nwave.cli import config_from_doc, config_to_doc, main
@@ -291,3 +292,28 @@ def test_sample_csv_layout_and_pole_cells(tmp_path):
     # Untouched fields sample to exactly 0.0 everywhere.
     other = lines[0].split(",").index(sorted(labels)[-1])
     assert {row[other] for row in rows} == {"0.0"}
+
+
+def test_sample_prints_values_past_the_float_range(tmp_path):
+    # At t = 1, e^{2000t} overflows a float and 1/(e^{2000t} + e^{2001t})
+    # underflows one; both cells must still be finite and nonzero.
+    w = wave_constants("1", "1/2", "1/3", "1")
+    cfg = zero_config("A2", w)
+    big, small = sorted(cfg.fields, key=field_label)[:2]
+    huge = ExpPoly.term(1, 2000, 0)
+    cfg = cfg.with_fields({
+        big: ExpRational(huge),
+        small: ExpRational(ExpPoly.const(1), huge + ExpPoly.term(1, 2001, 0)),
+    })
+    path = write_json(tmp_path / "wide.json", config_to_doc(cfg))
+    csv_path = tmp_path / "wide.csv"
+    rc = main(["sample", "--in", path, "--t0", "1", "--t1", "1", "--nt", "1",
+               "--x0", "0", "--x1", "0", "--nx", "1", "--csv", str(csv_path)])
+    assert rc == 0
+    header, row = (line.split(",") for line in csv_path.read_text().splitlines())
+    cells = dict(zip(header, row))
+    for key in (big, small):
+        v = mpmath.mpf(cells[field_label(key)])
+        assert mpmath.isfinite(v) and v != 0
+    assert mpmath.mpf(cells[field_label(big)]) > mpmath.mpf("1e868")
+    assert mpmath.mpf(cells[field_label(small)]) < mpmath.mpf("1e-869")

@@ -1,16 +1,19 @@
-"""Symbolic proof that every explicit row set preserves the solution set.
+"""Symbolic proof that every registered map preserves the solution set.
 
-These checks run in jet coordinates (see _jet), so they cover all solutions
-at once — including field patterns no finite spike configuration reaches.
+These checks run the shipped rows (transforms.TRANSFORMS) in jet
+coordinates (see _jet), so they cover all solutions at once — including
+field patterns no finite spike configuration reaches.
 """
 import pytest
 
 pytest.importorskip("sympy")
 
-from _jet import ROWS, b2_factorization_mismatches, manifold_residuals
+from _jet import b2_factorization_mismatches, manifold_residuals
+
+from nwave.transforms import TRANSFORMS
 
 
-@pytest.mark.parametrize("tid", sorted(ROWS))
+@pytest.mark.parametrize("tid", sorted(TRANSFORMS))
 def test_rows_preserve_solutions_identically(tid):
     assert manifold_residuals(tid) == []
 

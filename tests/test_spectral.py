@@ -12,7 +12,8 @@ from nwave.spectral import (
     spectral_data,
     validate,
 )
-from nwave.wavesys import is_exact_solution, model, residuals
+from nwave.verify import verify_config
+from nwave.wavesys import model
 
 W = wave_constants(1, "1/2", "1/3", 1)
 
@@ -70,13 +71,13 @@ def test_all_plus_fields_zero():
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 def test_seed_is_exact_solution(name):
     s = spectral_data(W, P2, Q3)
-    assert is_exact_solution(model(name), initial_config(model(name), s))
+    assert verify_config(model(name), initial_config(model(name), s)).passed
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 def test_seed_is_exact_solution_small(name):
     s = spectral_data(W, [("2", "1")], [("1", "1")])
-    assert is_exact_solution(model(name), initial_config(model(name), s))
+    assert verify_config(model(name), initial_config(model(name), s)).passed
 
 
 def test_adding_p_spike_leaves_f01_unchanged():
@@ -93,17 +94,17 @@ def test_g2_seed_signs_are_forced(monkeypatch):
     # the exact residual check is the arbiter that fixed them.
     s = spectral_data(W, P2, Q3[:2])
     m = model("G2")
-    assert is_exact_solution(m, initial_config(m, s))
+    assert verify_config(m, initial_config(m, s)).passed
     monkeypatch.setattr(spectral, "G2_SIGN_12", Fraction(-1))
-    assert not is_exact_solution(m, initial_config(m, s))
+    assert not verify_config(m, initial_config(m, s)).passed
     monkeypatch.setattr(spectral, "G2_SIGN_12", Fraction(1))
     monkeypatch.setattr(spectral, "G2_SIGN_23", Fraction(1, 2))
-    assert not is_exact_solution(m, initial_config(m, s))
+    assert not verify_config(m, initial_config(m, s)).passed
 
 
 def test_seed_residuals_all_reported():
     s = spectral_data(W, P2, Q3)
     m = model("B2")
-    r = residuals(m, initial_config(m, s))
-    assert set(r) == {eq.lhs for eq in m.equations}
-    assert all(v.is_zero() for v in r.values())
+    rep = verify_config(m, initial_config(m, s))
+    assert len(rep.checks) == len(m.equations)
+    assert rep.passed

@@ -5,14 +5,9 @@ import pytest
 from nwave.exprat import ExpRational, wave_constants
 from nwave.spectral import initial_config, spectral_data
 from nwave.tau import solution_from_tau
-from nwave.transforms import (
-    PivotZero,
-    TRANSFORM_IDS,
-    apply,
-    apply_chain,
-    verify_invariance,
-)
-from nwave.wavesys import MINUS, PLUS, FieldConfig, is_exact_solution, model
+from nwave.transforms import TRANSFORMS, PivotZero, apply, apply_chain
+from nwave.verify import verify_config
+from nwave.wavesys import MINUS, PLUS, FieldConfig, model
 
 W = wave_constants(1, "1/2", "1/3", 1)
 
@@ -33,6 +28,9 @@ def g2_data():
     return spectral_data(W, P2, Q2)
 
 
+def assert_solution(cfg):
+    rep = verify_config(model(cfg.algebra), cfg)
+    assert rep.passed, [c.name for c in rep.checks if not c.passed]
 
 
 # --- invariance on generic (all-interesting-fields-nonzero) solutions
@@ -40,21 +38,18 @@ def g2_data():
 @pytest.mark.parametrize("tid", ["A2_T1", "A2_T2", "A2_T3"])
 def test_a2_invariance_on_generic_solution(tid):
     gen = solution_from_tau(model("A2"), a2_data(), 1, 1)
-    r = verify_invariance(tid, gen)
-    assert r["pass"], r["nonzero_residuals"]
+    assert_solution(apply(tid, gen))
 
 
 @pytest.mark.parametrize("tid", ["B2_TM", "B2_T10", "B2_T10_INV"])
 def test_b2_invariance_on_generic_solution(tid):
     gen = solution_from_tau(model("B2"), b2_data(), 1, 1)
-    r = verify_invariance(tid, gen)
-    assert r["pass"], r["nonzero_residuals"]
+    assert_solution(apply(tid, gen))
 
 
 def test_b2_composite_invariance_on_seed():
     seed = initial_config(model("B2"), b2_data())
-    r = verify_invariance("B2_T2A2", seed)
-    assert r["pass"], r["nonzero_residuals"]
+    assert_solution(apply("B2_T2A2", seed))
 
 
 @pytest.mark.parametrize(
@@ -69,20 +64,12 @@ def test_b2_composite_invariance_on_seed():
     ids=["tau10", "second-root-image"],
 )
 def test_g2_t1_invariance(mk):
-    r = verify_invariance("G2_T1", mk())
-    assert r["pass"], r["nonzero_residuals"]
+    assert_solution(apply("G2_T1", mk()))
 
 
 def test_g2_composite_invariance_on_seed():
     seed = initial_config(model("G2"), g2_data())
-    r = verify_invariance("G2_TA1_3A2", seed)
-    assert r["pass"], r["nonzero_residuals"]
-
-
-def test_verify_invariance_report_shape():
-    seed = initial_config(model("A2"), a2_data())
-    r = verify_invariance("A2_T1", seed)
-    assert r == {"transform": "A2_T1", "pass": True, "nonzero_residuals": []}
+    assert_solution(apply("G2_TA1_3A2", seed))
 
 
 # --- the A2 maps commute and compose to the third one
@@ -144,13 +131,12 @@ def test_b2_t10_keeps_plus_sector_zero():
     cfg = const_config(
         "B2", {(MINUS, (1, 0)): 2, (MINUS, (1, 1)): 3, (MINUS, (1, 2)): 5}
     )
-    assert is_exact_solution(model("B2"), cfg)
+    assert_solution(cfg)
     out = apply("B2_T10", cfg)
     for key in [(PLUS, (0, 1)), (PLUS, (1, 1)), (PLUS, (1, 2))]:
         assert out[key].is_zero()
     assert (out[(PLUS, (1, 0))] - ExpRational.const(Fraction(1, 2))).is_zero()
-    r = verify_invariance("B2_T10", cfg)
-    assert r["pass"], r["nonzero_residuals"]
+    assert_solution(out)
 
 
 # --- the second-root G2 map: algebraic rows relative to its pivot
@@ -181,7 +167,7 @@ def test_algebra_mismatch_rejected():
 
 def test_pivot_zero_reports_transform_and_field():
     cfg = const_config("A2", {(MINUS, (0, 1)): 4, (MINUS, (1, 1)): 7})
-    assert is_exact_solution(model("A2"), cfg)
+    assert_solution(cfg)
     with pytest.raises(PivotZero) as e:
         apply("A2_T1", cfg)
     assert e.value.transform_id == "A2_T1"
@@ -197,7 +183,10 @@ def test_pivot_zero_in_chain_reports_step():
 
 
 def test_transform_registry_is_complete():
-    assert len(TRANSFORM_IDS) == 9
+    assert len(TRANSFORMS) == 9
+    for tid, t in TRANSFORMS.items():
+        assert tid.startswith(t.algebra + "_")
+        assert t.pivot in model(t.algebra).field_keys
     seed = initial_config(model("A2"), a2_data())
     for tid in ["A2_T1", "A2_T2", "A2_T3"]:
         assert apply(tid, seed).algebra == "A2"
