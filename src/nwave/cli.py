@@ -59,7 +59,10 @@ def _emit(text: str, path) -> None:
 
 def _read_json(path) -> dict:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except UnicodeDecodeError as e:
+            raise InputError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object")
     if doc.get("schema") != SCHEMA:
@@ -83,12 +86,18 @@ def _pair(doc: dict, name: str):
     return v
 
 
-def spectral_from_doc(doc: dict):
+def _constants(doc: dict):
     c, d = _pair(doc, "c"), _pair(doc, "d")
-    w = wave_constants(
-        _frac(c[0], "c[0]"), _frac(c[1], "c[1]"),
-        _frac(d[0], "d[0]"), _frac(d[1], "d[1]"),
-    )
+    speeds = (_frac(c[0], "c[0]"), _frac(c[1], "c[1]"),
+              _frac(d[0], "d[0]"), _frac(d[1], "d[1]"))
+    try:
+        return wave_constants(*speeds)
+    except ValueError as e:  # degenerate speeds
+        raise InputError(str(e)) from None
+
+
+def spectral_from_doc(doc: dict):
+    w = _constants(doc)
     spikes = {}
     for group in ("P", "Q"):
         rows = doc.get(group)
@@ -142,14 +151,12 @@ def config_to_doc(cfg: FieldConfig) -> dict:
 
 def config_from_doc(doc: dict) -> FieldConfig:
     algebra = doc.get("algebra")
+    if not isinstance(algebra, str):
+        raise InputError(f"'algebra' must be a string (A2, B2 or G2), got {algebra!r}")
     consts = doc.get("constants")
     if not isinstance(consts, dict):
         raise InputError("'constants' must be an object with 'c' and 'd'")
-    c, d = _pair(consts, "c"), _pair(consts, "d")
-    w = wave_constants(
-        _frac(c[0], "c[0]"), _frac(c[1], "c[1]"),
-        _frac(d[0], "d[0]"), _frac(d[1], "d[1]"),
-    )
+    w = _constants(consts)
     raw = doc.get("fields")
     if not isinstance(raw, dict):
         raise InputError("'fields' must be an object keyed by field label")
@@ -189,6 +196,8 @@ def _resolve_chain(spec: str, algebra: str) -> list:
 
 
 def cmd_construct(args) -> int:
+    if args.n1 < 0 or args.n2 < 0:
+        raise InputError(f"orders must be nonnegative, got --n1 {args.n1} --n2 {args.n2}")
     s = spectral_from_doc(_read_json(args.spectral))
     cfg = solution_from_tau(model(args.algebra), s, args.n1, args.n2)
     _emit(_dump(config_to_doc(cfg)), args.out)
@@ -297,18 +306,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except InvalidSpectralData as e:
+    except (InputError, InvalidSpectralData, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (TauZero, PivotZero, DivisionByZeroField, InexactDivision) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -7,6 +7,21 @@ factorials and no ordered tuples appear anywhere: plain subset sums make
 tau_U(1,0) equal f-1.0 on the nose, and all remaining per-field constants
 live in one calibration table.
 
+The coupling of a P-subset to a Q-subset is a product over Q-spikes,
+1/prod_{lam, mu} (lam - mu) = prod_mu 1/prod_lam (lam - mu), so once the
+P-subset is fixed every Q-spike carries its own coupled weight
+w_mu / prod_lam (lam - mu) and the sum over the independent Q-groups
+factorises:
+
+    tau = sum_psub  pcoef * exp(theta(psum, 0)) * prod_g S_{n_g}(psub),
+
+where S_n(psub) is the ExpPoly sum over the n-subsets of Q of the squared
+Vandermonde times the coupled weights, times exp(theta(0, qsum)).  Each
+distinct group size is summed once per P-subset (G2's three equal groups
+share one sum), and the group sums are multiplied as ExpPolys, which merges
+equal exponents.  The two-group recombination identity (check_gra) is a
+double sum of the same kind and uses the same Q subset sums.
+
 The calibration table was fixed empirically, once: per-field rational
 constants were measured by requiring (a) agreement with the seed
 configuration at base orders and (b) exact residual zero for every equation
@@ -22,7 +37,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .exprat import ExpPoly, ExpRational, LinForm
+from .exprat import ExpPoly, ExpRational, LinForm, WaveConstants
 from .spectral import SpectralData, validate, wave_exponent
 from .wavesys import AlgebraModel, FieldConfig, FieldKey, MINUS, PLUS
 
@@ -55,32 +70,54 @@ def _group_weight(sub: Sequence[Pair]) -> Tuple[Fraction, Fraction]:
     return coef, tot
 
 
-def _coupling(lams: Sequence[Pair], mus: Sequence[Pair]) -> Fraction:
-    acc = Fraction(1)
-    for lam, _ in lams:
-        for mu, _ in mus:
-            acc *= lam - mu
-    return acc
+def _coupled(Q: Sequence[Pair], lams: Sequence[Fraction]) -> List[Pair]:
+    """Q-spikes with each weight divided by its coupling prod_lam (lam - mu)."""
+    out = []
+    for mu, v in Q:
+        c = Fraction(1)
+        for lam in lams:
+            c *= lam - mu
+        out.append((mu, v / c))
+    return out
+
+
+def _subset_sum(Q: Sequence[Pair], n: int, w: WaveConstants, moment: bool = False) -> ExpPoly:
+    """Sum over the n-subsets of Q of weight * exp(theta(0, position sum)).
+
+    A subset's weight is its squared Vandermonde times its spike weights, and
+    also times its position sum when ``moment`` is set.
+    """
+    terms: Dict[LinForm, Fraction] = {}
+    for sub in itertools.combinations(Q, n):
+        coef, tot = _group_weight(sub)
+        if moment:
+            coef *= tot
+        key = wave_exponent(Fraction(0), tot, w)
+        terms[key] = terms.get(key, Fraction(0)) + coef
+    return ExpPoly(terms)
 
 
 def _tau(s: SpectralData, n1: int, qsizes: Sequence[int]) -> ExpPoly:
-    """Subset sum with one P-group of size n1 and independent Q-groups."""
+    """Subset sum with one P-group of size n1 and independent Q-groups.
+
+    For a fixed P-subset the Q-groups are independent, so the sum over
+    their product factorises into one Q subset sum per group size.
+    """
     validate(s)
     P, Q = _spikes(s.pspikes), _spikes(s.qspikes)
     if n1 < 0 or n1 > len(P) or any(n < 0 or n > len(Q) for n in qsizes):
         return ExpPoly.zero()
-    terms: Dict[LinForm, Fraction] = {}
+    w = s.constants
+    total = ExpPoly.zero()
     for psub in itertools.combinations(P, n1):
         pcoef, psum = _group_weight(psub)
-        for qsubs in itertools.product(*(itertools.combinations(Q, n) for n in qsizes)):
-            coef, qsum = pcoef, Fraction(0)
-            for qsub in qsubs:
-                qcoef, qtot = _group_weight(qsub)
-                coef *= qcoef / _coupling(psub, qsub)
-                qsum += qtot
-            key = wave_exponent(psum, qsum, s.constants)
-            terms[key] = terms.get(key, Fraction(0)) + coef
-    return ExpPoly(terms)
+        coupled = _coupled(Q, [lam for lam, _ in psub])
+        sums = {n: _subset_sum(coupled, n, w) for n in set(qsizes)}
+        term = ExpPoly.term(pcoef, *wave_exponent(psum, Fraction(0), w))
+        for n in qsizes:
+            term = term * sums[n]
+        total = total + term
+    return total
 
 
 def tau_U(s: SpectralData, n1: int, n2: int) -> ExpPoly:
@@ -172,18 +209,19 @@ def solution_from_tau(m: AlgebraModel, s: SpectralData, n1: int, n2: int) -> Fie
 def _gra_side(
     s: SpectralData, lam: Fraction, size1: int, size2: int, multiplier: bool
 ) -> ExpPoly:
-    Q = _spikes(s.qspikes)
-    terms: Dict[LinForm, Fraction] = {}
-    for s1 in itertools.combinations(Q, size1):
-        c1, t1 = _group_weight(s1)
-        for mu, _ in s1:
-            c1 /= lam - mu
-        for s2 in itertools.combinations(Q, size2):
-            c2, t2 = _group_weight(s2)
-            coef = c1 * c2 * ((t1 - t2) if multiplier else 1)
-            key = wave_exponent(Fraction(0), t1 + t2, s.constants)
-            terms[key] = terms.get(key, Fraction(0)) + coef
-    return ExpPoly(terms)
+    """Sum over a size1-group coupled to lam and an independent size2-group.
+
+    With the multiplier (t1 - t2), the difference of the groups' position
+    sums, the double sum is S1' * S2 - S1 * S2', where ' marks a subset sum
+    weighted by its position sum; without it, S1 * S2.
+    """
+    Q, w = _spikes(s.qspikes), s.constants
+    coupled = _coupled(Q, [lam])
+    s1, s2 = _subset_sum(coupled, size1, w), _subset_sum(Q, size2, w)
+    if not multiplier:
+        return s1 * s2
+    return (_subset_sum(coupled, size1, w, moment=True) * s2
+            - s1 * _subset_sum(Q, size2, w, moment=True))
 
 
 def check_gra(s: SpectralData, n: int) -> bool:

@@ -27,23 +27,6 @@ HALF = Fraction(1, 2)
 # -- determinants ---------------------------------------------------------------
 
 
-def det_cofactor(rows: Sequence[Sequence[ExpPoly]]) -> ExpPoly:
-    """Reference determinant by first-row cofactor expansion."""
-    n = len(rows)
-    if n == 0:
-        return ExpPoly.const(1)
-    if n == 1:
-        return rows[0][0]
-    acc = ExpPoly.zero()
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        term = rows[0][j] * det_cofactor(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
 def det_bareiss(rows: Sequence[Sequence[ExpPoly]]) -> ExpPoly:
     """Fraction-free determinant: every intermediate entry stays an ExpPoly.
 

@@ -189,6 +189,43 @@ def test_bad_json_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag", ["--n1", "--n2"])
+def test_negative_order_exits_2(tmp_path, capsys, flag):
+    spec_path = write_json(tmp_path / "spec.json", SPEC_11)
+    rc = main(["construct", "--algebra", "A2", "--spectral", spec_path, flag, "-1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: orders must be nonnegative")
+    assert err.count("\n") == 1
+
+
+def test_degenerate_speeds_bad_algebra_and_non_utf8_input_exit_2(tmp_path, capsys):
+    flat = dict(SPEC_11, c=["1", "1"], d=["1", "1"])
+    spec_path = write_json(tmp_path / "flat.json", flat)
+    assert main(["construct", "--algebra", "A2", "--spectral", spec_path]) == 2
+    doc = config_to_doc(zero_config("A2", wave_constants("1", "1/2", "1/3", "1")))
+    doc["constants"] = {"c": ["1", "1"], "d": ["1", "1"]}
+    assert main(["verify", "--in", write_json(tmp_path / "flat_cfg.json", doc)]) == 2
+    assert capsys.readouterr().err.count("error: degenerate wave constants") == 2
+    doc["algebra"] = ["A2"]
+    assert main(["verify", "--in", write_json(tmp_path / "list_algebra.json", doc)]) == 2
+    assert "'algebra' must be a string" in capsys.readouterr().err
+    raw = tmp_path / "latin1.json"
+    raw.write_bytes(b"\xff{")
+    assert main(["construct", "--algebra", "A2", "--spectral", str(raw)]) == 2
+    assert "not UTF-8 text" in capsys.readouterr().err
+
+
+def test_internal_key_error_is_not_malformed_input(tmp_path, monkeypatch):
+    def broken(m, s, n1, n2):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("nwave.cli.solution_from_tau", broken)
+    spec_path = write_json(tmp_path / "spec.json", SPEC_11)
+    with pytest.raises(KeyError, match="internal"):
+        main(["construct", "--algebra", "A2", "--spectral", spec_path])
+
+
 def test_unsupported_schema_exits_2(tmp_path, capsys):
     spec = dict(SPEC_11, schema=2)
     path = write_json(tmp_path / "s2.json", spec)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nwave.exprat import ExpPoly, ExpRational, wave_constants
 from nwave.spectral import initial_config, spectral_data
@@ -16,6 +17,8 @@ from nwave.tau import (
 )
 from nwave.verify import verify_config
 from nwave.wavesys import model
+
+import _tausum as ref
 
 W = wave_constants(1, "1/2", "1/3", 1)
 
@@ -142,3 +145,59 @@ def test_gra_fails_when_perturbed():
     assert lhs != _gra_side(s, lam, 1, 1, multiplier=False)
     assert lhs == _gra_side(s, lam, 2, 0, multiplier=False)
     assert (-lhs) != _gra_side(s, lam, 2, 0, multiplier=False)
+
+
+# -- the factorised sums against the nested-loop reference ---------------------
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+@st.composite
+def spike_data(draw, p=(0, 4), q=(0, 4)):
+    """Distinct positions, P and Q disjoint, nonzero weights; p, q bound the counts."""
+    n_p = draw(st.integers(*p))
+    n_q = draw(st.integers(*q))
+    n = n_p + n_q
+    pos = draw(st.lists(small_rationals, min_size=n, max_size=n, unique=True))
+    wts = draw(st.lists(small_rationals.filter(bool), min_size=n, max_size=n))
+    spikes = list(zip(pos, wts))
+    return spectral_data(W, spikes[:n_p], spikes[n_p:])
+
+
+@st.composite
+def tau_orders(draw):
+    """Spike data, a P-group size and one to three Q-group sizes, all in range."""
+    s = draw(spike_data(q=(1, 4)))
+    n1 = draw(st.integers(0, len(s.pspikes)))
+    qsizes = draw(st.lists(st.integers(0, len(s.qspikes)), min_size=1, max_size=3))
+    return s, n1, qsizes
+
+
+@settings(max_examples=60, deadline=None)
+@given(tau_orders())
+def test_factorised_tau_matches_nested_loops(case):
+    s, n1, qsizes = case
+    assert _tau(s, n1, qsizes) == ref.tau(s, n1, qsizes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spike_data(p=(0, 0)), small_rationals, st.data(), st.booleans())
+def test_factorised_gra_side_matches_double_sum(s, lam, data, multiplier):
+    assume(all(sp.pos != lam for sp in s.qspikes))
+    size1, size2 = data.draw(st.tuples(*[st.integers(0, len(s.qspikes))] * 2))
+    assert (_gra_side(s, lam, size1, size2, multiplier)
+            == ref.gra_side(s, lam, size1, size2, multiplier))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(["A2", "B2"]), spike_data(p=(1, 2), q=(1, 3)),
+       st.sampled_from([(1, 1), (1, 0), (0, 1), (0, 0)]))
+def test_random_tau_solutions_verify(name, s, orders):
+    """Random spike data goes to a tau solution that verifies exactly."""
+    m = model(name)
+    n1, n2 = orders
+    try:
+        cfg = solution_from_tau(m, s, n1, n2)
+    except TauZero:
+        return
+    assert verify_config(m, cfg).passed

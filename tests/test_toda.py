@@ -13,7 +13,6 @@ from nwave.toda import (
     ab_init,
     ab_step,
     det_bareiss,
-    det_cofactor,
     det_n,
     first_root_chain,
     hankel_chain,
@@ -38,6 +37,24 @@ def s6():
 
 
 # --- determinant conventions and the two implementations
+
+
+def det_cofactor(rows):
+    """Reference determinant by first-row cofactor expansion."""
+    n = len(rows)
+    if n == 0:
+        return ExpPoly.const(1)
+    if n == 1:
+        return rows[0][0]
+    acc = ExpPoly.zero()
+    for j in range(n):
+        if rows[0][j].is_zero():
+            continue
+        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
+        term = rows[0][j] * det_cofactor(minor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
 
 def test_det_small_sizes_match_hand_formulas():
     ch = hankel_chain(s5())
