@@ -22,10 +22,11 @@ import json
 import sys
 from fractions import Fraction
 
-import mpmath
+from mpmath import libmp
 
 from .exprat import (
-    DivisionByZeroField, EvalPole, ExpPoly, ExpRational, InexactDivision, wave_constants,
+    _ZERO_FIELD, DivisionByZeroField, ExpPoly, ExpRational, InexactDivision, grid_values,
+    wave_constants,
 )
 from .spectral import InvalidSpectralData, spectral_data
 from .tau import TauZero, solution_from_tau
@@ -245,15 +246,12 @@ def cmd_sample(args) -> int:
     ts = _grid(args.t0, args.t1, args.nt, "t")
     xs = _grid(args.x0, args.x1, args.nx, "x")
     lines = ["t,x," + ",".join(field_label(k) for k in keys)]
-    for t in ts:
-        for x in xs:
-            cells = [str(float(t)), str(float(x))]
-            for k in keys:
-                try:
-                    cells.append(mpmath.nstr(cfg.fields[k].eval(t, x), 17))
-                except EvalPole:
-                    cells.append("")
-            lines.append(",".join(cells))
+    for t, x, vals in grid_values(cfg.fields, ts, xs):
+        cells = [str(float(t)), str(float(x))]
+        for k in keys:
+            v = vals.get(k, _ZERO_FIELD)
+            cells.append("" if v is None else libmp.to_str(v[0], 17))
+        lines.append(",".join(cells))
     _emit("\n".join(lines) + "\n", args.csv)
     return 0
 

@@ -11,6 +11,10 @@ Internally an ExpPoly lives on an integer lattice: exponents are integer
 pairs ``(A, B)`` at a per-polynomial scale ``L`` (so ``a = A/L``), and
 coefficients are integers times one rational content.  Ring operations then
 run on ints; ``terms`` shows the rational view at the boundary.
+
+``grid_values`` is the package's one numeric evaluator, with its one pole
+rule: ``nwave sample``, numeric verification and ``ExpRational.eval`` all
+turn values into numbers through it.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 import mpmath
+from mpmath import libmp
 
 # Exponent of one term: (a, b) meaning exp(a*t + b*x).
 LinForm = Tuple[Fraction, Fraction]
@@ -272,26 +277,13 @@ class ExpPoly:
         return [((Fraction(a, scale), Fraction(b, scale)), c * n)
                 for (a, b), n in sorted(self._ints.items())]
 
-    def _eval_sums(self, t: RatLike, x: RatLike):
-        """(value, mass) at (t, x): the signed and absolute sums of the terms."""
-        t, x = as_frac(t), as_frac(x)
-        scale = self._scale
-        with mpmath.workprec(EVAL_PRECISION):
-            total = mass = mpmath.mpf(0)
-            for (a, b), n in self._ints.items():
-                v = n * mpmath.exp(_mpf_frac((a * t + b * x) / scale))
-                total += v
-                mass += abs(v)
-            c = _mpf_frac(self._content)
-            return total * c, mass * abs(c)
-
     def eval(self, t: RatLike, x: RatLike):
         """High-precision numeric value at rational (t, x), as mpmath mpf."""
-        return self._eval_sums(t, x)[0]
+        return ExpRational(self).eval(t, x)
 
     def eval_mass(self, t: RatLike, x: RatLike):
         """Sum of absolute term values at (t, x): the pre-cancellation scale."""
-        return self._eval_sums(t, x)[1]
+        return mpmath.mp.make_mpf(_eval_point(ExpRational(self), t, x)[1])
 
     def __repr__(self) -> str:
         if not self._ints:
@@ -405,10 +397,6 @@ def _coerce_poly(v) -> ExpPoly:
     if isinstance(v, (int, Fraction)):
         return ExpPoly.const(v)
     return NotImplemented
-
-
-def _mpf_frac(q: Fraction):
-    return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
 
 
 ONE = ExpPoly.const(1)
@@ -624,11 +612,10 @@ class ExpRational:
         """Numeric value at rational (t, x), as an mpmath mpf (no float
         overflow or underflow); EvalPole where the denominator vanishes to
         working precision (see POLE_BITS)."""
-        dv, dm = self.den._eval_sums(t, x)
-        if abs(dv) <= mpmath.ldexp(dm, -POLE_BITS):
-            raise EvalPole(f"denominator ~ {mpmath.nstr(dv, 5)} at (t={t}, x={x})")
-        with mpmath.workprec(EVAL_PRECISION):
-            return self.num.eval(t, x) / dv
+        v = _eval_point(self, t, x)
+        if v is None:
+            raise EvalPole(f"denominator vanishes to working precision at (t={t}, x={x})")
+        return mpmath.mp.make_mpf(v[0])
 
     def __repr__(self) -> str:
         if self.is_poly():
@@ -642,3 +629,142 @@ def _coerce_rational(v) -> "ExpRational":
     if isinstance(v, (ExpPoly, int, Fraction)):
         return ExpRational(v)
     return NotImplemented
+
+
+# -- numeric evaluation -----------------------------------------------------------
+#
+# Numbers here are raw mpmath.libmp values (sign, mantissa, exponent, bitcount).
+# The products that feed one sum are kept exact and the sum is rounded once to
+# EVAL_PRECISION bits; nothing goes through float, so no value can overflow.
+
+_RND = libmp.round_nearest
+#: (value, mass, D value, D mass) of an identically zero field.
+_ZERO_FIELD = (libmp.fzero,) * 4
+
+
+def _ratio(n: int, d: int) -> tuple:
+    """The rational n/d (d > 0) as a libmp value."""
+    if d == 1:
+        return libmp.from_int(n, EVAL_PRECISION, _RND)
+    return libmp.from_rational(n, d, EVAL_PRECISION, _RND)
+
+
+def _mpf(q) -> tuple:
+    """A rational (int or Fraction) as a libmp value."""
+    return _ratio(q.numerator, q.denominator)
+
+
+def _exp(q) -> tuple:
+    return libmp.mpf_exp(_mpf(q), EVAL_PRECISION, _RND) if q else libmp.fone
+
+
+def _dot(terms, k: int, exps) -> Tuple[tuple, tuple]:
+    """Signed and absolute sums of coefficient ``k`` of each term times its exp."""
+    prods = [libmp.mpf_mul(term[k], exps[term[0]]) for term in terms]
+    return (libmp.mpf_sum(prods, EVAL_PRECISION, _RND),
+            libmp.mpf_sum(prods, EVAL_PRECISION, _RND, absolute=True))
+
+
+def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveConstants] = None,
+                d_index: Optional[Mapping] = None) -> Iterator[tuple]:
+    """Values and masses of some ExpRationals at every point of ts x xs.
+
+    Yields ``(t, x, {key: (value, mass, D value, D mass)})`` for rational t
+    and x, in t-major order, with libmp values; a key maps to None where its
+    denominator vanishes to working precision (below its own mass times
+    2**-POLE_BITS).  D is the derivative ``d_index[key]`` under the wave
+    constants ``w`` (zero for keys it does not name).  The mass is the
+    pre-cancellation scale, the sum of absolute term values over
+    |denominator|.  Identically zero values have no entry.  A one-term
+    denominator never vanishes, so it is divided into the numerator up front
+    and never makes a pole.  Exponents are read off the polynomials'
+    integer lattices, brought to one common scale, and each distinct
+    exp(a*t) and exp(b*x) is computed once.
+    """
+    d_index = d_index or {}
+    live = {key: u for key, u in values.items() if not u.is_zero()}
+    # every exponent as an integer pair over one scale
+    scale = lcm(1, *(p.lattice()[0] for u in live.values() for p in (u.num, u.den)))
+    # (i, j) -> (P, Q, R): D_{i,j} scales exp((A*t + B*x)/scale) by (P*A + Q*B)/R
+    speeds = {}
+    for ij in set(d_index.values()):
+        p, q = w.deriv_speeds(*ij)
+        speeds[ij] = (p.numerator * q.denominator, q.numerator * p.denominator,
+                      p.denominator * q.denominator * scale)
+    slots: Dict[Tuple[int, int], int] = {}  # exponent -> exp slot
+    factors: Dict[tuple, tuple] = {}  # (slot, (i, j)) -> D_{i,j} factor
+
+    def prepare(poly, ij, shift=(0, 0), divisor=1):
+        # (exp slot, coefficient, coefficient * D factor) per term
+        own, ints, content = poly.lattice()
+        f = scale // own
+        content = content / divisor
+        cn, cd = content.numerator, content.denominator
+        out = []
+        for (a, b), n in ints.items():
+            k = (a * f - shift[0], b * f - shift[1])
+            slot = slots.setdefault(k, len(slots))
+            c = _ratio(cn * n, cd)
+            if ij is None:
+                out.append((slot, c, None))
+                continue
+            fac = factors.get((slot, ij))
+            if fac is None:
+                p, q, r = speeds[ij]
+                fac = factors[(slot, ij)] = _ratio(p * k[0] + q * k[1], r)
+            out.append((slot, c, libmp.mpf_mul(c, fac, EVAL_PRECISION, _RND)))
+        return out
+
+    fields = {}
+    for key, u in live.items():
+        ij = d_index.get(key)
+        own, den, content = u.den.lattice()
+        if len(den) == 1:
+            (a0, b0), = den
+            f = scale // own
+            fields[key] = (prepare(u.num, ij, (a0 * f, b0 * f), content), None,
+                           ij is not None)
+        else:
+            fields[key] = (prepare(u.num, ij), prepare(u.den, ij), ij is not None)
+
+    # exp(a*t + b*x) = exp(a*t) * exp(b*x), each factor computed once
+    a_slot: Dict[int, int] = {}
+    b_slot: Dict[int, int] = {}
+    pairs = [(a_slot.setdefault(a, len(a_slot)), b_slot.setdefault(b, len(b_slot)))
+             for a, b in slots]
+    exp_x = [(x, [_exp(Fraction(b, scale) * x) for b in b_slot]) for x in xs]
+    for t in ts:
+        et = [_exp(Fraction(a, scale) * t) for a in a_slot]
+        for x, ex in exp_x:
+            exps = [libmp.mpf_mul(et[i], ex[j], EVAL_PRECISION, _RND) for i, j in pairs]
+            yield t, x, {key: _at(*f, exps) for key, f in fields.items()}
+
+
+def _at(num, den, with_d, exps):
+    """(value, mass, D value, D mass) of one prepared field, None at a pole."""
+    n, mn = _dot(num, 1, exps)
+    dn, mdn = _dot(num, 2, exps) if with_d else (libmp.fzero, libmp.fzero)
+    if den is None:
+        return n, mn, dn, mdn
+    d, md = _dot(den, 1, exps)
+    ad = libmp.mpf_abs(d)
+    if libmp.mpf_lt(ad, libmp.mpf_shift(md, -POLE_BITS)):
+        return None
+    value = libmp.mpf_div(n, d, EVAL_PRECISION, _RND)
+    mass = libmp.mpf_div(mn, ad, EVAL_PRECISION, _RND)
+    if not with_d:
+        return value, mass, dn, mdn
+    # D(n/d) = (n'd - nd') / d^2, its mass (mass(n')|d| + mass(n)mass(d')) / d^2
+    dd, mdd = _dot(den, 2, exps)
+    d2 = libmp.mpf_mul(d, d)
+    top = libmp.mpf_sub(libmp.mpf_mul(dn, d), libmp.mpf_mul(n, dd), EVAL_PRECISION, _RND)
+    top_mass = libmp.mpf_add(libmp.mpf_mul(mdn, ad), libmp.mpf_mul(mn, mdd),
+                             EVAL_PRECISION, _RND)
+    return (value, mass, libmp.mpf_div(top, d2, EVAL_PRECISION, _RND),
+            libmp.mpf_div(top_mass, d2, EVAL_PRECISION, _RND))
+
+
+def _eval_point(u: ExpRational, t: RatLike, x: RatLike):
+    """(value, mass, D value, D mass) of u at one point, None at a pole."""
+    _, _, vals = next(grid_values({0: u}, (as_frac(t),), (as_frac(x),)))
+    return vals.get(0, _ZERO_FIELD)

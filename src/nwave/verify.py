@@ -5,6 +5,11 @@ residuals of a configuration, transformation invariance, determinant chains,
 the closed-form recursions, and the group-recombination identity.  Reports
 are plain data (dicts of strings, bools and lists), deterministic for
 identical inputs, and carry at most one rendered counterexample.
+
+This module judges; it does not evaluate.  Numeric mode takes its numbers
+from ``exprat.grid_values``, the package's one numeric evaluator (which
+``nwave sample`` and ``ExpRational.eval`` use too), and applies the
+tolerance rule to them.
 """
 
 from __future__ import annotations
@@ -13,12 +18,13 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from mpmath import libmp
 
-from .exprat import EVAL_PRECISION, POLE_BITS, ExpPoly, ExpRational, wave_constants
+from .exprat import (
+    EVAL_PRECISION, _RND, _ZERO_FIELD, ExpPoly, ExpRational, _mpf, grid_values, wave_constants,
+)
 from .spectral import SpectralData, initial_config, spectral_data, wave_exponent
 from .tau import TauZero, check_gra, solution_from_tau, tau_U
 from .toda import ab_closed, ab_init, ab_step, det_n, hankel_chain, toda_residual
@@ -27,12 +33,10 @@ from .wavesys import AlgebraModel, FieldConfig, MINUS, PLUS, field_label, model,
 
 REL_TOL = 1e-9
 MASS_FLOOR = 1e-12
-#: Rational evaluation grid shared by every numeric check.
-GRID: Tuple[Tuple[Fraction, Fraction], ...] = tuple(
-    (t, x)
-    for t in (Fraction(-1), Fraction(0), Fraction(1, 2))
-    for x in (Fraction(-1, 3), Fraction(0), Fraction(1))
-)
+#: Rational evaluation grid shared by every numeric check: GRID_T x GRID_X.
+GRID_T = (Fraction(-1), Fraction(0), Fraction(1, 2))
+GRID_X = (Fraction(-1, 3), Fraction(0), Fraction(1))
+GRID: Tuple[Tuple[Fraction, Fraction], ...] = tuple(itertools.product(GRID_T, GRID_X))
 
 SUITES = (
     "a2-full",
@@ -40,7 +44,6 @@ SUITES = (
     "g2-hypothesis",
     "toda",
     "ab-chain",
-    "transforms-algebra",
     "gra",
 )
 
@@ -114,32 +117,11 @@ def _eq_name(eq) -> str:
 
 # -- numeric grid checks ----------------------------------------------------------
 #
-# Numbers here are raw mpmath.libmp values (sign, mantissa, exponent, bitcount).
-# The products that feed one sum are kept exact and the sum is rounded once to
-# EVAL_PRECISION bits; nothing goes through float, so no value or tolerance can
-# overflow.
+# Values come from exprat.grid_values as raw mpmath.libmp values; the
+# tolerance is one too, so no value or tolerance can overflow.
 
-_RND = libmp.round_nearest
 _TOL = libmp.from_float(REL_TOL)
 _FLOOR = libmp.from_float(MASS_FLOOR)
-#: (value, mass, D value, D mass) of an identically zero field.
-_ZERO_FIELD = (libmp.fzero,) * 4
-
-
-def _ratio(n: int, d: int) -> tuple:
-    """The rational n/d (d > 0) as a libmp value."""
-    if d == 1:
-        return libmp.from_int(n, EVAL_PRECISION, _RND)
-    return libmp.from_rational(n, d, EVAL_PRECISION, _RND)
-
-
-def _mpf(q) -> tuple:
-    """A rational (int or Fraction) as a libmp value."""
-    return _ratio(q.numerator, q.denominator)
-
-
-def _exp(q) -> tuple:
-    return libmp.mpf_exp(_mpf(q), EVAL_PRECISION, _RND) if q else libmp.fone
 
 
 def _sci(v) -> str:
@@ -161,6 +143,7 @@ def _judge(points) -> Tuple[bool, str]:
     """
     poles = []
     worst = libmp.fzero
+    checked = 0
     for t, x, v, scale in points:
         if v is None:
             poles.append(f"({t},{x})")
@@ -171,134 +154,18 @@ def _judge(points) -> Tuple[bool, str]:
             return False, f"|residual| = {_sci(v)} > {_sci(tol)} at (t={t}, x={x})"
         if libmp.mpf_gt(v, worst):
             worst = v
-    detail = f"max |residual| {_sci(worst)} over {len(GRID) - len(poles)} points"
+        checked += 1
+    detail = f"max |residual| {_sci(worst)} over {checked} points"
     if poles:
         detail += "; poles skipped at " + ", ".join(poles)
     return True, detail
 
 
-def _dot(terms, k: int, exps) -> Tuple[tuple, tuple]:
-    """Signed and absolute sums of coefficient ``k`` of each term times its exp."""
-    prods = [libmp.mpf_mul(term[k], exps[term[0]]) for term in terms]
-    return (libmp.mpf_sum(prods, EVAL_PRECISION, _RND),
-            libmp.mpf_sum(prods, EVAL_PRECISION, _RND, absolute=True))
-
-
-class _GridValues:
-    """Values and masses of some ExpRationals at every GRID point.
-
-    ``points[n][key]`` is (value, mass, D value, D mass) at ``GRID[n]``, or
-    None where the key's denominator vanishes to working precision (below
-    its own mass times 2**-POLE_BITS); D is the derivative
-    ``d_index[key]`` (zero for keys it does not name).  The mass is the
-    pre-cancellation scale, the sum of absolute term values over
-    |denominator|.  Identically zero values have no entry.  A one-term
-    denominator never vanishes, so it is divided into the numerator up front
-    and never makes a pole.  Exponents are read off the polynomials'
-    integer lattices, brought to one common scale, and each distinct
-    exp(a*t) and exp(b*x) is computed once.
-    """
-
-    def __init__(self, values: Dict, w=None, d_index: Optional[Dict] = None):
-        d_index = d_index or {}
-        live = {key: u for key, u in values.items() if not u.is_zero()}
-        # every exponent as an integer pair over one scale
-        scale = lcm(1, *(p.lattice()[0] for u in live.values() for p in (u.num, u.den)))
-        # (i, j) -> (P, Q, R): D_{i,j} scales exp((A*t + B*x)/scale) by (P*A + Q*B)/R
-        speeds = {}
-        for ij in set(d_index.values()):
-            p, q = w.deriv_speeds(*ij)
-            speeds[ij] = (p.numerator * q.denominator, q.numerator * p.denominator,
-                          p.denominator * q.denominator * scale)
-        slots: Dict[Tuple[int, int], int] = {}  # exponent -> exp slot
-        factors: Dict[tuple, tuple] = {}  # (slot, (i, j)) -> D_{i,j} factor
-
-        def prepare(poly, ij, shift=(0, 0), divisor=1):
-            # (exp slot, coefficient, coefficient * D factor) per term
-            own, ints, content = poly.lattice()
-            f = scale // own
-            content = content / divisor
-            cn, cd = content.numerator, content.denominator
-            out = []
-            for (a, b), n in ints.items():
-                k = (a * f - shift[0], b * f - shift[1])
-                slot = slots.setdefault(k, len(slots))
-                c = _ratio(cn * n, cd)
-                if ij is None:
-                    out.append((slot, c, None))
-                    continue
-                fac = factors.get((slot, ij))
-                if fac is None:
-                    p, q, r = speeds[ij]
-                    fac = factors[(slot, ij)] = _ratio(p * k[0] + q * k[1], r)
-                out.append((slot, c, libmp.mpf_mul(c, fac, EVAL_PRECISION, _RND)))
-            return out
-
-        fields = {}
-        for key, u in live.items():
-            ij = d_index.get(key)
-            own, den, content = u.den.lattice()
-            if len(den) == 1:
-                (a0, b0), = den
-                f = scale // own
-                fields[key] = (prepare(u.num, ij, (a0 * f, b0 * f), content), None,
-                               ij is not None)
-            else:
-                fields[key] = (prepare(u.num, ij), prepare(u.den, ij), ij is not None)
-
-        # exp(a*t + b*x) = exp(a*t) * exp(b*x), each factor computed once
-        a_slot: Dict[int, int] = {}
-        b_slot: Dict[int, int] = {}
-        pairs = [(a_slot.setdefault(a, len(a_slot)), b_slot.setdefault(b, len(b_slot)))
-                 for a, b in slots]
-        exp_t = {t: [_exp(Fraction(a, scale) * t) for a in a_slot]
-                 for t in {t for t, _ in GRID}}
-        exp_x = {x: [_exp(Fraction(b, scale) * x) for b in b_slot]
-                 for x in {x for _, x in GRID}}
-        self.points = []
-        for t, x in GRID:
-            et, ex = exp_t[t], exp_x[x]
-            exps = [libmp.mpf_mul(et[i], ex[j], EVAL_PRECISION, _RND) for i, j in pairs]
-            self.points.append({key: self._at(*f, exps) for key, f in fields.items()})
-
-    @staticmethod
-    def _at(num, den, with_d, exps):
-        n, mn = _dot(num, 1, exps)
-        dn, mdn = _dot(num, 2, exps) if with_d else (libmp.fzero, libmp.fzero)
-        if den is None:
-            return n, mn, dn, mdn
-        d, md = _dot(den, 1, exps)
-        ad = libmp.mpf_abs(d)
-        if libmp.mpf_lt(ad, libmp.mpf_shift(md, -POLE_BITS)):
-            return None
-        value = libmp.mpf_div(n, d, EVAL_PRECISION, _RND)
-        mass = libmp.mpf_div(mn, ad, EVAL_PRECISION, _RND)
-        if not with_d:
-            return value, mass, dn, mdn
-        # D(n/d) = (n'd - nd') / d^2, its mass (mass(n')|d| + mass(n)mass(d')) / d^2
-        dd, mdd = _dot(den, 2, exps)
-        d2 = libmp.mpf_mul(d, d)
-        top = libmp.mpf_sub(libmp.mpf_mul(dn, d), libmp.mpf_mul(n, dd), EVAL_PRECISION, _RND)
-        top_mass = libmp.mpf_add(libmp.mpf_mul(mdn, ad), libmp.mpf_mul(mn, mdd),
-                                 EVAL_PRECISION, _RND)
-        return (value, mass, libmp.mpf_div(top, d2, EVAL_PRECISION, _RND),
-                libmp.mpf_div(top_mass, d2, EVAL_PRECISION, _RND))
-
-
-def _numeric_residual_check(r: ExpRational) -> Tuple[bool, str]:
-    """Numeric verdict on one residual value: it must vanish at every grid
-    point that is not a pole, relative to its pre-cancellation scale."""
-    points = []
-    for (t, x), vals in zip(GRID, _GridValues({"r": r}).points):
-        v = vals.get("r", _ZERO_FIELD)
-        points.append((t, x, None, None) if v is None else (t, x, v[0], v[1]))
-    return _judge(points)
-
-
-def _equation_points(eq, grid: _GridValues):
+def _equation_points(eq, points):
     """(t, x, residual, scale) of one equation at every grid point.
 
-    The residual is D f_lhs - sum c*f_a*f_b and its scale is mass(D f_lhs) +
+    ``points`` are the grid_values of the configuration.  The residual is
+    D f_lhs - sum c*f_a*f_b and its scale is mass(D f_lhs) +
     sum |c|*mass(f_a)*mass(f_b).  The point is a pole (residual None) when
     the left-hand field, or a factor of a product whose other factor is not
     identically zero, has a pole there.
@@ -321,7 +188,7 @@ def _equation_points(eq, grid: _GridValues):
         return (libmp.mpf_sum(parts, EVAL_PRECISION, _RND),
                 libmp.mpf_sum(masses, EVAL_PRECISION, _RND))
 
-    for (t, x), vals in zip(GRID, grid.points):
+    for t, x, vals in points:
         yield (t, x) + at(vals)
 
 
@@ -329,17 +196,17 @@ def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Rep
     """Per-equation residual verdicts for one configuration.
 
     Exact mode decides by cancellation of the cleared numerator.  Numeric
-    mode never builds a residual: it evaluates each field pointwise with
-    mpmath on the fixed 9-point rational grid (numerator, denominator and
-    the equation's D_{i,j} of the left-hand field) and forms D f_lhs -
-    sum c*f_a*f_b from those numbers.  A point fails when |residual| exceeds
-    REL_TOL times the pre-cancellation scale mass(D f_lhs) +
-    sum |c|*mass(f_a)*mass(f_b), where a field's mass is the sum of its
-    absolute term values over |its denominator|.  Points where a
-    denominator vanishes to working precision (|value| below its mass
-    times 2**-POLE_BITS) are skipped and recorded rather than aborting.
-    Only a failing equation has its exact residual built, as the report's
-    counterexample.
+    mode never builds a residual: it evaluates each field with
+    exprat.grid_values on the fixed 9-point rational grid GRID_T x GRID_X
+    (numerator, denominator and the equation's D_{i,j} of the left-hand
+    field) and forms D f_lhs - sum c*f_a*f_b from those numbers.  A point
+    fails when |residual| exceeds REL_TOL times the pre-cancellation scale
+    mass(D f_lhs) + sum |c|*mass(f_a)*mass(f_b), where a field's mass is
+    the sum of its absolute term values over |its denominator|.  Points
+    where the evaluator finds a denominator vanishing to working precision
+    (|value| below its mass times 2**-POLE_BITS) are skipped and recorded
+    rather than aborting.  Only a failing equation has its exact residual
+    built, as the report's counterexample.
     """
     if mode not in ("exact", "numeric"):
         raise ValueError(f"unknown mode {mode!r} (expected 'exact' or 'numeric')")
@@ -351,9 +218,10 @@ def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Rep
             rep.add(_eq_name(eq), ok, "" if ok else "residual numerator nonzero",
                     witness=None if ok else r.num)
         return rep
-    grid = _GridValues(cfg.fields, cfg.constants, {eq.lhs: eq.d_index for eq in m.equations})
+    points = list(grid_values(cfg.fields, GRID_T, GRID_X, cfg.constants,
+                              {eq.lhs: eq.d_index for eq in m.equations}))
     for eq in m.equations:
-        ok, detail = _judge(_equation_points(eq, grid))
+        ok, detail = _judge(_equation_points(eq, points))
         rep.add(_eq_name(eq), ok, detail,
                 witness=None if ok else residual(m, cfg, eq).num)
     return rep
@@ -542,34 +410,6 @@ def _suite_ab_chain(rep: Report, params) -> None:
     rep.add("second step meets closed form", c2.A == a2 and c2.B == b2)
 
 
-def _suite_transforms(rep: Report, params) -> None:
-    a2 = model("A2")
-    sa = _suite_data(params, _DEF_P2, _DEF_Q2)
-    seed = initial_config(a2, sa)
-    c12 = apply_chain(["A2_T1", "A2_T2"], seed)
-    rep.add(
-        "A2: T2*T1 == T1*T2 == T3",
-        c12 == apply_chain(["A2_T2", "A2_T1"], seed) and c12 == apply("A2_T3", seed),
-    )
-    b2 = model("B2")
-    g = _generic_config(sa.constants)
-    rep.add(
-        "B2: T10 and its inverse cancel on arbitrary fields",
-        apply_chain(["B2_T10", "B2_T10_INV"], g) == g
-        and apply_chain(["B2_T10_INV", "B2_T10"], g) == g,
-    )
-    sol = apply("B2_T10", _const_solution(sa.constants))
-    rep.add(
-        "B2: second-root map factors",
-        apply("B2_T2A2", sol) == apply_chain(["B2_T10_INV", "B2_TM"], sol),
-    )
-    sb = spectral_data(sa.constants, list(_DEF_P2), list(_DEF_Q2))
-    rep.add(
-        "B2: second-root map equals one tau step on the seed",
-        apply("B2_T2A2", initial_config(b2, sb)) == solution_from_tau(b2, sb, 0, 1),
-    )
-
-
 def _suite_gra(rep: Report, params) -> None:
     s = _suite_data(params, _DEF_P2, _DEF_Q4)
     for n in (0, 1):
@@ -582,7 +422,6 @@ _SUITE_FNS = {
     "g2-hypothesis": _suite_g2,
     "toda": _suite_toda,
     "ab-chain": _suite_ab_chain,
-    "transforms-algebra": _suite_transforms,
     "gra": _suite_gra,
 }
 

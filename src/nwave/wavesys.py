@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from .exprat import ExpRational, WaveConstants
 
@@ -204,34 +204,3 @@ for _s in (PLUS, MINUS):
     G2_SUBST_F[(_s, (1, 2))] = (-1, (_s, (1, 1)))
     G2_SUBST_F[(_s, (0, 1))] = (+1, (-_s, (0, 1)))
 
-
-def _normalize_eq(lhs: FieldKey, d_index: Root, rhs: Iterable) -> tuple:
-    merged: Dict[tuple, Fraction] = {}
-    for coef, a, b in rhs:
-        key = tuple(sorted((a, b)))
-        merged[key] = merged.get(key, Fraction(0)) + Fraction(coef)
-    terms = tuple(sorted((k, c) for k, c in merged.items() if c))
-    return (lhs, d_index, terms)
-
-
-def substituted_equation(eq: EquationSpec, dmap, fmap) -> tuple:
-    """Apply a (sign, relabel) substitution to one equation and normalize.
-
-    From  eta*D'_{r'}(eps_L*f_{L'}) = sum coef*eps_A*eps_B*f_{A'}*f_{B'}
-    the normalized claim is  D'_{r'} f_{L'} = sum (coef*eps_A*eps_B/(eta*eps_L)) ...
-    """
-    eta, new_d = dmap[eq.d_index]
-    eps_l, new_lhs = fmap[eq.lhs]
-    rhs = []
-    for coef, a, b in eq.rhs:
-        eps_a, new_a = fmap[a]
-        eps_b, new_b = fmap[b]
-        rhs.append((Fraction(coef, 1) * eps_a * eps_b / (eta * eps_l), new_a, new_b))
-    return _normalize_eq(new_lhs, new_d, rhs)
-
-
-def substitution_is_symmetry(m: AlgebraModel, dmap, fmap) -> bool:
-    """True iff the substitution maps the equation set onto itself exactly."""
-    original = {_normalize_eq(eq.lhs, eq.d_index, eq.rhs) for eq in m.equations}
-    mapped = {substituted_equation(eq, dmap, fmap) for eq in m.equations}
-    return mapped == original

@@ -1,12 +1,15 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 
 import json
+from fractions import Fraction
 
 import mpmath
 import pytest
 
 from nwave.cli import config_from_doc, config_to_doc, main
-from nwave.exprat import ExpPoly, ExpRational, InexactDivision, wave_constants
+from nwave.exprat import (
+    EvalPole, ExpPoly, ExpRational, InexactDivision, grid_values, wave_constants,
+)
 from nwave.verify import Check, Report
 from nwave.wavesys import field_label, model, zero_config
 
@@ -354,3 +357,54 @@ def test_sample_prints_values_past_the_float_range(tmp_path):
         assert mpmath.isfinite(v) and v != 0
     assert mpmath.mpf(cells[field_label(big)]) > mpmath.mpf("1e868")
     assert mpmath.mpf(cells[field_label(small)]) < mpmath.mpf("1e-869")
+
+
+# `nwave sample` of the A2 (1,1) solution on SPEC_22, t in {-1, 0, 1} and
+# x in {0, 1}.  Each cell carries 17 digits of the 120-bit value; rounding the
+# value to a float first would change most of them.
+A2_11_SAMPLE = """\
+t,x,f+0.1,f+1.0,f+1.1,f-0.1,f-1.0,f-1.1
+-1.0,0.0,-13.671382234376666,-17.844475799444328,11.287251391196418,-0.72392536310619696,26.316073053134253,-0.90230144318107752
+-1.0,1.0,-1.4597512388071131,-0.86699626927272864,0.74237823449707481,-0.026548909503097407,0.46799148776892017,-0.010312722729005799
+0.0,0.0,1.0588235294117647,2.1176470588235294,-0.70588235294117647,0.29411764705882353,-4.4117647058823529,0.35294117647058824
+0.0,1.0,-0.93352463721710385,-1.3518253114080294,0.62465005384487392,-0.080149726121001203,1.0294620468821767,-0.054273951566578312
+1.0,0.0,0.27777516510828032,0.72463965747030071,-0.12045758962976705,0.38273214805259787,-2.1368762419637014,0.3767131002626298
+1.0,1.0,-0.78111615444258976,-2.6617246140753825,0.63122325522471607,-0.33431127886235986,2.8667297035018629,-0.34303955612785805
+"""
+
+
+def test_sample_cells_of_an_a2_tau_solution_are_pinned(tmp_path):
+    sol = construct(tmp_path, "A2", SPEC_22, 1, 1, "a2_11.json")
+    csv_path = tmp_path / "a2_11.csv"
+    rc = main(["sample", "--in", str(sol), "--t0", "-1", "--t1", "1", "--nt", "3",
+               "--x0", "0", "--x1", "1", "--nx", "2", "--csv", str(csv_path)])
+    assert rc == 0
+    assert csv_path.read_text() == A2_11_SAMPLE
+
+
+def test_sample_blanks_exactly_the_evaluator_poles(tmp_path):
+    # 1/(e^t - 1) on a grid through t = 0: the evaluator's None points, the
+    # EvalPole points of ExpRational.eval and the blank CSV cells coincide.
+    cfg = zero_config("A2", wave_constants("1", "1/2", "1/3", "1"))
+    key = sorted(cfg.fields, key=field_label)[0]
+    pole = ExpRational(ExpPoly.const(1), ExpPoly.term(1, 1, 0) - ExpPoly.const(1))
+    path = write_json(tmp_path / "pole.json", config_to_doc(cfg.with_fields({key: pole})))
+    ts = [Fraction(k, 2) for k in range(-2, 3)]
+    xs = [Fraction(0), Fraction(1, 2), Fraction(1)]
+    none_points = {(t, x) for t, x, vals in grid_values({key: pole}, ts, xs)
+                   if vals[key] is None}
+    raised = set()
+    for t in ts:
+        for x in xs:
+            try:
+                pole.eval(t, x)
+            except EvalPole:
+                raised.add((t, x))
+    csv_path = tmp_path / "pole.csv"
+    rc = main(["sample", "--in", path, "--t0", "-1", "--t1", "1", "--nt", "5",
+               "--x0", "0", "--x1", "1", "--nx", "3", "--csv", str(csv_path)])
+    assert rc == 0
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+    col = rows[0].index(field_label(key))
+    blank = {(Fraction(row[0]), Fraction(row[1])) for row in rows[1:] if row[col] == ""}
+    assert none_points == raised == blank == {(Fraction(0), x) for x in xs}

@@ -341,6 +341,16 @@ def test_eval_pole():
         r.eval(0, 0)
 
 
+def test_eval_pole_where_the_denominator_cancels_only_to_rounding():
+    # (e^t - e^x)(e^t + 1) vanishes on t = x, but at t = x = 1/3 its terms
+    # e^{2t} and e^{t+x} round apart: the sum is a rounding residue, not 0,
+    # and the mass-relative pole rule still has to catch it
+    e_t, e_x = ExpPoly.term(1, 1, 0), ExpPoly.term(1, 0, 1)
+    r = ExpRational(ONE, (e_t - e_x) * (e_t + ONE))
+    with pytest.raises(EvalPole):
+        r.eval(Fraction(1, 3), Fraction(1, 3))
+
+
 def test_eval_of_a_tiny_positive_denominator_is_no_pole():
     # e^{2000t} + e^{2001t} is about 1e-87 at t = -1/10, but never zero
     den = ExpPoly.term(1, 2000, 0) + ExpPoly.term(1, 2001, 0)

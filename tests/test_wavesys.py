@@ -12,7 +12,6 @@ from nwave.wavesys import (
     model,
     parse_field_label,
     residual,
-    substitution_is_symmetry,
     zero_config,
 )
 
@@ -57,6 +56,38 @@ def test_equations_are_grade_homogeneous():
             want = (s * p, s * q)
             for _coef, (sa, (pa, qa)), (sb, (pb, qb)) in eq.rhs:
                 assert (sa * pa + sb * pb, sa * qa + sb * qb) == want
+
+
+def _normalize_eq(lhs, d_index, rhs) -> tuple:
+    merged = {}
+    for coef, a, b in rhs:
+        key = tuple(sorted((a, b)))
+        merged[key] = merged.get(key, Fraction(0)) + Fraction(coef)
+    terms = tuple(sorted((k, c) for k, c in merged.items() if c))
+    return (lhs, d_index, terms)
+
+
+def substituted_equation(eq, dmap, fmap) -> tuple:
+    """Apply a (sign, relabel) substitution to one equation and normalize.
+
+    From  eta*D'_{r'}(eps_L*f_{L'}) = sum coef*eps_A*eps_B*f_{A'}*f_{B'}
+    the normalized claim is  D'_{r'} f_{L'} = sum (coef*eps_A*eps_B/(eta*eps_L)) ...
+    """
+    eta, new_d = dmap[eq.d_index]
+    eps_l, new_lhs = fmap[eq.lhs]
+    rhs = []
+    for coef, a, b in eq.rhs:
+        eps_a, new_a = fmap[a]
+        eps_b, new_b = fmap[b]
+        rhs.append((Fraction(coef, 1) * eps_a * eps_b / (eta * eps_l), new_a, new_b))
+    return _normalize_eq(new_lhs, new_d, rhs)
+
+
+def substitution_is_symmetry(m, dmap, fmap) -> bool:
+    """True iff the substitution maps the equation set onto itself exactly."""
+    original = {_normalize_eq(eq.lhs, eq.d_index, eq.rhs) for eq in m.equations}
+    mapped = {substituted_equation(eq, dmap, fmap) for eq in m.equations}
+    return mapped == original
 
 
 def test_plus_minus_exchange_is_a_symmetry():
