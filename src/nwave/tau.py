@@ -22,20 +22,25 @@ share one sum), and the group sums are multiplied as ExpPolys, which merges
 equal exponents.  The two-group recombination identity (check_gra) is a
 double sum of the same kind and uses the same Q subset sums.
 
-The calibration table was fixed empirically, once: per-field rational
-constants were measured by requiring (a) agreement with the seed
-configuration at base orders and (b) exact residual zero for every equation
-of the algebra over an order grid on rich spike sets (A2: orders up to
-(3,3) on 3+3 spikes; B2 up to (2,2) on 2+3; G2 up to (2,2) on 3+3).  The
-measurement showed plain constants suffice — no order-dependent signs — and
-they are frozen below.
+A field f^s_{p.q} at chain order (n1, n2) is the ratio
+
+    sign * tau(n1 -+ p; n2 -+ 1 on the first q Q-groups) / tau(n1; n2, ..., n2),
+
+with the upper sign for f^+ and the lower for f^-; an algebra has as many
+Q-groups as the largest q among its roots (A2 one, B2 two, G2 three).  The
+seed is order (0, 0): the base tau is 1 and every f^+ vanishes.  The one
+per-field constant, a calibration sign, was fixed empirically, once, by
+requiring exact residual zero for every equation of the algebra over an
+order grid on rich spike sets (A2: orders up to (3,3) on 3+3 spikes; B2 up
+to (2,2) on 2+3; G2 up to (2,2) on 3+3).  A sign per field suffices, with
+no order-dependent constants; the signs are frozen below.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .exprat import ExpPoly, ExpRational, LinForm, WaveConstants
 from .spectral import SpectralData, validate, wave_exponent
@@ -129,56 +134,18 @@ def tau_V_B2(s: SpectralData, n1: int, n2: int, n3: int) -> ExpPoly:
 
 
 # -- ratio solutions -----------------------------------------------------------
-#
-# Per field: (order shifts, frozen calibration constant).  The field at chain
-# order (n1, n2) is  constant * tau(shifted orders) / tau(base)  where base is
-# (n1, n2) [A2], (n1; n2, n2) [B2], (n1; n2, n2, n2) [G2] and the shifts add
-# to each group size.
 
-_A2_RATIOS: Dict[FieldKey, Tuple[Tuple[int, ...], Fraction]] = {
-    (PLUS, (1, 0)): ((-1, 0), Fraction(1)),
-    (PLUS, (0, 1)): ((0, -1), Fraction(1)),
-    (PLUS, (1, 1)): ((-1, -1), Fraction(-1)),
-    (MINUS, (1, 0)): ((1, 0), Fraction(1)),
-    (MINUS, (0, 1)): ((0, 1), Fraction(1)),
-    (MINUS, (1, 1)): ((1, 1), Fraction(1)),
+#: Calibration sign of every field of each algebra.
+_SIGNS: Dict[str, Dict[FieldKey, int]] = {
+    "A2": {(PLUS, (1, 0)): 1, (PLUS, (0, 1)): 1, (PLUS, (1, 1)): -1,
+           (MINUS, (1, 0)): 1, (MINUS, (0, 1)): 1, (MINUS, (1, 1)): 1},
+    "B2": {(PLUS, (1, 0)): 1, (PLUS, (0, 1)): 1, (PLUS, (1, 1)): -1, (PLUS, (1, 2)): 1,
+           (MINUS, (1, 0)): 1, (MINUS, (0, 1)): 1, (MINUS, (1, 1)): 1, (MINUS, (1, 2)): 1},
+    "G2": {(PLUS, (1, 0)): 1, (PLUS, (0, 1)): 1, (PLUS, (1, 1)): -1, (PLUS, (1, 2)): 1,
+           (PLUS, (1, 3)): -1, (PLUS, (2, 3)): -1,
+           (MINUS, (1, 0)): 1, (MINUS, (0, 1)): 1, (MINUS, (1, 1)): 1, (MINUS, (1, 2)): 1,
+           (MINUS, (1, 3)): 1, (MINUS, (2, 3)): -1},
 }
-
-_B2_RATIOS: Dict[FieldKey, Tuple[Tuple[int, ...], Fraction]] = {
-    (PLUS, (1, 0)): ((-1, 0, 0), Fraction(1)),
-    (PLUS, (0, 1)): ((0, 0, -1), Fraction(1)),
-    (PLUS, (1, 1)): ((-1, 0, -1), Fraction(-1)),
-    (PLUS, (1, 2)): ((-1, -1, -1), Fraction(1)),
-    (MINUS, (1, 0)): ((1, 0, 0), Fraction(1)),
-    (MINUS, (0, 1)): ((0, 1, 0), Fraction(1)),
-    (MINUS, (1, 1)): ((1, 1, 0), Fraction(1)),
-    (MINUS, (1, 2)): ((1, 1, 1), Fraction(1)),
-}
-
-_G2_RATIOS: Dict[FieldKey, Tuple[Tuple[int, ...], Fraction]] = {
-    (PLUS, (1, 0)): ((-1, 0, 0, 0), Fraction(1)),
-    (PLUS, (0, 1)): ((0, -1, 0, 0), Fraction(1)),
-    (PLUS, (1, 1)): ((-1, -1, 0, 0), Fraction(-1)),
-    (PLUS, (1, 2)): ((-1, -1, -1, 0), Fraction(1)),
-    (PLUS, (1, 3)): ((-1, -1, -1, -1), Fraction(-1)),
-    (PLUS, (2, 3)): ((-2, -1, -1, -1), Fraction(-1)),
-    (MINUS, (1, 0)): ((1, 0, 0, 0), Fraction(1)),
-    (MINUS, (0, 1)): ((0, 1, 0, 0), Fraction(1)),
-    (MINUS, (1, 1)): ((1, 1, 0, 0), Fraction(1)),
-    (MINUS, (1, 2)): ((1, 1, 1, 0), Fraction(1)),
-    (MINUS, (1, 3)): ((1, 1, 1, 1), Fraction(1)),
-    (MINUS, (2, 3)): ((2, 1, 1, 1), Fraction(-1)),
-}
-
-_RATIO_TABLES = {"A2": _A2_RATIOS, "B2": _B2_RATIOS, "G2": _G2_RATIOS}
-
-
-def _base_orders(name: str, n1: int, n2: int) -> Tuple[int, ...]:
-    if name == "A2":
-        return (n1, n2)
-    if name == "B2":
-        return (n1, n2, n2)
-    return (n1, n2, n2, n2)
 
 
 def solution_from_tau(m: AlgebraModel, s: SpectralData, n1: int, n2: int) -> FieldConfig:
@@ -189,17 +156,17 @@ def solution_from_tau(m: AlgebraModel, s: SpectralData, n1: int, n2: int) -> Fie
     """
     if n1 < 0 or n2 < 0:
         raise ValueError("orders must be nonnegative")
-    base = _base_orders(m.name, n1, n2)
-    den = _tau(s, base[0], base[1:])
+    groups = max(q for _, q in m.roots)
+    den = _tau(s, n1, (n2,) * groups)
     if den.is_zero():
-        raise TauZero(f"tau{base} vanishes identically: chain interrupted")
-    table = _RATIO_TABLES[m.name]
+        raise TauZero(f"tau{(n1,) + (n2,) * groups} vanishes identically: chain interrupted")
+    signs = _SIGNS[m.name]
     fields: Dict[FieldKey, ExpRational] = {}
     for key in m.field_keys:
-        shifts, const = table[key]
-        orders = tuple(b + d for b, d in zip(base, shifts))
-        num = _tau(s, orders[0], orders[1:])
-        fields[key] = ExpRational(num * const, den)
+        sign, (p, q) = key
+        step = -sign  # f^- raises the orders, f^+ lowers them
+        num = _tau(s, n1 + step * p, [n2 + step * (g < q) for g in range(groups)])
+        fields[key] = ExpRational(num * signs[key], den)
     return FieldConfig(m.name, s.constants, fields)
 
 

@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .exprat import ExpPoly, ExpRational, WaveConstants, divexact
-from .spectral import SpectralData, f_wave, initial_config, validate
-from .tau import tau_V_B2
+from .spectral import SpectralData
+from .tau import tau_U, tau_V_B2
 from .transforms import PivotZero
-from .wavesys import MINUS, PLUS, FieldConfig, FieldKey, model
+from .wavesys import MINUS, PLUS, FieldConfig, FieldKey
 
 HALF = Fraction(1, 2)
 
@@ -102,12 +102,8 @@ class HankelChain:
 
 
 def hankel_chain(s: SpectralData) -> HankelChain:
-    """Toda chain of the seed r = f^-_{0.1} with derivatives along (1, 0)."""
-    validate(s)
-    r = ExpPoly.zero()
-    for sp in s.qspikes:
-        r = r + f_wave(sp.pos, s.constants, sp.weight)
-    return HankelChain(r, s.constants)
+    """Toda chain of the seed r = f^-_{0.1} = tau_U(0, 1), differentiated along (1, 0)."""
+    return HankelChain(tau_U(s, 0, 1), s.constants)
 
 
 def det_n(chain: HankelChain, n: int) -> ExpPoly:
@@ -151,12 +147,7 @@ def _as_poly(f: ExpRational, what: str) -> ExpPoly:
 
 def ab_init(s: SpectralData) -> ABChain:
     """Level 0: the seed values of f^-_{1.1} and f^-_{1.2} (Det_0 = 1)."""
-    cfg = initial_config(model("B2"), s)
-    return ABChain(
-        0,
-        _as_poly(cfg[(MINUS, (1, 1))], "seed f-1.1"),
-        _as_poly(cfg[(MINUS, (1, 2))], "seed f-1.2"),
-    )
+    return ABChain(0, tau_V_B2(s, 1, 1, 0), tau_V_B2(s, 1, 1, 1))
 
 
 def ab_step(prev: ABChain, chain: HankelChain) -> ABChain:

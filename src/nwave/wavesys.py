@@ -30,10 +30,15 @@ def field_label(key: FieldKey) -> str:
 
 
 def parse_field_label(label: str) -> FieldKey:
-    if len(label) < 5 or label[0] != "f" or label[1] not in "+-":
+    """Inverse of field_label: any other spelling of a key is refused."""
+    try:
+        p, q = label[2:].split(".")
+        key = (PLUS if label[1:2] == "+" else MINUS, (int(p), int(q)))
+    except ValueError:
+        key = None
+    if key is None or field_label(key) != label:
         raise ValueError(f"bad field label: {label!r}")
-    p, q = label[2:].split(".")
-    return (PLUS if label[1] == "+" else MINUS, (int(p), int(q)))
+    return key
 
 
 @dataclass(frozen=True)
@@ -147,9 +152,6 @@ class FieldConfig:
 
     def __getitem__(self, key: FieldKey) -> ExpRational:
         return self.fields[key]
-
-    def get(self, sign: int, root: Root) -> ExpRational:
-        return self.fields[(sign, root)]
 
     def with_fields(self, updates: Dict[FieldKey, ExpRational]) -> "FieldConfig":
         merged = dict(self.fields)

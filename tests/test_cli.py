@@ -229,6 +229,18 @@ def test_internal_key_error_is_not_malformed_input(tmp_path, monkeypatch):
         main(["construct", "--algebra", "A2", "--spectral", spec_path])
 
 
+def test_two_labels_for_one_field_exit_2(tmp_path, capsys):
+    # "f+01.0" would name f+1.0 a second time and silently replace its value
+    out = construct(tmp_path, "A2", SPEC_22, 1, 1, "a2_11.json")
+    doc = json.loads(out.read_text())
+    doc["fields"]["f+01.0"] = doc["fields"]["f-1.0"]
+    capsys.readouterr()
+    assert main(["verify", "--in", write_json(tmp_path / "twice.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad field label: 'f+01.0'")
+    assert err.count("\n") == 1
+
+
 def test_unsupported_schema_exits_2(tmp_path, capsys):
     spec = dict(SPEC_11, schema=2)
     path = write_json(tmp_path / "s2.json", spec)

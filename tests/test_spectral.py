@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-import nwave.spectral as spectral
+import nwave.tau as tau
 from nwave.exprat import ExpPoly, ExpRational, wave_constants
 from nwave.spectral import (
     InvalidSpectralData,
@@ -90,15 +90,17 @@ def test_adding_p_spike_leaves_f01_unchanged():
 
 
 def test_g2_seed_signs_are_forced(monkeypatch):
-    # Flipping either G2 sign constant must break at least one equation:
-    # the exact residual check is the arbiter that fixed them.
+    # Flipping the calibration sign of G2's f-1.2 or f-2.3 must break at
+    # least one equation of the seed: the exact residual check is the
+    # arbiter that fixed them.
     s = spectral_data(W, P2, Q3[:2])
     m = model("G2")
+    signs = tau._SIGNS["G2"]
     assert verify_config(m, initial_config(m, s)).passed
-    monkeypatch.setattr(spectral, "G2_SIGN_12", Fraction(-1))
+    monkeypatch.setitem(signs, (-1, (1, 2)), -1)
     assert not verify_config(m, initial_config(m, s)).passed
-    monkeypatch.setattr(spectral, "G2_SIGN_12", Fraction(1))
-    monkeypatch.setattr(spectral, "G2_SIGN_23", Fraction(1, 2))
+    monkeypatch.setitem(signs, (-1, (1, 2)), 1)
+    monkeypatch.setitem(signs, (-1, (2, 3)), 1)
     assert not verify_config(m, initial_config(m, s)).passed
 
 

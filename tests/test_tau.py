@@ -15,6 +15,7 @@ from nwave.tau import (
     _gra_side,
     _tau,
 )
+from nwave.transforms import TRANSFORMS, PivotZero, apply
 from nwave.verify import verify_config
 from nwave.wavesys import model
 
@@ -60,7 +61,7 @@ def test_tau_u_coupled_pair():
 
 def test_tau_u_matches_seed_fields():
     s = spectral_data(W, P2, Q3)
-    cfg = initial_config(model("A2"), s)
+    cfg = ref.seed(model("A2"), s)
     one = ExpPoly.const(1)
     assert cfg[(-1, (1, 0))] == ExpRational(tau_U(s, 1, 0), one)
     assert cfg[(-1, (0, 1))] == ExpRational(tau_U(s, 0, 1), one)
@@ -83,20 +84,13 @@ def test_tau_v_b2_group_symmetry():
 def test_tau_v_matches_seed_ladder():
     s = spectral_data(W, P2, Q3)
     one = ExpPoly.const(1)
-    b2 = initial_config(model("B2"), s)
+    b2 = ref.seed(model("B2"), s)
     assert b2[(-1, (1, 2))] == ExpRational(tau_V_B2(s, 1, 1, 1), one)
-    g2 = initial_config(model("G2"), s)
+    g2 = ref.seed(model("G2"), s)
     assert g2[(-1, (1, 0))] == ExpRational(_tau(s, 1, (0, 0, 0)), one)
     assert g2[(-1, (1, 3))] == ExpRational(_tau(s, 1, (1, 1, 1)), one)
     # the unordered two-lambda subset sum is minus the seed field
     assert g2[(-1, (2, 3))] == ExpRational(-_tau(s, 2, (1, 1, 1)), one)
-
-
-@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
-def test_ratio_solution_base_order_is_seed(name):
-    s = spectral_data(W, P2, Q3)
-    m = model(name)
-    assert solution_from_tau(m, s, 0, 0) == initial_config(m, s)
 
 
 @pytest.mark.parametrize("name,n1,n2", [
@@ -189,11 +183,26 @@ def test_factorised_gra_side_matches_double_sum(s, lam, data, multiplier):
             == ref.gra_side(s, lam, size1, size2, multiplier))
 
 
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+@settings(max_examples=30, deadline=None)
+@given(spike_data(p=(0, 3)))
+def test_ratio_solution_base_order_is_seed(name, s):
+    """The seed, the order-(0,0) tau solution, equals the ordered-tuple loops."""
+    m = model(name)
+    assert initial_config(m, s) == ref.seed(m, s)
+
+
+#: Largest (P, Q) spike counts on which a random map step is still cheap:
+#: B2 maps swell past seconds on 2P+2Q.
+MAP_SPIKES = {"A2": (2, 2), "B2": (1, 2)}
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from(["A2", "B2"]), spike_data(p=(1, 2), q=(1, 3)),
-       st.sampled_from([(1, 1), (1, 0), (0, 1), (0, 0)]))
-def test_random_tau_solutions_verify(name, s, orders):
-    """Random spike data goes to a tau solution that verifies exactly."""
+       st.sampled_from([(1, 1), (1, 0), (0, 1), (0, 0)]), st.data())
+def test_random_tau_solutions_verify(name, s, orders, data):
+    """Random spike data goes to a tau solution that verifies exactly, and on
+    small data a random map of the algebra sends it to another solution."""
     m = model(name)
     n1, n2 = orders
     try:
@@ -201,3 +210,12 @@ def test_random_tau_solutions_verify(name, s, orders):
     except TauZero:
         return
     assert verify_config(m, cfg).passed
+    max_p, max_q = MAP_SPIKES[name]
+    if len(s.pspikes) > max_p or len(s.qspikes) > max_q:
+        return
+    tid = data.draw(st.sampled_from([t for t, tr in TRANSFORMS.items() if tr.algebra == name]))
+    try:
+        image = apply(tid, cfg)
+    except PivotZero:
+        return
+    assert verify_config(m, image).passed

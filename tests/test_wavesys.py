@@ -126,6 +126,13 @@ def test_field_labels_roundtrip():
     assert field_label((-1, (2, 3))) == "f-2.3"
 
 
+@pytest.mark.parametrize("label", ["f+01.0", "f+ 1.0", "f+1.+0", "f+1.0 ", "f+1_0.0",
+                                   "g+1.0", "f*1.0", "f+1", "f+1.0.0", "f+", ""])
+def test_only_the_canonical_label_parses(label):
+    with pytest.raises(ValueError, match="bad field label"):
+        parse_field_label(label)
+
+
 def test_field_config_requires_total_assignment():
     m = model("A2")
     fields = {k: ExpRational.zero() for k in m.field_keys}
