@@ -235,6 +235,11 @@ def _grid(lo: str, hi: str, n: int, what: str) -> list:
     if n < 1:
         raise InputError(f"{what}: need at least one point, got {n}")
     a, b = _frac(lo, f"{what} lower bound"), _frac(hi, f"{what} upper bound")
+    for bound, text, v in (("lower", lo, a), ("upper", hi, b)):
+        try:
+            float(v)  # the CSV prints coordinates as floats
+        except OverflowError:
+            raise InputError(f"{what} {bound} bound {text!r} is past the float range") from None
     if n == 1:
         return [a]
     return [a + (b - a) * k / (n - 1) for k in range(n)]

@@ -22,6 +22,12 @@ share one sum), and the group sums are multiplied as ExpPolys, which merges
 equal exponents.  The two-group recombination identity (check_gra) is a
 double sum of the same kind and uses the same Q subset sums.
 
+A tau solution's base tau and field numerators sum over many of the same
+P-subsets, so solution_from_tau builds them all from one set of pieces
+that lives for the call: each P-subset's term, coupled weights and Q
+subset sums, and each Q-subset's squared Vandermonde and exponent, which
+depend on positions only.
+
 A field f^s_{p.q} at chain order (n1, n2) is the ratio
 
     sign * tau(n1 -+ p; n2 -+ 1 on the first q Q-groups) / tau(n1; n2, ..., n2),
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exprat import ExpPoly, ExpRational, LinForm, WaveConstants
 from .spectral import SpectralData, validate, wave_exponent
@@ -75,52 +81,103 @@ def _group_weight(sub: Sequence[Pair]) -> Tuple[Fraction, Fraction]:
     return coef, tot
 
 
-def _coupled(Q: Sequence[Pair], lams: Sequence[Fraction]) -> List[Pair]:
-    """Q-spikes with each weight divided by its coupling prod_lam (lam - mu)."""
+def _coupled(Q: Sequence[Pair], lams: Sequence[Fraction]) -> List[Fraction]:
+    """Each Q-spike's weight divided by its coupling prod_lam (lam - mu)."""
     out = []
     for mu, v in Q:
         c = Fraction(1)
         for lam in lams:
             c *= lam - mu
-        out.append((mu, v / c))
+        out.append(v / c)
     return out
 
 
-def _subset_sum(Q: Sequence[Pair], n: int, w: WaveConstants, moment: bool = False) -> ExpPoly:
-    """Sum over the n-subsets of Q of weight * exp(theta(0, position sum)).
+#: One subset of Q-spikes: its indices, squared Vandermonde, position sum and
+#: exponent theta(0, position sum).  All of it depends on positions only.
+_Shape = Tuple[Tuple[int, ...], Fraction, Fraction, LinForm]
 
-    A subset's weight is its squared Vandermonde times its spike weights, and
-    also times its position sum when ``moment`` is set.
+
+def _shapes(Q: Sequence[Pair], n: int, w: WaveConstants) -> List[_Shape]:
+    """The shape of every n-subset of Q."""
+    out = []
+    for idx in itertools.combinations(range(len(Q)), n):
+        xs = [Q[k][0] for k in idx]
+        tot = sum(xs, Fraction(0))
+        out.append((idx, vandermonde_sq(xs), tot, wave_exponent(Fraction(0), tot, w)))
+    return out
+
+
+def _subset_sum(shapes: Sequence[_Shape], weights: Sequence[Fraction],
+                moment: bool = False) -> ExpPoly:
+    """Sum over the given subsets of weight * exp(theta(0, position sum)).
+
+    A subset's weight is its squared Vandermonde times the ``weights`` of
+    its spikes, and also times its position sum when ``moment`` is set.
     """
     terms: Dict[LinForm, Fraction] = {}
-    for sub in itertools.combinations(Q, n):
-        coef, tot = _group_weight(sub)
+    for idx, coef, tot, key in shapes:
+        for k in idx:
+            coef *= weights[k]
         if moment:
             coef *= tot
-        key = wave_exponent(Fraction(0), tot, w)
         terms[key] = terms.get(key, Fraction(0)) + coef
     return ExpPoly(terms)
 
 
-def _tau(s: SpectralData, n1: int, qsizes: Sequence[int]) -> ExpPoly:
+class _Pieces:
+    """The pieces of the tau values of one spectral data, each built once.
+
+    Q-subset shapes depend on positions only, so every P-subset shares
+    them.  A P-subset (its spike indices) has its term pcoef *
+    exp(theta(psum, 0)), its coupled Q weights and its Q subset sums by
+    size, shared by every tau value that sums over it.  An instance lives
+    for one call: solution_from_tau builds its base tau and every field's
+    numerator from one.
+    """
+
+    def __init__(self, s: SpectralData):
+        self.P, self.Q, self.w = _spikes(s.pspikes), _spikes(s.qspikes), s.constants
+        self._shapes: Dict[int, List[_Shape]] = {}
+        self._psubs: Dict[Tuple[int, ...],
+                          Tuple[ExpPoly, List[Fraction], Dict[int, ExpPoly]]] = {}
+
+    def parts(self, idx: Tuple[int, ...],
+              qsizes: Sequence[int]) -> Tuple[ExpPoly, List[ExpPoly]]:
+        """The term of P-subset ``idx`` and its Q subset sum for each size."""
+        part = self._psubs.get(idx)
+        if part is None:
+            psub = [self.P[k] for k in idx]
+            pcoef, psum = _group_weight(psub)
+            term = ExpPoly.term(pcoef, *wave_exponent(psum, Fraction(0), self.w))
+            part = self._psubs[idx] = (term, _coupled(self.Q, [lam for lam, _ in psub]), {})
+        term, coupled, sums = part
+        for n in qsizes:
+            if n not in sums:
+                if n not in self._shapes:
+                    self._shapes[n] = _shapes(self.Q, n, self.w)
+                sums[n] = _subset_sum(self._shapes[n], coupled)
+        return term, [sums[n] for n in qsizes]
+
+
+def _tau(s: SpectralData, n1: int, qsizes: Sequence[int],
+         pieces: Optional[_Pieces] = None) -> ExpPoly:
     """Subset sum with one P-group of size n1 and independent Q-groups.
 
     For a fixed P-subset the Q-groups are independent, so the sum over
-    their product factorises into one Q subset sum per group size.
+    their product factorises into one Q subset sum per group size.  A
+    caller that builds several tau values of ``s`` passes them one
+    ``pieces``, so what they have in common is built once.
     """
     validate(s)
-    P, Q = _spikes(s.pspikes), _spikes(s.qspikes)
-    if n1 < 0 or n1 > len(P) or any(n < 0 or n > len(Q) for n in qsizes):
+    if pieces is None:
+        pieces = _Pieces(s)
+    if n1 < 0 or n1 > len(pieces.P) or any(n < 0 or n > len(pieces.Q) for n in qsizes):
         return ExpPoly.zero()
-    w = s.constants
     total = ExpPoly.zero()
-    for psub in itertools.combinations(P, n1):
-        pcoef, psum = _group_weight(psub)
-        coupled = _coupled(Q, [lam for lam, _ in psub])
-        sums = {n: _subset_sum(coupled, n, w) for n in set(qsizes)}
-        term = ExpPoly.term(pcoef, *wave_exponent(psum, Fraction(0), w))
-        for n in qsizes:
-            term = term * sums[n]
+    for idx in itertools.combinations(range(len(pieces.P)), n1):
+        term, sums = pieces.parts(idx, qsizes)
+        for group in sums:
+            term = term * group
         total = total + term
     return total
 
@@ -157,7 +214,8 @@ def solution_from_tau(m: AlgebraModel, s: SpectralData, n1: int, n2: int) -> Fie
     if n1 < 0 or n2 < 0:
         raise ValueError("orders must be nonnegative")
     groups = max(q for _, q in m.roots)
-    den = _tau(s, n1, (n2,) * groups)
+    pieces = _Pieces(s)
+    den = _tau(s, n1, (n2,) * groups, pieces)
     if den.is_zero():
         raise TauZero(f"tau{(n1,) + (n2,) * groups} vanishes identically: chain interrupted")
     signs = _SIGNS[m.name]
@@ -165,7 +223,7 @@ def solution_from_tau(m: AlgebraModel, s: SpectralData, n1: int, n2: int) -> Fie
     for key in m.field_keys:
         sign, (p, q) = key
         step = -sign  # f^- raises the orders, f^+ lowers them
-        num = _tau(s, n1 + step * p, [n2 + step * (g < q) for g in range(groups)])
+        num = _tau(s, n1 + step * p, [n2 + step * (g < q) for g in range(groups)], pieces)
         fields[key] = ExpRational(num * signs[key], den)
     return FieldConfig(m.name, s.constants, fields)
 
@@ -183,12 +241,13 @@ def _gra_side(
     weighted by its position sum; without it, S1 * S2.
     """
     Q, w = _spikes(s.qspikes), s.constants
-    coupled = _coupled(Q, [lam])
-    s1, s2 = _subset_sum(coupled, size1, w), _subset_sum(Q, size2, w)
+    shapes1, shapes2 = _shapes(Q, size1, w), _shapes(Q, size2, w)
+    coupled, weights = _coupled(Q, [lam]), [v for _, v in Q]
+    s1, s2 = _subset_sum(shapes1, coupled), _subset_sum(shapes2, weights)
     if not multiplier:
         return s1 * s2
-    return (_subset_sum(coupled, size1, w, moment=True) * s2
-            - s1 * _subset_sum(Q, size2, w, moment=True))
+    return (_subset_sum(shapes1, coupled, moment=True) * s2
+            - s1 * _subset_sum(shapes2, weights, moment=True))
 
 
 def check_gra(s: SpectralData, n: int) -> bool:

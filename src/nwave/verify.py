@@ -216,14 +216,14 @@ def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Rep
             r = residual(m, cfg, eq)
             ok = r.is_zero()
             rep.add(_eq_name(eq), ok, "" if ok else "residual numerator nonzero",
-                    witness=None if ok else r.num)
+                    witness=None if ok else r)
         return rep
     points = list(grid_values(cfg.fields, GRID_T, GRID_X, cfg.constants,
                               {eq.lhs: eq.d_index for eq in m.equations}))
     for eq in m.equations:
         ok, detail = _judge(_equation_points(eq, points))
         rep.add(_eq_name(eq), ok, detail,
-                witness=None if ok else residual(m, cfg, eq).num)
+                witness=None if ok else residual(m, cfg, eq))
     return rep
 
 

@@ -7,6 +7,15 @@ matrix, and the bilinear first-order system — one equation
 
 per signed root.  Keeping the equations as data means the verifier and the
 transformation engine share a single source of truth.
+
+``residual`` is the one per-equation exact check.  The fields of a tau
+solution are N_k/tau with one tau, so there it checks each equation in
+Hirota's bilinear form: multiplied by tau^2 the equation reads
+
+    D(N_lhs)*tau - N_lhs*D(tau) - sum_k coef_k * N_{A_k} * N_{B_k} = 0,
+
+a polynomial identity in which tau*tau never appears.  Fields with
+different denominators are combined as quotients instead.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .exprat import ExpRational, WaveConstants
+from .exprat import ONE, ExpPoly, ExpRational, WaveConstants
 
 Root = Tuple[int, int]
 #: A signed field key: (sign, (p, q)) with sign in {+1, -1} naming f^sign_{p.q}.
@@ -171,12 +180,40 @@ def zero_config(name: str, constants: WaveConstants) -> FieldConfig:
     return FieldConfig(name, constants, {k: ExpRational.zero() for k in m.field_keys})
 
 
-def residual(m: AlgebraModel, cfg: FieldConfig, eq: EquationSpec) -> ExpRational:
-    """D_{i,j} f_lhs  -  sum coef*f_a*f_b, as one normalized ExpRational."""
+def residual(m: AlgebraModel, cfg: FieldConfig, eq: EquationSpec) -> ExpPoly:
+    """Numerator of D_{i,j} f_lhs - sum coef*f_a*f_b over that expression's
+    denominator: zero exactly when the equation holds.
+
+    A zero field is 0/1, and a product with a zero factor drops out.  When
+    the other fields of the equation share one denominator d (compared with
+    ==, so a configuration read back from a document qualifies; d may be
+    1), as in a tau solution, the numerator is the equation times d^2 in
+    Hirota's bilinear form, N_lhs' d - N_lhs d' - sum coef*N_a*N_b, formed
+    without the product d*d.  Otherwise the residual is built as one
+    ExpRational and its numerator returned.  Over a shared d both give the
+    same polynomial: a denominator's least term has coefficient 1, so d*d
+    needs no normalizing.
+    """
     i, j = eq.d_index
-    acc = cfg[eq.lhs].deriv(i, j, cfg.constants)
-    for coef, a, b in eq.rhs:
-        acc = acc - cfg[a] * cfg[b] * Fraction(coef)
+    w = cfg.constants
+    lhs = cfg[eq.lhs]
+    products = [(Fraction(coef), cfg[a], cfg[b]) for coef, a, b in eq.rhs
+                if not (cfg[a].is_zero() or cfg[b].is_zero())]
+    fields = [f for _, fa, fb in products for f in (fa, fb)]
+    if not lhs.is_zero():
+        fields.append(lhs)
+    d = fields[0].den if fields else ONE
+    if any(f.den != d for f in fields):
+        rat = lhs.deriv(i, j, w)
+        for coef, fa, fb in products:
+            rat = rat - fa * fb * coef
+        return rat.num
+    n = lhs.num
+    acc = n.deriv(i, j, w)
+    if n and d != ONE:
+        acc = acc * d - n * d.deriv(i, j, w)
+    for coef, fa, fb in products:
+        acc = acc - fa.num * fb.num * coef
     return acc
 
 

@@ -420,3 +420,22 @@ def test_sample_blanks_exactly_the_evaluator_poles(tmp_path):
     col = rows[0].index(field_label(key))
     blank = {(Fraction(row[0]), Fraction(row[1])) for row in rows[1:] if row[col] == ""}
     assert none_points == raised == blank == {(Fraction(0), x) for x in xs}
+
+
+@pytest.mark.parametrize("bound", ["--t0", "--t1", "--x0", "--x1"])
+def test_sample_bound_past_the_float_range_exits_2(tmp_path, capsys, bound):
+    # The CSV prints grid coordinates as floats, so a bound past the float
+    # range is malformed input, refused before any cell is evaluated.
+    sol = construct(tmp_path, "A2", SPEC_11, 0, 0, "a2.json")
+    capsys.readouterr()
+    opts = {"--t0": "0", "--t1": "0", "--x0": "0", "--x1": "0"}
+    opts[bound] = "-1e400" if bound.endswith("0") else "1e400"
+    csv_path = tmp_path / "never.csv"
+    rc = main(["sample", "--in", str(sol), "--nt", "1", "--nx", "1", "--csv", str(csv_path)]
+              + [f"{k}={v}" for k, v in opts.items()])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    which = "lower" if bound.endswith("0") else "upper"
+    assert f"{bound[2]} {which} bound '{opts[bound]}' is past the float range" in err
+    assert not csv_path.exists()

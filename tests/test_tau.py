@@ -17,7 +17,7 @@ from nwave.tau import (
 )
 from nwave.transforms import TRANSFORMS, PivotZero, apply
 from nwave.verify import verify_config
-from nwave.wavesys import model
+from nwave.wavesys import MINUS, model, residual
 
 import _tausum as ref
 
@@ -219,3 +219,43 @@ def test_random_tau_solutions_verify(name, s, orders, data):
     except PivotZero:
         return
     assert verify_config(m, image).passed
+
+
+def reference_residual(cfg, eq):
+    """The residual numerator by plain ExpRational arithmetic."""
+    i, j = eq.d_index
+    acc = cfg[eq.lhs].deriv(i, j, cfg.constants)
+    for coef, a, b in eq.rhs:
+        acc = acc - cfg[a] * cfg[b] * Fraction(coef)
+    return acc.num
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["A2", "B2", "G2"]), st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]),
+       st.booleans(), st.data())
+def test_residual_matches_the_exprational_reference(name, orders, mapped, data):
+    """On tau solutions (one shared denominator, 1 at the seed), their
+    f-1.0-doubled variants and their map images (distinct denominators),
+    the residual equals the ExpRational numerator, solution or not."""
+    m = model(name)
+    mapped = mapped and name in MAP_SPIKES
+    max_p, max_q = MAP_SPIKES[name] if mapped else (2, 3)
+    s = data.draw(spike_data(p=(int(mapped), max_p), q=(int(mapped), max_q)))
+    try:
+        cfg = solution_from_tau(m, s, *orders)
+    except TauZero:
+        return
+    key = (MINUS, (1, 0))
+    configs = [cfg, cfg.with_fields({key: cfg[key] * 2})]
+    if mapped:
+        tid = data.draw(st.sampled_from([t for t, tr in TRANSFORMS.items() if tr.algebra == name]))
+        for c in configs[:2]:
+            try:
+                configs.append(apply(tid, c))
+            except PivotZero:
+                pass
+    for c in configs:
+        for eq in m.equations:
+            r = residual(m, c, eq)
+            assert isinstance(r, ExpPoly)
+            assert r == reference_residual(c, eq)

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from nwave.exprat import _ZERO_FIELD, ExpPoly, ExpRational, grid_values, wave_constants
+from nwave.cli import config_from_doc, config_to_doc
+from nwave.exprat import _ZERO_FIELD, ONE, ExpPoly, ExpRational, grid_values, wave_constants
 from nwave.spectral import spectral_data
 from nwave.tau import solution_from_tau
 from nwave.verify import (
@@ -241,3 +242,27 @@ def test_suite_list_is_stable():
         "a2-full", "b2-full", "g2-hypothesis", "toda",
         "ab-chain", "gra",
     }
+
+
+def test_exact_verify_of_a_tau_solution_never_squares_tau(monkeypatch):
+    # Every field of a tau solution is N/tau: the exact proof is bilinear in
+    # the numerators and never multiplies tau by tau, also when the fields
+    # hold equal copies of tau, as after a round trip through a document.
+    m = model("G2")
+    cfg = solution_from_tau(m, spectral_data(W, P2, Q2 + [("-3", "1/3")]), 1, 1)
+    tau = cfg[(MINUS, (1, 0))].den
+    assert tau != ONE
+    mul = ExpPoly.__mul__
+    for c in (cfg, config_from_doc(config_to_doc(cfg))):
+        assert all(f.den == tau for f in c.fields.values() if not f.is_zero())
+        products = []
+
+        def recording(a, b):
+            products.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(ExpPoly, "__mul__", recording)
+        rep = verify_config(m, c)
+        monkeypatch.setattr(ExpPoly, "__mul__", mul)
+        assert rep.passed and products
+        assert not any(a == tau and b == tau for a, b in products)
