@@ -18,6 +18,7 @@ Exit codes: 0 OK / verification passed; 1 verification failed;
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -237,9 +238,12 @@ def _grid(lo: str, hi: str, n: int, what: str) -> list:
     a, b = _frac(lo, f"{what} lower bound"), _frac(hi, f"{what} upper bound")
     for bound, text, v in (("lower", lo, a), ("upper", hi, b)):
         try:
-            float(v)  # the CSV prints coordinates as floats
+            f = float(v)  # the CSV prints coordinates as floats
         except OverflowError:
             raise InputError(f"{what} {bound} bound {text!r} is past the float range") from None
+        if v and not f:
+            raise InputError(f"{what} {bound} bound {text!r} is below the float range "
+                             "(it would print as 0.0)")
     if n == 1:
         return [a]
     return [a + (b - a) * k / (n - 1) for k in range(n)]
@@ -261,6 +265,7 @@ def cmd_sample(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nwave",

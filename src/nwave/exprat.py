@@ -44,6 +44,8 @@ POLE_BITS = EVAL_PRECISION // 2
 
 _ZERO_KEY = (0, 0)
 _FRAC_ZERO = Fraction(0)
+_NO_SHIFT = (_FRAC_ZERO, _FRAC_ZERO)
+_NO_ATOMS: Dict = {}  # shared by every value without atoms: never modified
 
 
 class DivisionByZeroField(ZeroDivisionError):
@@ -109,7 +111,7 @@ class ExpPoly:
     term map.
     """
 
-    __slots__ = ("_scale", "_ints", "_content", "_min")
+    __slots__ = ("_scale", "_ints", "_content", "_min", "_hash")
 
     def __init__(self, terms: Union[None, Mapping, Iterable] = None):
         """Sum of the given ((a, b), coefficient) terms; repeated keys add up."""
@@ -245,7 +247,11 @@ class ExpPoly:
                 and self._ints == other._ints)
 
     def __hash__(self) -> int:
-        return hash((self._scale, self._content, frozenset(self._ints.items())))
+        try:
+            return self._hash
+        except AttributeError:  # computed once: the polynomial is immutable
+            self._hash = hash((self._scale, self._content, frozenset(self._ints.items())))
+            return self._hash
 
     def is_zero(self) -> bool:
         return not self._ints
@@ -460,16 +466,71 @@ def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
     return _reduced(scale, quot, num._content / den._content, least)
 
 
-class ExpRational:
-    """Normalized quotient of two ExpPolys.
+def _shifted(p: ExpPoly, shift: LinForm) -> ExpPoly:
+    """p * exp(a*t + b*x) for shift = (a, b): a translation of the keys."""
+    a, b = shift
+    if not (a or b) or not p._ints:
+        return p
+    scale = lcm(p._scale, a.denominator, b.denominator)
+    f = scale // p._scale
+    da, db = a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator)
+    ints = {(x * f + da, y * f + db): n for (x, y), n in p._ints.items()}
+    least = p._min
+    return _reduced(scale, ints, p._content, (least[0] * f + da, least[1] * f + db))
 
-    Canonical form: zero is 0/1; otherwise the denominator is scaled so its
-    lexicographically least term has coefficient 1.  Equality is decided by
-    cross-multiplication, so equal values always compare equal even though
-    no polynomial gcd is taken.
+
+def _split(p: ExpPoly):
+    """(c, shift, atom) with p = c * exp(shift) * atom.
+
+    The atom is p translated to least key 0 and scaled to coefficient 1
+    there, so equal polynomials up to a monomial and a constant share one
+    atom; it is None when p is a single term.
+    """
+    scale, least = p._scale, p._min
+    n0 = p._ints[least]
+    shift = (Fraction(least[0], scale), Fraction(least[1], scale))
+    if len(p._ints) == 1:
+        return p._content * n0, shift, None
+    a0, b0 = least
+    ints = {(a - a0, b - b0): n for (a, b), n in p._ints.items()}
+    return p._content * n0, shift, _reduced(scale, ints, Fraction(1, n0), _ZERO_KEY)
+
+
+def _sum_shift(s: LinForm, t: LinForm, sign: int = 1) -> LinForm:
+    return (s[0] + sign * t[0], s[1] + sign * t[1])
+
+
+class ExpRational:
+    """Quotient of two ExpPolys, with the denominator kept factored.
+
+    The denominator is ``exp(shift) * prod(atom**k)``: a monomial and known
+    atoms with multiplicities.  An atom is a normalized ExpPoly (least key
+    0, coefficient 1 there; see ``_split``), so atoms key a dict, and two
+    values share an atom exactly when the polynomials are equal.  Atoms
+    come from the denominator given to the constructor and from the
+    numerator of every divisor.  No gcd is ever taken; known factors are
+    cancelled instead:
+
+    - ``+`` and ``-`` work over the lcm of the two atom multisets (and the
+      componentwise larger monomial), not over the product;
+    - ``*`` adds multiplicities; ``/`` cancels the divisor's atoms against
+      the dividend's and adds the atom of the divisor's numerator;
+    - ``deriv`` multiplies the denominator by the product of its distinct
+      factors, the monomial included, not by the whole denominator;
+    - ``cancel`` divides the numerator by each atom while ``divexact``
+      allows it.
+
+    Canonical form: zero is 0/1; a denominator's least term has coefficient
+    1 (every atom's has, and the monomial's coefficient is 1).  ``den`` is
+    the expanded denominator; a denominator given to the constructor is kept
+    as given, up to that normalization, and is split into monomial and atom
+    only when an operation needs its factors.  Values with the same atoms
+    compare their numerators; others are cross-multiplied over the lcm, so
+    equal values always compare equal.
     """
 
-    __slots__ = ("num", "den")
+    #: _shift and _atoms are None until the constructor's den is split.
+    __slots__ = ("num", "_den", "_shift", "_atoms")
 
     def __init__(self, num, den=None):
         num = _coerce_poly(num)
@@ -478,29 +539,78 @@ class ExpRational:
             raise TypeError("ExpRational parts must be ExpPoly or rational")
         if den.is_zero():
             raise DivisionByZeroField("zero denominator")
+        self._shift, self._atoms = _NO_SHIFT, _NO_ATOMS
         if num.is_zero():
-            self.num, self.den = _ZERO, ONE
+            self.num, self._den = _ZERO, ONE
             return
-        least_n = den._ints[den._min]
-        anchor = den._content * least_n
-        if anchor != 1:
-            num = _poly(num._scale, num._ints, num._content / anchor, num._min)
-            den = _poly(den._scale, den._ints, Fraction(1, least_n), den._min)
-        self.num, self.den = num, den
+        if den is not ONE:
+            least_n = den._ints[den._min]
+            anchor = den._content * least_n
+            if anchor != 1:
+                num = _poly(num._scale, num._ints, num._content / anchor, num._min)
+                den = _poly(den._scale, den._ints, Fraction(1, least_n), den._min)
+            self._shift = self._atoms = None
+        self.num, self._den = num, den
+
+    def _factors(self) -> Tuple[LinForm, Dict[ExpPoly, int]]:
+        """(shift, atoms) of the denominator."""
+        if self._atoms is None:
+            _, self._shift, atom = _split(self._den)
+            self._atoms = _NO_ATOMS if atom is None else {atom: 1}
+        return self._shift, self._atoms
 
     @staticmethod
     def zero() -> "ExpRational":
-        return ExpRational(_ZERO)
+        return _ZERO_RAT
 
     @staticmethod
     def const(c: RatLike) -> "ExpRational":
         return ExpRational(ExpPoly.const(c))
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num._ints
 
     def is_poly(self) -> bool:
         return self.den == ONE
+
+    def shares_den(self, other: "ExpRational") -> bool:
+        """Whether other has this denominator, factored the same way: then
+        their sum is over it, and their product over its square."""
+        if self._atoms is None and other._atoms is None:
+            return self._den == other._den  # both as given to the constructor
+        return self._factors() == other._factors()
+
+    @property
+    def den(self) -> ExpPoly:
+        """The denominator, expanded."""
+        d = self._den
+        if d is None:
+            d = ONE
+            for a, k in self._atoms.items():
+                for _ in range(k):
+                    d = d * a
+            d = self._den = _shifted(d, self._shift)
+        return d
+
+    def _over(self, shift: LinForm, atoms: Dict[ExpPoly, int]) -> ExpPoly:
+        """The numerator over exp(shift) * prod(atoms), a multiple of this
+        value's denominator."""
+        own_shift, own = self._factors()
+        num = _shifted(self.num, _sum_shift(shift, own_shift, -1))
+        for a, k in atoms.items():
+            for _ in range(k - own.get(a, 0)):
+                num = num * a
+        return num
+
+    def _lcm(self, other: "ExpRational") -> Tuple[LinForm, Dict[ExpPoly, int]]:
+        """(shift, atoms) of the least common denominator of self and other."""
+        (a1, b1), atoms = self._factors()
+        (a2, b2), more = other._factors()
+        atoms = dict(atoms)
+        for a, k in more.items():
+            if k > atoms.get(a, 0):
+                atoms[a] = k
+        return (max(a1, a2), max(b1, b2)), atoms
 
     # -- field operations --------------------------------------------------
 
@@ -508,18 +618,20 @@ class ExpRational:
         other = _coerce_rational(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero():
+        if not self.num._ints:
             return other
-        if other.is_zero():
+        if not other.num._ints:
             return self
-        if self.den == other.den:
-            return ExpRational(self.num + other.num, self.den)
-        return ExpRational(self.num * other.den + other.num * self.den, self.den * other.den)
+        factors = self._factors()
+        if factors == other._factors():
+            return _rat(self.num + other.num, *factors, self._den or other._den)
+        shift, atoms = self._lcm(other)
+        return _rat(self._over(shift, atoms) + other._over(shift, atoms), shift, atoms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExpRational":
-        return ExpRational(-self.num, self.den)
+        return _rat(-self.num, *self._factors(), self._den)
 
     def __sub__(self, other) -> "ExpRational":
         other = _coerce_rational(other)
@@ -534,24 +646,50 @@ class ExpRational:
         return other + (-self)
 
     def __mul__(self, other) -> "ExpRational":
+        if isinstance(other, (int, Fraction)):
+            return _rat(self.num * other, *self._factors(), self._den)
         other = _coerce_rational(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return ExpRational.zero()
-        return ExpRational(self.num * other.num, self.den * other.den)
+        if not (self.num._ints and other.num._ints):
+            return _ZERO_RAT
+        s1, atoms = self._factors()
+        s2, more = other._factors()
+        if not atoms:
+            atoms = more
+        elif more:
+            atoms = dict(atoms)
+            for a, k in more.items():
+                atoms[a] = atoms.get(a, 0) + k
+        return _rat(self.num * other.num, _sum_shift(s1, s2), atoms)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ExpRational":
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise DivisionByZeroField("division by zero field value")
+            return _rat(self.num * (1 / Fraction(other)), *self._factors(), self._den)
         other = _coerce_rational(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
+        if not other.num._ints:
             raise DivisionByZeroField("division by zero field value")
-        if self.is_zero():
-            return ExpRational.zero()
-        return ExpRational(self.num * other.den, self.den * other.num)
+        if not self.num._ints:
+            return _ZERO_RAT
+        s1, atoms = self._factors()
+        s2, more = other._factors()
+        num, atoms = self.num, dict(atoms)
+        for a, k in more.items():
+            have = atoms.pop(a, 0)
+            if have > k:
+                atoms[a] = have - k
+            for _ in range(k - have):
+                num = num * a
+        c, shift, atom = _split(other.num)
+        if atom is not None:
+            atoms[atom] = atoms.get(atom, 0) + 1
+        return _rat(num * (1 / c), _sum_shift(_sum_shift(s1, shift), s2, -1), atoms)
 
     def __rtruediv__(self, other) -> "ExpRational":
         other = _coerce_rational(other)
@@ -566,35 +704,99 @@ class ExpRational:
         other = _coerce_rational(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
+        s1, atoms = self._factors()
+        s2, more = other._factors()
+        if atoms == more:
+            if s1 == s2:
+                return self.num == other.num
+            return _shifted(self.num, _sum_shift(s2, s1, -1)) == other.num
+        if not (self.num._ints and other.num._ints):
+            return False
+        shift, atoms = self._lcm(other)
+        return self._over(shift, atoms) == other._over(shift, atoms)
 
     def __hash__(self) -> int:
         raise TypeError("ExpRational is not hashable (equality is semantic)")
 
+    def cancel(self) -> "ExpRational":
+        """The same value with each atom divided out of the numerator as
+        often as ``divexact`` allows, and the monomial moved into the
+        numerator, so that the denominator left is monomial-free.
+
+        A trial that fails is refused by divexact's Newton-polytope bounds
+        or its leading coefficient, usually within its first steps.
+        """
+        num = self.num
+        if not num._ints:
+            return self
+        shift, atoms = self._factors()
+        left = {}
+        for a, k in atoms.items():
+            while k:
+                try:
+                    num = divexact(num, a)
+                except InexactDivision:
+                    break
+                k -= 1
+            if k:
+                left[a] = k
+        return _rat(_shifted(num, (-shift[0], -shift[1])), _NO_SHIFT, left)
+
     # -- calculus ----------------------------------------------------------
 
+    def _top(self, i: int, j: int, w: WaveConstants) -> ExpPoly:
+        """T with D_{i,j}(self) = T / (exp(shift) * Q * P), where Q is the
+        product of the atoms (with multiplicity) and P of the distinct
+        atoms: (n/Q)' = (n'P - n * sum(k * a' * P/a)) / (Q*P)."""
+        n = self.num
+        dn = n.deriv(i, j, w)
+        s, atoms = self._factors()
+        if s != _NO_SHIFT:
+            # the derivative of n * exp(-shift), times exp(shift)
+            p, q = w.deriv_speeds(i, j)
+            dn = dn - n * (p * s[0] + q * s[1])
+        atoms = list(atoms.items())
+        if not atoms:
+            return dn
+        if len(atoms) == 1:
+            (a, k), = atoms
+            return dn * a - n * (a.deriv(i, j, w) * k)
+        prod, rest = ONE, _ZERO
+        for idx, (a, k) in enumerate(atoms):
+            prod = prod * a
+            term = a.deriv(i, j, w) * k
+            for jdx, (b, _) in enumerate(atoms):
+                if jdx != idx:
+                    term = term * b
+            rest = rest + term
+        return dn * prod - n * rest
+
     def deriv(self, i: int, j: int, w: WaveConstants) -> "ExpRational":
-        """Quotient-rule D_{i,j}."""
-        if self.is_poly():
-            return ExpRational(self.num.deriv(i, j, w))
-        dn = self.num.deriv(i, j, w)
-        dd = self.den.deriv(i, j, w)
-        return ExpRational(dn * self.den - self.num * dd, self.den * self.den)
+        """Quotient-rule D_{i,j}: every atom's multiplicity rises by one, and
+        the monomial is squared, as in (n/d)' = (n'd - nd')/d^2 for a
+        monomial d.  So over a one-atom denominator d the result is
+        (n'd - nd')/d^2, numerator and denominator."""
+        if not self.num._ints:
+            return self
+        s, atoms = self._factors()
+        return _rat(_shifted(self._top(i, j, w), s), _sum_shift(s, s),
+                    {a: k + 1 for a, k in atoms.items()})
 
     def dlog(self, i: int, j: int, w: WaveConstants) -> "ExpRational":
         """Logarithmic derivative D_{i,j} ln(self), equal to deriv/self.
 
-        Formed directly: for self = n/d it is (n'd - nd') / (nd), and n'/n
-        when d = 1.  Going through deriv/self would keep a spare factor d
-        in both parts, since no gcd is ever taken.
+        Formed directly: D(self) = T / (exp(shift) * Q * P) (see _top), so
+        D(self)/self = T / (n * P).  The numerator n brings its atom; every
+        atom of the denominator stays, with multiplicity one.
         """
-        if self.is_zero():
+        if not self.num._ints:
             raise DivisionByZeroField("log derivative of zero")
-        dn = self.num.deriv(i, j, w)
-        if self.is_poly():
-            return ExpRational(dn, self.num)
-        dd = self.den.deriv(i, j, w)
-        return ExpRational(dn * self.den - self.num * dd, self.num * self.den)
+        top = self._top(i, j, w)
+        c, shift, atom = _split(self.num)
+        atoms = dict.fromkeys(self._factors()[1], 1)
+        if atom is not None:
+            atoms[atom] = atoms.get(atom, 0) + 1
+        return _rat(top * (1 / c), shift, atoms)
 
     def as_constant(self):
         """Return this value as a Fraction if it is constant, else None."""
@@ -629,6 +831,20 @@ def _coerce_rational(v) -> "ExpRational":
     if isinstance(v, (ExpPoly, int, Fraction)):
         return ExpRational(v)
     return NotImplemented
+
+
+def _rat(num: ExpPoly, shift: LinForm, atoms: Dict[ExpPoly, int],
+         den: Optional[ExpPoly] = None) -> ExpRational:
+    """Wrap num / (exp(shift) * prod(atoms)) without re-normalizing; den is
+    the expanded denominator when already known."""
+    if not num._ints:
+        return _ZERO_RAT
+    r = object.__new__(ExpRational)
+    r.num, r._shift, r._atoms, r._den = num, shift, atoms, den
+    return r
+
+
+_ZERO_RAT = ExpRational(_ZERO)
 
 
 # -- numeric evaluation -----------------------------------------------------------

@@ -9,10 +9,12 @@ solutions map to solutions.
 A map's rows are written once, as ``rows(F, d, dlog)``: ``F`` maps each
 FieldKey to a value, ``d(i, j, e)`` is the derivation D_{i,j} and
 ``dlog(i, j, e)`` the log-derivative D_{i,j} e / e.  Rows use only field
-arithmetic, integer and Fraction scalars, ``d`` and ``dlog``, so the same
-functions run on ExpRational values (``apply``) and on sympy jets (the
-tests).  Every row is evaluated in the order written: an ExpRational's
-stored form depends on the order of operations.
+arithmetic, integer and Fraction scalars, ``d``, ``dlog`` and ``cancel()``,
+so the same functions run on ExpRational values (``apply``) and on sympy
+jets (the tests).  Every row is evaluated in the order written: an
+ExpRational's stored form depends on the order of operations.  ``apply``
+cancels the known denominator factors of every image value, so an image
+keeps no atom that its numerator still contains.
 
 Naming: local aliases like m10 / p12 stand for f^-_{1.0} / f^+_{1.2}.
 
@@ -54,6 +56,13 @@ class PivotZero(ZeroDivisionError):
         self.step = step
         at = f" (chain step {step})" if step is not None else ""
         super().__init__(f"{transform_id}{at}: pivot {field_label(key)} is identically zero")
+
+
+def _cancelled(image):
+    """The image with common factors cancelled from every value: cancel()
+    is ExpRational.cancel (known denominator factors divided out) or, on
+    sympy jets, sympy's cancel."""
+    return {key: v.cancel() for key, v in image.items()}
 
 
 def _values(F, roots):
@@ -223,7 +232,7 @@ def _g2_t1(F, d, dlog):
             + m11 * p01 * m23 * p13 * 6
             + m11 * m11 * m11 * p13 * 4
             + p01 * p01 * p01 * m23 * 4
-        ) / (m10 * m10) * QUARTER
+        ) / m10 / m10 * QUARTER
     ) * m10
     return {
         (PLUS, (1, 0)): 1 / m10,
@@ -242,8 +251,9 @@ def _g2_t1(F, d, dlog):
 
 
 def _b2_t2a2(F, d, dlog):
-    # the second-root map factors as TM followed by T10^-1
-    return _b2_t10_inv(_b2_tm(F, d, dlog), d, dlog)
+    # the second-root map factors as TM followed by T10^-1; the TM image is
+    # cancelled first, as apply cancels every image
+    return _b2_t10_inv(_cancelled(_b2_tm(F, d, dlog)), d, dlog)
 
 
 def _g2_ta1_3a2(F, d, dlog):
@@ -294,7 +304,7 @@ def apply(tid: str, cfg: FieldConfig) -> FieldConfig:
     w = cfg.constants
     fields = t.rows(cfg.fields,
                     lambda i, j, f: f.deriv(i, j, w), lambda i, j, f: f.dlog(i, j, w))
-    return FieldConfig(cfg.algebra, w, fields)
+    return FieldConfig(cfg.algebra, w, _cancelled(fields))
 
 
 def apply_chain(tids, cfg: FieldConfig) -> FieldConfig:

@@ -185,14 +185,15 @@ def residual(m: AlgebraModel, cfg: FieldConfig, eq: EquationSpec) -> ExpPoly:
     denominator: zero exactly when the equation holds.
 
     A zero field is 0/1, and a product with a zero factor drops out.  When
-    the other fields of the equation share one denominator d (compared with
-    ==, so a configuration read back from a document qualifies; d may be
-    1), as in a tau solution, the numerator is the equation times d^2 in
-    Hirota's bilinear form, N_lhs' d - N_lhs d' - sum coef*N_a*N_b, formed
-    without the product d*d.  Otherwise the residual is built as one
-    ExpRational and its numerator returned.  Over a shared d both give the
-    same polynomial: a denominator's least term has coefficient 1, so d*d
-    needs no normalizing.
+    some product is left and every nonzero field of the equation shares one
+    denominator d (ExpRational.shares_den, so a configuration read back from
+    a document qualifies; d may be 1), as in a tau solution, the numerator
+    is the equation times d^2 in Hirota's bilinear form,
+    N_lhs' d - N_lhs d' - sum coef*N_a*N_b, formed without the product d*d.
+    Otherwise the residual is built as one ExpRational and its numerator
+    returned.  Over a shared d both give the same polynomial: the
+    ExpRational residual is over d^2 too, and a denominator's least term
+    has coefficient 1, so d*d needs no normalizing.
     """
     i, j = eq.d_index
     w = cfg.constants
@@ -202,12 +203,12 @@ def residual(m: AlgebraModel, cfg: FieldConfig, eq: EquationSpec) -> ExpPoly:
     fields = [f for _, fa, fb in products for f in (fa, fb)]
     if not lhs.is_zero():
         fields.append(lhs)
-    d = fields[0].den if fields else ONE
-    if any(f.den != d for f in fields):
+    if not products or not all(f.shares_den(fields[0]) for f in fields):
         rat = lhs.deriv(i, j, w)
         for coef, fa, fb in products:
             rat = rat - fa * fb * coef
         return rat.num
+    d = fields[0].den
     n = lhs.num
     acc = n.deriv(i, j, w)
     if n and d != ONE:

@@ -109,8 +109,8 @@ def test_empty_chain_round_trips_bytes(tmp_path):
 
 
 def test_composition_chain_matches_direct_transform(tmp_path):
-    # The two routes normalize differently, so compare as quotients,
-    # not bytes.
+    # Each map cancels its known denominator factors, so the two routes
+    # reach the same stored form, and so the same quotients.
     out = construct(tmp_path, "A2", SPEC_22, 0, 0, "a2_seed.json")
     via_pair = tmp_path / "t12.json"
     direct = tmp_path / "t3.json"
@@ -120,7 +120,7 @@ def test_composition_chain_matches_direct_transform(tmp_path):
                  "--out", str(direct)]) == 0
     doc_a = json.loads(via_pair.read_text())
     doc_b = json.loads(direct.read_text())
-    assert doc_a != doc_b
+    assert doc_a == doc_b
     assert quotients_equal(doc_a, doc_b)
 
 
@@ -438,4 +438,23 @@ def test_sample_bound_past_the_float_range_exits_2(tmp_path, capsys, bound):
     assert err.count("\n") == 1 and err.startswith("error: ")
     which = "lower" if bound.endswith("0") else "upper"
     assert f"{bound[2]} {which} bound '{opts[bound]}' is past the float range" in err
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("bound", ["--t0", "--t1", "--x0", "--x1"])
+def test_sample_bound_below_the_float_range_exits_2(tmp_path, capsys, bound):
+    # A nonzero bound that rounds to 0.0 as a float would print as 0.0, the
+    # same as a zero coordinate: refused like a bound past the float range.
+    sol = construct(tmp_path, "A2", SPEC_11, 0, 0, "a2.json")
+    capsys.readouterr()
+    opts = {"--t0": "0", "--t1": "1", "--x0": "0", "--x1": "1"}
+    opts[bound] = "-1e-400" if bound.endswith("0") else "1e-400"
+    csv_path = tmp_path / "never.csv"
+    rc = main(["sample", "--in", str(sol), "--nt", "2", "--nx", "2", "--csv", str(csv_path)]
+              + [f"{k}={v}" for k, v in opts.items()])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    which = "lower" if bound.endswith("0") else "upper"
+    assert f"{bound[2]} {which} bound '{opts[bound]}' is below the float range" in err
     assert not csv_path.exists()

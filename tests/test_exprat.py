@@ -20,6 +20,7 @@ from nwave.exprat import (
 )
 
 import _fracpoly as ref
+import _fracrat as rat
 
 W = wave_constants(1, "1/2", "1/3", 1)  # delta = 5/6
 
@@ -371,3 +372,92 @@ def test_canonical_equality_matches_eval(r, s):
                 continue
             scale = max(1.0, abs(rv), abs(sv))
             assert abs(rv - sv) <= 1e-9 * scale
+
+
+# -- factored denominators -----------------------------------------------------
+
+_OPS = ("+", "-", "*", "/", "d", "dlog", "cancel", "*/")
+
+
+@settings(max_examples=30)
+@given(st.lists(exprationals(), min_size=2, max_size=3),
+       st.lists(st.tuples(st.sampled_from(_OPS), st.integers(0, 7), st.integers(0, 7)),
+                max_size=4))
+def test_factored_arithmetic_agrees_with_the_cross_multiplied_reference(seeds, program):
+    # Random programs over the factored operations, run in step with the
+    # plain num/den reference; "*/" forms (x*y)/y and cancels it, so the
+    # cancel step has an atom to find.
+    vals = [(r, rat.of(r)) for r in seeds]
+    for op, a, b in program:
+        (x, rx), (y, ry) = vals[a % len(vals)], vals[b % len(vals)]
+        if op in ("/", "*/") and y.is_zero() or op == "dlog" and x.is_zero():
+            continue
+        if op == "+":
+            z, rz = x + y, rat.add(rx, ry)
+        elif op == "-":
+            z, rz = x - y, rat.add(rx, rat.neg(ry))
+        elif op == "*":
+            z, rz = x * y, rat.mul(rx, ry)
+        elif op == "/":
+            z, rz = x / y, rat.div(rx, ry)
+        elif op == "d":
+            z, rz = x.deriv(1, 2, W), rat.deriv(rx, 1, 2, W)
+        elif op == "dlog":
+            z, rz = x.dlog(0, 1, W), rat.dlog(rx, 0, 1, W)
+        elif op == "cancel":
+            z, rz = x.cancel(), rx
+        else:
+            z, rz = (x * y / y).cancel(), rx
+        vals.append((z, rz))
+    for z, rz in vals:
+        assert rat.equal(rat.of(z), rz)
+        assert z.den.terms[min(z.den.terms)] == 1  # the least-coefficient-1 anchor
+    for k, (x, rx) in enumerate(vals):
+        for y, ry in vals[k:]:
+            assert (x == y) is rat.equal(rx, ry)
+
+
+def test_cancel_divides_out_known_atoms_and_the_monomial():
+    d = ONE + ExpPoly.term(2, 1, 0)
+    n = ExpPoly.term(3, "1/2", 1) - ExpPoly.const(1)
+    # each divisor brings the atom d (and the first one a monomial)
+    r = ExpRational(n * d * d) / ExpRational(d * ExpPoly.term(5, 0, "1/3")) / d / d
+    assert r.den == d * d * d * ExpPoly.term(1, 0, "1/3")
+    c = r.cancel()
+    assert c == r
+    assert c.den == d and c.num == n * ExpPoly.term(Fraction(1, 5), 0, "-1/3")
+    # the divisor's atoms cancel against the dividend's: (n/d) / (m/d) is
+    # stored as n/m, with no d left in either part
+    m = ONE + ExpPoly.term(4, 0, "1/2")
+    q = ExpRational(n, d) / ExpRational(m, d)
+    assert (q.num, q.den) == (ExpRational(n, m).num, ExpRational(n, m).den)
+    # (x * y) / y keeps y's numerator as an atom until cancel divides it out
+    x = ExpRational(n, d)
+    y = ExpRational(d + ExpPoly.term(1, 0, 1), ExpPoly.term(1, 1, 1))
+    z = x * y / y
+    assert z == x and len(z.den.terms) > len(x.den.terms)
+    assert z.cancel().den == x.den and z.cancel().num == x.num
+
+
+def test_equality_over_the_same_atoms_forms_no_product(monkeypatch):
+    # Values over one atom, with different monomials in the denominator,
+    # compare their numerators: one shift, no ExpPoly product.
+    d = ONE + ExpPoly.term(1, 1, 0) + ExpPoly.term(3, 0, 2)
+    n = ExpPoly.term(2, "1/2", 1) + ExpPoly.const(7)
+    u = ExpRational(n * ExpPoly.term(1, 0, 1), d * ExpPoly.term(1, 0, 1))
+    v = ExpRational(n, d)
+    w = ExpRational(n + ONE, d)
+    s = (v * v).deriv(1, 1, W)
+    t = (w * v).deriv(1, 1, W)
+    mul = ExpPoly.__mul__
+    products = []
+
+    def recording(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(ExpPoly, "__mul__", recording)
+    verdicts = (u == v, v == w, s == s, s == t)
+    monkeypatch.setattr(ExpPoly, "__mul__", mul)
+    assert verdicts == (True, False, True, False)
+    assert not products

@@ -193,8 +193,9 @@ def test_ratio_solution_base_order_is_seed(name, s):
 
 
 #: Largest (P, Q) spike counts on which a random map step is still cheap:
-#: B2 maps swell past seconds on 2P+2Q.
-MAP_SPIKES = {"A2": (2, 2), "B2": (1, 2)}
+#: with known denominator factors cancelled, a B2 map on 2P+2Q takes
+#: milliseconds.
+MAP_SPIKES = {"A2": (2, 2), "B2": (2, 2)}
 
 
 @settings(max_examples=50, deadline=None)

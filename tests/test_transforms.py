@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ W = wave_constants(1, "1/2", "1/3", 1)
 P2 = [("2", "1"), ("-1", "1/2")]
 Q1 = [("1", "1")]
 Q2 = [("1", "1"), ("1/2", "2")]
+Q4 = Q2 + [("-3", "1/3"), ("3", "-1")]
 
 
 def a2_data():
@@ -108,6 +110,36 @@ def test_b2_composite_equals_closed_form_exactly():
     out = apply("B2_T2A2", seed)
     closed = solution_from_tau(model("B2"), s, 0, 1)
     assert out == closed
+
+
+def config_terms(cfg):
+    return sum(len(v.num.terms) + len(v.den.terms) for v in cfg.fields.values())
+
+
+@pytest.mark.parametrize("q, orders", [(Q4, (0, 0)), (Q2, (1, 0)), (Q2, (1, 1))],
+                         ids=["2P+4Q seed", "2P+2Q (1,0)", "2P+2Q (1,1)"])
+def test_b2_composite_is_as_small_as_the_closed_form(q, orders):
+    # Every atom the TM pivot brings in is cancelled again, in the TM image
+    # and in the final one: the image is stored over the new tau, not over
+    # products of pivots (the 2P+4Q seed image has the 163 terms of (0,1)).
+    s = b2_data(q)
+    n1, n2 = orders
+    gen = solution_from_tau(model("B2"), s, n1, n2)
+    start = time.perf_counter()
+    out = apply("B2_T2A2", gen)
+    elapsed = time.perf_counter() - start
+    closed = solution_from_tau(model("B2"), s, n1, n2 + 1)
+    assert out == closed
+    assert config_terms(out) <= config_terms(closed)
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("orders", [(0, 1), (1, 1)])
+def test_b2_roundtrip_returns_no_more_terms_than_it_got(orders):
+    gen = solution_from_tau(model("B2"), b2_data(), *orders)
+    back = apply_chain(["B2_T10", "B2_T10_INV"], gen)
+    assert back == gen
+    assert config_terms(back) <= config_terms(gen)
 
 
 # --- the pair of B2 maps invert each other (both directions)
