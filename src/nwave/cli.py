@@ -20,8 +20,10 @@ Exit codes: 0 OK / verification passed; 1 verification failed;
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 from mpmath import libmp
 
@@ -115,23 +117,62 @@ def spectral_from_doc(doc: dict):
     return spectral_data(w, spikes["P"], spikes["Q"])
 
 
+def _ratio_str(n: int, d: int) -> str:
+    """n/d (d > 0) as str(Fraction(n, d)) writes it."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def _poly_terms(p: ExpPoly) -> list:
-    return [[[str(a), str(b)], str(c)] for (a, b), c in p.sorted_terms()]
+    scale, ints, content = p.lattice()
+    cn, cd = content.numerator, content.denominator
+    return [[[_ratio_str(a, scale), _ratio_str(b, scale)], _ratio_str(cn * n, cd)]
+            for (a, b), n in sorted(ints.items())]
+
+
+#: The form documents are written in: an optional minus sign, ASCII digits,
+#: and an optional ASCII denominator.
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _ratio(v, what: str, k: int, part: str):
+    """(numerator, denominator > 0), not reduced, of the rational string v.
+
+    The plain form is read with int(); any other string is read, or
+    refused, by _frac, so both accept the same strings and fail alike.
+    """
+    m = _PLAIN.fullmatch(v) if isinstance(v, str) else None
+    if m is not None:
+        try:
+            n, d = int(m[1]), int(m[2] or 1)
+        except ValueError:  # past int's digit limit: _frac refuses it too
+            d = 0
+        if d:
+            return n, d
+    f = _frac(v, f"{what}[{k}].{part}")
+    return f.numerator, f.denominator
 
 
 def _poly_from_terms(items, what: str) -> ExpPoly:
     if not isinstance(items, list):
         raise InputError(f"{what}: expected a list of terms")
-    terms = []
+    rows = []
     for k, item in enumerate(items):
         ok = (isinstance(item, list) and len(item) == 2
               and isinstance(item[0], list) and len(item[0]) == 2)
         if not ok:
             raise InputError(f"{what}[{k}]: expected [[a, b], coef]")
         (a, b), coef = item
-        terms.append(((_frac(a, f"{what}[{k}].a"), _frac(b, f"{what}[{k}].b")),
-                      _frac(coef, f"{what}[{k}].coef")))
-    return ExpPoly(terms)
+        rows.append((_ratio(a, what, k, "a"), _ratio(b, what, k, "b"),
+                     _ratio(coef, what, k, "coef")))
+    # every exponent over one scale, every coefficient over one denominator
+    scale = lcm(*(ad for (_, ad), _, _ in rows), *(bd for _, (_, bd), _ in rows))
+    den = lcm(*(cd for _, _, (_, cd) in rows))
+    ints = {}
+    for (an, ad), (bn, bd), (cn, cd) in rows:
+        key = (an * (scale // ad), bn * (scale // bd))
+        ints[key] = ints.get(key, 0) + cn * (den // cd)
+    return ExpPoly.from_lattice(scale, ints, Fraction(1, den))
 
 
 def config_to_doc(cfg: FieldConfig) -> dict:
@@ -233,12 +274,14 @@ def cmd_verify(args) -> int:
 
 
 def _grid(lo: str, hi: str, n: int, what: str) -> list:
+    """n evenly spaced rational points from lo to hi, refused unless each
+    prints as its own float (the CSV prints coordinates as floats)."""
     if n < 1:
         raise InputError(f"{what}: need at least one point, got {n}")
     a, b = _frac(lo, f"{what} lower bound"), _frac(hi, f"{what} upper bound")
     for bound, text, v in (("lower", lo, a), ("upper", hi, b)):
         try:
-            f = float(v)  # the CSV prints coordinates as floats
+            f = float(v)
         except OverflowError:
             raise InputError(f"{what} {bound} bound {text!r} is past the float range") from None
         if v and not f:
@@ -246,7 +289,18 @@ def _grid(lo: str, hi: str, n: int, what: str) -> list:
                              "(it would print as 0.0)")
     if n == 1:
         return [a]
-    return [a + (b - a) * k / (n - 1) for k in range(n)]
+    points = [a + (b - a) * k / (n - 1) for k in range(n)]
+    printed = {}  # float -> index of the first point printed as it
+    for k, v in enumerate(points):
+        f = float(v)
+        if v and not f:
+            raise InputError(f"{what} grid point {k + 1} of {n} is below the float range "
+                             "(it would print as 0.0)")
+        first = printed.setdefault(f, k)
+        if points[first] != v:
+            raise InputError(f"{what} grid points {first + 1} and {k + 1} of {n} both print "
+                             f"as {f!r}")
+    return points
 
 
 def cmd_sample(args) -> int:

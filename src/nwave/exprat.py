@@ -20,10 +20,11 @@ turn values into numbers through it.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import mul
 from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 import mpmath
@@ -77,21 +78,25 @@ class WaveConstants:
     c2: Fraction
     d1: Fraction
     d2: Fraction
+    delta: Fraction = field(init=False, repr=False, compare=False)
+    _speeds: Dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("c1", "c2", "d1", "d2"):
             object.__setattr__(self, name, as_frac(getattr(self, name)))
-        if self.delta == 0:
+        delta = self.c1 * self.d2 - self.c2 * self.d1
+        if delta == 0:
             raise ValueError("degenerate wave constants: c1*d2 - c2*d1 = 0")
-
-    @property
-    def delta(self) -> Fraction:
-        return self.c1 * self.d2 - self.c2 * self.d1
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "_speeds", {})
 
     def deriv_speeds(self, i: int, j: int) -> Tuple[Fraction, Fraction]:
         """(p, q) such that D_{i,j} scales exp(a*t + b*x) by p*a + q*b."""
-        return ((i * self.c1 + j * self.c2) / self.delta,
-                (i * self.d1 + j * self.d2) / self.delta)
+        pq = self._speeds.get((i, j))
+        if pq is None:
+            pq = self._speeds[(i, j)] = ((i * self.c1 + j * self.c2) / self.delta,
+                                         (i * self.d1 + j * self.d2) / self.delta)
+        return pq
 
 
 def wave_constants(c1: RatLike, c2: RatLike, d1: RatLike, d2: RatLike) -> WaveConstants:
@@ -159,6 +164,13 @@ class ExpPoly:
         The dict is shared with the polynomial and must not be modified.
         """
         return self._scale, self._ints, self._content
+
+    @staticmethod
+    def from_lattice(scale: int, ints: Mapping, content: RatLike) -> "ExpPoly":
+        """The polynomial sum(n * content * exp((A*t + B*x)/scale)) over
+        {(A, B): n} with integer keys and coefficients (zeros allowed) and a
+        positive integer scale: the inverse of ``lattice``, canonicalized."""
+        return _canonical(scale, dict(ints), as_frac(content))
 
     # -- ring operations ---------------------------------------------------
 
@@ -849,36 +861,122 @@ _ZERO_RAT = ExpRational(_ZERO)
 
 # -- numeric evaluation -----------------------------------------------------------
 #
-# Numbers here are raw mpmath.libmp values (sign, mantissa, exponent, bitcount).
-# The products that feed one sum are kept exact and the sum is rounded once to
-# EVAL_PRECISION bits; nothing goes through float, so no value can overflow.
+# Numbers handed out are raw mpmath.libmp values (sign, mantissa, exponent,
+# bitcount).  Inside, a polynomial's terms are summed as integers and each
+# result is rounded once to EVAL_PRECISION bits; nothing goes through float,
+# so no value can overflow.
 
 _RND = libmp.round_nearest
 #: (value, mass, D value, D mass) of an identically zero field.
 _ZERO_FIELD = (libmp.fzero,) * 4
-
-
-def _ratio(n: int, d: int) -> tuple:
-    """The rational n/d (d > 0) as a libmp value."""
-    if d == 1:
-        return libmp.from_int(n, EVAL_PRECISION, _RND)
-    return libmp.from_rational(n, d, EVAL_PRECISION, _RND)
+#: Bits a sum keeps below its largest term, besides those of its coefficients.
+_GUARD = EVAL_PRECISION + 8
 
 
 def _mpf(q) -> tuple:
     """A rational (int or Fraction) as a libmp value."""
-    return _ratio(q.numerator, q.denominator)
+    return _round(q.numerator, q.denominator, 0)
 
 
-def _exp(q) -> tuple:
-    return libmp.mpf_exp(_mpf(q), EVAL_PRECISION, _RND) if q else libmp.fone
+def _exp(n: int, d: int) -> tuple:
+    """exp(n/d) (d > 0) as a libmp value.  The argument keeps EVAL_PRECISION
+    bits after the binary point, so a large one loses no relative accuracy."""
+    if not n:
+        return libmp.fone
+    x = _round(n, d, 0, EVAL_PRECISION + (abs(n) // d).bit_length())
+    return libmp.mpf_exp(x, EVAL_PRECISION, _RND)
 
 
-def _dot(terms, k: int, exps) -> Tuple[tuple, tuple]:
-    """Signed and absolute sums of coefficient ``k`` of each term times its exp."""
-    prods = [libmp.mpf_mul(term[k], exps[term[0]]) for term in terms]
-    return (libmp.mpf_sum(prods, EVAL_PRECISION, _RND),
-            libmp.mpf_sum(prods, EVAL_PRECISION, _RND, absolute=True))
+def _round(p: int, q: int, e: int, prec: int = EVAL_PRECISION) -> tuple:
+    """p/q * 2**e (q != 0), rounded once to prec bits.
+
+    The quotient is taken to at least prec + 5 bits, with a sticky low bit
+    when inexact, so that rounding it is rounding p/q.
+    """
+    if q < 0:
+        p, q = -p, -q
+    sign = 0
+    if p < 0:
+        sign, p = 1, -p
+    if q != 1:
+        shift = max(5, prec + 5 - p.bit_length() + q.bit_length())
+        p, rem = divmod(p << shift, q)
+        e -= shift
+        if rem:
+            p = p << 1 | 1
+            e -= 1
+    return libmp.normalize(sign, p, e, p.bit_length(), prec, _RND)
+
+
+class _Sums:
+    """One polynomial of grid_values as integer dot products over the slots.
+
+    Its terms are n_k * exp_k, with the content kept apart, and for a
+    derivative dn_k * exp_k with dn_k = n_k * (P*A_k + Q*B_k).
+    """
+
+    __slots__ = ("slots", "ns", "abs_ns", "dns", "abs_dns", "dslots", "width", "dwidth")
+
+    def __init__(self, slots, ns, dns=None):
+        self.slots, self.ns, self.dns = slots, ns, dns
+        self.abs_ns = [abs(n) for n in ns]
+        self.width = _GUARD + sum(self.abs_ns).bit_length()
+        self.dslots = None  # D sums share the value's largest term
+        if dns is not None:
+            self.abs_dns = [abs(n) for n in dns]
+            self.dwidth = _GUARD + sum(self.abs_dns).bit_length()
+            if not all(dns):
+                # terms with D factor 0 cannot anchor the D sums
+                self.dslots = [s for s, n in zip(slots, dns) if n]
+            else:
+                self.width = max(self.width, self.dwidth)
+
+    def at(self, ms, es, tops):
+        """(e0, value sum, mass sum, D sum, D mass sum): integers that times
+        2**e0 are the sums at one point, without the content."""
+        slots = self.slots
+        e0 = max(map(tops.__getitem__, slots)) - self.width
+        if self.dslots:
+            e0 = min(e0, max(map(tops.__getitem__, self.dslots)) - self.dwidth)
+        al = [m << (e - e0) if e >= e0 else m >> (e0 - e)
+              for m, e in zip(map(ms.__getitem__, slots), map(es.__getitem__, slots))]
+        s, mass = sum(map(mul, self.ns, al)), sum(map(mul, self.abs_ns, al))
+        if self.dns is None:
+            return e0, s, mass, 0, 0
+        return e0, s, mass, sum(map(mul, self.dns, al)), sum(map(mul, self.abs_dns, al))
+
+
+class _Field:
+    """One value of grid_values: c * num / den, with den None for a
+    one-term denominator already divided in; r is the D speed denominator
+    R, or None without a derivative."""
+
+    __slots__ = ("num", "den", "vn", "vd", "r")
+
+    def __init__(self, num: _Sums, den: Optional[_Sums], c: Fraction, r: Optional[int]):
+        self.num, self.den, self.r = num, den, r
+        self.vn, self.vd = c.numerator, c.denominator
+
+    def at(self, ms, es, tops):
+        """(value, mass, D value, D mass) at one point, None at a pole."""
+        en, n, mn, dn, mdn = self.num.at(ms, es, tops)
+        if self.den is None:
+            e, d, ad, dd, mdd = en, 1, 1, 0, 0
+        else:
+            ed, d, md, dd, mdd = self.den.at(ms, es, tops)
+            ad = abs(d)
+            if ad << POLE_BITS < md:
+                return None
+            e = en - ed
+        vn, vd = self.vn, self.vd
+        value = _round(vn * n, vd * d, e)
+        mass = _round(abs(vn) * mn, vd * ad, e)
+        if self.r is None:
+            return value, mass, libmp.fzero, libmp.fzero
+        # D(n/d) = (n'd - nd') / d^2, its mass (mass(n')|d| + mass(n)mass(d')) / d^2
+        q = vd * self.r * d * d
+        return (value, mass, _round(vn * (dn * d - n * dd), q, e),
+                _round(abs(vn) * (mdn * ad + mn * mdd), q, e))
 
 
 def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveConstants] = None,
@@ -887,15 +985,24 @@ def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveCon
 
     Yields ``(t, x, {key: (value, mass, D value, D mass)})`` for rational t
     and x, in t-major order, with libmp values; a key maps to None where its
-    denominator vanishes to working precision (below its own mass times
-    2**-POLE_BITS).  D is the derivative ``d_index[key]`` under the wave
-    constants ``w`` (zero for keys it does not name).  The mass is the
-    pre-cancellation scale, the sum of absolute term values over
-    |denominator|.  Identically zero values have no entry.  A one-term
-    denominator never vanishes, so it is divided into the numerator up front
-    and never makes a pole.  Exponents are read off the polynomials'
-    integer lattices, brought to one common scale, and each distinct
-    exp(a*t) and exp(b*x) is computed once.
+    denominator vanishes to working precision.  D is the derivative
+    ``d_index[key]`` under the wave constants ``w`` (zero for keys it does
+    not name).  The mass is the pre-cancellation scale, the sum of absolute
+    term values over |denominator|.  Identically zero values have no entry.
+    A one-term denominator never vanishes, so it is divided into the
+    numerator up front and never makes a pole.
+
+    Exponents are read off the polynomials' integer lattices, brought to one
+    common scale, and each distinct exp(a*t) and exp(b*x) is computed once,
+    to EVAL_PRECISION bits; a term's exponential is their exact product.
+    Each polynomial is then summed as integers: every term is truncated to a
+    multiple of 2**e0 and multiplied by its integer coefficient, with e0 at
+    EVAL_PRECISION + 8 + bitlen(sum |n_k|) bits below the largest term (and
+    likewise for the D coefficients).  The truncation error is below
+    sum |n_k| * 2**e0 <= 2**-(EVAL_PRECISION + 7) times the sum's mass.
+    Value, mass, D value and D mass are each one integer ratio times a power
+    of two, rounded once to EVAL_PRECISION bits.  The pole rule
+    |d| < mass(d) * 2**-POLE_BITS is decided exactly on the integer sums.
     """
     d_index = d_index or {}
     live = {key: u for key, u in values.items() if not u.is_zero()}
@@ -908,76 +1015,44 @@ def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveCon
         speeds[ij] = (p.numerator * q.denominator, q.numerator * p.denominator,
                       p.denominator * q.denominator * scale)
     slots: Dict[Tuple[int, int], int] = {}  # exponent -> exp slot
-    factors: Dict[tuple, tuple] = {}  # (slot, (i, j)) -> D_{i,j} factor
 
-    def prepare(poly, ij, shift=(0, 0), divisor=1):
-        # (exp slot, coefficient, coefficient * D factor) per term
-        own, ints, content = poly.lattice()
+    def prepare(poly, ij, shift=(0, 0)) -> _Sums:
+        own, ints, _ = poly.lattice()
         f = scale // own
-        content = content / divisor
-        cn, cd = content.numerator, content.denominator
-        out = []
-        for (a, b), n in ints.items():
-            k = (a * f - shift[0], b * f - shift[1])
-            slot = slots.setdefault(k, len(slots))
-            c = _ratio(cn * n, cd)
-            if ij is None:
-                out.append((slot, c, None))
-                continue
-            fac = factors.get((slot, ij))
-            if fac is None:
-                p, q, r = speeds[ij]
-                fac = factors[(slot, ij)] = _ratio(p * k[0] + q * k[1], r)
-            out.append((slot, c, libmp.mpf_mul(c, fac, EVAL_PRECISION, _RND)))
-        return out
+        keys = [(a * f - shift[0], b * f - shift[1]) for a, b in ints]
+        idx = [slots.setdefault(k, len(slots)) for k in keys]
+        ns = list(ints.values())
+        if ij is None:
+            return _Sums(idx, ns)
+        p, q, _ = speeds[ij]
+        return _Sums(idx, ns, [n * (p * a + q * b) for (a, b), n in zip(keys, ns)])
 
     fields = {}
     for key, u in live.items():
         ij = d_index.get(key)
-        own, den, content = u.den.lattice()
+        r = None if ij is None else speeds[ij][2]
+        own, den, dc = u.den.lattice()
+        c = u.num.lattice()[2] / dc
         if len(den) == 1:
             (a0, b0), = den
             f = scale // own
-            fields[key] = (prepare(u.num, ij, (a0 * f, b0 * f), content), None,
-                           ij is not None)
+            fields[key] = _Field(prepare(u.num, ij, (a0 * f, b0 * f)), None, c, r)
         else:
-            fields[key] = (prepare(u.num, ij), prepare(u.den, ij), ij is not None)
+            fields[key] = _Field(prepare(u.num, ij), prepare(u.den, ij), c, r)
 
     # exp(a*t + b*x) = exp(a*t) * exp(b*x), each factor computed once
     a_slot: Dict[int, int] = {}
     b_slot: Dict[int, int] = {}
     pairs = [(a_slot.setdefault(a, len(a_slot)), b_slot.setdefault(b, len(b_slot)))
              for a, b in slots]
-    exp_x = [(x, [_exp(Fraction(b, scale) * x) for b in b_slot]) for x in xs]
+    exp_x = [(x, [_exp(b * x.numerator, scale * x.denominator) for b in b_slot]) for x in xs]
     for t in ts:
-        et = [_exp(Fraction(a, scale) * t) for a in a_slot]
+        et = [_exp(a * t.numerator, scale * t.denominator) for a in a_slot]
         for x, ex in exp_x:
-            exps = [libmp.mpf_mul(et[i], ex[j], EVAL_PRECISION, _RND) for i, j in pairs]
-            yield t, x, {key: _at(*f, exps) for key, f in fields.items()}
-
-
-def _at(num, den, with_d, exps):
-    """(value, mass, D value, D mass) of one prepared field, None at a pole."""
-    n, mn = _dot(num, 1, exps)
-    dn, mdn = _dot(num, 2, exps) if with_d else (libmp.fzero, libmp.fzero)
-    if den is None:
-        return n, mn, dn, mdn
-    d, md = _dot(den, 1, exps)
-    ad = libmp.mpf_abs(d)
-    if libmp.mpf_lt(ad, libmp.mpf_shift(md, -POLE_BITS)):
-        return None
-    value = libmp.mpf_div(n, d, EVAL_PRECISION, _RND)
-    mass = libmp.mpf_div(mn, ad, EVAL_PRECISION, _RND)
-    if not with_d:
-        return value, mass, dn, mdn
-    # D(n/d) = (n'd - nd') / d^2, its mass (mass(n')|d| + mass(n)mass(d')) / d^2
-    dd, mdd = _dot(den, 2, exps)
-    d2 = libmp.mpf_mul(d, d)
-    top = libmp.mpf_sub(libmp.mpf_mul(dn, d), libmp.mpf_mul(n, dd), EVAL_PRECISION, _RND)
-    top_mass = libmp.mpf_add(libmp.mpf_mul(mdn, ad), libmp.mpf_mul(mn, mdd),
-                             EVAL_PRECISION, _RND)
-    return (value, mass, libmp.mpf_div(top, d2, EVAL_PRECISION, _RND),
-            libmp.mpf_div(top_mass, d2, EVAL_PRECISION, _RND))
+            ms = [et[i][1] * ex[j][1] for i, j in pairs]
+            es = [et[i][2] + ex[j][2] for i, j in pairs]
+            tops = [e + m.bit_length() for m, e in zip(ms, es)]
+            yield t, x, {key: f.at(ms, es, tops) for key, f in fields.items()}
 
 
 def _eval_point(u: ExpRational, t: RatLike, x: RatLike):

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from nwave.cli import config_from_doc, config_to_doc, main
+from nwave.cli import InputError, _poly_from_terms, config_from_doc, config_to_doc, main
 from nwave.exprat import (
     EvalPole, ExpPoly, ExpRational, InexactDivision, grid_values, wave_constants,
 )
@@ -458,3 +459,54 @@ def test_sample_bound_below_the_float_range_exits_2(tmp_path, capsys, bound):
     which = "lower" if bound.endswith("0") else "upper"
     assert f"{bound[2]} {which} bound '{opts[bound]}' is below the float range" in err
     assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("x0, x1, nx, message", [
+    ("0", "1e-320", 5000, "x grid point 2 of 5000 is below the float range"),
+    ("1", "100000000000000001/100000000000000000", 3,
+     "x grid points 1 and 2 of 3 both print as 1.0"),
+])
+def test_sample_interior_points_that_print_alike_exit_2(tmp_path, capsys, x0, x1, nx, message):
+    # Every printed coordinate must name its own grid point: a nonzero x
+    # that prints as 0.0, or two x that print as one float, are refused.
+    sol = construct(tmp_path, "A2", SPEC_11, 0, 0, "a2.json")
+    capsys.readouterr()
+    csv_path = tmp_path / "never.csv"
+    rc = main(["sample", "--in", str(sol), "--t0", "0", "--t1", "0", "--nt", "1",
+               "--x0", x0, "--x1", x1, "--nx", str(nx), "--csv", str(csv_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert message in err
+    assert not csv_path.exists()
+
+
+numbers = st.one_of(
+    st.text(alphabet="0123456789-+/_. eE\t\n٣３²", max_size=12),
+    st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(numbers, st.integers(0, 2))
+@example("3/0", 2)
+@example("3/4/5", 0)
+@example("00/07", 1)
+@example("-0", 2)
+@example("1" * 5000, 2)
+@example("٣/4", 0)
+def test_document_numbers_read_as_fraction_reads_them(v, pos):
+    # Documents are read on the integer lattice; every string must still
+    # give Fraction's value, or the error Fraction's refusal gives.
+    parts = ["0", "1", "1"]
+    parts[pos] = v
+    what = f"f+1.0.num[0].{('a', 'b', 'coef')[pos]}"
+    try:
+        want = [Fraction(p) for p in parts]
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InputError) as exc:
+            _poly_from_terms([[parts[:2], parts[2]]], "f+1.0.num")
+        assert str(exc.value) == f"{what}: not a rational: {v!r}"
+        return
+    got = _poly_from_terms([[parts[:2], parts[2]]], "f+1.0.num")
+    assert got == ExpPoly([((want[0], want[1]), want[2])])
