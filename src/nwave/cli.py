@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import re
+import reprlib
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -35,7 +36,7 @@ from .spectral import InvalidSpectralData, spectral_data
 from .tau import TauZero, solution_from_tau
 from .transforms import TRANSFORMS, PivotZero, apply_chain
 from .verify import SUITES, verify_config, verify_suite
-from .wavesys import FieldConfig, field_label, model, parse_field_label
+from .wavesys import ALGEBRAS, FieldConfig, field_label, model, parse_field_label
 
 SCHEMA = 1
 
@@ -74,13 +75,37 @@ def _read_json(path) -> dict:
     return doc
 
 
+#: A number with an exponent, as Fraction reads one: (mantissa, exponent, tail).
+_EXPONENT = re.compile(r"(.*)[eE]([-+]?\d+(?:_\d+)*)(\s*)", re.DOTALL)
+
+
+def _read_rational(v: str):
+    """Fraction(v), or None when its numerator or denominator in lowest
+    terms has more digits than int() converts to a string
+    (sys.get_int_max_str_digits()).  The digit strings Fraction reads are
+    within that limit, so a nonzero number whose exponent is past three
+    times it is refused without being built: 1e999999999 costs nothing."""
+    limit = sys.get_int_max_str_digits()
+    m = _EXPONENT.fullmatch(v)
+    if limit and m and abs(int(m[2])) > 3 * limit:
+        f = Fraction(m[1] + "e0" + m[3])  # raises as Fraction(v) would
+        return f if f == 0 else None
+    f = Fraction(v)
+    big = max(abs(f.numerator), f.denominator)
+    return f if not limit or big.bit_length() <= 3 * limit or big < 10 ** limit else None
+
+
 def _frac(v, what: str) -> Fraction:
     if not isinstance(v, str):
         raise InputError(f"{what}: expected an exact rational string, got {v!r}")
     try:
-        return Fraction(v)
+        f = _read_rational(v)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"{what}: not a rational: {v!r}") from None
+    if f is None:
+        raise InputError(f"{what}: too many digits to write back "
+                         f"(limit {sys.get_int_max_str_digits()}): {reprlib.repr(v)}")
+    return f
 
 
 def _pair(doc: dict, name: str):
@@ -329,7 +354,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build the order-(n1,n2) solution")
-    c.add_argument("--algebra", required=True, choices=("A2", "B2", "G2"))
+    c.add_argument("--algebra", required=True, choices=ALGEBRAS)
     c.add_argument("--spectral", required=True, help="spectral JSON file")
     c.add_argument("--n1", type=int, default=0)
     c.add_argument("--n2", type=int, default=0)

@@ -192,16 +192,13 @@ def tau_V_B2(s: SpectralData, n1: int, n2: int, n3: int) -> ExpPoly:
 
 # -- ratio solutions -----------------------------------------------------------
 
-#: Calibration sign of every field of each algebra.
-_SIGNS: Dict[str, Dict[FieldKey, int]] = {
-    "A2": {(PLUS, (1, 0)): 1, (PLUS, (0, 1)): 1, (PLUS, (1, 1)): -1,
-           (MINUS, (1, 0)): 1, (MINUS, (0, 1)): 1, (MINUS, (1, 1)): 1},
-    "B2": {(PLUS, (1, 0)): 1, (PLUS, (0, 1)): 1, (PLUS, (1, 1)): -1, (PLUS, (1, 2)): 1,
-           (MINUS, (1, 0)): 1, (MINUS, (0, 1)): 1, (MINUS, (1, 1)): 1, (MINUS, (1, 2)): 1},
-    "G2": {(PLUS, (1, 0)): 1, (PLUS, (0, 1)): 1, (PLUS, (1, 1)): -1, (PLUS, (1, 2)): 1,
-           (PLUS, (1, 3)): -1, (PLUS, (2, 3)): -1,
-           (MINUS, (1, 0)): 1, (MINUS, (0, 1)): 1, (MINUS, (1, 1)): 1, (MINUS, (1, 2)): 1,
-           (MINUS, (1, 3)): 1, (MINUS, (2, 3)): -1},
+#: Calibration sign of every field.  A2's roots are among B2's and B2's among
+#: G2's, and a field has one sign in every algebra that has it.
+_SIGNS: Dict[FieldKey, int] = {
+    (PLUS, (1, 0)): 1, (PLUS, (0, 1)): 1, (PLUS, (1, 1)): -1, (PLUS, (1, 2)): 1,
+    (PLUS, (1, 3)): -1, (PLUS, (2, 3)): -1,
+    (MINUS, (1, 0)): 1, (MINUS, (0, 1)): 1, (MINUS, (1, 1)): 1, (MINUS, (1, 2)): 1,
+    (MINUS, (1, 3)): 1, (MINUS, (2, 3)): -1,
 }
 
 
@@ -218,36 +215,41 @@ def solution_from_tau(m: AlgebraModel, s: SpectralData, n1: int, n2: int) -> Fie
     den = _tau(s, n1, (n2,) * groups, pieces)
     if den.is_zero():
         raise TauZero(f"tau{(n1,) + (n2,) * groups} vanishes identically: chain interrupted")
-    signs = _SIGNS[m.name]
     fields: Dict[FieldKey, ExpRational] = {}
     for key in m.field_keys:
         sign, (p, q) = key
         step = -sign  # f^- raises the orders, f^+ lowers them
         num = _tau(s, n1 + step * p, [n2 + step * (g < q) for g in range(groups)], pieces)
-        fields[key] = ExpRational(num * signs[key], den)
+        fields[key] = ExpRational(num * _SIGNS[key], den)
     return FieldConfig(m.name, s.constants, fields)
 
 
 # -- the two-group recombination identity --------------------------------------
 
 
-def _gra_side(
-    s: SpectralData, lam: Fraction, size1: int, size2: int, multiplier: bool
-) -> ExpPoly:
-    """Sum over a size1-group coupled to lam and an independent size2-group.
+def _gra_sides(s: SpectralData, lams: Sequence[Fraction], size1: int, size2: int,
+               multiplier: bool) -> List[ExpPoly]:
+    """For each lam, the sum over a size1-group coupled to lam and an
+    independent size2-group.
 
     With the multiplier (t1 - t2), the difference of the groups' position
     sums, the double sum is S1' * S2 - S1 * S2', where ' marks a subset sum
-    weighted by its position sum; without it, S1 * S2.
+    weighted by its position sum; without it, S1 * S2.  The shapes and the
+    uncoupled sums S2, S2' do not depend on lam and are built once.
     """
     Q, w = _spikes(s.qspikes), s.constants
-    shapes1, shapes2 = _shapes(Q, size1, w), _shapes(Q, size2, w)
-    coupled, weights = _coupled(Q, [lam]), [v for _, v in Q]
-    s1, s2 = _subset_sum(shapes1, coupled), _subset_sum(shapes2, weights)
-    if not multiplier:
-        return s1 * s2
-    return (_subset_sum(shapes1, coupled, moment=True) * s2
-            - s1 * _subset_sum(shapes2, weights, moment=True))
+    shapes1 = _shapes(Q, size1, w)
+    shapes2 = shapes1 if size2 == size1 else _shapes(Q, size2, w)
+    weights = [v for _, v in Q]
+    s2 = _subset_sum(shapes2, weights)
+    s2m = _subset_sum(shapes2, weights, moment=True) if multiplier else None
+    out = []
+    for lam in lams:
+        coupled = _coupled(Q, [lam])
+        s1 = _subset_sum(shapes1, coupled)
+        out.append(_subset_sum(shapes1, coupled, moment=True) * s2 - s1 * s2m
+                   if multiplier else s1 * s2)
+    return out
 
 
 def check_gra(s: SpectralData, n: int) -> bool:
@@ -264,9 +266,5 @@ def check_gra(s: SpectralData, n: int) -> bool:
     probes = [sp.pos for sp in s.pspikes]
     if not probes:
         probes = [max(abs(sp.pos) for sp in s.qspikes) + 1]
-    for lam in probes:
-        lhs = _gra_side(s, lam, n + 1, n + 1, multiplier=True)
-        rhs = _gra_side(s, lam, n + 2, n, multiplier=False)
-        if lhs != rhs:
-            return False
-    return True
+    return (_gra_sides(s, probes, n + 1, n + 1, multiplier=True)
+            == _gra_sides(s, probes, n + 2, n, multiplier=False))

@@ -12,16 +12,13 @@ arithmetic; determinants use fraction-free elimination with exact division.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .exprat import ExpPoly, ExpRational, WaveConstants, divexact
 from .spectral import SpectralData
 from .tau import tau_U, tau_V_B2
 from .transforms import PivotZero
-from .wavesys import MINUS, PLUS, FieldConfig, FieldKey
-
-HALF = Fraction(1, 2)
+from .wavesys import MINUS, PLUS, FieldConfig, FieldKey, model
 
 
 # -- determinants ---------------------------------------------------------------
@@ -208,7 +205,7 @@ def ab_f10(prev: ABChain, chain: HankelChain) -> ExpRational:
 
 # -- the chain of the first simple root ------------------------------------------
 
-_FRC_ZERO_KEYS = ((PLUS, (1, 0)), (PLUS, (0, 1)), (PLUS, (1, 1)), (PLUS, (1, 2)))
+_FRC_ZERO_KEYS = tuple((PLUS, r) for r in model("B2").roots)
 
 
 def first_root_chain(cfg: FieldConfig, steps: int) -> FieldConfig:

@@ -6,6 +6,10 @@ normalized ExpRational quotients.  The defining property, checked by the
 verify suites and proved for every map by the symbolic jet tests, is that
 solutions map to solutions.
 
+Rows are written out for A2_T1, B2_TM and G2_T1 only.  B2_T2A2 composes
+B2_TM with B2_T10_INV; every other map is one of the three conjugated by an
+exchange of its algebra (see wavesys), its pivot the image of theirs.
+
 A map's rows are written once, as ``rows(F, d, dlog)``: ``F`` maps each
 FieldKey to a value, ``d(i, j, e)`` is the derivation D_{i,j} and
 ``dlog(i, j, e)`` the log-derivative D_{i,j} e / e.  Rows use only field
@@ -31,7 +35,8 @@ from fractions import Fraction
 from typing import Callable, Dict
 
 from .wavesys import (
-    G2_SUBST_D, G2_SUBST_F, MINUS, PLUS, FieldConfig, FieldKey, field_label,
+    A2_SWAP_10_01, A2_SWAP_10_11, B2_SWAP_10_12, B2_SWAP_10_12_MIRROR, G2_SWAP_10_13,
+    MINUS, PLUS, Exchange, FieldConfig, FieldKey, exchanged_field, field_label, model,
 )
 
 HALF = Fraction(1, 2)
@@ -65,18 +70,14 @@ def _cancelled(image):
     return {key: v.cancel() for key, v in image.items()}
 
 
-def _values(F, roots):
-    """The f^+ values over ``roots``, then the f^- values."""
+def _values(F, algebra):
+    """The f^+ values over the algebra's roots, then the f^- values."""
+    roots = model(algebra).roots
     return [F[(PLUS, r)] for r in roots] + [F[(MINUS, r)] for r in roots]
 
 
-_A2_ROOTS = ((1, 0), (0, 1), (1, 1))
-_B2_ROOTS = ((1, 0), (0, 1), (1, 1), (1, 2))
-_G2_ROOTS = ((1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3))
-
-
 def _a2_t1(F, d, dlog):
-    p10, p01, p11, m10, m01, m11 = _values(F, _A2_ROOTS)
+    p10, p01, p11, m10, m01, m11 = _values(F, "A2")
     return {
         (PLUS, (1, 0)): 1 / m10,
         (MINUS, (0, 1)): m11 / m10,
@@ -87,32 +88,8 @@ def _a2_t1(F, d, dlog):
     }
 
 
-def _a2_t2(F, d, dlog):
-    p10, p01, p11, m10, m01, m11 = _values(F, _A2_ROOTS)
-    return {
-        (PLUS, (0, 1)): 1 / m01,
-        (MINUS, (1, 0)): -m11 / m01,
-        (PLUS, (1, 1)): p10 / m01,
-        (PLUS, (1, 0)): -d(1, 1, p10 / m01) * m01,
-        (MINUS, (1, 1)): -d(1, 0, m11 / m01) * m01,
-        (MINUS, (0, 1)): (p01 * m01 + d(1, 0, dlog(1, 1, m01))) * m01,
-    }
-
-
-def _a2_t3(F, d, dlog):
-    p10, p01, p11, m10, m01, m11 = _values(F, _A2_ROOTS)
-    return {
-        (PLUS, (1, 1)): 1 / m11,
-        (PLUS, (1, 0)): -m01 / m11,
-        (PLUS, (0, 1)): m10 / m11,
-        (MINUS, (0, 1)): -d(1, 0, m01 / m11) * m11,
-        (MINUS, (1, 0)): d(0, 1, m10 / m11) * m11,
-        (MINUS, (1, 1)): (p11 * m11 - d(1, 0, dlog(0, 1, m11))) * m11,
-    }
-
-
 def _b2_tm(F, d, dlog):
-    p10, p01, p11, p12, m10, m01, m11, m12 = _values(F, _B2_ROOTS)
+    p10, p01, p11, p12, m10, m01, m11, m12 = _values(F, "B2")
 
     def D(f):
         return d(1, 0, f)
@@ -135,64 +112,8 @@ def _b2_tm(F, d, dlog):
     }
 
 
-def _b2_t10(F, d, dlog):
-    p10, p01, p11, p12, m10, m01, m11, m12 = _values(F, _B2_ROOTS)
-
-    def D(f):
-        return d(1, 2, f)
-
-    dlog10 = dlog(1, 2, m10)
-    tm10 = (
-        D(dlog10) * QUARTER
-        + (p01 * D(m11) - m11 * D(p01)) / (m10 * 2)
-        + p10 * m10 + p11 * m11 + p01 * m01
-    ) * m10
-    return {
-        (PLUS, (1, 0)): 1 / m10,
-        (MINUS, (0, 1)): m11 / m10,
-        (PLUS, (1, 1)): -p01 / m10,
-        (PLUS, (1, 2)): p12 + p01 * p01 / m10,
-        (MINUS, (1, 2)): m12 - m11 * m11 / m10,
-        (PLUS, (0, 1)): D(p01) - p11 * m10 - p01 * dlog10 * HALF,
-        (MINUS, (1, 1)): D(m11) + m01 * m10 - m11 * dlog10 * HALF,
-        (MINUS, (1, 0)): tm10,
-    }
-
-
-def _b2_t10_inv(F, d, dlog):
-    G, N1, K, tp12, Z, H, M1, tm12 = _values(F, _B2_ROOTS)
-
-    def D(f):
-        return d(1, 2, f)
-
-    dlogG = dlog(1, 2, G)
-    m10 = 1 / G
-    m11 = H / G
-    p01 = -K / G
-    p12 = tp12 - K * K / G
-    m12 = tm12 + H * H / G
-    m01 = M1 * G - D(H) + H * dlogG * HALF
-    p11 = -D(K) + K * dlogG * HALF - N1 * G
-    p10 = (
-        Z * G * G
-        + D(dlogG) * G * QUARTER
-        + (m11 * D(p01) - p01 * D(m11)) * G * G * HALF
-        - (p11 * m11 + p01 * m01) * G
-    )
-    return {
-        (PLUS, (1, 0)): p10,
-        (PLUS, (0, 1)): p01,
-        (PLUS, (1, 1)): p11,
-        (PLUS, (1, 2)): p12,
-        (MINUS, (1, 0)): m10,
-        (MINUS, (0, 1)): m01,
-        (MINUS, (1, 1)): m11,
-        (MINUS, (1, 2)): m12,
-    }
-
-
 def _g2_t1(F, d, dlog):
-    p10, p01, p11, p12, p13, p23, m10, m01, m11, m12, m13, m23 = _values(F, _G2_ROOTS)
+    p10, p01, p11, p12, p13, p23, m10, m01, m11, m12, m13, m23 = _values(F, "G2")
 
     def D(f):
         return d(1, 2, f)
@@ -250,46 +171,52 @@ def _g2_t1(F, d, dlog):
     }
 
 
-def _b2_t2a2(F, d, dlog):
-    # the second-root map factors as TM followed by T10^-1; the TM image is
-    # cancelled first, as apply cancels every image
-    return _b2_t10_inv(_cancelled(_b2_tm(F, d, dlog)), d, dlog)
-
-
-def _g2_ta1_3a2(F, d, dlog):
-    """G2_T1 conjugated by the index exchange sigma of the G2 system.
-
-    sigma relabels fields with signs (G2_SUBST_F) and reflects the charges
-    of every exponent, (Lam, M) -> (Lam, 3*Lam - M).  D_{i,j} scales a term
-    of charges (Lam, M) by i*M - j*Lam, so D_{i,j} o sigma = -sigma o
-    D_{i,3i-j}: the table G2_SUBST_D.  The reflection is an involution and
-    commutes with field arithmetic, so it cancels between input and output;
-    only the relabelling and the substituted derivations remain.
-    """
+def _conjugated(base: Transform, exchange: Exchange) -> Transform:
+    """``base`` conjugated by the involution ``exchange``: inputs relabelled,
+    rows run with the derivations substituted, outputs relabelled back.  Its
+    linear map of exponent charges commutes with field arithmetic, so it
+    cancels.  A sign is applied by negating, only where it is -1."""
+    fields = [(key, *exchanged_field(exchange, key))
+              for r in exchange for key in ((PLUS, r), (MINUS, r))]
 
     def sub(deriv):
         def out(i, j, f):
-            eta, (i2, j2) = G2_SUBST_D[(i, j)]
-            return deriv(i2, j2, f) * eta
+            eta, (i2, j2) = exchange[(i, j)]
+            v = deriv(i2, j2, f)
+            return -v if eta < 0 else v
 
         return out
 
-    inner = {target: F[key] * eps for key, (eps, target) in G2_SUBST_F.items()}
-    image = _g2_t1(inner, sub(d), sub(dlog))
-    return {target: image[key] * eps for key, (eps, target) in G2_SUBST_F.items()}
+    def rows(F, d, dlog):
+        inner = {target: -F[key] if eta < 0 else F[key] for key, eta, target in fields}
+        image = base.rows(inner, sub(d), sub(dlog))
+        return {target: -image[key] if eta < 0 else image[key] for key, eta, target in fields}
+
+    return Transform(base.algebra, exchanged_field(exchange, base.pivot)[1], rows)
+
+
+_A2_T1 = Transform("A2", (MINUS, (1, 0)), _a2_t1)
+_B2_TM = Transform("B2", (MINUS, (1, 2)), _b2_tm)
+_B2_T10_INV = _conjugated(_B2_TM, B2_SWAP_10_12_MIRROR)
+_G2_T1 = Transform("G2", (MINUS, (1, 0)), _g2_t1)
+
+
+def _b2_t2a2(F, d, dlog):
+    # the second-root map factors as TM followed by T10^-1; the TM image is
+    # cancelled first, as apply cancels every image
+    return _B2_T10_INV.rows(_cancelled(_b2_tm(F, d, dlog)), d, dlog)
 
 
 TRANSFORMS: Dict[str, Transform] = {
-    "A2_T1": Transform("A2", (MINUS, (1, 0)), _a2_t1),
-    "A2_T2": Transform("A2", (MINUS, (0, 1)), _a2_t2),
-    "A2_T3": Transform("A2", (MINUS, (1, 1)), _a2_t3),
-    "B2_TM": Transform("B2", (MINUS, (1, 2)), _b2_tm),
-    "B2_T10": Transform("B2", (MINUS, (1, 0)), _b2_t10),
-    "B2_T10_INV": Transform("B2", (PLUS, (1, 0)), _b2_t10_inv),
+    "A2_T1": _A2_T1,
+    "A2_T2": _conjugated(_A2_T1, A2_SWAP_10_01),
+    "A2_T3": _conjugated(_A2_T1, A2_SWAP_10_11),
+    "B2_TM": _B2_TM,
+    "B2_T10": _conjugated(_B2_TM, B2_SWAP_10_12),
+    "B2_T10_INV": _B2_T10_INV,
     "B2_T2A2": Transform("B2", (MINUS, (1, 2)), _b2_t2a2),
-    "G2_T1": Transform("G2", (MINUS, (1, 0)), _g2_t1),
-    # sigma sends f-1.3 onto -f-1.0, the pivot of G2_T1
-    "G2_TA1_3A2": Transform("G2", (MINUS, (1, 3)), _g2_ta1_3a2),
+    "G2_T1": _G2_T1,
+    "G2_TA1_3A2": _conjugated(_G2_T1, G2_SWAP_10_13),
 }
 
 

@@ -38,16 +38,6 @@ GRID_T = (Fraction(-1), Fraction(0), Fraction(1, 2))
 GRID_X = (Fraction(-1, 3), Fraction(0), Fraction(1))
 GRID: Tuple[Tuple[Fraction, Fraction], ...] = tuple(itertools.product(GRID_T, GRID_X))
 
-SUITES = (
-    "a2-full",
-    "b2-full",
-    "g2-hypothesis",
-    "toda",
-    "ab-chain",
-    "gra",
-)
-
-
 @dataclass
 class Check:
     name: str
@@ -422,6 +412,7 @@ _SUITE_FNS = {
     "ab-chain": _suite_ab_chain,
     "gra": _suite_gra,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def verify_suite(name: str, params: Optional[dict] = None) -> Report:

@@ -1,7 +1,7 @@
 """Static models of the three rank-2 interacting-wave systems.
 
-Each algebra (A2, B2, G2) is encoded as data: its positive roots, Cartan
-matrix, and the bilinear first-order system — one equation
+Each algebra (A2, B2, G2) is encoded as data: its positive roots and the
+bilinear first-order system — one equation
 
     D_{p,q} f^s_{p.q} = sum_k  coef_k * f_{A_k} * f_{B_k}
 
@@ -16,6 +16,9 @@ Hirota's bilinear form: multiplied by tau^2 the equation reads
 
 a polynomial identity in which tau*tau never appears.  Fields with
 different denominators are combined as quotients instead.
+
+The exchanges at the end are signed root maps under which an equation set
+is symmetric; ``transforms`` conjugates its maps by them.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ class EquationSpec:
 @dataclass(frozen=True)
 class AlgebraModel:
     name: str
-    cartan: Tuple[Tuple[int, int], Tuple[int, int]]
     roots: Tuple[Root, ...]
     equations: Tuple[EquationSpec, ...]
 
@@ -114,30 +116,31 @@ _G2_TABLE = [
 _MODELS: Dict[str, AlgebraModel] = {
     "A2": AlgebraModel(
         name="A2",
-        cartan=((2, -1), (-1, 2)),
         roots=((1, 0), (0, 1), (1, 1)),
         equations=_eqs(_A2_TABLE),
     ),
     "B2": AlgebraModel(
         name="B2",
-        cartan=((2, -2), (-1, 2)),
         roots=((1, 0), (0, 1), (1, 1), (1, 2)),
         equations=_eqs(_B2_TABLE),
     ),
     "G2": AlgebraModel(
         name="G2",
-        cartan=((2, -3), (-1, 2)),
         roots=((1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3)),
         equations=_eqs(_G2_TABLE),
     ),
 }
 
 
+ALGEBRAS = tuple(_MODELS)
+
+
 def model(name: str) -> AlgebraModel:
     try:
         return _MODELS[name]
     except KeyError:
-        raise ValueError(f"unknown algebra {name!r} (expected A2, B2 or G2)") from None
+        expected = f"{', '.join(ALGEBRAS[:-1])} or {ALGEBRAS[-1]}"
+        raise ValueError(f"unknown algebra {name!r} (expected {expected})") from None
 
 
 @dataclass
@@ -218,29 +221,27 @@ def residual(m: AlgebraModel, cfg: FieldConfig, eq: EquationSpec) -> ExpPoly:
     return acc
 
 
-# -- G2 structural symmetry ----------------------------------------------------
+# -- Exchanges ------------------------------------------------------------------
 #
-# The exchange below maps the G2 system onto itself: each derivative index and
-# each field is sent to (sign, new index/field).  Note the f_{0.1} rule swaps
-# the +/- sign of the field (with a plus sign): as printed the rule carries a
-# minus, but only the plus variant actually maps the equation set onto itself,
-# which is the property the transformation engine relies on.
+# An exchange is a signed root map r -> (eta_r, rho(r)), an involution under
+# which one algebra's equations are symmetric: D_r -> eta_r D_{rho(r)} and
+# f^s_r -> eta_r f^{-eta_r s}_{rho(r)}, so a field's sector flips exactly
+# where eta_r = +1.  B2_SWAP_10_12_MIRROR is B2_SWAP_10_12 composed with the
+# symmetries f^s_r -> f^-s_r and f, D -> -f, -D.
 
-G2_SUBST_D: Dict[Root, Tuple[int, Root]] = {
-    (2, 3): (-1, (2, 3)),
-    (1, 3): (-1, (1, 0)),
-    (1, 0): (-1, (1, 3)),
-    (1, 2): (-1, (1, 1)),
-    (1, 1): (-1, (1, 2)),
-    (0, 1): (+1, (0, 1)),
-}
+Exchange = Dict[Root, Tuple[int, Root]]
 
-G2_SUBST_F: Dict[FieldKey, Tuple[int, FieldKey]] = {}
-for _s in (PLUS, MINUS):
-    G2_SUBST_F[(_s, (2, 3))] = (-1, (_s, (2, 3)))
-    G2_SUBST_F[(_s, (1, 3))] = (-1, (_s, (1, 0)))
-    G2_SUBST_F[(_s, (1, 0))] = (-1, (_s, (1, 3)))
-    G2_SUBST_F[(_s, (1, 1))] = (-1, (_s, (1, 2)))
-    G2_SUBST_F[(_s, (1, 2))] = (-1, (_s, (1, 1)))
-    G2_SUBST_F[(_s, (0, 1))] = (+1, (-_s, (0, 1)))
+A2_SWAP_10_01: Exchange = {(1, 0): (-1, (0, 1)), (0, 1): (-1, (1, 0)), (1, 1): (-1, (1, 1))}
+A2_SWAP_10_11: Exchange = {(1, 0): (-1, (1, 1)), (1, 1): (-1, (1, 0)), (0, 1): (1, (0, 1))}
+B2_SWAP_10_12: Exchange = {(1, 0): (-1, (1, 2)), (1, 2): (-1, (1, 0)), (1, 1): (-1, (1, 1)),
+                           (0, 1): (1, (0, 1))}
+B2_SWAP_10_12_MIRROR: Exchange = {r: (-eta, image) for r, (eta, image) in B2_SWAP_10_12.items()}
+G2_SWAP_10_13: Exchange = {(2, 3): (-1, (2, 3)), (1, 3): (-1, (1, 0)), (1, 0): (-1, (1, 3)),
+                           (1, 2): (-1, (1, 1)), (1, 1): (-1, (1, 2)), (0, 1): (1, (0, 1))}
 
+
+def exchanged_field(exchange: Exchange, key: FieldKey) -> Tuple[int, FieldKey]:
+    """The image (eta_r, f^{-eta_r*s}_{rho(r)}) of the field f^s_r = ``key``."""
+    s, r = key
+    eta, image = exchange[r]
+    return eta, (-eta * s, image)

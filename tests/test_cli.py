@@ -1,6 +1,8 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 
 import json
+import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -486,6 +488,21 @@ numbers = st.one_of(
     st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True),
 )
 
+#: The most digits int() converts to or from a string.
+LIMIT = sys.get_int_max_str_digits()
+
+
+def fraction_or_too_large(v):
+    """Fraction(v), or None when its lowest terms have more than LIMIT
+    digits.  A nonzero number with an exponent past 3*LIMIT is too large
+    whatever its short mantissa, so that exponent is never applied."""
+    m = re.fullmatch(r"(.*)[eE]([-+]?\d+(?:_\d+)*)(\s*)", v, re.DOTALL)
+    if m and abs(int(m[2])) > 3 * LIMIT:
+        f = Fraction(m[1] + "e0" + m[3])
+        return f if f == 0 else None
+    f = Fraction(v)
+    return f if max(abs(f.numerator), f.denominator) < 10 ** LIMIT else None
+
 
 @settings(max_examples=300, deadline=None)
 @given(numbers, st.integers(0, 2))
@@ -495,18 +512,47 @@ numbers = st.one_of(
 @example("-0", 2)
 @example("1" * 5000, 2)
 @example("٣/4", 0)
+@example("1e5000", 2)
+@example("1e999999999", 0)
+@example("-1e-999999999", 1)
+@example("0e999999999", 2)
+@example("5e-4300", 2)
+@example("1e-4300", 2)
 def test_document_numbers_read_as_fraction_reads_them(v, pos):
     # Documents are read on the integer lattice; every string must still
-    # give Fraction's value, or the error Fraction's refusal gives.
+    # give Fraction's value, or the error Fraction's refusal gives, or be
+    # refused when it could not be written back.
     parts = ["0", "1", "1"]
     parts[pos] = v
     what = f"f+1.0.num[0].{('a', 'b', 'coef')[pos]}"
     try:
-        want = [Fraction(p) for p in parts]
+        want = [fraction_or_too_large(p) for p in parts]
     except (ValueError, ZeroDivisionError):
         with pytest.raises(InputError) as exc:
             _poly_from_terms([[parts[:2], parts[2]]], "f+1.0.num")
         assert str(exc.value) == f"{what}: not a rational: {v!r}"
         return
+    if want[pos] is None:
+        with pytest.raises(InputError) as exc:
+            _poly_from_terms([[parts[:2], parts[2]]], "f+1.0.num")
+        assert str(exc.value).startswith(f"{what}: too many digits to write back "
+                                         f"(limit {LIMIT}): ")
+        return
     got = _poly_from_terms([[parts[:2], parts[2]]], "f+1.0.num")
     assert got == ExpPoly([((want[0], want[1]), want[2])])
+
+
+@pytest.mark.parametrize("number", ["1e5000", "-1e-999999999", "1" * 4000 + "." + "1" * 4000])
+def test_document_numbers_too_large_to_write_back_exit_2(tmp_path, capsys, number):
+    # A number whose digits int() would refuse to print is refused on
+    # reading, with one error line, before any map or check runs.
+    out = construct(tmp_path, "A2", SPEC_22, 0, 0, "a2_seed.json")
+    doc = json.loads(out.read_text())
+    doc["fields"]["f-1.0"]["num"][0][1] = number
+    big = write_json(tmp_path / "big.json", doc)
+    capsys.readouterr()
+    for argv in (["transform", "--chain", "T1", "--in", big], ["verify", "--in", big]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: f-1.0.num[0].coef: too many digits to write back")

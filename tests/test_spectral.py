@@ -95,7 +95,7 @@ def test_g2_seed_signs_are_forced(monkeypatch):
     # arbiter that fixed them.
     s = spectral_data(W, P2, Q3[:2])
     m = model("G2")
-    signs = tau._SIGNS["G2"]
+    signs = tau._SIGNS
     assert verify_config(m, initial_config(m, s)).passed
     monkeypatch.setitem(signs, (-1, (1, 2)), -1)
     assert not verify_config(m, initial_config(m, s)).passed

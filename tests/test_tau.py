@@ -12,7 +12,7 @@ from nwave.tau import (
     tau_U,
     tau_V_B2,
     vandermonde_sq,
-    _gra_side,
+    _gra_sides,
     _tau,
 )
 from nwave.transforms import TRANSFORMS, PivotZero, apply
@@ -135,10 +135,10 @@ def test_gra_fails_when_perturbed():
     # wrong split on the right side, and wrong multiplier orientation
     s = spectral_data(W, P2, Q3)
     lam = s.pspikes[0].pos
-    lhs = _gra_side(s, lam, 1, 1, multiplier=True)
-    assert lhs != _gra_side(s, lam, 1, 1, multiplier=False)
-    assert lhs == _gra_side(s, lam, 2, 0, multiplier=False)
-    assert (-lhs) != _gra_side(s, lam, 2, 0, multiplier=False)
+    [lhs] = _gra_sides(s, [lam], 1, 1, multiplier=True)
+    assert [lhs] != _gra_sides(s, [lam], 1, 1, multiplier=False)
+    assert [lhs] == _gra_sides(s, [lam], 2, 0, multiplier=False)
+    assert [-lhs] != _gra_sides(s, [lam], 2, 0, multiplier=False)
 
 
 # -- the factorised sums against the nested-loop reference ---------------------
@@ -175,12 +175,14 @@ def test_factorised_tau_matches_nested_loops(case):
 
 
 @settings(max_examples=40, deadline=None)
-@given(spike_data(p=(0, 0)), small_rationals, st.data(), st.booleans())
-def test_factorised_gra_side_matches_double_sum(s, lam, data, multiplier):
-    assume(all(sp.pos != lam for sp in s.qspikes))
+@given(spike_data(p=(0, 0)), st.lists(small_rationals, min_size=1, max_size=3), st.data(),
+       st.booleans())
+def test_factorised_gra_side_matches_double_sum(s, lams, data, multiplier):
+    # one call per probe list: what does not depend on lam is shared
+    assume(all(sp.pos != lam for sp in s.qspikes for lam in lams))
     size1, size2 = data.draw(st.tuples(*[st.integers(0, len(s.qspikes))] * 2))
-    assert (_gra_side(s, lam, size1, size2, multiplier)
-            == ref.gra_side(s, lam, size1, size2, multiplier))
+    assert (_gra_sides(s, lams, size1, size2, multiplier)
+            == [ref.gra_side(s, lam, size1, size2, multiplier) for lam in lams])
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])

@@ -222,3 +222,18 @@ def test_transform_registry_is_complete():
     seed = initial_config(model("A2"), a2_data())
     for tid in ["A2_T1", "A2_T2", "A2_T3"]:
         assert apply(tid, seed).algebra == "A2"
+
+
+def test_registry_pivots_are_pinned():
+    # A conjugate's pivot is derived, as the exchange's image of its base's.
+    assert {tid: (t.algebra, t.pivot) for tid, t in TRANSFORMS.items()} == {
+        "A2_T1": ("A2", (MINUS, (1, 0))),
+        "A2_T2": ("A2", (MINUS, (0, 1))),
+        "A2_T3": ("A2", (MINUS, (1, 1))),
+        "B2_TM": ("B2", (MINUS, (1, 2))),
+        "B2_T10": ("B2", (MINUS, (1, 0))),
+        "B2_T10_INV": ("B2", (PLUS, (1, 0))),
+        "B2_T2A2": ("B2", (MINUS, (1, 2))),
+        "G2_T1": ("G2", (MINUS, (1, 0))),
+        "G2_TA1_3A2": ("G2", (MINUS, (1, 3))),
+    }

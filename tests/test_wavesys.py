@@ -5,9 +5,13 @@ import pytest
 from nwave.exprat import ExpPoly, ExpRational, wave_constants
 from nwave.verify import verify_config
 from nwave.wavesys import (
-    G2_SUBST_D,
-    G2_SUBST_F,
+    A2_SWAP_10_01,
+    A2_SWAP_10_11,
+    B2_SWAP_10_12,
+    B2_SWAP_10_12_MIRROR,
+    G2_SWAP_10_13,
     FieldConfig,
+    exchanged_field,
     field_label,
     model,
     parse_field_label,
@@ -98,24 +102,63 @@ def test_plus_minus_exchange_is_a_symmetry():
         assert substitution_is_symmetry(m, dmap, fmap)
 
 
-def test_g2_exchange_is_a_symmetry():
-    assert substitution_is_symmetry(model("G2"), G2_SUBST_D, G2_SUBST_F)
+EXCHANGES = {
+    "A2_SWAP_10_01": ("A2", A2_SWAP_10_01),
+    "A2_SWAP_10_11": ("A2", A2_SWAP_10_11),
+    "B2_SWAP_10_12": ("B2", B2_SWAP_10_12),
+    "B2_SWAP_10_12_MIRROR": ("B2", B2_SWAP_10_12_MIRROR),
+    "G2_SWAP_10_13": ("G2", G2_SWAP_10_13),
+}
+
+
+def field_map(m, exchange):
+    return {key: exchanged_field(exchange, key) for key in m.field_keys}
+
+
+@pytest.mark.parametrize("name", sorted(EXCHANGES))
+def test_exchange_is_a_symmetry(name):
+    algebra, exchange = EXCHANGES[name]
+    m = model(algebra)
+    assert set(exchange) == set(m.roots)
+    assert substitution_is_symmetry(m, exchange, field_map(m, exchange))
+
+
+@pytest.mark.parametrize("name", sorted(EXCHANGES))
+def test_exchange_is_an_involution(name):
+    # transforms applies one table on both sides of a conjugation
+    algebra, exchange = EXCHANGES[name]
+    for r in model(algebra).roots:
+        e1, r1 = exchange[r]
+        e2, r2 = exchange[r1]
+        assert (e1 * e2, r2) == (1, r)
+    for key in model(algebra).field_keys:
+        e1, k1 = exchanged_field(exchange, key)
+        e2, k2 = exchanged_field(exchange, k1)
+        assert (e1 * e2, k2) == (1, key)
+
+
+@pytest.mark.parametrize("name", sorted(EXCHANGES))
+def test_exchange_fails_with_the_sector_rule_flipped_at_any_root(name):
+    # f^s_r -> eta_r f^{+eta_r s}: the sector kept where it should flip and
+    # flipped where it should be kept, at one root at a time.
+    algebra, exchange = EXCHANGES[name]
+    m = model(algebra)
+    for root in m.roots:
+        fmap = field_map(m, exchange)
+        for s in (1, -1):
+            eta, (_, image) = fmap[(s, root)]
+            fmap[(s, root)] = (eta, (eta * s, image))
+        assert not substitution_is_symmetry(m, exchange, fmap), root
 
 
 def test_g2_exchange_fails_with_flipped_f01_sign():
     # The same exchange with f_{0.1} -> -f_{0.1} (other sign) is NOT a symmetry.
-    fmap = dict(G2_SUBST_F)
+    m = model("G2")
+    fmap = field_map(m, G2_SWAP_10_13)
     for s in (1, -1):
         eps, key = fmap[(s, (0, 1))]
         fmap[(s, (0, 1))] = (-eps, key)
-    assert not substitution_is_symmetry(model("G2"), G2_SUBST_D, fmap)
-
-
-def test_g2_exchange_is_an_involution():
-    for key in model("G2").field_keys:
-        e1, k1 = G2_SUBST_F[key]
-        e2, k2 = G2_SUBST_F[k1]
-        assert (e1 * e2, k2) == (1, key)
+    assert not substitution_is_symmetry(m, G2_SWAP_10_13, fmap)
 
 
 def test_field_labels_roundtrip():
