@@ -82,9 +82,26 @@ _EXPONENT = re.compile(r"(.*)[eE]([-+]?\d+(?:_\d+)*)(\s*)", re.DOTALL)
 def _read_rational(v: str):
     """Fraction(v), or None when its numerator or denominator in lowest
     terms has more digits than int() converts to a string
-    (sys.get_int_max_str_digits()).  The digit strings Fraction reads are
-    within that limit, so a nonzero number whose exponent is past three
-    times it is refused without being built: 1e999999999 costs nothing."""
+    (sys.get_int_max_str_digits()), or when v has a run of more digits
+    than that.  Fraction refuses such a run with the ValueError of a
+    malformed literal, so v is read again with each run cut to one digit:
+    if that reads, v is a rational with too many digits.  The digit
+    strings Fraction reads are within the limit, so a nonzero number whose
+    exponent is past three times it is refused without being built:
+    1e999999999 costs nothing."""
+    try:
+        return _read_within_limit(v)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        short = re.sub(r"\d(?:_?\d){%d,}" % limit, "1", v) if limit else v
+        if short == v:
+            raise
+        _read_within_limit(short)  # raises as for a malformed literal
+        return None
+
+
+def _read_within_limit(v: str):
+    """_read_rational, except that a run of digits past the limit raises."""
     limit = sys.get_int_max_str_digits()
     m = _EXPONENT.fullmatch(v)
     if limit and m and abs(int(m[2])) > 3 * limit:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .exprat import ONE, ExpPoly, ExpRational, WaveConstants
+from .exprat import ExpPoly, ExpRational, WaveConstants, sum_of_products
 
 Root = Tuple[int, int]
 #: A signed field key: (sign, (p, q)) with sign in {+1, -1} naming f^sign_{p.q}.
@@ -193,6 +193,13 @@ def residual(m: AlgebraModel, cfg: FieldConfig, eq: EquationSpec) -> ExpPoly:
     a document qualifies; d may be 1), as in a tau solution, the numerator
     is the equation times d^2 in Hirota's bilinear form,
     N_lhs' d - N_lhs d' - sum coef*N_a*N_b, formed without the product d*d.
+    That sum of products is one call of exprat.sum_of_products: above its
+    crossover (PACK_PAIRS_PER_TERM, term pairs per operand term) it packs
+    each row of the spectral basis into one int and multiplies rows as
+    ints, with a digit width above the bound sum |coef|*|N_a|_1*|N_b|_1 on
+    every coefficient, so the residual is zero exactly when every output
+    row int is 0; a nonzero one is read back from the same digits.  Below
+    the crossover, or for sparse exponents, it multiplies term by term.
     Otherwise the residual is built as one ExpRational and its numerator
     returned.  Over a shared d both give the same polynomial: the
     ExpRational residual is over d^2 too, and a denominator's least term
@@ -213,12 +220,10 @@ def residual(m: AlgebraModel, cfg: FieldConfig, eq: EquationSpec) -> ExpPoly:
         return rat.num
     d = fields[0].den
     n = lhs.num
-    acc = n.deriv(i, j, w)
-    if n and d != ONE:
-        acc = acc * d - n * d.deriv(i, j, w)
-    for coef, fa, fb in products:
-        acc = acc - fa.num * fb.num * coef
-    return acc
+    terms = [(-coef, fa.num, fb.num) for coef, fa, fb in products]
+    if n:
+        terms += [(1, n.deriv(i, j, w), d), (-1, n, d.deriv(i, j, w))]
+    return sum_of_products(terms, w)
 
 
 # -- Exchanges ------------------------------------------------------------------

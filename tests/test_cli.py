@@ -494,8 +494,21 @@ LIMIT = sys.get_int_max_str_digits()
 
 def fraction_or_too_large(v):
     """Fraction(v), or None when its lowest terms have more than LIMIT
-    digits.  A nonzero number with an exponent past 3*LIMIT is too large
+    digits, or when Fraction reads v only once int()'s digit limit is
+    lifted.  A nonzero number with an exponent past 3*LIMIT is too large
     whatever its short mantissa, so that exponent is never applied."""
+    try:
+        return _fraction_within_limit(v)
+    except ValueError:
+        sys.set_int_max_str_digits(0)
+        try:
+            _fraction_within_limit(v)  # raises if v is no rational at all
+        finally:
+            sys.set_int_max_str_digits(LIMIT)
+        return None
+
+
+def _fraction_within_limit(v):
     m = re.fullmatch(r"(.*)[eE]([-+]?\d+(?:_\d+)*)(\s*)", v, re.DOTALL)
     if m and abs(int(m[2])) > 3 * LIMIT:
         f = Fraction(m[1] + "e0" + m[3])

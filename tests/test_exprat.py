@@ -16,8 +16,10 @@ from nwave.exprat import (
     ExpRational,
     InexactDivision,
     divexact,
+    sum_of_products,
     wave_constants,
 )
+from nwave import exprat
 
 import _fracpoly as ref
 import _fracrat as rat
@@ -461,3 +463,99 @@ def test_equality_over_the_same_atoms_forms_no_product(monkeypatch):
     monkeypatch.setattr(ExpPoly, "__mul__", mul)
     assert verdicts == (True, False, True, False)
     assert not products
+
+
+# -- sums of products against the schoolbook reference -------------------------------
+
+#: Packing forced on every sum: the Kronecker path alone, whatever its cost.
+ALWAYS_PACK = {"PACK_PAIRS_PER_TERM": 0, "PACK_SLOTS_PER_TERM": 10 ** 9}
+
+big_coefs = st.one_of(st.integers(-2 ** 130, 2 ** 130).filter(bool), nonzero_rationals)
+
+
+def spectral_key(sp, sq, w=W):
+    """The exponent of a spike wave with position sums sp and sq."""
+    return (sp * w.d1 + sq * w.d2, -(sp * w.c1 + sq * w.c2))
+
+
+@st.composite
+def operands(draw):
+    """(coefficient, a, b) terms of one operand: spike waves on a lattice of
+    its own scale, offset along sQ by a shift of its own, or exponents off
+    the spectral lattice; one term or up to eight."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from([1, 2, 3]))
+        shift = draw(st.sampled_from([F(0), Fraction(1, 5), Fraction(-2, 3), F(7)]))
+        keys = [spectral_key(Fraction(draw(st.integers(-2, 2)), scale),
+                             Fraction(draw(st.integers(0, 9)), scale) + shift) for _ in range(n)]
+    else:
+        keys = [draw(st.tuples(lattice_rationals, lattice_rationals)) for _ in range(n)]
+    return [(draw(big_coefs), a, b) for a, b in keys]
+
+
+@st.composite
+def product_sums(draw):
+    """(c, p, q) terms with their reference dicts; with cancel, each product
+    also enters negated with its factors swapped, so the sum is 0."""
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        (p, rp), (q, rq) = (_poly_and_reference(draw(operands())) for _ in range(2))
+        out.append((draw(big_coefs), p, q, rp, rq))
+    if draw(st.booleans()):
+        out += [(-c, q, p, rq, rp) for c, p, q, rp, rq in out]
+    return out
+
+
+@settings(max_examples=120)
+@given(product_sums())
+def test_sum_of_products_matches_the_schoolbook_reference(terms):
+    want = {}
+    for c, _, _, rp, rq in terms:
+        want = ref.add(want, ref.mul(ref.mul(rp, rq), {(F(0), F(0)): F(c)}))
+    triples = [(c, p, q) for c, p, q, _, _ in terms]
+    for forced in ({}, ALWAYS_PACK):
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in forced.items():
+                mp.setattr(exprat, name, value)
+            got = sum_of_products(triples, W)
+        assert dict(got.terms) == want
+        assert got == sum((p * q * c for c, p, q in triples), ExpPoly())
+
+
+def _pair_loops(monkeypatch, run):
+    """run() and the number of ExpPoly.__mul__ calls it made with two
+    ExpPolys (schoolbook products; a scalar product is not counted)."""
+    mul = ExpPoly.__mul__
+    calls = []
+
+    def counting(a, b):
+        if isinstance(b, ExpPoly):
+            calls.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(ExpPoly, "__mul__", counting)
+    try:
+        result = run()
+    finally:
+        monkeypatch.setattr(ExpPoly, "__mul__", mul)
+    return result, len(calls)
+
+
+@pytest.mark.parametrize("gap, packed", [(1, True), (10 ** 6, False)])
+def test_a_sparse_sum_of_products_is_multiplied_term_by_term(monkeypatch, gap, packed):
+    # Eight spike waves per operand, the last one gap steps past the others:
+    # 4 pairs per operand term, above the crossover.  With a gap of 10**6 the
+    # v span is 10**6 slot steps, over 1000 times the 32 operand terms, and
+    # the sum is formed by ExpPoly products; with a gap of 1 it is packed.
+    def wave(k):
+        return spectral_key(F(1), F(k if k < 7 else 6 + gap))
+    p = [(k + 1, *wave(k)) for k in range(8)]
+    q = [(2 * k - 5, *wave(k)) for k in range(8)]
+    (fp, rp), (fq, rq) = _poly_and_reference(p), _poly_and_reference(q)
+    got, loops = _pair_loops(monkeypatch, lambda: sum_of_products(
+        [(3, fp, fq), (Fraction(-1, 2), fq, fq)], W))
+    want = ref.add(ref.mul(ref.mul(rp, rq), {(F(0), F(0)): F(3)}),
+                   ref.mul(ref.mul(rq, rq), {(F(0), F(0)): Fraction(-1, 2)}))
+    assert dict(got.terms) == want
+    assert (loops == 0) is packed

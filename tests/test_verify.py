@@ -17,7 +17,7 @@ from nwave.verify import (
     verify_config,
     verify_suite,
 )
-from nwave.wavesys import MINUS, PLUS, model, zero_config
+from nwave.wavesys import MINUS, PLUS, model, residual, zero_config
 
 W = wave_constants(1, "1/2", "1/3", 1)
 P2 = [("2", "1"), ("-1", "1/2")]
@@ -242,6 +242,43 @@ def test_suite_list_is_stable():
         "a2-full", "b2-full", "g2-hypothesis", "toda",
         "ab-chain", "gra",
     }
+
+
+#: The benchmark's frozen P3 and Q3 spike sets (bench/data/spikes.json).
+P3 = P2 + [("4", "1/3")]
+Q3 = Q2 + [("-3", "1/3")]
+
+
+def test_exact_verify_of_g2_forms_its_hirota_residuals_without_pair_loops(monkeypatch):
+    # G2 (2,1) on 3P+3Q: every Hirota residual has at least 2.5 term pairs
+    # per operand term, above exprat.PACK_PAIRS_PER_TERM, so each is one
+    # packed sum of products and no ExpPoly product runs its pair loop.  With
+    # f-1.0 doubled the failing equations' witnesses come from the same
+    # digits and equal the quotient-built residuals.
+    m = model("G2")
+    cfg = solution_from_tau(m, spectral_data(W, P3, Q3), 2, 1)
+    key = (MINUS, (1, 0))
+    bad = cfg.with_fields({key: cfg[key] * 2})
+    mul = ExpPoly.__mul__
+    pair_loops = []
+
+    def counting(a, b):
+        if isinstance(b, ExpPoly):
+            pair_loops.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(ExpPoly, "__mul__", counting)
+    good_rep, bad_rep = verify_config(m, cfg), verify_config(m, bad)
+    witnesses = [residual(m, bad, eq) for eq in m.equations]
+    monkeypatch.setattr(ExpPoly, "__mul__", mul)
+    assert not pair_loops
+    assert good_rep.passed and not bad_rep.passed
+    for eq, check, got in zip(m.equations, bad_rep.checks, witnesses):
+        rat = bad[eq.lhs].deriv(*eq.d_index, W)
+        for coef, a, b in eq.rhs:
+            rat = rat - bad[a] * bad[b] * coef
+        assert got == rat.num
+        assert check.passed is got.is_zero()
 
 
 def test_exact_verify_of_a_tau_solution_never_squares_tau(monkeypatch):
