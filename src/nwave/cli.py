@@ -114,11 +114,11 @@ def _read_within_limit(v: str):
 
 def _frac(v, what: str) -> Fraction:
     if not isinstance(v, str):
-        raise InputError(f"{what}: expected an exact rational string, got {v!r}")
+        raise InputError(f"{what}: expected an exact rational string, got {reprlib.repr(v)}")
     try:
         f = _read_rational(v)
     except (ValueError, ZeroDivisionError):
-        raise InputError(f"{what}: not a rational: {v!r}") from None
+        raise InputError(f"{what}: not a rational: {reprlib.repr(v)}") from None
     if f is None:
         raise InputError(f"{what}: too many digits to write back "
                          f"(limit {sys.get_int_max_str_digits()}): {reprlib.repr(v)}")

@@ -22,11 +22,14 @@ share one sum), and the group sums are multiplied as ExpPolys, which merges
 equal exponents.  The two-group recombination identity (check_gra) is a
 double sum of the same kind and uses the same Q subset sums.
 
-A tau solution's base tau and field numerators sum over many of the same
-P-subsets, so solution_from_tau builds them all from one set of pieces
-that lives for the call: each P-subset's term, coupled weights and Q
-subset sums, and each Q-subset's squared Vandermonde and exponent, which
-depend on positions only.
+P- and Q-subsets are the same kind of object.  _shapes lists the n-subsets
+of either spike list with their squared Vandermonde, position sum and
+exponent, which depend on positions only, and _subset_sum weights and sums
+them; a P-subset's term pcoef * exp(theta(psum, 0)) is the sum over its own
+shape alone.  A tau solution's base tau and field numerators sum over many
+of the same P-subsets, so _taus builds a list of tau values in one pass:
+each P-subset of a needed size is walked once, and its term, coupled
+weights and Q subset sums are shared by every order that sums over it.
 
 A field f^s_{p.q} at chain order (n1, n2) is the ratio
 
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .exprat import ExpPoly, ExpRational, LinForm, WaveConstants
 from .spectral import SpectralData, validate, wave_exponent
@@ -71,16 +74,6 @@ def _spikes(spikes) -> List[Pair]:
     return [(sp.pos, sp.weight) for sp in spikes]
 
 
-def _group_weight(sub: Sequence[Pair]) -> Tuple[Fraction, Fraction]:
-    """(product of weights * squared Vandermonde, sum of positions)."""
-    coef = vandermonde_sq([p for p, _ in sub])
-    tot = Fraction(0)
-    for p, w in sub:
-        coef *= w
-        tot += p
-    return coef, tot
-
-
 def _coupled(Q: Sequence[Pair], lams: Sequence[Fraction]) -> List[Fraction]:
     """Each Q-spike's weight divided by its coupling prod_lam (lam - mu)."""
     out = []
@@ -92,24 +85,26 @@ def _coupled(Q: Sequence[Pair], lams: Sequence[Fraction]) -> List[Fraction]:
     return out
 
 
-#: One subset of Q-spikes: its indices, squared Vandermonde, position sum and
-#: exponent theta(0, position sum).  All of it depends on positions only.
+#: One subset of P- or Q-spikes: its indices, squared Vandermonde, position
+#: sum and exponent.  All of it depends on positions only.
 _Shape = Tuple[Tuple[int, ...], Fraction, Fraction, LinForm]
 
 
-def _shapes(Q: Sequence[Pair], n: int, w: WaveConstants) -> List[_Shape]:
-    """The shape of every n-subset of Q."""
+def _shapes(spikes: Sequence[Pair], n: int, w: WaveConstants, axis: int) -> List[_Shape]:
+    """The shape of every n-subset of ``spikes``: P-spikes (axis 0) have the
+    exponent theta(sum, 0), Q-spikes (axis 1) theta(0, sum)."""
     out = []
-    for idx in itertools.combinations(range(len(Q)), n):
-        xs = [Q[k][0] for k in idx]
+    for idx in itertools.combinations(range(len(spikes)), n):
+        xs = [spikes[k][0] for k in idx]
         tot = sum(xs, Fraction(0))
-        out.append((idx, vandermonde_sq(xs), tot, wave_exponent(Fraction(0), tot, w)))
+        pos = (tot, Fraction(0)) if axis == 0 else (Fraction(0), tot)
+        out.append((idx, vandermonde_sq(xs), tot, wave_exponent(*pos, w)))
     return out
 
 
 def _subset_sum(shapes: Sequence[_Shape], weights: Sequence[Fraction],
                 moment: bool = False) -> ExpPoly:
-    """Sum over the given subsets of weight * exp(theta(0, position sum)).
+    """Sum over the given subsets of weight * exp(exponent).
 
     A subset's weight is its squared Vandermonde times the ``weights`` of
     its spikes, and also times its position sum when ``moment`` is set.
@@ -124,62 +119,43 @@ def _subset_sum(shapes: Sequence[_Shape], weights: Sequence[Fraction],
     return ExpPoly(terms)
 
 
-class _Pieces:
-    """The pieces of the tau values of one spectral data, each built once.
+def _taus(s: SpectralData, orders: Sequence[Tuple[int, Sequence[int]]]) -> List[ExpPoly]:
+    """tau(n1; qsizes) for each order (n1, qsizes), in one pass.
 
-    Q-subset shapes depend on positions only, so every P-subset shares
-    them.  A P-subset (its spike indices) has its term pcoef *
-    exp(theta(psum, 0)), its coupled Q weights and its Q subset sums by
-    size, shared by every tau value that sums over it.  An instance lives
-    for one call: solution_from_tau builds its base tau and every field's
-    numerator from one.
-    """
-
-    def __init__(self, s: SpectralData):
-        self.P, self.Q, self.w = _spikes(s.pspikes), _spikes(s.qspikes), s.constants
-        self._shapes: Dict[int, List[_Shape]] = {}
-        self._psubs: Dict[Tuple[int, ...],
-                          Tuple[ExpPoly, List[Fraction], Dict[int, ExpPoly]]] = {}
-
-    def parts(self, idx: Tuple[int, ...],
-              qsizes: Sequence[int]) -> Tuple[ExpPoly, List[ExpPoly]]:
-        """The term of P-subset ``idx`` and its Q subset sum for each size."""
-        part = self._psubs.get(idx)
-        if part is None:
-            psub = [self.P[k] for k in idx]
-            pcoef, psum = _group_weight(psub)
-            term = ExpPoly.term(pcoef, *wave_exponent(psum, Fraction(0), self.w))
-            part = self._psubs[idx] = (term, _coupled(self.Q, [lam for lam, _ in psub]), {})
-        term, coupled, sums = part
-        for n in qsizes:
-            if n not in sums:
-                if n not in self._shapes:
-                    self._shapes[n] = _shapes(self.Q, n, self.w)
-                sums[n] = _subset_sum(self._shapes[n], coupled)
-        return term, [sums[n] for n in qsizes]
-
-
-def _tau(s: SpectralData, n1: int, qsizes: Sequence[int],
-         pieces: Optional[_Pieces] = None) -> ExpPoly:
-    """Subset sum with one P-group of size n1 and independent Q-groups.
-
-    For a fixed P-subset the Q-groups are independent, so the sum over
-    their product factorises into one Q subset sum per group size.  A
-    caller that builds several tau values of ``s`` passes them one
-    ``pieces``, so what they have in common is built once.
+    Each P-subset of a needed size is walked once: its term, its coupled
+    Q weights and its Q subset sums by size are built then and shared by
+    every order that sums over it.  An order with a group size out of range
+    is zero.
     """
     validate(s)
-    if pieces is None:
-        pieces = _Pieces(s)
-    if n1 < 0 or n1 > len(pieces.P) or any(n < 0 or n > len(pieces.Q) for n in qsizes):
-        return ExpPoly.zero()
-    total = ExpPoly.zero()
-    for idx in itertools.combinations(range(len(pieces.P)), n1):
-        term, sums = pieces.parts(idx, qsizes)
-        for group in sums:
-            term = term * group
-        total = total + term
-    return total
+    P, Q, w = _spikes(s.pspikes), _spikes(s.qspikes), s.constants
+    by_n1: Dict[int, List[int]] = {}
+    for i, (n1, qsizes) in enumerate(orders):
+        if 0 <= n1 <= len(P) and all(0 <= n <= len(Q) for n in qsizes):
+            by_n1.setdefault(n1, []).append(i)
+    pweights = [v for _, v in P]
+    qshapes: Dict[int, List[_Shape]] = {}
+    totals = [ExpPoly.zero()] * len(orders)
+    for n1, users in by_n1.items():
+        for shape in _shapes(P, n1, w, 0):
+            term = _subset_sum([shape], pweights)
+            coupled = _coupled(Q, [P[k][0] for k in shape[0]])
+            sums: Dict[int, ExpPoly] = {}
+            for i in users:
+                acc = term
+                for n in orders[i][1]:
+                    if n not in sums:
+                        if n not in qshapes:
+                            qshapes[n] = _shapes(Q, n, w, 1)
+                        sums[n] = _subset_sum(qshapes[n], coupled)
+                    acc = acc * sums[n]
+                totals[i] = totals[i] + acc
+    return totals
+
+
+def _tau(s: SpectralData, n1: int, qsizes: Sequence[int]) -> ExpPoly:
+    """Subset sum with one P-group of size n1 and independent Q-groups."""
+    return _taus(s, [(n1, qsizes)])[0]
 
 
 def tau_U(s: SpectralData, n1: int, n2: int) -> ExpPoly:
@@ -211,16 +187,18 @@ def solution_from_tau(m: AlgebraModel, s: SpectralData, n1: int, n2: int) -> Fie
     if n1 < 0 or n2 < 0:
         raise ValueError("orders must be nonnegative")
     groups = max(q for _, q in m.roots)
-    pieces = _Pieces(s)
-    den = _tau(s, n1, (n2,) * groups, pieces)
-    if den.is_zero():
-        raise TauZero(f"tau{(n1,) + (n2,) * groups} vanishes identically: chain interrupted")
-    fields: Dict[FieldKey, ExpRational] = {}
-    for key in m.field_keys:
-        sign, (p, q) = key
+    interrupted = f"tau{(n1,) + (n2,) * groups} vanishes identically: chain interrupted"
+    if n1 > len(s.pspikes) or n2 > len(s.qspikes):
+        validate(s)  # invalid data is reported as such, not as an interruption
+        raise TauZero(interrupted)
+    orders = [(n1, (n2,) * groups)]
+    for sign, (p, q) in m.field_keys:
         step = -sign  # f^- raises the orders, f^+ lowers them
-        num = _tau(s, n1 + step * p, [n2 + step * (g < q) for g in range(groups)], pieces)
-        fields[key] = ExpRational(num * _SIGNS[key], den)
+        orders.append((n1 + step * p, [n2 + step * (g < q) for g in range(groups)]))
+    den, *nums = _taus(s, orders)
+    if den.is_zero():
+        raise TauZero(interrupted)
+    fields = {key: ExpRational(num * _SIGNS[key], den) for key, num in zip(m.field_keys, nums)}
     return FieldConfig(m.name, s.constants, fields)
 
 
@@ -238,8 +216,8 @@ def _gra_sides(s: SpectralData, lams: Sequence[Fraction], size1: int, size2: int
     uncoupled sums S2, S2' do not depend on lam and are built once.
     """
     Q, w = _spikes(s.qspikes), s.constants
-    shapes1 = _shapes(Q, size1, w)
-    shapes2 = shapes1 if size2 == size1 else _shapes(Q, size2, w)
+    shapes1 = _shapes(Q, size1, w, 1)
+    shapes2 = shapes1 if size2 == size1 else _shapes(Q, size2, w, 1)
     weights = [v for _, v in Q]
     s2 = _subset_sum(shapes2, weights)
     s2m = _subset_sum(shapes2, weights, moment=True) if multiplier else None

@@ -195,8 +195,8 @@ def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Rep
     the sum of its absolute term values over |its denominator|.  Points
     where the evaluator finds a denominator vanishing to working precision
     (|value| below its mass times 2**-POLE_BITS) are skipped and recorded
-    rather than aborting.  Only a failing equation has its exact residual
-    built, as the report's counterexample.
+    rather than aborting.  Only the first failing equation has its exact
+    residual built, as the report's counterexample.
     """
     if mode not in ("exact", "numeric"):
         raise ValueError(f"unknown mode {mode!r} (expected 'exact' or 'numeric')")
@@ -213,7 +213,7 @@ def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Rep
     for eq in m.equations:
         ok, detail = _judge(_equation_points(eq, points))
         rep.add(_eq_name(eq), ok, detail,
-                witness=None if ok else residual(m, cfg, eq))
+                witness=None if ok or rep.counterexample is not None else residual(m, cfg, eq))
     return rep
 
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+import reprlib
 import sys
 from fractions import Fraction
 
@@ -543,7 +544,7 @@ def test_document_numbers_read_as_fraction_reads_them(v, pos):
     except (ValueError, ZeroDivisionError):
         with pytest.raises(InputError) as exc:
             _poly_from_terms([[parts[:2], parts[2]]], "f+1.0.num")
-        assert str(exc.value) == f"{what}: not a rational: {v!r}"
+        assert str(exc.value) == f"{what}: not a rational: {reprlib.repr(v)}"
         return
     if want[pos] is None:
         with pytest.raises(InputError) as exc:
@@ -553,6 +554,23 @@ def test_document_numbers_read_as_fraction_reads_them(v, pos):
         return
     got = _poly_from_terms([[parts[:2], parts[2]]], "f+1.0.num")
     assert got == ExpPoly([((want[0], want[1]), want[2])])
+
+
+@pytest.mark.parametrize("value,message", [
+    ("1" * 5000 + "x", "not a rational: '111"),
+    ([1] * 5000, "expected an exact rational string, got [1, 1,"),
+], ids=["malformed-string", "long-list"])
+def test_malformed_long_number_gives_one_short_error_line(tmp_path, capsys, value, message):
+    # The offending value is abbreviated, as in the "too many digits" error.
+    out = construct(tmp_path, "A2", SPEC_22, 0, 0, "a2_seed.json")
+    doc = json.loads(out.read_text())
+    doc["fields"]["f-1.0"]["num"][0][1] = value
+    bad = write_json(tmp_path / "bad.json", doc)
+    capsys.readouterr()
+    assert main(["verify", "--in", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 100
+    assert err.startswith(f"error: f-1.0.num[0].coef: {message}")
 
 
 @pytest.mark.parametrize("number", ["1e5000", "-1e-999999999", "1" * 4000 + "." + "1" * 4000])

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from nwave import tau as tau_module
 from nwave.exprat import ExpPoly, ExpRational, wave_constants
 from nwave.spectral import initial_config, spectral_data
 from nwave.tau import (
@@ -14,6 +15,7 @@ from nwave.tau import (
     vandermonde_sq,
     _gra_sides,
     _tau,
+    _taus,
 )
 from nwave.transforms import TRANSFORMS, PivotZero, apply
 from nwave.verify import verify_config
@@ -172,6 +174,58 @@ def tau_orders(draw):
 def test_factorised_tau_matches_nested_loops(case):
     s, n1, qsizes = case
     assert _tau(s, n1, qsizes) == ref.tau(s, n1, qsizes)
+
+
+@st.composite
+def tau_order_lists(draw):
+    """Spike data and a list of orders (n1, qsizes): repeated orders, equal
+    group sizes and sizes out of range on either side included."""
+    s = draw(spike_data())
+    sizes = st.integers(-1, len(s.qspikes) + 1)
+    qsizes = st.one_of(st.lists(sizes, min_size=1, max_size=3),
+                       st.builds(lambda n, k: [n] * k, sizes, st.integers(1, 3)))
+    order = st.tuples(st.integers(-1, len(s.pspikes) + 1), qsizes)
+    orders = draw(st.lists(order, min_size=1, max_size=5))
+    return s, orders + draw(st.lists(st.sampled_from(orders), max_size=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tau_order_lists())
+def test_one_pass_taus_match_nested_loops(case):
+    # orders that share P-subsets share their pieces; each value must still
+    # be its own subset sum
+    s, orders = case
+    assert _taus(s, orders) == [ref.tau(s, n1, qsizes) for n1, qsizes in orders]
+
+
+def test_solution_validates_once_and_builds_its_taus_in_one_pass(monkeypatch):
+    calls = []
+
+    def counted(name):
+        real = getattr(tau_module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("validate", "_taus"):
+        monkeypatch.setattr(tau_module, name, counted(name))
+    cfg = solution_from_tau(model("G2"), spectral_data(W, P2, Q3), 1, 1)
+    assert calls == ["_taus", "validate"]
+    assert verify_config(model("G2"), cfg).passed
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_out_of_range_base_order_raises_before_any_subset(monkeypatch, name):
+    def no_shapes(*args):
+        raise AssertionError("a subset was enumerated")
+
+    monkeypatch.setattr(tau_module, "_shapes", no_shapes)
+    s = spectral_data(W, P2, Q2)
+    for n1, n2 in [(3, 0), (0, 3), (3, 3)]:
+        with pytest.raises(TauZero):
+            solution_from_tau(model(name), s, n1, n2)
 
 
 @settings(max_examples=40, deadline=None)

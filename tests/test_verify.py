@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from nwave import wavesys
 from nwave.cli import config_from_doc, config_to_doc
 from nwave.exprat import _ZERO_FIELD, ONE, ExpPoly, ExpRational, grid_values, wave_constants
 from nwave.spectral import spectral_data
@@ -202,6 +203,24 @@ def test_passing_numeric_check_builds_no_residual(monkeypatch):
     assert all("over 9 points" in c.detail for c in rep.checks)
 
 
+def test_failing_numeric_check_builds_one_residual(monkeypatch):
+    # The report renders only the first failing equation's residual, so
+    # only that one is built.
+    m, bad = model("A2"), perturbed()
+    built = []
+
+    def counting(*args):
+        built.append(args[2])
+        return residual(*args)
+
+    monkeypatch.setattr("nwave.verify.residual", counting)
+    rep = verify_config(m, bad, "numeric")
+    failed = [eq for eq, c in zip(m.equations, rep.checks) if not c.passed]
+    assert len(failed) >= 2
+    assert built == failed[:1]
+    assert rep.counterexample == render_poly(residual(m, bad, failed[0]))
+
+
 def test_grid_is_nine_rational_points():
     assert len(GRID) == 9
     assert len(set(GRID)) == 9
@@ -285,21 +304,30 @@ def test_exact_verify_of_a_tau_solution_never_squares_tau(monkeypatch):
     # Every field of a tau solution is N/tau: the exact proof is bilinear in
     # the numerators and never multiplies tau by tau, also when the fields
     # hold equal copies of tau, as after a round trip through a document.
+    # A product is formed either by ExpPoly.__mul__ or, as a (p, q) operand
+    # pair, by the sum of products that residual hands to the packed
+    # kernel; both paths are recorded.
     m = model("G2")
     cfg = solution_from_tau(m, spectral_data(W, P2, Q2 + [("-3", "1/3")]), 1, 1)
     tau = cfg[(MINUS, (1, 0))].den
     assert tau != ONE
-    mul = ExpPoly.__mul__
+    mul, packed = ExpPoly.__mul__, wavesys.sum_of_products
     for c in (cfg, config_from_doc(config_to_doc(cfg))):
         assert all(f.den == tau for f in c.fields.values() if not f.is_zero())
         products = []
 
-        def recording(a, b):
+        def recording_mul(a, b):
             products.append((a, b))
             return mul(a, b)
 
-        monkeypatch.setattr(ExpPoly, "__mul__", recording)
-        rep = verify_config(m, c)
-        monkeypatch.setattr(ExpPoly, "__mul__", mul)
+        def recording_packed(terms, w):
+            terms = list(terms)
+            products.extend((p, q) for _, p, q in terms)
+            return packed(terms, w)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ExpPoly, "__mul__", recording_mul)
+            patch.setattr(wavesys, "sum_of_products", recording_packed)
+            rep = verify_config(m, c)
         assert rep.passed and products
         assert not any(a == tau and b == tau for a, b in products)
