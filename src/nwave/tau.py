@@ -7,29 +7,41 @@ factorials and no ordered tuples appear anywhere: plain subset sums make
 tau_U(1,0) equal f-1.0 on the nose, and all remaining per-field constants
 live in one calibration table.
 
+The sums run on integers.  All spike positions (and check_gra's probes) are
+put over one common denominator D, and the weights of each spike list over
+one denominator of their own.  A subset's squared Vandermonde and position
+sum are then integers; _shapes lists them once per subset size.
+
 The coupling of a P-subset to a Q-subset is a product over Q-spikes,
 1/prod_{lam, mu} (lam - mu) = prod_mu 1/prod_lam (lam - mu), so once the
 P-subset is fixed every Q-spike carries its own coupled weight
-w_mu / prod_lam (lam - mu) and the sum over the independent Q-groups
-factorises:
+w_mu / prod_lam (lam - mu).  Over ell, the lcm of the P-subset's couplings
+prod_lam (lam - mu), these are integers with the one content 1/ell.  The
+sum over the independent Q-groups then factorises:
 
     tau = sum_psub  pcoef * exp(theta(psum, 0)) * prod_g S_{n_g}(psub),
 
-where S_n(psub) is the ExpPoly sum over the n-subsets of Q of the squared
-Vandermonde times the coupled weights, times exp(theta(0, qsum)).  Each
-distinct group size is summed once per P-subset (G2's three equal groups
-share one sum), and the group sums are multiplied as ExpPolys, which merges
-equal exponents.  The two-group recombination identity (check_gra) is a
-double sum of the same kind and uses the same Q subset sums.
+where the row S_n(psub) is the sum over the n-subsets of Q of the squared
+Vandermonde times the coupled weights, as an integer polynomial in the Q
+position sum.  Each distinct group size is summed once per P-subset (G2's
+three equal groups share one row), and the group rows are multiplied as
+integer convolutions.
 
-P- and Q-subsets are the same kind of object.  _shapes lists the n-subsets
-of either spike list with their squared Vandermonde, position sum and
-exponent, which depend on positions only, and _subset_sum weights and sums
-them; a P-subset's term pcoef * exp(theta(psum, 0)) is the sum over its own
-shape alone.  A tau solution's base tau and field numerators sum over many
-of the same P-subsets, so _taus builds a list of tau values in one pass:
-each P-subset of a needed size is walked once, and its term, coupled
-weights and Q subset sums are shared by every order that sums over it.
+A tau value is thus a set of integer rows keyed by (psum, qsum), one row per
+P-subset, each with its content 1/ell^N (N the total Q-group size).  The
+contents are reconciled once per tau value over the lcm of the ells; the
+powers of D and of the weight denominators make one rational content per
+tau value.  Only then are the keys mapped to exponents,
+theta(psum/D, qsum/D) = (psum*(d1, -c1) + qsum*(d2, -c2))/D, on the lattice
+of scale D*lcm(denominators of c1, c2, d1, d2), and the ExpPoly is built
+from that lattice in one step.
+
+A tau solution's base tau and field numerators sum over many of the same
+P-subsets, so _taus builds a list of tau values in one pass: each P-subset
+of a needed size is walked once, and its coupled weights and rows are
+shared by every order that sums over it.  The two-group recombination
+identity (check_gra) is a double sum of the same kind and uses the same
+rows.
 
 A field f^s_{p.q} at chain order (n1, n2) is the ratio
 
@@ -49,107 +61,152 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .exprat import ExpPoly, ExpRational, LinForm, WaveConstants
-from .spectral import SpectralData, validate, wave_exponent
+from .exprat import ExpPoly, ExpRational, WaveConstants
+from .spectral import SpectralData, validate
 from .wavesys import AlgebraModel, FieldConfig, FieldKey, MINUS, PLUS
-
-Pair = Tuple[Fraction, Fraction]  # (position, weight)
 
 
 class TauZero(ArithmeticError):
     """Denominator tau vanishes identically: the chain is interrupted."""
 
 
-def vandermonde_sq(xs: Sequence[Fraction]) -> Fraction:
-    acc = Fraction(1)
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            acc *= (xs[j] - xs[i]) ** 2
-    return acc
+#: An integer polynomial in the Q position sum, {qsum: coefficient}.
+_Row = Dict[int, int]
+
+#: One subset of integer positions: its indices, squared Vandermonde and
+#: position sum.
+_Shape = Tuple[Tuple[int, ...], int, int]
 
 
-def _spikes(spikes) -> List[Pair]:
-    return [(sp.pos, sp.weight) for sp in spikes]
+def _over_one(values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """(numerators, den): the values as integers over their least common
+    denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _coupled(Q: Sequence[Pair], lams: Sequence[Fraction]) -> List[Fraction]:
-    """Each Q-spike's weight divided by its coupling prod_lam (lam - mu)."""
+def _shapes(xs: Sequence[int], n: int) -> List[_Shape]:
+    """The shape of every n-subset of the integer positions ``xs``."""
     out = []
-    for mu, v in Q:
-        c = Fraction(1)
+    for idx in itertools.combinations(range(len(xs)), n):
+        sub = [xs[k] for k in idx]
+        vdm = 1
+        for a, b in itertools.combinations(sub, 2):
+            vdm *= (a - b) * (a - b)
+        out.append((idx, vdm, sum(sub)))
+    return out
+
+
+def _row(shapes: Sequence[_Shape], weights: Sequence[int]) -> _Row:
+    """Sum over the given subsets of their squared Vandermonde times the
+    ``weights`` of their spikes, keyed by position sum."""
+    row: _Row = {}
+    get = row.get
+    for idx, c, tot in shapes:
+        for k in idx:
+            c *= weights[k]
+        row[tot] = get(tot, 0) + c
+    return row
+
+
+def _convolve(a: _Row, b: _Row) -> _Row:
+    out: _Row = {}
+    get = out.get
+    items = list(b.items())
+    for ea, ca in a.items():
+        for eb, cb in items:
+            e = ea + eb
+            out[e] = get(e, 0) + ca * cb
+    return out
+
+
+def _coupled(qpos: Sequence[int], qweights: Sequence[int],
+             lams: Sequence[int]) -> Tuple[List[int], int]:
+    """(weights, ell): each Q-spike's weight divided by its coupling
+    prod_lam (lam - mu), as integers over ell, the lcm of the couplings."""
+    couplings = []
+    for mu in qpos:
+        c = 1
         for lam in lams:
             c *= lam - mu
-        out.append(v / c)
-    return out
+        couplings.append(c)
+    ell = lcm(*couplings)
+    return [v * (ell // c) for v, c in zip(qweights, couplings)], ell
 
 
-#: One subset of P- or Q-spikes: its indices, squared Vandermonde, position
-#: sum and exponent.  All of it depends on positions only.
-_Shape = Tuple[Tuple[int, ...], Fraction, Fraction, LinForm]
+def _to_poly(rows: Dict[int, _Row], den: int, w: WaveConstants, content: Fraction) -> ExpPoly:
+    """content * sum n * exp(theta(psum/den, qsum/den)) over {psum: {qsum: n}}.
 
-
-def _shapes(spikes: Sequence[Pair], n: int, w: WaveConstants, axis: int) -> List[_Shape]:
-    """The shape of every n-subset of ``spikes``: P-spikes (axis 0) have the
-    exponent theta(sum, 0), Q-spikes (axis 1) theta(0, sum)."""
-    out = []
-    for idx in itertools.combinations(range(len(spikes)), n):
-        xs = [spikes[k][0] for k in idx]
-        tot = sum(xs, Fraction(0))
-        pos = (tot, Fraction(0)) if axis == 0 else (Fraction(0), tot)
-        out.append((idx, vandermonde_sq(xs), tot, wave_exponent(*pos, w)))
-    return out
-
-
-def _subset_sum(shapes: Sequence[_Shape], weights: Sequence[Fraction],
-                moment: bool = False) -> ExpPoly:
-    """Sum over the given subsets of weight * exp(exponent).
-
-    A subset's weight is its squared Vandermonde times the ``weights`` of
-    its spikes, and also times its position sum when ``moment`` is set.
+    theta(psum, qsum) = psum*(d1, -c1) + qsum*(d2, -c2) takes distinct
+    (psum, qsum) to distinct exponents, since delta != 0.
     """
-    terms: Dict[LinForm, Fraction] = {}
-    for idx, coef, tot, key in shapes:
-        for k in idx:
-            coef *= weights[k]
-        if moment:
-            coef *= tot
-        terms[key] = terms.get(key, Fraction(0)) + coef
-    return ExpPoly(terms)
+    speeds = (w.d1, w.d2, w.c1, w.c2)
+    h = lcm(*(f.denominator for f in speeds))
+    d1, d2, c1, c2 = (f.numerator * (h // f.denominator) for f in speeds)
+    ints = {}
+    for psum, row in rows.items():
+        a, b = psum * d1, -psum * c1
+        for qsum, n in row.items():
+            ints[(a + qsum * d2, b - qsum * c2)] = n
+    return ExpPoly.from_lattice(den * h, ints, content)
 
 
 def _taus(s: SpectralData, orders: Sequence[Tuple[int, Sequence[int]]]) -> List[ExpPoly]:
     """tau(n1; qsizes) for each order (n1, qsizes), in one pass.
 
-    Each P-subset of a needed size is walked once: its term, its coupled
-    Q weights and its Q subset sums by size are built then and shared by
-    every order that sums over it.  An order with a group size out of range
-    is zero.
+    Each P-subset of a needed size is walked once: its coupled Q weights
+    and its Q rows by size are built then and shared by every order that
+    sums over it.  An order with a group size out of range is zero.
     """
     validate(s)
-    P, Q, w = _spikes(s.pspikes), _spikes(s.qspikes), s.constants
+    P, Q = s.pspikes, s.qspikes
+    pos, den = _over_one([sp.pos for sp in P + Q])
+    ppos, qpos = pos[:len(P)], pos[len(P):]
+    pweights, pden = _over_one([sp.weight for sp in P])
+    qweights, qden = _over_one([sp.weight for sp in Q])
     by_n1: Dict[int, List[int]] = {}
     for i, (n1, qsizes) in enumerate(orders):
         if 0 <= n1 <= len(P) and all(0 <= n <= len(Q) for n in qsizes):
             by_n1.setdefault(n1, []).append(i)
-    pweights = [v for _, v in P]
     qshapes: Dict[int, List[_Shape]] = {}
     totals = [ExpPoly.zero()] * len(orders)
     for n1, users in by_n1.items():
-        for shape in _shapes(P, n1, w, 0):
-            term = _subset_sum([shape], pweights)
-            coupled = _coupled(Q, [P[k][0] for k in shape[0]])
-            sums: Dict[int, ExpPoly] = {}
+        pshapes = _shapes(ppos, n1)
+        coupled = [_coupled(qpos, qweights, [ppos[k] for k in idx]) for idx, _, _ in pshapes]
+        ell_all = lcm(*(ell for _, ell in coupled))
+        rows: Dict[int, Dict[int, _Row]] = {i: {} for i in users}
+        for (idx, pcoef, psum), (weights, ell) in zip(pshapes, coupled):
+            for k in idx:
+                pcoef *= pweights[k]
+            lift = ell_all // ell
+            groups: Dict[int, _Row] = {}
             for i in users:
-                acc = term
-                for n in orders[i][1]:
-                    if n not in sums:
+                qsizes = orders[i][1]
+                product = {0: 1}
+                for n in qsizes:
+                    if n not in groups:
                         if n not in qshapes:
-                            qshapes[n] = _shapes(Q, n, w, 1)
-                        sums[n] = _subset_sum(qshapes[n], coupled)
-                    acc = acc * sums[n]
-                totals[i] = totals[i] + acc
+                            qshapes[n] = _shapes(qpos, n)
+                        groups[n] = _row(qshapes[n], weights)
+                    product = _convolve(product, groups[n])
+                mult = pcoef * lift ** sum(qsizes)
+                out = rows[i].setdefault(psum, {})
+                get = out.get
+                for qsum, c in product.items():
+                    out[qsum] = get(qsum, 0) + mult * c
+        for i in users:
+            qsizes = orders[i][1]
+            total = sum(qsizes)
+            # D^n1 from each coupled weight, over D^(n(n-1)) from each
+            # squared Vandermonde, the weight denominators and ell_all from
+            # each coupled weight
+            e = n1 * total - n1 * (n1 - 1) - sum(n * (n - 1) for n in qsizes)
+            content = Fraction(den ** max(e, 0),
+                               den ** max(-e, 0) * pden ** n1 * (qden * ell_all) ** total)
+            totals[i] = _to_poly(rows[i], den, s.constants, content)
     return totals
 
 
@@ -211,22 +268,29 @@ def _gra_sides(s: SpectralData, lams: Sequence[Fraction], size1: int, size2: int
     independent size2-group.
 
     With the multiplier (t1 - t2), the difference of the groups' position
-    sums, the double sum is S1' * S2 - S1 * S2', where ' marks a subset sum
-    weighted by its position sum; without it, S1 * S2.  The shapes and the
-    uncoupled sums S2, S2' do not depend on lam and are built once.
+    sums, each pair of subsets is weighted by that difference, an integer
+    over D; without it, the double sum is S1 * S2.  The shapes and the
+    uncoupled row S2 do not depend on lam and are built once.
     """
-    Q, w = _spikes(s.qspikes), s.constants
-    shapes1 = _shapes(Q, size1, w, 1)
-    shapes2 = shapes1 if size2 == size1 else _shapes(Q, size2, w, 1)
-    weights = [v for _, v in Q]
-    s2 = _subset_sum(shapes2, weights)
-    s2m = _subset_sum(shapes2, weights, moment=True) if multiplier else None
+    Q = s.qspikes
+    pos, den = _over_one([sp.pos for sp in Q] + list(lams))
+    qpos = pos[:len(Q)]
+    qweights, qden = _over_one([sp.weight for sp in Q])
+    shapes1 = _shapes(qpos, size1)
+    s2 = _row(shapes1 if size2 == size1 else _shapes(qpos, size2), qweights)
+    # the powers of D: the coupling to lam, both squared Vandermondes and
+    # the multiplier
+    e = size1 - size1 * (size1 - 1) - size2 * (size2 - 1) - int(multiplier)
+    content = Fraction(den) ** e / qden ** (size1 + size2)
     out = []
-    for lam in lams:
-        coupled = _coupled(Q, [lam])
-        s1 = _subset_sum(shapes1, coupled)
-        out.append(_subset_sum(shapes1, coupled, moment=True) * s2 - s1 * s2m
-                   if multiplier else s1 * s2)
+    for lam in pos[len(Q):]:
+        weights, ell = _coupled(qpos, qweights, [lam])
+        side: _Row = {}
+        get = side.get
+        for t1, c1 in _row(shapes1, weights).items():
+            for t2, c2 in s2.items():
+                side[t1 + t2] = get(t1 + t2, 0) + c1 * c2 * (t1 - t2 if multiplier else 1)
+        out.append(_to_poly({0: side}, den, s.constants, content / ell ** size1))
     return out
 
 
@@ -238,6 +302,8 @@ def check_gra(s: SpectralData, n: int) -> bool:
     right side over an (n+2)-group and an n-group.  Checked at every P-spike
     position (or at a synthetic probe when P is empty).
     """
+    if n < 0:
+        raise ValueError(f"level must be nonnegative, got {n}")
     validate(s)
     if len(s.qspikes) < n + 2:
         raise ValueError(f"need at least {n + 2} qspikes, got {len(s.qspikes)}")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,8 +13,8 @@ from nwave.tau import (
     solution_from_tau,
     tau_U,
     tau_V_B2,
-    vandermonde_sq,
     _gra_sides,
+    _shapes,
     _tau,
     _taus,
 )
@@ -30,15 +31,14 @@ Q2 = [("1", "1"), ("1/2", "2")]
 Q3 = Q2 + [("-3", "1/3")]
 
 
-def frac(v):
-    return Fraction(v)
-
-
 def test_vandermonde_sq():
-    assert vandermonde_sq([]) == 1
-    assert vandermonde_sq([frac(7)]) == 1
-    assert vandermonde_sq([frac(1), frac(3)]) == 4
-    assert vandermonde_sq([frac(1), frac(2), frac(3)]) == 4
+    # each subset of integer positions with its squared Vandermonde and sum
+    assert _shapes([], 0) == [((), 1, 0)]
+    assert _shapes([7], 1) == [((0,), 1, 7)]
+    assert _shapes([1, 3], 2) == [((0, 1), 4, 4)]
+    assert _shapes([1, 2, 3], 3) == [((0, 1, 2), 4, 6)]
+    assert _shapes([-2, 1, 3], 2) == [((0, 1), 9, -1), ((0, 2), 25, 1), ((1, 2), 4, 4)]
+    assert _shapes([1, 2], 3) == []
 
 
 def test_tau_u_base_and_vanishing():
@@ -133,6 +133,12 @@ def test_gra_needs_enough_spikes():
         check_gra(spectral_data(W, P2, Q2), 1)
 
 
+@pytest.mark.parametrize("n", [-1, -2, -5])
+def test_gra_refuses_a_negative_level(n):
+    with pytest.raises(ValueError, match=f"level must be nonnegative, got {n}"):
+        check_gra(spectral_data(W, P2, Q3), n)
+
+
 def test_gra_fails_when_perturbed():
     # wrong split on the right side, and wrong multiplier orientation
     s = spectral_data(W, P2, Q3)
@@ -146,18 +152,32 @@ def test_gra_fails_when_perturbed():
 # -- the factorised sums against the nested-loop reference ---------------------
 
 small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+#: Positions and weights whose denominators, up to 12, are often coprime.
+lattice_rationals = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 12))
 
 
 @st.composite
-def spike_data(draw, p=(0, 4), q=(0, 4)):
+def spike_data(draw, p=(0, 4), q=(0, 4), constants=st.just(W), values=small_rationals):
     """Distinct positions, P and Q disjoint, nonzero weights; p, q bound the counts."""
     n_p = draw(st.integers(*p))
     n_q = draw(st.integers(*q))
     n = n_p + n_q
-    pos = draw(st.lists(small_rationals, min_size=n, max_size=n, unique=True))
-    wts = draw(st.lists(small_rationals.filter(bool), min_size=n, max_size=n))
+    pos = draw(st.lists(values, min_size=n, max_size=n, unique=True))
+    wts = draw(st.lists(values.filter(bool), min_size=n, max_size=n))
     spikes = list(zip(pos, wts))
-    return spectral_data(W, spikes[:n_p], spikes[n_p:])
+    return spectral_data(draw(constants), spikes[:n_p], spikes[n_p:])
+
+
+@st.composite
+def lattice_constants(draw):
+    """Wave constants of either sign whose four denominators are distinct
+    (up to 12), with delta != 0."""
+    dens = draw(st.lists(st.integers(1, 12), min_size=4, max_size=4, unique=True))
+    c1, c2, d1, d2 = [
+        Fraction(draw(st.integers(-20, 20).filter(lambda n, d=d: n and gcd(n, d) == 1)), d)
+        for d in dens]
+    assume(c1 * d2 != c2 * d1)
+    return wave_constants(c1, c2, d1, d2)
 
 
 @st.composite
@@ -196,6 +216,41 @@ def test_one_pass_taus_match_nested_loops(case):
     # be its own subset sum
     s, orders = case
     assert _taus(s, orders) == [ref.tau(s, n1, qsizes) for n1, qsizes in orders]
+
+
+@settings(max_examples=60, deadline=None)
+@given(spike_data(p=(0, 3), q=(0, 4), constants=lattice_constants(), values=lattice_rationals),
+       st.data())
+def test_lattice_taus_match_nested_loops_on_random_constants(s, data):
+    # the lattice scale comes from the position, weight and speed denominators
+    group = st.lists(st.integers(0, len(s.qspikes)), min_size=1, max_size=3)
+    orders = data.draw(st.lists(st.tuples(st.integers(0, len(s.pspikes)), group),
+                                min_size=1, max_size=4))
+    assert _taus(s, orders) == [ref.tau(s, n1, qsizes) for n1, qsizes in orders]
+
+
+@settings(max_examples=40, deadline=None)
+@given(spike_data(p=(0, 0), q=(0, 4), constants=lattice_constants(), values=lattice_rationals),
+       st.lists(lattice_rationals, min_size=1, max_size=3), st.data(), st.booleans())
+def test_lattice_gra_sides_match_double_sum_on_random_constants(s, lams, data, multiplier):
+    assume(all(sp.pos != lam for sp in s.qspikes for lam in lams))
+    size1, size2 = data.draw(st.tuples(*[st.integers(0, len(s.qspikes))] * 2))
+    assert (_gra_sides(s, lams, size1, size2, multiplier)
+            == [ref.gra_side(s, lam, size1, size2, multiplier) for lam in lams])
+
+
+def test_tau_values_are_built_from_the_lattice_alone(monkeypatch):
+    # no subset sum goes through the Fraction-keyed ExpPoly constructor
+    def no_fraction_keys(self, terms=None):
+        raise AssertionError("ExpPoly built from Fraction-keyed terms")
+
+    p3 = P2 + [("4", "1/3")]
+    q4 = Q3 + [("3", "-1")]
+    monkeypatch.setattr(ExpPoly, "__init__", no_fraction_keys)
+    cfg = solution_from_tau(model("G2"), spectral_data(W, p3, q4), 2, 2)
+    assert check_gra(spectral_data(W, P2, q4), 1)
+    monkeypatch.undo()
+    assert verify_config(model("G2"), cfg).passed
 
 
 def test_solution_validates_once_and_builds_its_taus_in_one_pass(monkeypatch):
