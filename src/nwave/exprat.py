@@ -26,7 +26,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import mul
-from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import libmp
@@ -772,18 +772,18 @@ class ExpRational:
     def const(c: RatLike) -> "ExpRational":
         return ExpRational(ExpPoly.const(c))
 
+    @staticmethod
+    def all_over(nums: Iterable[ExpPoly], den) -> List["ExpRational"]:
+        """[ExpRational(num, den) for num in nums], with den normalized once
+        into one object that every value holds (see common_denominator)."""
+        u = ExpRational(1, den)
+        return [_rat(n * u.num._content, u._shift, u._atoms, u._den) for n in nums]
+
     def is_zero(self) -> bool:
         return not self.num._ints
 
     def is_poly(self) -> bool:
         return self.den == ONE
-
-    def shares_den(self, other: "ExpRational") -> bool:
-        """Whether other has this denominator, factored the same way: then
-        their sum is over it, and their product over its square."""
-        if self._atoms is None and other._atoms is None:
-            return self._den == other._den  # both as given to the constructor
-        return self._factors() == other._factors()
 
     @property
     def den(self) -> ExpPoly:
@@ -801,21 +801,13 @@ class ExpRational:
         """The numerator over exp(shift) * prod(atoms), a multiple of this
         value's denominator."""
         own_shift, own = self._factors()
-        num = _shifted(self.num, _sum_shift(shift, own_shift, -1))
+        num = self.num
+        if shift != own_shift:
+            num = _shifted(num, _sum_shift(shift, own_shift, -1))
         for a, k in atoms.items():
             for _ in range(k - own.get(a, 0)):
                 num = num * a
         return num
-
-    def _lcm(self, other: "ExpRational") -> Tuple[LinForm, Dict[ExpPoly, int]]:
-        """(shift, atoms) of the least common denominator of self and other."""
-        (a1, b1), atoms = self._factors()
-        (a2, b2), more = other._factors()
-        atoms = dict(atoms)
-        for a, k in more.items():
-            if k > atoms.get(a, 0):
-                atoms[a] = k
-        return (max(a1, a2), max(b1, b2)), atoms
 
     # -- field operations --------------------------------------------------
 
@@ -827,10 +819,7 @@ class ExpRational:
             return other
         if not other.num._ints:
             return self
-        factors = self._factors()
-        if factors == other._factors():
-            return _rat(self.num + other.num, *factors, self._den or other._den)
-        shift, atoms = self._lcm(other)
+        shift, atoms = _lcm((self, other))
         return _rat(self._over(shift, atoms) + other._over(shift, atoms), shift, atoms)
 
     __radd__ = __add__
@@ -909,15 +898,9 @@ class ExpRational:
         other = _coerce_rational(other)
         if other is NotImplemented:
             return NotImplemented
-        s1, atoms = self._factors()
-        s2, more = other._factors()
-        if atoms == more:
-            if s1 == s2:
-                return self.num == other.num
-            return _shifted(self.num, _sum_shift(s2, s1, -1)) == other.num
         if not (self.num._ints and other.num._ints):
-            return False
-        shift, atoms = self._lcm(other)
+            return not (self.num._ints or other.num._ints)
+        shift, atoms = _lcm((self, other))
         return self._over(shift, atoms) == other._over(shift, atoms)
 
     def __hash__(self) -> int:
@@ -1050,6 +1033,40 @@ def _rat(num: ExpPoly, shift: LinForm, atoms: Dict[ExpPoly, int],
 
 
 _ZERO_RAT = ExpRational(_ZERO)
+
+
+def _lcm(values: Sequence[ExpRational]) -> Tuple[LinForm, Dict[ExpPoly, int]]:
+    """(shift, atoms) of the least common denominator of the values: each
+    atom at its largest multiplicity, times the componentwise larger
+    monomial; the first value's own objects when it already is that."""
+    shift, atoms = values[0]._factors()
+    for v in values[1:]:
+        s, more = v._factors()
+        if s != shift:
+            shift = (max(shift[0], s[0]), max(shift[1], s[1]))
+        grow = {a: k for a, k in more.items() if k > atoms.get(a, 0)}
+        if grow:
+            atoms = {**atoms, **grow}
+    return shift, atoms
+
+
+def common_denominator(values: Sequence[ExpRational]) -> Tuple[ExpPoly, List[ExpPoly]]:
+    """(L, [N]): the least common denominator L of the values, expanded,
+    and each value's numerator over it, so that v = N / L.
+
+    When the nonzero values hold one denominator as given to a constructor
+    (one object, from ExpRational.all_over, or equal ones, from a document),
+    L is that denominator, found with nothing split; otherwise it is the
+    _lcm of the factored denominators, which is the same polynomial there.
+    """
+    live = [v for v in values if v.num._ints] or [_ZERO_RAT]
+    first = live[0]
+    if first._den is not None and all(v._den is first._den or v._den == first._den
+                                      for v in live):
+        return first._den, [v.num for v in values]
+    shift, atoms = _lcm(live)
+    den = first.den if (shift, atoms) == first._factors() else _rat(ONE, shift, atoms).den
+    return den, [v._over(shift, atoms) for v in values]
 
 
 # -- numeric evaluation -----------------------------------------------------------

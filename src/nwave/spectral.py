@@ -5,8 +5,8 @@ Spectral data are two families of spikes: P-spikes at positions lambda
 annihilated by D_{0,1}).  The seed configuration of each algebra is its
 order-(0,0) tau solution (``nwave.tau.solution_from_tau``): every f^+ is
 zero, and each f^- is a subset sum of coupled spike waves over the constant
-base tau 1.  All constructions are exact over Fraction; correctness means
-residual zero for every equation of the algebra, which the tests enforce.
+base tau 1.  Every construction is exact, in integers and rationals;
+correctness means residual zero for every equation, which the tests enforce.
 """
 
 from __future__ import annotations

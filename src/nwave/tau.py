@@ -255,7 +255,8 @@ def solution_from_tau(m: AlgebraModel, s: SpectralData, n1: int, n2: int) -> Fie
     den, *nums = _taus(s, orders)
     if den.is_zero():
         raise TauZero(interrupted)
-    fields = {key: ExpRational(num * _SIGNS[key], den) for key, num in zip(m.field_keys, nums)}
+    fields = dict(zip(m.field_keys, ExpRational.all_over(
+        [num * _SIGNS[key] for key, num in zip(m.field_keys, nums)], den)))
     return FieldConfig(m.name, s.constants, fields)
 
 

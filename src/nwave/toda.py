@@ -263,9 +263,8 @@ def first_root_chain(cfg: FieldConfig, steps: int) -> FieldConfig:
     if den.is_zero():
         raise PivotZero("FIRST_ROOT_CHAIN", (MINUS, (1, 0)), step=steps)
     fields = {key: ExpRational.zero() for key in _FRC_ZERO_KEYS}
-    fields[(PLUS, (1, 0))] = ExpRational(plain(steps - 1), den)
-    fields[(MINUS, (1, 0))] = ExpRational(plain(steps + 1), den)
-    fields[(MINUS, (0, 1))] = ExpRational(bordered(steps), den)
-    fields[(MINUS, (1, 1))] = ExpRational(bordered(steps + 1), den)
-    fields[(MINUS, (1, 2))] = ExpRational(double_bordered(steps + 1), den)
+    keys = [(PLUS, (1, 0)), (MINUS, (1, 0)), (MINUS, (0, 1)), (MINUS, (1, 1)), (MINUS, (1, 2))]
+    nums = [plain(steps - 1), plain(steps + 1), bordered(steps), bordered(steps + 1),
+            double_bordered(steps + 1)]
+    fields.update(zip(keys, ExpRational.all_over(nums, den)))
     return FieldConfig("B2", w, fields)

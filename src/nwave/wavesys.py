@@ -8,14 +8,14 @@ bilinear first-order system — one equation
 per signed root.  Keeping the equations as data means the verifier and the
 transformation engine share a single source of truth.
 
-``residual`` is the one per-equation exact check.  The fields of a tau
-solution are N_k/tau with one tau, so there it checks each equation in
-Hirota's bilinear form: multiplied by tau^2 the equation reads
+``residual`` is the one per-equation exact check, always in Hirota's
+bilinear form.  With the equation's fields written N_k/L over the least
+common denominator L of their denominators (tau itself for a tau solution),
+the equation times L^2 reads
 
-    D(N_lhs)*tau - N_lhs*D(tau) - sum_k coef_k * N_{A_k} * N_{B_k} = 0,
+    D(N_lhs)*L - N_lhs*D(L) - sum_k coef_k * N_{A_k} * N_{B_k} = 0,
 
-a polynomial identity in which tau*tau never appears.  Fields with
-different denominators are combined as quotients instead.
+a polynomial identity in which L*L never appears.
 
 The exchanges at the end are signed root maps under which an equation set
 is symmetric; ``transforms`` conjugates its maps by them.
@@ -24,10 +24,9 @@ is symmetric; ``transforms`` conjugates its maps by them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Tuple
 
-from .exprat import ExpPoly, ExpRational, WaveConstants, sum_of_products
+from .exprat import ExpPoly, ExpRational, WaveConstants, common_denominator, sum_of_products
 
 Root = Tuple[int, int]
 #: A signed field key: (sign, (p, q)) with sign in {+1, -1} naming f^sign_{p.q}.
@@ -184,43 +183,25 @@ def zero_config(name: str, constants: WaveConstants) -> FieldConfig:
 
 
 def residual(m: AlgebraModel, cfg: FieldConfig, eq: EquationSpec) -> ExpPoly:
-    """Numerator of D_{i,j} f_lhs - sum coef*f_a*f_b over that expression's
-    denominator: zero exactly when the equation holds.
+    """D_{i,j} f_lhs - sum coef*f_a*f_b times L^2 in Hirota's bilinear form,
+    N_lhs' L - N_lhs L' - sum coef*N_a*N_b: zero exactly when the equation
+    holds.
 
-    A zero field is 0/1, and a product with a zero factor drops out.  When
-    some product is left and every nonzero field of the equation shares one
-    denominator d (ExpRational.shares_den, so a configuration read back from
-    a document qualifies; d may be 1), as in a tau solution, the numerator
-    is the equation times d^2 in Hirota's bilinear form,
-    N_lhs' d - N_lhs d' - sum coef*N_a*N_b, formed without the product d*d.
-    That sum of products is one call of exprat.sum_of_products: above its
-    crossover (PACK_PAIRS_PER_TERM, term pairs per operand term) it packs
-    each row of the spectral basis into one int and multiplies rows as
-    ints, with a digit width above the bound sum |coef|*|N_a|_1*|N_b|_1 on
-    every coefficient, so the residual is zero exactly when every output
-    row int is 0; a nonzero one is read back from the same digits.  Below
-    the crossover, or for sparse exponents, it multiplies term by term.
-    Otherwise the residual is built as one ExpRational and its numerator
-    returned.  Over a shared d both give the same polynomial: the
-    ExpRational residual is over d^2 too, and a denominator's least term
-    has coefficient 1, so d*d needs no normalizing.
+    L is the least common denominator of the equation's fields and N a
+    field's numerator over it (exprat.common_denominator: a tau solution's
+    one tau as it is, else the lcm of the factored denominators); a zero
+    field has N = 0, so its products drop out, and L*L is never formed.
+    The sum is one call of exprat.sum_of_products, which packs the rows of
+    the spectral basis into ints above its crossover, with a digit width
+    above the bound sum |coef|*|N_a|_1*|N_b|_1, so the residual is zero
+    exactly when every output row int is 0; a nonzero one is read back
+    from the same digits.
     """
     i, j = eq.d_index
     w = cfg.constants
-    lhs = cfg[eq.lhs]
-    products = [(Fraction(coef), cfg[a], cfg[b]) for coef, a, b in eq.rhs
-                if not (cfg[a].is_zero() or cfg[b].is_zero())]
-    fields = [f for _, fa, fb in products for f in (fa, fb)]
-    if not lhs.is_zero():
-        fields.append(lhs)
-    if not products or not all(f.shares_den(fields[0]) for f in fields):
-        rat = lhs.deriv(i, j, w)
-        for coef, fa, fb in products:
-            rat = rat - fa * fb * coef
-        return rat.num
-    d = fields[0].den
-    n = lhs.num
-    terms = [(-coef, fa.num, fb.num) for coef, fa, fb in products]
+    d, (n, *nums) = common_denominator(
+        [cfg[eq.lhs]] + [cfg[k] for _, a, b in eq.rhs for k in (a, b)])
+    terms = [(-coef, na, nb) for (coef, _, _), na, nb in zip(eq.rhs, nums[::2], nums[1::2])]
     if n:
         terms += [(1, n.deriv(i, j, w), d), (-1, n, d.deriv(i, j, w))]
     return sum_of_products(terms, w)

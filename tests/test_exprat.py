@@ -15,6 +15,7 @@ from nwave.exprat import (
     ExpPoly,
     ExpRational,
     InexactDivision,
+    common_denominator,
     divexact,
     sum_of_products,
     wave_constants,
@@ -463,6 +464,42 @@ def test_equality_over_the_same_atoms_forms_no_product(monkeypatch):
     monkeypatch.setattr(ExpPoly, "__mul__", mul)
     assert verdicts == (True, False, True, False)
     assert not products
+
+
+@settings(max_examples=40)
+@given(st.lists(exppolys(), min_size=1, max_size=4), nonzero_exppolys,
+       st.lists(exprationals(), max_size=2))
+def test_common_denominator_puts_each_value_over_one_lcm(nums, den, others):
+    shared = ExpRational.all_over(nums, den)
+    for v, n in zip(shared, nums):
+        u = ExpRational(n, den)
+        assert (v.num, v.den) == (u.num, u.den)
+    # one denominator object is taken as it is; split into its factors it
+    # gives the same lcm by the general path
+    L, ns = common_denominator(shared)
+    split = [exprat._rat(v.num, *v._factors()) for v in shared]
+    assert common_denominator(split) == (L, ns)
+    if any(nums):
+        assert L is next(v.den for v in shared if not v.is_zero())
+        assert ns == [v.num for v in shared]
+    vals = shared + others
+    L, ns = common_denominator(vals)
+    for v, n in zip(vals, ns):
+        assert ExpRational(n, L) == v
+
+
+def test_common_denominator_is_the_least_over_the_atoms():
+    d = ONE + ExpPoly.term(2, 1, 0)
+    e = ONE + ExpPoly.term(1, 0, "1/2")
+    n = ExpPoly.term(3, "1/2", 1)
+    u = ExpRational(n, d) / ExpRational(e)  # atoms d and e
+    v = ExpRational(n + ONE, d * ExpPoly.term(1, 1, 0))  # atom d, monomial e^t
+    w = ExpRational(ExpPoly.term(1, 0, 1), e) / ExpRational(e)  # atom e twice
+    L, ns = common_denominator([u, ExpRational.zero(), v, w])
+    assert L == d * e * e * ExpPoly.term(1, 1, 0)
+    assert ns == [n * e * ExpPoly.term(1, 1, 0), ExpPoly.zero(), (n + ONE) * e * e,
+                  ExpPoly.term(1, 0, 1) * d * ExpPoly.term(1, 1, 0)]
+    assert common_denominator([ExpRational.zero()]) == (ONE, [ExpPoly.zero()])
 
 
 # -- sums of products against the schoolbook reference -------------------------------

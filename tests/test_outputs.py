@@ -8,8 +8,9 @@ verdicts with their details and counterexamples.  A passing numeric check's
 hashing and only held below ``NOISE_CEILING``.
 
 The digests live in ``data/outputs.json``.  When an output is meant to
-change, regenerate them with ``PYTHONPATH=src python tests/test_outputs.py``
-and say in the change which cases moved.
+change, regenerate them with ``PYTHONPATH=src python tests/test_outputs.py``,
+which prints the name of every case whose digest moved, was added or was
+removed, and say in the change which cases moved.
 """
 
 from __future__ import annotations
@@ -146,6 +147,12 @@ if __name__ == "__main__":
         digests = {}
         for group in GROUPS:
             digests.update(_digests(group, Path(tmp)))
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     sys.stdout.write(f"{len(digests)} digests written to {DIGESTS}\n")
+    for what, names in (("moved", [k for k in digests if k in old and old[k] != digests[k]]),
+                        ("added", [k for k in digests if k not in old]),
+                        ("removed", [k for k in old if k not in digests])):
+        for name in sorted(names):
+            sys.stdout.write(f"{what}: {name}\n")

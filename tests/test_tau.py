@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nwave import tau as tau_module
-from nwave.exprat import ExpPoly, ExpRational, wave_constants
+from nwave.exprat import ExpPoly, ExpRational, common_denominator, divexact, wave_constants
 from nwave.spectral import initial_config, spectral_data
 from nwave.tau import (
     TauZero,
@@ -333,13 +333,30 @@ def test_random_tau_solutions_verify(name, s, orders, data):
     assert verify_config(m, image).passed
 
 
+def test_a_solution_normalizes_its_denominator_once(monkeypatch):
+    # The fields of a solution share one denominator object, normalized by
+    # one constructor call, which the residual then takes as it is.
+    init, calls = ExpRational.__init__, []
+
+    def counting(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ExpRational, "__init__", counting)
+    cfg = solution_from_tau(model("G2"), spectral_data(W, P2, Q3), 1, 1)
+    monkeypatch.setattr(ExpRational, "__init__", init)
+    assert len(calls) == 1
+    dens = [f.den for f in cfg.fields.values() if not f.is_zero()]
+    assert len(dens) > 1 and all(d is dens[0] for d in dens)
+
+
 def reference_residual(cfg, eq):
-    """The residual numerator by plain ExpRational arithmetic."""
+    """D_{i,j} f_lhs - sum coef*f_a*f_b by plain ExpRational arithmetic."""
     i, j = eq.d_index
     acc = cfg[eq.lhs].deriv(i, j, cfg.constants)
     for coef, a, b in eq.rhs:
         acc = acc - cfg[a] * cfg[b] * Fraction(coef)
-    return acc.num
+    return acc
 
 
 @settings(max_examples=60, deadline=None)
@@ -348,7 +365,9 @@ def reference_residual(cfg, eq):
 def test_residual_matches_the_exprational_reference(name, orders, mapped, data):
     """On tau solutions (one shared denominator, 1 at the seed), their
     f-1.0-doubled variants and their map images (distinct denominators),
-    the residual equals the ExpRational numerator, solution or not."""
+    solution or not, the residual is the ExpRational residual times L^2,
+    L a common denominator of the equation's fields; over one shared
+    denominator it is the ExpRational residual's numerator."""
     m = model(name)
     mapped = mapped and name in MAP_SPIKES
     max_p, max_q = MAP_SPIKES[name] if mapped else (2, 3)
@@ -368,6 +387,14 @@ def test_residual_matches_the_exprational_reference(name, orders, mapped, data):
                 pass
     for c in configs:
         for eq in m.equations:
+            fields = [c[k] for k in [eq.lhs] + [k for _, a, b in eq.rhs for k in (a, b)]]
+            fields = [f for f in fields if not f.is_zero()]
+            L, _ = common_denominator(fields)
+            for f in fields:
+                divexact(f.num * L, f.den)  # InexactDivision unless f.den divides L
             r = residual(m, c, eq)
+            want = reference_residual(c, eq)
             assert isinstance(r, ExpPoly)
-            assert r == reference_residual(c, eq)
+            assert ExpRational(r, L * L) == want
+            if all(f.den == fields[0].den for f in fields):
+                assert r == want.num

@@ -213,7 +213,11 @@ def test_first_root_chain_level_two_is_the_iterated_transformation():
 @pytest.mark.parametrize("n", [1, 2])
 def test_first_root_chain_matches_tau_solution(n):
     s, seed = frc_background()
-    assert first_root_chain(seed, n) == solution_from_tau(model("B2"), s, n, 0)
+    cfg = first_root_chain(seed, n)
+    assert cfg == solution_from_tau(model("B2"), s, n, 0)
+    # its five nonzero fields hold one denominator object
+    dens = [f.den for f in cfg.fields.values() if not f.is_zero()]
+    assert len(dens) == 5 and all(d is dens[0] for d in dens)
 
 
 def test_first_root_chain_rejects_bad_backgrounds():

@@ -1,5 +1,6 @@
 """Verification driver: per-equation verdicts, numeric grid, suite reports."""
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +24,7 @@ from nwave.wavesys import MINUS, PLUS, model, residual, zero_config
 W = wave_constants(1, "1/2", "1/3", 1)
 P2 = [("2", "1"), ("-1", "1/2")]
 Q2 = [("1", "1"), ("1/2", "2")]
+Q4 = Q2 + [("-3", "1/3"), ("3", "-1")]
 
 
 def a2_solution():
@@ -182,6 +184,19 @@ def pole_a2():
         (PLUS, (1, 1)): ExpRational.const(1),
         (MINUS, (0, 1)): ExpRational(e - ExpPoly.const(1), e),
     })
+
+
+@pytest.mark.parametrize("name, q", [("A2", Q2), ("G2", Q4)], ids=["A2-P2Q2", "G2-P2Q4"])
+@pytest.mark.parametrize("eps", ["1e-8", "1e-6", "1e-4", "1e-2"])
+def test_numeric_mode_fails_a_field_off_by_a_small_relative_error(name, q, eps):
+    # A tau solution with f-1.0 scaled by 1 + eps is off by about eps
+    # relative to the pre-cancellation scale, at least ten times REL_TOL:
+    # every such configuration fails, so a looser tolerance is caught.
+    m = model(name)
+    sol = solution_from_tau(m, spectral_data(W, P2, q), 1, 1)
+    key = (MINUS, (1, 0))
+    bad = sol.with_fields({key: sol[key] * (1 + Fraction(eps))})
+    assert not verify_config(m, bad, "numeric").passed
 
 
 def test_numeric_mode_fails_the_pole_a2_configuration():
