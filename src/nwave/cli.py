@@ -298,10 +298,12 @@ def cmd_transform(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.suite is not None:
+        if args.mode is not None:
+            raise InputError("--mode applies to --in only; a suite is proved exactly")
         rep = verify_suite(args.suite)
     else:
         cfg = config_from_doc(_read_json(args.infile))
-        rep = verify_config(model(cfg.algebra), cfg, args.mode)
+        rep = verify_config(model(cfg.algebra), cfg, args.mode or "exact")
     for c in rep.checks:
         line = f"{'PASS' if c.passed else 'FAIL'}  {c.name}"
         if c.detail:
@@ -389,7 +391,7 @@ def _parser() -> argparse.ArgumentParser:
     which = v.add_mutually_exclusive_group(required=True)
     which.add_argument("--suite", choices=SUITES, default=None)
     which.add_argument("--in", dest="infile", default=None)
-    v.add_argument("--mode", choices=("exact", "numeric"), default="exact")
+    v.add_argument("--mode", choices=("exact", "numeric"), help="check of --in (default exact)")
     v.add_argument("--report", default=None, help="write the JSON report here")
     v.set_defaults(func=cmd_verify)
 

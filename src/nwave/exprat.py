@@ -825,7 +825,7 @@ class ExpRational:
     __radd__ = __add__
 
     def __neg__(self) -> "ExpRational":
-        return _rat(-self.num, *self._factors(), self._den)
+        return _rat(-self.num, self._shift, self._atoms, self._den)
 
     def __sub__(self, other) -> "ExpRational":
         other = _coerce_rational(other)
@@ -841,7 +841,7 @@ class ExpRational:
 
     def __mul__(self, other) -> "ExpRational":
         if isinstance(other, (int, Fraction)):
-            return _rat(self.num * other, *self._factors(), self._den)
+            return _rat(self.num * other, self._shift, self._atoms, self._den)
         other = _coerce_rational(other)
         if other is NotImplemented:
             return NotImplemented
@@ -863,7 +863,7 @@ class ExpRational:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise DivisionByZeroField("division by zero field value")
-            return _rat(self.num * (1 / Fraction(other)), *self._factors(), self._den)
+            return _rat(self.num * (1 / Fraction(other)), self._shift, self._atoms, self._den)
         other = _coerce_rational(other)
         if other is NotImplemented:
             return NotImplemented

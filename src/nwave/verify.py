@@ -1,10 +1,13 @@
 """Uniform verification driver: exact or numeric residual checks, one report.
 
 Every identity family in the package funnels through here: per-equation
-residuals of a configuration, transformation invariance, determinant chains,
-the closed-form recursions, and the group-recombination identity.  Reports
-are plain data (dicts of strings, bools and lists), deterministic for
-identical inputs, and carry at most one rendered counterexample.
+residuals of a configuration, and ``CLAIMS``, the one table of the theory's
+claims by name (tau solutions and map images that solve their systems,
+which ``SOLUTIONS`` lists, map identities, determinant chains, the
+closed-form recursions, and group recombination).  A suite in ``SUITES``
+is a tuple of claim names; ``verify_claims`` runs any list of them.
+Reports are plain data (dicts of strings, bools and lists), deterministic
+for identical inputs, and carry at most one rendered counterexample.
 
 This module judges; it does not evaluate.  Numeric mode takes its numbers
 from ``exprat.grid_values``, the package's one numeric evaluator (which
@@ -14,11 +17,12 @@ tolerance rule to them.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from mpmath import libmp
 
@@ -32,7 +36,6 @@ from .transforms import apply, apply_chain
 from .wavesys import AlgebraModel, FieldConfig, MINUS, PLUS, field_label, model, residual
 
 REL_TOL = 1e-9
-MASS_FLOOR = 1e-12
 #: Rational evaluation grid shared by every numeric check: GRID_T x GRID_X.
 GRID_T = (Fraction(-1), Fraction(0), Fraction(1, 2))
 GRID_X = (Fraction(-1, 3), Fraction(0), Fraction(1))
@@ -111,7 +114,6 @@ def _eq_name(eq) -> str:
 # tolerance is one too, so no value or tolerance can overflow.
 
 _TOL = libmp.from_float(REL_TOL)
-_FLOOR = libmp.from_float(MASS_FLOOR)
 
 
 def _sci(v) -> str:
@@ -128,8 +130,10 @@ def _judge(points) -> Tuple[bool, str]:
     """Numeric verdict and detail from (t, x, value, scale) at each grid point.
 
     A point whose value is None is a pole: it is skipped and named in the
-    detail.  Any other point fails when |value| > REL_TOL * max(scale,
-    MASS_FLOOR), and the first failing point ends the check.
+    detail.  Any other point fails when |value| > REL_TOL * scale, and the
+    first failing point ends the check.  The scale is the mass before
+    cancellation, so the bound is relative at every size; it is 0 only
+    when every part is 0.
     """
     poles = []
     worst = libmp.fzero
@@ -139,7 +143,7 @@ def _judge(points) -> Tuple[bool, str]:
             poles.append(f"({t},{x})")
             continue
         v = libmp.mpf_abs(v)
-        tol = libmp.mpf_mul(_TOL, scale if libmp.mpf_gt(scale, _FLOOR) else _FLOOR)
+        tol = libmp.mpf_mul(_TOL, scale)
         if libmp.mpf_gt(v, tol):
             return False, f"|residual| = {_sci(v)} > {_sci(tol)} at (t={t}, x={x})"
         if libmp.mpf_gt(v, worst):
@@ -217,41 +221,70 @@ def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Rep
     return rep
 
 
-def _solution_checks(rep: Report, name: str, m: AlgebraModel, cfg: FieldConfig) -> None:
-    """One check named ``name``: the exact verify_config verdict of ``cfg``."""
-    sub = verify_config(m, cfg)
-    bad = [c.name for c in sub.checks if not c.passed]
-    rep.add(name, not bad, "" if not bad else "nonzero: " + ", ".join(bad))
-    if rep.counterexample is None:
-        rep.counterexample = sub.counterexample
+# -- the claims table ---------------------------------------------------------------
+#
+# Each theory claim is written once, by name, on frozen spectral data.  A
+# solution claim yields (check name, model, configuration or TauZero); any
+# other claim adds its own checks to a report.
+
+_W = wave_constants("1", "1/2", "1/3", "1")
+_P1 = (("5", "1"),)
+_P2 = (("2", "1"), ("-1", "1/2"))
+_Q2 = (("1", "1"), ("1/2", "2"))
+_Q4 = _Q2 + (("-3", "1/3"), ("3", "-1"))
+_Q5 = _Q2 + (("-3", "1/3"), ("2", "-1"), ("1/4", "1/2"))
+_Q6 = _Q5 + (("-1", "3"),)
 
 
-# -- verification suites ------------------------------------------------------------
-
-_DEF_C = ("1", "1/2")
-_DEF_D = ("1/3", "1")
-_DEF_P2 = (("2", "1"), ("-1", "1/2"))
-_DEF_Q2 = (("1", "1"), ("1/2", "2"))
-_DEF_Q4 = _DEF_Q2 + (("-3", "1/3"), ("3", "-1"))
-_DEF_P1 = (("5", "1"),)
-_DEF_Q5 = _DEF_Q2 + (("-3", "1/3"), ("2", "-1"), ("1/4", "1/2"))
-_DEF_Q6 = _DEF_Q5 + (("-1", "3"),)
-
-
-def _suite_data(params: Optional[dict], pdef, qdef) -> SpectralData:
-    params = params or {}
-    w = wave_constants(*(tuple(params.get("c", _DEF_C)) + tuple(params.get("d", _DEF_D))))
-    return spectral_data(w, list(params.get("P", pdef)), list(params.get("Q", qdef)))
+def _solution_checks(solutions, rep: Report) -> None:
+    """Prove a solution claim: one check per configuration, its exact verdict,
+    or a failure quoting the TauZero that interrupted its construction."""
+    for name, m, cfg in solutions():
+        if isinstance(cfg, TauZero):
+            rep.add(name, False, f"TauZero: {cfg}")
+            continue
+        sub = verify_config(m, cfg)
+        bad = [c.name for c in sub.checks if not c.passed]
+        rep.add(name, not bad, "" if not bad else "nonzero: " + ", ".join(bad))
+        if rep.counterexample is None:
+            rep.counterexample = sub.counterexample
 
 
-def _suite_a2(rep: Report, params) -> None:
+def _tau_solutions(algebra: str, q, orders, label: str = "tau({},{}) residual-zero"):
+    """The tau solution of each order on 2P spikes and ``q``, or the TauZero
+    that interrupted its construction."""
+    m = model(algebra)
+    s = spectral_data(_W, _P2, q)
+    for n1, n2 in orders:
+        try:
+            cfg = solution_from_tau(m, s, n1, n2)
+        except TauZero as e:
+            cfg = e
+        yield label.format(n1, n2), m, cfg
+
+
+def _invariance(algebra: str, tids):
+    """Each map's image of the order-(1,1) tau solution on 2P+2Q spikes."""
+    m = model(algebra)
+    gen = solution_from_tau(m, spectral_data(_W, _P2, _Q2), 1, 1)
+    for tid in tids:
+        yield f"{tid} invariance", m, apply(tid, gen)
+
+
+#: The solution claims by name.
+SOLUTIONS = {
+    "a2-tau-grid": lambda: _tau_solutions("A2", _Q2, itertools.product(range(3), repeat=2)),
+    "a2-invariance": lambda: _invariance("A2", ("A2_T1", "A2_T2", "A2_T3")),
+    "b2-tau-grid": lambda: _tau_solutions("B2", _Q4, itertools.product(range(2), repeat=2)),
+    "b2-invariance": lambda: _invariance("B2", ("B2_TM", "B2_T10", "B2_T10_INV")),
+    "g2-orders": lambda: _tau_solutions(
+        "G2", _Q4, ((0, 0), (1, 0), (0, 1), (1, 1)), "order ({},{})"),
+}
+
+
+def _a2_interruption(rep: Report) -> None:
     m = model("A2")
-    s = _suite_data(params, _DEF_P2, _DEF_Q2)
-    for n1 in range(3):
-        for n2 in range(3):
-            _solution_checks(
-                rep, f"tau({n1},{n2}) residual-zero", m, solution_from_tau(m, s, n1, n2)
-            )
+    s = spectral_data(_W, _P2, _Q2)
     top = solution_from_tau(m, s, 2, 2)
     minus_dead = all(top[(MINUS, r)].is_zero() for r in m.roots)
     rep.add("chain interruption: f^- vanish at (2,2)", minus_dead)
@@ -260,15 +293,13 @@ def _suite_a2(rep: Report, params) -> None:
         rep.add("chain interruption: TauZero past (2,2)", False, "no TauZero raised")
     except TauZero:
         rep.add("chain interruption: TauZero past (2,2)", True)
-    seed = initial_config(m, s)
+
+
+def _a2_composition(rep: Report) -> None:
+    seed = initial_config(model("A2"), spectral_data(_W, _P2, _Q2))
     c12 = apply_chain(["A2_T1", "A2_T2"], seed)
-    rep.add(
-        "composition order immaterial",
-        c12 == apply_chain(["A2_T2", "A2_T1"], seed) and c12 == apply("A2_T3", seed),
-    )
-    gen = solution_from_tau(m, s, 1, 1)
-    for tid in ("A2_T1", "A2_T2", "A2_T3"):
-        _solution_checks(rep, f"{tid} invariance", m, apply(tid, gen))
+    rep.add("composition order immaterial",
+            c12 == apply_chain(["A2_T2", "A2_T1"], seed) and c12 == apply("A2_T3", seed))
 
 
 def _generic_config(w) -> FieldConfig:
@@ -295,62 +326,30 @@ def _const_solution(w) -> FieldConfig:
     return FieldConfig("B2", w, data)
 
 
-def _suite_b2(rep: Report, params) -> None:
+def _b2_maps(rep: Report) -> None:
+    """The B2 maps invert each other, factor, and keep their zero patterns."""
     m = model("B2")
-    s = _suite_data(params, _DEF_P2, _DEF_Q4)
-    for n1 in range(2):
-        for n2 in range(2):
-            _solution_checks(
-                rep, f"tau({n1},{n2}) residual-zero", m, solution_from_tau(m, s, n1, n2)
-            )
-    small = spectral_data(s.constants, list(_DEF_P2), list(_DEF_Q2))
-    gen = solution_from_tau(m, small, 1, 1)
-    for tid in ("B2_TM", "B2_T10", "B2_T10_INV"):
-        _solution_checks(rep, f"{tid} invariance", m, apply(tid, gen))
-    g = _generic_config(s.constants)
-    rep.add(
-        "T10 roundtrip identity on arbitrary fields",
-        apply_chain(["B2_T10", "B2_T10_INV"], g) == g
-        and apply_chain(["B2_T10_INV", "B2_T10"], g) == g,
-    )
-    sol = apply("B2_T10", _const_solution(s.constants))
-    rep.add(
-        "second-root map factors through TM and T10^-1",
-        apply("B2_T2A2", sol) == apply_chain(["B2_T10_INV", "B2_TM"], sol),
-    )
-    seed = initial_config(m, s)
-    t10 = apply("B2_T10", seed)
-    rep.add(
-        "T10 preserves the plus-sector zero pattern",
-        all(t10[(PLUS, r)].is_zero() for r in ((0, 1), (1, 1), (1, 2))),
-    )
-    sseed = initial_config(m, small)
-    t2a2 = apply("B2_T2A2", sseed)
-    rep.add(
-        "second-root map steps the seed to the first tau solution",
-        t2a2 == solution_from_tau(m, small, 0, 1),
-    )
-    rep.add(
-        "second-root image switches on f^+_{0.1} only",
-        all(t2a2[(PLUS, r)].is_zero() for r in ((1, 0), (1, 1), (1, 2)))
-        and not t2a2[(PLUS, (0, 1))].is_zero(),
-    )
+    g = _generic_config(_W)
+    rep.add("T10 roundtrip identity on arbitrary fields",
+            apply_chain(["B2_T10", "B2_T10_INV"], g) == g
+            and apply_chain(["B2_T10_INV", "B2_T10"], g) == g)
+    sol = apply("B2_T10", _const_solution(_W))
+    rep.add("second-root map factors through TM and T10^-1",
+            apply("B2_T2A2", sol) == apply_chain(["B2_T10_INV", "B2_TM"], sol))
+    t10 = apply("B2_T10", initial_config(m, spectral_data(_W, _P2, _Q4)))
+    rep.add("T10 preserves the plus-sector zero pattern",
+            all(t10[(PLUS, r)].is_zero() for r in ((0, 1), (1, 1), (1, 2))))
+    s = spectral_data(_W, _P2, _Q2)
+    t2a2 = apply("B2_T2A2", initial_config(m, s))
+    rep.add("second-root map steps the seed to the first tau solution",
+            t2a2 == solution_from_tau(m, s, 0, 1))
+    rep.add("second-root image switches on f^+_{0.1} only",
+            all(t2a2[(PLUS, r)].is_zero() for r in ((1, 0), (1, 1), (1, 2)))
+            and not t2a2[(PLUS, (0, 1))].is_zero())
 
 
-def _suite_g2(rep: Report, params) -> None:
-    m = model("G2")
-    s = _suite_data(params, _DEF_P2, _DEF_Q4)
-    for n1, n2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        try:
-            cfg = solution_from_tau(m, s, n1, n2)
-        except TauZero as e:
-            rep.add(f"order ({n1},{n2})", False, f"TauZero: {e}")
-            continue
-        _solution_checks(rep, f"order ({n1},{n2})", m, cfg)
-
-
-def _suite_toda(rep: Report, params) -> None:
-    s = _suite_data(params, _DEF_P1, _DEF_Q5)
+def _toda(rep: Report) -> None:
+    s = spectral_data(_W, _P1, _Q5)
     ch = hankel_chain(s)
     rep.add(
         "Det_n equals single-group subset sum (n <= 4)",
@@ -363,24 +362,22 @@ def _suite_toda(rep: Report, params) -> None:
 
 
 def _tuple_literal(s: SpectralData, npts: int, weight_fn, scale: Fraction) -> ExpPoly:
-    P = [(sp.pos, sp.weight) for sp in s.pspikes]
-    Q = [(sp.pos, sp.weight) for sp in s.qspikes]
     terms: Dict[Tuple[Fraction, Fraction], Fraction] = {}
-    for lam, wl in P:
-        for tup in itertools.product(Q, repeat=npts):
-            mus = [mu for mu, _ in tup]
-            coef = wl * weight_fn(mus) * scale
-            for mu, v in tup:
-                coef *= v / (lam - mu)
+    for p in s.pspikes:
+        for tup in itertools.product(s.qspikes, repeat=npts):
+            mus = [q.pos for q in tup]
+            coef = p.weight * weight_fn(mus) * scale
+            for q in tup:
+                coef *= q.weight / (p.pos - q.pos)
             if not coef:
                 continue
-            key = wave_exponent(lam, sum(mus), s.constants)
+            key = wave_exponent(p.pos, sum(mus), s.constants)
             terms[key] = terms.get(key, Fraction(0)) + coef
     return ExpPoly(terms)
 
 
-def _suite_ab_chain(rep: Report, params) -> None:
-    s = _suite_data(params, _DEF_P1, _DEF_Q6)
+def _ab_chain(rep: Report) -> None:
+    s = spectral_data(_W, _P1, _Q6)
     ch = hankel_chain(s)
     c0 = ab_init(s)
     a0, b0 = ab_closed(s, 0)
@@ -398,27 +395,42 @@ def _suite_ab_chain(rep: Report, params) -> None:
     rep.add("second step meets closed form", c2.A == a2 and c2.B == b2)
 
 
-def _suite_gra(rep: Report, params) -> None:
-    s = _suite_data(params, _DEF_P2, _DEF_Q4)
+def _gra(rep: Report) -> None:
+    s = spectral_data(_W, _P2, _Q4)
     for n in (0, 1):
         rep.add(f"group recombination at n={n}", check_gra(s, n))
 
 
-_SUITE_FNS = {
-    "a2-full": _suite_a2,
-    "b2-full": _suite_b2,
-    "g2-hypothesis": _suite_g2,
-    "toda": _suite_toda,
-    "ab-chain": _suite_ab_chain,
-    "gra": _suite_gra,
+#: Every claim by name: a function that adds the claim's checks to a report.
+CLAIMS: Dict[str, Callable[[Report], None]] = {
+    **{name: functools.partial(_solution_checks, sols) for name, sols in SOLUTIONS.items()},
+    "a2-interruption": _a2_interruption,
+    "a2-composition": _a2_composition,
+    "b2-maps": _b2_maps,
+    "toda": _toda,
+    "ab-chain": _ab_chain,
+    "gra": _gra,
 }
-SUITES = tuple(_SUITE_FNS)
+
+#: Each suite's claims, in the order its report lists them.
+SUITES = {
+    "a2-full": ("a2-tau-grid", "a2-interruption", "a2-composition", "a2-invariance"),
+    "b2-full": ("b2-tau-grid", "b2-invariance", "b2-maps"),
+    "g2-hypothesis": ("g2-orders",),
+    **{name: (name,) for name in ("toda", "ab-chain", "gra")},
+}
 
 
-def verify_suite(name: str, params: Optional[dict] = None) -> Report:
-    """Run one named identity suite and aggregate a deterministic report."""
-    if name not in _SUITE_FNS:
-        raise ValueError(f"unknown suite {name!r} (expected one of {', '.join(SUITES)})")
-    rep = Report(title=f"suite {name}", mode="exact")
-    _SUITE_FNS[name](rep, params)
+def verify_claims(title: str, names) -> Report:
+    """Exact report of the named claims, run in the given order."""
+    rep = Report(title=title, mode="exact")
+    for name in names:
+        CLAIMS[name](rep)
     return rep
+
+
+def verify_suite(name: str) -> Report:
+    """Run one named suite: its claims, under the title ``suite NAME``."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r} (expected one of {', '.join(SUITES)})")
+    return verify_claims(f"suite {name}", SUITES[name])

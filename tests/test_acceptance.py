@@ -2,9 +2,12 @@
 budget and printing a one-line verdict (visible with -s; pytest -v shows the
 per-criterion pass/fail lines either way).
 
-All spectral data below is frozen: positions and weights are chosen so that
-every construction is live (no P/Q position collisions, all pivots alive)
-and every exact check finishes inside its budget on ordinary hardware.
+Criteria 3 and 5 to 9 call the theory's claims by name from
+``nwave.verify.CLAIMS``, where each is written once on frozen data; the
+groups below are the battery's own.  All spectral data is frozen: positions
+and weights are chosen so that every construction is live (no P/Q position
+collisions, all pivots alive) and every exact check finishes inside its
+budget on ordinary hardware.
 """
 
 import functools
@@ -16,20 +19,15 @@ import pytest
 
 from nwave.exprat import ExpPoly, ExpRational, wave_constants
 from nwave.spectral import initial_config, spectral_data
-from nwave.tau import TauZero, check_gra, solution_from_tau, tau_U
-from nwave.toda import ab_closed, ab_init, ab_step, det_n, hankel_chain, toda_residual
+from nwave.tau import TauZero, solution_from_tau
 from nwave.transforms import PivotZero, apply, apply_chain
-from nwave.verify import _const_solution, _generic_config, verify_config, verify_suite
-from nwave.wavesys import MINUS, PLUS, model
+from nwave.verify import SOLUTIONS, verify_claims, verify_config
+from nwave.wavesys import PLUS, model
 
 W = wave_constants("1", "1/2", "1/3", "1")
-P1 = [("5", "1")]
 P2 = [("2", "1"), ("-1", "1/2")]
 Q2 = [("1", "1"), ("1/2", "2")]
 Q3 = Q2 + [("-3", "1/3")]
-Q4 = Q2 + [("-3", "1/3"), ("3", "-1")]
-Q5 = Q2 + [("-3", "1/3"), ("2", "-1"), ("1/4", "1/2")]
-Q6 = Q5 + [("-1", "3")]
 
 
 def _verdict(num, label, budget, t0):
@@ -41,25 +39,16 @@ def _verdict(num, label, budget, t0):
 
 # -- configurations proved exactly ----------------------------------------------
 #
-# Each group yields (label, model, configuration); a construction interrupted
-# by TauZero yields the exception in place of the configuration.  Criteria 2,
-# 3, 5, 8 and 9 prove their group exactly and criterion 10 re-checks every
-# exact pass numerically; _verified runs each group once, whichever of them
-# asks first.
+# The battery's own groups yield (label, model, configuration), as the
+# solution claims of nwave.verify do.  Criteria 2 and 5 prove them exactly;
+# criterion 10 re-checks them numerically, with the configurations of the
+# solution claims that criteria 3, 5, 8 and 9 prove.
 
 
 def _seed_configs():
     for name in ("A2", "B2", "G2"):
         m = model(name)
         yield f"{name} seed 2P+3Q", m, initial_config(m, spectral_data(W, P2, Q3))
-
-
-def _a2_tau_grid():
-    m = model("A2")
-    s = spectral_data(W, P2, Q2)
-    for n1 in range(3):
-        for n2 in range(3):
-            yield f"A2 tau({n1},{n2})", m, solution_from_tau(m, s, n1, n2)
 
 
 def _b2_seed_images():
@@ -69,46 +58,22 @@ def _b2_seed_images():
         yield f"{tid} image of B2 seed", m, apply(tid, seed)
 
 
-def _b2_tau_wide():
-    m = model("B2")
-    s = spectral_data(W, P2, Q4)
-    for n1 in range(2):
-        for n2 in range(2):
-            yield f"B2 tau({n1},{n2}) 2P+4Q", m, solution_from_tau(m, s, n1, n2)
-
-
-def _g2_tau_orders():
-    m = model("G2")
-    s = spectral_data(W, P2, Q4)
-    for order in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        try:
-            cfg = solution_from_tau(m, s, *order)
-        except TauZero as e:
-            cfg = e
-        yield f"G2 tau{order} 2P+4Q", m, cfg
-
-
-EXACT_GROUPS = (_seed_configs, _a2_tau_grid, _b2_seed_images, _b2_tau_wide, _g2_tau_orders)
-
-
 @functools.lru_cache(maxsize=None)
-def _verified(group):
-    """{label: (model, configuration, passed, why)} for one group, built and
-    verified exactly once per session; ``why`` names the failing checks, or
-    quotes the TauZero that interrupted the construction."""
-    out = {}
-    for label, m, cfg in group():
-        if isinstance(cfg, TauZero):
-            out[label] = (m, cfg, False, f"TauZero: {cfg}")
-            continue
-        rep = verify_config(m, cfg)
-        out[label] = (m, cfg, rep.passed, [c.name for c in rep.checks if not c.passed])
-    return out
+def _configs(group):
+    """(label, model, configuration or TauZero) of one of the groups above, or
+    of a solution claim named in nwave.verify.SOLUTIONS, built once per session."""
+    return tuple(SOLUTIONS[group]() if isinstance(group, str) else group())
 
 
-def _assert_all_pass(group):
-    bad = [(label, why) for label, (_, _, ok, why) in _verified(group).items() if not ok]
+def _assert_solve(group):
+    bad = [(label, c.name) for label, m, cfg in _configs(group)
+           for c in verify_config(m, cfg).checks if not c.passed]
     assert not bad, bad
+
+
+def _assert_claims(*names):
+    rep = verify_claims("acceptance", names)
+    assert rep.passed, [(c.name, c.detail) for c in rep.checks if not c.passed]
 
 
 def _rand_frac(rng):
@@ -189,20 +154,13 @@ def test_criterion_01_ring_and_derivation_laws_hold_on_random_inputs():
 
 def test_criterion_02_initial_configs_solve_each_system_exactly():
     t0 = time.perf_counter()
-    _assert_all_pass(_seed_configs)
+    _assert_solve(_seed_configs)
     _verdict(2, "seed configurations solve A2, B2, G2 on 2P+3Q", 5, t0)
 
 
 def test_criterion_03_a2_tau_grid_interruption_and_beyond():
     t0 = time.perf_counter()
-    _assert_all_pass(_a2_tau_grid)
-    m, top, _, _ = _verified(_a2_tau_grid)["A2 tau(2,2)"]
-    s = spectral_data(W, P2, Q2)
-    # Order (2, 2) exhausts both spike groups: the minus sector dies but the
-    # configuration is still an exact solution.
-    assert all(top[(MINUS, r)].is_zero() for r in m.roots)
-    with pytest.raises(TauZero):
-        solution_from_tau(m, s, 3, 2)
+    _assert_claims("a2-tau-grid", "a2-interruption")
     _verdict(3, "A2 tau grid n1,n2<=2 plus interruption behaviour", 10, t0)
 
 
@@ -249,91 +207,66 @@ def test_criterion_04_composition_and_iterated_chains_match_tau_ratios():
 def test_criterion_05_b2_maps_preserve_solutions_invert_and_factor():
     t0 = time.perf_counter()
     m = model("B2")
-    s = spectral_data(W, P2, Q2)
-    seed = initial_config(m, s)
-    _assert_all_pass(_b2_seed_images)
-    images = {label.split()[0]: cfg for label, (_, cfg, _, _) in _verified(_b2_seed_images).items()}
-    # The first-root round trip is an identity of the formulas themselves:
-    # it holds on arbitrary fields, not just solutions.
-    g = _generic_config(W)
-    assert apply_chain(["B2_T10", "B2_T10_INV"], g) == g
-    assert apply_chain(["B2_T10_INV", "B2_T10"], g) == g
+    seed = initial_config(m, spectral_data(W, P2, Q2))
+    _assert_solve(_b2_seed_images)
+    # Invariance on the (1,1) solution, the round trip on arbitrary fields,
+    # one live instance of the factorisation, and the zero patterns of T10
+    # on the 2P+4Q seed and of T2A2, which lands on the first tau solution.
+    _assert_claims("b2-invariance", "b2-maps")
     # The factorisation of the second-root map through TM and T10^-1 is an
     # identity of maps on solutions only (the two orders genuinely differ on
-    # arbitrary fields).  Evidence: a symbolic proof over the whole solution
-    # set in jet coordinates, plus one live exponential instance.
+    # arbitrary fields): a symbolic proof over the whole solution set in jet
+    # coordinates backs the claim's live instance.
     from _jet import b2_factorization_mismatches
 
     assert b2_factorization_mismatches() == []
-    inst = apply("B2_T10", _const_solution(W))
-    assert apply("B2_T2A2", inst) == apply_chain(["B2_T10_INV", "B2_TM"], inst)
-    # Zero patterns: the seed keeps the whole plus sector zero; T10 switches
-    # on f^+_{1.0} only; T2A2 switches on f^+_{0.1} only and lands exactly
-    # on the first tau solution.
+    # The 2P+2Q seed keeps the whole plus sector zero; T10 switches on
+    # f^+_{1.0} only.
+    images = {label: cfg for label, _, cfg in _configs(_b2_seed_images)}
+    t10 = images["B2_T10 image of B2 seed"]
     assert all(seed[(PLUS, r)].is_zero() for r in m.roots)
-    t10 = images["B2_T10"]
     assert not t10[(PLUS, (1, 0))].is_zero()
     assert all(t10[(PLUS, r)].is_zero() for r in ((0, 1), (1, 1), (1, 2)))
-    t2a2 = images["B2_T2A2"]
-    assert not t2a2[(PLUS, (0, 1))].is_zero()
-    assert all(t2a2[(PLUS, r)].is_zero() for r in ((1, 0), (1, 1), (1, 2)))
-    assert t2a2 == solution_from_tau(m, s, 0, 1)
     _verdict(5, "B2 maps: invariance, round trip, factorisation, zero patterns", 15, t0)
 
 
 def test_criterion_06_toda_relations_and_determinant_subset_sums():
     t0 = time.perf_counter()
-    s = spectral_data(W, P1, Q5)
-    ch = hankel_chain(s)
-    for n in range(5):
-        assert det_n(ch, n) == tau_U(s, 0, n), n
-    for n in range(1, 5):
-        assert toda_residual(ch, n).is_zero(), n
+    _assert_claims("toda")
     _verdict(6, "Toda relations n=1..4 and Det_n subset sums on 5 Q-spikes", 15, t0)
 
 
 def test_criterion_07_ab_chain_closed_forms_and_group_recombination():
     t0 = time.perf_counter()
-    s = spectral_data(W, P1, Q6)
-    ch = hankel_chain(s)
-    ab1 = ab_step(ab_init(s), ch)
-    ab2 = ab_step(ab1, ch)
-    for level, ab in ((1, ab1), (2, ab2)):
-        ca, cb = ab_closed(s, level)
-        assert ab.A == ca, level
-        assert ab.B == cb, level
-    # The suite cross-checks the same closed forms against independent
-    # ordered-tuple literals; run it too so that oracle stays wired in.
-    assert verify_suite("ab-chain").passed
-    s24 = spectral_data(W, P2, Q4)
-    for n in (0, 1):
-        assert check_gra(s24, n), n
+    _assert_claims("ab-chain", "gra")
     _verdict(7, "A/B chain steps match closed forms; group recombination", 20, t0)
 
 
 def test_criterion_08_b2_tau_solutions_verified_on_wide_data():
     t0 = time.perf_counter()
-    _assert_all_pass(_b2_tau_wide)
+    _assert_claims("b2-tau-grid")
     _verdict(8, "B2 tau solutions (n1,n2) in {0,1}^2 on 2P+4Q", 20, t0)
 
 
 def test_criterion_09_g2_tau_solutions_pass_at_four_orders():
     t0 = time.perf_counter()
-    _assert_all_pass(_g2_tau_orders)
+    _assert_claims("g2-orders")
     _verdict(9, "G2 tau solutions at orders (0,0), (1,0), (0,1), (1,1) on 2P+4Q", 30, t0)
 
 
 def test_criterion_10_numeric_grid_agreement_for_every_exact_pass():
-    # Selected alone, this builds and proves the configurations before t0;
-    # in module order the earlier criteria already did, inside their budgets.
-    passes = [(label, m, cfg) for group in EXACT_GROUPS
-              for label, (m, cfg, ok, _) in _verified(group).items() if ok]
+    # Configurations are built before t0: the claims' every time, the
+    # battery's own groups only if criteria 2 and 5 have not built them.
+    groups = (_seed_configs, "a2-tau-grid", _b2_seed_images, "b2-invariance",
+              "b2-tau-grid", "g2-orders")
+    passes = [(label, m, cfg) for group in groups
+              for label, m, cfg in _configs(group) if not isinstance(cfg, TauZero)]
     t0 = time.perf_counter()
     assert len(passes) >= 20, [label for label, _, _ in passes]
     bad = []
     for label, m, cfg in passes:
         rep = verify_config(m, cfg, mode="numeric")
         if not rep.passed:
-            bad.append((label, [c.name for c in rep.checks if not c.passed]))
+            bad.append((m.name, label, [c.name for c in rep.checks if not c.passed]))
     assert not bad, bad
-    _verdict(10, f"numeric grid agreement for all {len(passes)} exact passes", 5, t0)
+    _verdict(10, f"numeric grid agreement for all {len(passes)} exactly proved configs", 5, t0)

@@ -188,6 +188,21 @@ def test_numeric_mode_accepts_solution(tmp_path):
     assert main(["verify", "--in", str(out), "--mode", "numeric"]) == 0
 
 
+def test_suite_refuses_a_mode(capsys):
+    # A suite is proved exactly: asking for a mode is an error, not a no-op.
+    for mode in ("numeric", "exact"):
+        assert main(["verify", "--suite", "toda", "--mode", mode]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_without_mode_is_exact(tmp_path):
+    out = construct(tmp_path, "A2", SPEC_11, 1, 1, "a2_11.json")
+    report = tmp_path / "report.json"
+    assert main(["verify", "--in", str(out), "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["mode"] == "exact"
+
+
 def test_bad_json_exits_2(tmp_path, capsys):
     path = tmp_path / "mangled.json"
     path.write_text("{nope")

@@ -442,6 +442,17 @@ def test_cancel_divides_out_known_atoms_and_the_monomial():
     assert z.cancel().den == x.den and z.cancel().num == x.num
 
 
+def test_scalar_operations_keep_a_given_denominator_unsplit():
+    # A scalar product, quotient or negation needs no factors of the
+    # denominator: neither the operand nor the result has it split.
+    num, den = ExpPoly.term(1, 1, 0), ONE + ExpPoly.term(1, 0, 1)
+    u = ExpRational(num, den)
+    for out, want in ((u * 2, num * 2), (u / 3, num * Fraction(1, 3)), (-u, -num)):
+        assert u._atoms is None and out._atoms is None
+        assert (out.num, out.den) == (want, den)
+        assert out == ExpRational(want, den)
+
+
 def test_equality_over_the_same_atoms_forms_no_product(monkeypatch):
     # Values over one atom, with different monomials in the denominator,
     # compare their numerators: one shift, no ExpPoly product.

@@ -10,11 +10,15 @@ from nwave.exprat import _ZERO_FIELD, ONE, ExpPoly, ExpRational, grid_values, wa
 from nwave.spectral import spectral_data
 from nwave.tau import solution_from_tau
 from nwave.verify import (
+    CLAIMS,
     GRID,
     GRID_T,
     GRID_X,
     SUITES,
+    Report,
     _judge,
+    _solution_checks,
+    _tau_solutions,
     render_poly,
     verify_config,
     verify_suite,
@@ -199,6 +203,19 @@ def test_numeric_mode_fails_a_field_off_by_a_small_relative_error(name, q, eps):
     assert not verify_config(m, bad, "numeric").passed
 
 
+@pytest.mark.parametrize("digits", [12, 20, 25])
+def test_numeric_mode_fails_a_tiny_nonzero_residual(digits):
+    # With every other field zero, D(1,0) f-1.0 = 10^-digits * e^t has
+    # nothing to cancel against: its residual is its whole mass, at any size.
+    m = model("A2")
+    tiny = ExpRational(ExpPoly.term(Fraction(1, 10**digits), 1, 0))
+    cfg = zero_config("A2", W).with_fields({(MINUS, (1, 0)): tiny})
+    exact = verify_config(m, cfg, "exact")
+    numeric = verify_config(m, cfg, "numeric")
+    assert [c.name for c in exact.checks if not c.passed] == ["D(1,0) f-1.0"]
+    assert [c.passed for c in numeric.checks] == [c.passed for c in exact.checks]
+
+
 def test_numeric_mode_fails_the_pole_a2_configuration():
     m = model("A2")
     exact = verify_config(m, pole_a2(), "exact")
@@ -246,7 +263,7 @@ def test_unknown_suite_rejected():
         verify_suite("a3-full")
 
 
-@pytest.mark.parametrize("name", ["toda", "gra", "ab-chain", "a2-full"])
+@pytest.mark.parametrize("name", ["toda", "gra", "ab-chain", "a2-full", "b2-full"])
 def test_cheap_suites_pass(name):
     rep = verify_suite(name)
     assert rep.passed
@@ -263,6 +280,19 @@ def test_g2_suite_gates_every_order():
     ]
     assert [c.name for c in rep.checks if not c.passed] == []
     assert rep.passed
+
+
+def test_every_claim_is_in_a_suite_and_every_suite_names_known_claims():
+    named = [name for names in SUITES.values() for name in names]
+    assert set(named) == set(CLAIMS)
+    assert len(named) == len(set(named))
+
+
+def test_a_solution_claim_reports_tau_zero_as_a_failing_check():
+    rep = Report("claim", "exact")
+    _solution_checks(lambda: _tau_solutions("A2", tuple(Q2), ((2, 2), (3, 2))), rep)
+    assert [c.passed for c in rep.checks] == [True, False]
+    assert rep.checks[1].detail.startswith("TauZero: ")
 
 
 def test_suite_reports_are_deterministic():
