@@ -448,72 +448,69 @@ ONE = ExpPoly.const(1)
 # along v, and a row packed into one int, a digit per v step, is multiplied
 # by one CPython int product.
 
-#: A sum is packed when it has at least this many term pairs (len(p) *
-#: len(q), summed) per operand term (len(p) + len(q), summed): the
-#: schoolbook's work grows with the pairs, packing's with the terms.
-#: Measured on the 113 Hirota residuals of the tau-verify bench jobs, the
-#: A2, B2 and G2 seeds and G2 (1,1) on 2P+3Q, timed both ways (best of 15,
-#: 2-core Xeon VM): of the 49 with at most 400 pairs, those below 1.65
-#: pairs per term took 1.2 to 1.8 times as long packed, but for two, and
-#: those from 1.95 up 0.45 to 1.0 times; every larger one packs faster.
-PACK_PAIRS_PER_TERM = 2
-
 #: A sum is packed only when its row ints have at most this many slots per
 #: operand term, counting every operand row and one output row.  The Hirota
-#: residuals above have 1.1 to 3.9.  Measured on random spectral sums (two
-#: rows per operand, 4 to 30 terms per row, slots per term 1.2 to 39): at
-#: 8 to 10 a zero sum packs in 0.1 to 0.6 of the schoolbook's time, a
-#: nonzero one, whose digits are read back, in 0.5 to 2.4.  Sparser sums,
-#: exponents off the spectral lattice among them, are multiplied term by
-#: term, so no row int is mostly zeros.
+#: residuals of the tau-verify bench jobs have 1.1 to 3.9.  Measured on
+#: random spectral sums (two rows per operand, 4 to 30 terms per row, slots
+#: per term 1.2 to 39): at 8 to 10 a zero sum packs in 0.1 to 0.6 of the
+#: schoolbook's time, a nonzero one, whose digits are read back, in 0.5 to
+#: 2.4.  Sparser sums, exponents off the spectral lattice among them, are
+#: multiplied term by term, so no row int is mostly zeros.
 PACK_SLOTS_PER_TERM = 8
 
 #: A run of nonzero bytes.
 _NONZERO_BYTES = re.compile(rb"[^\x00]+")
 
 
-def sum_of_products(terms: Iterable, w: WaveConstants) -> ExpPoly:
-    """sum(c * p * q) over (c, p, q) of an int or Fraction c and ExpPolys p, q.
+def sum_of_products(sums: Iterable[Iterable], w: WaveConstants) -> List[ExpPoly]:
+    """[sum(c * p * q) over (c, p, q) in terms] for each terms in sums, with
+    c an int or Fraction and p, q ExpPolys.
 
-    Small sums (PACK_PAIRS_PER_TERM) and sparse ones (PACK_SLOTS_PER_TERM)
-    are formed as ExpPoly products.  The others are formed by Kronecker
-    substitution in the spectral coordinates (u, v) of w.spectral_basis():
+    Sparse sums (PACK_SLOTS_PER_TERM) are formed as ExpPoly products.  The
+    others are formed by Kronecker substitution in the spectral coordinates
+    (u, v) of w.spectral_basis():
 
-    - the keys of every operand go to (u, v) at one common scale, and each
-      operand is split into rows by u;
+    - the keys of each distinct operand of all the sums go to (u, v) at one
+      common scale, once, and each operand is split into rows by u;
     - a row becomes one int, the sum of n * 2**(k*j) over its terms, at
       slot j = (v - vmin) / s from the operand's least v; the slot step s
       is the gcd of the v differences within every operand and between the
-      products' offsets, so every product lands on whole slots;
-    - with the coefficients as integers over one rational content, k is the
-      least multiple of 8 that exceeds by one the bit length of the bound
-      sum |c| * |p|_1 * |q|_1 on every output coefficient;
+      products' offsets in each sum, so every product lands on whole slots;
+    - each sum has its own digit width: with its coefficients as integers
+      over one rational content, k is the least multiple of 8 that exceeds
+      by one the bit length of the bound sum |c| * |p|_1 * |q|_1 on every
+      output coefficient; an operand is packed once per digit width;
     - the product of a row of p and a row of q is one int product, added
-      into output row u_p + u_q at the product's offset.
+      into the sum's output row u_p + u_q at the product's offset.
 
     An output coefficient then lies strictly within +-2**(k-1), so the
-    balanced base-2**k digits of an output row are unique: the sum is zero
-    exactly when every output row int is 0.  Otherwise the digits are read
-    back to lattice keys.
+    balanced base-2**k digits of an output row are unique: a sum is zero
+    exactly when each of its output row ints is 0.  Otherwise its digits
+    are read back to lattice keys.
     """
-    terms = [(c, p, q) for c, p, q in terms if c and p._ints and q._ints]
-    if not terms:
-        return _ZERO
-    pairs = sum(len(p._ints) * len(q._ints) for _, p, q in terms)
-    if pairs >= PACK_PAIRS_PER_TERM * sum(len(p._ints) + len(q._ints) for _, p, q in terms):
-        packed = _packed_sum(terms, w)
-        if packed is not None:
-            return packed
-    acc = _ZERO
-    for c, p, q in terms:
-        acc = acc + p * q * c
-    return acc
+    sums = [[(c, p, q) for c, p, q in terms if c and p._ints and q._ints] for terms in sums]
+    basis = w.spectral_basis()
+    scale = lcm(*[x._scale for terms in sums for _, p, q in terms for x in (p, q)])
+    ops: Dict[Tuple[int, int], _Operand] = {}
+
+    def operand(x: ExpPoly) -> _Operand:
+        # by its term dict and scale, so p and -p are one operand
+        key = (id(x._ints), x._scale)
+        if key not in ops:
+            ops[key] = _Operand(x, scale // x._scale, basis)
+        return ops[key]
+
+    all_pairs = [[(operand(p), operand(q)) for _, p, q in terms] for terms in sums]
+    step = gcd(*[v - op.lo for op in ops.values() for v in op.vs],
+               *[op.lo + oq.lo - pairs[0][0].lo - pairs[0][1].lo
+                 for pairs in all_pairs for op, oq in pairs]) or 1
+    return [_sum(terms, pairs, step, scale, basis) for terms, pairs in zip(sums, all_pairs)]
 
 
 class _Operand:
     """One operand of a packed sum: its terms' spectral coordinates u and v
     (in the order of ints), least and greatest v, the 1-norm of its integer
-    coefficients, and, once packed, its rows [(u, int)]."""
+    coefficients, and its rows [(u, int)] by digit width, once packed."""
 
     __slots__ = ("ints", "us", "vs", "lo", "hi", "norm", "rows")
 
@@ -525,45 +522,35 @@ class _Operand:
         self.vs = vs = [b1 * a + b2 * b for a, b in ints]
         self.lo, self.hi = min(vs), max(vs)
         self.norm = sum(map(abs, ints.values()))
+        self.rows: Dict[int, list] = {}
 
-    def pack(self, step: int, k: int) -> None:
+    def pack(self, step: int, k: int) -> list:
         """Each row as one int: n * 2**(k*j) summed over its terms, at slot
         j = (v - lo) / step."""
-        rows: Dict[int, int] = {}
-        get, lo = rows.get, self.lo
-        for u, v, n in zip(self.us, self.vs, self.ints.values()):
-            rows[u] = get(u, 0) + (n << (v - lo) // step * k)
-        self.rows = list(rows.items())
+        if k not in self.rows:
+            rows: Dict[int, int] = {}
+            get, lo = rows.get, self.lo
+            for u, v, n in zip(self.us, self.vs, self.ints.values()):
+                rows[u] = get(u, 0) + (n << (v - lo) // step * k)
+            self.rows[k] = list(rows.items())
+        return self.rows[k]
 
 
-def _packed_sum(terms, w: WaveConstants) -> Optional[ExpPoly]:
-    """sum(c * p * q) over terms by Kronecker substitution (see
-    sum_of_products), or None when the sum is too sparse to pack."""
-    basis = t11, t12, t21, t22, det = w.spectral_basis()
-    scale = lcm(*[x._scale for _, p, q in terms for x in (p, q)])
-    # each operand once, by its term dict and scale (p and -p share them)
-    ops: Dict[Tuple[int, int], _Operand] = {}
-    spans = []
-    step = nterms = 0
-    for _, p, q in terms:
-        span = []
-        for x in (p, q):
-            op = ops.get((id(x._ints), x._scale))
-            if op is None:
-                op = ops[id(x._ints), x._scale] = _Operand(x, scale // x._scale, basis)
-                step = gcd(step, *[v - op.lo for v in op.vs])
-                nterms += len(op.vs)
-            span.append(op)
-        spans.append(span)
-    offsets = [op.lo + oq.lo for op, oq in spans]
+def _sum(terms, pairs, step: int, scale: int, basis) -> ExpPoly:
+    """sum(c * p * q) over terms, with the _Operands (p, q) of each term in
+    pairs: term by term when sparse, else packed (see sum_of_products)."""
+    if not terms:
+        return _ZERO
+    t11, t12, t21, t22, det = basis
+    offsets = [op.lo + oq.lo for op, oq in pairs]
     lo = min(offsets)
-    step = gcd(step, *[o - lo for o in offsets]) or 1
-    nslots = (max([op.hi + oq.hi for op, oq in spans]) - lo) // step + 1
-    slots = nslots
-    for op in ops.values():
+    nslots = (max([op.hi + oq.hi for op, oq in pairs]) - lo) // step + 1
+    slots, nterms = nslots, 0
+    for op in {id(op): op for pair in pairs for op in pair}.values():
         slots += len(set(op.us)) * ((op.hi - op.lo) // step + 1)
+        nterms += len(op.vs)
     if slots > PACK_SLOTS_PER_TERM * nterms:
-        return None
+        return sum((p * q * c for c, p, q in terms), _ZERO)
     # the factors c * content(p) * content(q) as integers over one content g/den
     nums, dens = [], []
     for c, p, q in terms:
@@ -574,18 +561,16 @@ def _packed_sum(terms, w: WaveConstants) -> Optional[ExpPoly]:
     nums = [n * (den // d) for n, d in zip(nums, dens)]
     g = gcd(*nums)
     bound = 0
-    for n, (op, oq) in zip(nums, spans):
+    for n, (op, oq) in zip(nums, pairs):
         bound += abs(n) * op.norm * oq.norm
     nbytes = (bound // g).bit_length() // 8 + 1
     k = 8 * nbytes
-    for op in ops.values():
-        op.pack(step, k)
     acc: Dict[int, int] = {}
     get = acc.get
-    for n, (op, oq), o in zip(nums, spans, offsets):
+    for n, (op, oq), o in zip(nums, pairs, offsets):
         m, shift = n // g, (o - lo) // step * k
-        rows_q = oq.rows
-        for u1, x1 in op.rows:
+        rows_q = oq.pack(step, k)
+        for u1, x1 in op.pack(step, k):
             x1 = (x1 * m) << shift
             for u2, x2 in rows_q:
                 u = u1 + u2
@@ -774,10 +759,11 @@ class ExpRational:
 
     @staticmethod
     def all_over(nums: Iterable[ExpPoly], den) -> List["ExpRational"]:
-        """[ExpRational(num, den) for num in nums], with den normalized once
-        into one object that every value holds (see common_denominator)."""
+        """[ExpRational(num, den) for num in nums], with den normalized and
+        split once: every value holds the same denominator and factors."""
         u = ExpRational(1, den)
-        return [_rat(n * u.num._content, u._shift, u._atoms, u._den) for n in nums]
+        shift, atoms = u._factors()
+        return [_rat(n * u.num._content, shift, atoms, u._den) for n in nums]
 
     def is_zero(self) -> bool:
         return not self.num._ints
@@ -800,8 +786,10 @@ class ExpRational:
     def _over(self, shift: LinForm, atoms: Dict[ExpPoly, int]) -> ExpPoly:
         """The numerator over exp(shift) * prod(atoms), a multiple of this
         value's denominator."""
-        own_shift, own = self._factors()
         num = self.num
+        if not num._ints:
+            return num
+        own_shift, own = self._factors()
         if shift != own_shift:
             num = _shifted(num, _sum_shift(shift, own_shift, -1))
         for a, k in atoms.items():
@@ -944,11 +932,6 @@ class ExpRational:
             p, q = w.deriv_speeds(i, j)
             dn = dn - n * (p * s[0] + q * s[1])
         atoms = list(atoms.items())
-        if not atoms:
-            return dn
-        if len(atoms) == 1:
-            (a, k), = atoms
-            return dn * a - n * (a.deriv(i, j, w) * k)
         prod, rest = ONE, _ZERO
         for idx, (a, k) in enumerate(atoms):
             prod = prod * a
@@ -1051,19 +1034,14 @@ def _lcm(values: Sequence[ExpRational]) -> Tuple[LinForm, Dict[ExpPoly, int]]:
 
 
 def common_denominator(values: Sequence[ExpRational]) -> Tuple[ExpPoly, List[ExpPoly]]:
-    """(L, [N]): the least common denominator L of the values, expanded,
-    and each value's numerator over it, so that v = N / L.
-
-    When the nonzero values hold one denominator as given to a constructor
-    (one object, from ExpRational.all_over, or equal ones, from a document),
-    L is that denominator, found with nothing split; otherwise it is the
-    _lcm of the factored denominators, which is the same polynomial there.
+    """(L, [N]): the least common denominator L of the values (the _lcm of
+    their factored denominators), expanded, and each value's numerator over
+    it, so that v = N / L.  Where the first nonzero value's denominator
+    already is L, as for values that share one denominator, L is that
+    denominator as held and each such N the value's own numerator.
     """
     live = [v for v in values if v.num._ints] or [_ZERO_RAT]
     first = live[0]
-    if first._den is not None and all(v._den is first._den or v._den == first._den
-                                      for v in live):
-        return first._den, [v.num for v in values]
     shift, atoms = _lcm(live)
     den = first.den if (shift, atoms) == first._factors() else _rat(ONE, shift, atoms).den
     return den, [v._over(shift, atoms) for v in values]

@@ -189,7 +189,8 @@ def _equation_points(eq, points):
 def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Report:
     """Per-equation residual verdicts for one configuration.
 
-    Exact mode decides by cancellation of the cleared numerator.  Numeric
+    Exact mode decides each equation by cancellation of its cleared
+    numerator, all of them from one residual pass.  Numeric
     mode never builds a residual: it evaluates each field with
     exprat.grid_values on the fixed 9-point rational grid GRID_T x GRID_X
     (numerator, denominator and the equation's D_{i,j} of the left-hand
@@ -206,8 +207,7 @@ def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Rep
         raise ValueError(f"unknown mode {mode!r} (expected 'exact' or 'numeric')")
     rep = Report(title=f"{m.name} configuration", mode=mode)
     if mode == "exact":
-        for eq in m.equations:
-            r = residual(m, cfg, eq)
+        for eq, r in zip(m.equations, residual(m, cfg, m.equations)):
             ok = r.is_zero()
             rep.add(_eq_name(eq), ok, "" if ok else "residual numerator nonzero",
                     witness=None if ok else r)
@@ -217,7 +217,8 @@ def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Rep
     for eq in m.equations:
         ok, detail = _judge(_equation_points(eq, points))
         rep.add(_eq_name(eq), ok, detail,
-                witness=None if ok or rep.counterexample is not None else residual(m, cfg, eq))
+                witness=None if ok or rep.counterexample is not None
+                else residual(m, cfg, [eq])[0])
     return rep
 
 

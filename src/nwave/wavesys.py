@@ -8,10 +8,10 @@ bilinear first-order system — one equation
 per signed root.  Keeping the equations as data means the verifier and the
 transformation engine share a single source of truth.
 
-``residual`` is the one per-equation exact check, always in Hirota's
-bilinear form.  With the equation's fields written N_k/L over the least
-common denominator L of their denominators (tau itself for a tau solution),
-the equation times L^2 reads
+``residual`` is the one exact check, always in Hirota's bilinear form and
+in one pass over a configuration.  With every field written N_k/L over the
+least common denominator L of the configuration's denominators (tau itself
+for a tau solution), each equation times L^2 reads
 
     D(N_lhs)*L - N_lhs*D(L) - sum_k coef_k * N_{A_k} * N_{B_k} = 0,
 
@@ -24,7 +24,7 @@ is symmetric; ``transforms`` conjugates its maps by them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .exprat import ExpPoly, ExpRational, WaveConstants, common_denominator, sum_of_products
 
@@ -182,29 +182,34 @@ def zero_config(name: str, constants: WaveConstants) -> FieldConfig:
     return FieldConfig(name, constants, {k: ExpRational.zero() for k in m.field_keys})
 
 
-def residual(m: AlgebraModel, cfg: FieldConfig, eq: EquationSpec) -> ExpPoly:
-    """D_{i,j} f_lhs - sum coef*f_a*f_b times L^2 in Hirota's bilinear form,
-    N_lhs' L - N_lhs L' - sum coef*N_a*N_b: zero exactly when the equation
-    holds.
+def residual(m: AlgebraModel, cfg: FieldConfig, eqs: Sequence[EquationSpec]) -> List[ExpPoly]:
+    """For each equation in eqs, D_{i,j} f_lhs - sum coef*f_a*f_b times L^2
+    in Hirota's bilinear form, N_lhs' L - N_lhs L' - sum coef*N_a*N_b: zero
+    exactly when the equation holds.
 
-    L is the least common denominator of the equation's fields and N a
-    field's numerator over it (exprat.common_denominator: a tau solution's
-    one tau as it is, else the lcm of the factored denominators); a zero
+    L is the least common denominator of all the configuration's fields and
+    N a field's numerator over it, from one exprat.common_denominator call
+    (a tau solution's one tau as it is); L' is formed once per root.  A zero
     field has N = 0, so its products drop out, and L*L is never formed.
-    The sum is one call of exprat.sum_of_products, which packs the rows of
-    the spectral basis into ints above its crossover, with a digit width
-    above the bound sum |coef|*|N_a|_1*|N_b|_1, so the residual is zero
-    exactly when every output row int is 0; a nonzero one is read back
-    from the same digits.
+    The sums are one call of exprat.sum_of_products, which converts each
+    distinct operand to spectral coordinates once and packs it into ints
+    once per digit width; each equation keeps its own digit width above
+    the bound sum |coef|*|N_a|_1*|N_b|_1 and its own output rows, so its
+    residual is zero exactly when every one of its output row ints is 0,
+    and a nonzero one is read back from its own digits.
     """
-    i, j = eq.d_index
     w = cfg.constants
-    d, (n, *nums) = common_denominator(
-        [cfg[eq.lhs]] + [cfg[k] for _, a, b in eq.rhs for k in (a, b)])
-    terms = [(-coef, na, nb) for (coef, _, _), na, nb in zip(eq.rhs, nums[::2], nums[1::2])]
-    if n:
-        terms += [(1, n.deriv(i, j, w), d), (-1, n, d.deriv(i, j, w))]
-    return sum_of_products(terms, w)
+    d, nums = common_denominator(list(cfg.fields.values()))
+    num = dict(zip(cfg.fields, nums))
+    dd = {r: d.deriv(*r, w) for r in {eq.d_index for eq in eqs}}
+    sums = []
+    for eq in eqs:
+        terms = [(-coef, num[a], num[b]) for coef, a, b in eq.rhs]
+        n = num[eq.lhs]
+        if n:
+            terms += [(1, n.deriv(*eq.d_index, w), d), (-1, n, dd[eq.d_index])]
+        sums.append(terms)
+    return sum_of_products(sums, w)
 
 
 # -- Exchanges ------------------------------------------------------------------

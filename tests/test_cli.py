@@ -533,7 +533,7 @@ def _fraction_within_limit(v):
     return f if max(abs(f.numerator), f.denominator) < 10 ** LIMIT else None
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(numbers, st.integers(0, 2))
 @example("3/0", 2)
 @example("3/4/5", 0)

@@ -6,9 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-settings.register_profile("exact", deadline=None)
-settings.load_profile("exact")
-
 from nwave.exprat import (
     DivisionByZeroField,
     EvalPole,
@@ -516,7 +513,7 @@ def test_common_denominator_is_the_least_over_the_atoms():
 # -- sums of products against the schoolbook reference -------------------------------
 
 #: Packing forced on every sum: the Kronecker path alone, whatever its cost.
-ALWAYS_PACK = {"PACK_PAIRS_PER_TERM": 0, "PACK_SLOTS_PER_TERM": 10 ** 9}
+ALWAYS_PACK = {"PACK_SLOTS_PER_TERM": 10 ** 9}
 
 big_coefs = st.one_of(st.integers(-2 ** 130, 2 ** 130).filter(bool), nonzero_rationals)
 
@@ -555,20 +552,38 @@ def product_sums(draw):
     return out
 
 
+@st.composite
+def product_systems(draw):
+    """Sums of products (see product_sums) to form in one call; a last sum
+    may multiply operands of the others, so that one operand enters sums of
+    different digit widths."""
+    sums = draw(st.lists(product_sums(), min_size=1, max_size=2))
+    pool = [(x, rx) for terms in sums for _, p, q, rp, rq in terms for x, rx in ((p, rp), (q, rq))]
+    if draw(st.booleans()):
+        picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool), big_coefs),
+                              min_size=1, max_size=3))
+        sums.append([(c, p, q, rp, rq) for (p, rp), (q, rq), c in picks])
+    return sums
+
+
 @settings(max_examples=120)
-@given(product_sums())
-def test_sum_of_products_matches_the_schoolbook_reference(terms):
-    want = {}
-    for c, _, _, rp, rq in terms:
-        want = ref.add(want, ref.mul(ref.mul(rp, rq), {(F(0), F(0)): F(c)}))
-    triples = [(c, p, q) for c, p, q, _, _ in terms]
+@given(product_systems())
+def test_sum_of_products_matches_the_schoolbook_reference(sums):
+    wants = []
+    for terms in sums:
+        want = {}
+        for c, _, _, rp, rq in terms:
+            want = ref.add(want, ref.mul(ref.mul(rp, rq), {(F(0), F(0)): F(c)}))
+        wants.append(want)
+    systems = [[(c, p, q) for c, p, q, _, _ in terms] for terms in sums]
     for forced in ({}, ALWAYS_PACK):
         with pytest.MonkeyPatch.context() as mp:
             for name, value in forced.items():
                 mp.setattr(exprat, name, value)
-            got = sum_of_products(triples, W)
-        assert dict(got.terms) == want
-        assert got == sum((p * q * c for c, p, q in triples), ExpPoly())
+            got = sum_of_products(systems, W)
+        assert [dict(g.terms) for g in got] == wants
+        for g, triples in zip(got, systems):
+            assert g == sum((p * q * c for c, p, q in triples), ExpPoly())
 
 
 def _pair_loops(monkeypatch, run):
@@ -592,17 +607,17 @@ def _pair_loops(monkeypatch, run):
 
 @pytest.mark.parametrize("gap, packed", [(1, True), (10 ** 6, False)])
 def test_a_sparse_sum_of_products_is_multiplied_term_by_term(monkeypatch, gap, packed):
-    # Eight spike waves per operand, the last one gap steps past the others:
-    # 4 pairs per operand term, above the crossover.  With a gap of 10**6 the
-    # v span is 10**6 slot steps, over 1000 times the 32 operand terms, and
-    # the sum is formed by ExpPoly products; with a gap of 1 it is packed.
+    # Eight spike waves per operand, the last one gap steps past the others.
+    # With a gap of 10**6 the v span is 10**6 slot steps, over 1000 times
+    # the 32 operand terms, and the sum is formed by ExpPoly products; with
+    # a gap of 1 it is packed.
     def wave(k):
         return spectral_key(F(1), F(k if k < 7 else 6 + gap))
     p = [(k + 1, *wave(k)) for k in range(8)]
     q = [(2 * k - 5, *wave(k)) for k in range(8)]
     (fp, rp), (fq, rq) = _poly_and_reference(p), _poly_and_reference(q)
-    got, loops = _pair_loops(monkeypatch, lambda: sum_of_products(
-        [(3, fp, fq), (Fraction(-1, 2), fq, fq)], W))
+    (got,), loops = _pair_loops(monkeypatch, lambda: sum_of_products(
+        [[(3, fp, fq), (Fraction(-1, 2), fq, fq)]], W))
     want = ref.add(ref.mul(ref.mul(rp, rq), {(F(0), F(0)): F(3)}),
                    ref.mul(ref.mul(rq, rq), {(F(0), F(0)): Fraction(-1, 2)}))
     assert dict(got.terms) == want

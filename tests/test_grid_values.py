@@ -39,7 +39,7 @@ def _close(got, want, bound):
     return abs(mpmath.mp.make_mpf(got) - want) <= bound
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.lists(values, min_size=1, max_size=3), coords, coords,
        st.lists(st.sampled_from(DERIVS), min_size=3, max_size=3))
 def test_grid_values_matches_a_400_bit_reference(us, ts, xs, derivs):

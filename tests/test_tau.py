@@ -23,6 +23,7 @@ from nwave.verify import verify_config
 from nwave.wavesys import MINUS, model, residual
 
 import _tausum as ref
+from _hirota import equation_residual
 
 W = wave_constants(1, "1/2", "1/3", 1)
 
@@ -189,7 +190,7 @@ def tau_orders(draw):
     return s, n1, qsizes
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(tau_orders())
 def test_factorised_tau_matches_nested_loops(case):
     s, n1, qsizes = case
@@ -209,7 +210,7 @@ def tau_order_lists(draw):
     return s, orders + draw(st.lists(st.sampled_from(orders), max_size=2))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(tau_order_lists())
 def test_one_pass_taus_match_nested_loops(case):
     # orders that share P-subsets share their pieces; each value must still
@@ -218,7 +219,7 @@ def test_one_pass_taus_match_nested_loops(case):
     assert _taus(s, orders) == [ref.tau(s, n1, qsizes) for n1, qsizes in orders]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(spike_data(p=(0, 3), q=(0, 4), constants=lattice_constants(), values=lattice_rationals),
        st.data())
 def test_lattice_taus_match_nested_loops_on_random_constants(s, data):
@@ -229,7 +230,7 @@ def test_lattice_taus_match_nested_loops_on_random_constants(s, data):
     assert _taus(s, orders) == [ref.tau(s, n1, qsizes) for n1, qsizes in orders]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(spike_data(p=(0, 0), q=(0, 4), constants=lattice_constants(), values=lattice_rationals),
        st.lists(lattice_rationals, min_size=1, max_size=3), st.data(), st.booleans())
 def test_lattice_gra_sides_match_double_sum_on_random_constants(s, lams, data, multiplier):
@@ -283,7 +284,7 @@ def test_out_of_range_base_order_raises_before_any_subset(monkeypatch, name):
             solution_from_tau(model(name), s, n1, n2)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(spike_data(p=(0, 0)), st.lists(small_rationals, min_size=1, max_size=3), st.data(),
        st.booleans())
 def test_factorised_gra_side_matches_double_sum(s, lams, data, multiplier):
@@ -295,7 +296,7 @@ def test_factorised_gra_side_matches_double_sum(s, lams, data, multiplier):
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(spike_data(p=(0, 3)))
 def test_ratio_solution_base_order_is_seed(name, s):
     """The seed, the order-(0,0) tau solution, equals the ordered-tuple loops."""
@@ -309,7 +310,7 @@ def test_ratio_solution_base_order_is_seed(name, s):
 MAP_SPIKES = {"A2": (2, 2), "B2": (2, 2)}
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.sampled_from(["A2", "B2"]), spike_data(p=(1, 2), q=(1, 3)),
        st.sampled_from([(1, 1), (1, 0), (0, 1), (0, 0)]), st.data())
 def test_random_tau_solutions_verify(name, s, orders, data):
@@ -359,42 +360,63 @@ def reference_residual(cfg, eq):
     return acc
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["A2", "B2", "G2"]), st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]),
-       st.booleans(), st.data())
-def test_residual_matches_the_exprational_reference(name, orders, mapped, data):
-    """On tau solutions (one shared denominator, 1 at the seed), their
-    f-1.0-doubled variants and their map images (distinct denominators),
-    solution or not, the residual is the ExpRational residual times L^2,
-    L a common denominator of the equation's fields; over one shared
-    denominator it is the ExpRational residual's numerator."""
+@st.composite
+def hirota_cases(draw):
+    """(model, configurations): a tau solution of a random algebra and order
+    (one shared denominator, 1 at the seed), the same with f-1.0 doubled,
+    and, for A2 and B2, map images of both (distinct denominators)."""
+    name = draw(st.sampled_from(["A2", "B2", "G2"]))
+    orders = draw(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]))
     m = model(name)
-    mapped = mapped and name in MAP_SPIKES
+    mapped = name in MAP_SPIKES and draw(st.booleans())
     max_p, max_q = MAP_SPIKES[name] if mapped else (2, 3)
-    s = data.draw(spike_data(p=(int(mapped), max_p), q=(int(mapped), max_q)))
+    s = draw(spike_data(p=(int(mapped), max_p), q=(int(mapped), max_q)))
     try:
         cfg = solution_from_tau(m, s, *orders)
     except TauZero:
-        return
+        return m, []
     key = (MINUS, (1, 0))
     configs = [cfg, cfg.with_fields({key: cfg[key] * 2})]
     if mapped:
-        tid = data.draw(st.sampled_from([t for t, tr in TRANSFORMS.items() if tr.algebra == name]))
+        tid = draw(st.sampled_from([t for t, tr in TRANSFORMS.items() if tr.algebra == name]))
         for c in configs[:2]:
             try:
                 configs.append(apply(tid, c))
             except PivotZero:
                 pass
+    return m, configs
+
+
+@settings(max_examples=60)
+@given(hirota_cases())
+def test_residual_matches_the_exprational_reference(case):
+    """Solution or not, each residual is the ExpRational residual times
+    L^2, L the common denominator of all the configuration's fields; over
+    one shared denominator it is the ExpRational residual's numerator."""
+    m, configs = case
     for c in configs:
-        for eq in m.equations:
-            fields = [c[k] for k in [eq.lhs] + [k for _, a, b in eq.rhs for k in (a, b)]]
-            fields = [f for f in fields if not f.is_zero()]
-            L, _ = common_denominator(fields)
-            for f in fields:
-                divexact(f.num * L, f.den)  # InexactDivision unless f.den divides L
-            r = residual(m, c, eq)
+        fields = [f for f in c.fields.values() if not f.is_zero()]
+        L, _ = common_denominator(fields)
+        for f in fields:
+            divexact(f.num * L, f.den)  # InexactDivision unless f.den divides L
+        for eq, r in zip(m.equations, residual(m, c, m.equations)):
             want = reference_residual(c, eq)
             assert isinstance(r, ExpPoly)
             assert ExpRational(r, L * L) == want
             if all(f.den == fields[0].den for f in fields):
                 assert r == want.num
+
+
+@settings(max_examples=60)
+@given(hirota_cases())
+def test_one_pass_residuals_match_the_per_equation_residuals(case):
+    """The one pass over the configuration's denominator L_cfg gives every
+    equation the verdict of the per-equation Hirota residual over its own
+    denominator L_eq, and the same value: r / L_cfg^2 == r_eq / L_eq^2."""
+    m, configs = case
+    for c in configs:
+        L, _ = common_denominator(list(c.fields.values()))
+        for eq, r in zip(m.equations, residual(m, c, m.equations)):
+            L_eq, r_eq = equation_residual(c, eq)
+            assert r.is_zero() == r_eq.is_zero()
+            assert ExpRational(r, L * L) == ExpRational(r_eq, L_eq * L_eq)

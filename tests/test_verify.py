@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nwave import wavesys
+from nwave import exprat, wavesys
 from nwave.cli import config_from_doc, config_to_doc
 from nwave.exprat import _ZERO_FIELD, ONE, ExpPoly, ExpRational, grid_values, wave_constants
 from nwave.spectral import spectral_data
@@ -249,8 +249,8 @@ def test_failing_numeric_check_builds_one_residual(monkeypatch):
     rep = verify_config(m, bad, "numeric")
     failed = [eq for eq, c in zip(m.equations, rep.checks) if not c.passed]
     assert len(failed) >= 2
-    assert built == failed[:1]
-    assert rep.counterexample == render_poly(residual(m, bad, failed[0]))
+    assert built == [failed[:1]]
+    assert rep.counterexample == render_poly(residual(m, bad, failed[:1])[0])
 
 
 def test_grid_is_nine_rational_points():
@@ -314,11 +314,10 @@ Q3 = Q2 + [("-3", "1/3")]
 
 
 def test_exact_verify_of_g2_forms_its_hirota_residuals_without_pair_loops(monkeypatch):
-    # G2 (2,1) on 3P+3Q: every Hirota residual has at least 2.5 term pairs
-    # per operand term, above exprat.PACK_PAIRS_PER_TERM, so each is one
-    # packed sum of products and no ExpPoly product runs its pair loop.  With
-    # f-1.0 doubled the failing equations' witnesses come from the same
-    # digits and equal the quotient-built residuals.
+    # G2 (2,1) on 3P+3Q: every Hirota residual is a packed sum of products
+    # of the one residual pass, and no ExpPoly product runs its pair loop.
+    # With f-1.0 doubled the failing equations' witnesses come from their
+    # own digits and equal the quotient-built residuals.
     m = model("G2")
     cfg = solution_from_tau(m, spectral_data(W, P3, Q3), 2, 1)
     key = (MINUS, (1, 0))
@@ -333,7 +332,7 @@ def test_exact_verify_of_g2_forms_its_hirota_residuals_without_pair_loops(monkey
 
     monkeypatch.setattr(ExpPoly, "__mul__", counting)
     good_rep, bad_rep = verify_config(m, cfg), verify_config(m, bad)
-    witnesses = [residual(m, bad, eq) for eq in m.equations]
+    witnesses = residual(m, bad, m.equations)
     monkeypatch.setattr(ExpPoly, "__mul__", mul)
     assert not pair_loops
     assert good_rep.passed and not bad_rep.passed
@@ -365,10 +364,10 @@ def test_exact_verify_of_a_tau_solution_never_squares_tau(monkeypatch):
             products.append((a, b))
             return mul(a, b)
 
-        def recording_packed(terms, w):
-            terms = list(terms)
-            products.extend((p, q) for _, p, q in terms)
-            return packed(terms, w)
+        def recording_packed(sums, w):
+            sums = [list(terms) for terms in sums]
+            products.extend((p, q) for terms in sums for _, p, q in terms)
+            return packed(sums, w)
 
         with monkeypatch.context() as patch:
             patch.setattr(ExpPoly, "__mul__", recording_mul)
@@ -376,3 +375,33 @@ def test_exact_verify_of_a_tau_solution_never_squares_tau(monkeypatch):
             rep = verify_config(m, c)
         assert rep.passed and products
         assert not any(a == tau and b == tau for a, b in products)
+
+
+def test_exact_verify_of_g2_puts_every_field_over_one_denominator_and_converts_each_operand_once(
+        monkeypatch):
+    # One residual pass: one common denominator for the configuration and
+    # one _Operand per distinct operand: the 10 nonzero numerators, 9 of
+    # their derivatives (f+1.3 is one term, constant along its root), tau,
+    # and tau's derivatives along the 5 roots whose fields are not both
+    # zero.  That is 25, where a pass per equation converts 82 (packing
+    # every sum) over 12 common denominators.
+    m = model("G2")
+    cfg = solution_from_tau(m, spectral_data(W, P2, Q2 + [("-3", "1/3")]), 1, 1)
+    live = [k for k, f in cfg.fields.items() if not f.is_zero()]
+    assert (len(live), len({r for _, r in live})) == (10, 5)
+    dens, operands = [], []
+    common_denominator, operand_init = wavesys.common_denominator, exprat._Operand.__init__
+
+    def counting_dens(values):
+        dens.append(values)
+        return common_denominator(values)
+
+    def counting_operands(self, x, *args):
+        operands.append(x)
+        operand_init(self, x, *args)
+
+    monkeypatch.setattr(wavesys, "common_denominator", counting_dens)
+    monkeypatch.setattr(exprat._Operand, "__init__", counting_operands)
+    assert verify_config(m, cfg).passed
+    assert len(dens) == 1
+    assert len(operands) == 25
