@@ -23,6 +23,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import mul
@@ -449,8 +450,9 @@ ONE = ExpPoly.const(1)
 # by one CPython int product.
 
 #: A sum is packed only when its row ints have at most this many slots per
-#: operand term, counting every operand row and one output row.  The Hirota
-#: residuals of the tau-verify bench jobs have 1.1 to 3.9.  Measured on
+#: operand term, counting the rows and terms of every factor of every
+#: product (a power's factor at each occurrence) and one output row.  The
+#: Hirota residuals of the tau-verify bench jobs have 1.1 to 3.9.  Measured on
 #: random spectral sums (two rows per operand, 4 to 30 terms per row, slots
 #: per term 1.2 to 39): at 8 to 10 a zero sum packs in 0.1 to 0.6 of the
 #: schoolbook's time, a nonzero one, whose digits are read back, in 0.5 to
@@ -463,8 +465,9 @@ _NONZERO_BYTES = re.compile(rb"[^\x00]+")
 
 
 def sum_of_products(sums: Iterable[Iterable], w: WaveConstants) -> List[ExpPoly]:
-    """[sum(c * p * q) over (c, p, q) in terms] for each terms in sums, with
-    c an int or Fraction and p, q ExpPolys.
+    """[sum(c * x1 * ... * xk) over (c, x1, ..., xk) in terms] for each
+    terms in sums, with c an int or Fraction and k >= 1 ExpPoly factors
+    (k may differ from term to term).
 
     Sparse sums (PACK_SLOTS_PER_TERM) are formed as ExpPoly products.  The
     others are formed by Kronecker substitution in the spectral coordinates
@@ -475,22 +478,24 @@ def sum_of_products(sums: Iterable[Iterable], w: WaveConstants) -> List[ExpPoly]
     - a row becomes one int, the sum of n * 2**(k*j) over its terms, at
       slot j = (v - vmin) / s from the operand's least v; the slot step s
       is the gcd of the v differences within every operand and between the
-      products' offsets in each sum, so every product lands on whole slots;
+      products' offsets (the sums of their factors' least v) in each sum,
+      so every product lands on whole slots;
     - each sum has its own digit width: with its coefficients as integers
       over one rational content, k is the least multiple of 8 that exceeds
-      by one the bit length of the bound sum |c| * |p|_1 * |q|_1 on every
-      output coefficient; an operand is packed once per digit width;
-    - the product of a row of p and a row of q is one int product, added
-      into the sum's output row u_p + u_q at the product's offset.
+      by one the bit length of the bound sum |c| * |x1|_1 * ... * |xk|_1 on
+      every output coefficient; an operand is packed once per digit width;
+    - a product's rows are the chained int products of its factors' rows,
+      added into the sum's output row at the sum of the factors' u and at
+      the product's offset.
 
     An output coefficient then lies strictly within +-2**(k-1), so the
     balanced base-2**k digits of an output row are unique: a sum is zero
     exactly when each of its output row ints is 0.  Otherwise its digits
     are read back to lattice keys.
     """
-    sums = [[(c, p, q) for c, p, q in terms if c and p._ints and q._ints] for terms in sums]
     basis = w.spectral_basis()
-    scale = lcm(*[x._scale for terms in sums for _, p, q in terms for x in (p, q)])
+    sums = [list(terms) for terms in sums]
+    scale = lcm(*[x._scale for terms in sums for t in terms for x in t[1:]])
     ops: Dict[Tuple[int, int], _Operand] = {}
 
     def operand(x: ExpPoly) -> _Operand:
@@ -500,11 +505,37 @@ def sum_of_products(sums: Iterable[Iterable], w: WaveConstants) -> List[ExpPoly]
             ops[key] = _Operand(x, scale // x._scale, basis)
         return ops[key]
 
-    all_pairs = [[(operand(p), operand(q)) for _, p, q in terms] for terms in sums]
+    # each nonzero product as (term, its factors' _Operands, numerator,
+    # denominator, 1-norm, least v, greatest v): the numerator over the
+    # denominator is c times its factors' contents, and the norm and the
+    # least and greatest v combine those of its factors; a single factor is
+    # paired with ONE, so that a product has a first and a last factor
+    products = []
+    for terms in sums:
+        prods = []
+        for t in terms:
+            c, *xs = t
+            for x in xs:
+                if not x._ints:  # a zero factor: a zero product
+                    c = 0
+            if not c:
+                continue
+            f, n, d, norm, lo, hi = [], c.numerator, c.denominator, 1, 0, 0
+            for x in xs:
+                op = operand(x)
+                f.append(op)
+                n *= x._content.numerator
+                d *= x._content.denominator
+                norm *= op.norm
+                lo += op.lo
+                hi += op.hi
+            if len(f) == 1:
+                f.append(operand(ONE))
+            prods.append((t, f, n, d, norm, lo, hi))
+        products.append(prods)
     step = gcd(*[v - op.lo for op in ops.values() for v in op.vs],
-               *[op.lo + oq.lo - pairs[0][0].lo - pairs[0][1].lo
-                 for pairs in all_pairs for op, oq in pairs]) or 1
-    return [_sum(terms, pairs, step, scale, basis) for terms, pairs in zip(sums, all_pairs)]
+               *[p[5] - prods[0][5] for prods in products for p in prods]) or 1
+    return [_sum(prods, step, scale, basis) for prods in products]
 
 
 class _Operand:
@@ -512,7 +543,7 @@ class _Operand:
     (in the order of ints), least and greatest v, the 1-norm of its integer
     coefficients, and its rows [(u, int)] by digit width, once packed."""
 
-    __slots__ = ("ints", "us", "vs", "lo", "hi", "norm", "rows")
+    __slots__ = ("ints", "us", "vs", "nrows", "lo", "hi", "norm", "rows")
 
     def __init__(self, x: ExpPoly, f: int, basis) -> None:
         t11, t12, t21, t22, _ = basis
@@ -520,6 +551,7 @@ class _Operand:
         self.ints = ints = x._ints
         self.us = [a1 * a + a2 * b for a, b in ints]
         self.vs = vs = [b1 * a + b2 * b for a, b in ints]
+        self.nrows = len(set(self.us))
         self.lo, self.hi = min(vs), max(vs)
         self.norm = sum(map(abs, ints.values()))
         self.rows: Dict[int, list] = {}
@@ -536,41 +568,50 @@ class _Operand:
         return self.rows[k]
 
 
-def _sum(terms, pairs, step: int, scale: int, basis) -> ExpPoly:
-    """sum(c * p * q) over terms, with the _Operands (p, q) of each term in
-    pairs: term by term when sparse, else packed (see sum_of_products)."""
-    if not terms:
+def _row_product(rows_p: list, rows_q: list) -> list:
+    """The rows [(u, int)] of the product of two packed polynomials."""
+    out: Dict[int, int] = {}
+    get = out.get
+    for u1, x1 in rows_p:
+        for u2, x2 in rows_q:
+            u = u1 + u2
+            out[u] = get(u, 0) + x1 * x2
+    return list(out.items())
+
+
+def _sum(prods, step: int, scale: int, basis) -> ExpPoly:
+    """sum(c * x1 * ... * xk) over the products prods of one sum (see
+    sum_of_products): term by term when sparse, else packed."""
+    if not prods:
         return _ZERO
     t11, t12, t21, t22, det = basis
-    offsets = [op.lo + oq.lo for op, oq in pairs]
-    lo = min(offsets)
-    nslots = (max([op.hi + oq.hi for op, oq in pairs]) - lo) // step + 1
+    lo = min([p[5] for p in prods])
+    nslots = (max([p[6] for p in prods]) - lo) // step + 1
     slots, nterms = nslots, 0
-    for op in {id(op): op for pair in pairs for op in pair}.values():
-        slots += len(set(op.us)) * ((op.hi - op.lo) // step + 1)
-        nterms += len(op.vs)
+    for p in prods:
+        for op in p[1]:
+            slots += op.nrows * ((op.hi - op.lo) // step + 1)
+            nterms += len(op.vs)
     if slots > PACK_SLOTS_PER_TERM * nterms:
-        return sum((p * q * c for c, p, q in terms), _ZERO)
-    # the factors c * content(p) * content(q) as integers over one content g/den
-    nums, dens = [], []
-    for c, p, q in terms:
-        cp, cq = p._content, q._content
-        nums.append(c.numerator * cp.numerator * cq.numerator)
-        dens.append(c.denominator * cp.denominator * cq.denominator)
-    den = lcm(*dens)
-    nums = [n * (den // d) for n, d in zip(nums, dens)]
+        return sum((reduce(mul, t[1:]) * t[0] for t, *_ in prods), _ZERO)
+    # the products' coefficients as integers over one content g/den
+    den = lcm(*[p[3] for p in prods])
+    nums = [p[2] * (den // p[3]) for p in prods]
     g = gcd(*nums)
     bound = 0
-    for n, (op, oq) in zip(nums, pairs):
-        bound += abs(n) * op.norm * oq.norm
+    for n, p in zip(nums, prods):
+        bound += abs(n) * p[4]
     nbytes = (bound // g).bit_length() // 8 + 1
     k = 8 * nbytes
     acc: Dict[int, int] = {}
     get = acc.get
-    for n, (op, oq), o in zip(nums, pairs, offsets):
+    for n, (_, (first, *mid, last), _, _, _, o, _) in zip(nums, prods):
         m, shift = n // g, (o - lo) // step * k
-        rows_q = oq.pack(step, k)
-        for u1, x1 in op.pack(step, k):
+        rows_p = first.pack(step, k)
+        for op in mid:
+            rows_p = _row_product(rows_p, op.pack(step, k))
+        rows_q = last.pack(step, k)
+        for u1, x1 in rows_p:
             x1 = (x1 * m) << shift
             for u2, x2 in rows_q:
                 u = u1 + u2
@@ -1040,11 +1081,23 @@ def common_denominator(values: Sequence[ExpRational]) -> Tuple[ExpPoly, List[Exp
     already is L, as for values that share one denominator, L is that
     denominator as held and each such N the value's own numerator.
     """
+    den, shift, atoms = _lcd(values)
+    return den, [v._over(shift, atoms) for v in values]
+
+
+def least_common_denominator(values: Sequence[ExpRational]) -> ExpPoly:
+    """L of common_denominator(values), without the numerators over it."""
+    return _lcd(values)[0]
+
+
+def _lcd(values: Sequence[ExpRational]) -> Tuple[ExpPoly, LinForm, Dict[ExpPoly, int]]:
+    """(L, shift, atoms): the least common denominator of the values,
+    expanded (see common_denominator), and its factors."""
     live = [v for v in values if v.num._ints] or [_ZERO_RAT]
     first = live[0]
     shift, atoms = _lcm(live)
     den = first.den if (shift, atoms) == first._factors() else _rat(ONE, shift, atoms).den
-    return den, [v._over(shift, atoms) for v in values]
+    return den, shift, atoms
 
 
 # -- numeric evaluation -----------------------------------------------------------

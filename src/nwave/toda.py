@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
-from .exprat import ExpPoly, ExpRational, WaveConstants, divexact
+from .exprat import ExpPoly, ExpRational, WaveConstants, divexact, sum_of_products
 from .spectral import SpectralData
 from .tau import tau_U, tau_V_B2
 from .transforms import PivotZero
@@ -153,6 +153,8 @@ def ab_step(prev: ABChain, chain: HankelChain) -> ABChain:
     A' = (Det_{n+1} D B / 2 - B D Det_{n+1}) / Det_n, and B' is the
     three-part recursion cleared to a single numerator over 4 Det_n^4; both
     divisions are exact on genuine chain data (InexactDivision otherwise).
+    The two numerators and 4 Det_n^4 are sums of products of up to five
+    factors, formed in one exprat.sum_of_products call.
     """
     n = prev.level
     dn = chain.det(n)
@@ -168,15 +170,15 @@ def ab_step(prev: ABChain, chain: HankelChain) -> ABChain:
     a, b = prev.A, prev.B
     b1 = d(b)
     dn1_1 = d(dn1)
-    a_new = divexact(dn1 * b1 - b * dn1_1 * 2, dn * 2)
-
-    num = (
-        dn * dn * (dn1 * dn1 * d(b1) - dn1 * dn1_1 * b1 * 4 + dn1_1 * dn1_1 * b * 4)
-        + dn * dn1 * dn1 * (a * dn1_1 - dn1 * d(a)) * 2
-        + dn1 * dn1 * dn1 * (a * d(dn) + b * chain.det(n - 1)) * 2
-    )
-    b_new = divexact(num, dn * dn * dn * dn * 4)
-    return ABChain(n + 1, a_new, b_new)
+    num_a, num_b, den_b = sum_of_products([
+        [(1, dn1, b1), (-2, b, dn1_1)],
+        [(1, dn, dn, dn1, dn1, d(b1)), (-4, dn, dn, dn1, dn1_1, b1),
+         (4, dn, dn, dn1_1, dn1_1, b),
+         (2, dn, dn1, dn1, a, dn1_1), (-2, dn, dn1, dn1, dn1, d(a)),
+         (2, dn1, dn1, dn1, a, d(dn)), (2, dn1, dn1, dn1, b, chain.det(n - 1))],
+        [(4, dn, dn, dn, dn)],
+    ], w)
+    return ABChain(n + 1, divexact(num_a, dn * 2), divexact(num_b, den_b))
 
 
 def ab_closed(s: SpectralData, n: int) -> Tuple[ExpPoly, ExpPoly]:

@@ -27,13 +27,16 @@ from typing import Callable, Dict, List, Optional, Tuple
 from mpmath import libmp
 
 from .exprat import (
-    EVAL_PRECISION, _RND, _ZERO_FIELD, ExpPoly, ExpRational, _mpf, grid_values, wave_constants,
+    EVAL_PRECISION, _RND, _ZERO_FIELD, ExpPoly, ExpRational, _mpf, divexact, grid_values,
+    least_common_denominator, wave_constants,
 )
 from .spectral import SpectralData, initial_config, spectral_data, wave_exponent
 from .tau import TauZero, check_gra, solution_from_tau, tau_U
 from .toda import ab_closed, ab_init, ab_step, det_n, hankel_chain, toda_residual
 from .transforms import apply, apply_chain
-from .wavesys import AlgebraModel, FieldConfig, MINUS, PLUS, field_label, model, residual
+from .wavesys import (
+    AlgebraModel, EquationSpec, FieldConfig, MINUS, PLUS, field_label, model, residual,
+)
 
 REL_TOL = 1e-9
 #: Rational evaluation grid shared by every numeric check: GRID_T x GRID_X.
@@ -201,7 +204,8 @@ def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Rep
     where the evaluator finds a denominator vanishing to working precision
     (|value| below its mass times 2**-POLE_BITS) are skipped and recorded
     rather than aborting.  Only the first failing equation has its exact
-    residual built, as the report's counterexample.
+    residual built, as the report's counterexample, over the least common
+    denominator of that equation's own fields.
     """
     if mode not in ("exact", "numeric"):
         raise ValueError(f"unknown mode {mode!r} (expected 'exact' or 'numeric')")
@@ -210,7 +214,8 @@ def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Rep
         for eq, r in zip(m.equations, residual(m, cfg, m.equations)):
             ok = r.is_zero()
             rep.add(_eq_name(eq), ok, "" if ok else "residual numerator nonzero",
-                    witness=None if ok else r)
+                    witness=None if ok or rep.counterexample is not None
+                    else _witness(cfg, eq, r))
         return rep
     points = list(grid_values(cfg.fields, GRID_T, GRID_X, cfg.constants,
                               {eq.lhs: eq.d_index for eq in m.equations}))
@@ -218,8 +223,21 @@ def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Rep
         ok, detail = _judge(_equation_points(eq, points))
         rep.add(_eq_name(eq), ok, detail,
                 witness=None if ok or rep.counterexample is not None
-                else residual(m, cfg, [eq])[0])
+                else _witness(cfg, eq, residual(m, cfg, [eq])[0]))
     return rep
+
+
+def _witness(cfg: FieldConfig, eq: EquationSpec, r: ExpPoly) -> ExpPoly:
+    """The residual r of eq, which residual forms over the configuration's
+    least common denominator L_cfg, over the least common denominator L_eq
+    of the equation's own fields: r / (L_cfg/L_eq)^2.  The division is
+    exact, as r = (L_cfg/L_eq)^2 * r_eq for the equation's own residual."""
+    l_cfg = least_common_denominator(list(cfg.fields.values()))
+    l_eq = least_common_denominator([cfg[eq.lhs]] + [cfg[k] for _, a, b in eq.rhs for k in (a, b)])
+    if l_eq == l_cfg:
+        return r
+    q = divexact(l_cfg, l_eq)
+    return divexact(r, q * q)
 
 
 # -- the claims table ---------------------------------------------------------------

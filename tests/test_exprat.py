@@ -541,14 +541,18 @@ def operands(draw):
 
 @st.composite
 def product_sums(draw):
-    """(c, p, q) terms with their reference dicts; with cancel, each product
-    also enters negated with its factors swapped, so the sum is 0."""
+    """(c, [(x, reference dict)]) terms of one to four factors, a factor
+    sometimes repeated within its term, as in (c, p, p, q); with cancel,
+    each product also enters negated with its factors reversed, so the sum
+    is 0."""
     out = []
     for _ in range(draw(st.integers(1, 4))):
-        (p, rp), (q, rq) = (_poly_and_reference(draw(operands())) for _ in range(2))
-        out.append((draw(big_coefs), p, q, rp, rq))
+        xs = [_poly_and_reference(draw(operands())) for _ in range(draw(st.integers(1, 3)))]
+        if draw(st.booleans()):
+            xs.insert(draw(st.integers(0, len(xs))), draw(st.sampled_from(xs)))
+        out.append((draw(big_coefs), xs))
     if draw(st.booleans()):
-        out += [(-c, q, p, rq, rp) for c, p, q, rp, rq in out]
+        out += [(-c, xs[::-1]) for c, xs in out]
     return out
 
 
@@ -558,11 +562,11 @@ def product_systems(draw):
     may multiply operands of the others, so that one operand enters sums of
     different digit widths."""
     sums = draw(st.lists(product_sums(), min_size=1, max_size=2))
-    pool = [(x, rx) for terms in sums for _, p, q, rp, rq in terms for x, rx in ((p, rp), (q, rq))]
+    pool = [x for terms in sums for _, xs in terms for x in xs]
     if draw(st.booleans()):
-        picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool), big_coefs),
-                              min_size=1, max_size=3))
-        sums.append([(c, p, q, rp, rq) for (p, rp), (q, rq), c in picks])
+        sums.append(draw(st.lists(
+            st.tuples(big_coefs, st.lists(st.sampled_from(pool), min_size=1, max_size=4)),
+            min_size=1, max_size=3)))
     return sums
 
 
@@ -572,18 +576,22 @@ def test_sum_of_products_matches_the_schoolbook_reference(sums):
     wants = []
     for terms in sums:
         want = {}
-        for c, _, _, rp, rq in terms:
-            want = ref.add(want, ref.mul(ref.mul(rp, rq), {(F(0), F(0)): F(c)}))
+        for c, xs in terms:
+            product = {(F(0), F(0)): F(c)}
+            for _, rx in xs:
+                product = ref.mul(product, rx)
+            want = ref.add(want, product)
         wants.append(want)
-    systems = [[(c, p, q) for c, p, q, _, _ in terms] for terms in sums]
+    systems = [[(c, *(x for x, _ in xs)) for c, xs in terms] for terms in sums]
     for forced in ({}, ALWAYS_PACK):
         with pytest.MonkeyPatch.context() as mp:
             for name, value in forced.items():
                 mp.setattr(exprat, name, value)
             got = sum_of_products(systems, W)
         assert [dict(g.terms) for g in got] == wants
-        for g, triples in zip(got, systems):
-            assert g == sum((p * q * c for c, p, q in triples), ExpPoly())
+        for g, terms in zip(got, systems):
+            assert g == sum((math.prod(t[1:], start=ExpPoly.const(t[0])) for t in terms),
+                            ExpPoly())
 
 
 def _pair_loops(monkeypatch, run):

@@ -130,6 +130,31 @@ def test_ab_recursion_meets_closed_forms():
         assert c.B == b
 
 
+def test_ab_step_forms_its_products_without_pair_loops(monkeypatch):
+    # With the determinants the steps read already formed, the numerators
+    # of A' and B' and 4 Det_n^4 are one packed sum of products: no
+    # ExpPoly product runs its pair loop (a product by a scalar does not).
+    s = s6()
+    ch = hankel_chain(s)
+    for n in range(3):
+        det_n(ch, n)
+    mul = ExpPoly.__mul__
+    pair_loops = []
+
+    def counting(a, b):
+        if isinstance(b, ExpPoly):
+            pair_loops.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(ExpPoly, "__mul__", counting)
+    c1 = ab_step(ab_init(s), ch)
+    c2 = ab_step(c1, ch)
+    monkeypatch.setattr(ExpPoly, "__mul__", mul)
+    assert not pair_loops
+    for c in (c1, c2):
+        assert (c.A, c.B) == ab_closed(s, c.level)
+
+
 def _ordered_tuple_sum(s, npts, weight_fn, scale):
     # literal multidimensional-integral instantiation: ordered tuples with
     # repeats over the Q-spikes, one lambda factor per P-spike

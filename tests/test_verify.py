@@ -1,12 +1,16 @@
 """Verification driver: per-equation verdicts, numeric grid, suite reports."""
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from _hirota import equation_residual
 from nwave import exprat, wavesys
 from nwave.cli import config_from_doc, config_to_doc
-from nwave.exprat import _ZERO_FIELD, ONE, ExpPoly, ExpRational, grid_values, wave_constants
+from nwave.exprat import (
+    _ZERO_FIELD, ONE, ExpPoly, ExpRational, common_denominator, grid_values, wave_constants,
+)
 from nwave.spectral import spectral_data
 from nwave.tau import solution_from_tau
 from nwave.verify import (
@@ -17,6 +21,7 @@ from nwave.verify import (
     SUITES,
     Report,
     _judge,
+    _eq_name,
     _solution_checks,
     _tau_solutions,
     render_poly,
@@ -405,3 +410,23 @@ def test_exact_verify_of_g2_puts_every_field_over_one_denominator_and_converts_e
     assert verify_config(m, cfg).passed
     assert len(dens) == 1
     assert len(operands) == 25
+
+
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+@pytest.mark.parametrize("name", ["img_B2_T2A2_P2Q2", "img_B2_TM_P2Q2"])
+def test_a_witness_is_the_residual_over_its_equations_own_denominator(name, mode):
+    # These map images hold fields over several denominators, and the first
+    # failing equation's fields have a least common denominator of their
+    # own, below the configuration's: the counterexample is the residual
+    # over that one, as the per-equation reference forms it.
+    path = Path(__file__).resolve().parent.parent / "bench" / "data" / "configs" / f"{name}.json"
+    cfg = config_from_doc(json.loads(path.read_text()))
+    key = (MINUS, (1, 0))
+    bad = cfg.with_fields({key: cfg[key] * 2})
+    m = model("B2")
+    rep = verify_config(m, bad, mode)
+    first = next(c.name for c in rep.checks if not c.passed)
+    eq = next(eq for eq in m.equations if _eq_name(eq) == first)
+    L, r = equation_residual(bad, eq)
+    assert L != common_denominator(list(bad.fields.values()))[0]
+    assert rep.counterexample == render_poly(r)
