@@ -1081,23 +1081,11 @@ def common_denominator(values: Sequence[ExpRational]) -> Tuple[ExpPoly, List[Exp
     already is L, as for values that share one denominator, L is that
     denominator as held and each such N the value's own numerator.
     """
-    den, shift, atoms = _lcd(values)
-    return den, [v._over(shift, atoms) for v in values]
-
-
-def least_common_denominator(values: Sequence[ExpRational]) -> ExpPoly:
-    """L of common_denominator(values), without the numerators over it."""
-    return _lcd(values)[0]
-
-
-def _lcd(values: Sequence[ExpRational]) -> Tuple[ExpPoly, LinForm, Dict[ExpPoly, int]]:
-    """(L, shift, atoms): the least common denominator of the values,
-    expanded (see common_denominator), and its factors."""
     live = [v for v in values if v.num._ints] or [_ZERO_RAT]
     first = live[0]
     shift, atoms = _lcm(live)
     den = first.den if (shift, atoms) == first._factors() else _rat(ONE, shift, atoms).den
-    return den, shift, atoms
+    return den, [v._over(shift, atoms) for v in values]
 
 
 # -- numeric evaluation -----------------------------------------------------------

@@ -18,7 +18,7 @@ from .exprat import ExpPoly, ExpRational, WaveConstants, divexact, sum_of_produc
 from .spectral import SpectralData
 from .tau import tau_U, tau_V_B2
 from .transforms import PivotZero
-from .wavesys import MINUS, PLUS, FieldConfig, FieldKey, model
+from .wavesys import MINUS, PLUS, FieldConfig, FieldKey, Root, model
 
 
 # -- determinants ---------------------------------------------------------------
@@ -67,19 +67,20 @@ class HankelChain:
     """Lazily extended main minors Det_n of the Hankel matrix of one seed.
 
     Entry (i, j) of the matrix is the (i+j)-th derivative of the seed along
-    CHAIN_DIRECTION; Det_0 = 1 and Det_{-1} = 0 by convention (the n = 0 and
+    ``direction``; Det_0 = 1 and Det_{-1} = 0 by convention (the n = 0 and
     n = -1 cases of the chain relations force both).
     """
 
     seed: ExpPoly
     constants: WaveConstants
+    direction: Root
     _ders: List[ExpPoly] = field(default_factory=list, repr=False)
     _dets: List[ExpPoly] = field(default_factory=list, repr=False)
 
     def derivative(self, k: int) -> ExpPoly:
         if not self._ders:
             self._ders.append(self.seed)
-        i, j = CHAIN_DIRECTION
+        i, j = self.direction
         while len(self._ders) <= k:
             self._ders.append(self._ders[-1].deriv(i, j, self.constants))
         return self._ders[k]
@@ -100,7 +101,7 @@ class HankelChain:
 
 def hankel_chain(s: SpectralData) -> HankelChain:
     """Toda chain of the seed r = f^-_{0.1} = tau_U(0, 1), differentiated along (1, 0)."""
-    return HankelChain(tau_U(s, 0, 1), s.constants)
+    return HankelChain(tau_U(s, 0, 1), s.constants, CHAIN_DIRECTION)
 
 
 def det_n(chain: HankelChain, n: int) -> ExpPoly:
@@ -117,7 +118,7 @@ def toda_residual(chain: HankelChain, n: int) -> ExpRational:
     dn = chain.det(n)
     if dn.is_zero():
         raise PivotZero("TODA_CHAIN", CHAIN_SEED_KEY, step=n)
-    i, j = CHAIN_DIRECTION
+    i, j = chain.direction
     d1 = dn.deriv(i, j, chain.constants)
     d2 = d1.deriv(i, j, chain.constants)
     num = dn * d2 - d1 * d1 - chain.det(n - 1) * chain.det(n + 1)
@@ -162,7 +163,7 @@ def ab_step(prev: ABChain, chain: HankelChain) -> ABChain:
         raise PivotZero("AB_CHAIN", CHAIN_SEED_KEY, step=n)
     dn1 = chain.det(n + 1)
     w = chain.constants
-    i, j = CHAIN_DIRECTION
+    i, j = chain.direction
 
     def d(f: ExpPoly) -> ExpPoly:
         return f.deriv(i, j, w)
@@ -214,11 +215,11 @@ def first_root_chain(cfg: FieldConfig, steps: int) -> FieldConfig:
     """n steps of the first-root transformation on an all-f^+-zero background.
 
     The whole chain is solved at once by bordered Hankel minors in the
-    direction (0, 1) of the seed g = f^-_{1.0}: plain minors Det_n give
-    f^+_{1.0} and f^-_{1.0}, replacing the last column by derivatives of
-    h = f^-_{1.1} gives f^-_{0.1} and f^-_{1.1}, and the symmetric bordering
-    with corner k = f^-_{1.2} gives f^-_{1.2}.  The f^+ zero pattern is
-    preserved at every level.
+    direction (0, 1) of the seed g = f^-_{1.0}: the plain minors Det_n of
+    g's HankelChain give f^+_{1.0} and f^-_{1.0}, replacing the last column
+    by derivatives of h = f^-_{1.1} gives f^-_{0.1} and f^-_{1.1}, and the
+    symmetric bordering with corner k = f^-_{1.2} gives f^-_{1.2}.  The f^+
+    zero pattern is preserved at every level.
     """
     if cfg.algebra != "B2":
         raise ValueError(f"first-root chain acts on B2 configs, got {cfg.algebra}")
@@ -231,42 +232,36 @@ def first_root_chain(cfg: FieldConfig, steps: int) -> FieldConfig:
         return cfg
 
     w = cfg.constants
-    g = _as_poly(cfg[(MINUS, (1, 0))], "f-1.0")
+    g = HankelChain(_as_poly(cfg[(MINUS, (1, 0))], "f-1.0"), w, (0, 1))
     h = _as_poly(cfg[(MINUS, (1, 1))], "f-1.1")
     k = _as_poly(cfg[(MINUS, (1, 2))], "f-1.2")
 
-    gd = [g]
+    # The borderings read h and its first ``steps`` derivatives.
     hd = [h]
-    for _ in range(2 * steps):
-        gd.append(gd[-1].deriv(0, 1, w))
+    for _ in range(steps):
         hd.append(hd[-1].deriv(0, 1, w))
-
-    def plain(n: int) -> ExpPoly:
-        if n < 0:
-            return ExpPoly.zero()
-        return det_bareiss([[gd[i + j] for j in range(n)] for i in range(n)])
 
     def bordered(n: int) -> ExpPoly:
         # last column -> derivatives of h
         rows = [
-            [gd[i + j] for j in range(n - 1)] + [hd[i]] for i in range(n)
+            [g.derivative(i + j) for j in range(n - 1)] + [hd[i]] for i in range(n)
         ]
         return det_bareiss(rows)
 
     def double_bordered(n: int) -> ExpPoly:
         # last column and row -> derivatives of h, corner -> k
         rows = [
-            [gd[i + j] for j in range(n - 1)] + [hd[i]] for i in range(n - 1)
+            [g.derivative(i + j) for j in range(n - 1)] + [hd[i]] for i in range(n - 1)
         ]
         rows.append([hd[j] for j in range(n - 1)] + [k])
         return det_bareiss(rows)
 
-    den = plain(steps)
+    den = g.det(steps)
     if den.is_zero():
         raise PivotZero("FIRST_ROOT_CHAIN", (MINUS, (1, 0)), step=steps)
     fields = {key: ExpRational.zero() for key in _FRC_ZERO_KEYS}
     keys = [(PLUS, (1, 0)), (MINUS, (1, 0)), (MINUS, (0, 1)), (MINUS, (1, 1)), (MINUS, (1, 2))]
-    nums = [plain(steps - 1), plain(steps + 1), bordered(steps), bordered(steps + 1),
+    nums = [g.det(steps - 1), g.det(steps + 1), bordered(steps), bordered(steps + 1),
             double_bordered(steps + 1)]
     fields.update(zip(keys, ExpRational.all_over(nums, den)))
     return FieldConfig("B2", w, fields)

@@ -27,16 +27,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 from mpmath import libmp
 
 from .exprat import (
-    EVAL_PRECISION, _RND, _ZERO_FIELD, ExpPoly, ExpRational, _mpf, divexact, grid_values,
-    least_common_denominator, wave_constants,
+    EVAL_PRECISION, _RND, _ZERO_FIELD, ExpPoly, ExpRational, _mpf, grid_values, wave_constants,
 )
 from .spectral import SpectralData, initial_config, spectral_data, wave_exponent
 from .tau import TauZero, check_gra, solution_from_tau, tau_U
 from .toda import ab_closed, ab_init, ab_step, det_n, hankel_chain, toda_residual
 from .transforms import apply, apply_chain
-from .wavesys import (
-    AlgebraModel, EquationSpec, FieldConfig, MINUS, PLUS, field_label, model, residual,
-)
+from .wavesys import AlgebraModel, FieldConfig, MINUS, PLUS, field_label, model, residual
 
 REL_TOL = 1e-9
 #: Rational evaluation grid shared by every numeric check: GRID_T x GRID_X.
@@ -194,7 +191,7 @@ def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Rep
 
     Exact mode decides each equation by cancellation of its cleared
     numerator, all of them from one residual pass.  Numeric
-    mode never builds a residual: it evaluates each field with
+    mode never builds a residual to judge: it evaluates each field with
     exprat.grid_values on the fixed 9-point rational grid GRID_T x GRID_X
     (numerator, denominator and the equation's D_{i,j} of the left-hand
     field) and forms D f_lhs - sum c*f_a*f_b from those numbers.  A point
@@ -203,41 +200,25 @@ def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Rep
     the sum of its absolute term values over |its denominator|.  Points
     where the evaluator finds a denominator vanishing to working precision
     (|value| below its mass times 2**-POLE_BITS) are skipped and recorded
-    rather than aborting.  Only the first failing equation has its exact
-    residual built, as the report's counterexample, over the least common
-    denominator of that equation's own fields.
+    rather than aborting.  In either mode the report's counterexample is
+    the first failing equation's own residual, residual(m, cfg, [eq]),
+    over the least common denominator of that equation's fields.
     """
     if mode not in ("exact", "numeric"):
         raise ValueError(f"unknown mode {mode!r} (expected 'exact' or 'numeric')")
-    rep = Report(title=f"{m.name} configuration", mode=mode)
     if mode == "exact":
-        for eq, r in zip(m.equations, residual(m, cfg, m.equations)):
-            ok = r.is_zero()
-            rep.add(_eq_name(eq), ok, "" if ok else "residual numerator nonzero",
-                    witness=None if ok or rep.counterexample is not None
-                    else _witness(cfg, eq, r))
-        return rep
-    points = list(grid_values(cfg.fields, GRID_T, GRID_X, cfg.constants,
-                              {eq.lhs: eq.d_index for eq in m.equations}))
-    for eq in m.equations:
-        ok, detail = _judge(_equation_points(eq, points))
+        verdicts = [(True, "") if r.is_zero() else (False, "residual numerator nonzero")
+                    for r in residual(m, cfg, m.equations)]
+    else:
+        points = list(grid_values(cfg.fields, GRID_T, GRID_X, cfg.constants,
+                                  {eq.lhs: eq.d_index for eq in m.equations}))
+        verdicts = [_judge(_equation_points(eq, points)) for eq in m.equations]
+    rep = Report(title=f"{m.name} configuration", mode=mode)
+    for eq, (ok, detail) in zip(m.equations, verdicts):
         rep.add(_eq_name(eq), ok, detail,
                 witness=None if ok or rep.counterexample is not None
-                else _witness(cfg, eq, residual(m, cfg, [eq])[0]))
+                else residual(m, cfg, [eq])[0])
     return rep
-
-
-def _witness(cfg: FieldConfig, eq: EquationSpec, r: ExpPoly) -> ExpPoly:
-    """The residual r of eq, which residual forms over the configuration's
-    least common denominator L_cfg, over the least common denominator L_eq
-    of the equation's own fields: r / (L_cfg/L_eq)^2.  The division is
-    exact, as r = (L_cfg/L_eq)^2 * r_eq for the equation's own residual."""
-    l_cfg = least_common_denominator(list(cfg.fields.values()))
-    l_eq = least_common_denominator([cfg[eq.lhs]] + [cfg[k] for _, a, b in eq.rhs for k in (a, b)])
-    if l_eq == l_cfg:
-        return r
-    q = divexact(l_cfg, l_eq)
-    return divexact(r, q * q)
 
 
 # -- the claims table ---------------------------------------------------------------

@@ -9,9 +9,9 @@ per signed root.  Keeping the equations as data means the verifier and the
 transformation engine share a single source of truth.
 
 ``residual`` is the one exact check, always in Hirota's bilinear form and
-in one pass over a configuration.  With every field written N_k/L over the
-least common denominator L of the configuration's denominators (tau itself
-for a tau solution), each equation times L^2 reads
+in one pass over the equations it is given.  With every field those
+equations use written N_k/L over the least common denominator L of their
+denominators (tau itself for a tau solution), each equation times L^2 reads
 
     D(N_lhs)*L - N_lhs*D(L) - sum_k coef_k * N_{A_k} * N_{B_k} = 0,
 
@@ -187,10 +187,12 @@ def residual(m: AlgebraModel, cfg: FieldConfig, eqs: Sequence[EquationSpec]) -> 
     in Hirota's bilinear form, N_lhs' L - N_lhs L' - sum coef*N_a*N_b: zero
     exactly when the equation holds.
 
-    L is the least common denominator of all the configuration's fields and
-    N a field's numerator over it, from one exprat.common_denominator call
-    (a tau solution's one tau as it is); L' is formed once per root.  A zero
-    field has N = 0, so its products drop out, and L*L is never formed.
+    L is the least common denominator of the fields that eqs use, their
+    lhs and rhs factors (every field for m.equations, one equation's own
+    for [eq]), and N a field's numerator over it, from one
+    exprat.common_denominator call (a tau solution's one tau as it is);
+    L' is formed once per root.  A zero field has N = 0, so its products
+    drop out, and L*L is never formed.
     The sums are one call of exprat.sum_of_products, which converts each
     distinct operand to spectral coordinates once and packs it into ints
     once per digit width; each equation keeps its own digit width above
@@ -199,8 +201,10 @@ def residual(m: AlgebraModel, cfg: FieldConfig, eqs: Sequence[EquationSpec]) -> 
     and a nonzero one is read back from its own digits.
     """
     w = cfg.constants
-    d, nums = common_denominator(list(cfg.fields.values()))
-    num = dict(zip(cfg.fields, nums))
+    used = {k for eq in eqs for _, a, b in eq.rhs for k in (a, b)} | {eq.lhs for eq in eqs}
+    keys = [k for k in cfg.fields if k in used]
+    d, nums = common_denominator([cfg[k] for k in keys])
+    num = dict(zip(keys, nums))
     dd = {r: d.deriv(*r, w) for r in {eq.d_index for eq in eqs}}
     sums = []
     for eq in eqs:

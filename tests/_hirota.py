@@ -1,5 +1,7 @@
-"""The per-equation Hirota residual: a reference for ``wavesys.residual``,
-which proves every equation of a configuration in one pass."""
+"""The per-equation Hirota residual: the reference for
+``wavesys.residual(m, cfg, [eq])``, which forms one equation's residual
+over its own fields' denominator, and through it for the one pass over
+every equation of a configuration."""
 
 from nwave.exprat import common_denominator
 

@@ -412,7 +412,8 @@ def test_residual_matches_the_exprational_reference(case):
 def test_one_pass_residuals_match_the_per_equation_residuals(case):
     """The one pass over the configuration's denominator L_cfg gives every
     equation the verdict of the per-equation Hirota residual over its own
-    denominator L_eq, and the same value: r / L_cfg^2 == r_eq / L_eq^2."""
+    denominator L_eq, and the same value: r / L_cfg^2 == r_eq / L_eq^2.
+    Given that one equation alone, residual forms r_eq itself."""
     m, configs = case
     for c in configs:
         L, _ = common_denominator(list(c.fields.values()))
@@ -420,3 +421,4 @@ def test_one_pass_residuals_match_the_per_equation_residuals(case):
             L_eq, r_eq = equation_residual(c, eq)
             assert r.is_zero() == r_eq.is_zero()
             assert ExpRational(r, L * L) == ExpRational(r_eq, L_eq * L_eq)
+            assert residual(m, c, [eq]) == [r_eq]

@@ -240,9 +240,11 @@ def test_passing_numeric_check_builds_no_residual(monkeypatch):
     assert all("over 9 points" in c.detail for c in rep.checks)
 
 
-def test_failing_numeric_check_builds_one_residual(monkeypatch):
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+def test_failing_check_builds_one_witness_residual(monkeypatch, mode):
     # The report renders only the first failing equation's residual, so
-    # only that one is built.
+    # besides exact mode's one pass over every equation only that one is
+    # built, from that equation alone.
     m, bad = model("A2"), perturbed()
     built = []
 
@@ -251,10 +253,10 @@ def test_failing_numeric_check_builds_one_residual(monkeypatch):
         return residual(*args)
 
     monkeypatch.setattr("nwave.verify.residual", counting)
-    rep = verify_config(m, bad, "numeric")
+    rep = verify_config(m, bad, mode)
     failed = [eq for eq, c in zip(m.equations, rep.checks) if not c.passed]
     assert len(failed) >= 2
-    assert built == [failed[:1]]
+    assert built == ([m.equations] if mode == "exact" else []) + [failed[:1]]
     assert rep.counterexample == render_poly(residual(m, bad, failed[:1])[0])
 
 
