@@ -82,7 +82,7 @@ class WaveConstants:
     d2: Fraction
     delta: Fraction = field(init=False, repr=False, compare=False)
     _speeds: Dict = field(init=False, repr=False, compare=False)
-    _basis: Optional[Tuple[int, int, int, int, int]] = field(
+    _basis: Optional[Tuple[int, int, int, int, int, int]] = field(
         init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
@@ -102,21 +102,21 @@ class WaveConstants:
                                          (i * self.d1 + j * self.d2) / self.delta)
         return pq
 
-    def spectral_basis(self) -> Tuple[int, int, int, int, int]:
-        """(t11, t12, t21, t22, det): the integer matrix T, and its
-        determinant, taking an exponent (a, b) to spectral coordinates
-        (u, v) = T (a, b).
+    def spectral_basis(self) -> Tuple[int, int, int, int, int, int]:
+        """(t11, t12, t21, t22, det, h): the integer matrix T, its
+        determinant, and the denominator h it clears, taking an exponent
+        (a, b) to spectral coordinates (u, v) = T (a, b).
 
         A wave exponent is (a, b) = sP*(d1, -c1) + sQ*(d2, -c2) for position
-        sums sP and sQ (spectral.wave_exponent), so T is the inverse of that
-        matrix, cleared of denominators: u is a multiple of sP and v of sQ.
+        sums sP and sQ (spectral.wave_exponent), so T is h times the inverse
+        of that matrix: (u, v) = h*(sP, sQ).
         """
         if self._basis is None:
             inv = (-self.c2 / self.delta, -self.d2 / self.delta,
                    self.c1 / self.delta, self.d1 / self.delta)
             h = lcm(*(f.denominator for f in inv))
             t11, t12, t21, t22 = (f.numerator * (h // f.denominator) for f in inv)
-            object.__setattr__(self, "_basis", (t11, t12, t21, t22, t11 * t22 - t12 * t21))
+            object.__setattr__(self, "_basis", (t11, t12, t21, t22, t11 * t22 - t12 * t21, h))
         return self._basis
 
 
@@ -466,15 +466,18 @@ _NONZERO_BYTES = re.compile(rb"[^\x00]+")
 
 def sum_of_products(sums: Iterable[Iterable], w: WaveConstants) -> List[ExpPoly]:
     """[sum(c * x1 * ... * xk) over (c, x1, ..., xk) in terms] for each
-    terms in sums, with c an int or Fraction and k >= 1 ExpPoly factors
-    (k may differ from term to term).
+    terms in sums: c an int or Fraction, k >= 1 factors (k free per term),
+    each an ExpPoly x or ((i, j), x) for D_{i,j} x.
 
     Sparse sums (PACK_SLOTS_PER_TERM) are formed as ExpPoly products.  The
     others are formed by Kronecker substitution in the spectral coordinates
     (u, v) of w.spectral_basis():
 
     - the keys of each distinct operand of all the sums go to (u, v) at one
-      common scale, once, and each operand is split into rows by u;
+      common scale S, once, and each operand is split into rows by u;
+    - ((i, j), x) is x's operand with each n times i*v - j*u, terms of
+      weight 0 dropped, over a content divided by h*S: D_{i,j} scales a
+      spike wave by i*sQ - j*sP, and its (u, v) is h*S*(sP, sQ);
     - a row becomes one int, the sum of n * 2**(k*j) over its terms, at
       slot j = (v - vmin) / s from the operand's least v; the slot step s
       is the gcd of the v differences within every operand and between the
@@ -493,16 +496,21 @@ def sum_of_products(sums: Iterable[Iterable], w: WaveConstants) -> List[ExpPoly]
     exactly when each of its output row ints is 0.  Otherwise its digits
     are read back to lattice keys.
     """
-    basis = w.spectral_basis()
+    t11, t12, t21, t22, _, h = w.spectral_basis()
     sums = [list(terms) for terms in sums]
-    scale = lcm(*[x._scale for terms in sums for t in terms for x in t[1:]])
-    ops: Dict[Tuple[int, int], _Operand] = {}
+    scale = lcm(*[(x[1] if type(x) is tuple else x)._scale
+                  for terms in sums for t in terms for x in t[1:]])
+    ops: Dict[tuple, Optional[_Operand]] = {}
 
-    def operand(x: ExpPoly) -> _Operand:
-        # by its term dict and scale, so p and -p are one operand
-        key = (id(x._ints), x._scale)
+    def operand(x: ExpPoly, ij: Optional[Tuple[int, int]] = None) -> Optional[_Operand]:
+        # by its term dict and scale, so p and -p are one operand; D_{i,j} x
+        # by x's operand and (i, j), None if none of its weights is nonzero
+        key = (id(x._ints), x._scale, ij)
         if key not in ops:
-            ops[key] = _Operand(x, scale // x._scale, basis)
+            f, ints = scale // x._scale, x._ints
+            ops[key] = operand(x).derived(*ij) if ij else _Operand(
+                [(t11 * a + t12 * b) * f for a, b in ints],
+                [(t21 * a + t22 * b) * f for a, b in ints], list(ints.values()))
         return ops[key]
 
     # each nonzero product as (term, its factors' _Operands, numerator,
@@ -515,46 +523,49 @@ def sum_of_products(sums: Iterable[Iterable], w: WaveConstants) -> List[ExpPoly]
         prods = []
         for t in terms:
             c, *xs = t
-            for x in xs:
-                if not x._ints:  # a zero factor: a zero product
-                    c = 0
             if not c:
                 continue
             f, n, d, norm, lo, hi = [], c.numerator, c.denominator, 1, 0, 0
             for x in xs:
-                op = operand(x)
+                ij, x = x if type(x) is tuple else (None, x)
+                op = operand(x, ij) if x._ints else None
+                if op is None:  # a zero factor: a zero product
+                    break
                 f.append(op)
                 n *= x._content.numerator
-                d *= x._content.denominator
+                d *= x._content.denominator * (h * scale if ij else 1)
                 norm *= op.norm
                 lo += op.lo
                 hi += op.hi
-            if len(f) == 1:
-                f.append(operand(ONE))
-            prods.append((t, f, n, d, norm, lo, hi))
+            else:
+                if len(f) == 1:
+                    f.append(operand(ONE))
+                prods.append((t, f, n, d, norm, lo, hi))
         products.append(prods)
-    step = gcd(*[v - op.lo for op in ops.values() for v in op.vs],
+    step = gcd(*[v - op.lo for op in ops.values() if op for v in op.vs],
                *[p[5] - prods[0][5] for prods in products for p in prods]) or 1
-    return [_sum(prods, step, scale, basis) for prods in products]
+    return [_sum(prods, step, scale, w) for prods in products]
 
 
 class _Operand:
     """One operand of a packed sum: its terms' spectral coordinates u and v
-    (in the order of ints), least and greatest v, the 1-norm of its integer
-    coefficients, and its rows [(u, int)] by digit width, once packed."""
+    and integer coefficients n, least and greatest v, the 1-norm of the n,
+    and its rows [(u, int)] by digit width, once packed."""
 
-    __slots__ = ("ints", "us", "vs", "nrows", "lo", "hi", "norm", "rows")
+    __slots__ = ("us", "vs", "ns", "nrows", "lo", "hi", "norm", "rows")
 
-    def __init__(self, x: ExpPoly, f: int, basis) -> None:
-        t11, t12, t21, t22, _ = basis
-        a1, a2, b1, b2 = t11 * f, t12 * f, t21 * f, t22 * f
-        self.ints = ints = x._ints
-        self.us = [a1 * a + a2 * b for a, b in ints]
-        self.vs = vs = [b1 * a + b2 * b for a, b in ints]
-        self.nrows = len(set(self.us))
+    def __init__(self, us: Sequence[int], vs: Sequence[int], ns: Sequence[int]) -> None:
+        self.us, self.vs, self.ns = us, vs, ns
+        self.nrows = len(set(us))
         self.lo, self.hi = min(vs), max(vs)
-        self.norm = sum(map(abs, ints.values()))
+        self.norm = sum(map(abs, ns))
         self.rows: Dict[int, list] = {}
+
+    def derived(self, i: int, j: int) -> Optional["_Operand"]:
+        """D_{i,j} of this operand over h*S (see sum_of_products), or None."""
+        kept = [(u, v, n * weight) for u, v, n in zip(self.us, self.vs, self.ns)
+                if (weight := i * v - j * u)]
+        return _Operand(*zip(*kept)) if kept else None
 
     def pack(self, step: int, k: int) -> list:
         """Each row as one int: n * 2**(k*j) summed over its terms, at slot
@@ -562,7 +573,7 @@ class _Operand:
         if k not in self.rows:
             rows: Dict[int, int] = {}
             get, lo = rows.get, self.lo
-            for u, v, n in zip(self.us, self.vs, self.ints.values()):
+            for u, v, n in zip(self.us, self.vs, self.ns):
                 rows[u] = get(u, 0) + (n << (v - lo) // step * k)
             self.rows[k] = list(rows.items())
         return self.rows[k]
@@ -579,12 +590,12 @@ def _row_product(rows_p: list, rows_q: list) -> list:
     return list(out.items())
 
 
-def _sum(prods, step: int, scale: int, basis) -> ExpPoly:
+def _sum(prods, step: int, scale: int, w: WaveConstants) -> ExpPoly:
     """sum(c * x1 * ... * xk) over the products prods of one sum (see
     sum_of_products): term by term when sparse, else packed."""
     if not prods:
         return _ZERO
-    t11, t12, t21, t22, det = basis
+    t11, t12, t21, t22, det, _ = w.spectral_basis()
     lo = min([p[5] for p in prods])
     nslots = (max([p[6] for p in prods]) - lo) // step + 1
     slots, nterms = nslots, 0
@@ -593,7 +604,8 @@ def _sum(prods, step: int, scale: int, basis) -> ExpPoly:
             slots += op.nrows * ((op.hi - op.lo) // step + 1)
             nterms += len(op.vs)
     if slots > PACK_SLOTS_PER_TERM * nterms:
-        return sum((reduce(mul, t[1:]) * t[0] for t, *_ in prods), _ZERO)
+        return sum((reduce(mul, [x[1].deriv(*x[0], w) if type(x) is tuple else x
+                                 for x in t[1:]]) * t[0] for t, *_ in prods), _ZERO)
     # the products' coefficients as integers over one content g/den
     den = lcm(*[p[3] for p in prods])
     nums = [p[2] * (den // p[3]) for p in prods]
@@ -919,9 +931,6 @@ class ExpRational:
         if other is NotImplemented:
             return NotImplemented
         return other / self
-
-    def inv(self) -> "ExpRational":
-        return 1 / self
 
     def __eq__(self, other) -> bool:
         other = _coerce_rational(other)

@@ -198,14 +198,6 @@ def ab_closed(s: SpectralData, n: int) -> Tuple[ExpPoly, ExpPoly]:
     return tau_V_B2(s, 1, n, n + 1), tau_V_B2(s, 1, n + 1, n + 1)
 
 
-def ab_f10(prev: ABChain, chain: HankelChain) -> ExpRational:
-    """The remaining field at level n+1: f^-_{1.0} = B^n / Det_{n+1}^2."""
-    dn1 = chain.det(prev.level + 1)
-    if dn1.is_zero():
-        raise PivotZero("AB_CHAIN", CHAIN_SEED_KEY, step=prev.level + 1)
-    return ExpRational(prev.B, dn1 * dn1)
-
-
 # -- the chain of the first simple root ------------------------------------------
 
 _FRC_ZERO_KEYS = tuple((PLUS, r) for r in model("B2").roots)

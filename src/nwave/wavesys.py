@@ -190,9 +190,9 @@ def residual(m: AlgebraModel, cfg: FieldConfig, eqs: Sequence[EquationSpec]) -> 
     L is the least common denominator of the fields that eqs use, their
     lhs and rhs factors (every field for m.equations, one equation's own
     for [eq]), and N a field's numerator over it, from one
-    exprat.common_denominator call (a tau solution's one tau as it is);
-    L' is formed once per root.  A zero field has N = 0, so its products
-    drop out, and L*L is never formed.
+    exprat.common_denominator call (a tau solution's one tau as it is).
+    A zero field has N = 0, so its products drop out.  L*L is never
+    formed, nor N' or L': they enter as factors ((i, j), N), ((i, j), L).
     The sums are one call of exprat.sum_of_products, which converts each
     distinct operand to spectral coordinates once and packs it into ints
     once per digit width; each equation keeps its own digit width above
@@ -205,13 +205,12 @@ def residual(m: AlgebraModel, cfg: FieldConfig, eqs: Sequence[EquationSpec]) -> 
     keys = [k for k in cfg.fields if k in used]
     d, nums = common_denominator([cfg[k] for k in keys])
     num = dict(zip(keys, nums))
-    dd = {r: d.deriv(*r, w) for r in {eq.d_index for eq in eqs}}
     sums = []
     for eq in eqs:
         terms = [(-coef, num[a], num[b]) for coef, a, b in eq.rhs]
         n = num[eq.lhs]
         if n:
-            terms += [(1, n.deriv(*eq.d_index, w), d), (-1, n, dd[eq.d_index])]
+            terms += [(1, (eq.d_index, n), d), (-1, n, (eq.d_index, d))]
         sums.append(terms)
     return sum_of_products(sums, w)
 

@@ -539,17 +539,48 @@ def operands(draw):
     return [(draw(big_coefs), a, b) for a, b in keys]
 
 
+#: Derivative indices (i, j) of the factors ((i, j), x).
+DERIVATIVE_INDICES = [(1, 0), (0, 1), (1, 1), (1, 2), (2, -3)]
+
+
+@st.composite
+def factors(draw):
+    """(factor, reference dict): an operand x, or about one time in three
+    the factor ((i, j), x) with the derivative D_{i,j} x as its reference;
+    then sometimes x is one spike wave constant along (i, j), whose
+    derivative has no terms."""
+    x, rx = _poly_and_reference(draw(operands()))
+    if draw(st.integers(0, 2)):
+        return x, rx
+    i, j = draw(st.sampled_from(DERIVATIVE_INDICES))
+    if not draw(st.integers(0, 3)):
+        t = F(draw(st.sampled_from([-1, 1, 2])))
+        x, rx = _poly_and_reference([(draw(big_coefs), *spectral_key(i * t, j * t))])
+    return ((i, j), x), ref.deriv(rx, i, j, W)
+
+
+def as_poly(x):
+    """A factor of sum_of_products as a plain ExpPoly."""
+    return x[1].deriv(*x[0], W) if isinstance(x, tuple) else x
+
+
 @st.composite
 def product_sums(draw):
-    """(c, [(x, reference dict)]) terms of one to four factors, a factor
-    sometimes repeated within its term, as in (c, p, p, q); with cancel,
-    each product also enters negated with its factors reversed, so the sum
-    is 0."""
+    """(c, [(factor, reference dict)]) terms of one to four factors (see
+    factors), a factor sometimes repeated within its term, as in
+    (c, p, p, q), or its operand under another derivative, as in
+    (c, D_{1,0} p, D_{0,1} p, q); with cancel, each product also enters
+    negated with its factors reversed, so the sum is 0."""
     out = []
     for _ in range(draw(st.integers(1, 4))):
-        xs = [_poly_and_reference(draw(operands())) for _ in range(draw(st.integers(1, 3)))]
+        xs = [draw(factors()) for _ in range(draw(st.integers(1, 3)))]
         if draw(st.booleans()):
-            xs.insert(draw(st.integers(0, len(xs))), draw(st.sampled_from(xs)))
+            x, rx = draw(st.sampled_from(xs))
+            if draw(st.booleans()):
+                x = x[1] if isinstance(x, tuple) else x
+                i, j = draw(st.sampled_from(DERIVATIVE_INDICES))
+                x, rx = ((i, j), x), ref.deriv(dict(x.terms), i, j, W)
+            xs.insert(draw(st.integers(0, len(xs))), (x, rx))
         out.append((draw(big_coefs), xs))
     if draw(st.booleans()):
         out += [(-c, xs[::-1]) for c, xs in out]
@@ -590,8 +621,8 @@ def test_sum_of_products_matches_the_schoolbook_reference(sums):
             got = sum_of_products(systems, W)
         assert [dict(g.terms) for g in got] == wants
         for g, terms in zip(got, systems):
-            assert g == sum((math.prod(t[1:], start=ExpPoly.const(t[0])) for t in terms),
-                            ExpPoly())
+            assert g == sum((math.prod(map(as_poly, t[1:]), start=ExpPoly.const(t[0]))
+                             for t in terms), ExpPoly())
 
 
 def _pair_loops(monkeypatch, run):
@@ -617,16 +648,17 @@ def _pair_loops(monkeypatch, run):
 def test_a_sparse_sum_of_products_is_multiplied_term_by_term(monkeypatch, gap, packed):
     # Eight spike waves per operand, the last one gap steps past the others.
     # With a gap of 10**6 the v span is 10**6 slot steps, over 1000 times
-    # the 32 operand terms, and the sum is formed by ExpPoly products; with
-    # a gap of 1 it is packed.
+    # the 31 operand terms, and the sum is formed by ExpPoly products, the
+    # factor ((1, 2), q) as D_{1,2} q; with a gap of 1 it is packed.
     def wave(k):
         return spectral_key(F(1), F(k if k < 7 else 6 + gap))
     p = [(k + 1, *wave(k)) for k in range(8)]
     q = [(2 * k - 5, *wave(k)) for k in range(8)]
     (fp, rp), (fq, rq) = _poly_and_reference(p), _poly_and_reference(q)
     (got,), loops = _pair_loops(monkeypatch, lambda: sum_of_products(
-        [[(3, fp, fq), (Fraction(-1, 2), fq, fq)]], W))
+        [[(3, fp, fq), (Fraction(-1, 2), fq, ((1, 2), fq))]], W))
     want = ref.add(ref.mul(ref.mul(rp, rq), {(F(0), F(0)): F(3)}),
-                   ref.mul(ref.mul(rq, rq), {(F(0), F(0)): Fraction(-1, 2)}))
+                   ref.mul(ref.mul(rq, ref.deriv(rq, 1, 2, W)),
+                           {(F(0), F(0)): Fraction(-1, 2)}))
     assert dict(got.terms) == want
     assert (loops == 0) is packed

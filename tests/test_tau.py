@@ -1,10 +1,13 @@
+import json
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nwave import tau as tau_module
+from nwave.cli import config_from_doc
 from nwave.exprat import ExpPoly, ExpRational, common_denominator, divexact, wave_constants
 from nwave.spectral import initial_config, spectral_data
 from nwave.tau import (
@@ -407,8 +410,20 @@ def test_residual_matches_the_exprational_reference(case):
                 assert r == want.num
 
 
+def frozen_b2_doubled(name):
+    """The frozen B2 map image bench/data/configs/<name>.json with f-1.0
+    doubled: fields over several denominators, and failing equations whose
+    fields' least common denominator is below the configuration's."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "data" / "configs" / f"{name}.json"
+    cfg = config_from_doc(json.loads(path.read_text()))
+    key = (MINUS, (1, 0))
+    return model("B2"), [cfg.with_fields({key: cfg[key] * 2})]
+
+
 @settings(max_examples=60)
 @given(hirota_cases())
+@example(frozen_b2_doubled("img_B2_T2A2_P2Q2"))
+@example(frozen_b2_doubled("img_B2_TM_P2Q2"))
 def test_one_pass_residuals_match_the_per_equation_residuals(case):
     """The one pass over the configuration's denominator L_cfg gives every
     equation the verdict of the per-equation Hirota residual over its own

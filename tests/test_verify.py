@@ -372,8 +372,10 @@ def test_exact_verify_of_a_tau_solution_never_squares_tau(monkeypatch):
             return mul(a, b)
 
         def recording_packed(sums, w):
+            # a factor ((i, j), x) is recorded as x: D tau * tau squares tau too
             sums = [list(terms) for terms in sums]
-            products.extend((p, q) for terms in sums for _, p, q in terms)
+            products.extend(tuple(x[1] if isinstance(x, tuple) else x for x in factors)
+                            for terms in sums for _, *factors in terms)
             return packed(sums, w)
 
         with monkeypatch.context() as patch:
@@ -387,31 +389,58 @@ def test_exact_verify_of_a_tau_solution_never_squares_tau(monkeypatch):
 def test_exact_verify_of_g2_puts_every_field_over_one_denominator_and_converts_each_operand_once(
         monkeypatch):
     # One residual pass: one common denominator for the configuration and
-    # one _Operand per distinct operand: the 10 nonzero numerators, 9 of
-    # their derivatives (f+1.3 is one term, constant along its root), tau,
-    # and tau's derivatives along the 5 roots whose fields are not both
-    # zero.  That is 25, where a pass per equation converts 82 (packing
-    # every sum) over 12 common denominators.
+    # one conversion from ExpPoly per distinct operand, the 10 nonzero
+    # numerators and tau.  Their derivatives are weighted copies of those
+    # operands, one per (operand, root): 9 of the numerators (f+1.3 is one
+    # term, constant along its root, so its derivative has no terms) and
+    # tau along the 5 roots whose fields are not both zero.  That is 11 + 14,
+    # where a pass per equation converts 82 (packing every sum) over 12
+    # common denominators.
     m = model("G2")
     cfg = solution_from_tau(m, spectral_data(W, P2, Q2 + [("-3", "1/3")]), 1, 1)
     live = [k for k, f in cfg.fields.items() if not f.is_zero()]
     assert (len(live), len({r for _, r in live})) == (10, 5)
-    dens, operands = [], []
-    common_denominator, operand_init = wavesys.common_denominator, exprat._Operand.__init__
+    dens, operands, derived = [], [], []
+    common_denominator = wavesys.common_denominator
+    operand_init, operand_derived = exprat._Operand.__init__, exprat._Operand.derived
 
     def counting_dens(values):
         dens.append(values)
         return common_denominator(values)
 
-    def counting_operands(self, x, *args):
-        operands.append(x)
-        operand_init(self, x, *args)
+    def counting_operands(self, *args):
+        operands.append(self)
+        operand_init(self, *args)
+
+    def counting_derived(self, i, j):
+        op = operand_derived(self, i, j)
+        derived.append((self, (i, j), op))
+        return op
 
     monkeypatch.setattr(wavesys, "common_denominator", counting_dens)
     monkeypatch.setattr(exprat._Operand, "__init__", counting_operands)
+    monkeypatch.setattr(exprat._Operand, "derived", counting_derived)
     assert verify_config(m, cfg).passed
     assert len(dens) == 1
-    assert len(operands) == 25
+    weighted = [op for *_, op in derived if op is not None]
+    assert len([op for op in operands if op not in weighted]) == 11
+    assert len({(id(op), ij) for op, ij, _ in derived}) == len(derived) == 15
+    assert len(weighted) == 14
+
+
+@pytest.mark.parametrize("name, q", [("A2", Q2), ("B2", Q4), ("G2", Q2 + [("-3", "1/3")])])
+def test_exact_verify_of_a_tau_solution_forms_no_derivative_polynomial(monkeypatch, name, q):
+    # The Hirota residual hands each derivative to the packed kernel as a
+    # factor ((i, j), x), which weights x's own operand: no ExpPoly.deriv
+    # runs on the proof path.
+    m = model(name)
+    cfg = solution_from_tau(m, spectral_data(W, P2, q), 1, 1)
+
+    def refused(*args):
+        raise AssertionError("ExpPoly.deriv on the proof path")
+
+    monkeypatch.setattr(ExpPoly, "deriv", refused)
+    assert verify_config(m, cfg).passed
 
 
 @pytest.mark.parametrize("mode", ["exact", "numeric"])
