@@ -37,6 +37,8 @@ class Spike:
 
 @dataclass(frozen=True)
 class SpectralData:
+    """P- and Q-spikes over wave constants, validated when built."""
+
     constants: WaveConstants
     pspikes: Tuple[Spike, ...]
     qspikes: Tuple[Spike, ...]
@@ -44,12 +46,11 @@ class SpectralData:
     def __post_init__(self) -> None:
         object.__setattr__(self, "pspikes", tuple(self.pspikes))
         object.__setattr__(self, "qspikes", tuple(self.qspikes))
+        validate(self)
 
 
 def validate(s: SpectralData) -> None:
     """Raise InvalidSpectralData naming the first violated invariant."""
-    if s.constants.delta == 0:
-        raise InvalidSpectralData("degenerate wave constants: c1*d2 - c2*d1 = 0")
     for kind, spikes in (("P", s.pspikes), ("Q", s.qspikes)):
         seen = set()
         for sp in spikes:
@@ -67,13 +68,8 @@ def validate(s: SpectralData) -> None:
 
 
 def spectral_data(constants: WaveConstants, pspikes, qspikes) -> SpectralData:
-    s = SpectralData(
-        constants,
-        tuple(Spike(as_frac(p), as_frac(w)) for p, w in pspikes),
-        tuple(Spike(as_frac(p), as_frac(w)) for p, w in qspikes),
-    )
-    validate(s)
-    return s
+    return SpectralData(constants, [Spike(p, w) for p, w in pspikes],
+                        [Spike(p, w) for p, w in qspikes])
 
 
 def wave_exponent(lam: Fraction, mu: Fraction, w: WaveConstants) -> LinForm:

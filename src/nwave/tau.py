@@ -65,7 +65,7 @@ from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
 from .exprat import ExpPoly, ExpRational, WaveConstants
-from .spectral import SpectralData, validate
+from .spectral import SpectralData
 from .wavesys import AlgebraModel, FieldConfig, FieldKey, MINUS, PLUS
 
 
@@ -161,7 +161,6 @@ def _taus(s: SpectralData, orders: Sequence[Tuple[int, Sequence[int]]]) -> List[
     and its Q rows by size are built then and shared by every order that
     sums over it.  An order with a group size out of range is zero.
     """
-    validate(s)
     P, Q = s.pspikes, s.qspikes
     pos, den = _over_one([sp.pos for sp in P + Q])
     ppos, qpos = pos[:len(P)], pos[len(P):]
@@ -246,7 +245,6 @@ def solution_from_tau(m: AlgebraModel, s: SpectralData, n1: int, n2: int) -> Fie
     groups = max(q for _, q in m.roots)
     interrupted = f"tau{(n1,) + (n2,) * groups} vanishes identically: chain interrupted"
     if n1 > len(s.pspikes) or n2 > len(s.qspikes):
-        validate(s)  # invalid data is reported as such, not as an interruption
         raise TauZero(interrupted)
     orders = [(n1, (n2,) * groups)]
     for sign, (p, q) in m.field_keys:
@@ -305,7 +303,6 @@ def check_gra(s: SpectralData, n: int) -> bool:
     """
     if n < 0:
         raise ValueError(f"level must be nonnegative, got {n}")
-    validate(s)
     if len(s.qspikes) < n + 2:
         raise ValueError(f"need at least {n + 2} qspikes, got {len(s.qspikes)}")
     probes = [sp.pos for sp in s.pspikes]

@@ -12,7 +12,7 @@ arithmetic; determinants use fraction-free elimination with exact division.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .exprat import ExpPoly, ExpRational, WaveConstants, divexact, sum_of_products
 from .spectral import SpectralData
@@ -225,27 +225,16 @@ def first_root_chain(cfg: FieldConfig, steps: int) -> FieldConfig:
 
     w = cfg.constants
     g = HankelChain(_as_poly(cfg[(MINUS, (1, 0))], "f-1.0"), w, (0, 1))
-    h = _as_poly(cfg[(MINUS, (1, 1))], "f-1.1")
+    h = HankelChain(_as_poly(cfg[(MINUS, (1, 1))], "f-1.1"), w, (0, 1))
     k = _as_poly(cfg[(MINUS, (1, 2))], "f-1.2")
 
-    # The borderings read h and its first ``steps`` derivatives.
-    hd = [h]
-    for _ in range(steps):
-        hd.append(hd[-1].deriv(0, 1, w))
-
-    def bordered(n: int) -> ExpPoly:
-        # last column -> derivatives of h
-        rows = [
-            [g.derivative(i + j) for j in range(n - 1)] + [hd[i]] for i in range(n)
-        ]
-        return det_bareiss(rows)
-
-    def double_bordered(n: int) -> ExpPoly:
-        # last column and row -> derivatives of h, corner -> k
-        rows = [
-            [g.derivative(i + j) for j in range(n - 1)] + [hd[i]] for i in range(n - 1)
-        ]
-        rows.append([hd[j] for j in range(n - 1)] + [k])
+    def bordered(n: int, corner: Optional[ExpPoly] = None) -> ExpPoly:
+        # g's size-n Hankel minor with its last column -> derivatives of h;
+        # given a corner, its last row too, around the corner
+        rows = [[g.derivative(i + j) for j in range(n - 1)] + [h.derivative(i)]
+                for i in range(n)]
+        if corner is not None:
+            rows[-1] = [h.derivative(j) for j in range(n - 1)] + [corner]
         return det_bareiss(rows)
 
     den = g.det(steps)
@@ -254,6 +243,6 @@ def first_root_chain(cfg: FieldConfig, steps: int) -> FieldConfig:
     fields = {key: ExpRational.zero() for key in _FRC_ZERO_KEYS}
     keys = [(PLUS, (1, 0)), (MINUS, (1, 0)), (MINUS, (0, 1)), (MINUS, (1, 1)), (MINUS, (1, 2))]
     nums = [g.det(steps - 1), g.det(steps + 1), bordered(steps), bordered(steps + 1),
-            double_bordered(steps + 1)]
+            bordered(steps + 1, k)]
     fields.update(zip(keys, ExpRational.all_over(nums, den)))
     return FieldConfig("B2", w, fields)

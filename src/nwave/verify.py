@@ -31,7 +31,7 @@ from .exprat import (
 )
 from .spectral import SpectralData, initial_config, spectral_data, wave_exponent
 from .tau import TauZero, check_gra, solution_from_tau, tau_U
-from .toda import ab_closed, ab_init, ab_step, det_n, hankel_chain, toda_residual
+from .toda import ab_closed, ab_init, ab_step, hankel_chain, toda_residual
 from .transforms import apply, apply_chain
 from .wavesys import AlgebraModel, FieldConfig, MINUS, PLUS, field_label, model, residual
 
@@ -263,12 +263,19 @@ def _tau_solutions(algebra: str, q, orders, label: str = "tau({},{}) residual-ze
         yield label.format(n1, n2), m, cfg
 
 
-def _invariance(algebra: str, tids):
-    """Each map's image of the order-(1,1) tau solution on 2P+2Q spikes."""
+def _invariance(algebra: str, tids, seed_tids=(), more=()):
+    """Map images of tau solutions on 2P spikes: each map's image of the
+    order-(1,1) solution on 2P+2Q spikes, then of the 2P+2Q seed, then each
+    case in ``more``, (check name, map ids in order, Q spikes, order).  Each
+    solution is built once."""
     m = model(algebra)
-    gen = solution_from_tau(m, spectral_data(_W, _P2, _Q2), 1, 1)
-    for tid in tids:
-        yield f"{tid} invariance", m, apply(tid, gen)
+    cases = [(f"{t} invariance", (t,), _Q2, (1, 1)) for t in tids]
+    cases += [(f"{t} image of the seed", (t,), _Q2, (0, 0)) for t in seed_tids]
+    sols = {}
+    for name, chain, q, order in cases + list(more):
+        if (q, order) not in sols:
+            sols[q, order] = solution_from_tau(m, spectral_data(_W, _P2, q), *order)
+        yield name, m, apply_chain(chain, sols[q, order])
 
 
 #: The solution claims by name.
@@ -276,9 +283,15 @@ SOLUTIONS = {
     "a2-tau-grid": lambda: _tau_solutions("A2", _Q2, itertools.product(range(3), repeat=2)),
     "a2-invariance": lambda: _invariance("A2", ("A2_T1", "A2_T2", "A2_T3")),
     "b2-tau-grid": lambda: _tau_solutions("B2", _Q4, itertools.product(range(2), repeat=2)),
-    "b2-invariance": lambda: _invariance("B2", ("B2_TM", "B2_T10", "B2_T10_INV")),
+    "b2-invariance": lambda: _invariance(
+        "B2", ("B2_TM", "B2_T10", "B2_T10_INV", "B2_T2A2"), ("B2_TM", "B2_T10", "B2_T2A2")),
     "g2-orders": lambda: _tau_solutions(
         "G2", _Q4, ((0, 0), (1, 0), (0, 1), (1, 1)), "order ({},{})"),
+    "g2-invariance": lambda: _invariance("G2", ("G2_T1", "G2_TA1_3A2"), ("G2_TA1_3A2",), [
+        ("G2_T1 image of tau(1,0)", ("G2_T1",), _Q2, (1, 0)),
+        ("G2_T1 image of G2_TA1_3A2 of the 2P+1Q seed", ("G2_TA1_3A2", "G2_T1"),
+         _Q2[:1], (0, 0)),
+    ]),
 }
 
 
@@ -353,7 +366,7 @@ def _toda(rep: Report) -> None:
     ch = hankel_chain(s)
     rep.add(
         "Det_n equals single-group subset sum (n <= 4)",
-        all(det_n(ch, n) == tau_U(s, 0, n) for n in range(5)),
+        all(ch.det(n) == tau_U(s, 0, n) for n in range(5)),
     )
     for n in range(1, 5):
         r = toda_residual(ch, n)
@@ -416,7 +429,7 @@ CLAIMS: Dict[str, Callable[[Report], None]] = {
 SUITES = {
     "a2-full": ("a2-tau-grid", "a2-interruption", "a2-composition", "a2-invariance"),
     "b2-full": ("b2-tau-grid", "b2-invariance", "b2-maps"),
-    "g2-hypothesis": ("g2-orders",),
+    "g2-full": ("g2-orders", "g2-invariance"),
     **{name: (name,) for name in ("toda", "ab-chain", "gra")},
 }
 

@@ -4,10 +4,10 @@ per-criterion pass/fail lines either way).
 
 Criteria 3 and 5 to 9 call the theory's claims by name from
 ``nwave.verify.CLAIMS``, where each is written once on frozen data; the
-groups below are the battery's own.  All spectral data is frozen: positions
-and weights are chosen so that every construction is live (no P/Q position
-collisions, all pivots alive) and every exact check finishes inside its
-budget on ordinary hardware.
+group of seeds below is the battery's own.  All spectral data is frozen:
+positions and weights are chosen so that every construction is live (no P/Q
+position collisions, all pivots alive) and every exact check finishes inside
+its budget on ordinary hardware.
 """
 
 import functools
@@ -39,9 +39,9 @@ def _verdict(num, label, budget, t0):
 
 # -- configurations proved exactly ----------------------------------------------
 #
-# The battery's own groups yield (label, model, configuration), as the
-# solution claims of nwave.verify do.  Criteria 2 and 5 prove them exactly;
-# criterion 10 re-checks them numerically, with the configurations of the
+# The battery's own group yields (label, model, configuration), as the
+# solution claims of nwave.verify do.  Criterion 2 proves it exactly;
+# criterion 10 re-checks it numerically, with the configurations of the
 # solution claims that criteria 3, 5, 8 and 9 prove.
 
 
@@ -51,16 +51,9 @@ def _seed_configs():
         yield f"{name} seed 2P+3Q", m, initial_config(m, spectral_data(W, P2, Q3))
 
 
-def _b2_seed_images():
-    m = model("B2")
-    seed = initial_config(m, spectral_data(W, P2, Q2))
-    for tid in ("B2_TM", "B2_T10", "B2_T2A2"):
-        yield f"{tid} image of B2 seed", m, apply(tid, seed)
-
-
 @functools.lru_cache(maxsize=None)
 def _configs(group):
-    """(label, model, configuration or TauZero) of one of the groups above, or
+    """(label, model, configuration or TauZero) of the group above, or
     of a solution claim named in nwave.verify.SOLUTIONS, built once per session."""
     return tuple(SOLUTIONS[group]() if isinstance(group, str) else group())
 
@@ -208,10 +201,10 @@ def test_criterion_05_b2_maps_preserve_solutions_invert_and_factor():
     t0 = time.perf_counter()
     m = model("B2")
     seed = initial_config(m, spectral_data(W, P2, Q2))
-    _assert_solve(_b2_seed_images)
-    # Invariance on the (1,1) solution, the round trip on arbitrary fields,
-    # one live instance of the factorisation, and the zero patterns of T10
-    # on the 2P+4Q seed and of T2A2, which lands on the first tau solution.
+    # Invariance on the (1,1) solution and on the 2P+2Q seed, the round trip
+    # on arbitrary fields, one live instance of the factorisation, and the
+    # zero patterns of T10 on the 2P+4Q seed and of T2A2, which lands on
+    # the first tau solution.
     _assert_claims("b2-invariance", "b2-maps")
     # The factorisation of the second-root map through TM and T10^-1 is an
     # identity of maps on solutions only (the two orders genuinely differ on
@@ -222,8 +215,8 @@ def test_criterion_05_b2_maps_preserve_solutions_invert_and_factor():
     assert b2_factorization_mismatches() == []
     # The 2P+2Q seed keeps the whole plus sector zero; T10 switches on
     # f^+_{1.0} only.
-    images = {label: cfg for label, _, cfg in _configs(_b2_seed_images)}
-    t10 = images["B2_T10 image of B2 seed"]
+    images = {label: cfg for label, _, cfg in _configs("b2-invariance")}
+    t10 = images["B2_T10 image of the seed"]
     assert all(seed[(PLUS, r)].is_zero() for r in m.roots)
     assert not t10[(PLUS, (1, 0))].is_zero()
     assert all(t10[(PLUS, r)].is_zero() for r in ((0, 1), (1, 1), (1, 2)))
@@ -250,15 +243,16 @@ def test_criterion_08_b2_tau_solutions_verified_on_wide_data():
 
 def test_criterion_09_g2_tau_solutions_pass_at_four_orders():
     t0 = time.perf_counter()
-    _assert_claims("g2-orders")
-    _verdict(9, "G2 tau solutions at orders (0,0), (1,0), (0,1), (1,1) on 2P+4Q", 30, t0)
+    _assert_claims("g2-orders", "g2-invariance")
+    _verdict(9, "G2 tau solutions at orders (0,0), (1,0), (0,1), (1,1) on 2P+4Q;"
+             " images of both G2 maps", 30, t0)
 
 
 def test_criterion_10_numeric_grid_agreement_for_every_exact_pass():
     # Configurations are built before t0: the claims' every time, the
-    # battery's own groups only if criteria 2 and 5 have not built them.
-    groups = (_seed_configs, "a2-tau-grid", _b2_seed_images, "b2-invariance",
-              "b2-tau-grid", "g2-orders")
+    # battery's own group only if criterion 2 has not built it.
+    groups = (_seed_configs, "a2-tau-grid", "b2-invariance", "b2-tau-grid", "g2-orders",
+              "g2-invariance")
     passes = [(label, m, cfg) for group in groups
               for label, m, cfg in _configs(group) if not isinstance(cfg, TauZero)]
     t0 = time.perf_counter()

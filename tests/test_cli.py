@@ -171,16 +171,16 @@ def test_verify_report_file_schema(tmp_path):
 
 
 def test_g2_suite_gates_the_exit_code(capsys, monkeypatch):
-    rc = main(["verify", "--suite", "g2-hypothesis"])
+    rc = main(["verify", "--suite", "g2-full"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "suite g2-hypothesis: PASS (0/4 failed)" in out
+    assert "suite g2-full: PASS (0/9 failed)" in out
     # a failing order fails the run, as in every other suite
-    failing = Report(title="suite g2-hypothesis", mode="exact",
+    failing = Report(title="suite g2-full", mode="exact",
                      checks=[Check("order (1,1)", False, "nonzero: D(1,0) f+1.0")])
     monkeypatch.setattr("nwave.cli.verify_suite", lambda name: failing)
-    assert main(["verify", "--suite", "g2-hypothesis"]) == 1
-    assert "suite g2-hypothesis: FAIL (1/1 failed)" in capsys.readouterr().out
+    assert main(["verify", "--suite", "g2-full"]) == 1
+    assert "suite g2-full: FAIL (1/1 failed)" in capsys.readouterr().out
 
 
 def test_numeric_mode_accepts_solution(tmp_path):

@@ -10,7 +10,6 @@ from nwave.spectral import (
     SpectralData,
     initial_config,
     spectral_data,
-    validate,
 )
 from nwave.verify import verify_config
 from nwave.wavesys import model
@@ -36,6 +35,11 @@ def test_validate_rejects_shared_position():
 def test_validate_rejects_zero_weight():
     with pytest.raises(InvalidSpectralData, match="zero weight"):
         spectral_data(W, [("1", "0")], [])
+
+
+def test_spectral_data_is_validated_when_built_directly():
+    with pytest.raises(InvalidSpectralData, match="duplicate Q"):
+        SpectralData(W, (), (Spike(1, 1), Spike(1, 2)))
 
 
 def test_single_p_spike_seed():
@@ -66,12 +70,6 @@ def test_all_plus_fields_zero():
         for sign, root in model(name).field_keys:
             if sign > 0:
                 assert cfg[(sign, root)].is_zero()
-
-
-@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
-def test_seed_is_exact_solution(name):
-    s = spectral_data(W, P2, Q3)
-    assert verify_config(model(name), initial_config(model(name), s)).passed
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])

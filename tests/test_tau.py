@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from nwave import tau as tau_module
+from nwave import spectral as spectral_module, tau as tau_module
 from nwave.cli import config_from_doc
 from nwave.exprat import ExpPoly, ExpRational, common_denominator, divexact, wave_constants
 from nwave.spectral import initial_config, spectral_data
@@ -258,20 +258,22 @@ def test_tau_values_are_built_from_the_lattice_alone(monkeypatch):
 
 
 def test_solution_validates_once_and_builds_its_taus_in_one_pass(monkeypatch):
+    # Spectral data is validated once, when it is built; the solution then
+    # builds its tau values in one pass.
     calls = []
 
-    def counted(name):
-        real = getattr(tau_module, name)
+    def count(module, name):
+        real = getattr(module, name)
 
         def wrapper(*args):
             calls.append(name)
             return real(*args)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("validate", "_taus"):
-        monkeypatch.setattr(tau_module, name, counted(name))
+    count(spectral_module, "validate")
+    count(tau_module, "_taus")
     cfg = solution_from_tau(model("G2"), spectral_data(W, P2, Q3), 1, 1)
-    assert calls == ["_taus", "validate"]
+    assert calls == ["validate", "_taus"]
     assert verify_config(model("G2"), cfg).passed
 
 

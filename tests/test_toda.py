@@ -1,18 +1,13 @@
-import itertools
-from fractions import Fraction
-
 import pytest
 
 from nwave.exprat import ExpPoly, ExpRational, wave_constants
-from nwave.spectral import initial_config, spectral_data, wave_exponent
-from nwave.tau import solution_from_tau, tau_U
+from nwave.spectral import initial_config, spectral_data
+from nwave.tau import solution_from_tau
 from nwave.toda import (
-    ABChain,
     ab_closed,
     ab_init,
     ab_step,
     det_bareiss,
-    det_n,
     first_root_chain,
     hankel_chain,
     toda_residual,
@@ -83,19 +78,7 @@ def test_bareiss_handles_zero_pivot_and_singularity():
     assert det_bareiss([]) == one
 
 
-# --- the Toda relation on Hankel minors
-
-def test_det_equals_single_group_subset_sum():
-    s = s5()
-    ch = hankel_chain(s)
-    for n in range(5):
-        assert det_n(ch, n) == tau_U(s, 0, n)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_toda_residual_vanishes(n):
-    assert toda_residual(hankel_chain(s5()), n).is_zero()
-
+# --- the Toda chain's interruption (the relation itself is claim `toda`)
 
 def test_toda_residual_interrupted_chain():
     ch = hankel_chain(spectral_data(W, P1, [("1", "1")]))
@@ -108,27 +91,6 @@ def test_toda_residual_interrupted_chain():
 
 # --- the linear (A, B) chain: recursion vs closed forms
 
-def test_ab_level_zero_is_the_seed_pair():
-    s = s6()
-    c0 = ab_init(s)
-    a0, b0 = ab_closed(s, 0)
-    assert c0.level == 0
-    assert c0.A == a0
-    assert c0.B == b0
-
-
-def test_ab_recursion_meets_closed_forms():
-    s = s6()
-    ch = hankel_chain(s)
-    c = ab_init(s)
-    for n in (1, 2):
-        c = ab_step(c, ch)
-        a, b = ab_closed(s, n)
-        assert c.level == n
-        assert c.A == a
-        assert c.B == b
-
-
 def test_ab_step_forms_its_products_without_pair_loops(monkeypatch):
     # With the determinants the steps read already formed, the numerators
     # of A' and B' and 4 Det_n^4 are one packed sum of products: no
@@ -136,7 +98,7 @@ def test_ab_step_forms_its_products_without_pair_loops(monkeypatch):
     s = s6()
     ch = hankel_chain(s)
     for n in range(3):
-        det_n(ch, n)
+        ch.det(n)
     mul = ExpPoly.__mul__
     pair_loops = []
 
@@ -154,36 +116,6 @@ def test_ab_step_forms_its_products_without_pair_loops(monkeypatch):
         assert (c.A, c.B) == ab_closed(s, c.level)
 
 
-def _ordered_tuple_sum(s, npts, weight_fn, scale):
-    # literal multidimensional-integral instantiation: ordered tuples with
-    # repeats over the Q-spikes, one lambda factor per P-spike
-    P = [(sp.pos, sp.weight) for sp in s.pspikes]
-    Q = [(sp.pos, sp.weight) for sp in s.qspikes]
-    terms = {}
-    for lam, wl in P:
-        for tup in itertools.product(Q, repeat=npts):
-            mus = [mu for mu, _ in tup]
-            coef = wl * weight_fn(mus) * scale
-            for mu, v in tup:
-                coef *= v / (lam - mu)
-            if not coef:
-                continue
-            key = wave_exponent(lam, sum(mus), s.constants)
-            terms[key] = terms.get(key, Fraction(0)) + coef
-    return ExpPoly(terms)
-
-
-def test_first_step_matches_literal_integral_forms():
-    s = s6()
-    c1 = ab_step(ab_init(s), hankel_chain(s))
-    a1 = _ordered_tuple_sum(s, 3, lambda m: (m[0] - m[2]) ** 2, Fraction(1, 2))
-    b1 = _ordered_tuple_sum(
-        s, 4, lambda m: (m[0] - m[3]) ** 2 * (m[1] - m[2]) ** 2, Fraction(1, 4)
-    )
-    assert c1.A == a1
-    assert c1.B == b1
-
-
 def test_ab_chain_reproduces_tau_solution_fields():
     s = s6()
     m = model("B2")
@@ -193,12 +125,12 @@ def test_ab_chain_reproduces_tau_solution_fields():
     c2 = ab_step(c1, ch)
     for n, prev, cur in [(1, c0, c1), (2, c1, c2)]:
         sol = solution_from_tau(m, s, 0, n)
-        dn = det_n(ch, n)
+        dn = ch.det(n)
         assert ExpRational(prev.B, dn * dn) == sol[(MINUS, (1, 0))]
         assert ExpRational(cur.A, dn * dn) == sol[(MINUS, (1, 1))]
         assert ExpRational(cur.B, dn * dn) == sol[(MINUS, (1, 2))]
-        assert ExpRational(det_n(ch, n + 1), dn) == sol[(MINUS, (0, 1))]
-        assert ExpRational(det_n(ch, n - 1), dn) == sol[(PLUS, (0, 1))]
+        assert ExpRational(ch.det(n + 1), dn) == sol[(MINUS, (0, 1))]
+        assert ExpRational(ch.det(n - 1), dn) == sol[(PLUS, (0, 1))]
 
 
 def test_ab_closed_rejects_underresolved_data():

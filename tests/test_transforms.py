@@ -35,31 +35,6 @@ def assert_solution(cfg):
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
 
 
-def test_b2_composite_invariance_on_seed():
-    seed = initial_config(model("B2"), b2_data())
-    assert_solution(apply("B2_T2A2", seed))
-
-
-@pytest.mark.parametrize(
-    "mk",
-    [
-        lambda: solution_from_tau(model("G2"), g2_data(), 1, 0),
-        lambda: apply(
-            "G2_TA1_3A2",
-            initial_config(model("G2"), spectral_data(W, P2, Q1)),
-        ),
-    ],
-    ids=["tau10", "second-root-image"],
-)
-def test_g2_t1_invariance(mk):
-    assert_solution(apply("G2_T1", mk()))
-
-
-def test_g2_composite_invariance_on_seed():
-    seed = initial_config(model("G2"), g2_data())
-    assert_solution(apply("G2_TA1_3A2", seed))
-
-
 def config_terms(cfg):
     return sum(len(v.num.terms) + len(v.den.terms) for v in cfg.fields.values())
 

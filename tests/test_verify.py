@@ -6,13 +6,14 @@ from pathlib import Path
 import pytest
 
 from _hirota import equation_residual
-from nwave import exprat, wavesys
+from nwave import exprat, transforms, verify, wavesys
 from nwave.cli import config_from_doc, config_to_doc
 from nwave.exprat import (
     _ZERO_FIELD, ONE, ExpPoly, ExpRational, common_denominator, grid_values, wave_constants,
 )
 from nwave.spectral import spectral_data
 from nwave.tau import solution_from_tau
+from nwave.transforms import TRANSFORMS, apply
 from nwave.verify import (
     CLAIMS,
     GRID,
@@ -270,22 +271,31 @@ def test_unknown_suite_rejected():
         verify_suite("a3-full")
 
 
-@pytest.mark.parametrize("name", ["toda", "gra", "ab-chain", "a2-full", "b2-full"])
-def test_cheap_suites_pass(name):
-    rep = verify_suite(name)
-    assert rep.passed
-    d = rep.as_dict()
-    assert d["counts"]["failed"] == 0
-    assert d["counts"]["total"] == len(d["checks"])
+def test_every_suite_passes_and_every_map_is_in_a_claim(monkeypatch):
+    # Map ids are recorded at both bindings of transforms.apply: the one
+    # apply_chain calls and the one verify imported.
+    applied = set()
+
+    def recording(tid, cfg):
+        applied.add(tid)
+        return apply(tid, cfg)
+
+    for module in (transforms, verify):
+        monkeypatch.setattr(module, "apply", recording)
+    for name in SUITES:
+        d = verify_suite(name).as_dict()
+        assert d["pass"], (name, [c for c in d["checks"] if not c["pass"]])
+        assert d["counts"] == {"total": len(d["checks"]), "failed": 0}
+    assert set(TRANSFORMS) - applied == set()
 
 
 def test_g2_suite_gates_every_order():
-    rep = verify_suite("g2-hypothesis")
-    names = [c.name for c in rep.checks]
-    assert names == [
+    rep = verify_suite("g2-full")
+    assert [c.name for c in rep.checks] == [
         "order (0,0)", "order (1,0)", "order (0,1)", "order (1,1)",
+        "G2_T1 invariance", "G2_TA1_3A2 invariance", "G2_TA1_3A2 image of the seed",
+        "G2_T1 image of tau(1,0)", "G2_T1 image of G2_TA1_3A2 of the 2P+1Q seed",
     ]
-    assert [c.name for c in rep.checks if not c.passed] == []
     assert rep.passed
 
 
@@ -310,7 +320,7 @@ def test_suite_reports_are_deterministic():
 
 def test_suite_list_is_stable():
     assert set(SUITES) == {
-        "a2-full", "b2-full", "g2-hypothesis", "toda",
+        "a2-full", "b2-full", "g2-full", "toda",
         "ab-chain", "gra",
     }
 
