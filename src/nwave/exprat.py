@@ -74,16 +74,23 @@ def as_frac(v: RatLike) -> Fraction:
 
 @dataclass(frozen=True)
 class WaveConstants:
-    """Characteristic speeds (c1, c2, d1, d2) with delta = c1*d2 - c2*d1 != 0."""
+    """Characteristic speeds (c1, c2, d1, d2) with delta = c1*d2 - c2*d1 != 0.
+
+    ``basis`` is (t11, t12, t21, t22, det, h): the integer matrix T, its
+    determinant, and the denominator h it clears, taking an exponent (a, b)
+    to spectral coordinates (u, v) = T (a, b).  A wave exponent is
+    (a, b) = sP*(d1, -c1) + sQ*(d2, -c2) for position sums sP and sQ
+    (spectral.wave_exponent), so T is h times the inverse of that matrix:
+    (u, v) = h*(sP, sQ).
+    """
 
     c1: Fraction
     c2: Fraction
     d1: Fraction
     d2: Fraction
     delta: Fraction = field(init=False, repr=False, compare=False)
+    basis: Tuple[int, int, int, int, int, int] = field(init=False, repr=False, compare=False)
     _speeds: Dict = field(init=False, repr=False, compare=False)
-    _basis: Optional[Tuple[int, int, int, int, int, int]] = field(
-        init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         for name in ("c1", "c2", "d1", "d2"):
@@ -91,37 +98,27 @@ class WaveConstants:
         delta = self.c1 * self.d2 - self.c2 * self.d1
         if delta == 0:
             raise ValueError("degenerate wave constants: c1*d2 - c2*d1 = 0")
+        inv = (-self.c2 / delta, -self.d2 / delta, self.c1 / delta, self.d1 / delta)
+        h = lcm(*(f.denominator for f in inv))
+        t11, t12, t21, t22 = (f.numerator * (h // f.denominator) for f in inv)
         object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "basis", (t11, t12, t21, t22, t11 * t22 - t12 * t21, h))
         object.__setattr__(self, "_speeds", {})
 
-    def deriv_speeds(self, i: int, j: int) -> Tuple[Fraction, Fraction]:
-        """(p, q) such that D_{i,j} scales exp(a*t + b*x) by p*a + q*b."""
-        pq = self._speeds.get((i, j))
-        if pq is None:
-            pq = self._speeds[(i, j)] = ((i * self.c1 + j * self.c2) / self.delta,
-                                         (i * self.d1 + j * self.d2) / self.delta)
-        return pq
-
-    def spectral_basis(self) -> Tuple[int, int, int, int, int, int]:
-        """(t11, t12, t21, t22, det, h): the integer matrix T, its
-        determinant, and the denominator h it clears, taking an exponent
-        (a, b) to spectral coordinates (u, v) = T (a, b).
-
-        A wave exponent is (a, b) = sP*(d1, -c1) + sQ*(d2, -c2) for position
-        sums sP and sQ (spectral.wave_exponent), so T is h times the inverse
-        of that matrix: (u, v) = h*(sP, sQ).
-        """
-        if self._basis is None:
-            inv = (-self.c2 / self.delta, -self.d2 / self.delta,
-                   self.c1 / self.delta, self.d1 / self.delta)
-            h = lcm(*(f.denominator for f in inv))
-            t11, t12, t21, t22 = (f.numerator * (h // f.denominator) for f in inv)
-            object.__setattr__(self, "_basis", (t11, t12, t21, t22, t11 * t22 - t12 * t21, h))
-        return self._basis
+    def deriv_speeds(self, i: int, j: int) -> Tuple[int, int, int]:
+        """Integers (P, Q, R) such that D_{i,j} scales exp(a*t + b*x) by
+        (P*a + Q*b)/R."""
+        pqr = self._speeds.get((i, j))
+        if pqr is None:
+            p = (i * self.c1 + j * self.c2) / self.delta
+            q = (i * self.d1 + j * self.d2) / self.delta
+            pqr = self._speeds[(i, j)] = (p.numerator * q.denominator, q.numerator * p.denominator,
+                                          p.denominator * q.denominator)
+        return pqr
 
 
-def wave_constants(c1: RatLike, c2: RatLike, d1: RatLike, d2: RatLike) -> WaveConstants:
-    return WaveConstants(as_frac(c1), as_frac(c2), as_frac(d1), as_frac(d2))
+#: The factory name; WaveConstants coerces ints and 'p/q' strings itself.
+wave_constants = WaveConstants
 
 
 class ExpPoly:
@@ -137,7 +134,7 @@ class ExpPoly:
     term map.
     """
 
-    __slots__ = ("_scale", "_ints", "_content", "_min", "_hash")
+    __slots__ = ("_scale", "_ints", "_content", "_hash")
 
     def __init__(self, terms: Union[None, Mapping, Iterable] = None):
         """Sum of the given ((a, b), coefficient) terms; repeated keys add up."""
@@ -150,8 +147,7 @@ class ExpPoly:
         d = lcm(*(c.denominator for c in coefs))
         p = _from_rational_keys(keys, [c.numerator * (d // c.denominator) for c in coefs],
                                 Fraction(1, d))
-        self._scale, self._ints, self._content, self._min = (
-            p._scale, p._ints, p._content, p._min)
+        self._scale, self._ints, self._content = p._scale, p._ints, p._content
 
     @staticmethod
     def zero() -> "ExpPoly":
@@ -160,7 +156,7 @@ class ExpPoly:
     @staticmethod
     def const(c: RatLike) -> "ExpPoly":
         c = as_frac(c)
-        return _poly(1, {_ZERO_KEY: 1}, c, _ZERO_KEY) if c else _ZERO
+        return _poly(1, {_ZERO_KEY: 1}, c) if c else _ZERO
 
     @staticmethod
     def term(coef: RatLike, a: RatLike, b: RatLike) -> "ExpPoly":
@@ -170,7 +166,7 @@ class ExpPoly:
         a, b = as_frac(a), as_frac(b)
         scale = lcm(a.denominator, b.denominator)
         key = (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
-        return _poly(scale, {key: 1}, coef, key)
+        return _poly(scale, {key: 1}, coef)
 
     # -- the rational view -------------------------------------------------
 
@@ -203,7 +199,7 @@ class ExpPoly:
             return other
         if not other._ints:
             return self
-        scale, t1, t2, _, _ = _common_scale(self, other)
+        scale, t1, t2 = _common_scale(self, other)
         c1, c2 = self._content, other._content
         if c1 == c2:
             m1 = m2 = 1
@@ -225,7 +221,7 @@ class ExpPoly:
     def __neg__(self) -> "ExpPoly":
         if not self._ints:
             return self
-        return _poly(self._scale, self._ints, -self._content, self._min)
+        return _poly(self._scale, self._ints, -self._content)
 
     def __sub__(self, other) -> "ExpPoly":
         other = _coerce_poly(other)
@@ -243,17 +239,17 @@ class ExpPoly:
         if isinstance(other, (int, Fraction)):
             if not other or not self._ints:
                 return _ZERO
-            return _poly(self._scale, self._ints, self._content * other, self._min)
+            return _poly(self._scale, self._ints, self._content * other)
         if not isinstance(other, ExpPoly):
             return NotImplemented
         if not self._ints or not other._ints:
             return _ZERO
         content = self._content * other._content
-        if other._min == _ZERO_KEY and len(other._ints) == 1:
-            return _poly(self._scale, self._ints, content, self._min)
-        if self._min == _ZERO_KEY and len(self._ints) == 1:
-            return _poly(other._scale, other._ints, content, other._min)
-        scale, t1, t2, m1, m2 = _common_scale(self, other)
+        if _is_const(other):
+            return _poly(self._scale, self._ints, content)
+        if _is_const(self):
+            return _poly(other._scale, other._ints, content)
+        scale, t1, t2 = _common_scale(self, other)
         if len(t1) > len(t2):
             t1, t2 = t2, t1
         out: Dict[Tuple[int, int], int] = {}
@@ -268,7 +264,7 @@ class ExpPoly:
         # Gauss's lemma keeps the product of primitive parts primitive, and
         # the least key of a product is the sum of the least keys, with
         # coefficient n1 * n2 > 0: only the scale can need reducing.
-        return _reduced(scale, out, content, (m1[0] + m2[0], m1[1] + m2[1]))
+        return _reduced(scale, out, content)
 
     __rmul__ = __mul__
 
@@ -297,16 +293,14 @@ class ExpPoly:
     def deriv(self, i: int, j: int, w: WaveConstants) -> "ExpPoly":
         """Characteristic derivative D_{i,j}: term (a,b) scales by
         ((i*c1+j*c2)*a + (i*d1+j*d2)*b)/delta."""
-        p, q = w.deriv_speeds(i, j)
-        # p*a + q*b = (P*A + Q*B) / (pd*qd*scale) on the lattice
-        pn, qn = p.numerator * q.denominator, q.numerator * p.denominator
+        p, q, r = w.deriv_speeds(i, j)
+        # (p*a + q*b)/r = (p*A + q*B) / (r*scale) on the lattice
         out = {}
         for (a, b), n in self._ints.items():
-            f = pn * a + qn * b
+            f = p * a + q * b
             if f:
                 out[(a, b)] = n * f
-        return _canonical(self._scale, out,
-                          self._content / (p.denominator * q.denominator * self._scale))
+        return _canonical(self._scale, out, self._content / (r * self._scale))
 
     # -- inspection --------------------------------------------------------
 
@@ -360,18 +354,22 @@ class _Terms(Mapping):
         return p._content * n
 
 
-def _poly(scale: int, ints: Dict[Tuple[int, int], int], content: Fraction,
-          least: Tuple[int, int]) -> ExpPoly:
+def _poly(scale: int, ints: Dict[Tuple[int, int], int], content: Fraction) -> ExpPoly:
     """Wrap an already-canonical lattice form without re-checking."""
     p = object.__new__(ExpPoly)
-    p._scale, p._ints, p._content, p._min = scale, ints, content, least
+    p._scale, p._ints, p._content = scale, ints, content
     return p
 
 
-_ZERO = _poly(1, {}, _FRAC_ZERO, None)
+_ZERO = _poly(1, {}, _FRAC_ZERO)
 
 
-def _reduced(scale, ints, content, least) -> ExpPoly:
+def _is_const(p: ExpPoly) -> bool:
+    """Whether p is a nonzero constant: its one key is (0, 0)."""
+    return len(p._ints) == 1 and _ZERO_KEY in p._ints
+
+
+def _reduced(scale, ints, content) -> ExpPoly:
     """Wrap primitive, sign-normalized coefficients, at the minimal scale."""
     if not ints:
         return _ZERO
@@ -384,8 +382,7 @@ def _reduced(scale, ints, content, least) -> ExpPoly:
         if s != 1:
             ints = {(a // s, b // s): n for (a, b), n in ints.items()}
             scale //= s
-            least = (least[0] // s, least[1] // s)
-    return _poly(scale, ints, content, least)
+    return _poly(scale, ints, content)
 
 
 def _canonical(scale, ints, content) -> ExpPoly:
@@ -401,7 +398,7 @@ def _canonical(scale, ints, content) -> ExpPoly:
     if g != 1:
         ints = {k: n // g for k, n in ints.items()}
         content = content * g
-    return _reduced(scale, ints, content, least)
+    return _reduced(scale, ints, content)
 
 
 def _from_rational_keys(keys, ints, content: Fraction) -> ExpPoly:
@@ -421,13 +418,11 @@ def _rescaled(ints, f):
 
 
 def _common_scale(p: ExpPoly, q: ExpPoly):
-    """(scale, ints of p, ints of q, least key of p, least key of q) on one lattice."""
+    """(scale, ints of p, ints of q) on one lattice."""
     if p._scale == q._scale:
-        return p._scale, p._ints, q._ints, p._min, q._min
+        return p._scale, p._ints, q._ints
     scale = lcm(p._scale, q._scale)
-    fp, fq = scale // p._scale, scale // q._scale
-    return (scale, _rescaled(p._ints, fp), _rescaled(q._ints, fq),
-            (p._min[0] * fp, p._min[1] * fp), (q._min[0] * fq, q._min[1] * fq))
+    return scale, _rescaled(p._ints, scale // p._scale), _rescaled(q._ints, scale // q._scale)
 
 
 def _coerce_poly(v) -> ExpPoly:
@@ -444,7 +439,7 @@ ONE = ExpPoly.const(1)
 # -- sums of products -------------------------------------------------------------
 #
 # Kronecker substitution (A. Schoenhage, EUROCAM 1982; D. Harvey, J. Symbolic
-# Comput. 44, 2009) in the spectral basis of WaveConstants.spectral_basis: a
+# Comput. 44, 2009) in the spectral basis WaveConstants.basis: a
 # sum of spike waves has one row per spectral coordinate u, nearly dense
 # along v, and a row packed into one int, a digit per v step, is multiplied
 # by one CPython int product.
@@ -471,7 +466,7 @@ def sum_of_products(sums: Iterable[Iterable], w: WaveConstants) -> List[ExpPoly]
 
     Sparse sums (PACK_SLOTS_PER_TERM) are formed as ExpPoly products.  The
     others are formed by Kronecker substitution in the spectral coordinates
-    (u, v) of w.spectral_basis():
+    (u, v) of w.basis:
 
     - the keys of each distinct operand of all the sums go to (u, v) at one
       common scale S, once, and each operand is split into rows by u;
@@ -496,7 +491,7 @@ def sum_of_products(sums: Iterable[Iterable], w: WaveConstants) -> List[ExpPoly]
     exactly when each of its output row ints is 0.  Otherwise its digits
     are read back to lattice keys.
     """
-    t11, t12, t21, t22, _, h = w.spectral_basis()
+    t11, t12, t21, t22, _, h = w.basis
     sums = [list(terms) for terms in sums]
     scale = lcm(*[(x[1] if type(x) is tuple else x)._scale
                   for terms in sums for t in terms for x in t[1:]])
@@ -595,7 +590,7 @@ def _sum(prods, step: int, scale: int, w: WaveConstants) -> ExpPoly:
     sum_of_products): term by term when sparse, else packed."""
     if not prods:
         return _ZERO
-    t11, t12, t21, t22, det, _ = w.spectral_basis()
+    t11, t12, t21, t22, det, _ = w.basis
     lo = min([p[5] for p in prods])
     nslots = (max([p[6] for p in prods]) - lo) // step + 1
     slots, nterms = nslots, 0
@@ -672,13 +667,14 @@ def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
         raise DivisionByZeroField("divexact by zero")
     if num.is_zero():
         return _ZERO
-    scale, tn, td, mn, md = _common_scale(num, den)
+    scale, tn, td = _common_scale(num, den)
     lead = max(td)
     lead_n = td[lead]
     lo_a = min(a for a, _ in tn) - min(a for a, _ in td)
     hi_a = max(a for a, _ in tn) - lead[0]
     lo_b = min(b for _, b in tn) - min(b for _, b in td)
     hi_b = max(b for _, b in tn) - max(b for _, b in td)
+    mn, md = min(tn), min(td)
     least = (mn[0] - md[0], mn[1] - md[1])
     rest = [(k, n) for k, n in td.items() if k != lead]
     rem = dict(tn)
@@ -706,7 +702,7 @@ def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
                 heappush(heap, (-k[0], -k[1]))
             else:
                 rem[k] = old - qn * n
-    return _reduced(scale, quot, num._content / den._content, least)
+    return _reduced(scale, quot, num._content / den._content)
 
 
 def _shifted(p: ExpPoly, shift: LinForm) -> ExpPoly:
@@ -718,8 +714,7 @@ def _shifted(p: ExpPoly, shift: LinForm) -> ExpPoly:
     f = scale // p._scale
     da, db = a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator)
     ints = {(x * f + da, y * f + db): n for (x, y), n in p._ints.items()}
-    least = p._min
-    return _reduced(scale, ints, p._content, (least[0] * f + da, least[1] * f + db))
+    return _reduced(scale, ints, p._content)
 
 
 def _split(p: ExpPoly):
@@ -729,14 +724,14 @@ def _split(p: ExpPoly):
     there, so equal polynomials up to a monomial and a constant share one
     atom; it is None when p is a single term.
     """
-    scale, least = p._scale, p._min
+    scale, least = p._scale, min(p._ints)
     n0 = p._ints[least]
     shift = (Fraction(least[0], scale), Fraction(least[1], scale))
     if len(p._ints) == 1:
         return p._content * n0, shift, None
     a0, b0 = least
     ints = {(a - a0, b - b0): n for (a, b), n in p._ints.items()}
-    return p._content * n0, shift, _reduced(scale, ints, Fraction(1, n0), _ZERO_KEY)
+    return p._content * n0, shift, _reduced(scale, ints, Fraction(1, n0))
 
 
 def _sum_shift(s: LinForm, t: LinForm, sign: int = 1) -> LinForm:
@@ -766,13 +761,11 @@ class ExpRational:
     Canonical form: zero is 0/1; a denominator's least term has coefficient
     1 (every atom's has, and the monomial's coefficient is 1).  ``den`` is
     the expanded denominator; a denominator given to the constructor is kept
-    as given, up to that normalization, and is split into monomial and atom
-    only when an operation needs its factors.  Values with the same atoms
-    compare their numerators; others are cross-multiplied over the lcm, so
-    equal values always compare equal.
+    as given, up to that normalization, and split into monomial and atom at
+    once.  Values with the same atoms compare their numerators; others are
+    cross-multiplied over the lcm, so equal values always compare equal.
     """
 
-    #: _shift and _atoms are None until the constructor's den is split.
     __slots__ = ("num", "_den", "_shift", "_atoms")
 
     def __init__(self, num, den=None):
@@ -787,20 +780,13 @@ class ExpRational:
             self.num, self._den = _ZERO, ONE
             return
         if den is not ONE:
-            least_n = den._ints[den._min]
-            anchor = den._content * least_n
+            anchor, self._shift, atom = _split(den)
+            if atom is not None:
+                self._atoms = {atom: 1}
             if anchor != 1:
-                num = _poly(num._scale, num._ints, num._content / anchor, num._min)
-                den = _poly(den._scale, den._ints, Fraction(1, least_n), den._min)
-            self._shift = self._atoms = None
+                num = _poly(num._scale, num._ints, num._content / anchor)
+                den = _poly(den._scale, den._ints, den._content / anchor)
         self.num, self._den = num, den
-
-    def _factors(self) -> Tuple[LinForm, Dict[ExpPoly, int]]:
-        """(shift, atoms) of the denominator."""
-        if self._atoms is None:
-            _, self._shift, atom = _split(self._den)
-            self._atoms = _NO_ATOMS if atom is None else {atom: 1}
-        return self._shift, self._atoms
 
     @staticmethod
     def zero() -> "ExpRational":
@@ -815,8 +801,7 @@ class ExpRational:
         """[ExpRational(num, den) for num in nums], with den normalized and
         split once: every value holds the same denominator and factors."""
         u = ExpRational(1, den)
-        shift, atoms = u._factors()
-        return [_rat(n * u.num._content, shift, atoms, u._den) for n in nums]
+        return [_rat(n * u.num._content, u._shift, u._atoms, u._den) for n in nums]
 
     def is_zero(self) -> bool:
         return not self.num._ints
@@ -842,11 +827,10 @@ class ExpRational:
         num = self.num
         if not num._ints:
             return num
-        own_shift, own = self._factors()
-        if shift != own_shift:
-            num = _shifted(num, _sum_shift(shift, own_shift, -1))
+        if shift != self._shift:
+            num = _shifted(num, _sum_shift(shift, self._shift, -1))
         for a, k in atoms.items():
-            for _ in range(k - own.get(a, 0)):
+            for _ in range(k - self._atoms.get(a, 0)):
                 num = num * a
         return num
 
@@ -888,15 +872,14 @@ class ExpRational:
             return NotImplemented
         if not (self.num._ints and other.num._ints):
             return _ZERO_RAT
-        s1, atoms = self._factors()
-        s2, more = other._factors()
+        atoms, more = self._atoms, other._atoms
         if not atoms:
             atoms = more
         elif more:
             atoms = dict(atoms)
             for a, k in more.items():
                 atoms[a] = atoms.get(a, 0) + k
-        return _rat(self.num * other.num, _sum_shift(s1, s2), atoms)
+        return _rat(self.num * other.num, _sum_shift(self._shift, other._shift), atoms)
 
     __rmul__ = __mul__
 
@@ -912,10 +895,8 @@ class ExpRational:
             raise DivisionByZeroField("division by zero field value")
         if not self.num._ints:
             return _ZERO_RAT
-        s1, atoms = self._factors()
-        s2, more = other._factors()
-        num, atoms = self.num, dict(atoms)
-        for a, k in more.items():
+        num, atoms = self.num, dict(self._atoms)
+        for a, k in other._atoms.items():
             have = atoms.pop(a, 0)
             if have > k:
                 atoms[a] = have - k
@@ -924,7 +905,8 @@ class ExpRational:
         c, shift, atom = _split(other.num)
         if atom is not None:
             atoms[atom] = atoms.get(atom, 0) + 1
-        return _rat(num * (1 / c), _sum_shift(_sum_shift(s1, shift), s2, -1), atoms)
+        return _rat(num * (1 / c), _sum_shift(_sum_shift(self._shift, shift), other._shift, -1),
+                    atoms)
 
     def __rtruediv__(self, other) -> "ExpRational":
         other = _coerce_rational(other)
@@ -955,9 +937,8 @@ class ExpRational:
         num = self.num
         if not num._ints:
             return self
-        shift, atoms = self._factors()
-        left = {}
-        for a, k in atoms.items():
+        shift, left = self._shift, {}
+        for a, k in self._atoms.items():
             while k:
                 try:
                     num = divexact(num, a)
@@ -976,12 +957,12 @@ class ExpRational:
         atoms: (n/Q)' = (n'P - n * sum(k * a' * P/a)) / (Q*P)."""
         n = self.num
         dn = n.deriv(i, j, w)
-        s, atoms = self._factors()
+        s = self._shift
         if s != _NO_SHIFT:
             # the derivative of n * exp(-shift), times exp(shift)
-            p, q = w.deriv_speeds(i, j)
-            dn = dn - n * (p * s[0] + q * s[1])
-        atoms = list(atoms.items())
+            p, q, r = w.deriv_speeds(i, j)
+            dn = dn - n * ((p * s[0] + q * s[1]) / r)
+        atoms = list(self._atoms.items())
         prod, rest = ONE, _ZERO
         for idx, (a, k) in enumerate(atoms):
             prod = prod * a
@@ -999,9 +980,9 @@ class ExpRational:
         (n'd - nd')/d^2, numerator and denominator."""
         if not self.num._ints:
             return self
-        s, atoms = self._factors()
+        s = self._shift
         return _rat(_shifted(self._top(i, j, w), s), _sum_shift(s, s),
-                    {a: k + 1 for a, k in atoms.items()})
+                    {a: k + 1 for a, k in self._atoms.items()})
 
     def dlog(self, i: int, j: int, w: WaveConstants) -> "ExpRational":
         """Logarithmic derivative D_{i,j} ln(self), equal to deriv/self.
@@ -1014,7 +995,7 @@ class ExpRational:
             raise DivisionByZeroField("log derivative of zero")
         top = self._top(i, j, w)
         c, shift, atom = _split(self.num)
-        atoms = dict.fromkeys(self._factors()[1], 1)
+        atoms = dict.fromkeys(self._atoms, 1)
         if atom is not None:
             atoms[atom] = atoms.get(atom, 0) + 1
         return _rat(top * (1 / c), shift, atoms)
@@ -1027,7 +1008,7 @@ class ExpRational:
             quot = divexact(self.num, self.den)
         except InexactDivision:
             return None
-        if quot._min == _ZERO_KEY and len(quot._ints) == 1:
+        if _is_const(quot):
             return quot._content
         return None
 
@@ -1072,12 +1053,12 @@ def _lcm(values: Sequence[ExpRational]) -> Tuple[LinForm, Dict[ExpPoly, int]]:
     """(shift, atoms) of the least common denominator of the values: each
     atom at its largest multiplicity, times the componentwise larger
     monomial; the first value's own objects when it already is that."""
-    shift, atoms = values[0]._factors()
+    shift, atoms = values[0]._shift, values[0]._atoms
     for v in values[1:]:
-        s, more = v._factors()
+        s = v._shift
         if s != shift:
             shift = (max(shift[0], s[0]), max(shift[1], s[1]))
-        grow = {a: k for a, k in more.items() if k > atoms.get(a, 0)}
+        grow = {a: k for a, k in v._atoms.items() if k > atoms.get(a, 0)}
         if grow:
             atoms = {**atoms, **grow}
     return shift, atoms
@@ -1093,7 +1074,7 @@ def common_denominator(values: Sequence[ExpRational]) -> Tuple[ExpPoly, List[Exp
     live = [v for v in values if v.num._ints] or [_ZERO_RAT]
     first = live[0]
     shift, atoms = _lcm(live)
-    den = first.den if (shift, atoms) == first._factors() else _rat(ONE, shift, atoms).den
+    den = first.den if (shift, atoms) == (first._shift, first._atoms) else _rat(ONE, shift, atoms).den
     return den, [v._over(shift, atoms) for v in values]
 
 
@@ -1186,8 +1167,9 @@ class _Sums:
 
 class _Field:
     """One value of grid_values: c * num / den, with den None for a
-    one-term denominator already divided in; r is the D speed denominator
-    R, or None without a derivative."""
+    one-term denominator already divided in; r is R * scale, the
+    denominator of the D speeds on grid_values' lattice, or None without a
+    derivative."""
 
     __slots__ = ("num", "den", "vn", "vd", "r")
 
@@ -1246,12 +1228,6 @@ def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveCon
     live = {key: u for key, u in values.items() if not u.is_zero()}
     # every exponent as an integer pair over one scale
     scale = lcm(1, *(p.lattice()[0] for u in live.values() for p in (u.num, u.den)))
-    # (i, j) -> (P, Q, R): D_{i,j} scales exp((A*t + B*x)/scale) by (P*A + Q*B)/R
-    speeds = {}
-    for ij in set(d_index.values()):
-        p, q = w.deriv_speeds(*ij)
-        speeds[ij] = (p.numerator * q.denominator, q.numerator * p.denominator,
-                      p.denominator * q.denominator * scale)
     slots: Dict[Tuple[int, int], int] = {}  # exponent -> exp slot
 
     def prepare(poly, ij, shift=(0, 0)) -> _Sums:
@@ -1262,13 +1238,14 @@ def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveCon
         ns = list(ints.values())
         if ij is None:
             return _Sums(idx, ns)
-        p, q, _ = speeds[ij]
+        # D_{i,j} scales exp((A*t + B*x)/scale) by (P*A + Q*B)/(R*scale)
+        p, q, _ = w.deriv_speeds(*ij)
         return _Sums(idx, ns, [n * (p * a + q * b) for (a, b), n in zip(keys, ns)])
 
     fields = {}
     for key, u in live.items():
         ij = d_index.get(key)
-        r = None if ij is None else speeds[ij][2]
+        r = None if ij is None else w.deriv_speeds(*ij)[2] * scale
         own, den, dc = u.den.lattice()
         c = u.num.lattice()[2] / dc
         if len(den) == 1:

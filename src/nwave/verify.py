@@ -133,7 +133,7 @@ def _judge(points) -> Tuple[bool, str]:
     detail.  Any other point fails when |value| > REL_TOL * scale, and the
     first failing point ends the check.  The scale is the mass before
     cancellation, so the bound is relative at every size; it is 0 only
-    when every part is 0.
+    when every part is 0.  A check with no point left to judge fails.
     """
     poles = []
     worst = libmp.fzero
@@ -149,6 +149,8 @@ def _judge(points) -> Tuple[bool, str]:
         if libmp.mpf_gt(v, worst):
             worst = v
         checked += 1
+    if not checked:
+        return False, "no grid point judged; poles at " + ", ".join(poles)
     detail = f"max |residual| {_sci(worst)} over {checked} points"
     if poles:
         detail += "; poles skipped at " + ", ".join(poles)

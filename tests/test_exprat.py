@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nwave.exprat import (
     DivisionByZeroField,
@@ -12,6 +12,7 @@ from nwave.exprat import (
     ExpPoly,
     ExpRational,
     InexactDivision,
+    WaveConstants,
     common_denominator,
     divexact,
     sum_of_products,
@@ -193,6 +194,24 @@ def test_deriv_second_index_on_first_kind_wave():
 
 def test_deriv_of_constant_is_zero():
     assert ExpPoly.const(5).deriv(1, 1, W).is_zero()
+
+
+@given(rationals, rationals, rationals, rationals, st.integers(-3, 3), st.integers(-3, 3),
+       exponents)
+def test_integer_speeds_and_basis_on_random_constants(c1, c2, d1, d2, i, j, ab):
+    assume(c1 * d2 != c2 * d1)
+    w = WaveConstants(c1, c2, d1, d2)
+    # D_{i,j} scales exp(a*t + b*x) by (P*a + Q*b)/R
+    a, b = ab
+    p, q, r = w.deriv_speeds(i, j)
+    speed = ((i * c1 + j * c2) * a + (i * d1 + j * d2) * b) / w.delta
+    assert (p * a + q * b) / r == speed
+    assert ExpPoly.term(1, a, b).deriv(i, j, w) == ExpPoly.term(speed, a, b)
+    # T times the wave-exponent matrix [[d1, d2], [-c1, -c2]] is h*I
+    t11, t12, t21, t22, det, h = w.basis
+    assert (t11 * d1 - t12 * c1, t11 * d2 - t12 * c2) == (h, 0)
+    assert (t21 * d1 - t22 * c1, t21 * d2 - t22 * c2) == (0, h)
+    assert det == t11 * t22 - t12 * t21
 
 
 @settings(max_examples=35)
@@ -439,13 +458,12 @@ def test_cancel_divides_out_known_atoms_and_the_monomial():
     assert z.cancel().den == x.den and z.cancel().num == x.num
 
 
-def test_scalar_operations_keep_a_given_denominator_unsplit():
-    # A scalar product, quotient or negation needs no factors of the
-    # denominator: neither the operand nor the result has it split.
+def test_scalar_operations_keep_a_given_denominator():
+    # A scalar product, quotient or negation changes only the numerator:
+    # the result keeps the given denominator as it is.
     num, den = ExpPoly.term(1, 1, 0), ONE + ExpPoly.term(1, 0, 1)
     u = ExpRational(num, den)
     for out, want in ((u * 2, num * 2), (u / 3, num * Fraction(1, 3)), (-u, -num)):
-        assert u._atoms is None and out._atoms is None
         assert (out.num, out.den) == (want, den)
         assert out == ExpRational(want, den)
 
@@ -485,7 +503,7 @@ def test_common_denominator_puts_each_value_over_one_lcm(nums, den, others):
     # one denominator object is taken as it is; split into its factors it
     # gives the same lcm by the general path
     L, ns = common_denominator(shared)
-    split = [exprat._rat(v.num, *v._factors()) for v in shared]
+    split = [exprat._rat(v.num, v._shift, v._atoms) for v in shared]
     assert common_denominator(split) == (L, ns)
     if any(nums):
         assert L is next(v.den for v in shared if not v.is_zero())

@@ -231,6 +231,22 @@ def test_numeric_mode_fails_the_pole_a2_configuration():
     assert numeric.counterexample is not None
 
 
+def test_numeric_check_that_judges_no_point_fails():
+    # 1 - e^{t/10^30} vanishes to working precision at every grid point, so
+    # numeric mode judges no point of D(1,0) f-1.0 = e^t / (1 - e^{t/10^30}):
+    # that check fails, as in exact mode, and names the poles.
+    m = model("A2")
+    den = ONE - ExpPoly.term(1, Fraction(1, 10**30), 0)
+    cfg = zero_config("A2", W).with_fields({(MINUS, (1, 0)): ExpRational(ExpPoly.term(1, 1, 0), den)})
+    exact = verify_config(m, cfg, "exact")
+    numeric = verify_config(m, cfg, "numeric")
+    assert [c.name for c in exact.checks if not c.passed] == ["D(1,0) f-1.0"]
+    assert [c.passed for c in numeric.checks] == [c.passed for c in exact.checks]
+    detail = next(c.detail for c in numeric.checks if not c.passed)
+    assert detail.startswith("no grid point judged; poles at ")
+    assert all(f"({t},{x})" in detail for t, x in GRID)
+
+
 def test_passing_numeric_check_builds_no_residual(monkeypatch):
     def no_residual(*args):
         raise AssertionError("numeric mode built an exact residual")
