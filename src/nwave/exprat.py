@@ -1081,9 +1081,10 @@ def common_denominator(values: Sequence[ExpRational]) -> Tuple[ExpPoly, List[Exp
 # -- numeric evaluation -----------------------------------------------------------
 #
 # Numbers handed out are raw mpmath.libmp values (sign, mantissa, exponent,
-# bitcount).  Inside, a polynomial's terms are summed as integers and each
-# result is rounded once to EVAL_PRECISION bits; nothing goes through float,
-# so no value can overflow.
+# bitcount).  Inside, a coordinate's exponentials are walked one distinct gap
+# at a time (_exps), each within 1/2 + 2**-7 ulp of EVAL_PRECISION bits; a
+# polynomial's terms are summed as integers and each result is rounded once
+# to EVAL_PRECISION bits; nothing goes through float, so no value can overflow.
 
 _RND = libmp.round_nearest
 #: (value, mass, D value, D mass) of an identically zero field.
@@ -1097,13 +1098,38 @@ def _mpf(q) -> tuple:
     return _round(q.numerator, q.denominator, 0)
 
 
-def _exp(n: int, d: int) -> tuple:
-    """exp(n/d) (d > 0) as a libmp value.  The argument keeps EVAL_PRECISION
-    bits after the binary point, so a large one loses no relative accuracy."""
-    if not n:
-        return libmp.fone
-    x = _round(n, d, 0, EVAL_PRECISION + (abs(n) // d).bit_length())
-    return libmp.mpf_exp(x, EVAL_PRECISION, _RND)
+def _exps(ks: Sequence[int], n: int, d: int) -> List[tuple]:
+    """exp(k*n/d) (d > 0) for each integer k of ks, as libmp values.
+
+    One exponential per distinct gap: the distinct ks are walked in order
+    from the least, and each value is its predecessor times exp(gap*n/d),
+    with exp of the least k and of each distinct gap computed once.  The
+    walk runs at prec = EVAL_PRECISION + 8 + bitlen(2N) bits for N distinct
+    ks, and every argument keeps prec bits after the binary point, so a
+    large one loses no relative accuracy.  A value carries at most 3N + 1
+    roundings at prec (two per exponential, one per product), a relative
+    error below 1.5 * 2**-(EVAL_PRECISION + 8) whatever the size of the ks;
+    rounded once to EVAL_PRECISION bits, it is within 1/2 + 2**-7 ulp of
+    the exact value.
+    """
+    if not n or not ks:
+        return [libmp.fone] * len(ks)
+    walk = sorted(set(ks))
+    prec = _GUARD + (2 * len(walk)).bit_length()
+    # k -> exp(k*n/d) at prec, for the least k and each gap; a least k of 0 costs nothing
+    exps = {0: libmp.fone}
+
+    def exp(k: int) -> tuple:
+        if k not in exps:
+            x = _round(k * n, d, 0, prec + (abs(k * n) // d).bit_length())
+            exps[k] = libmp.mpf_exp(x, prec, _RND)
+        return exps[k]
+
+    v = exp(walk[0])
+    walked = {walk[0]: v}
+    for lo, hi in zip(walk, walk[1:]):
+        v = walked[hi] = libmp.mpf_mul(v, exp(hi - lo), prec, _RND)
+    return [libmp.mpf_pos(walked[k], EVAL_PRECISION, _RND) for k in ks]
 
 
 def _round(p: int, q: int, e: int, prec: int = EVAL_PRECISION) -> tuple:
@@ -1212,9 +1238,12 @@ def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveCon
     A one-term denominator never vanishes, so it is divided into the
     numerator up front and never makes a pole.
 
-    Exponents are read off the polynomials' integer lattices, brought to one
-    common scale, and each distinct exp(a*t) and exp(b*x) is computed once,
-    to EVAL_PRECISION bits; a term's exponential is their exact product.
+    Exponents are read off the polynomials' integer lattices and brought to
+    one common scale.  At each nonzero t (and x) the distinct a (and b) are
+    walked in order, with one exponential per distinct gap between
+    neighbours and one product per step (see _exps), so each exp(a*t) and
+    exp(b*x) is within 1/2 + 2**-7 ulp of EVAL_PRECISION bits, whatever the
+    size of the exponents; a term's exponential is their exact product.
     Each polynomial is then summed as integers: every term is truncated to a
     multiple of 2**e0 and multiplied by its integer coefficient, with e0 at
     EVAL_PRECISION + 8 + bitlen(sum |n_k|) bits below the largest term (and
@@ -1260,9 +1289,10 @@ def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveCon
     b_slot: Dict[int, int] = {}
     pairs = [(a_slot.setdefault(a, len(a_slot)), b_slot.setdefault(b, len(b_slot)))
              for a, b in slots]
-    exp_x = [(x, [_exp(b * x.numerator, scale * x.denominator) for b in b_slot]) for x in xs]
+    a_ks, b_ks = list(a_slot), list(b_slot)
+    exp_x = [(x, _exps(b_ks, x.numerator, scale * x.denominator)) for x in xs]
     for t in ts:
-        et = [_exp(a * t.numerator, scale * t.denominator) for a in a_slot]
+        et = _exps(a_ks, t.numerator, scale * t.denominator)
         for x, ex in exp_x:
             ms = [et[i][1] * ex[j][1] for i, j in pairs]
             es = [et[i][2] + ex[j][2] for i, j in pairs]

@@ -1,5 +1,6 @@
 """The numeric evaluator exprat.grid_values against a 400-bit reference."""
 
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -94,10 +95,10 @@ def test_grid_values_keeps_the_reference_across_wide_exponent_spreads():
 
 
 class _CountingLibmp:
-    """Stands in for mpmath.libmp and counts the calls made through it."""
+    """Stands in for mpmath.libmp and counts the calls made through it, by name."""
 
     def __init__(self):
-        self.calls = 0
+        self.calls = Counter()
 
     def __getattr__(self, name):
         v = getattr(mpmath.libmp, name)
@@ -105,31 +106,93 @@ class _CountingLibmp:
             return v
 
         def counted(*args, **kwargs):
-            self.calls += 1
+            self.calls[name] += 1
             return v(*args, **kwargs)
         return counted
 
 
-def _libmp_calls(monkeypatch, u) -> int:
+TS, XS = [Fraction(-1), Fraction(1, 2)], [Fraction(0), Fraction(1, 3)]
+
+
+def _libmp_calls(monkeypatch, u, ts=TS, xs=XS) -> Counter:
     counter = _CountingLibmp()
     monkeypatch.setattr(exprat, "libmp", counter)
-    list(grid_values({0: u}, [Fraction(-1), Fraction(1, 2)], [Fraction(0), Fraction(1, 3)],
-                     W, {0: (1, 1)}))
+    list(grid_values({0: u}, ts, xs, W, {0: (1, 1)}))
     monkeypatch.undo()
     return counter.calls
+
+
+def _distinct_nonzero_exponents(u, ts, xs) -> int:
+    """Distinct nonzero a (b) of u's exponents, summed over the nonzero t (x)."""
+    num, den = u.num, u.den
+    if len(den.terms) == 1:
+        (a0, b0), = den.terms
+        keys = [(a - a0, b - b0) for a, b in num.terms]
+    else:
+        keys = list(num.terms) + list(den.terms)
+    return (len({a for a, _ in keys} - {0}) * sum(map(bool, ts))
+            + len({b for _, b in keys} - {0}) * sum(map(bool, xs)))
+
+
+def _values_over_one_den():
+    den = sum((ExpPoly.term(k + 1, k, 0) + ExpPoly.term(k + 1, 0, k) for k in range(9)),
+              ExpPoly.zero())
+    num = ExpPoly({(a, b): a - 2 * b + 1 for a in range(3) for b in range(3)})
+    twenty = ExpPoly({(a, b): 3 * a + b + 1 for a in range(5) for b in range(4)})
+    return ExpRational(num, den), ExpRational(num * twenty, den), twenty
 
 
 def test_grid_values_makes_no_library_call_per_term(monkeypatch):
     # The denominator already has every exponent of the product, so the
     # exponentials to compute are the same; only the sums grow, to 20x the
     # terms, and they are integer arithmetic.
-    den = sum((ExpPoly.term(k + 1, k, 0) + ExpPoly.term(k + 1, 0, k) for k in range(9)),
-              ExpPoly.zero())
-    num = ExpPoly({(a, b): a - 2 * b + 1 for a in range(3) for b in range(3)})
-    twenty = ExpPoly({(a, b): 3 * a + b + 1 for a in range(5) for b in range(4)})
-    u, wide = ExpRational(num, den), ExpRational(num * twenty, den)
+    u, wide, twenty = _values_over_one_den()
     assert len(twenty.terms) == 20
     assert _libmp_calls(monkeypatch, wide) == _libmp_calls(monkeypatch, u)
+
+
+def test_grid_values_makes_one_exponential_per_distinct_gap(monkeypatch):
+    # 20 exponents (2 + 3k)(t + x): at each nonzero coordinate the walk
+    # computes exp of the least, 2, and of the one gap, 3.
+    even = ExpRational(ExpPoly({(2 + 3 * k, 2 + 3 * k): k + 1 for k in range(20)}),
+                       ExpPoly.const(1))
+    ts, xs = [Fraction(-1), Fraction(1, 2)], [Fraction(1, 3), Fraction(2)]
+    assert _libmp_calls(monkeypatch, even, ts, xs)["mpf_exp"] == 2 * 4
+    # never more than one per distinct nonzero exponent and coordinate
+    for u in (even, *_values_over_one_den()[:2]):
+        for ts, xs in ((ts, xs), (TS, XS)):
+            assert _libmp_calls(monkeypatch, u, ts, xs)["mpf_exp"] <= \
+                _distinct_nonzero_exponents(u, ts, xs)
+
+
+# Integer exponents for _exps: dense runs, multiples of a gcd above 1 (with
+# duplicates), a single value, lists with 0, and values 2000 apart.
+_ints = st.integers(-30, 30)
+exp_lists = st.one_of(
+    st.builds(lambda a, m: list(range(a, a + m)), _ints, st.integers(1, 60)),
+    st.builds(lambda g, ks: [g * k for k in ks], st.integers(2, 12),
+              st.lists(_ints, min_size=1, max_size=60)),
+    st.builds(lambda k: [k], st.integers(-204, 204)),
+    st.builds(lambda ks: ks + [0], st.lists(_ints, max_size=59)),
+    st.builds(lambda ks: [2000 * k for k in ks], st.lists(_ints, min_size=1, max_size=60)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(exp_lists,
+       st.one_of(st.integers(-12, 12), st.integers(-10 ** 30, 10 ** 30)).filter(bool),
+       st.one_of(st.integers(1, 12), st.integers(1, 10 ** 30)))
+def test_exps_are_within_half_an_ulp_of_a_400_bit_reference(ks, n, d):
+    # The walk's values are rounded once to 120 bits from a product chain
+    # kept 8 + bitlen(2N) bits wider, so each is within 1/2 + 2**-7 ulp.
+    got = exprat._exps(ks, n, d)
+    assert len(got) == len(ks)
+    with mpmath.workprec(ref.PREC):
+        for k, v in zip(ks, got):
+            want = mpmath.exp(mpmath.mpf(k * n) / d)
+            _, _, exp, bc = want._mpf_
+            ulp = mpmath.ldexp(1, exp + bc - exprat.EVAL_PRECISION)
+            assert abs(mpmath.mp.make_mpf(v) - want) <= ulp * 0.51, (k, n, d)
 
 
 @pytest.mark.parametrize("c, t, pole", [
