@@ -10,8 +10,11 @@ string, never a float):
                    "fields": {"f+1.0": {"num": [[["a","b"],"coef"], ...],
                                         "den": [...]}, ...}}
 
-Serialization is canonical (sorted exponents, sorted field labels), so
-reading a document and writing it back is byte-identical.
+Serialization is canonical (sorted exponents, sorted field labels, and
+each value's normal form: "den" has least exponent 0 and coefficient 1
+there), so a document nwave wrote is written back byte-identical; a "den"
+that carries a monomial or a constant is read as the same value and
+written back with that factor divided into "num".
 
 Exit codes: 0 OK / verification passed; 1 verification failed;
 2 malformed input; 3 pivot or pole abort, or an inexact division.

@@ -47,7 +47,6 @@ POLE_BITS = EVAL_PRECISION // 2
 
 _ZERO_KEY = (0, 0)
 _FRAC_ZERO = Fraction(0)
-_NO_SHIFT = (_FRAC_ZERO, _FRAC_ZERO)
 _NO_ATOMS: Dict = {}  # shared by every value without atoms: never modified
 
 
@@ -90,7 +89,6 @@ class WaveConstants:
     d2: Fraction
     delta: Fraction = field(init=False, repr=False, compare=False)
     basis: Tuple[int, int, int, int, int, int] = field(init=False, repr=False, compare=False)
-    _speeds: Dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("c1", "c2", "d1", "d2"):
@@ -103,18 +101,13 @@ class WaveConstants:
         t11, t12, t21, t22 = (f.numerator * (h // f.denominator) for f in inv)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "basis", (t11, t12, t21, t22, t11 * t22 - t12 * t21, h))
-        object.__setattr__(self, "_speeds", {})
 
     def deriv_speeds(self, i: int, j: int) -> Tuple[int, int, int]:
         """Integers (P, Q, R) such that D_{i,j} scales exp(a*t + b*x) by
-        (P*a + Q*b)/R."""
-        pqr = self._speeds.get((i, j))
-        if pqr is None:
-            p = (i * self.c1 + j * self.c2) / self.delta
-            q = (i * self.d1 + j * self.d2) / self.delta
-            pqr = self._speeds[(i, j)] = (p.numerator * q.denominator, q.numerator * p.denominator,
-                                          p.denominator * q.denominator)
-        return pqr
+        (P*a + Q*b)/R: it scales a spike wave by i*sQ - j*sP, and
+        h*(sP, sQ) = T (a, b)."""
+        t11, t12, t21, t22, _, h = self.basis
+        return i * t21 - j * t11, i * t22 - j * t12, h
 
 
 #: The factory name; WaveConstants coerces ints and 'p/q' strings itself.
@@ -705,68 +698,64 @@ def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
     return _reduced(scale, quot, num._content / den._content)
 
 
-def _shifted(p: ExpPoly, shift: LinForm) -> ExpPoly:
-    """p * exp(a*t + b*x) for shift = (a, b): a translation of the keys."""
-    a, b = shift
-    if not (a or b) or not p._ints:
-        return p
-    scale = lcm(p._scale, a.denominator, b.denominator)
-    f = scale // p._scale
-    da, db = a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator)
-    ints = {(x * f + da, y * f + db): n for (x, y), n in p._ints.items()}
-    return _reduced(scale, ints, p._content)
+def _times_term(y: ExpPoly, m: ExpPoly) -> ExpPoly:
+    """y * m for a one-term m: a translation of y's keys."""
+    if not y._ints:
+        return y
+    (ma, mb), = m._ints
+    content = y._content * m._content
+    if not (ma or mb):
+        return _poly(y._scale, y._ints, content)
+    scale = lcm(y._scale, m._scale)
+    f, g = scale // y._scale, scale // m._scale
+    ma, mb = ma * g, mb * g
+    return _reduced(scale, {(a * f + ma, b * f + mb): n for (a, b), n in y._ints.items()},
+                    content)
 
 
-def _split(p: ExpPoly):
-    """(c, shift, atom) with p = c * exp(shift) * atom.
+def _split(y: ExpPoly, p: ExpPoly) -> Tuple[ExpPoly, Optional[ExpPoly]]:
+    """(y / u, p / u) for u = c * exp(a*t + b*x) the least term of p
+    (nonzero), a unit of the ring: y over p's unit part, and p's atom, None
+    when p is a single term.
 
-    The atom is p translated to least key 0 and scaled to coefficient 1
-    there, so equal polynomials up to a monomial and a constant share one
-    atom; it is None when p is a single term.
+    The atom has least key 0 and coefficient 1 there, so equal polynomials
+    up to a monomial and a constant share one atom.
     """
-    scale, least = p._scale, min(p._ints)
-    n0 = p._ints[least]
-    shift = (Fraction(least[0], scale), Fraction(least[1], scale))
-    if len(p._ints) == 1:
-        return p._content * n0, shift, None
-    a0, b0 = least
-    ints = {(a - a0, b - b0): n for (a, b), n in p._ints.items()}
-    return p._content * n0, shift, _reduced(scale, ints, Fraction(1, n0))
-
-
-def _sum_shift(s: LinForm, t: LinForm, sign: int = 1) -> LinForm:
-    return (s[0] + sign * t[0], s[1] + sign * t[1])
+    least = min(p._ints)
+    inverse = _poly(p._scale, {(-least[0], -least[1]): 1}, 1 / (p._content * p._ints[least]))
+    return _times_term(y, inverse), (_times_term(p, inverse) if len(p._ints) > 1 else None)
 
 
 class ExpRational:
-    """Quotient of two ExpPolys, with the denominator kept factored.
+    """Quotient of two ExpPolys: a numerator over a product of known atoms.
 
-    The denominator is ``exp(shift) * prod(atom**k)``: a monomial and known
-    atoms with multiplicities.  An atom is a normalized ExpPoly (least key
-    0, coefficient 1 there; see ``_split``), so atoms key a dict, and two
-    values share an atom exactly when the polynomials are equal.  Atoms
-    come from the denominator given to the constructor and from the
-    numerator of every divisor.  No gcd is ever taken; known factors are
-    cancelled instead:
+    An atom is a normalized ExpPoly (least key 0, coefficient 1 there; see
+    ``_split``), so atoms key a dict, and two values share an atom exactly
+    when the polynomials are equal.  The denominator is ``prod(atom**k)``,
+    atoms with multiplicities.  A monomial is a unit of the ring, so where
+    a polynomial divides (the constructor, ``/`` and ``dlog``) its least
+    term is divided into the numerator and only its atom joins the
+    denominator.  Atoms come from the denominator given to the constructor
+    and from the numerator of every divisor.  No gcd is ever taken; known
+    factors are cancelled instead:
 
-    - ``+`` and ``-`` work over the lcm of the two atom multisets (and the
-      componentwise larger monomial), not over the product;
+    - ``+`` and ``-`` work over the lcm of the two atom multisets, not over
+      the product;
     - ``*`` adds multiplicities; ``/`` cancels the divisor's atoms against
       the dividend's and adds the atom of the divisor's numerator;
     - ``deriv`` multiplies the denominator by the product of its distinct
-      factors, the monomial included, not by the whole denominator;
+      atoms, not by the whole denominator;
     - ``cancel`` divides the numerator by each atom while ``divexact``
       allows it.
 
-    Canonical form: zero is 0/1; a denominator's least term has coefficient
-    1 (every atom's has, and the monomial's coefficient is 1).  ``den`` is
-    the expanded denominator; a denominator given to the constructor is kept
-    as given, up to that normalization, and split into monomial and atom at
-    once.  Values with the same atoms compare their numerators; others are
-    cross-multiplied over the lcm, so equal values always compare equal.
+    Canonical form: zero is 0/1; ``den``, the expanded product of the
+    atoms, has least key 0 and coefficient 1 there, and is 1 exactly when
+    there is no atom.  Values with the same atoms compare their numerators;
+    others are cross-multiplied over the lcm, so equal values always
+    compare equal.
     """
 
-    __slots__ = ("num", "_den", "_shift", "_atoms")
+    __slots__ = ("num", "_den", "_atoms")
 
     def __init__(self, num, den=None):
         num = _coerce_poly(num)
@@ -775,17 +764,16 @@ class ExpRational:
             raise TypeError("ExpRational parts must be ExpPoly or rational")
         if den.is_zero():
             raise DivisionByZeroField("zero denominator")
-        self._shift, self._atoms = _NO_SHIFT, _NO_ATOMS
+        self._atoms = _NO_ATOMS
         if num.is_zero():
             self.num, self._den = _ZERO, ONE
             return
         if den is not ONE:
-            anchor, self._shift, atom = _split(den)
-            if atom is not None:
-                self._atoms = {atom: 1}
-            if anchor != 1:
-                num = _poly(num._scale, num._ints, num._content / anchor)
-                den = _poly(den._scale, den._ints, den._content / anchor)
+            num, den = _split(num, den)
+            if den is None:
+                den = ONE
+            else:
+                self._atoms = {den: 1}
         self.num, self._den = num, den
 
     @staticmethod
@@ -798,16 +786,16 @@ class ExpRational:
 
     @staticmethod
     def all_over(nums: Iterable[ExpPoly], den) -> List["ExpRational"]:
-        """[ExpRational(num, den) for num in nums], with den normalized and
-        split once: every value holds the same denominator and factors."""
-        u = ExpRational(1, den)
-        return [_rat(n * u.num._content, u._shift, u._atoms, u._den) for n in nums]
+        """[ExpRational(num, den) for num in nums], with den split once:
+        every value holds the same denominator and atoms."""
+        u = ExpRational(1, den)  # u.num is one term, the inverse of den's unit part
+        return [_rat(_times_term(n, u.num), u._atoms, u._den) for n in nums]
 
     def is_zero(self) -> bool:
         return not self.num._ints
 
     def is_poly(self) -> bool:
-        return self.den == ONE
+        return not self._atoms
 
     @property
     def den(self) -> ExpPoly:
@@ -818,17 +806,15 @@ class ExpRational:
             for a, k in self._atoms.items():
                 for _ in range(k):
                     d = d * a
-            d = self._den = _shifted(d, self._shift)
+            self._den = d
         return d
 
-    def _over(self, shift: LinForm, atoms: Dict[ExpPoly, int]) -> ExpPoly:
-        """The numerator over exp(shift) * prod(atoms), a multiple of this
-        value's denominator."""
+    def _over(self, atoms: Dict[ExpPoly, int]) -> ExpPoly:
+        """The numerator over prod(atoms), a multiple of this value's
+        denominator."""
         num = self.num
         if not num._ints:
             return num
-        if shift != self._shift:
-            num = _shifted(num, _sum_shift(shift, self._shift, -1))
         for a, k in atoms.items():
             for _ in range(k - self._atoms.get(a, 0)):
                 num = num * a
@@ -844,13 +830,13 @@ class ExpRational:
             return other
         if not other.num._ints:
             return self
-        shift, atoms = _lcm((self, other))
-        return _rat(self._over(shift, atoms) + other._over(shift, atoms), shift, atoms)
+        atoms = _lcm((self, other))
+        return _rat(self._over(atoms) + other._over(atoms), atoms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExpRational":
-        return _rat(-self.num, self._shift, self._atoms, self._den)
+        return _rat(-self.num, self._atoms, self._den)
 
     def __sub__(self, other) -> "ExpRational":
         other = _coerce_rational(other)
@@ -866,7 +852,7 @@ class ExpRational:
 
     def __mul__(self, other) -> "ExpRational":
         if isinstance(other, (int, Fraction)):
-            return _rat(self.num * other, self._shift, self._atoms, self._den)
+            return _rat(self.num * other, self._atoms, self._den)
         other = _coerce_rational(other)
         if other is NotImplemented:
             return NotImplemented
@@ -879,7 +865,7 @@ class ExpRational:
             atoms = dict(atoms)
             for a, k in more.items():
                 atoms[a] = atoms.get(a, 0) + k
-        return _rat(self.num * other.num, _sum_shift(self._shift, other._shift), atoms)
+        return _rat(self.num * other.num, atoms)
 
     __rmul__ = __mul__
 
@@ -887,7 +873,7 @@ class ExpRational:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise DivisionByZeroField("division by zero field value")
-            return _rat(self.num * (1 / Fraction(other)), self._shift, self._atoms, self._den)
+            return _rat(self.num * (1 / Fraction(other)), self._atoms, self._den)
         other = _coerce_rational(other)
         if other is NotImplemented:
             return NotImplemented
@@ -902,11 +888,10 @@ class ExpRational:
                 atoms[a] = have - k
             for _ in range(k - have):
                 num = num * a
-        c, shift, atom = _split(other.num)
+        num, atom = _split(num, other.num)
         if atom is not None:
             atoms[atom] = atoms.get(atom, 0) + 1
-        return _rat(num * (1 / c), _sum_shift(_sum_shift(self._shift, shift), other._shift, -1),
-                    atoms)
+        return _rat(num, atoms)
 
     def __rtruediv__(self, other) -> "ExpRational":
         other = _coerce_rational(other)
@@ -920,16 +905,15 @@ class ExpRational:
             return NotImplemented
         if not (self.num._ints and other.num._ints):
             return not (self.num._ints or other.num._ints)
-        shift, atoms = _lcm((self, other))
-        return self._over(shift, atoms) == other._over(shift, atoms)
+        atoms = _lcm((self, other))
+        return self._over(atoms) == other._over(atoms)
 
     def __hash__(self) -> int:
         raise TypeError("ExpRational is not hashable (equality is semantic)")
 
     def cancel(self) -> "ExpRational":
         """The same value with each atom divided out of the numerator as
-        often as ``divexact`` allows, and the monomial moved into the
-        numerator, so that the denominator left is monomial-free.
+        often as ``divexact`` allows.
 
         A trial that fails is refused by divexact's Newton-polytope bounds
         or its leading coefficient, usually within its first steps.
@@ -937,7 +921,7 @@ class ExpRational:
         num = self.num
         if not num._ints:
             return self
-        shift, left = self._shift, {}
+        left = {}
         for a, k in self._atoms.items():
             while k:
                 try:
@@ -947,21 +931,15 @@ class ExpRational:
                 k -= 1
             if k:
                 left[a] = k
-        return _rat(_shifted(num, (-shift[0], -shift[1])), _NO_SHIFT, left)
+        return _rat(num, left)
 
     # -- calculus ----------------------------------------------------------
 
     def _top(self, i: int, j: int, w: WaveConstants) -> ExpPoly:
-        """T with D_{i,j}(self) = T / (exp(shift) * Q * P), where Q is the
-        product of the atoms (with multiplicity) and P of the distinct
-        atoms: (n/Q)' = (n'P - n * sum(k * a' * P/a)) / (Q*P)."""
+        """T with D_{i,j}(self) = T / (Q * P), where Q is the product of
+        the atoms (with multiplicity) and P of the distinct atoms:
+        (n/Q)' = (n'P - n * sum(k * a' * P/a)) / (Q*P)."""
         n = self.num
-        dn = n.deriv(i, j, w)
-        s = self._shift
-        if s != _NO_SHIFT:
-            # the derivative of n * exp(-shift), times exp(shift)
-            p, q, r = w.deriv_speeds(i, j)
-            dn = dn - n * ((p * s[0] + q * s[1]) / r)
         atoms = list(self._atoms.items())
         prod, rest = ONE, _ZERO
         for idx, (a, k) in enumerate(atoms):
@@ -971,34 +949,31 @@ class ExpRational:
                 if jdx != idx:
                     term = term * b
             rest = rest + term
-        return dn * prod - n * rest
+        return n.deriv(i, j, w) * prod - n * rest
 
     def deriv(self, i: int, j: int, w: WaveConstants) -> "ExpRational":
-        """Quotient-rule D_{i,j}: every atom's multiplicity rises by one, and
-        the monomial is squared, as in (n/d)' = (n'd - nd')/d^2 for a
-        monomial d.  So over a one-atom denominator d the result is
-        (n'd - nd')/d^2, numerator and denominator."""
+        """Quotient-rule D_{i,j}: every atom's multiplicity rises by one.
+        So over a one-atom denominator d the result is (n'd - nd')/d^2,
+        numerator and denominator."""
         if not self.num._ints:
             return self
-        s = self._shift
-        return _rat(_shifted(self._top(i, j, w), s), _sum_shift(s, s),
-                    {a: k + 1 for a, k in self._atoms.items()})
+        return _rat(self._top(i, j, w), {a: k + 1 for a, k in self._atoms.items()})
 
     def dlog(self, i: int, j: int, w: WaveConstants) -> "ExpRational":
         """Logarithmic derivative D_{i,j} ln(self), equal to deriv/self.
 
-        Formed directly: D(self) = T / (exp(shift) * Q * P) (see _top), so
-        D(self)/self = T / (n * P).  The numerator n brings its atom; every
-        atom of the denominator stays, with multiplicity one.
+        Formed directly: D(self) = T / (Q * P) (see _top), so
+        D(self)/self = T / (n * P).  The numerator n brings its atom, its
+        unit part divided into T; every atom of the denominator stays, with
+        multiplicity one.
         """
         if not self.num._ints:
             raise DivisionByZeroField("log derivative of zero")
-        top = self._top(i, j, w)
-        c, shift, atom = _split(self.num)
+        top, atom = _split(self._top(i, j, w), self.num)
         atoms = dict.fromkeys(self._atoms, 1)
         if atom is not None:
             atoms[atom] = atoms.get(atom, 0) + 1
-        return _rat(top * (1 / c), shift, atoms)
+        return _rat(top, atoms)
 
     def as_constant(self):
         """Return this value as a Fraction if it is constant, else None."""
@@ -1035,47 +1010,43 @@ def _coerce_rational(v) -> "ExpRational":
     return NotImplemented
 
 
-def _rat(num: ExpPoly, shift: LinForm, atoms: Dict[ExpPoly, int],
-         den: Optional[ExpPoly] = None) -> ExpRational:
-    """Wrap num / (exp(shift) * prod(atoms)) without re-normalizing; den is
-    the expanded denominator when already known."""
+def _rat(num: ExpPoly, atoms: Dict[ExpPoly, int], den: Optional[ExpPoly] = None) -> ExpRational:
+    """Wrap num / prod(atoms) without re-normalizing; den is the expanded
+    denominator when already known."""
     if not num._ints:
         return _ZERO_RAT
     r = object.__new__(ExpRational)
-    r.num, r._shift, r._atoms, r._den = num, shift, atoms, den
+    r.num, r._atoms, r._den = num, atoms, den
     return r
 
 
 _ZERO_RAT = ExpRational(_ZERO)
 
 
-def _lcm(values: Sequence[ExpRational]) -> Tuple[LinForm, Dict[ExpPoly, int]]:
-    """(shift, atoms) of the least common denominator of the values: each
-    atom at its largest multiplicity, times the componentwise larger
-    monomial; the first value's own objects when it already is that."""
-    shift, atoms = values[0]._shift, values[0]._atoms
+def _lcm(values: Sequence[ExpRational]) -> Dict[ExpPoly, int]:
+    """The atoms of the least common denominator of the values, each at its
+    largest multiplicity; the first value's own dict when it already is
+    that."""
+    atoms = values[0]._atoms
     for v in values[1:]:
-        s = v._shift
-        if s != shift:
-            shift = (max(shift[0], s[0]), max(shift[1], s[1]))
         grow = {a: k for a, k in v._atoms.items() if k > atoms.get(a, 0)}
         if grow:
             atoms = {**atoms, **grow}
-    return shift, atoms
+    return atoms
 
 
 def common_denominator(values: Sequence[ExpRational]) -> Tuple[ExpPoly, List[ExpPoly]]:
     """(L, [N]): the least common denominator L of the values (the _lcm of
-    their factored denominators), expanded, and each value's numerator over
-    it, so that v = N / L.  Where the first nonzero value's denominator
-    already is L, as for values that share one denominator, L is that
-    denominator as held and each such N the value's own numerator.
+    their atoms), expanded, and each value's numerator over it, so that
+    v = N / L.  Where the first nonzero value's denominator already is L,
+    as for values that share one denominator, L is that denominator as
+    held and each such N the value's own numerator.
     """
     live = [v for v in values if v.num._ints] or [_ZERO_RAT]
     first = live[0]
-    shift, atoms = _lcm(live)
-    den = first.den if (shift, atoms) == (first._shift, first._atoms) else _rat(ONE, shift, atoms).den
-    return den, [v._over(shift, atoms) for v in values]
+    atoms = _lcm(live)
+    den = first.den if atoms is first._atoms else _rat(ONE, atoms).den
+    return den, [v._over(atoms) for v in values]
 
 
 # -- numeric evaluation -----------------------------------------------------------
@@ -1193,7 +1164,7 @@ class _Sums:
 
 class _Field:
     """One value of grid_values: c * num / den, with den None for a
-    one-term denominator already divided in; r is R * scale, the
+    polynomial value (denominator 1); r is R * scale, the
     denominator of the D speeds on grid_values' lattice, or None without a
     derivative."""
 
@@ -1235,8 +1206,8 @@ def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveCon
     ``d_index[key]`` under the wave constants ``w`` (zero for keys it does
     not name).  The mass is the pre-cancellation scale, the sum of absolute
     term values over |denominator|.  Identically zero values have no entry.
-    A one-term denominator never vanishes, so it is divided into the
-    numerator up front and never makes a pole.
+    A polynomial value's denominator is 1, so it is not summed and never
+    makes a pole.
 
     Exponents are read off the polynomials' integer lattices and brought to
     one common scale.  At each nonzero t (and x) the distinct a (and b) are
@@ -1259,10 +1230,10 @@ def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveCon
     scale = lcm(1, *(p.lattice()[0] for u in live.values() for p in (u.num, u.den)))
     slots: Dict[Tuple[int, int], int] = {}  # exponent -> exp slot
 
-    def prepare(poly, ij, shift=(0, 0)) -> _Sums:
+    def prepare(poly, ij) -> _Sums:
         own, ints, _ = poly.lattice()
         f = scale // own
-        keys = [(a * f - shift[0], b * f - shift[1]) for a, b in ints]
+        keys = [(a * f, b * f) for a, b in ints]
         idx = [slots.setdefault(k, len(slots)) for k in keys]
         ns = list(ints.values())
         if ij is None:
@@ -1275,14 +1246,8 @@ def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveCon
     for key, u in live.items():
         ij = d_index.get(key)
         r = None if ij is None else w.deriv_speeds(*ij)[2] * scale
-        own, den, dc = u.den.lattice()
-        c = u.num.lattice()[2] / dc
-        if len(den) == 1:
-            (a0, b0), = den
-            f = scale // own
-            fields[key] = _Field(prepare(u.num, ij, (a0 * f, b0 * f)), None, c, r)
-        else:
-            fields[key] = _Field(prepare(u.num, ij), prepare(u.den, ij), c, r)
+        c = u.num.lattice()[2] / u.den.lattice()[2]
+        fields[key] = _Field(prepare(u.num, ij), None if u.is_poly() else prepare(u.den, ij), c, r)
 
     # exp(a*t + b*x) = exp(a*t) * exp(b*x), each factor computed once
     a_slot: Dict[int, int] = {}

@@ -190,7 +190,8 @@ def residual(m: AlgebraModel, cfg: FieldConfig, eqs: Sequence[EquationSpec]) -> 
     L is the least common denominator of the fields that eqs use, their
     lhs and rhs factors (every field for m.equations, one equation's own
     for [eq]), and N a field's numerator over it, from one
-    exprat.common_denominator call (a tau solution's one tau as it is).
+    exprat.common_denominator call (a tau solution's one denominator, tau's
+    atom, as it is held).
     A zero field has N = 0, so its products drop out.  L*L is never
     formed, nor N' or L': they enter as factors ((i, j), N), ((i, j), L).
     The sums are one call of exprat.sum_of_products, which converts each

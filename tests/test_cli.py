@@ -5,17 +5,22 @@ import re
 import reprlib
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nwave.cli import InputError, _poly_from_terms, config_from_doc, config_to_doc, main
+from nwave.cli import (
+    InputError, _dump, _poly_from_terms, config_from_doc, config_to_doc, main,
+)
 from nwave.exprat import (
     EvalPole, ExpPoly, ExpRational, InexactDivision, grid_values, wave_constants,
 )
 from nwave.verify import Check, Report
-from nwave.wavesys import field_label, model, zero_config
+from nwave.wavesys import FieldConfig, field_label, model, zero_config
+
+from test_exprat import W, exprationals
 
 SPEC_11 = {
     "schema": 1,
@@ -110,6 +115,44 @@ def test_empty_chain_round_trips_bytes(tmp_path):
     rc = main(["transform", "--chain", "", "--in", str(out), "--out", str(rt)])
     assert rc == 0
     assert rt.read_bytes() == out.read_bytes()
+
+
+SPIKES = json.loads((Path(__file__).resolve().parent.parent / "bench" / "data"
+                     / "spikes.json").read_text())
+
+
+@pytest.mark.parametrize("qset", ["Q2", "Q4"])
+def test_one_value_is_written_as_one_document(tmp_path, qset):
+    # T2A2 takes the B2 seed to the order-(0,1) solution, and a value has
+    # one stored form: the image and the construction write the same bytes.
+    spec = {"schema": 1, "c": SPIKES["c"], "d": SPIKES["d"],
+            "P": SPIKES["sets"]["P2"], "Q": SPIKES["sets"][qset]}
+    seed = construct(tmp_path, "B2", spec, 0, 0, "seed.json")
+    image = tmp_path / "image.json"
+    assert main(["transform", "--chain", "T2A2", "--in", str(seed), "--out", str(image)]) == 0
+    assert image.read_bytes() == construct(tmp_path, "B2", spec, 0, 1, "b2_01.json").read_bytes()
+
+
+@settings(max_examples=40)
+@given(st.lists(exprationals(), min_size=6, max_size=6), st.integers(0, 3))
+def test_a_written_configuration_round_trips_bytes(values, op):
+    # Documents of values, their quotients, derivatives or log derivatives
+    # read back equal, in the same stored form, and are written again byte
+    # for byte.
+    a, b, *_ = values
+    if op == 1 and not b.is_zero():
+        values[0] = a / b
+    elif op == 2:
+        values[0] = a.deriv(1, 2, W)
+    elif op == 3 and not a.is_zero():
+        values[0] = a.dlog(0, 1, W)
+    keys = model("A2").field_keys
+    cfg = FieldConfig("A2", W, dict(zip(keys, values)))
+    text = _dump(config_to_doc(cfg))
+    back = config_from_doc(json.loads(text))
+    assert back == cfg
+    assert [(back[k].num, back[k].den) for k in keys] == [(v.num, v.den) for v in values]
+    assert _dump(config_to_doc(back)) == text
 
 
 def test_composition_chain_matches_direct_transform(tmp_path):
@@ -258,6 +301,48 @@ def test_two_labels_for_one_field_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: bad field label: 'f+01.0'")
     assert err.count("\n") == 1
+
+
+def _zero_a2(bodies=None, **top):
+    """The zero A2 configuration document, with top-level entries replaced
+    by top and field bodies by bodies (a body of None removes the field)."""
+    doc = config_to_doc(zero_config("A2", wave_constants("1", "1/2", "1/3", "1")))
+    doc.update(top)
+    for label, body in (bodies or {}).items():
+        if body is None:
+            del doc["fields"][label]
+        else:
+            doc["fields"][label] = body
+    return doc
+
+
+_CONSTRUCT = ["construct", "--algebra", "A2", "--spectral"]
+_VERIFY = ["verify", "--in"]
+_SAMPLE_NO_T = ["sample", "--t0", "0", "--t1", "1", "--x0", "0", "--x1", "1", "--nt", "0", "--in"]
+_ONE = [[["0", "0"], "1"]]
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (_CONSTRUCT, [SPEC_11], "expected a JSON object"),
+    (_CONSTRUCT, dict(SPEC_11, c="1"), "'c' must be a pair of rational strings"),
+    (_CONSTRUCT, dict(SPEC_11, P={}), "'P' must be a list of spikes"),
+    (_CONSTRUCT, dict(SPEC_11, Q=[{"pos": "1"}]), "Q[0]: expected {'pos': ..., 'w': ...}"),
+    (_VERIFY, _zero_a2({"f+1.0": {"num": "1", "den": _ONE}}), "f+1.0.num: expected a list"),
+    (_VERIFY, _zero_a2({"f+1.0": {"num": [["1"]], "den": _ONE}}),
+     "f+1.0.num[0]: expected [[a, b], coef]"),
+    (_VERIFY, _zero_a2(constants=[]), "'constants' must be an object"),
+    (_VERIFY, _zero_a2(fields=[]), "'fields' must be an object"),
+    (_VERIFY, _zero_a2({"f+1.0": {"num": []}}), "f+1.0: expected {'num': ..., 'den': ...}"),
+    (_VERIFY, _zero_a2({"f+1.0": {"num": _ONE, "den": []}}), "f+1.0: zero denominator"),
+    (_VERIFY, _zero_a2({"f+1.0": None}), "field assignment mismatch for A2: missing=['f+1.0']"),
+    (_SAMPLE_NO_T, _zero_a2(), "t: need at least one point, got 0"),
+], ids=["document", "speeds", "spike-list", "spike", "terms", "term", "constants", "fields",
+        "field", "zero-den", "missing-field", "no-points"])
+def test_each_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv, doc, message):
+    assert main(argv + [write_json(tmp_path / "doc.json", doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_unsupported_schema_exits_2(tmp_path, capsys):

@@ -436,15 +436,36 @@ def test_factored_arithmetic_agrees_with_the_cross_multiplied_reference(seeds, p
             assert (x == y) is rat.equal(rx, ry)
 
 
-def test_cancel_divides_out_known_atoms_and_the_monomial():
+@settings(max_examples=40)
+@given(exprationals(), exprationals())
+def test_every_value_is_its_numerator_over_atoms(r, s):
+    # Whatever built it, a denominator carries no unit: its least key is 0
+    # with coefficient 1 there, and constructing the value again from its
+    # two parts gives back the same parts.
+    values = [r, s, r + s, r * s, r.deriv(1, 2, W)]
+    if not s.is_zero():
+        values.append(r / s)
+    if not r.is_zero():
+        values.append(r.dlog(0, 1, W))
+    for u in values:
+        terms = u.den.terms
+        assert min(terms) == (0, 0) and terms[(0, 0)] == 1
+        again = ExpRational(u.num, u.den)
+        assert (again.num, again.den) == (u.num, u.den)
+        assert u.is_poly() is (u.den == ONE)
+
+
+def test_a_divisor_s_monomial_divides_the_numerator_and_cancel_divides_out_atoms():
     d = ONE + ExpPoly.term(2, 1, 0)
     n = ExpPoly.term(3, "1/2", 1) - ExpPoly.const(1)
-    # each divisor brings the atom d (and the first one a monomial)
+    # each divisor brings the atom d; the first one's unit part 5e^{x/3}
+    # divides the numerator at once
+    unit = ExpPoly.term(Fraction(1, 5), 0, "-1/3")
     r = ExpRational(n * d * d) / ExpRational(d * ExpPoly.term(5, 0, "1/3")) / d / d
-    assert r.den == d * d * d * ExpPoly.term(1, 0, "1/3")
+    assert r.den == d * d * d and r.num == n * d * d * unit
     c = r.cancel()
     assert c == r
-    assert c.den == d and c.num == n * ExpPoly.term(Fraction(1, 5), 0, "-1/3")
+    assert c.den == d and c.num == n * unit
     # the divisor's atoms cancel against the dividend's: (n/d) / (m/d) is
     # stored as n/m, with no d left in either part
     m = ONE + ExpPoly.term(4, 0, "1/2")
@@ -503,7 +524,7 @@ def test_common_denominator_puts_each_value_over_one_lcm(nums, den, others):
     # one denominator object is taken as it is; split into its factors it
     # gives the same lcm by the general path
     L, ns = common_denominator(shared)
-    split = [exprat._rat(v.num, v._shift, v._atoms) for v in shared]
+    split = [exprat._rat(v.num, v._atoms) for v in shared]
     assert common_denominator(split) == (L, ns)
     if any(nums):
         assert L is next(v.den for v in shared if not v.is_zero())
@@ -519,12 +540,12 @@ def test_common_denominator_is_the_least_over_the_atoms():
     e = ONE + ExpPoly.term(1, 0, "1/2")
     n = ExpPoly.term(3, "1/2", 1)
     u = ExpRational(n, d) / ExpRational(e)  # atoms d and e
-    v = ExpRational(n + ONE, d * ExpPoly.term(1, 1, 0))  # atom d, monomial e^t
+    v = ExpRational(n + ONE, d * ExpPoly.term(1, 1, 0))  # atom d; e^t divides the numerator
     w = ExpRational(ExpPoly.term(1, 0, 1), e) / ExpRational(e)  # atom e twice
     L, ns = common_denominator([u, ExpRational.zero(), v, w])
-    assert L == d * e * e * ExpPoly.term(1, 1, 0)
-    assert ns == [n * e * ExpPoly.term(1, 1, 0), ExpPoly.zero(), (n + ONE) * e * e,
-                  ExpPoly.term(1, 0, 1) * d * ExpPoly.term(1, 1, 0)]
+    assert L == d * e * e
+    assert ns == [n * e, ExpPoly.zero(), (n + ONE) * ExpPoly.term(1, -1, 0) * e * e,
+                  ExpPoly.term(1, 0, 1) * d]
     assert common_denominator([ExpRational.zero()]) == (ONE, [ExpPoly.zero()])
 
 

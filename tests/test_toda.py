@@ -133,6 +133,18 @@ def test_ab_chain_reproduces_tau_solution_fields():
         assert ExpRational(ch.det(n - 1), dn) == sol[(PLUS, (0, 1))]
 
 
+def test_ab_step_past_the_end_of_the_chain_is_a_pivot_zero():
+    # On one P-spike and two Q-spikes Det_3 vanishes: the steps to levels
+    # 1, 2 and 3 run, and the step from level 3 has no pivot.
+    s = spectral_data(W, P1, [("1", "1"), ("1/2", "2")])
+    ch, c = hankel_chain(s), ab_init(s)
+    for _ in range(3):
+        c = ab_step(c, ch)
+    with pytest.raises(PivotZero) as e:
+        ab_step(c, ch)
+    assert (e.value.transform_id, e.value.key, e.value.step) == ("AB_CHAIN", (MINUS, (0, 1)), 3)
+
+
 def test_ab_closed_rejects_underresolved_data():
     with pytest.raises(ValueError):
         ab_closed(s6(), 3)  # needs 8 Q-spikes
@@ -185,6 +197,22 @@ def test_first_root_chain_rejects_bad_backgrounds():
         first_root_chain(lively, 1)
     with pytest.raises(ValueError):
         first_root_chain(seed, -1)
+
+
+def test_first_root_chain_reads_a_monomial_denominator_as_a_polynomial():
+    # g*e^t / e^t is the polynomial g: its monomial divides the numerator
+    # when the value is built, so the chain runs as on the plain seed.
+    _, seed = frc_background()
+    key, e_t = (MINUS, (1, 0)), ExpPoly.term(1, 1, 0)
+    g = seed[key].num
+    over_e_t = seed.with_fields({key: ExpRational(g * e_t, e_t)})
+    assert over_e_t[key].is_poly() and over_e_t[key].den == ExpPoly.const(1)
+    got, want = first_root_chain(over_e_t, 2), first_root_chain(seed, 2)
+    assert got == want
+    assert all((got[k].num, got[k].den) == (want[k].num, want[k].den) for k in want.fields)
+    over_atom = seed.with_fields({key: ExpRational(g, ExpPoly.const(1) + e_t)})
+    with pytest.raises(ValueError, match="f-1.0 must be polynomial"):
+        first_root_chain(over_atom, 1)
 
 
 def test_first_root_chain_interrupted_by_vanishing_minor():

@@ -187,6 +187,20 @@ def test_numeric_check_fails_a_nonzero_value_over_a_monomial():
     assert detail.startswith("|residual| = ")
 
 
+def test_numeric_check_skips_a_pole_of_a_product_factor():
+    # B2's D(0,1) f+0.1 = f+1.1 f-1.0 + f+1.2 f-1.1.  Here f+0.1 = 0 and the
+    # products cancel, but 1/(1 - e^{t-3x}) is singular on t = 3x, at two of
+    # the nine grid points, where only a factor of a product has a pole.
+    pole = ExpRational(ONE, ONE - ExpPoly.term(1, 1, -3))
+    cfg = zero_config("B2", W).with_fields({
+        (PLUS, (1, 1)): pole, (PLUS, (1, 2)): pole,
+        (MINUS, (1, 0)): ExpRational.const(1), (MINUS, (1, 1)): ExpRational.const(-1),
+    })
+    check = {c.name: c for c in verify_config(model("B2"), cfg, "numeric").checks}["D(0,1) f+0.1"]
+    assert check.passed
+    assert check.detail == "max |residual| 0.000e+00 over 7 points; poles skipped at (-1,-1/3), (0,0)"
+
+
 def pole_a2():
     """A2 off the solution set: f+1.1 = 1 and f-0.1 = (e^{2000t}-1)/e^{2000t}."""
     e = ExpPoly.term(1, 2000, 0)
@@ -424,11 +438,11 @@ def test_exact_verify_of_g2_puts_every_field_over_one_denominator_and_converts_e
     # One residual pass: one common denominator for the configuration and
     # one conversion from ExpPoly per distinct operand, the 10 nonzero
     # numerators and tau.  Their derivatives are weighted copies of those
-    # operands, one per (operand, root): 9 of the numerators (f+1.3 is one
-    # term, constant along its root, so its derivative has no terms) and
-    # tau along the 5 roots whose fields are not both zero.  That is 11 + 14,
-    # where a pass per equation converts 82 (packing every sum) over 12
-    # common denominators.
+    # operands, one per (operand, root): the 10 numerators and tau along the
+    # 5 roots whose fields are not both zero (f+1.3's numerator is one term,
+    # divided by tau's least term, so D along its root does not kill it).
+    # That is 11 + 15, where a pass per equation converts 82 (packing every
+    # sum) over 12 common denominators.
     m = model("G2")
     cfg = solution_from_tau(m, spectral_data(W, P2, Q2 + [("-3", "1/3")]), 1, 1)
     live = [k for k, f in cfg.fields.items() if not f.is_zero()]
@@ -458,7 +472,7 @@ def test_exact_verify_of_g2_puts_every_field_over_one_denominator_and_converts_e
     weighted = [op for *_, op in derived if op is not None]
     assert len([op for op in operands if op not in weighted]) == 11
     assert len({(id(op), ij) for op, ij, _ in derived}) == len(derived) == 15
-    assert len(weighted) == 14
+    assert len(weighted) == 15
 
 
 @pytest.mark.parametrize("name, q", [("A2", Q2), ("B2", Q4), ("G2", Q2 + [("-3", "1/3")])])
