@@ -653,13 +653,16 @@ def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
     does a leading coefficient that does not divide, since by Gauss's lemma
     the quotient of primitive integer parts is integral.  Every step takes
     a new candidate key, smaller than the one before, from the finite set of
-    lattice points in the box, so the loop ends.  Raises InexactDivision if
-    no ring quotient exists.
+    lattice points in the box, so the loop ends.  A one-term divisor is a
+    unit, so its quotient is a translation of num's keys.  Raises
+    InexactDivision if no ring quotient exists.
     """
     if den.is_zero():
         raise DivisionByZeroField("divexact by zero")
     if num.is_zero():
         return _ZERO
+    if len(den._ints) == 1:
+        return _split(num, den)[0]
     scale, tn, td = _common_scale(num, den)
     lead = max(td)
     lead_n = td[lead]

@@ -39,7 +39,9 @@ from that lattice in one step.
 A tau solution's base tau and field numerators sum over many of the same
 P-subsets, so _taus builds a list of tau values in one pass: each P-subset
 of a needed size is walked once, and its coupled weights and rows are
-shared by every order that sums over it.  The two-group recombination
+shared by every order that sums over it.  Their keys are formed less the
+base tau's least key, so the numerators come out over the denominator's
+unit part and need no translation there.  The two-group recombination
 identity (check_gra) is a double sum of the same kind and uses the same
 rows.
 
@@ -137,29 +139,41 @@ def _coupled(qpos: Sequence[int], qweights: Sequence[int],
     return [v * (ell // c) for v, c in zip(qweights, couplings)], ell
 
 
-def _to_poly(rows: Dict[int, _Row], den: int, w: WaveConstants, content: Fraction) -> ExpPoly:
-    """content * sum n * exp(theta(psum/den, qsum/den)) over {psum: {qsum: n}}.
+def _speeds(w: WaveConstants) -> Tuple[int, int, int, int, int]:
+    """(h, d1, d2, c1, c2): the constants as integers over their lcm h."""
+    speeds = (w.d1, w.d2, w.c1, w.c2)
+    h = lcm(*(f.denominator for f in speeds))
+    return (h,) + tuple(f.numerator * (h // f.denominator) for f in speeds)
+
+
+def _to_poly(rows: Dict[int, _Row], den: int, w: WaveConstants, content: Fraction,
+             origin: Tuple[int, int] = (0, 0)) -> ExpPoly:
+    """content * sum n * exp(theta(psum/den, qsum/den)) over {psum: {qsum: n}},
+    with ``origin`` subtracted from every lattice key (scale den*h).
 
     theta(psum, qsum) = psum*(d1, -c1) + qsum*(d2, -c2) takes distinct
     (psum, qsum) to distinct exponents, since delta != 0.
     """
-    speeds = (w.d1, w.d2, w.c1, w.c2)
-    h = lcm(*(f.denominator for f in speeds))
-    d1, d2, c1, c2 = (f.numerator * (h // f.denominator) for f in speeds)
+    h, d1, d2, c1, c2 = _speeds(w)
+    oa, ob = origin
     ints = {}
     for psum, row in rows.items():
-        a, b = psum * d1, -psum * c1
+        a, b = psum * d1 - oa, -psum * c1 - ob
         for qsum, n in row.items():
             ints[(a + qsum * d2, b - qsum * c2)] = n
     return ExpPoly.from_lattice(den * h, ints, content)
 
 
-def _taus(s: SpectralData, orders: Sequence[Tuple[int, Sequence[int]]]) -> List[ExpPoly]:
+def _taus(s: SpectralData, orders: Sequence[Tuple[int, Sequence[int]]],
+          anchored: bool = False) -> List[ExpPoly]:
     """tau(n1; qsizes) for each order (n1, qsizes), in one pass.
 
     Each P-subset of a needed size is walked once: its coupled Q weights
     and its Q rows by size are built then and shared by every order that
     sums over it.  An order with a group size out of range is zero.
+    ``anchored`` divides every value by the first one's least exponential,
+    so that the first has least exponent 0: a ratio solution's numerators
+    are then already over its denominator's unit part.
     """
     P, Q = s.pspikes, s.qspikes
     pos, den = _over_one([sp.pos for sp in P + Q])
@@ -171,7 +185,7 @@ def _taus(s: SpectralData, orders: Sequence[Tuple[int, Sequence[int]]]) -> List[
         if 0 <= n1 <= len(P) and all(0 <= n <= len(Q) for n in qsizes):
             by_n1.setdefault(n1, []).append(i)
     qshapes: Dict[int, List[_Shape]] = {}
-    totals = [ExpPoly.zero()] * len(orders)
+    parts: List[Tuple[Dict[int, _Row], Fraction]] = [({}, Fraction(0))] * len(orders)
     for n1, users in by_n1.items():
         pshapes = _shapes(ppos, n1)
         coupled = [_coupled(qpos, qweights, [ppos[k] for k in idx]) for idx, _, _ in pshapes]
@@ -205,8 +219,14 @@ def _taus(s: SpectralData, orders: Sequence[Tuple[int, Sequence[int]]]) -> List[
             e = n1 * total - n1 * (n1 - 1) - sum(n * (n - 1) for n in qsizes)
             content = Fraction(den ** max(e, 0),
                                den ** max(-e, 0) * pden ** n1 * (qden * ell_all) ** total)
-            totals[i] = _to_poly(rows[i], den, s.constants, content)
-    return totals
+            parts[i] = (rows[i], content)
+    origin = (0, 0)
+    if anchored:
+        _, d1, d2, c1, c2 = _speeds(s.constants)
+        origin = min(((p * d1 + q * d2, -p * c1 - q * c2)
+                      for p, row in parts[0][0].items() for q, n in row.items() if n),
+                     default=origin)
+    return [_to_poly(rows, den, s.constants, content, origin) for rows, content in parts]
 
 
 def _tau(s: SpectralData, n1: int, qsizes: Sequence[int]) -> ExpPoly:
@@ -250,7 +270,7 @@ def solution_from_tau(m: AlgebraModel, s: SpectralData, n1: int, n2: int) -> Fie
     for sign, (p, q) in m.field_keys:
         step = -sign  # f^- raises the orders, f^+ lowers them
         orders.append((n1 + step * p, [n2 + step * (g < q) for g in range(groups)]))
-    den, *nums = _taus(s, orders)
+    den, *nums = _taus(s, orders, True)
     if den.is_zero():
         raise TauZero(interrupted)
     fields = dict(zip(m.field_keys, ExpRational.all_over(

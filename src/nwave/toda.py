@@ -6,15 +6,26 @@ transformations collapse to classical determinant recursions: the pair
 are Hankel minors of the single seed function, the pair (f^-_{1.1}, f^-_{1.2})
 runs a linear chain (A^n, B^n) on top of it, and the first-root analogue is
 solved by bordered Hankel minors.  Everything here is exact ExpPoly
-arithmetic; determinants use fraction-free elimination with exact division.
+arithmetic.
+
+A chain's determinants come from one fraction-free (Bareiss) elimination of
+its Hankel matrix, kept level by level and extended a column at a time.  By
+Sylvester's identity (E. H. Bareiss, Math. Comp. 22, 1968) every entry of
+level k is a minor bordered on the leading k x k block, so all leading
+minors, and every minor bordered by an extra column, are read off one
+elimination.  The Hankel matrix of derivatives is the Wronskian matrix of
+(f, f', ...): once one minor vanishes identically every later one does
+(M. Bocher, Ann. Math. 2, 1900), so the elimination never swaps rows.
+``det_bareiss``, the general elimination with row swaps, is kept as the
+reference the tests check the chains against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .exprat import ExpPoly, ExpRational, WaveConstants, divexact, sum_of_products
+from .exprat import ONE, ExpPoly, ExpRational, WaveConstants, divexact, sum_of_products
 from .spectral import SpectralData
 from .tau import tau_U, tau_V_B2
 from .transforms import PivotZero
@@ -64,18 +75,29 @@ CHAIN_DIRECTION = (1, 0)
 
 @dataclass
 class HankelChain:
-    """Lazily extended main minors Det_n of the Hankel matrix of one seed.
+    """Main minors Det_n of the Hankel matrix of one seed, from one elimination.
 
     Entry (i, j) of the matrix is the (i+j)-th derivative of the seed along
     ``direction``; Det_0 = 1 and Det_{-1} = 0 by convention (the n = 0 and
     n = -1 cases of the chain relations force both).
+
+    The chain keeps the levels of one fraction-free elimination of the
+    matrix's leading block of size c: level k holds its row k after k
+    steps, m^(k)[k][j] for k <= j < c.  By Sylvester's identity m^(k)[i][j]
+    is the minor on rows 0..k-1, i and columns 0..k-1, j, so every level is
+    symmetric and its row is also its column, and Det_{k+1} = m^(k)[k][k]
+    is the level's pivot.  Growing to size c+1 runs the new Hankel column
+    down the levels (``bordered_minors``) at c(c+1)/2 exact divisions;
+    its last entry is Det_{c+1}.  A zero pivot ends the chain: Det_n is the
+    Wronskian of the seed's first n derivatives, and once it vanishes
+    identically so does every later one, so no row is ever swapped.
     """
 
     seed: ExpPoly
     constants: WaveConstants
     direction: Root
     _ders: List[ExpPoly] = field(default_factory=list, repr=False)
-    _dets: List[ExpPoly] = field(default_factory=list, repr=False)
+    _rows: List[List[ExpPoly]] = field(default_factory=list, repr=False)
 
     def derivative(self, k: int) -> ExpPoly:
         if not self._ders:
@@ -85,18 +107,38 @@ class HankelChain:
             self._ders.append(self._ders[-1].deriv(i, j, self.constants))
         return self._ders[k]
 
+    def bordered_minors(self, col: Sequence[ExpPoly]) -> List[ExpPoly]:
+        """Run a column, given on rows 0..c, down levels 0..c-1.
+
+        Entry k of the result is the column's entry on row k at level k:
+        the minor on rows 0..k and on columns 0..k-1 and ``col``.  Row c
+        may lie one past the rows the levels hold; it is then ``col``
+        itself (the block bordered symmetrically), so its entry on level k
+        is the column's own, and the last result is the bordered
+        determinant.  Levels 0..c-2 must have nonzero pivots.
+        """
+        x = list(col)
+        prev = ONE
+        for k in range(len(x) - 1):
+            row, xk = self._rows[k], x[k]
+            piv = row[0]
+            for i in range(k + 1, len(x)):
+                m_ik = row[i - k] if i - k < len(row) else xk
+                x[i] = divexact(piv * x[i] - m_ik * xk, prev)
+            prev = piv
+        return x
+
     def det(self, n: int) -> ExpPoly:
-        if n < 0:
-            return ExpPoly.zero()
-        if not self._dets:
-            self._dets.append(ExpPoly.const(1))
-        while len(self._dets) <= n:
-            size = len(self._dets)
-            rows = [
-                [self.derivative(i + j) for j in range(size)] for i in range(size)
-            ]
-            self._dets.append(det_bareiss(rows))
-        return self._dets[n]
+        if n <= 0:
+            return ONE if n == 0 else ExpPoly.zero()
+        rows = self._rows
+        while len(rows) < n and not (rows and rows[-1][0].is_zero()):
+            c = len(rows)
+            x = self.bordered_minors([self.derivative(c + i) for i in range(c + 1)])
+            for row, entry in zip(rows, x):
+                row.append(entry)
+            rows.append([x[c]])
+        return rows[n - 1][0] if n <= len(rows) else ExpPoly.zero()
 
 
 def hankel_chain(s: SpectralData) -> HankelChain:
@@ -228,21 +270,21 @@ def first_root_chain(cfg: FieldConfig, steps: int) -> FieldConfig:
     h = HankelChain(_as_poly(cfg[(MINUS, (1, 1))], "f-1.1"), w, (0, 1))
     k = _as_poly(cfg[(MINUS, (1, 2))], "f-1.2")
 
-    def bordered(n: int, corner: Optional[ExpPoly] = None) -> ExpPoly:
-        # g's size-n Hankel minor with its last column -> derivatives of h;
-        # given a corner, its last row too, around the corner
-        rows = [[g.derivative(i + j) for j in range(n - 1)] + [h.derivative(i)]
-                for i in range(n)]
-        if corner is not None:
-            rows[-1] = [h.derivative(j) for j in range(n - 1)] + [corner]
-        return det_bareiss(rows)
-
     den = g.det(steps)
     if den.is_zero():
         raise PivotZero("FIRST_ROOT_CHAIN", (MINUS, (1, 0)), step=steps)
+    # g's levels reach column `steps` once Det_{steps+1} is formed; on them
+    # h's column gives b[n-1], g's size-n minor with its last column
+    # replaced by h's derivatives
+    next_det = g.det(steps + 1)
+    b = g.bordered_minors([h.derivative(i) for i in range(steps + 1)])
+    # the size-(j+1) symmetric bordering with corner k, by Sylvester's
+    # identity: c_0 = k, c_{j+1} = (Det_{j+1} c_j - b[j]^2) / Det_j
+    corner = k
+    for j in range(steps):
+        corner = divexact(g.det(j + 1) * corner - b[j] * b[j], g.det(j))
     fields = {key: ExpRational.zero() for key in _FRC_ZERO_KEYS}
     keys = [(PLUS, (1, 0)), (MINUS, (1, 0)), (MINUS, (0, 1)), (MINUS, (1, 1)), (MINUS, (1, 2))]
-    nums = [g.det(steps - 1), g.det(steps + 1), bordered(steps), bordered(steps + 1),
-            bordered(steps + 1, k)]
+    nums = [g.det(steps - 1), next_det, b[steps - 1], b[steps], corner]
     fields.update(zip(keys, ExpRational.all_over(nums, den)))
     return FieldConfig("B2", w, fields)

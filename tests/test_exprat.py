@@ -297,6 +297,15 @@ def test_divexact_roundtrip(f, g):
     assert divexact(f * g, g) == f
 
 
+@settings(max_examples=25)
+@given(exppolys(), nonzero_rationals, exponents)
+def test_divexact_by_a_monomial_is_a_translation(f, c, ab):
+    # a monomial is a unit: the quotient is f's keys moved, in canonical form
+    m = ExpPoly.term(c, *ab)
+    q = divexact(f * m, m)
+    assert q == f and q.lattice() == f.lattice()
+
+
 ONE = ExpPoly.const(1)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from nwave import spectral as spectral_module, tau as tau_module
+from nwave import exprat as exprat_module, spectral as spectral_module, tau as tau_module
 from nwave.cli import config_from_doc
 from nwave.exprat import ExpPoly, ExpRational, common_denominator, divexact, wave_constants
 from nwave.spectral import initial_config, spectral_data
@@ -310,13 +310,13 @@ def test_ratio_solution_base_order_is_seed(name, s):
 
 
 #: Largest (P, Q) spike counts on which a random map step is still cheap:
-#: with known denominator factors cancelled, a B2 map on 2P+2Q takes
+#: with known denominator factors cancelled, a B2 or G2 map on 2P+2Q takes
 #: milliseconds.
-MAP_SPIKES = {"A2": (2, 2), "B2": (2, 2)}
+MAP_SPIKES = {"A2": (2, 2), "B2": (2, 2), "G2": (2, 2)}
 
 
 @settings(max_examples=50)
-@given(st.sampled_from(["A2", "B2"]), spike_data(p=(1, 2), q=(1, 3)),
+@given(st.sampled_from(["A2", "B2", "G2"]), spike_data(p=(1, 2), q=(1, 3)),
        st.sampled_from([(1, 1), (1, 0), (0, 1), (0, 0)]), st.data())
 def test_random_tau_solutions_verify(name, s, orders, data):
     """Random spike data goes to a tau solution that verifies exactly, and on
@@ -354,6 +354,29 @@ def test_a_solution_normalizes_its_denominator_once(monkeypatch):
     assert len(calls) == 1
     dens = [f.den for f in cfg.fields.values() if not f.is_zero()]
     assert len(dens) > 1 and all(d is dens[0] for d in dens)
+
+
+def test_a_solution_s_taus_start_at_its_denominator_s_least_exponent(monkeypatch):
+    # A ratio solution's tau values are divided by the base tau's least
+    # exponential as they are built, so putting the numerators over the
+    # base tau translates none of them; a plain tau value is not moved.
+    s = spectral_data(W, P2, Q3)
+    orders = [(1, (1, 1, 1)), (0, (2, 1, 1)), (2, (1, 1, 1)), (1, (0, 1, 1))]
+    plain, anchored = _taus(s, orders), _taus(s, orders, True)
+    assert plain[0] == _tau(s, 1, (1, 1, 1))
+    assert min(anchored[0].lattice()[1]) == (0, 0) != min(plain[0].lattice()[1])
+    for p, a in zip(plain, anchored):
+        assert p * anchored[0] == a * plain[0]
+    moves = []
+    times_term = exprat_module._times_term
+
+    def recording(y, m):
+        moves.append(next(iter(m.lattice()[1])))
+        return times_term(y, m)
+
+    monkeypatch.setattr(exprat_module, "_times_term", recording)
+    solution_from_tau(model("G2"), s, 1, 1)
+    assert moves and set(moves) == {(0, 0)}
 
 
 def reference_residual(cfg, eq):

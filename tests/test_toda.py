@@ -1,9 +1,14 @@
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nwave import toda as toda_module
 from nwave.exprat import ExpPoly, ExpRational, wave_constants
 from nwave.spectral import initial_config, spectral_data
-from nwave.tau import solution_from_tau
+from nwave.tau import solution_from_tau, tau_U
 from nwave.toda import (
+    HankelChain,
     ab_closed,
     ab_init,
     ab_step,
@@ -13,6 +18,7 @@ from nwave.toda import (
     toda_residual,
 )
 from nwave.transforms import PivotZero, apply, apply_chain
+from nwave.verify import verify_suite
 from nwave.wavesys import MINUS, PLUS, model
 
 W = wave_constants(1, "1/2", "1/3", 1)
@@ -61,10 +67,22 @@ def test_det_small_sizes_match_hand_formulas():
     assert ch.det(2) == r * d2 - d1 * d1
 
 
+def hankel_rows(ch, n):
+    return [[ch.derivative(i + j) for j in range(n)] for i in range(n)]
+
+
+def bordered_rows(g, h, n, corner=None):
+    """g's size-n Hankel matrix with its last column -> derivatives of h;
+    given a corner, its last row too, around the corner."""
+    rows = [[g.derivative(i + j) for j in range(n - 1)] + [h.derivative(i)] for i in range(n)]
+    if corner is not None:
+        rows[-1] = [h.derivative(j) for j in range(n - 1)] + [corner]
+    return rows
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_bareiss_equals_cofactor_on_hankel_minors(n):
-    ch = hankel_chain(s5())
-    rows = [[ch.derivative(i + j) for j in range(n)] for i in range(n)]
+    rows = hankel_rows(hankel_chain(s5()), n)
     assert det_bareiss(rows) == det_cofactor(rows)
 
 
@@ -76,6 +94,88 @@ def test_bareiss_handles_zero_pivot_and_singularity():
     # two equal rows
     assert det_bareiss([[e, one], [e, one]]) == zero
     assert det_bareiss([]) == one
+
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+@st.composite
+def spikes(draw, n):
+    """n distinct positions with nonzero weights, as spectral_data reads them."""
+    pos = draw(st.lists(small_rationals, min_size=n, max_size=n, unique=True))
+    wts = draw(st.lists(small_rationals.filter(bool), min_size=n, max_size=n))
+    return list(zip(pos, wts))
+
+
+@settings(max_examples=25)
+@given(st.integers(1, 5).flatmap(spikes), st.sampled_from([(1, 0), (0, 1), (1, 1)]))
+def test_chain_minors_equal_the_reference_elimination(qs, direction):
+    # tau_U(0, 1) has one exponential per Q-spike, so its Hankel matrix has
+    # rank at most 5 and Det_6 is always past it; asking for Det_6 first
+    # runs the chain to its end.
+    ch = HankelChain(tau_U(spectral_data(W, [], qs), 0, 1), W, direction)
+    ch.det(6)
+    for n in range(7):
+        assert ch.det(n) == det_bareiss(hankel_rows(ch, n))
+
+
+FRC_KEYS = [(PLUS, (1, 0)), (MINUS, (1, 0)), (MINUS, (0, 1)), (MINUS, (1, 1)), (MINUS, (1, 2))]
+
+
+@settings(max_examples=20)
+@given(st.integers(2, 5).flatmap(spikes), st.integers(1, 4), st.integers(1, 3))
+def test_first_root_chain_equals_the_reference_bordered_minors(spk, n_p, steps):
+    # f^-_{1.0} has one exponential per P-spike: with fewer P-spikes than
+    # steps its Det_steps vanishes and the chain refuses.
+    n_p = min(n_p, len(spk) - 1)
+    s = spectral_data(W, spk[:n_p], spk[n_p:])
+    seed = initial_config(model("B2"), s)
+    g, h = (HankelChain(seed[(MINUS, r)].num, W, (0, 1)) for r in ((1, 0), (1, 1)))
+    k = seed[(MINUS, (1, 2))].num
+    den = det_bareiss(hankel_rows(g, steps))
+    if den.is_zero():
+        with pytest.raises(PivotZero):
+            first_root_chain(seed, steps)
+        return
+    cfg = first_root_chain(seed, steps)
+    want = [hankel_rows(g, steps - 1), hankel_rows(g, steps + 1), bordered_rows(g, h, steps),
+            bordered_rows(g, h, steps + 1), bordered_rows(g, h, steps + 1, k)]
+    for key, rows in zip(FRC_KEYS, want):
+        assert cfg[key] == ExpRational(det_bareiss(rows), den)
+
+
+def test_one_elimination_per_chain(monkeypatch):
+    # Growing the chain from size c to c+1 runs one column down c levels,
+    # c(c+1)/2 exact divisions: Det_1..Det_5 take 20 (a fresh elimination
+    # per size takes 50).  The first-root chain at step 2 grows g to size
+    # 3 (4), runs h's column down two levels (3) and borders with the
+    # corner in two steps (2).  No path calls det_bareiss, and every
+    # derivative is formed once.
+    divisions, ders = [], []
+    divexact, deriv = toda_module.divexact, ExpPoly.deriv
+
+    def counting(num, den):
+        divisions.append(den)
+        return divexact(num, den)
+
+    def recording(p, *args):
+        ders.append((id(p),) + args[:2])
+        return deriv(p, *args)
+
+    def refused(rows):
+        raise AssertionError("det_bareiss called")
+
+    monkeypatch.setattr(toda_module, "divexact", counting)
+    monkeypatch.setattr(toda_module, "det_bareiss", refused)
+    monkeypatch.setattr(ExpPoly, "deriv", recording)
+    s = spectral_data(W, P1, Q5)
+    hankel_chain(s).det(5)
+    assert (len(divisions), len(ders), len(set(ders))) == (20, 8, 8)
+    del divisions[:], ders[:]
+    first_root_chain(initial_config(model("B2"), spectral_data(W, P3[:2], Q5[:3] + Q5[4:])), 2)
+    assert (len(divisions), len(ders), len(set(ders))) == (9, 6, 6)
+    for suite in ("toda", "ab-chain"):
+        assert verify_suite(suite).passed
 
 
 # --- the Toda chain's interruption (the relation itself is claim `toda`)

@@ -5,11 +5,16 @@ import pytest
 from nwave.exprat import ExpPoly, ExpRational, wave_constants
 from nwave.verify import verify_config
 from nwave.wavesys import (
+    _A2_TABLE,
+    _B2_TABLE,
+    _G2_TABLE,
     A2_SWAP_10_01,
     A2_SWAP_10_11,
     B2_SWAP_10_12,
     B2_SWAP_10_12_MIRROR,
     G2_SWAP_10_13,
+    MINUS,
+    PLUS,
     FieldConfig,
     exchanged_field,
     field_label,
@@ -60,6 +65,24 @@ def test_equations_are_grade_homogeneous():
             want = (s * p, s * q)
             for _coef, (sa, (pa, qa)), (sb, (pb, qb)) in eq.rhs:
                 assert (sa * pa + sb * pb, sa * qa + sb * qb) == want
+
+
+@pytest.mark.parametrize("name, table", [("A2", _A2_TABLE), ("B2", _B2_TABLE), ("G2", _G2_TABLE)])
+def test_equation_tables_are_complete(name, table):
+    # The '+' equation of root alpha has one product per pair of positive
+    # roots with beta + gamma = alpha or beta - gamma = alpha, written as
+    # the signed pair {+beta, +gamma} or {+beta, -gamma}, and no other.
+    roots = model(name).roots
+    assert sorted(root for root, _ in table) == sorted(roots)
+    for alpha, rhs in table:
+        want = set()
+        for b in roots:
+            for c in roots:
+                for sign in (PLUS, MINUS):
+                    if (b[0] + sign * c[0], b[1] + sign * c[1]) == alpha:
+                        want.add(frozenset([(PLUS, b), (sign, c)]))
+        got = [frozenset([a, b]) for _, a, b in rhs]
+        assert len(got) == len(set(got)) and set(got) == want, (name, alpha)
 
 
 def _normalize_eq(lhs, d_index, rhs) -> tuple:
