@@ -71,16 +71,24 @@ def as_frac(v: RatLike) -> Fraction:
     raise TypeError(f"not an exact rational: {v!r}")
 
 
+def _over_one(values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """(numerators, den): the values as integers over their least common
+    denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 @dataclass(frozen=True)
 class WaveConstants:
     """Characteristic speeds (c1, c2, d1, d2) with delta = c1*d2 - c2*d1 != 0.
 
-    ``basis`` is (t11, t12, t21, t22, det, h): the integer matrix T, its
-    determinant, and the denominator h it clears, taking an exponent (a, b)
-    to spectral coordinates (u, v) = T (a, b).  A wave exponent is
-    (a, b) = sP*(d1, -c1) + sQ*(d2, -c2) for position sums sP and sQ
-    (spectral.wave_exponent), so T is h times the inverse of that matrix:
-    (u, v) = h*(sP, sQ).
+    A wave exponent is theta(sP, sQ) = sP*(d1, -c1) + sQ*(d2, -c2) for
+    position sums sP and sQ (spectral.wave_exponent).  ``lattice`` is
+    (H, d1, d2, c1, c2), the speeds as integers over their lcm H: theta's
+    matrix times H.  ``basis`` is (t11, t12, t21, t22, h): the integer
+    matrix T, h times theta's inverse, that takes an exponent (a, b) to
+    spectral coordinates (u, v) = T (a, b) = h*(sP, sQ).  T times the
+    lattice is H*h*I, so the lattice over H*h takes (u, v) back to (a, b).
     """
 
     c1: Fraction
@@ -88,7 +96,8 @@ class WaveConstants:
     d1: Fraction
     d2: Fraction
     delta: Fraction = field(init=False, repr=False, compare=False)
-    basis: Tuple[int, int, int, int, int, int] = field(init=False, repr=False, compare=False)
+    basis: Tuple[int, int, int, int, int] = field(init=False, repr=False, compare=False)
+    lattice: Tuple[int, int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("c1", "c2", "d1", "d2"):
@@ -96,17 +105,17 @@ class WaveConstants:
         delta = self.c1 * self.d2 - self.c2 * self.d1
         if delta == 0:
             raise ValueError("degenerate wave constants: c1*d2 - c2*d1 = 0")
-        inv = (-self.c2 / delta, -self.d2 / delta, self.c1 / delta, self.d1 / delta)
-        h = lcm(*(f.denominator for f in inv))
-        t11, t12, t21, t22 = (f.numerator * (h // f.denominator) for f in inv)
+        t, h = _over_one((-self.c2 / delta, -self.d2 / delta, self.c1 / delta, self.d1 / delta))
+        speeds, H = _over_one((self.d1, self.d2, self.c1, self.c2))
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "basis", (t11, t12, t21, t22, t11 * t22 - t12 * t21, h))
+        object.__setattr__(self, "basis", (*t, h))
+        object.__setattr__(self, "lattice", (H, *speeds))
 
     def deriv_speeds(self, i: int, j: int) -> Tuple[int, int, int]:
         """Integers (P, Q, R) such that D_{i,j} scales exp(a*t + b*x) by
         (P*a + Q*b)/R: it scales a spike wave by i*sQ - j*sP, and
         h*(sP, sQ) = T (a, b)."""
-        t11, t12, t21, t22, _, h = self.basis
+        t11, t12, t21, t22, h = self.basis
         return i * t21 - j * t11, i * t22 - j * t12, h
 
 
@@ -137,9 +146,8 @@ class ExpPoly:
             for (a, b), coef in items:
                 keys.append((as_frac(a), as_frac(b)))
                 coefs.append(as_frac(coef))
-        d = lcm(*(c.denominator for c in coefs))
-        p = _from_rational_keys(keys, [c.numerator * (d // c.denominator) for c in coefs],
-                                Fraction(1, d))
+        ints, d = _over_one(coefs)
+        p = _from_rational_keys(keys, ints, Fraction(1, d))
         self._scale, self._ints, self._content = p._scale, p._ints, p._content
 
     @staticmethod
@@ -482,9 +490,10 @@ def sum_of_products(sums: Iterable[Iterable], w: WaveConstants) -> List[ExpPoly]
     An output coefficient then lies strictly within +-2**(k-1), so the
     balanced base-2**k digits of an output row are unique: a sum is zero
     exactly when each of its output row ints is 0.  Otherwise its digits
-    are read back to lattice keys.
+    are read back to lattice keys at scale S by w.lattice (H, d1, d2, c1,
+    c2), T's inverse times H*h: (A, B) = (d1*u + d2*v, -(c1*u + c2*v)) / (H*h).
     """
-    t11, t12, t21, t22, _, h = w.basis
+    t11, t12, t21, t22, h = w.basis
     sums = [list(terms) for terms in sums]
     scale = lcm(*[(x[1] if type(x) is tuple else x)._scale
                   for terms in sums for t in terms for x in t[1:]])
@@ -568,7 +577,8 @@ class _Operand:
 
 
 def _row_product(rows_p: list, rows_q: list) -> list:
-    """The rows [(u, int)] of the product of two packed polynomials."""
+    """The product [(e, n)] of two integer polynomials [(e, n)]: packed rows
+    [(u, int)] here, tau's rows [(qsum, coefficient)] in nwave.tau."""
     out: Dict[int, int] = {}
     get = out.get
     for u1, x1 in rows_p:
@@ -583,7 +593,8 @@ def _sum(prods, step: int, scale: int, w: WaveConstants) -> ExpPoly:
     sum_of_products): term by term when sparse, else packed."""
     if not prods:
         return _ZERO
-    t11, t12, t21, t22, det, _ = w.basis
+    H, d1, d2, c1, c2 = w.lattice
+    Hh = H * w.basis[4]
     lo = min([p[5] for p in prods])
     nslots = (max([p[6] for p in prods]) - lo) // step + 1
     slots, nterms = nslots, 0
@@ -630,11 +641,11 @@ def _sum(prods, step: int, scale: int, w: WaveConstants) -> ExpPoly:
             continue
         x += lift
         digits = x.to_bytes(width, "little")
-        au, bu = t22 * u, t21 * u
+        au, bu = d1 * u, -c1 * u
         for run in _NONZERO_BYTES.finditer((x ^ lift).to_bytes(width, "little")):
             for j in range(run.start() // nbytes, (run.end() - 1) // nbytes + 1):
                 v = lo + step * j
-                out[((au - t12 * v) // det, (t11 * v - bu) // det)] = int.from_bytes(
+                out[((au + d2 * v) // Hh, (bu - c2 * v) // Hh)] = int.from_bytes(
                     digits[j * nbytes:(j + 1) * nbytes], "little") - half
     return _canonical(scale, out, Fraction(g, den))
 

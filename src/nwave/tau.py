@@ -24,17 +24,18 @@ sum over the independent Q-groups then factorises:
 where the row S_n(psub) is the sum over the n-subsets of Q of the squared
 Vandermonde times the coupled weights, as an integer polynomial in the Q
 position sum.  Each distinct group size is summed once per P-subset (G2's
-three equal groups share one row), and the group rows are multiplied as
-integer convolutions.
+three equal groups share one row), and the group rows are multiplied by
+the sum-of-products kernel's integer row product (exprat._row_product).
 
 A tau value is thus a set of integer rows keyed by (psum, qsum), one row per
 P-subset, each with its content 1/ell^N (N the total Q-group size).  The
 contents are reconciled once per tau value over the lcm of the ells; the
 powers of D and of the weight denominators make one rational content per
 tau value.  Only then are the keys mapped to exponents,
-theta(psum/D, qsum/D) = (psum*(d1, -c1) + qsum*(d2, -c2))/D, on the lattice
-of scale D*lcm(denominators of c1, c2, d1, d2), and the ExpPoly is built
-from that lattice in one step.
+theta(psum/D, qsum/D) = (psum*(d1, -c1) + qsum*(d2, -c2))/D, in one place
+(_theta), on the lattice of scale D*H that WaveConstants.lattice gives
+(H the lcm of the denominators of c1, c2, d1, d2), and the ExpPoly is
+built from that lattice in one step.
 
 A tau solution's base tau and field numerators sum over many of the same
 P-subsets, so _taus builds a list of tau values in one pass: each P-subset
@@ -66,7 +67,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .exprat import ExpPoly, ExpRational, WaveConstants
+from .exprat import ExpPoly, ExpRational, WaveConstants, _over_one, _row_product
 from .spectral import SpectralData
 from .wavesys import AlgebraModel, FieldConfig, FieldKey, MINUS, PLUS
 
@@ -81,13 +82,6 @@ _Row = Dict[int, int]
 #: One subset of integer positions: its indices, squared Vandermonde and
 #: position sum.
 _Shape = Tuple[Tuple[int, ...], int, int]
-
-
-def _over_one(values: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """(numerators, den): the values as integers over their least common
-    denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _shapes(xs: Sequence[int], n: int) -> List[_Shape]:
@@ -114,17 +108,6 @@ def _row(shapes: Sequence[_Shape], weights: Sequence[int]) -> _Row:
     return row
 
 
-def _convolve(a: _Row, b: _Row) -> _Row:
-    out: _Row = {}
-    get = out.get
-    items = list(b.items())
-    for ea, ca in a.items():
-        for eb, cb in items:
-            e = ea + eb
-            out[e] = get(e, 0) + ca * cb
-    return out
-
-
 def _coupled(qpos: Sequence[int], qweights: Sequence[int],
              lams: Sequence[int]) -> Tuple[List[int], int]:
     """(weights, ell): each Q-spike's weight divided by its coupling
@@ -139,29 +122,21 @@ def _coupled(qpos: Sequence[int], qweights: Sequence[int],
     return [v * (ell // c) for v, c in zip(qweights, couplings)], ell
 
 
-def _speeds(w: WaveConstants) -> Tuple[int, int, int, int, int]:
-    """(h, d1, d2, c1, c2): the constants as integers over their lcm h."""
-    speeds = (w.d1, w.d2, w.c1, w.c2)
-    h = lcm(*(f.denominator for f in speeds))
-    return (h,) + tuple(f.numerator * (h // f.denominator) for f in speeds)
-
-
-def _to_poly(rows: Dict[int, _Row], den: int, w: WaveConstants, content: Fraction,
-             origin: Tuple[int, int] = (0, 0)) -> ExpPoly:
-    """content * sum n * exp(theta(psum/den, qsum/den)) over {psum: {qsum: n}},
-    with ``origin`` subtracted from every lattice key (scale den*h).
-
-    theta(psum, qsum) = psum*(d1, -c1) + qsum*(d2, -c2) takes distinct
-    (psum, qsum) to distinct exponents, since delta != 0.
+def _theta(rows: Dict[int, _Row], w: WaveConstants,
+           origin: Tuple[int, int] = (0, 0)) -> Dict[Tuple[int, int], int]:
+    """{theta(psum, qsum) - origin: n} over {psum: {qsum: n}}, in the
+    integers of w.lattice: the keys of sum n * exp(theta(psum/D, qsum/D))
+    at scale D*H.  theta(psum, qsum) = psum*(d1, -c1) + qsum*(d2, -c2)
+    takes distinct (psum, qsum) to distinct keys, since delta != 0.
     """
-    h, d1, d2, c1, c2 = _speeds(w)
+    _, d1, d2, c1, c2 = w.lattice
     oa, ob = origin
     ints = {}
     for psum, row in rows.items():
         a, b = psum * d1 - oa, -psum * c1 - ob
         for qsum, n in row.items():
             ints[(a + qsum * d2, b - qsum * c2)] = n
-    return ExpPoly.from_lattice(den * h, ints, content)
+    return ints
 
 
 def _taus(s: SpectralData, orders: Sequence[Tuple[int, Sequence[int]]],
@@ -198,17 +173,17 @@ def _taus(s: SpectralData, orders: Sequence[Tuple[int, Sequence[int]]],
             groups: Dict[int, _Row] = {}
             for i in users:
                 qsizes = orders[i][1]
-                product = {0: 1}
+                product = [(0, 1)]
                 for n in qsizes:
                     if n not in groups:
                         if n not in qshapes:
                             qshapes[n] = _shapes(qpos, n)
                         groups[n] = _row(qshapes[n], weights)
-                    product = _convolve(product, groups[n])
+                    product = _row_product(product, groups[n].items())
                 mult = pcoef * lift ** sum(qsizes)
                 out = rows[i].setdefault(psum, {})
                 get = out.get
-                for qsum, c in product.items():
+                for qsum, c in product:
                     out[qsum] = get(qsum, 0) + mult * c
         for i in users:
             qsizes = orders[i][1]
@@ -220,13 +195,12 @@ def _taus(s: SpectralData, orders: Sequence[Tuple[int, Sequence[int]]],
             content = Fraction(den ** max(e, 0),
                                den ** max(-e, 0) * pden ** n1 * (qden * ell_all) ** total)
             parts[i] = (rows[i], content)
+    w = s.constants
     origin = (0, 0)
     if anchored:
-        _, d1, d2, c1, c2 = _speeds(s.constants)
-        origin = min(((p * d1 + q * d2, -p * c1 - q * c2)
-                      for p, row in parts[0][0].items() for q, n in row.items() if n),
-                     default=origin)
-    return [_to_poly(rows, den, s.constants, content, origin) for rows, content in parts]
+        origin = min((k for k, n in _theta(parts[0][0], w).items() if n), default=origin)
+    return [ExpPoly.from_lattice(den * w.lattice[0], _theta(rows, w, origin), content)
+            for rows, content in parts]
 
 
 def _tau(s: SpectralData, n1: int, qsizes: Sequence[int]) -> ExpPoly:
@@ -288,8 +262,10 @@ def _gra_sides(s: SpectralData, lams: Sequence[Fraction], size1: int, size2: int
 
     With the multiplier (t1 - t2), the difference of the groups' position
     sums, each pair of subsets is weighted by that difference, an integer
-    over D; without it, the double sum is S1 * S2.  The shapes and the
-    uncoupled row S2 do not depend on lam and are built once.
+    over D, and the double sum is t*S1 * S2 - S1 * t*S2, t*S the row S with
+    each coefficient times its position sum; without it, the double sum is
+    S1 * S2.  The shapes and the uncoupled rows do not depend on lam and
+    are built once.
     """
     Q = s.qspikes
     pos, den = _over_one([sp.pos for sp in Q] + list(lams))
@@ -297,6 +273,7 @@ def _gra_sides(s: SpectralData, lams: Sequence[Fraction], size1: int, size2: int
     qweights, qden = _over_one([sp.weight for sp in Q])
     shapes1 = _shapes(qpos, size1)
     s2 = _row(shapes1 if size2 == size1 else _shapes(qpos, size2), qweights)
+    ts2 = [(t, -t * c) for t, c in s2.items()]
     # the powers of D: the coupling to lam, both squared Vandermondes and
     # the multiplier
     e = size1 - size1 * (size1 - 1) - size2 * (size2 - 1) - int(multiplier)
@@ -304,12 +281,13 @@ def _gra_sides(s: SpectralData, lams: Sequence[Fraction], size1: int, size2: int
     out = []
     for lam in pos[len(Q):]:
         weights, ell = _coupled(qpos, qweights, [lam])
-        side: _Row = {}
-        get = side.get
-        for t1, c1 in _row(shapes1, weights).items():
-            for t2, c2 in s2.items():
-                side[t1 + t2] = get(t1 + t2, 0) + c1 * c2 * (t1 - t2 if multiplier else 1)
-        out.append(_to_poly({0: side}, den, s.constants, content / ell ** size1))
+        s1 = _row(shapes1, weights).items()
+        side = dict(_row_product([(t, t * c) for t, c in s1] if multiplier else s1, s2.items()))
+        if multiplier:
+            for t, c in _row_product(s1, ts2):
+                side[t] = side.get(t, 0) + c
+        out.append(ExpPoly.from_lattice(den * s.constants.lattice[0],
+                                        _theta({0: side}, s.constants), content / ell ** size1))
     return out
 
 

@@ -217,7 +217,7 @@ def test_g2_suite_gates_the_exit_code(capsys, monkeypatch):
     rc = main(["verify", "--suite", "g2-full"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "suite g2-full: PASS (0/9 failed)" in out
+    assert "suite g2-full: PASS (0/11 failed)" in out
     # a failing order fails the run, as in every other suite
     failing = Report(title="suite g2-full", mode="exact",
                      checks=[Check("order (1,1)", False, "nonzero: D(1,0) f+1.0")])

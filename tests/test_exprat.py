@@ -208,10 +208,15 @@ def test_integer_speeds_and_basis_on_random_constants(c1, c2, d1, d2, i, j, ab):
     assert (p * a + q * b) / r == speed
     assert ExpPoly.term(1, a, b).deriv(i, j, w) == ExpPoly.term(speed, a, b)
     # T times the wave-exponent matrix [[d1, d2], [-c1, -c2]] is h*I
-    t11, t12, t21, t22, det, h = w.basis
+    t11, t12, t21, t22, h = w.basis
     assert (t11 * d1 - t12 * c1, t11 * d2 - t12 * c2) == (h, 0)
     assert (t21 * d1 - t22 * c1, t21 * d2 - t22 * c2) == (0, h)
-    assert det == t11 * t22 - t12 * t21
+    # the lattice over H is that matrix, and T times the lattice is H*h*I
+    H, l1, l2, k1, k2 = w.lattice
+    assert [[Fraction(l1, H), Fraction(l2, H)], [Fraction(-k1, H), Fraction(-k2, H)]] == [
+        [d1, d2], [-c1, -c2]]
+    assert (t11 * l1 - t12 * k1, t11 * l2 - t12 * k2) == (H * h, 0)
+    assert (t21 * l1 - t22 * k1, t21 * l2 - t22 * k2) == (0, H * h)
 
 
 @settings(max_examples=35)
@@ -671,6 +676,47 @@ def test_sum_of_products_matches_the_schoolbook_reference(sums):
         for g, terms in zip(got, systems):
             assert g == sum((math.prod(map(as_poly, t[1:]), start=ExpPoly.const(t[0]))
                              for t in terms), ExpPoly())
+
+
+@st.composite
+def wave_constant_sums(draw):
+    """(w, terms, reference dict): nondegenerate random wave constants w and
+    a nonzero sum of products of one to three factors, each factor spike
+    waves spectral_key(sp, sq, w) on a lattice of its own scale, or about
+    one time in three its derivative ((i, j), x)."""
+    c1, c2, d1, d2 = (draw(nonzero_rationals) for _ in range(4))
+    assume(c1 * d2 != c2 * d1)
+    w = WaveConstants(c1, c2, d1, d2)
+    terms, want = [], {}
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(big_coefs)
+        factors, product = [], {(F(0), F(0)): F(c)}
+        for _ in range(draw(st.integers(1, 3))):
+            scale = draw(st.sampled_from([1, 2, 3]))
+            x, rx = _poly_and_reference([
+                (draw(big_coefs), *spectral_key(Fraction(draw(st.integers(-2, 2)), scale),
+                                                Fraction(draw(st.integers(0, 6)), scale), w))
+                for _ in range(draw(st.integers(1, 6)))])
+            if not draw(st.integers(0, 2)):
+                i, j = draw(st.sampled_from(DERIVATIVE_INDICES))
+                x, rx = ((i, j), x), ref.deriv(rx, i, j, w)
+            factors.append(x)
+            product = ref.mul(product, rx)
+        terms.append((c, *factors))
+        want = ref.add(want, product)
+    assume(want)
+    return w, terms, want
+
+
+@settings(max_examples=60)
+@given(wave_constant_sums())
+def test_packed_sums_read_back_under_random_wave_constants(case):
+    # the Kronecker path alone, its digits read back through w's lattice
+    w, terms, want = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exprat, "PACK_SLOTS_PER_TERM", ALWAYS_PACK["PACK_SLOTS_PER_TERM"])
+        (got,) = sum_of_products([terms], w)
+    assert dict(got.terms) == want
 
 
 def _pair_loops(monkeypatch, run):

@@ -26,6 +26,7 @@ from nwave.verify import (
     _solution_checks,
     _tau_solutions,
     render_poly,
+    verify_claims,
     verify_config,
     verify_suite,
 )
@@ -330,6 +331,7 @@ def test_g2_suite_gates_every_order():
     rep = verify_suite("g2-full")
     assert [c.name for c in rep.checks] == [
         "order (0,0)", "order (1,0)", "order (0,1)", "order (1,1)",
+        "chain interruption: f^- vanish at (2,2)", "chain interruption: TauZero past (2,2)",
         "G2_T1 invariance", "G2_TA1_3A2 invariance", "G2_TA1_3A2 image of the seed",
         "G2_T1 image of tau(1,0)", "G2_T1 image of G2_TA1_3A2 of the 2P+1Q seed",
     ]
@@ -347,6 +349,18 @@ def test_a_solution_claim_reports_tau_zero_as_a_failing_check():
     _solution_checks(lambda: _tau_solutions("A2", tuple(Q2), ((2, 2), (3, 2))), rep)
     assert [c.passed for c in rep.checks] == [True, False]
     assert rep.checks[1].detail.startswith("TauZero: ")
+
+
+@pytest.mark.parametrize("algebra", ["A2", "B2", "G2"])
+def test_an_interruption_claim_fails_when_an_order_past_the_end_is_built(monkeypatch, algebra):
+    # (2,3) built as if the chain went on: the claim fails and names it
+    def building(m, s, n1, n2):
+        return solution_from_tau(m, s, *((2, 2) if (n1, n2) == (2, 3) else (n1, n2)))
+
+    monkeypatch.setattr(verify, "solution_from_tau", building)
+    rep = verify_claims("claim", [f"{algebra.lower()}-interruption"])
+    assert [(c.passed, c.detail) for c in rep.checks] == [
+        (True, ""), (False, "no TauZero raised at (2,3)")]
 
 
 def test_suite_reports_are_deterministic():
