@@ -19,7 +19,6 @@ turn values into numbers through it.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -456,9 +455,6 @@ ONE = ExpPoly.const(1)
 #: multiplied term by term, so no row int is mostly zeros.
 PACK_SLOTS_PER_TERM = 8
 
-#: A run of nonzero bytes.
-_NONZERO_BYTES = re.compile(rb"[^\x00]+")
-
 
 def sum_of_products(sums: Iterable[Iterable], w: WaveConstants) -> List[ExpPoly]:
     """[sum(c * x1 * ... * xk) over (c, x1, ..., xk) in terms] for each
@@ -576,21 +572,27 @@ class _Operand:
         return self.rows[k]
 
 
-def _row_product(rows_p: list, rows_q: list) -> list:
-    """The product [(e, n)] of two integer polynomials [(e, n)]: packed rows
-    [(u, int)] here, tau's rows [(qsum, coefficient)] in nwave.tau."""
-    out: Dict[int, int] = {}
+def _row_product(rows_p: Iterable, rows_q: Iterable, out: Optional[dict] = None) -> dict:
+    """Add the product of two integer polynomials [(e, n)] into out {e: n},
+    or a new dict when out is None, and return it: the package's one pair
+    loop over integer rows, packed rows [(u, int)] here and tau's rows
+    [(qsum, coefficient)] in nwave.tau."""
+    if out is None:
+        out = {}
     get = out.get
     for u1, x1 in rows_p:
         for u2, x2 in rows_q:
             u = u1 + u2
             out[u] = get(u, 0) + x1 * x2
-    return list(out.items())
+    return out
 
 
 def _sum(prods, step: int, scale: int, w: WaveConstants) -> ExpPoly:
     """sum(c * x1 * ... * xk) over the products prods of one sum (see
-    sum_of_products): term by term when sparse, else packed."""
+    sum_of_products): term by term when sparse, else packed: the rows of
+    all but the last factor chained, scaled and shifted to the product's
+    offset, the last pair added into the output rows, and their nonzero
+    digits read back."""
     if not prods:
         return _ZERO
     H, d1, d2, c1, c2 = w.lattice
@@ -615,38 +617,27 @@ def _sum(prods, step: int, scale: int, w: WaveConstants) -> ExpPoly:
     nbytes = (bound // g).bit_length() // 8 + 1
     k = 8 * nbytes
     acc: Dict[int, int] = {}
-    get = acc.get
     for n, (_, (first, *mid, last), _, _, _, o, _) in zip(nums, prods):
         m, shift = n // g, (o - lo) // step * k
         rows_p = first.pack(step, k)
         for op in mid:
-            rows_p = _row_product(rows_p, op.pack(step, k))
-        rows_q = last.pack(step, k)
-        for u1, x1 in rows_p:
-            x1 = (x1 * m) << shift
-            for u2, x2 in rows_q:
-                u = u1 + u2
-                acc[u] = get(u, 0) + x1 * x2
-    if not any(acc.values()):
-        return _ZERO
+            rows_p = _row_product(rows_p, op.pack(step, k)).items()
+        _row_product([(u, (x * m) << shift) for u, x in rows_p], last.pack(step, k), acc)
     # balanced digits: with 2**(k-1) added to every slot each digit is a
-    # nonnegative k-bit field, which xor with the lift clears exactly where
-    # the digit is 0, so only slots that meet a run of nonzero bytes are read
+    # nonnegative k-bit field; a zero digit is skipped, since its slot may
+    # lie off the lattice, where the floored key can be a real term's
     half = 1 << (k - 1)
-    width = nslots * nbytes
     lift = int.from_bytes((bytes(nbytes - 1) + b"\x80") * nslots, "little")
     out = {}
     for u, x in acc.items():
-        if not x:
-            continue
-        x += lift
-        digits = x.to_bytes(width, "little")
-        au, bu = d1 * u, -c1 * u
-        for run in _NONZERO_BYTES.finditer((x ^ lift).to_bytes(width, "little")):
-            for j in range(run.start() // nbytes, (run.end() - 1) // nbytes + 1):
-                v = lo + step * j
-                out[((au + d2 * v) // Hh, (bu - c2 * v) // Hh)] = int.from_bytes(
-                    digits[j * nbytes:(j + 1) * nbytes], "little") - half
+        if x:
+            digits = (x + lift).to_bytes(nslots * nbytes, "little")
+            au, bu = d1 * u, -c1 * u
+            for j in range(nslots):
+                n = int.from_bytes(digits[j * nbytes:(j + 1) * nbytes], "little") - half
+                if n:
+                    v = lo + step * j
+                    out[((au + d2 * v) // Hh, (bu - c2 * v) // Hh)] = n
     return _canonical(scale, out, Fraction(g, den))
 
 
@@ -762,14 +753,14 @@ class ExpRational:
     - ``cancel`` divides the numerator by each atom while ``divexact``
       allows it.
 
-    Canonical form: zero is 0/1; ``den``, the expanded product of the
-    atoms, has least key 0 and coefficient 1 there, and is 1 exactly when
-    there is no atom.  Values with the same atoms compare their numerators;
-    others are cross-multiplied over the lcm, so equal values always
-    compare equal.
+    Canonical form: zero is 0/1; ``den``, the product of the atoms formed
+    when read (over one atom, that atom), has least key 0 and coefficient
+    1 there, and is 1 exactly when there is no atom.  Values with the same
+    atoms compare their numerators; others are cross-multiplied over the
+    lcm, so equal values always compare equal.
     """
 
-    __slots__ = ("num", "_den", "_atoms")
+    __slots__ = ("num", "_atoms")
 
     def __init__(self, num, den=None):
         num = _coerce_poly(num)
@@ -778,17 +769,11 @@ class ExpRational:
             raise TypeError("ExpRational parts must be ExpPoly or rational")
         if den.is_zero():
             raise DivisionByZeroField("zero denominator")
-        self._atoms = _NO_ATOMS
-        if num.is_zero():
-            self.num, self._den = _ZERO, ONE
-            return
-        if den is not ONE:
-            num, den = _split(num, den)
-            if den is None:
-                den = ONE
-            else:
-                self._atoms = {den: 1}
-        self.num, self._den = num, den
+        self.num, self._atoms = num or _ZERO, _NO_ATOMS
+        if num and den is not ONE:
+            self.num, atom = _split(num, den)
+            if atom is not None:
+                self._atoms = {atom: 1}
 
     @staticmethod
     def zero() -> "ExpRational":
@@ -803,7 +788,7 @@ class ExpRational:
         """[ExpRational(num, den) for num in nums], with den split once:
         every value holds the same denominator and atoms."""
         u = ExpRational(1, den)  # u.num is one term, the inverse of den's unit part
-        return [_rat(_times_term(n, u.num), u._atoms, u._den) for n in nums]
+        return [_rat(_times_term(n, u.num), u._atoms) for n in nums]
 
     def is_zero(self) -> bool:
         return not self.num._ints
@@ -813,26 +798,14 @@ class ExpRational:
 
     @property
     def den(self) -> ExpPoly:
-        """The denominator, expanded."""
-        d = self._den
-        if d is None:
-            d = ONE
-            for a, k in self._atoms.items():
-                for _ in range(k):
-                    d = d * a
-            self._den = d
-        return d
+        """The denominator, the product of the atoms."""
+        return _times_powers(None, self._atoms.items())
 
     def _over(self, atoms: Dict[ExpPoly, int]) -> ExpPoly:
         """The numerator over prod(atoms), a multiple of this value's
         denominator."""
-        num = self.num
-        if not num._ints:
-            return num
-        for a, k in atoms.items():
-            for _ in range(k - self._atoms.get(a, 0)):
-                num = num * a
-        return num
+        have = self._atoms
+        return _times_powers(self.num, [(a, k - have.get(a, 0)) for a, k in atoms.items()])
 
     # -- field operations --------------------------------------------------
 
@@ -850,7 +823,7 @@ class ExpRational:
     __radd__ = __add__
 
     def __neg__(self) -> "ExpRational":
-        return _rat(-self.num, self._atoms, self._den)
+        return _rat(-self.num, self._atoms)
 
     def __sub__(self, other) -> "ExpRational":
         other = _coerce_rational(other)
@@ -866,7 +839,7 @@ class ExpRational:
 
     def __mul__(self, other) -> "ExpRational":
         if isinstance(other, (int, Fraction)):
-            return _rat(self.num * other, self._atoms, self._den)
+            return _rat(self.num * other, self._atoms)
         other = _coerce_rational(other)
         if other is NotImplemented:
             return NotImplemented
@@ -887,7 +860,7 @@ class ExpRational:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise DivisionByZeroField("division by zero field value")
-            return _rat(self.num * (1 / Fraction(other)), self._atoms, self._den)
+            return _rat(self.num * (1 / Fraction(other)), self._atoms)
         other = _coerce_rational(other)
         if other is NotImplemented:
             return NotImplemented
@@ -895,14 +868,12 @@ class ExpRational:
             raise DivisionByZeroField("division by zero field value")
         if not self.num._ints:
             return _ZERO_RAT
-        num, atoms = self.num, dict(self._atoms)
+        atoms = dict(self._atoms)
         for a, k in other._atoms.items():
             have = atoms.pop(a, 0)
             if have > k:
                 atoms[a] = have - k
-            for _ in range(k - have):
-                num = num * a
-        num, atom = _split(num, other.num)
+        num, atom = _split(self._over(other._atoms), other.num)
         if atom is not None:
             atoms[atom] = atoms.get(atom, 0) + 1
         return _rat(num, atoms)
@@ -953,17 +924,10 @@ class ExpRational:
         """T with D_{i,j}(self) = T / (Q * P), where Q is the product of
         the atoms (with multiplicity) and P of the distinct atoms:
         (n/Q)' = (n'P - n * sum(k * a' * P/a)) / (Q*P)."""
-        n = self.num
-        atoms = list(self._atoms.items())
-        prod, rest = ONE, _ZERO
-        for idx, (a, k) in enumerate(atoms):
-            prod = prod * a
-            term = a.deriv(i, j, w) * k
-            for jdx, (b, _) in enumerate(atoms):
-                if jdx != idx:
-                    term = term * b
-            rest = rest + term
-        return n.deriv(i, j, w) * prod - n * rest
+        n, atoms = self.num, self._atoms
+        rest = sum((_times_powers(a.deriv(i, j, w) * k, [(b, 1) for b in atoms if b is not a])
+                    for a, k in atoms.items()), _ZERO)
+        return n.deriv(i, j, w) * _times_powers(None, [(a, 1) for a in atoms]) - n * rest
 
     def deriv(self, i: int, j: int, w: WaveConstants) -> "ExpRational":
         """Quotient-rule D_{i,j}: every atom's multiplicity rises by one.
@@ -1024,14 +988,24 @@ def _coerce_rational(v) -> "ExpRational":
     return NotImplemented
 
 
-def _rat(num: ExpPoly, atoms: Dict[ExpPoly, int], den: Optional[ExpPoly] = None) -> ExpRational:
-    """Wrap num / prod(atoms) without re-normalizing; den is the expanded
-    denominator when already known."""
+def _rat(num: ExpPoly, atoms: Dict[ExpPoly, int]) -> ExpRational:
+    """Wrap num / prod(atoms) without re-normalizing."""
     if not num._ints:
         return _ZERO_RAT
     r = object.__new__(ExpRational)
-    r.num, r._atoms, r._den = num, atoms, den
+    r.num, r._atoms = num, atoms
     return r
+
+
+def _times_powers(num: Optional[ExpPoly], powers: Iterable[Tuple[ExpPoly, int]]) -> ExpPoly:
+    """num (None for 1, so that a lone a**1 is a itself) times a**k for each
+    (a, k) of powers, k <= 0 adding nothing; a zero num is returned at once."""
+    if num is not None and not num._ints:
+        return num
+    for a, k in powers:
+        for _ in range(k):
+            num = a if num is None else num * a
+    return ONE if num is None else num
 
 
 _ZERO_RAT = ExpRational(_ZERO)
@@ -1052,15 +1026,12 @@ def _lcm(values: Sequence[ExpRational]) -> Dict[ExpPoly, int]:
 def common_denominator(values: Sequence[ExpRational]) -> Tuple[ExpPoly, List[ExpPoly]]:
     """(L, [N]): the least common denominator L of the values (the _lcm of
     their atoms), expanded, and each value's numerator over it, so that
-    v = N / L.  Where the first nonzero value's denominator already is L,
-    as for values that share one denominator, L is that denominator as
-    held and each such N the value's own numerator.
+    v = N / L.  Over one atom, as for values that share a one-atom
+    denominator, L is that atom as held, and a value whose atoms are L's
+    has its own numerator as N.
     """
-    live = [v for v in values if v.num._ints] or [_ZERO_RAT]
-    first = live[0]
-    atoms = _lcm(live)
-    den = first.den if atoms is first._atoms else _rat(ONE, atoms).den
-    return den, [v._over(atoms) for v in values]
+    atoms = _lcm([v for v in values if v.num._ints] or [_ZERO_RAT])
+    return _times_powers(None, atoms.items()), [v._over(atoms) for v in values]
 
 
 # -- numeric evaluation -----------------------------------------------------------
@@ -1239,9 +1210,10 @@ def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveCon
     |d| < mass(d) * 2**-POLE_BITS is decided exactly on the integer sums.
     """
     d_index = d_index or {}
-    live = {key: u for key, u in values.items() if not u.is_zero()}
+    # (numerator, denominator) of each nonzero value, its denominator formed once
+    live = {key: (u.num, u.den) for key, u in values.items() if not u.is_zero()}
     # every exponent as an integer pair over one scale
-    scale = lcm(1, *(p.lattice()[0] for u in live.values() for p in (u.num, u.den)))
+    scale = lcm(1, *(p.lattice()[0] for parts in live.values() for p in parts))
     slots: Dict[Tuple[int, int], int] = {}  # exponent -> exp slot
 
     def prepare(poly, ij) -> _Sums:
@@ -1257,11 +1229,11 @@ def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveCon
         return _Sums(idx, ns, [n * (p * a + q * b) for (a, b), n in zip(keys, ns)])
 
     fields = {}
-    for key, u in live.items():
+    for key, (num, den) in live.items():
         ij = d_index.get(key)
         r = None if ij is None else w.deriv_speeds(*ij)[2] * scale
-        c = u.num.lattice()[2] / u.den.lattice()[2]
-        fields[key] = _Field(prepare(u.num, ij), None if u.is_poly() else prepare(u.den, ij), c, r)
+        c = num.lattice()[2] / den.lattice()[2]
+        fields[key] = _Field(prepare(num, ij), None if den is ONE else prepare(den, ij), c, r)
 
     # exp(a*t + b*x) = exp(a*t) * exp(b*x), each factor computed once
     a_slot: Dict[int, int] = {}

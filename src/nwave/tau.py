@@ -25,7 +25,8 @@ where the row S_n(psub) is the sum over the n-subsets of Q of the squared
 Vandermonde times the coupled weights, as an integer polynomial in the Q
 position sum.  Each distinct group size is summed once per P-subset (G2's
 three equal groups share one row), and the group rows are multiplied by
-the sum-of-products kernel's integer row product (exprat._row_product).
+the sum-of-products kernel's integer row product (exprat._row_product),
+the last one added straight into the tau value's row.
 
 A tau value is thus a set of integer rows keyed by (psum, qsum), one row per
 P-subset, each with its content 1/ell^N (N the total Q-group size).  The
@@ -141,7 +142,7 @@ def _theta(rows: Dict[int, _Row], w: WaveConstants,
 
 def _taus(s: SpectralData, orders: Sequence[Tuple[int, Sequence[int]]],
           anchored: bool = False) -> List[ExpPoly]:
-    """tau(n1; qsizes) for each order (n1, qsizes), in one pass.
+    """tau(n1; qsizes) for each order (n1, qsizes), qsizes nonempty, in one pass.
 
     Each P-subset of a needed size is walked once: its coupled Q weights
     and its Q rows by size are built then and shared by every order that
@@ -173,18 +174,15 @@ def _taus(s: SpectralData, orders: Sequence[Tuple[int, Sequence[int]]],
             groups: Dict[int, _Row] = {}
             for i in users:
                 qsizes = orders[i][1]
-                product = [(0, 1)]
                 for n in qsizes:
                     if n not in groups:
                         if n not in qshapes:
                             qshapes[n] = _shapes(qpos, n)
                         groups[n] = _row(qshapes[n], weights)
-                    product = _row_product(product, groups[n].items())
-                mult = pcoef * lift ** sum(qsizes)
-                out = rows[i].setdefault(psum, {})
-                get = out.get
-                for qsum, c in product:
-                    out[qsum] = get(qsum, 0) + mult * c
+                product = [(0, pcoef * lift ** sum(qsizes))]
+                for n in qsizes[:-1]:
+                    product = _row_product(product, groups[n].items()).items()
+                _row_product(product, groups[qsizes[-1]].items(), rows[i].setdefault(psum, {}))
         for i in users:
             qsizes = orders[i][1]
             total = sum(qsizes)
@@ -282,10 +280,9 @@ def _gra_sides(s: SpectralData, lams: Sequence[Fraction], size1: int, size2: int
     for lam in pos[len(Q):]:
         weights, ell = _coupled(qpos, qweights, [lam])
         s1 = _row(shapes1, weights).items()
-        side = dict(_row_product([(t, t * c) for t, c in s1] if multiplier else s1, s2.items()))
+        side = _row_product([(t, t * c) for t, c in s1] if multiplier else s1, s2.items())
         if multiplier:
-            for t, c in _row_product(s1, ts2):
-                side[t] = side.get(t, 0) + c
+            _row_product(s1, ts2, side)
         out.append(ExpPoly.from_lattice(den * s.constants.lattice[0],
                                         _theta({0: side}, s.constants), content / ell ** size1))
     return out

@@ -197,28 +197,25 @@ def ab_step(prev: ABChain, chain: HankelChain) -> ABChain:
     three-part recursion cleared to a single numerator over 4 Det_n^4; both
     divisions are exact on genuine chain data (InexactDivision otherwise).
     The two numerators and 4 Det_n^4 are sums of products of up to five
-    factors, formed in one exprat.sum_of_products call.
+    factors, formed in one exprat.sum_of_products call: D B is its one
+    ExpPoly derivative, and D Det_{n+1}, D A, D Det_n and D(D B) are
+    factors ((i, j), x), differentiated at pack time.
     """
     n = prev.level
     dn = chain.det(n)
     if dn.is_zero():
         raise PivotZero("AB_CHAIN", CHAIN_SEED_KEY, step=n)
     dn1 = chain.det(n + 1)
-    w = chain.constants
-    i, j = chain.direction
-
-    def d(f: ExpPoly) -> ExpPoly:
-        return f.deriv(i, j, w)
-
+    w, ij = chain.constants, chain.direction
     a, b = prev.A, prev.B
-    b1 = d(b)
-    dn1_1 = d(dn1)
+    b1 = b.deriv(*ij, w)
+    dn1_1 = (ij, dn1)
     num_a, num_b, den_b = sum_of_products([
         [(1, dn1, b1), (-2, b, dn1_1)],
-        [(1, dn, dn, dn1, dn1, d(b1)), (-4, dn, dn, dn1, dn1_1, b1),
+        [(1, dn, dn, dn1, dn1, (ij, b1)), (-4, dn, dn, dn1, dn1_1, b1),
          (4, dn, dn, dn1_1, dn1_1, b),
-         (2, dn, dn1, dn1, a, dn1_1), (-2, dn, dn1, dn1, dn1, d(a)),
-         (2, dn1, dn1, dn1, a, d(dn)), (2, dn1, dn1, dn1, b, chain.det(n - 1))],
+         (2, dn, dn1, dn1, a, dn1_1), (-2, dn, dn1, dn1, dn1, (ij, a)),
+         (2, dn1, dn1, dn1, a, (ij, dn)), (2, dn1, dn1, dn1, b, chain.det(n - 1))],
         [(4, dn, dn, dn, dn)],
     ], w)
     return ABChain(n + 1, divexact(num_a, dn * 2), divexact(num_b, den_b))

@@ -204,8 +204,10 @@ def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Rep
     (|value| below its mass times 2**-POLE_BITS) are skipped and recorded
     rather than aborting.  In either mode the report's counterexample is
     the first failing equation's own residual, residual(m, cfg, [eq]),
-    over the least common denominator of that equation's fields.
+    over the least common denominator of that equation's fields.  A model
+    of another algebra than the configuration's is refused (ValueError).
     """
+    cfg.check_model(m)
     if mode not in ("exact", "numeric"):
         raise ValueError(f"unknown mode {mode!r} (expected 'exact' or 'numeric')")
     if mode == "exact":

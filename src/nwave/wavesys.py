@@ -164,6 +164,11 @@ class FieldConfig:
     def __getitem__(self, key: FieldKey) -> ExpRational:
         return self.fields[key]
 
+    def check_model(self, m: AlgebraModel) -> None:
+        """Refuse (ValueError) a model of another algebra than this one's."""
+        if m.name != self.algebra:
+            raise ValueError(f"the {m.name} model does not match a {self.algebra} configuration")
+
     def with_fields(self, updates: Dict[FieldKey, ExpRational]) -> "FieldConfig":
         merged = dict(self.fields)
         merged.update(updates)
@@ -201,6 +206,7 @@ def residual(m: AlgebraModel, cfg: FieldConfig, eqs: Sequence[EquationSpec]) -> 
     residual is zero exactly when every one of its output row ints is 0,
     and a nonzero one is read back from its own digits.
     """
+    cfg.check_model(m)
     w = cfg.constants
     used = {k for eq in eqs for _, a, b in eq.rhs for k in (a, b)} | {eq.lhs for eq in eqs}
     keys = [k for k in cfg.fields if k in used]

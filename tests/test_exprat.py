@@ -738,6 +738,16 @@ def _pair_loops(monkeypatch, run):
     return result, len(calls)
 
 
+def test_a_packed_sum_reads_back_no_zero_digit(monkeypatch):
+    # 5*(6 + e^(2t-x))*(7 + e^x) packed on W: some slots of its output row
+    # lie off the lattice, and a zero digit there floors onto the key of a
+    # real term, the constant 210, which must not be overwritten.
+    monkeypatch.setattr(exprat, "PACK_SLOTS_PER_TERM", ALWAYS_PACK["PACK_SLOTS_PER_TERM"])
+    p, q = ExpPoly.const(6) + ExpPoly.term(1, 2, -1), ExpPoly.const(7) + ExpPoly.term(1, 0, 1)
+    (got,) = sum_of_products([[(5, p, q)]], W)
+    assert got == p * q * 5 and got.terms[(F(0), F(0))] == 210
+
+
 @pytest.mark.parametrize("gap, packed", [(1, True), (10 ** 6, False)])
 def test_a_sparse_sum_of_products_is_multiplied_term_by_term(monkeypatch, gap, packed):
     # Eight spike waves per operand, the last one gap steps past the others.

@@ -216,6 +216,27 @@ def test_ab_step_forms_its_products_without_pair_loops(monkeypatch):
         assert (c.A, c.B) == ab_closed(s, c.level)
 
 
+def test_ab_step_differentiates_its_factors_at_pack_time(monkeypatch):
+    # With the determinants already formed, one step takes one ExpPoly
+    # derivative, D B; D Det_{n+1}, D A, D Det_n and D(D B) are packed
+    # factors.
+    s = s6()
+    ch = hankel_chain(s)
+    ch.det(2)
+    deriv = ExpPoly.deriv
+    calls = []
+
+    def counting(self, i, j, w):
+        calls.append(self)
+        return deriv(self, i, j, w)
+
+    monkeypatch.setattr(ExpPoly, "deriv", counting)
+    c1 = ab_step(ab_init(s), ch)
+    monkeypatch.setattr(ExpPoly, "deriv", deriv)
+    assert calls == [ab_init(s).B]
+    assert (c1.A, c1.B) == ab_closed(s, 1)
+
+
 def test_ab_chain_reproduces_tau_solution_fields():
     s = s6()
     m = model("B2")

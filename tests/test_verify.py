@@ -11,7 +11,7 @@ from nwave.cli import config_from_doc, config_to_doc
 from nwave.exprat import (
     _ZERO_FIELD, ONE, ExpPoly, ExpRational, common_denominator, grid_values, wave_constants,
 )
-from nwave.spectral import spectral_data
+from nwave.spectral import initial_config, spectral_data
 from nwave.tau import solution_from_tau
 from nwave.transforms import TRANSFORMS, apply
 from nwave.verify import (
@@ -410,6 +410,18 @@ def test_exact_verify_of_g2_forms_its_hirota_residuals_without_pair_loops(monkey
             rat = rat - bad[a] * bad[b] * coef
         assert got == rat.num
         assert check.passed is got.is_zero()
+
+
+@pytest.mark.parametrize("name", ["A2", "G2"])
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+def test_a_model_of_another_algebra_is_refused(name, mode):
+    # A2's equations are among B2's, so an A2 model once passed a B2 seed
+    # as an "A2 configuration"; a G2 model failed on a missing field.
+    cfg = initial_config(model("B2"), spectral_data(W, P2, Q2))
+    with pytest.raises(ValueError, match=f"{name} model does not match a B2 configuration"):
+        verify_config(model(name), cfg, mode)
+    with pytest.raises(ValueError, match=f"{name} model does not match a B2 configuration"):
+        residual(model(name), cfg, model(name).equations[:1])
 
 
 def test_exact_verify_of_a_tau_solution_never_squares_tau(monkeypatch):
