@@ -13,8 +13,9 @@ coefficients are integers times one rational content.  Ring operations then
 run on ints; ``terms`` shows the rational view at the boundary.
 
 ``grid_values`` is the package's one numeric evaluator, with its one pole
-rule: ``nwave sample``, numeric verification and ``ExpRational.eval`` all
-turn values into numbers through it.
+rule: ``nwave sample`` and ``ExpRational.eval`` turn values into numbers
+through it, and numeric verification judges its exact integer form
+(``_grid_ints``) before any rounding.
 """
 
 from __future__ import annotations
@@ -1038,20 +1039,17 @@ def common_denominator(values: Sequence[ExpRational]) -> Tuple[ExpPoly, List[Exp
 #
 # Numbers handed out are raw mpmath.libmp values (sign, mantissa, exponent,
 # bitcount).  Inside, a coordinate's exponentials are walked one distinct gap
-# at a time (_exps), each within 1/2 + 2**-7 ulp of EVAL_PRECISION bits; a
-# polynomial's terms are summed as integers and each result is rounded once
-# to EVAL_PRECISION bits; nothing goes through float, so no value can overflow.
+# at a time (_exps), each within 1/2 + 2**-7 ulp of EVAL_PRECISION bits; each
+# distinct polynomial's terms are summed as integers once per point, and a
+# value is an integer ratio times a power of two (_grid_ints), rounded once
+# to EVAL_PRECISION bits where a number is handed out; nothing goes through
+# float, so no value can overflow.
 
 _RND = libmp.round_nearest
 #: (value, mass, D value, D mass) of an identically zero field.
 _ZERO_FIELD = (libmp.fzero,) * 4
 #: Bits a sum keeps below its largest term, besides those of its coefficients.
 _GUARD = EVAL_PRECISION + 8
-
-
-def _mpf(q) -> tuple:
-    """A rational (int or Fraction) as a libmp value."""
-    return _round(q.numerator, q.denominator, 0)
 
 
 def _exps(ks: Sequence[int], n: int, d: int) -> List[tuple]:
@@ -1112,73 +1110,156 @@ def _round(p: int, q: int, e: int, prec: int = EVAL_PRECISION) -> tuple:
 class _Sums:
     """One polynomial of grid_values as integer dot products over the slots.
 
-    Its terms are n_k * exp_k, with the content kept apart, and for a
-    derivative dn_k * exp_k with dn_k = n_k * (P*A_k + Q*B_k).
+    Its terms are n_k * exp_k, with the content kept apart, and for each
+    derivative asked of it dn_k * exp_k with dn_k = n_k * (P*A_k + Q*B_k).
+    Every value that holds the polynomial reads the same _Sums, so its value
+    and mass sums are formed once per point, and its D sums once per
+    derivative.
     """
 
-    __slots__ = ("slots", "ns", "abs_ns", "dns", "abs_dns", "dslots", "width", "dwidth")
+    __slots__ = ("slots", "keys", "ns", "abs_ns", "width", "derivs", "dsums", "anchors")
 
-    def __init__(self, slots, ns, dns=None):
-        self.slots, self.ns, self.dns = slots, ns, dns
+    def __init__(self, slots, keys, ns):
+        self.slots, self.keys, self.ns = slots, keys, ns
         self.abs_ns = [abs(n) for n in ns]
         self.width = _GUARD + sum(self.abs_ns).bit_length()
-        self.dslots = None  # D sums share the value's largest term
-        if dns is not None:
-            self.abs_dns = [abs(n) for n in dns]
-            self.dwidth = _GUARD + sum(self.abs_dns).bit_length()
-            if not all(dns):
-                # terms with D factor 0 cannot anchor the D sums
-                self.dslots = [s for s, n in zip(slots, dns) if n]
-            else:
-                self.width = max(self.width, self.dwidth)
+        self.derivs: Dict[Tuple[int, int], int] = {}  # (P, Q) -> index into dsums
+        self.dsums = []  # (dns, |dns|) of each derivative
+        self.anchors = []  # (slots, width) of D sums that some terms do not reach
+
+    def derivative(self, p: int, q: int) -> int:
+        """The index, in at()'s D sums, of the derivative with speeds (P, Q)."""
+        k = self.derivs.get((p, q))
+        if k is None:
+            k = self.derivs[p, q] = len(self.dsums)
+            dns = [n * (p * a + q * b) for (a, b), n in zip(self.keys, self.ns)]
+            abs_dns = [abs(n) for n in dns]
+            self.dsums.append((dns, abs_dns))
+            dwidth = _GUARD + sum(abs_dns).bit_length()
+            if all(dns):  # D sums share the value's largest term
+                self.width = max(self.width, dwidth)
+            elif any(dns):  # terms with D factor 0 cannot anchor the D sums
+                self.anchors.append(([s for s, n in zip(self.slots, dns) if n], dwidth))
+        return k
 
     def at(self, ms, es, tops):
-        """(e0, value sum, mass sum, D sum, D mass sum): integers that times
-        2**e0 are the sums at one point, without the content."""
+        """(e0, value sum, mass sum, [(D sum, D mass sum)] by derivative):
+        integers that times 2**e0 are the sums at one point, without the
+        content."""
         slots = self.slots
         e0 = max(map(tops.__getitem__, slots)) - self.width
-        if self.dslots:
-            e0 = min(e0, max(map(tops.__getitem__, self.dslots)) - self.dwidth)
+        for dslots, dwidth in self.anchors:
+            e0 = min(e0, max(map(tops.__getitem__, dslots)) - dwidth)
         al = [m << (e - e0) if e >= e0 else m >> (e0 - e)
               for m, e in zip(map(ms.__getitem__, slots), map(es.__getitem__, slots))]
-        s, mass = sum(map(mul, self.ns, al)), sum(map(mul, self.abs_ns, al))
-        if self.dns is None:
-            return e0, s, mass, 0, 0
-        return e0, s, mass, sum(map(mul, self.dns, al)), sum(map(mul, self.abs_dns, al))
+        return (e0, sum(map(mul, self.ns, al)), sum(map(mul, self.abs_ns, al)),
+                [(sum(map(mul, dns, al)), sum(map(mul, abs_dns, al)))
+                 for dns, abs_dns in self.dsums])
 
 
 class _Field:
     """One value of grid_values: c * num / den, with den None for a
-    polynomial value (denominator 1); r is R * scale, the
-    denominator of the D speeds on grid_values' lattice, or None without a
-    derivative."""
+    polynomial value (denominator 1); r is R * scale, the denominator of the
+    D speeds on grid_values' lattice, and jn, jd the derivative's place in
+    the D sums of num and den, or all None without a derivative."""
 
-    __slots__ = ("num", "den", "vn", "vd", "r")
+    __slots__ = ("num", "den", "vn", "vd", "r", "jn", "jd")
 
-    def __init__(self, num: _Sums, den: Optional[_Sums], c: Fraction, r: Optional[int]):
-        self.num, self.den, self.r = num, den, r
+    def __init__(self, num: _Sums, den: Optional[_Sums], c: Fraction, speeds):
+        self.num, self.den, self.r, self.jn, self.jd = num, den, None, None, None
         self.vn, self.vd = c.numerator, c.denominator
+        if speeds is not None:
+            p, q, self.r = speeds
+            self.jn = num.derivative(p, q)
+            self.jd = None if den is None else den.derivative(p, q)
 
-    def at(self, ms, es, tops):
-        """(value, mass, D value, D mass) at one point, None at a pole."""
-        en, n, mn, dn, mdn = self.num.at(ms, es, tops)
+    def at(self, got):
+        """(V, M, Q, DV, DM, QD, e) at one point from the sums ``got`` there
+        (see _grid_ints), None at a pole."""
+        en, n, mn, dns = got[self.num]
+        r = self.r
         if self.den is None:
             e, d, ad, dd, mdd = en, 1, 1, 0, 0
         else:
-            ed, d, md, dd, mdd = self.den.at(ms, es, tops)
+            ed, d, md, dds = got[self.den]
             ad = abs(d)
             if ad << POLE_BITS < md:
                 return None
             e = en - ed
+            if r is not None:
+                dd, mdd = dds[self.jd]
         vn, vd = self.vn, self.vd
-        value = _round(vn * n, vd * d, e)
-        mass = _round(abs(vn) * mn, vd * ad, e)
-        if self.r is None:
-            return value, mass, libmp.fzero, libmp.fzero
+        value, mass, q = (vn * n if d > 0 else -vn * n), abs(vn) * mn, vd * ad
+        if r is None:
+            return value, mass, q, 0, 0, 1, e
         # D(n/d) = (n'd - nd') / d^2, its mass (mass(n')|d| + mass(n)mass(d')) / d^2
-        q = vd * self.r * d * d
-        return (value, mass, _round(vn * (dn * d - n * dd), q, e),
-                _round(abs(vn) * (mdn * ad + mn * mdd), q, e))
+        dn, mdn = dns[self.jn]
+        return (value, mass, q, vn * (dn * d - n * dd), abs(vn) * (mdn * ad + mn * mdd),
+                vd * r * d * d, e)
+
+
+def _grid_ints(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveConstants] = None,
+               d_index: Optional[Mapping] = None) -> Iterator[tuple]:
+    """grid_values' points with each value as exact integers.
+
+    Yields ``(t, x, {key: (V, M, Q, DV, DM, QD, e)})``: value V/Q * 2**e,
+    mass M/Q * 2**e, D value DV/QD * 2**e and D mass DM/QD * 2**e, with
+    Q, QD > 0 (DV = DM = 0 and QD = 1 for a key without a derivative), or
+    None at a pole; identically zero values have no entry.  Each distinct
+    numerator, and each distinct denominator (keyed by its atoms, and
+    expanded once), is summed once per point by one _Sums.
+    """
+    d_index = d_index or {}
+    live = {}  # key -> (numerator, atoms) of each nonzero value
+    dens: Dict[frozenset, ExpPoly] = {frozenset(): ONE}  # atoms -> their product, formed once
+    for key, u in values.items():
+        if not u.is_zero():
+            atoms = frozenset(u._atoms.items())
+            if atoms not in dens:
+                dens[atoms] = u.den
+            live[key] = u.num, atoms
+    # every exponent as an integer pair over one scale
+    scale = lcm(*(p.lattice()[0] for p in (*(num for num, _ in live.values()), *dens.values())))
+    slots: Dict[Tuple[int, int], int] = {}  # exponent -> exp slot
+    sums: Dict[object, _Sums] = {}  # numerator, or denominator's atoms -> its _Sums
+
+    def prepare(key, poly) -> _Sums:
+        if key not in sums:
+            own, ints, _ = poly.lattice()
+            f = scale // own
+            keys = [(a * f, b * f) for a, b in ints]
+            sums[key] = _Sums([slots.setdefault(k, len(slots)) for k in keys], keys,
+                              list(ints.values()))
+        return sums[key]
+
+    fields = {}
+    for key, (num, atoms) in live.items():
+        ij = d_index.get(key)
+        # D_{i,j} scales exp((A*t + B*x)/scale) by (P*A + Q*B)/(R*scale)
+        speeds = None
+        if ij is not None:
+            p, q, r = w.deriv_speeds(*ij)
+            speeds = p, q, r * scale
+        den = dens[atoms]
+        fields[key] = _Field(prepare(num, num), prepare(atoms, den) if atoms else None,
+                             num.lattice()[2] / den.lattice()[2], speeds)
+
+    # exp(a*t + b*x) = exp(a*t) * exp(b*x), each factor computed once
+    a_slot: Dict[int, int] = {}
+    b_slot: Dict[int, int] = {}
+    pairs = [(a_slot.setdefault(a, len(a_slot)), b_slot.setdefault(b, len(b_slot)))
+             for a, b in slots]
+    a_ks, b_ks = list(a_slot), list(b_slot)
+    every = list(sums.values())
+    exp_x = [(x, _exps(b_ks, x.numerator, scale * x.denominator)) for x in xs]
+    for t in ts:
+        et = _exps(a_ks, t.numerator, scale * t.denominator)
+        for x, ex in exp_x:
+            ms = [et[i][1] * ex[j][1] for i, j in pairs]
+            es = [et[i][2] + ex[j][2] for i, j in pairs]
+            tops = [e + m.bit_length() for m, e in zip(ms, es)]
+            got = {s: s.at(ms, es, tops) for s in every}
+            yield t, x, {key: f.at(got) for key, f in fields.items()}
 
 
 def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveConstants] = None,
@@ -1200,55 +1281,22 @@ def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveCon
     neighbours and one product per step (see _exps), so each exp(a*t) and
     exp(b*x) is within 1/2 + 2**-7 ulp of EVAL_PRECISION bits, whatever the
     size of the exponents; a term's exponential is their exact product.
-    Each polynomial is then summed as integers: every term is truncated to a
-    multiple of 2**e0 and multiplied by its integer coefficient, with e0 at
-    EVAL_PRECISION + 8 + bitlen(sum |n_k|) bits below the largest term (and
-    likewise for the D coefficients).  The truncation error is below
-    sum |n_k| * 2**e0 <= 2**-(EVAL_PRECISION + 7) times the sum's mass.
-    Value, mass, D value and D mass are each one integer ratio times a power
-    of two, rounded once to EVAL_PRECISION bits.  The pole rule
+    Each distinct polynomial is then summed once per point as integers
+    (_Sums; values that share a numerator or a denominator share its sums):
+    every term is truncated to a multiple of 2**e0 and multiplied by its
+    integer coefficient, with e0 at EVAL_PRECISION + 8 + bitlen(sum |n_k|)
+    bits below the largest term (and likewise for the D coefficients).  The
+    truncation error is below sum |n_k| * 2**e0 <= 2**-(EVAL_PRECISION + 7)
+    times the sum's mass.  Value, mass, D value and D mass are each one
+    integer ratio times a power of two (the form _grid_ints yields), rounded
+    once to EVAL_PRECISION bits.  The pole rule
     |d| < mass(d) * 2**-POLE_BITS is decided exactly on the integer sums.
     """
-    d_index = d_index or {}
-    # (numerator, denominator) of each nonzero value, its denominator formed once
-    live = {key: (u.num, u.den) for key, u in values.items() if not u.is_zero()}
-    # every exponent as an integer pair over one scale
-    scale = lcm(1, *(p.lattice()[0] for parts in live.values() for p in parts))
-    slots: Dict[Tuple[int, int], int] = {}  # exponent -> exp slot
-
-    def prepare(poly, ij) -> _Sums:
-        own, ints, _ = poly.lattice()
-        f = scale // own
-        keys = [(a * f, b * f) for a, b in ints]
-        idx = [slots.setdefault(k, len(slots)) for k in keys]
-        ns = list(ints.values())
-        if ij is None:
-            return _Sums(idx, ns)
-        # D_{i,j} scales exp((A*t + B*x)/scale) by (P*A + Q*B)/(R*scale)
-        p, q, _ = w.deriv_speeds(*ij)
-        return _Sums(idx, ns, [n * (p * a + q * b) for (a, b), n in zip(keys, ns)])
-
-    fields = {}
-    for key, (num, den) in live.items():
-        ij = d_index.get(key)
-        r = None if ij is None else w.deriv_speeds(*ij)[2] * scale
-        c = num.lattice()[2] / den.lattice()[2]
-        fields[key] = _Field(prepare(num, ij), None if den is ONE else prepare(den, ij), c, r)
-
-    # exp(a*t + b*x) = exp(a*t) * exp(b*x), each factor computed once
-    a_slot: Dict[int, int] = {}
-    b_slot: Dict[int, int] = {}
-    pairs = [(a_slot.setdefault(a, len(a_slot)), b_slot.setdefault(b, len(b_slot)))
-             for a, b in slots]
-    a_ks, b_ks = list(a_slot), list(b_slot)
-    exp_x = [(x, _exps(b_ks, x.numerator, scale * x.denominator)) for x in xs]
-    for t in ts:
-        et = _exps(a_ks, t.numerator, scale * t.denominator)
-        for x, ex in exp_x:
-            ms = [et[i][1] * ex[j][1] for i, j in pairs]
-            es = [et[i][2] + ex[j][2] for i, j in pairs]
-            tops = [e + m.bit_length() for m, e in zip(ms, es)]
-            yield t, x, {key: f.at(ms, es, tops) for key, f in fields.items()}
+    for t, x, vals in _grid_ints(values, ts, xs, w, d_index):
+        yield t, x, {key: None if v is None else
+                     (_round(v[0], v[2], v[6]), _round(v[1], v[2], v[6]),
+                      _round(v[3], v[5], v[6]), _round(v[4], v[5], v[6]))
+                     for key, v in vals.items()}
 
 
 def _eval_point(u: ExpRational, t: RatLike, x: RatLike):

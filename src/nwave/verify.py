@@ -10,9 +10,10 @@ Reports are plain data (dicts of strings, bools and lists), deterministic
 for identical inputs, and carry at most one rendered counterexample.
 
 This module judges; it does not evaluate.  Numeric mode takes its numbers
-from ``exprat.grid_values``, the package's one numeric evaluator (which
-``nwave sample`` and ``ExpRational.eval`` use too), and applies the
-tolerance rule to them.
+from ``exprat._grid_ints``, the integer form of ``exprat.grid_values``, the
+package's one numeric evaluator (which ``nwave sample`` and
+``ExpRational.eval`` use, rounded), and applies the tolerance rule to them
+exactly, on integers; it rounds only the numbers a detail prints.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from mpmath import libmp
 
-from .exprat import (
-    EVAL_PRECISION, _RND, _ZERO_FIELD, ExpPoly, ExpRational, _mpf, grid_values, wave_constants,
-)
+from .exprat import EVAL_PRECISION, ExpPoly, ExpRational, _grid_ints, _round, wave_constants
 from .spectral import SpectralData, initial_config, spectral_data, wave_exponent
 from .tau import TauZero, check_gra, solution_from_tau, tau_U
 from .toda import ab_closed, ab_init, ab_step, hankel_chain, toda_residual
@@ -110,82 +109,131 @@ def _eq_name(eq) -> str:
 
 # -- numeric grid checks ----------------------------------------------------------
 #
-# Values come from exprat.grid_values as raw mpmath.libmp values; the
-# tolerance is one too, so no value or tolerance can overflow.
+# Values come from exprat._grid_ints as exact integers, so each equation's
+# residual and scale are integer sums over one denominator and one power of
+# two, and the tolerance rule is decided on them exactly; only the numbers a
+# detail prints are rounded, each once.
 
-_TOL = libmp.from_float(REL_TOL)
+#: REL_TOL as the binary fraction the float holds: _TOL_NUM / _TOL_DEN, a power of two below.
+_TOL_NUM, _TOL_DEN = REL_TOL.as_integer_ratio()
 
 
-def _sci(v) -> str:
-    """``'%.3e'`` text of a libmp value, without float's range limit."""
-    if not v[1]:
+def _sci(p: int, q: int, e: int) -> str:
+    """``'%.3e'`` text of p/q * 2**e (q > 0), rounded once, without float's
+    range limit."""
+    if not p:
         return "0.000e+00"
-    s = libmp.to_str(v, 4, strip_zeros=False, min_fixed=1, max_fixed=0,
+    s = libmp.to_str(_round(p, q, e), 4, strip_zeros=False, min_fixed=1, max_fixed=0,
                      show_zero_exponent=True)
     mant, _, exp = s.partition("e")
     return f"{mant}e{int(exp):+03d}"
 
 
-def _judge(points) -> Tuple[bool, str]:
-    """Numeric verdict and detail from (t, x, value, scale) at each grid point.
+def _exceeds(a, b) -> bool:
+    """Whether p/q * 2**e of a = (p, q, e) exceeds that of b, both >= 0 with
+    q > 0: by their binary magnitudes when these are 2 or more apart, else by
+    one exact cross-multiplication."""
+    (p1, q1, e1), (p2, q2, e2) = a, b
+    if not (p1 and p2):
+        return p1 > p2
+    # p/q * 2**e lies strictly between 2**(m - 1) and 2**(m + 1) for m = e + bitlen(p) - bitlen(q)
+    gap = e1 + p1.bit_length() - q1.bit_length() - (e2 + p2.bit_length() - q2.bit_length())
+    if abs(gap) > 1:
+        return gap > 0
+    x, y = p1 * q2, p2 * q1
+    return (x << e1 - e2 if e1 >= e2 else x) > (y << e2 - e1 if e2 > e1 else y)
 
-    A point whose value is None is a pole: it is skipped and named in the
-    detail.  Any other point fails when |value| > REL_TOL * scale, and the
-    first failing point ends the check.  The scale is the mass before
-    cancellation, so the bound is relative at every size; it is 0 only
-    when every part is 0.  A check with no point left to judge fails.
+
+def _judge(points) -> Tuple[bool, str]:
+    """Numeric verdict and detail from (t, x, (R, S, D, E)) at each grid
+    point: the residual R/D * 2**E and its scale S/D * 2**E, integers with
+    D > 0 (see _equation_points).
+
+    A point given None is a pole: it is skipped and named in the detail.
+    Any other point fails when |R| > REL_TOL * S, compared exactly on the
+    integers with REL_TOL's binary value, and the first failing point ends
+    the check.  The scale is the mass before cancellation, so the bound is
+    relative at every size; it is 0 only when every part is 0.  The largest
+    |residual| is tracked exactly; only the numbers the detail prints are
+    rounded.  A check with no point left to judge fails.
     """
     poles = []
-    worst = libmp.fzero
+    worst = (0, 1, 0)
     checked = 0
-    for t, x, v, scale in points:
-        if v is None:
+    for t, x, point in points:
+        if point is None:
             poles.append(f"({t},{x})")
             continue
-        v = libmp.mpf_abs(v)
-        tol = libmp.mpf_mul(_TOL, scale)
-        if libmp.mpf_gt(v, tol):
-            return False, f"|residual| = {_sci(v)} > {_sci(tol)} at (t={t}, x={x})"
-        if libmp.mpf_gt(v, worst):
-            worst = v
+        r, s, d, e = point
+        r = abs(r)
+        if r * _TOL_DEN > _TOL_NUM * s:
+            return False, (f"|residual| = {_sci(r, d, e)} > {_sci(_TOL_NUM * s, _TOL_DEN * d, e)}"
+                           f" at (t={t}, x={x})")
+        if _exceeds((r, d, e), worst):
+            worst = r, d, e
         checked += 1
     if not checked:
         return False, "no grid point judged; poles at " + ", ".join(poles)
-    detail = f"max |residual| {_sci(worst)} over {checked} points"
+    detail = f"max |residual| {_sci(*worst)} over {checked} points"
     if poles:
         detail += "; poles skipped at " + ", ".join(poles)
     return True, detail
 
 
-def _equation_points(eq, points):
-    """(t, x, residual, scale) of one equation at every grid point.
+def _one_fraction(parts) -> Tuple[int, int, int, int]:
+    """(R, S, D, E) with R/D * 2**E the sum of r/d * 2**e and S/D * 2**E
+    that of s/d * 2**e over the parts (r, s, d, e), where s >= |r| and
+    d > 0: D is the product of the kept parts' d and E their least e.
 
-    ``points`` are the grid_values of the configuration.  The residual is
-    D f_lhs - sum c*f_a*f_b and its scale is mass(D f_lhs) +
-    sum |c|*mass(f_a)*mass(f_b).  The point is a pole (residual None) when
-    the left-hand field, or a factor of a product whose other factor is not
-    identically zero, has a pole there.
+    A part whose s/d * 2**e is below 2**-(4 * EVAL_PRECISION) of the largest
+    part's is left out, an error below 2**-(4 * EVAL_PRECISION - 1) of S
+    each, so that no integer grows with the spread of the exponents; a part
+    with s = 0 is 0.
     """
-    coefs = [(_mpf(-c), _mpf(abs(c))) for c, _, _ in eq.rhs]
+    parts = [part for part in parts if part[1]]
+    if not parts:
+        return 0, 0, 1, 0
+    # s/d * 2**e lies strictly between 2**(top - 1) and 2**(top + 1)
+    tops = [e + s.bit_length() - d.bit_length() for _, s, d, e in parts]
+    least = max(tops) - 4 * EVAL_PRECISION
+    parts = [part for part, top in zip(parts, tops) if top >= least]
+    e0 = min(e for _, _, _, e in parts)
+    r0, s0, d0 = 0, 0, 1
+    for r, s, d, e in parts:
+        r0, s0, d0 = r0 * d + (r << e - e0) * d0, s0 * d + (s << e - e0) * d0, d0 * d
+    return r0, s0, d0, e0
 
+
+def _equation_points(eq, points):
+    """(t, x, (R, S, D, E)) of one equation at every grid point, with
+    (t, x, None) at a pole.
+
+    ``points`` are the _grid_ints of the configuration.  The residual
+    D f_lhs - sum c*f_a*f_b is R/D * 2**E and its scale mass(D f_lhs) +
+    sum |c|*mass(f_a)*mass(f_b) is S/D * 2**E, integer sums over D, the
+    product of the terms' denominators (see _one_fraction).  The point is a
+    pole when the left-hand field, or a factor of a product whose other
+    factor is not identically zero, has a pole there.
+    """
     def at(vals):
-        lhs = vals.get(eq.lhs, _ZERO_FIELD)
-        if lhs is None:
-            return None, None
-        parts, masses = [lhs[2]], [lhs[3]]
-        for (neg_c, abs_c), (_, a, b) in zip(coefs, eq.rhs):
-            fa, fb = vals.get(a, _ZERO_FIELD), vals.get(b, _ZERO_FIELD)
-            if fa is _ZERO_FIELD or fb is _ZERO_FIELD:
+        parts = []
+        if eq.lhs in vals:
+            lhs = vals[eq.lhs]
+            if lhs is None:
+                return None
+            parts.append(lhs[3:])
+        for c, a, b in eq.rhs:  # c is an integer
+            if a not in vals or b not in vals:
                 continue
+            fa, fb = vals[a], vals[b]
             if fa is None or fb is None:
-                return None, None
-            parts.append(libmp.mpf_mul(neg_c, libmp.mpf_mul(fa[0], fb[0])))
-            masses.append(libmp.mpf_mul(abs_c, libmp.mpf_mul(fa[1], fb[1])))
-        return (libmp.mpf_sum(parts, EVAL_PRECISION, _RND),
-                libmp.mpf_sum(masses, EVAL_PRECISION, _RND))
+                return None
+            parts.append((-c * fa[0] * fb[0], abs(c) * fa[1] * fb[1], fa[2] * fb[2],
+                          fa[6] + fb[6]))
+        return _one_fraction(parts)
 
     for t, x, vals in points:
-        yield (t, x) + at(vals)
+        yield t, x, at(vals)
 
 
 def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Report:
@@ -193,16 +241,18 @@ def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Rep
 
     Exact mode decides each equation by cancellation of its cleared
     numerator, all of them from one residual pass.  Numeric
-    mode never builds a residual to judge: it evaluates each field with
-    exprat.grid_values on the fixed 9-point rational grid GRID_T x GRID_X
-    (numerator, denominator and the equation's D_{i,j} of the left-hand
-    field) and forms D f_lhs - sum c*f_a*f_b from those numbers.  A point
-    fails when |residual| exceeds REL_TOL times the pre-cancellation scale
-    mass(D f_lhs) + sum |c|*mass(f_a)*mass(f_b), where a field's mass is
-    the sum of its absolute term values over |its denominator|.  Points
-    where the evaluator finds a denominator vanishing to working precision
-    (|value| below its mass times 2**-POLE_BITS) are skipped and recorded
-    rather than aborting.  In either mode the report's counterexample is
+    mode never builds a residual to judge: it evaluates each field on the
+    fixed 9-point rational grid GRID_T x GRID_X (numerator, denominator and
+    the equation's D_{i,j} of the left-hand field), as exact integers from
+    exprat._grid_ints, and forms D f_lhs - sum c*f_a*f_b and its
+    pre-cancellation scale mass(D f_lhs) + sum |c|*mass(f_a)*mass(f_b) as
+    integer sums over one denominator and one power of two, where a
+    field's mass is the sum of its absolute term values over |its
+    denominator|.  A point fails when |residual| exceeds REL_TOL times the
+    scale, decided exactly on those integers.  Points where the evaluator
+    finds a denominator vanishing to working precision (|value| below its
+    mass times 2**-POLE_BITS) are skipped and recorded rather than
+    aborting.  In either mode the report's counterexample is
     the first failing equation's own residual, residual(m, cfg, [eq]),
     over the least common denominator of that equation's fields.  A model
     of another algebra than the configuration's is refused (ValueError).
@@ -214,8 +264,8 @@ def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Rep
         verdicts = [(True, "") if r.is_zero() else (False, "residual numerator nonzero")
                     for r in residual(m, cfg, m.equations)]
     else:
-        points = list(grid_values(cfg.fields, GRID_T, GRID_X, cfg.constants,
-                                  {eq.lhs: eq.d_index for eq in m.equations}))
+        points = list(_grid_ints(cfg.fields, GRID_T, GRID_X, cfg.constants,
+                                 {eq.lhs: eq.d_index for eq in m.equations}))
         verdicts = [_judge(_equation_points(eq, points)) for eq in m.equations]
     rep = Report(title=f"{m.name} configuration", mode=mode)
     for eq, (ok, detail) in zip(m.equations, verdicts):

@@ -1,5 +1,7 @@
-"""The numeric evaluator exprat.grid_values against a 400-bit reference."""
+"""The numeric evaluator exprat.grid_values, and the numeric judge on its
+integer form, against a 400-bit reference."""
 
+import functools
 from collections import Counter
 from fractions import Fraction
 
@@ -8,8 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _gridref as ref
-from nwave import exprat
+from nwave import exprat, verify
 from nwave.exprat import POLE_BITS, ExpPoly, ExpRational, grid_values, wave_constants
+from nwave.spectral import spectral_data
+from nwave.tau import solution_from_tau
+from nwave.wavesys import model, zero_config
 
 W = wave_constants("1", "1/2", "1/3", "1")
 DERIVS = [None, (1, 0), (0, 1), (1, 1), (1, 2), (2, 3)]
@@ -208,3 +213,96 @@ def test_pole_rule_is_exact_on_the_integer_sums(c, t, pole):
     u = ExpRational(ExpPoly.const(1), ExpPoly.term(1, 1, 0) - c)
     (_, _, vals), = grid_values({0: u}, [t], [Fraction(0)])
     assert (vals[0] is None) == pole
+
+
+# -- the numeric judge on the integer form ------------------------------------------
+
+_ZERO = ExpRational.zero()
+_TOL = mpmath.mpf(verify.REL_TOL)  # exactly the float's binary value
+
+
+@functools.cache
+def _solution(algebra: str):
+    s = spectral_data(W, [("2", "1"), ("-1", "1/2")], [("1", "1"), ("1/2", "2")])
+    return solution_from_tau(model(algebra), s, 1, 1)
+
+
+def _random_config(algebra: str):
+    keys = model(algebra).field_keys
+    return st.fixed_dictionaries({k: st.one_of(st.just(_ZERO), values) for k in keys}).map(
+        lambda fields: zero_config(algebra, W).with_fields(fields))
+
+
+def _perturbed(algebra: str, k: int, eps: Fraction):
+    sol = _solution(algebra)
+    keys = model(algebra).field_keys
+    key = keys[k % len(keys)]
+    return sol.with_fields({key: sol[key] * (1 + eps)})
+
+
+configs = st.one_of(
+    st.sampled_from(["A2", "B2"]).flatmap(_random_config),
+    # tau solutions with one field off by eps: cancellation down to REL_TOL and past it
+    st.builds(_perturbed, st.sampled_from(["A2", "B2"]), st.integers(0, 7),
+              st.sampled_from([Fraction(0), Fraction(1, 10 ** 12), Fraction(1, 10 ** 10),
+                               Fraction(-1, 10 ** 9), Fraction(1, 10 ** 8), Fraction(1, 10 ** 5)])),
+)
+
+
+def _reference_residual(eq, ref_fields):
+    """(pole, near, R, S, kappa) of one equation from the 400-bit fields:
+    whether the reference finds a pole, whether any field it reads is within
+    16x of the pole rule, and the residual, scale and largest
+    cancellation mass(d)/|d| of the fields it reads."""
+    at = 2 ** -POLE_BITS
+    reads = [ref_fields.get(eq.lhs)] + [
+        f for _, a, b in eq.rhs if a in ref_fields and b in ref_fields
+        for f in (ref_fields[a], ref_fields[b])]
+    reads = [f for f in reads if f is not None]
+    near = any(md * at / 16 <= ad <= md * at * 16 for *_, ad, md in reads)
+    if any(ad < md * at for *_, ad, md in reads):
+        return True, near, None, None, None
+    kappa = max([md / ad for *_, ad, md in reads], default=1)
+    r = s = mpmath.mpf(0)
+    if eq.lhs in ref_fields:
+        _, _, dv, dm, _, _ = ref_fields[eq.lhs]
+        r, s = dv, dm
+    for c, a, b in eq.rhs:
+        if a in ref_fields and b in ref_fields:
+            fa, fb = ref_fields[a], ref_fields[b]
+            r -= c * fa[0] * fb[0]
+            s += abs(c) * fa[1] * fb[1]
+    return False, near, r, s, kappa
+
+
+@settings(max_examples=40, deadline=None)
+@given(configs, coords, coords)
+def test_the_integer_judge_matches_a_400_bit_residual(cfg, ts, xs):
+    # Per equation and point: a pole where the reference finds one, and
+    # otherwise |R| > REL_TOL * S exactly when the reference's residual and
+    # scale say so.  Points within 16x of the pole rule, or within the
+    # evaluator's error of the tolerance, are not decided by either.
+    m = model(cfg.algebra)
+    d_index = {eq.lhs: eq.d_index for eq in m.equations}
+    points = list(exprat._grid_ints(cfg.fields, ts, xs, W, d_index))
+    judged = [list(verify._equation_points(eq, points)) for eq in m.equations]
+    for k, (t, x, _) in enumerate(points):
+        with mpmath.workprec(ref.PREC):
+            ref_fields = {}
+            for key, u in cfg.fields.items():
+                if not u.is_zero():
+                    ij = d_index.get(key)
+                    ref_fields[key] = ref.field(u, t, x, None if ij is None else ref.speeds(W, *ij))
+            for eq, points_of_eq in zip(m.equations, judged):
+                point = points_of_eq[k][2]
+                pole, near, r, s, kappa = _reference_residual(eq, ref_fields)
+                if near:
+                    continue
+                assert (point is None) == pole
+                if pole:
+                    continue
+                margin = kappa * s * mpmath.ldexp(1, -90)
+                if abs(abs(r) - _TOL * s) <= margin:
+                    continue
+                ok, _ = verify._judge([(t, x, point)])
+                assert ok == (abs(r) <= _TOL * s), (eq.lhs, t, x)

@@ -1,5 +1,6 @@
 """Verification driver: per-equation verdicts, numeric grid, suite reports."""
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from _hirota import equation_residual
 from nwave import exprat, transforms, verify, wavesys
 from nwave.cli import config_from_doc, config_to_doc
 from nwave.exprat import (
-    _ZERO_FIELD, ONE, ExpPoly, ExpRational, common_denominator, grid_values, wave_constants,
+    ONE, ExpPoly, ExpRational, common_denominator, grid_values, wave_constants,
 )
 from nwave.spectral import initial_config, spectral_data
 from nwave.tau import solution_from_tau
@@ -128,11 +129,13 @@ def test_render_poly_truncates_to_largest_terms():
 
 def residual_check(r):
     """Numeric verdict on one value: it must vanish at every grid point that
-    is not a pole, relative to its pre-cancellation scale."""
+    is not a pole, relative to its pre-cancellation scale.  The judge reads
+    each point's value V/Q * 2**e as the residual and its mass M/Q * 2**e as
+    the scale; an identically zero value is 0 over 1."""
     points = []
-    for t, x, vals in grid_values({"r": r}, GRID_T, GRID_X):
-        v = vals.get("r", _ZERO_FIELD)
-        points.append((t, x, None, None) if v is None else (t, x, v[0], v[1]))
+    for t, x, vals in exprat._grid_ints({"r": r}, GRID_T, GRID_X):
+        v = vals.get("r", (0, 0, 1, 0, 0, 1, 0))
+        points.append((t, x, None if v is None else (v[0], v[1], v[2], v[6])))
     return _judge(points)
 
 
@@ -211,15 +214,18 @@ def pole_a2():
     })
 
 
-@pytest.mark.parametrize("name, q", [("A2", Q2), ("G2", Q4)], ids=["A2-P2Q2", "G2-P2Q4"])
+@pytest.mark.parametrize("name, q, root", [
+    ("A2", Q2, (1, 0)), ("G2", Q4, (1, 0)),
+    ("B2", Q2, (1, 0)), ("B2", Q2, (1, 2)), ("B2", Q4, (1, 0)), ("B2", Q4, (1, 2)),
+], ids=["A2-P2Q2", "G2-P2Q4", "B2-P2Q2-f-1.0", "B2-P2Q2-f-1.2", "B2-P2Q4-f-1.0", "B2-P2Q4-f-1.2"])
 @pytest.mark.parametrize("eps", ["1e-8", "1e-6", "1e-4", "1e-2"])
-def test_numeric_mode_fails_a_field_off_by_a_small_relative_error(name, q, eps):
-    # A tau solution with f-1.0 scaled by 1 + eps is off by about eps
+def test_numeric_mode_fails_a_field_off_by_a_small_relative_error(name, q, root, eps):
+    # A tau solution with one f- scaled by 1 + eps is off by about eps
     # relative to the pre-cancellation scale, at least ten times REL_TOL:
     # every such configuration fails, so a looser tolerance is caught.
     m = model(name)
     sol = solution_from_tau(m, spectral_data(W, P2, q), 1, 1)
-    key = (MINUS, (1, 0))
+    key = (MINUS, root)
     bad = sol.with_fields({key: sol[key] * (1 + Fraction(eps))})
     assert not verify_config(m, bad, "numeric").passed
 
@@ -244,6 +250,40 @@ def test_numeric_mode_fails_the_pole_a2_configuration():
     assert not numeric.passed
     assert [c.passed for c in numeric.checks] == [c.passed for c in exact.checks]
     assert numeric.counterexample is not None
+
+
+def test_numeric_judging_keeps_its_integers_small_across_a_vast_exponent_spread(monkeypatch):
+    # f-1.0 = e^{10^7 t} against constant fields: at t = -1 the terms of
+    # D(1,0) f-1.0's residual are 14 million bits apart.  The residual and
+    # scale stay integers of a few hundred bits, since the term below
+    # 2**-480 of the largest is left out, and the verdicts and details are
+    # those of the product term alone.
+    m = model("A2")
+    fields = dict.fromkeys(m.field_keys, ExpRational.const(1))
+    fields[(MINUS, (1, 0))] = ExpRational(ExpPoly.term(1, 10 ** 7, 0))
+    one_fraction, widths = verify._one_fraction, []
+
+    def recording(parts):
+        out = one_fraction(parts)
+        widths.append(max(abs(v).bit_length() for v in out[:3]))
+        return out
+
+    monkeypatch.setattr(verify, "_one_fraction", recording)
+    rep = verify_config(m, zero_config("A2", W).with_fields(fields), "numeric")
+    assert widths and max(widths) < 1000
+    assert [c.passed for c in rep.checks] == [False] * 6
+    assert {c.detail for c in rep.checks} >= {
+        "|residual| = 1.000e+00 > 1.000e-09 at (t=-1, x=-1/3)"}
+
+
+def test_the_judge_reports_the_largest_residual_exactly():
+    # Points (t, x, (R, S, D, E)): residual R/D * 2**E with scale S/D * 2**E.
+    # An exact zero at a large power of two, a residual far smaller and
+    # one within a bit of the largest leave 3/4 the largest; the 2**60
+    # scales keep every point passing.
+    points = [(0, k, (r, abs(r) << 60 or 1, d, e)) for k, (r, d, e) in enumerate(
+        [(3, 1, -2), (0, 7, 40), (-5, 7, 0), (1, 1, -200)])]
+    assert verify._judge(points) == (True, "max |residual| 7.500e-01 over 4 points")
 
 
 def test_numeric_check_that_judges_no_point_fails():
@@ -422,6 +462,45 @@ def test_a_model_of_another_algebra_is_refused(name, mode):
         verify_config(model(name), cfg, mode)
     with pytest.raises(ValueError, match=f"{name} model does not match a B2 configuration"):
         residual(model(name), cfg, model(name).equations[:1])
+
+
+def test_numeric_verify_of_g2_judges_on_integers_and_sums_each_polynomial_once_per_point(
+        monkeypatch):
+    # The judge reads the evaluator's integer sums: no libmp product or sum
+    # is formed while judging.  The ten nonzero fields of a G2 tau solution
+    # share one denominator, tau, also as equal copies after a round trip
+    # through a document; it is summed once per grid point, as is each
+    # distinct numerator, not once per field.
+    m = model("G2")
+    cfg = solution_from_tau(m, spectral_data(W, P2, Q4), 1, 1)
+    judge, at = verify._judge, exprat._Sums.at
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("libmp arithmetic while judging")
+
+    def plain_judge(points):
+        with monkeypatch.context() as patch:
+            patch.setattr(exprat.libmp, "mpf_mul", forbidden)
+            patch.setattr(exprat.libmp, "mpf_sum", forbidden)
+            return judge(points)
+
+    for c in (cfg, config_from_doc(config_to_doc(cfg))):
+        live = [u for u in c.fields.values() if not u.is_zero()]
+        assert len(live) == 10 and len({u.den for u in live}) == 1
+        calls = Counter()
+
+        def counting_at(sums, *args):
+            calls[sums] += 1
+            return at(sums, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_judge", plain_judge)
+            patch.setattr(exprat._Sums, "at", counting_at)
+            rep = verify_config(m, c, "numeric")
+        assert rep.passed
+        assert all("over 9 points" in check.detail for check in rep.checks)
+        assert len(calls) == len({u.num for u in live}) + 1
+        assert set(calls.values()) == {len(GRID)}
 
 
 def test_exact_verify_of_a_tau_solution_never_squares_tau(monkeypatch):
