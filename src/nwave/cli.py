@@ -32,7 +32,7 @@ from math import gcd, lcm
 from mpmath import libmp
 
 from .exprat import (
-    _ZERO_FIELD, DivisionByZeroField, ExpPoly, ExpRational, InexactDivision, grid_values,
+    DivisionByZeroField, ExpPoly, ExpRational, InexactDivision, grid_values, round_ratio,
     wave_constants,
 )
 from .spectral import InvalidSpectralData, spectral_data
@@ -359,8 +359,9 @@ def cmd_sample(args) -> int:
     for t, x, vals in grid_values(cfg.fields, ts, xs):
         cells = [str(float(t)), str(float(x))]
         for k in keys:
-            v = vals.get(k, _ZERO_FIELD)
-            cells.append("" if v is None else libmp.to_str(v[0], 17))
+            v = vals.get(k)  # an identically zero field has no entry
+            cells.append("0.0" if k not in vals else "" if v is None
+                         else libmp.to_str(round_ratio(v[0], v[2], v[6]), 17))
         lines.append(",".join(cells))
     _emit("\n".join(lines) + "\n", args.csv)
     return 0

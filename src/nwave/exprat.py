@@ -13,9 +13,9 @@ coefficients are integers times one rational content.  Ring operations then
 run on ints; ``terms`` shows the rational view at the boundary.
 
 ``grid_values`` is the package's one numeric evaluator, with its one pole
-rule: ``nwave sample`` and ``ExpRational.eval`` turn values into numbers
-through it, and numeric verification judges its exact integer form
-(``_grid_ints``) before any rounding.
+rule.  It yields each value as exact integers; numeric verification judges
+that form, and a number is rounded (``round_ratio``) only where it leaves
+the package: ``nwave sample``, ``ExpRational.eval`` and a report's detail.
 """
 
 from __future__ import annotations
@@ -317,7 +317,7 @@ class ExpPoly:
 
     def eval_mass(self, t: RatLike, x: RatLike):
         """Sum of absolute term values at (t, x): the pre-cancellation scale."""
-        return mpmath.mp.make_mpf(_eval_point(ExpRational(self), t, x)[1])
+        return _eval_point(ExpRational(self), t, x, 1)
 
     def __repr__(self) -> str:
         if not self._ints:
@@ -970,10 +970,10 @@ class ExpRational:
         """Numeric value at rational (t, x), as an mpmath mpf (no float
         overflow or underflow); EvalPole where the denominator vanishes to
         working precision (see POLE_BITS)."""
-        v = _eval_point(self, t, x)
+        v = _eval_point(self, t, x, 0)
         if v is None:
             raise EvalPole(f"denominator vanishes to working precision at (t={t}, x={x})")
-        return mpmath.mp.make_mpf(v[0])
+        return v
 
     def __repr__(self) -> str:
         if self.is_poly():
@@ -1037,17 +1037,15 @@ def common_denominator(values: Sequence[ExpRational]) -> Tuple[ExpPoly, List[Exp
 
 # -- numeric evaluation -----------------------------------------------------------
 #
-# Numbers handed out are raw mpmath.libmp values (sign, mantissa, exponent,
-# bitcount).  Inside, a coordinate's exponentials are walked one distinct gap
-# at a time (_exps), each within 1/2 + 2**-7 ulp of EVAL_PRECISION bits; each
-# distinct polynomial's terms are summed as integers once per point, and a
-# value is an integer ratio times a power of two (_grid_ints), rounded once
-# to EVAL_PRECISION bits where a number is handed out; nothing goes through
-# float, so no value can overflow.
+# A coordinate's exponentials are walked one distinct gap at a time (_exps)
+# and kept at the walk's own precision; each distinct polynomial's terms are
+# summed as integers once per point, and grid_values yields every value as
+# an integer ratio times a power of two.  Nothing goes through float, so no
+# value can overflow.  A number is rounded only where it leaves the package,
+# once, by round_ratio, to a raw mpmath.libmp value (sign, mantissa,
+# exponent, bitcount).
 
 _RND = libmp.round_nearest
-#: (value, mass, D value, D mass) of an identically zero field.
-_ZERO_FIELD = (libmp.fzero,) * 4
 #: Bits a sum keeps below its largest term, besides those of its coefficients.
 _GUARD = EVAL_PRECISION + 8
 
@@ -1060,11 +1058,10 @@ def _exps(ks: Sequence[int], n: int, d: int) -> List[tuple]:
     with exp of the least k and of each distinct gap computed once.  The
     walk runs at prec = EVAL_PRECISION + 8 + bitlen(2N) bits for N distinct
     ks, and every argument keeps prec bits after the binary point, so a
-    large one loses no relative accuracy.  A value carries at most 3N + 1
-    roundings at prec (two per exponential, one per product), a relative
-    error below 1.5 * 2**-(EVAL_PRECISION + 8) whatever the size of the ks;
-    rounded once to EVAL_PRECISION bits, it is within 1/2 + 2**-7 ulp of
-    the exact value.
+    large one loses no relative accuracy.  The values are handed out at
+    prec: each carries at most 3N + 1 roundings there (two per exponential,
+    one per product), a relative error below 1.5 * 2**-(EVAL_PRECISION + 8)
+    whatever the size of the ks.
     """
     if not n or not ks:
         return [libmp.fone] * len(ks)
@@ -1075,7 +1072,7 @@ def _exps(ks: Sequence[int], n: int, d: int) -> List[tuple]:
 
     def exp(k: int) -> tuple:
         if k not in exps:
-            x = _round(k * n, d, 0, prec + (abs(k * n) // d).bit_length())
+            x = round_ratio(k * n, d, 0, prec + (abs(k * n) // d).bit_length())
             exps[k] = libmp.mpf_exp(x, prec, _RND)
         return exps[k]
 
@@ -1083,11 +1080,13 @@ def _exps(ks: Sequence[int], n: int, d: int) -> List[tuple]:
     walked = {walk[0]: v}
     for lo, hi in zip(walk, walk[1:]):
         v = walked[hi] = libmp.mpf_mul(v, exp(hi - lo), prec, _RND)
-    return [libmp.mpf_pos(walked[k], EVAL_PRECISION, _RND) for k in ks]
+    return [walked[k] for k in ks]
 
 
-def _round(p: int, q: int, e: int, prec: int = EVAL_PRECISION) -> tuple:
-    """p/q * 2**e (q != 0), rounded once to prec bits.
+def round_ratio(p: int, q: int, e: int, prec: int = EVAL_PRECISION) -> tuple:
+    """p/q * 2**e (q != 0) as a libmp value, rounded once to prec bits: the
+    package's one rounding of an integer ratio, which turns grid_values'
+    integer form into the numbers the package prints.
 
     The quotient is taken to at least prec + 5 bits, with a sticky low bit
     when inexact, so that rounding it is rounding p/q.
@@ -1175,7 +1174,7 @@ class _Field:
 
     def at(self, got):
         """(V, M, Q, DV, DM, QD, e) at one point from the sums ``got`` there
-        (see _grid_ints), None at a pole."""
+        (see grid_values), None at a pole."""
         en, n, mn, dns = got[self.num]
         r = self.r
         if self.den is None:
@@ -1198,16 +1197,37 @@ class _Field:
                 vd * r * d * d, e)
 
 
-def _grid_ints(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveConstants] = None,
-               d_index: Optional[Mapping] = None) -> Iterator[tuple]:
-    """grid_values' points with each value as exact integers.
+def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveConstants] = None,
+                d_index: Optional[Mapping] = None) -> Iterator[tuple]:
+    """Values and masses of some ExpRationals at every point of ts x xs, as
+    exact integers.
 
-    Yields ``(t, x, {key: (V, M, Q, DV, DM, QD, e)})``: value V/Q * 2**e,
-    mass M/Q * 2**e, D value DV/QD * 2**e and D mass DM/QD * 2**e, with
-    Q, QD > 0 (DV = DM = 0 and QD = 1 for a key without a derivative), or
-    None at a pole; identically zero values have no entry.  Each distinct
-    numerator, and each distinct denominator (keyed by its atoms, and
-    expanded once), is summed once per point by one _Sums.
+    Yields ``(t, x, {key: (V, M, Q, DV, DM, QD, e)})`` for rational t and
+    x, in t-major order: value V/Q * 2**e, mass M/Q * 2**e, D value
+    DV/QD * 2**e and D mass DM/QD * 2**e, with Q, QD > 0, or None where
+    the key's denominator vanishes to working precision.  D is the
+    derivative ``d_index[key]`` under the wave constants ``w``
+    (DV = DM = 0 and QD = 1 for keys it does not name).  The mass is the
+    pre-cancellation scale, the sum of absolute term values over
+    |denominator|.  Identically zero values have no entry.  A polynomial
+    value's denominator is 1, so it is not summed and never makes a pole.
+    round_ratio(V, Q, e) is the value as a number, rounded once.
+
+    Exponents are read off the polynomials' integer lattices and brought to
+    one common scale.  At each nonzero t (and x) the distinct a (and b) are
+    walked in order, with one exponential per distinct gap between
+    neighbours and one product per step (see _exps), so each exp(a*t) and
+    exp(b*x) is within a relative error of 1.5 * 2**-(EVAL_PRECISION + 8),
+    whatever the size of the exponents; a term's exponential is their exact
+    product.  Each distinct polynomial is then summed once per point as
+    integers by one _Sums (values that share a numerator, or a denominator,
+    keyed by its atoms and expanded once, share its sums): every term is
+    truncated to a multiple of 2**e0 and multiplied by its integer
+    coefficient, with e0 at EVAL_PRECISION + 8 + bitlen(sum |n_k|) bits
+    below the largest term (and likewise for the D coefficients).  The
+    truncation error is below sum |n_k| * 2**e0 <= 2**-(EVAL_PRECISION + 7)
+    times the sum's mass.  The pole rule |d| < mass(d) * 2**-POLE_BITS is
+    decided exactly on the integer sums.
     """
     d_index = d_index or {}
     live = {}  # key -> (numerator, atoms) of each nonzero value
@@ -1262,44 +1282,11 @@ def _grid_ints(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveCons
             yield t, x, {key: f.at(got) for key, f in fields.items()}
 
 
-def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveConstants] = None,
-                d_index: Optional[Mapping] = None) -> Iterator[tuple]:
-    """Values and masses of some ExpRationals at every point of ts x xs.
-
-    Yields ``(t, x, {key: (value, mass, D value, D mass)})`` for rational t
-    and x, in t-major order, with libmp values; a key maps to None where its
-    denominator vanishes to working precision.  D is the derivative
-    ``d_index[key]`` under the wave constants ``w`` (zero for keys it does
-    not name).  The mass is the pre-cancellation scale, the sum of absolute
-    term values over |denominator|.  Identically zero values have no entry.
-    A polynomial value's denominator is 1, so it is not summed and never
-    makes a pole.
-
-    Exponents are read off the polynomials' integer lattices and brought to
-    one common scale.  At each nonzero t (and x) the distinct a (and b) are
-    walked in order, with one exponential per distinct gap between
-    neighbours and one product per step (see _exps), so each exp(a*t) and
-    exp(b*x) is within 1/2 + 2**-7 ulp of EVAL_PRECISION bits, whatever the
-    size of the exponents; a term's exponential is their exact product.
-    Each distinct polynomial is then summed once per point as integers
-    (_Sums; values that share a numerator or a denominator share its sums):
-    every term is truncated to a multiple of 2**e0 and multiplied by its
-    integer coefficient, with e0 at EVAL_PRECISION + 8 + bitlen(sum |n_k|)
-    bits below the largest term (and likewise for the D coefficients).  The
-    truncation error is below sum |n_k| * 2**e0 <= 2**-(EVAL_PRECISION + 7)
-    times the sum's mass.  Value, mass, D value and D mass are each one
-    integer ratio times a power of two (the form _grid_ints yields), rounded
-    once to EVAL_PRECISION bits.  The pole rule
-    |d| < mass(d) * 2**-POLE_BITS is decided exactly on the integer sums.
-    """
-    for t, x, vals in _grid_ints(values, ts, xs, w, d_index):
-        yield t, x, {key: None if v is None else
-                     (_round(v[0], v[2], v[6]), _round(v[1], v[2], v[6]),
-                      _round(v[3], v[5], v[6]), _round(v[4], v[5], v[6]))
-                     for key, v in vals.items()}
-
-
-def _eval_point(u: ExpRational, t: RatLike, x: RatLike):
-    """(value, mass, D value, D mass) of u at one point, None at a pole."""
+def _eval_point(u: ExpRational, t: RatLike, x: RatLike, part: int):
+    """u's value (part 0) or mass (part 1) at one point as an mpmath mpf,
+    rounded once; None at a pole."""
     _, _, vals = next(grid_values({0: u}, (as_frac(t),), (as_frac(x),)))
-    return vals.get(0, _ZERO_FIELD)
+    if 0 not in vals:  # u is identically zero
+        return mpmath.mpf(0)
+    v = vals[0]
+    return None if v is None else mpmath.mp.make_mpf(round_ratio(v[part], v[2], v[6]))

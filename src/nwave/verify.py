@@ -10,10 +10,9 @@ Reports are plain data (dicts of strings, bools and lists), deterministic
 for identical inputs, and carry at most one rendered counterexample.
 
 This module judges; it does not evaluate.  Numeric mode takes its numbers
-from ``exprat._grid_ints``, the integer form of ``exprat.grid_values``, the
-package's one numeric evaluator (which ``nwave sample`` and
-``ExpRational.eval`` use, rounded), and applies the tolerance rule to them
-exactly, on integers; it rounds only the numbers a detail prints.
+from ``exprat.grid_values``, the package's one numeric evaluator, as exact
+integers, and applies the tolerance rule to them exactly; it rounds only
+the numbers a detail prints, each once, with ``exprat.round_ratio``.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from mpmath import libmp
 
-from .exprat import EVAL_PRECISION, ExpPoly, ExpRational, _grid_ints, _round, wave_constants
+from .exprat import EVAL_PRECISION, ExpPoly, ExpRational, grid_values, round_ratio, wave_constants
 from .spectral import SpectralData, initial_config, spectral_data, wave_exponent
 from .tau import TauZero, check_gra, solution_from_tau, tau_U
 from .toda import ab_closed, ab_init, ab_step, hankel_chain, toda_residual
@@ -109,7 +108,7 @@ def _eq_name(eq) -> str:
 
 # -- numeric grid checks ----------------------------------------------------------
 #
-# Values come from exprat._grid_ints as exact integers, so each equation's
+# Values come from exprat.grid_values as exact integers, so each equation's
 # residual and scale are integer sums over one denominator and one power of
 # two, and the tolerance rule is decided on them exactly; only the numbers a
 # detail prints are rounded, each once.
@@ -123,7 +122,7 @@ def _sci(p: int, q: int, e: int) -> str:
     range limit."""
     if not p:
         return "0.000e+00"
-    s = libmp.to_str(_round(p, q, e), 4, strip_zeros=False, min_fixed=1, max_fixed=0,
+    s = libmp.to_str(round_ratio(p, q, e), 4, strip_zeros=False, min_fixed=1, max_fixed=0,
                      show_zero_exponent=True)
     mant, _, exp = s.partition("e")
     return f"{mant}e{int(exp):+03d}"
@@ -208,7 +207,7 @@ def _equation_points(eq, points):
     """(t, x, (R, S, D, E)) of one equation at every grid point, with
     (t, x, None) at a pole.
 
-    ``points`` are the _grid_ints of the configuration.  The residual
+    ``points`` are the grid_values of the configuration.  The residual
     D f_lhs - sum c*f_a*f_b is R/D * 2**E and its scale mass(D f_lhs) +
     sum |c|*mass(f_a)*mass(f_b) is S/D * 2**E, integer sums over D, the
     product of the terms' denominators (see _one_fraction).  The point is a
@@ -243,8 +242,8 @@ def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Rep
     numerator, all of them from one residual pass.  Numeric
     mode never builds a residual to judge: it evaluates each field on the
     fixed 9-point rational grid GRID_T x GRID_X (numerator, denominator and
-    the equation's D_{i,j} of the left-hand field), as exact integers from
-    exprat._grid_ints, and forms D f_lhs - sum c*f_a*f_b and its
+    the equation's D_{i,j} of the left-hand field), as the exact integers
+    exprat.grid_values yields, and forms D f_lhs - sum c*f_a*f_b and its
     pre-cancellation scale mass(D f_lhs) + sum |c|*mass(f_a)*mass(f_b) as
     integer sums over one denominator and one power of two, where a
     field's mass is the sum of its absolute term values over |its
@@ -264,8 +263,8 @@ def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Rep
         verdicts = [(True, "") if r.is_zero() else (False, "residual numerator nonzero")
                     for r in residual(m, cfg, m.equations)]
     else:
-        points = list(_grid_ints(cfg.fields, GRID_T, GRID_X, cfg.constants,
-                                 {eq.lhs: eq.d_index for eq in m.equations}))
+        points = list(grid_values(cfg.fields, GRID_T, GRID_X, cfg.constants,
+                                  {eq.lhs: eq.d_index for eq in m.equations}))
         verdicts = [_judge(_equation_points(eq, points)) for eq in m.equations]
     rep = Report(title=f"{m.name} configuration", mode=mode)
     for eq, (ok, detail) in zip(m.equations, verdicts):

@@ -1,7 +1,9 @@
-"""The numeric evaluator exprat.grid_values, and the numeric judge on its
-integer form, against a 400-bit reference."""
+"""The numeric evaluator exprat.grid_values, its integer form rounded
+through exprat.round_ratio, and the numeric judge on that form, against a
+400-bit reference."""
 
 import functools
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -10,11 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _gridref as ref
-from nwave import exprat, verify
-from nwave.exprat import POLE_BITS, ExpPoly, ExpRational, grid_values, wave_constants
+from nwave import cli, exprat, verify
+from nwave.cli import config_to_doc
+from nwave.exprat import POLE_BITS, ExpPoly, ExpRational, grid_values, round_ratio, wave_constants
 from nwave.spectral import spectral_data
 from nwave.tau import solution_from_tau
-from nwave.wavesys import model, zero_config
+from nwave.wavesys import field_label, model, zero_config
 
 W = wave_constants("1", "1/2", "1/3", "1")
 DERIVS = [None, (1, 0), (0, 1), (1, 1), (1, 2), (2, 3)]
@@ -45,6 +48,14 @@ def _close(got, want, bound):
     return abs(mpmath.mp.make_mpf(got) - want) <= bound
 
 
+def _numbers(v):
+    """(value, mass, D value, D mass) of one point's integer form
+    (V, M, Q, DV, DM, QD, e), each rounded once."""
+    V, M, Q, DV, DM, QD, e = v
+    return (round_ratio(V, Q, e), round_ratio(M, Q, e),
+            round_ratio(DV, QD, e), round_ratio(DM, QD, e))
+
+
 @settings(max_examples=150)
 @given(st.lists(values, min_size=1, max_size=3), coords, coords,
        st.lists(st.sampled_from(DERIVS), min_size=3, max_size=3))
@@ -72,12 +83,13 @@ def test_grid_values_matches_a_400_bit_reference(us, ts, xs, derivs):
                 assert ad > md * mpmath.ldexp(1, -4 - POLE_BITS)
                 kappa = md / ad
                 tol = mpmath.ldexp(kappa, -110)
-                assert _close(got[0], value, tol * mass)
-                assert _close(got[1], mass, tol * mass)
-                assert _close(got[2], dvalue, tol * dmass)
-                assert _close(got[3], dmass, tol * dmass)
+                numbers = _numbers(got)
+                assert _close(numbers[0], value, tol * mass)
+                assert _close(numbers[1], mass, tol * mass)
+                assert _close(numbers[2], dvalue, tol * dmass)
+                assert _close(numbers[3], dmass, tol * dmass)
                 if ij is None:
-                    assert got[2] == got[3] == exprat.libmp.fzero
+                    assert got[3:6] == (0, 0, 1)
 
 
 def test_grid_values_keeps_the_reference_across_wide_exponent_spreads():
@@ -94,7 +106,7 @@ def test_grid_values_keeps_the_reference_across_wide_exponent_spreads():
         for k, u in fields.items():
             value, mass, dvalue, dmass, _, _ = ref.field(u, t, x, ref.speeds(W, 1, 0))
             with mpmath.workprec(ref.PREC):
-                for got, want, scale in zip(vals[k], (value, mass, dvalue, dmass),
+                for got, want, scale in zip(_numbers(vals[k]), (value, mass, dvalue, dmass),
                                             (mass, mass, dmass, dmass)):
                     assert _close(got, want, mpmath.ldexp(scale, -115))
 
@@ -170,6 +182,43 @@ def test_grid_values_makes_one_exponential_per_distinct_gap(monkeypatch):
                 _distinct_nonzero_exponents(u, ts, xs)
 
 
+def test_grid_values_rounds_no_value(monkeypatch):
+    # The walked exponentials keep their own bits and the values are exact
+    # integers: the only rounding is each exponential's argument.
+    for u in _values_over_one_den()[:2]:
+        calls = _libmp_calls(monkeypatch, u)
+        assert calls["mpf_pos"] == 0
+        assert calls["normalize"] == calls["mpf_exp"] > 0
+
+
+def test_sample_rounds_each_printed_value_once(monkeypatch, tmp_path):
+    # A2 with one field polynomial, one with a pole on t = 0 and four
+    # identically zero, on a 5 x 3 grid: one rounding per cell that prints
+    # a value, none for a pole or a zero field, and none in the evaluator.
+    cfg = zero_config("A2", W)
+    keys = sorted(cfg.fields, key=field_label)
+    pole = ExpRational(ExpPoly.const(1), ExpPoly.term(1, 1, 0) - 1)
+    cfg = cfg.with_fields({keys[0]: ExpRational(ExpPoly.term(3, 2, -1) + 1), keys[1]: pole})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config_to_doc(cfg)))
+    counter, rounded = _CountingLibmp(), []
+
+    def counting(*args):
+        rounded.append(args)
+        return round_ratio(*args)
+
+    monkeypatch.setattr(exprat, "libmp", counter)
+    monkeypatch.setattr(cli, "round_ratio", counting)
+    assert cli.main(["sample", "--in", str(path), "--t0", "-1", "--t1", "1", "--nt", "5",
+                     "--x0", "0", "--x1", "1", "--nx", "3", "--csv", str(tmp_path / "s.csv")]) == 0
+    rows = [line.split(",")[2:] for line in (tmp_path / "s.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 15
+    assert [sum(row[k] == "" for row in rows) for k in range(2)] == [0, 3]
+    assert all(row[k] == "0.0" for row in rows for k in range(2, 6))
+    assert len(rounded) == 15 + 12
+    assert counter.calls["mpf_pos"] == 0
+
+
 # Integer exponents for _exps: dense runs, multiples of a gcd above 1 (with
 # duplicates), a single value, lists with 0, and values 2000 apart.
 _ints = st.integers(-30, 30)
@@ -187,17 +236,17 @@ exp_lists = st.one_of(
 @given(exp_lists,
        st.one_of(st.integers(-12, 12), st.integers(-10 ** 30, 10 ** 30)).filter(bool),
        st.one_of(st.integers(1, 12), st.integers(1, 10 ** 30)))
-def test_exps_are_within_half_an_ulp_of_a_400_bit_reference(ks, n, d):
-    # The walk's values are rounded once to 120 bits from a product chain
-    # kept 8 + bitlen(2N) bits wider, so each is within 1/2 + 2**-7 ulp.
+def test_exps_are_within_the_walks_bound_of_a_400_bit_reference(ks, n, d):
+    # The walk's values are handed out at its own precision,
+    # EVAL_PRECISION + 8 + bitlen(2N) bits, after at most 3N + 1 roundings
+    # there, so each is within a relative 1.5 * 2**-(EVAL_PRECISION + 8).
     got = exprat._exps(ks, n, d)
     assert len(got) == len(ks)
     with mpmath.workprec(ref.PREC):
+        bound = mpmath.ldexp(1.5, -(exprat.EVAL_PRECISION + 8))
         for k, v in zip(ks, got):
             want = mpmath.exp(mpmath.mpf(k * n) / d)
-            _, _, exp, bc = want._mpf_
-            ulp = mpmath.ldexp(1, exp + bc - exprat.EVAL_PRECISION)
-            assert abs(mpmath.mp.make_mpf(v) - want) <= ulp * 0.51, (k, n, d)
+            assert abs(mpmath.mp.make_mpf(v) - want) <= bound * want, (k, n, d)
 
 
 @pytest.mark.parametrize("c, t, pole", [
@@ -240,12 +289,40 @@ def _perturbed(algebra: str, k: int, eps: Fraction):
     return sol.with_fields({key: sol[key] * (1 + eps)})
 
 
-configs = st.one_of(
-    st.sampled_from(["A2", "B2"]).flatmap(_random_config),
+def _with_pole(algebra: str, on_lhs: bool):
+    """A random configuration with a vanishing denominator, which is 0 at
+    t = x = 0, on a left-hand field, or on a product factor whose partner
+    is then identically zero."""
+    m = model(algebra)
+    if on_lhs:
+        sites = [(eq.lhs, None) for eq in m.equations]
+    else:
+        sites = [(a, b) for eq in m.equations for _, a, b in eq.rhs if a != b]
+
+    def place(cfg, site, num, den):
+        key, partner = site
+        fields = {key: ExpRational(num, den)}
+        if partner is not None:
+            fields[partner] = _ZERO
+        return cfg.with_fields(fields)
+    return st.builds(place, _random_config(algebra), st.sampled_from(sites),
+                     polys.filter(bool), vanishing)
+
+
+with_zero = coords.map(lambda c: c if 0 in c else [*c, Fraction(0)])
+cases = st.one_of(
+    st.tuples(st.sampled_from(["A2", "B2"]).flatmap(_random_config), coords, coords),
     # tau solutions with one field off by eps: cancellation down to REL_TOL and past it
-    st.builds(_perturbed, st.sampled_from(["A2", "B2"]), st.integers(0, 7),
-              st.sampled_from([Fraction(0), Fraction(1, 10 ** 12), Fraction(1, 10 ** 10),
-                               Fraction(-1, 10 ** 9), Fraction(1, 10 ** 8), Fraction(1, 10 ** 5)])),
+    st.tuples(st.builds(_perturbed, st.sampled_from(["A2", "B2"]), st.integers(0, 7),
+                        st.sampled_from([Fraction(0), Fraction(1, 10 ** 12), Fraction(1, 10 ** 10),
+                                         Fraction(-1, 10 ** 9), Fraction(1, 10 ** 8),
+                                         Fraction(1, 10 ** 5)])),
+              coords, coords),
+    # a pole at (0, 0) of a left-hand field, and of a factor that is skipped
+    st.tuples(st.sampled_from(["A2", "B2"]).flatmap(lambda a: _with_pole(a, True)),
+              with_zero, with_zero),
+    st.tuples(st.sampled_from(["A2", "B2"]).flatmap(lambda a: _with_pole(a, False)),
+              with_zero, with_zero),
 )
 
 
@@ -276,15 +353,16 @@ def _reference_residual(eq, ref_fields):
 
 
 @settings(max_examples=40, deadline=None)
-@given(configs, coords, coords)
-def test_the_integer_judge_matches_a_400_bit_residual(cfg, ts, xs):
+@given(cases)
+def test_the_integer_judge_matches_a_400_bit_residual(case):
     # Per equation and point: a pole where the reference finds one, and
     # otherwise |R| > REL_TOL * S exactly when the reference's residual and
     # scale say so.  Points within 16x of the pole rule, or within the
     # evaluator's error of the tolerance, are not decided by either.
+    cfg, ts, xs = case
     m = model(cfg.algebra)
     d_index = {eq.lhs: eq.d_index for eq in m.equations}
-    points = list(exprat._grid_ints(cfg.fields, ts, xs, W, d_index))
+    points = list(grid_values(cfg.fields, ts, xs, W, d_index))
     judged = [list(verify._equation_points(eq, points)) for eq in m.equations]
     for k, (t, x, _) in enumerate(points):
         with mpmath.workprec(ref.PREC):

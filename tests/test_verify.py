@@ -133,7 +133,7 @@ def residual_check(r):
     each point's value V/Q * 2**e as the residual and its mass M/Q * 2**e as
     the scale; an identically zero value is 0 over 1."""
     points = []
-    for t, x, vals in exprat._grid_ints({"r": r}, GRID_T, GRID_X):
+    for t, x, vals in grid_values({"r": r}, GRID_T, GRID_X):
         v = vals.get("r", (0, 0, 1, 0, 0, 1, 0))
         points.append((t, x, None if v is None else (v[0], v[1], v[2], v[6])))
     return _judge(points)
