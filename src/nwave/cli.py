@@ -198,7 +198,7 @@ def _ratio(v, what: str, k: int, part: str):
     return f.numerator, f.denominator
 
 
-def _poly_from_terms(items, what: str) -> ExpPoly:
+def _poly_from_terms(items, what: str, w) -> ExpPoly:
     if not isinstance(items, list):
         raise InputError(f"{what}: expected a list of terms")
     rows = []
@@ -217,7 +217,7 @@ def _poly_from_terms(items, what: str) -> ExpPoly:
     for (an, ad), (bn, bd), (cn, cd) in rows:
         key = (an * (scale // ad), bn * (scale // bd))
         ints[key] = ints.get(key, 0) + cn * (den // cd)
-    return ExpPoly.from_lattice(scale, ints, Fraction(1, den))
+    return ExpPoly.from_lattice(scale, ints, Fraction(1, den), w)
 
 
 def config_to_doc(cfg: FieldConfig) -> dict:
@@ -256,8 +256,8 @@ def config_from_doc(doc: dict) -> FieldConfig:
             raise InputError(str(e)) from None
         if not isinstance(body, dict) or set(body) != {"num", "den"}:
             raise InputError(f"{label}: expected {{'num': ..., 'den': ...}}")
-        num = _poly_from_terms(body["num"], f"{label}.num")
-        den = _poly_from_terms(body["den"], f"{label}.den")
+        num = _poly_from_terms(body["num"], f"{label}.num", w)
+        den = _poly_from_terms(body["den"], f"{label}.den", w)
         if den.is_zero():
             raise InputError(f"{label}: zero denominator")
         fields[key] = ExpRational(num, den)

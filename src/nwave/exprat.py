@@ -7,10 +7,13 @@ the field operations and under the characteristic derivatives ``D_{i,j}``,
 so every identity this package verifies reduces to ``is_zero`` on an exactly
 cancelled numerator.
 
-Internally an ExpPoly lives on an integer lattice: exponents are integer
-pairs ``(A, B)`` at a per-polynomial scale ``L`` (so ``a = A/L``), and
-coefficients are integers times one rational content.  Ring operations then
-run on ints; ``terms`` shows the rational view at the boundary.
+Internally an ExpPoly lives on an integer lattice: integer keys over a
+per-polynomial scale, and integer coefficients times one rational content.
+Values built from spikes are keyed by spectral coordinates, the position
+sums (sP, sQ) of their spike waves under one ``WaveConstants``; values built
+from exponents (``ExpPoly.term``, ``ExpPoly(terms)``) by the exponents
+(a, b).  Ring operations run on ints in either; exponent pairs appear only
+at the boundary (``terms``, ``lattice``, ``repr``, numeric evaluation).
 
 ``grid_values`` is the package's one numeric evaluator, with its one pole
 rule.  It yields each value as exact integers; numeric verification judges
@@ -84,11 +87,10 @@ class WaveConstants:
 
     A wave exponent is theta(sP, sQ) = sP*(d1, -c1) + sQ*(d2, -c2) for
     position sums sP and sQ (spectral.wave_exponent).  ``lattice`` is
-    (H, d1, d2, c1, c2), the speeds as integers over their lcm H: theta's
-    matrix times H.  ``basis`` is (t11, t12, t21, t22, h): the integer
-    matrix T, h times theta's inverse, that takes an exponent (a, b) to
-    spectral coordinates (u, v) = T (a, b) = h*(sP, sQ).  T times the
-    lattice is H*h*I, so the lattice over H*h takes (u, v) back to (a, b).
+    (H, d1, d2, c1, c2), the speeds over their lcm H: theta's matrix times
+    H, taking spectral keys over S to exponent keys over H*S.  ``basis`` is
+    (t11, t12, t21, t22, h), the integer matrix T = h times theta's
+    inverse, taking exponent keys over L to spectral keys over h*L.
     """
 
     c1: Fraction
@@ -111,13 +113,6 @@ class WaveConstants:
         object.__setattr__(self, "basis", (*t, h))
         object.__setattr__(self, "lattice", (H, *speeds))
 
-    def deriv_speeds(self, i: int, j: int) -> Tuple[int, int, int]:
-        """Integers (P, Q, R) such that D_{i,j} scales exp(a*t + b*x) by
-        (P*a + Q*b)/R: it scales a spike wave by i*sQ - j*sP, and
-        h*(sP, sQ) = T (a, b)."""
-        t11, t12, t21, t22, h = self.basis
-        return i * t21 - j * t11, i * t22 - j * t12, h
-
 
 #: The factory name; WaveConstants coerces ints and 'p/q' strings itself.
 wave_constants = WaveConstants
@@ -126,29 +121,33 @@ wave_constants = WaveConstants
 class ExpPoly:
     """Canonical finite sum of rational multiples of exp(a*t + b*x).
 
-    Stored as ``content * sum_k n_k * exp((A_k*t + B_k*x) / scale)`` with
-    integer ``n_k``, integer keys ``(A_k, B_k)`` and a positive integer
-    scale.  The form is canonical: the scale is minimal (no common factor
-    with every exponent), the ``n_k`` are nonzero, coprime, and positive at
-    the lexicographically least key, and the sign lives in the content.  So
-    structural equality and hashing are functional equality, negation and
-    scalar multiplication only change the content, and zero is the empty
-    term map.
+    Stored as ``content * sum_k n_k * exp(theta_k)`` with integer ``n_k``
+    and integer keys over a positive integer scale: with constants w, a key
+    (u, v) is the spike wave exp(theta((u, v)/scale)) of w (WaveConstants);
+    with none, (A, B) is exp((A*t + B*x)/scale).  A value with no constants
+    is converted once where it meets one with constants (``+``, ``*``,
+    ``==``, ``divexact``, ``deriv(i, j, w)``, ``sum_of_products(..., w)``);
+    different constants raise ValueError there.  The form is canonical in
+    its coordinates: minimal scale, ``n_k`` nonzero, coprime and positive at
+    the lexicographically least key, the sign in the content.  So in one
+    coordinate system structural equality is functional equality; the hash
+    reads only the sizes of content and coefficients, which no coordinate
+    change alters.  Negation and scalar multiplication only change the
+    content, and zero is the empty term map.
     """
 
-    __slots__ = ("_scale", "_ints", "_content", "_hash")
+    __slots__ = ("_scale", "_ints", "_content", "_w", "_hash")
 
     def __init__(self, terms: Union[None, Mapping, Iterable] = None):
         """Sum of the given ((a, b), coefficient) terms; repeated keys add up."""
-        keys, coefs = [], []
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for (a, b), coef in items:
-                keys.append((as_frac(a), as_frac(b)))
-                coefs.append(as_frac(coef))
-        ints, d = _over_one(coefs)
-        p = _from_rational_keys(keys, ints, Fraction(1, d))
-        self._scale, self._ints, self._content = p._scale, p._ints, p._content
+        items = list(terms.items() if isinstance(terms, Mapping) else terms or ())
+        ints, d = _over_one([as_frac(c) for _, c in items])
+        exps, scale = _over_one([as_frac(v) for (a, b), _ in items for v in (a, b)])
+        out: Dict[Tuple[int, int], int] = {}
+        for k, n in zip(zip(exps[::2], exps[1::2]), ints):
+            out[k] = out.get(k, 0) + n
+        p = _canonical(scale, out, Fraction(1, d), None)
+        self._scale, self._ints, self._content, self._w = p._scale, p._ints, p._content, None
 
     @staticmethod
     def zero() -> "ExpPoly":
@@ -157,17 +156,15 @@ class ExpPoly:
     @staticmethod
     def const(c: RatLike) -> "ExpPoly":
         c = as_frac(c)
-        return _poly(1, {_ZERO_KEY: 1}, c) if c else _ZERO
+        return _poly(1, {_ZERO_KEY: 1}, c, None) if c else _ZERO
 
     @staticmethod
     def term(coef: RatLike, a: RatLike, b: RatLike) -> "ExpPoly":
         coef = as_frac(coef)
         if not coef:
             return _ZERO
-        a, b = as_frac(a), as_frac(b)
-        scale = lcm(a.denominator, b.denominator)
-        key = (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
-        return _poly(scale, {key: 1}, coef)
+        key, scale = _over_one([as_frac(a), as_frac(b)])
+        return _poly(scale, {tuple(key): 1}, coef, None)
 
     # -- the rational view -------------------------------------------------
 
@@ -177,18 +174,27 @@ class ExpPoly:
         return _Terms(self)
 
     def lattice(self) -> Tuple[int, Dict[Tuple[int, int], int], Fraction]:
-        """(scale, {(A, B): n}, content): the term n * content * exp((A*t + B*x)/scale).
+        """(scale, {(A, B): n}, content) in exponent coordinates, whatever
+        the value's own: the term n * content * exp((A*t + B*x)/scale).
 
-        The dict is shared with the polynomial and must not be modified.
+        With no constants, the canonical form, its dict shared (read only);
+        spectral keys give their exponents in order, over H times their scale.
         """
-        return self._scale, self._ints, self._content
+        w = self._w
+        if w is None:
+            return self._scale, self._ints, self._content
+        return (w.lattice[0] * self._scale,
+                dict(zip(_exponent_keys(self._ints, w), self._ints.values())), self._content)
 
     @staticmethod
-    def from_lattice(scale: int, ints: Mapping, content: RatLike) -> "ExpPoly":
+    def from_lattice(scale: int, ints: Mapping, content: RatLike,
+                     w: Optional[WaveConstants] = None) -> "ExpPoly":
         """The polynomial sum(n * content * exp((A*t + B*x)/scale)) over
-        {(A, B): n} with integer keys and coefficients (zeros allowed) and a
-        positive integer scale: the inverse of ``lattice``, canonicalized."""
-        return _canonical(scale, dict(ints), as_frac(content))
+        {(A, B): n}, integers (zeros allowed) over a positive integer scale,
+        canonicalized, in w's spectral coordinates when w is given."""
+        if w is None or not ints:
+            return _canonical(scale, dict(ints), as_frac(content), None)
+        return _spectral(_poly(scale, ints, as_frac(content), None), w)
 
     # -- ring operations ---------------------------------------------------
 
@@ -200,7 +206,7 @@ class ExpPoly:
             return other
         if not other._ints:
             return self
-        scale, t1, t2 = _common_scale(self, other)
+        self, other, scale, t1, t2 = _common_scale(self, other)
         c1, c2 = self._content, other._content
         if c1 == c2:
             m1 = m2 = 1
@@ -215,14 +221,14 @@ class ExpPoly:
         get = out.get
         for k, v in t2.items():
             out[k] = get(k, 0) + v * m2
-        return _canonical(scale, out, content)
+        return _canonical(scale, out, content, self._w)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExpPoly":
         if not self._ints:
             return self
-        return _poly(self._scale, self._ints, -self._content)
+        return _poly(self._scale, self._ints, -self._content, self._w)
 
     def __sub__(self, other) -> "ExpPoly":
         other = _coerce_poly(other)
@@ -240,17 +246,16 @@ class ExpPoly:
         if isinstance(other, (int, Fraction)):
             if not other or not self._ints:
                 return _ZERO
-            return _poly(self._scale, self._ints, self._content * other)
+            return _poly(self._scale, self._ints, self._content * other, self._w)
         if not isinstance(other, ExpPoly):
             return NotImplemented
         if not self._ints or not other._ints:
             return _ZERO
-        content = self._content * other._content
         if _is_const(other):
-            return _poly(self._scale, self._ints, content)
+            return _poly(self._scale, self._ints, self._content * other._content, self._w)
         if _is_const(self):
-            return _poly(other._scale, other._ints, content)
-        scale, t1, t2 = _common_scale(self, other)
+            return _poly(other._scale, other._ints, self._content * other._content, other._w)
+        self, other, scale, t1, t2 = _common_scale(self, other)
         if len(t1) > len(t2):
             t1, t2 = t2, t1
         out: Dict[Tuple[int, int], int] = {}
@@ -265,7 +270,7 @@ class ExpPoly:
         # Gauss's lemma keeps the product of primitive parts primitive, and
         # the least key of a product is the sum of the least keys, with
         # coefficient n1 * n2 > 0: only the scale can need reducing.
-        return _reduced(scale, out, content)
+        return _reduced(scale, out, self._content * other._content, self._w)
 
     __rmul__ = __mul__
 
@@ -273,14 +278,16 @@ class ExpPoly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self._content == other._content and self._scale == other._scale
-                and self._ints == other._ints)
+        p, q = (self, other) if self._w is other._w else _meet(self, other)
+        return p._content == q._content and p._scale == q._scale and p._ints == q._ints
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:  # computed once: the polynomial is immutable
-            self._hash = hash((self._scale, self._content, frozenset(self._ints.items())))
+            c = self._content
+            self._hash = hash((abs(c.numerator), c.denominator, len(self._ints),
+                               frozenset(map(abs, self._ints.values()))))
             return self._hash
 
     def is_zero(self) -> bool:
@@ -292,24 +299,14 @@ class ExpPoly:
     # -- calculus ----------------------------------------------------------
 
     def deriv(self, i: int, j: int, w: WaveConstants) -> "ExpPoly":
-        """Characteristic derivative D_{i,j}: term (a,b) scales by
-        ((i*c1+j*c2)*a + (i*d1+j*d2)*b)/delta."""
-        p, q, r = w.deriv_speeds(i, j)
-        # (p*a + q*b)/r = (p*A + q*B) / (r*scale) on the lattice
-        out = {}
-        for (a, b), n in self._ints.items():
-            f = p * a + q * b
-            if f:
-                out[(a, b)] = n * f
-        return _canonical(self._scale, out, self._content / (r * self._scale))
+        """Characteristic derivative D_{i,j}, in w's spectral coordinates:
+        each key (u, v) scales by its D weight over the scale (_weights)."""
+        p = _spectral(self, w)
+        ints = p._ints
+        out = {k: n * f for (k, n), f in zip(ints.items(), _weights(i, j, ints)) if f}
+        return _canonical(p._scale, out, p._content / p._scale, p._w)
 
     # -- inspection --------------------------------------------------------
-
-    def sorted_terms(self):
-        """Terms ((a, b), coefficient) in canonical (lexicographic exponent) order."""
-        scale, c = self._scale, self._content
-        return [((Fraction(a, scale), Fraction(b, scale)), c * n)
-                for (a, b), n in sorted(self._ints.items())]
 
     def eval(self, t: RatLike, x: RatLike):
         """High-precision numeric value at rational (t, x), as mpmath mpf."""
@@ -323,46 +320,47 @@ class ExpPoly:
         if not self._ints:
             return "ExpPoly(0)"
         bits = []
-        for (a, b), c in self.sorted_terms():
+        for (a, b), c in sorted(self.terms.items()):
             bsign = "+" if b >= 0 else ""
             bits.append(f"{c}*e^({a}t{bsign}{b}x)")
         return "ExpPoly(" + " + ".join(bits) + ")"
 
 
 class _Terms(Mapping):
-    """The terms of an ExpPoly as a read-only map (a, b) -> c over Fractions."""
+    """ExpPoly.terms: its length read off the polynomial, its map (the
+    exponent form, ExpPoly.lattice, over Fractions) formed when first read."""
 
-    __slots__ = ("_p",)
+    __slots__ = ("_p", "_map")
 
     def __init__(self, p: ExpPoly):
-        self._p = p
+        self._p, self._map = p, None
 
     def __len__(self) -> int:
         return len(self._p._ints)
 
     def __iter__(self):
-        scale = self._p._scale
-        return ((Fraction(a, scale), Fraction(b, scale)) for a, b in self._p._ints)
+        return iter(self._terms())
 
     def __getitem__(self, key) -> Fraction:
-        p = self._p
-        a, b = (as_frac(v) * p._scale for v in key)
-        n = None
-        if a.denominator == 1 and b.denominator == 1:
-            n = p._ints.get((a.numerator, b.numerator))
-        if n is None:
-            raise KeyError(key)
-        return p._content * n
+        return self._terms()[key]
+
+    def _terms(self) -> dict:
+        if self._map is None:
+            scale, ints, c = self._p.lattice()
+            self._map = {(Fraction(a, scale), Fraction(b, scale)): c * n
+                         for (a, b), n in ints.items()}
+        return self._map
 
 
-def _poly(scale: int, ints: Dict[Tuple[int, int], int], content: Fraction) -> ExpPoly:
+def _poly(scale: int, ints: Dict[Tuple[int, int], int], content: Fraction,
+          w: Optional[WaveConstants]) -> ExpPoly:
     """Wrap an already-canonical lattice form without re-checking."""
     p = object.__new__(ExpPoly)
-    p._scale, p._ints, p._content = scale, ints, content
+    p._scale, p._ints, p._content, p._w = scale, ints, content, w
     return p
 
 
-_ZERO = _poly(1, {}, _FRAC_ZERO)
+_ZERO = _poly(1, {}, _FRAC_ZERO, None)
 
 
 def _is_const(p: ExpPoly) -> bool:
@@ -370,7 +368,7 @@ def _is_const(p: ExpPoly) -> bool:
     return len(p._ints) == 1 and _ZERO_KEY in p._ints
 
 
-def _reduced(scale, ints, content) -> ExpPoly:
+def _reduced(scale, ints, content, w) -> ExpPoly:
     """Wrap primitive, sign-normalized coefficients, at the minimal scale."""
     if not ints:
         return _ZERO
@@ -383,10 +381,10 @@ def _reduced(scale, ints, content) -> ExpPoly:
         if s != 1:
             ints = {(a // s, b // s): n for (a, b), n in ints.items()}
             scale //= s
-    return _poly(scale, ints, content)
+    return _poly(scale, ints, content, w)
 
 
-def _canonical(scale, ints, content) -> ExpPoly:
+def _canonical(scale, ints, content, w) -> ExpPoly:
     """Canonical ExpPoly from integer coefficients (zeros allowed) and a content."""
     if 0 in ints.values():
         ints = {k: n for k, n in ints.items() if n}
@@ -399,19 +397,7 @@ def _canonical(scale, ints, content) -> ExpPoly:
     if g != 1:
         ints = {k: n // g for k, n in ints.items()}
         content = content * g
-    return _reduced(scale, ints, content)
-
-
-def _from_rational_keys(keys, ints, content: Fraction) -> ExpPoly:
-    """Canonical ExpPoly of sum(content * n * exp(a*t + b*x)) over Fraction
-    keys (a, b) and integers n; repeated keys add up."""
-    scale = lcm(*(v.denominator for k in keys for v in k))
-    out: Dict[Tuple[int, int], int] = {}
-    get = out.get
-    for (a, b), n in zip(keys, ints):
-        k = (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
-        out[k] = get(k, 0) + n
-    return _canonical(scale, out, content)
+    return _reduced(scale, ints, content, w)
 
 
 def _rescaled(ints, f):
@@ -419,11 +405,55 @@ def _rescaled(ints, f):
 
 
 def _common_scale(p: ExpPoly, q: ExpPoly):
-    """(scale, ints of p, ints of q) on one lattice."""
+    """(p, q, scale, ints of p, ints of q): in one coordinate system (_meet), on one lattice."""
+    if p._w is not q._w:
+        p, q = _meet(p, q)
     if p._scale == q._scale:
-        return p._scale, p._ints, q._ints
+        return p, q, p._scale, p._ints, q._ints
     scale = lcm(p._scale, q._scale)
-    return scale, _rescaled(p._ints, scale // p._scale), _rescaled(q._ints, scale // q._scale)
+    return (p, q, scale, _rescaled(p._ints, scale // p._scale),
+            _rescaled(q._ints, scale // q._scale))
+
+
+# -- the two coordinate systems ---------------------------------------------------
+
+
+def _weights(i: int, j: int, keys: Iterable) -> List[int]:
+    """The D weight i*v - j*u of each spectral key (u, v) over S: D_{i,j}
+    scales the spike wave of position sums (sP, sQ) by i*sQ - j*sP."""
+    return [i * v - j * u for u, v in keys]
+
+
+def _spectral(p: ExpPoly, w: WaveConstants) -> ExpPoly:
+    """p in w's spectral coordinates (itself if it has them or is zero), keys
+    (A, B) over L going to T (A, B) over h*L; ValueError for other constants."""
+    if p._w is w or not p._ints or p._w is not None and p._w == w:
+        return p
+    if p._w is not None:
+        raise ValueError("values with different wave constants meet")
+    t11, t12, t21, t22, h = w.basis
+    return _canonical(h * p._scale, {(t11 * a + t12 * b, t21 * a + t22 * b): n
+                                     for (a, b), n in p._ints.items()}, p._content, w)
+
+
+def _meet(p: ExpPoly, q: ExpPoly) -> Tuple[ExpPoly, ExpPoly]:
+    """p and q in one coordinate system: one with no constants goes to the other's."""
+    return (_spectral(p, q._w), q) if p._w is None else (p, _spectral(q, p._w))
+
+
+def _exponent_keys(keys: Iterable, w: WaveConstants) -> List[Tuple[int, int]]:
+    """Each spectral key's exponent key: (d1*u + d2*v, -(c1*u + c2*v)) over
+    H*S by w.lattice for the key (u, v) over S."""
+    _, d1, d2, c1, c2 = w.lattice
+    return [(d1 * u + d2 * v, -c1 * u - c2 * v) for u, v in keys]
+
+
+def _least(keys: Sequence[Tuple[int, int]], w: Optional[WaveConstants]) -> Tuple[int, int]:
+    """The key, in w's coordinates, of the lexicographically least exponent."""
+    if w is None:
+        return min(keys)
+    exps = _exponent_keys(keys, w)
+    return list(keys)[exps.index(min(exps))]
 
 
 def _coerce_poly(v) -> ExpPoly:
@@ -440,10 +470,9 @@ ONE = ExpPoly.const(1)
 # -- sums of products -------------------------------------------------------------
 #
 # Kronecker substitution (A. Schoenhage, EUROCAM 1982; D. Harvey, J. Symbolic
-# Comput. 44, 2009) in the spectral basis WaveConstants.basis: a
-# sum of spike waves has one row per spectral coordinate u, nearly dense
-# along v, and a row packed into one int, a digit per v step, is multiplied
-# by one CPython int product.
+# Comput. 44, 2009) in spectral coordinates: a sum of spike waves has one
+# row per spectral coordinate u, nearly dense along v, and a row packed into
+# one int, a digit per v step, is multiplied by one CPython int product.
 
 #: A sum is packed only when its row ints have at most this many slots per
 #: operand term, counting the rows and terms of every factor of every
@@ -452,8 +481,8 @@ ONE = ExpPoly.const(1)
 #: random spectral sums (two rows per operand, 4 to 30 terms per row, slots
 #: per term 1.2 to 39): at 8 to 10 a zero sum packs in 0.1 to 0.6 of the
 #: schoolbook's time, a nonzero one, whose digits are read back, in 0.5 to
-#: 2.4.  Sparser sums, exponents off the spectral lattice among them, are
-#: multiplied term by term, so no row int is mostly zeros.
+#: 2.4.  Sparser sums, such as exponents that no few spike positions span,
+#: are multiplied term by term, so no row int is mostly zeros.
 PACK_SLOTS_PER_TERM = 8
 
 
@@ -462,15 +491,14 @@ def sum_of_products(sums: Iterable[Iterable], w: WaveConstants) -> List[ExpPoly]
     terms in sums: c an int or Fraction, k >= 1 factors (k free per term),
     each an ExpPoly x or ((i, j), x) for D_{i,j} x.
 
-    Sparse sums (PACK_SLOTS_PER_TERM) are formed as ExpPoly products.  The
-    others are formed by Kronecker substitution in the spectral coordinates
-    (u, v) of w.basis:
+    Factors are taken in w's spectral coordinates (u, v), converted first
+    if they have no constants.  Sparse sums (PACK_SLOTS_PER_TERM) are formed
+    as ExpPoly products, the others by Kronecker substitution:
 
-    - the keys of each distinct operand of all the sums go to (u, v) at one
+    - the keys of each distinct operand of all the sums are brought to one
       common scale S, once, and each operand is split into rows by u;
-    - ((i, j), x) is x's operand with each n times i*v - j*u, terms of
-      weight 0 dropped, over a content divided by h*S: D_{i,j} scales a
-      spike wave by i*sQ - j*sP, and its (u, v) is h*S*(sP, sQ);
+    - ((i, j), x) is x's operand with each n times its D weight i*v - j*u
+      (_weights), terms of weight 0 dropped, over a content divided by S;
     - a row becomes one int, the sum of n * 2**(k*j) over its terms, at
       slot j = (v - vmin) / s from the operand's least v; the slot step s
       is the gcd of the v differences within every operand and between the
@@ -486,14 +514,16 @@ def sum_of_products(sums: Iterable[Iterable], w: WaveConstants) -> List[ExpPoly]
 
     An output coefficient then lies strictly within +-2**(k-1), so the
     balanced base-2**k digits of an output row are unique: a sum is zero
-    exactly when each of its output row ints is 0.  Otherwise its digits
-    are read back to lattice keys at scale S by w.lattice (H, d1, d2, c1,
-    c2), T's inverse times H*h: (A, B) = (d1*u + d2*v, -(c1*u + c2*v)) / (H*h).
+    exactly when each of its output row ints is 0.  Otherwise its nonzero
+    digits are its terms, keyed (u, vmin + s*j) over S.
     """
-    t11, t12, t21, t22, h = w.basis
     sums = [list(terms) for terms in sums]
-    scale = lcm(*[(x[1] if type(x) is tuple else x)._scale
-                  for terms in sums for t in terms for x in t[1:]])
+    xs = [x[1] if type(x) is tuple else x for terms in sums for t in terms for x in t[1:]]
+    if any(x._w is not w for x in xs if x._ints):  # a factor in other coordinates
+        sums = [[(t[0], *[(x[0], _spectral(x[1], w)) if type(x) is tuple else _spectral(x, w)
+                          for x in t[1:]]) for t in terms] for terms in sums]
+        xs = [x[1] if type(x) is tuple else x for terms in sums for t in terms for x in t[1:]]
+    scale = lcm(*[x._scale for x in xs])
     ops: Dict[tuple, Optional[_Operand]] = {}
 
     def operand(x: ExpPoly, ij: Optional[Tuple[int, int]] = None) -> Optional[_Operand]:
@@ -503,8 +533,7 @@ def sum_of_products(sums: Iterable[Iterable], w: WaveConstants) -> List[ExpPoly]
         if key not in ops:
             f, ints = scale // x._scale, x._ints
             ops[key] = operand(x).derived(*ij) if ij else _Operand(
-                [(t11 * a + t12 * b) * f for a, b in ints],
-                [(t21 * a + t22 * b) * f for a, b in ints], list(ints.values()))
+                [u * f for u, _ in ints], [v * f for _, v in ints], list(ints.values()))
         return ops[key]
 
     # each nonzero product as (term, its factors' _Operands, numerator,
@@ -527,7 +556,7 @@ def sum_of_products(sums: Iterable[Iterable], w: WaveConstants) -> List[ExpPoly]
                     break
                 f.append(op)
                 n *= x._content.numerator
-                d *= x._content.denominator * (h * scale if ij else 1)
+                d *= x._content.denominator * (scale if ij else 1)
                 norm *= op.norm
                 lo += op.lo
                 hi += op.hi
@@ -543,8 +572,9 @@ def sum_of_products(sums: Iterable[Iterable], w: WaveConstants) -> List[ExpPoly]
 
 class _Operand:
     """One operand of a packed sum: its terms' spectral coordinates u and v
-    and integer coefficients n, least and greatest v, the 1-norm of the n,
-    and its rows [(u, int)] by digit width, once packed."""
+    over the sum's scale and integer coefficients n, least and greatest v,
+    the 1-norm of the n, and its rows [(u, int)] by digit width, once
+    packed."""
 
     __slots__ = ("us", "vs", "ns", "nrows", "lo", "hi", "norm", "rows")
 
@@ -556,9 +586,10 @@ class _Operand:
         self.rows: Dict[int, list] = {}
 
     def derived(self, i: int, j: int) -> Optional["_Operand"]:
-        """D_{i,j} of this operand over h*S (see sum_of_products), or None."""
-        kept = [(u, v, n * weight) for u, v, n in zip(self.us, self.vs, self.ns)
-                if (weight := i * v - j * u)]
+        """D_{i,j} of this operand over S (see sum_of_products), or None."""
+        us, vs = self.us, self.vs
+        kept = [(u, v, n * f) for u, v, n, f in zip(us, vs, self.ns, _weights(i, j, zip(us, vs)))
+                if f]
         return _Operand(*zip(*kept)) if kept else None
 
     def pack(self, step: int, k: int) -> list:
@@ -596,8 +627,6 @@ def _sum(prods, step: int, scale: int, w: WaveConstants) -> ExpPoly:
     digits read back."""
     if not prods:
         return _ZERO
-    H, d1, d2, c1, c2 = w.lattice
-    Hh = H * w.basis[4]
     lo = min([p[5] for p in prods])
     nslots = (max([p[6] for p in prods]) - lo) // step + 1
     slots, nterms = nslots, 0
@@ -625,21 +654,18 @@ def _sum(prods, step: int, scale: int, w: WaveConstants) -> ExpPoly:
             rows_p = _row_product(rows_p, op.pack(step, k)).items()
         _row_product([(u, (x * m) << shift) for u, x in rows_p], last.pack(step, k), acc)
     # balanced digits: with 2**(k-1) added to every slot each digit is a
-    # nonnegative k-bit field; a zero digit is skipped, since its slot may
-    # lie off the lattice, where the floored key can be a real term's
+    # nonnegative k-bit field; a zero digit is no term
     half = 1 << (k - 1)
     lift = int.from_bytes((bytes(nbytes - 1) + b"\x80") * nslots, "little")
     out = {}
     for u, x in acc.items():
         if x:
             digits = (x + lift).to_bytes(nslots * nbytes, "little")
-            au, bu = d1 * u, -c1 * u
             for j in range(nslots):
                 n = int.from_bytes(digits[j * nbytes:(j + 1) * nbytes], "little") - half
                 if n:
-                    v = lo + step * j
-                    out[((au + d2 * v) // Hh, (bu - c2 * v) // Hh)] = n
-    return _canonical(scale, out, Fraction(g, den))
+                    out[(u, lo + step * j)] = n
+    return _canonical(scale, out, Fraction(g, den), w)
 
 
 def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
@@ -657,8 +683,9 @@ def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
     the quotient of primitive integer parts is integral.  Every step takes
     a new candidate key, smaller than the one before, from the finite set of
     lattice points in the box, so the loop ends.  A one-term divisor is a
-    unit, so its quotient is a translation of num's keys.  Raises
-    InexactDivision if no ring quotient exists.
+    unit, so its quotient is a translation of num's keys.  All of this
+    holds in either coordinate system.  Raises InexactDivision if no ring
+    quotient exists.
     """
     if den.is_zero():
         raise DivisionByZeroField("divexact by zero")
@@ -666,7 +693,7 @@ def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
         return _ZERO
     if len(den._ints) == 1:
         return _split(num, den)[0]
-    scale, tn, td = _common_scale(num, den)
+    num, den, scale, tn, td = _common_scale(num, den)
     lead = max(td)
     lead_n = td[lead]
     lo_a = min(a for a, _ in tn) - min(a for a, _ in td)
@@ -701,42 +728,45 @@ def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
                 heappush(heap, (-k[0], -k[1]))
             else:
                 rem[k] = old - qn * n
-    return _reduced(scale, quot, num._content / den._content)
+    return _reduced(scale, quot, num._content / den._content, num._w)
 
 
 def _times_term(y: ExpPoly, m: ExpPoly) -> ExpPoly:
     """y * m for a one-term m: a translation of y's keys."""
     if not y._ints:
         return y
+    if y._w is not m._w:
+        y, m = _meet(y, m)
     (ma, mb), = m._ints
     content = y._content * m._content
     if not (ma or mb):
-        return _poly(y._scale, y._ints, content)
+        return _poly(y._scale, y._ints, content, y._w)
     scale = lcm(y._scale, m._scale)
     f, g = scale // y._scale, scale // m._scale
     ma, mb = ma * g, mb * g
     return _reduced(scale, {(a * f + ma, b * f + mb): n for (a, b), n in y._ints.items()},
-                    content)
+                    content, y._w)
 
 
 def _split(y: ExpPoly, p: ExpPoly) -> Tuple[ExpPoly, Optional[ExpPoly]]:
-    """(y / u, p / u) for u = c * exp(a*t + b*x) the least term of p
-    (nonzero), a unit of the ring: y over p's unit part, and p's atom, None
-    when p is a single term.
+    """(y / u, p / u) for u = c * exp(a*t + b*x) the term of p (nonzero)
+    of lexicographically least exponent (_least), a unit of the ring: y over
+    p's unit part, and p's atom, None when p is a single term.
 
-    The atom has least key 0 and coefficient 1 there, so equal polynomials
-    up to a monomial and a constant share one atom.
+    The atom has least exponent 0 and coefficient 1 there, so equal
+    polynomials up to a monomial and a constant share one atom, whichever
+    coordinates it was split in.
     """
-    least = min(p._ints)
-    inverse = _poly(p._scale, {(-least[0], -least[1]): 1}, 1 / (p._content * p._ints[least]))
+    least, w = _least(p._ints, p._w), p._w
+    inverse = _poly(p._scale, {(-least[0], -least[1]): 1}, 1 / (p._content * p._ints[least]), w)
     return _times_term(y, inverse), (_times_term(p, inverse) if len(p._ints) > 1 else None)
 
 
 class ExpRational:
     """Quotient of two ExpPolys: a numerator over a product of known atoms.
 
-    An atom is a normalized ExpPoly (least key 0, coefficient 1 there; see
-    ``_split``), so atoms key a dict, and two values share an atom exactly
+    An atom is a normalized ExpPoly (least exponent 0, coefficient 1 there;
+    see ``_split``), so atoms key a dict, and two values share an atom exactly
     when the polynomials are equal.  The denominator is ``prod(atom**k)``,
     atoms with multiplicities.  A monomial is a unit of the ring, so where
     a polynomial divides (the constructor, ``/`` and ``dlog``) its least
@@ -755,7 +785,7 @@ class ExpRational:
       allows it.
 
     Canonical form: zero is 0/1; ``den``, the product of the atoms formed
-    when read (over one atom, that atom), has least key 0 and coefficient
+    when read (over one atom, that atom), has least exponent 0 and coefficient
     1 there, and is 1 exactly when there is no atom.  Values with the same
     atoms compare their numerators; others are cross-multiplied over the
     lcm, so equal values always compare equal.
@@ -1109,29 +1139,30 @@ def round_ratio(p: int, q: int, e: int, prec: int = EVAL_PRECISION) -> tuple:
 class _Sums:
     """One polynomial of grid_values as integer dot products over the slots.
 
-    Its terms are n_k * exp_k, with the content kept apart, and for each
-    derivative asked of it dn_k * exp_k with dn_k = n_k * (P*A_k + Q*B_k).
-    Every value that holds the polynomial reads the same _Sums, so its value
-    and mass sums are formed once per point, and its D sums once per
-    derivative.
+    Its terms are n_k * exp_k, with the content c apart, and for each
+    derivative D_{i,j} asked of it dn_k * exp_k, dn_k = n_k times the D
+    weight of its spectral key (_weights), over grid_values' spectral scale.
+    Every value that holds the polynomial, in either coordinate system,
+    reads the same _Sums and c, so its value and mass sums are formed once
+    per point, and its D sums once per derivative.
     """
 
-    __slots__ = ("slots", "keys", "ns", "abs_ns", "width", "derivs", "dsums", "anchors")
+    __slots__ = ("slots", "keys", "ns", "c", "abs_ns", "width", "derivs", "dsums", "anchors")
 
-    def __init__(self, slots, keys, ns):
-        self.slots, self.keys, self.ns = slots, keys, ns
+    def __init__(self, slots, keys, ns, c):
+        self.slots, self.keys, self.ns, self.c = slots, keys, ns, c
         self.abs_ns = [abs(n) for n in ns]
         self.width = _GUARD + sum(self.abs_ns).bit_length()
-        self.derivs: Dict[Tuple[int, int], int] = {}  # (P, Q) -> index into dsums
+        self.derivs: Dict[Tuple[int, int], int] = {}  # (i, j) -> index into dsums
         self.dsums = []  # (dns, |dns|) of each derivative
         self.anchors = []  # (slots, width) of D sums that some terms do not reach
 
-    def derivative(self, p: int, q: int) -> int:
-        """The index, in at()'s D sums, of the derivative with speeds (P, Q)."""
-        k = self.derivs.get((p, q))
+    def derivative(self, i: int, j: int) -> int:
+        """The index, in at()'s D sums, of the derivative D_{i,j}."""
+        k = self.derivs.get((i, j))
         if k is None:
-            k = self.derivs[p, q] = len(self.dsums)
-            dns = [n * (p * a + q * b) for (a, b), n in zip(self.keys, self.ns)]
+            k = self.derivs[i, j] = len(self.dsums)
+            dns = [n * f for n, f in zip(self.ns, _weights(i, j, self.keys))]
             abs_dns = [abs(n) for n in dns]
             self.dsums.append((dns, abs_dns))
             dwidth = _GUARD + sum(abs_dns).bit_length()
@@ -1158,19 +1189,19 @@ class _Sums:
 
 class _Field:
     """One value of grid_values: c * num / den, with den None for a
-    polynomial value (denominator 1); r is R * scale, the denominator of the
-    D speeds on grid_values' lattice, and jn, jd the derivative's place in
-    the D sums of num and den, or all None without a derivative."""
+    polynomial value (denominator 1); r is grid_values' spectral scale, the
+    denominator of the D weights, and jn, jd the derivative's place in the
+    D sums of num and den, or all None without a derivative."""
 
     __slots__ = ("num", "den", "vn", "vd", "r", "jn", "jd")
 
-    def __init__(self, num: _Sums, den: Optional[_Sums], c: Fraction, speeds):
-        self.num, self.den, self.r, self.jn, self.jd = num, den, None, None, None
+    def __init__(self, num: _Sums, den: Optional[_Sums], c: Fraction,
+                 ij: Optional[Tuple[int, int]], r: int):
+        self.num, self.den, self.r, self.jn, self.jd = num, den, r if ij else None, None, None
         self.vn, self.vd = c.numerator, c.denominator
-        if speeds is not None:
-            p, q, self.r = speeds
-            self.jn = num.derivative(p, q)
-            self.jd = None if den is None else den.derivative(p, q)
+        if ij is not None:
+            self.jn = num.derivative(*ij)
+            self.jd = None if den is None else den.derivative(*ij)
 
     def at(self, got):
         """(V, M, Q, DV, DM, QD, e) at one point from the sums ``got`` there
@@ -1213,56 +1244,53 @@ def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveCon
     value's denominator is 1, so it is not summed and never makes a pole.
     round_ratio(V, Q, e) is the value as a number, rounded once.
 
-    Exponents are read off the polynomials' integer lattices and brought to
-    one common scale.  At each nonzero t (and x) the distinct a (and b) are
-    walked in order, with one exponential per distinct gap between
+    Each distinct polynomial's exponents are read off its keys once
+    (ExpPoly.lattice) and brought to one common scale; with a derivative
+    every polynomial is taken in w's spectral coordinates, whose keys, over
+    one scale, give the D weights.  At each nonzero t (and x) the distinct
+    a (and b) are walked in order, one exponential per distinct gap between
     neighbours and one product per step (see _exps), so each exp(a*t) and
     exp(b*x) is within a relative error of 1.5 * 2**-(EVAL_PRECISION + 8),
     whatever the size of the exponents; a term's exponential is their exact
-    product.  Each distinct polynomial is then summed once per point as
-    integers by one _Sums (values that share a numerator, or a denominator,
-    keyed by its atoms and expanded once, share its sums): every term is
-    truncated to a multiple of 2**e0 and multiplied by its integer
-    coefficient, with e0 at EVAL_PRECISION + 8 + bitlen(sum |n_k|) bits
-    below the largest term (and likewise for the D coefficients).  The
-    truncation error is below sum |n_k| * 2**e0 <= 2**-(EVAL_PRECISION + 7)
-    times the sum's mass.  The pole rule |d| < mass(d) * 2**-POLE_BITS is
-    decided exactly on the integer sums.
+    product.  Each distinct polynomial is summed once per point as integers
+    by one _Sums (values that share a numerator, or a denominator, keyed by
+    its atoms and expanded once, share its sums): every term is truncated
+    to a multiple of 2**e0 and multiplied by its integer coefficient, e0 at
+    EVAL_PRECISION + 8 + bitlen(sum |n_k|) bits below the largest term (and
+    likewise for the D coefficients), a truncation error below
+    sum |n_k| * 2**e0 <= 2**-(EVAL_PRECISION + 7) times the sum's mass.
+    The pole rule |d| < mass(d) * 2**-POLE_BITS is decided exactly on the
+    integer sums.
     """
     d_index = d_index or {}
     live = {}  # key -> (numerator, atoms) of each nonzero value
     dens: Dict[frozenset, ExpPoly] = {frozenset(): ONE}  # atoms -> their product, formed once
-    for key, u in values.items():
+    for key, u in values.items():  # with a derivative, in w's spectral coordinates
         if not u.is_zero():
             atoms = frozenset(u._atoms.items())
             if atoms not in dens:
-                dens[atoms] = u.den
-            live[key] = u.num, atoms
-    # every exponent as an integer pair over one scale
-    scale = lcm(*(p.lattice()[0] for p in (*(num for num, _ in live.values()), *dens.values())))
+                dens[atoms] = _spectral(u.den, w) if d_index else u.den
+            live[key] = _spectral(u.num, w) if d_index else u.num, atoms
+    polys = [*(num for num, _ in live.values()), *dens.values()]
+    scale = lcm(*(p._scale * (p._w.lattice[0] if p._w else 1) for p in polys))
+    sscale = lcm(*(p._scale for p in polys))
     slots: Dict[Tuple[int, int], int] = {}  # exponent -> exp slot
     sums: Dict[object, _Sums] = {}  # numerator, or denominator's atoms -> its _Sums
 
     def prepare(key, poly) -> _Sums:
         if key not in sums:
-            own, ints, _ = poly.lattice()
-            f = scale // own
-            keys = [(a * f, b * f) for a, b in ints]
-            sums[key] = _Sums([slots.setdefault(k, len(slots)) for k in keys], keys,
-                              list(ints.values()))
+            own, exps, c = poly.lattice()  # in the order of poly's keys
+            f, g = scale // own, sscale // poly._scale
+            sums[key] = _Sums([slots.setdefault((a * f, b * f), len(slots)) for a, b in exps],
+                              [(u * g, v * g) for u, v in poly._ints] if d_index else None,
+                              list(exps.values()), c)
         return sums[key]
 
     fields = {}
     for key, (num, atoms) in live.items():
-        ij = d_index.get(key)
-        # D_{i,j} scales exp((A*t + B*x)/scale) by (P*A + Q*B)/(R*scale)
-        speeds = None
-        if ij is not None:
-            p, q, r = w.deriv_speeds(*ij)
-            speeds = p, q, r * scale
-        den = dens[atoms]
-        fields[key] = _Field(prepare(num, num), prepare(atoms, den) if atoms else None,
-                             num.lattice()[2] / den.lattice()[2], speeds)
+        sn, den = prepare(num, num), dens[atoms]
+        fields[key] = _Field(sn, prepare(atoms, den) if atoms else None,
+                             sn.c / den._content, d_index.get(key), sscale)
 
     # exp(a*t + b*x) = exp(a*t) * exp(b*x), each factor computed once
     a_slot: Dict[int, int] = {}

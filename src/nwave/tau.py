@@ -7,45 +7,32 @@ factorials and no ordered tuples appear anywhere: plain subset sums make
 tau_U(1,0) equal f-1.0 on the nose, and all remaining per-field constants
 live in one calibration table.
 
-The sums run on integers.  All spike positions (and check_gra's probes) are
-put over one common denominator D, and the weights of each spike list over
-one denominator of their own.  A subset's squared Vandermonde and position
-sum are then integers; _shapes lists them once per subset size.
-
-The coupling of a P-subset to a Q-subset is a product over Q-spikes,
-1/prod_{lam, mu} (lam - mu) = prod_mu 1/prod_lam (lam - mu), so once the
-P-subset is fixed every Q-spike carries its own coupled weight
-w_mu / prod_lam (lam - mu).  Over ell, the lcm of the P-subset's couplings
-prod_lam (lam - mu), these are integers with the one content 1/ell.  The
-sum over the independent Q-groups then factorises:
+The sums run on integers: all spike positions (and check_gra's probes) over
+one common denominator D, the weights of each spike list over one of their
+own, so a subset's squared Vandermonde and position sum are integers
+(_shapes).  Once a P-subset is fixed, its coupling to a Q-subset,
+1/prod_{lam, mu} (lam - mu), splits per Q-spike into the coupled weight
+w_mu / prod_lam (lam - mu), integers over ell, the lcm of the P-subset's
+couplings.  The sum over the independent Q-groups then factorises:
 
     tau = sum_psub  pcoef * exp(theta(psum, 0)) * prod_g S_{n_g}(psub),
 
-where the row S_n(psub) is the sum over the n-subsets of Q of the squared
-Vandermonde times the coupled weights, as an integer polynomial in the Q
-position sum.  Each distinct group size is summed once per P-subset (G2's
-three equal groups share one row), and the group rows are multiplied by
-the sum-of-products kernel's integer row product (exprat._row_product),
-the last one added straight into the tau value's row.
+the row S_n(psub) being the sum over the n-subsets of Q of the squared
+Vandermonde times the coupled weights, an integer polynomial in the Q
+position sum, built once per distinct group size (G2's three equal groups
+share one) and multiplied by the kernel's row product (exprat._row_product).
 
-A tau value is thus a set of integer rows keyed by (psum, qsum), one row per
-P-subset, each with its content 1/ell^N (N the total Q-group size).  The
-contents are reconciled once per tau value over the lcm of the ells; the
-powers of D and of the weight denominators make one rational content per
-tau value.  Only then are the keys mapped to exponents,
-theta(psum/D, qsum/D) = (psum*(d1, -c1) + qsum*(d2, -c2))/D, in one place
-(_theta), on the lattice of scale D*H that WaveConstants.lattice gives
-(H the lcm of the denominators of c1, c2, d1, d2), and the ExpPoly is
-built from that lattice in one step.
-
-A tau solution's base tau and field numerators sum over many of the same
-P-subsets, so _taus builds a list of tau values in one pass: each P-subset
-of a needed size is walked once, and its coupled weights and rows are
-shared by every order that sums over it.  Their keys are formed less the
-base tau's least key, so the numerators come out over the denominator's
-unit part and need no translation there.  The two-group recombination
-identity (check_gra) is a double sum of the same kind and uses the same
-rows.
+A tau value is thus integer rows keyed by (psum, qsum), one per P-subset,
+with one rational content per value (the ells reconciled over their lcm,
+the powers of D and of the weight denominators).  (psum, qsum) over D are
+the spectral keys of the ExpPoly (see exprat), which is built from them as
+they are.  _taus builds a solution's base tau and field numerators in one
+pass, each P-subset of a needed size walked once and its rows shared by
+every order that sums over it; their keys are formed less that of the base
+tau's lexicographically least exponent, where ExpRational splits off the
+unit part, so the numerators come out over the denominator's unit part.
+The two-group recombination identity (check_gra) is a double sum of the
+same kind and uses the same rows.
 
 A field f^s_{p.q} at chain order (n1, n2) is the ratio
 
@@ -68,7 +55,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .exprat import ExpPoly, ExpRational, WaveConstants, _over_one, _row_product
+from .exprat import ExpPoly, ExpRational, _canonical, _least, _over_one, _row_product
 from .spectral import SpectralData
 from .wavesys import AlgebraModel, FieldConfig, FieldKey, MINUS, PLUS
 
@@ -123,23 +110,6 @@ def _coupled(qpos: Sequence[int], qweights: Sequence[int],
     return [v * (ell // c) for v, c in zip(qweights, couplings)], ell
 
 
-def _theta(rows: Dict[int, _Row], w: WaveConstants,
-           origin: Tuple[int, int] = (0, 0)) -> Dict[Tuple[int, int], int]:
-    """{theta(psum, qsum) - origin: n} over {psum: {qsum: n}}, in the
-    integers of w.lattice: the keys of sum n * exp(theta(psum/D, qsum/D))
-    at scale D*H.  theta(psum, qsum) = psum*(d1, -c1) + qsum*(d2, -c2)
-    takes distinct (psum, qsum) to distinct keys, since delta != 0.
-    """
-    _, d1, d2, c1, c2 = w.lattice
-    oa, ob = origin
-    ints = {}
-    for psum, row in rows.items():
-        a, b = psum * d1 - oa, -psum * c1 - ob
-        for qsum, n in row.items():
-            ints[(a + qsum * d2, b - qsum * c2)] = n
-    return ints
-
-
 def _taus(s: SpectralData, orders: Sequence[Tuple[int, Sequence[int]]],
           anchored: bool = False) -> List[ExpPoly]:
     """tau(n1; qsizes) for each order (n1, qsizes), qsizes nonempty, in one pass.
@@ -147,9 +117,9 @@ def _taus(s: SpectralData, orders: Sequence[Tuple[int, Sequence[int]]],
     Each P-subset of a needed size is walked once: its coupled Q weights
     and its Q rows by size are built then and shared by every order that
     sums over it.  An order with a group size out of range is zero.
-    ``anchored`` divides every value by the first one's least exponential,
-    so that the first has least exponent 0: a ratio solution's numerators
-    are then already over its denominator's unit part.
+    ``anchored`` divides every value by the first one's exponential of
+    least exponent, so that the first has least exponent 0: a ratio
+    solution's numerators are then already over its denominator's unit part.
     """
     P, Q = s.pspikes, s.qspikes
     pos, den = _over_one([sp.pos for sp in P + Q])
@@ -193,11 +163,12 @@ def _taus(s: SpectralData, orders: Sequence[Tuple[int, Sequence[int]]],
             content = Fraction(den ** max(e, 0),
                                den ** max(-e, 0) * pden ** n1 * (qden * ell_all) ** total)
             parts[i] = (rows[i], content)
-    w = s.constants
-    origin = (0, 0)
+    w, (ou, ov) = s.constants, (0, 0)
     if anchored:
-        origin = min((k for k, n in _theta(parts[0][0], w).items() if n), default=origin)
-    return [ExpPoly.from_lattice(den * w.lattice[0], _theta(rows, w, origin), content)
+        keys = [(psum, qsum) for psum, row in parts[0][0].items() for qsum, n in row.items() if n]
+        ou, ov = _least(keys, w) if keys else (0, 0)
+    return [_canonical(den, {(psum - ou, qsum - ov): n for psum, row in rows.items()
+                             for qsum, n in row.items()}, content, w)
             for rows, content in parts]
 
 
@@ -246,7 +217,7 @@ def solution_from_tau(m: AlgebraModel, s: SpectralData, n1: int, n2: int) -> Fie
     if den.is_zero():
         raise TauZero(interrupted)
     fields = dict(zip(m.field_keys, ExpRational.all_over(
-        [num * _SIGNS[key] for key, num in zip(m.field_keys, nums)], den)))
+        [num if _SIGNS[key] > 0 else -num for key, num in zip(m.field_keys, nums)], den)))
     return FieldConfig(m.name, s.constants, fields)
 
 
@@ -283,8 +254,8 @@ def _gra_sides(s: SpectralData, lams: Sequence[Fraction], size1: int, size2: int
         side = _row_product([(t, t * c) for t, c in s1] if multiplier else s1, s2.items())
         if multiplier:
             _row_product(s1, ts2, side)
-        out.append(ExpPoly.from_lattice(den * s.constants.lattice[0],
-                                        _theta({0: side}, s.constants), content / ell ** size1))
+        out.append(_canonical(den, {(0, qsum): n for qsum, n in side.items()},
+                              content / ell ** size1, s.constants))
     return out
 
 

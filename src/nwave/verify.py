@@ -85,7 +85,7 @@ def render_poly(p: ExpPoly) -> dict:
     The 20 largest-|coefficient| terms are listed; the sha256 digest of the
     canonical (exponent-sorted) serialization pins down the complete value.
     """
-    items = p.sorted_terms()
+    items = sorted(p.terms.items())
     canon = ";".join(f"{a},{b}:{c}" for (a, b), c in items)
     by_size = sorted(items, key=lambda kv: (-abs(kv[1]), kv[0]))
     return {

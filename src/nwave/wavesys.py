@@ -24,6 +24,7 @@ is symmetric; ``transforms`` conjugates its maps by them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from .exprat import ExpPoly, ExpRational, WaveConstants, common_denominator, sum_of_products
@@ -67,7 +68,7 @@ class AlgebraModel:
     roots: Tuple[Root, ...]
     equations: Tuple[EquationSpec, ...]
 
-    @property
+    @cached_property
     def field_keys(self) -> Tuple[FieldKey, ...]:
         return tuple((s, r) for r in self.roots for s in (PLUS, MINUS))
 
@@ -199,10 +200,10 @@ def residual(m: AlgebraModel, cfg: FieldConfig, eqs: Sequence[EquationSpec]) -> 
     atom, as it is held).
     A zero field has N = 0, so its products drop out.  L*L is never
     formed, nor N' or L': they enter as factors ((i, j), N), ((i, j), L).
-    The sums are one call of exprat.sum_of_products, which converts each
-    distinct operand to spectral coordinates once and packs it into ints
-    once per digit width; each equation keeps its own digit width above
-    the bound sum |coef|*|N_a|_1*|N_b|_1 and its own output rows, so its
+    The sums are one call of exprat.sum_of_products, which takes each
+    distinct operand in spectral coordinates and packs it into ints once
+    per digit width; each equation keeps its own digit width above the
+    bound sum |coef|*|N_a|_1*|N_b|_1 and its own output rows, so its
     residual is zero exactly when every one of its output row ints is 0,
     and a nonzero one is read back from its own digits.
     """

@@ -633,9 +633,11 @@ def _fraction_within_limit(v):
 @example("5e-4300", 2)
 @example("1e-4300", 2)
 def test_document_numbers_read_as_fraction_reads_them(v, pos):
-    # Documents are read on the integer lattice; every string must still
-    # give Fraction's value, or the error Fraction's refusal gives, or be
-    # refused when it could not be written back.
+    # Documents are read on the integer lattice, into the spectral
+    # coordinates of their constants; every string must still give
+    # Fraction's value, or the error Fraction's refusal gives, or be refused
+    # when it could not be written back.
+    w = wave_constants("1", "1/2", "1/3", "1")
     parts = ["0", "1", "1"]
     parts[pos] = v
     what = f"f+1.0.num[0].{('a', 'b', 'coef')[pos]}"
@@ -643,16 +645,16 @@ def test_document_numbers_read_as_fraction_reads_them(v, pos):
         want = [fraction_or_too_large(p) for p in parts]
     except (ValueError, ZeroDivisionError):
         with pytest.raises(InputError) as exc:
-            _poly_from_terms([[parts[:2], parts[2]]], "f+1.0.num")
+            _poly_from_terms([[parts[:2], parts[2]]], "f+1.0.num", w)
         assert str(exc.value) == f"{what}: not a rational: {reprlib.repr(v)}"
         return
     if want[pos] is None:
         with pytest.raises(InputError) as exc:
-            _poly_from_terms([[parts[:2], parts[2]]], "f+1.0.num")
+            _poly_from_terms([[parts[:2], parts[2]]], "f+1.0.num", w)
         assert str(exc.value).startswith(f"{what}: too many digits to write back "
                                          f"(limit {LIMIT}): ")
         return
-    got = _poly_from_terms([[parts[:2], parts[2]]], "f+1.0.num")
+    got = _poly_from_terms([[parts[:2], parts[2]]], "f+1.0.num", w)
     assert got == ExpPoly([((want[0], want[1]), want[2])])
 
 

@@ -201,12 +201,14 @@ def test_deriv_of_constant_is_zero():
 def test_integer_speeds_and_basis_on_random_constants(c1, c2, d1, d2, i, j, ab):
     assume(c1 * d2 != c2 * d1)
     w = WaveConstants(c1, c2, d1, d2)
-    # D_{i,j} scales exp(a*t + b*x) by (P*a + Q*b)/R
+    # D_{i,j} scales exp(a*t + b*x) by ((i*c1 + j*c2)*a + (i*d1 + j*d2)*b)/delta,
+    # whichever coordinates the term is held in
     a, b = ab
-    p, q, r = w.deriv_speeds(i, j)
     speed = ((i * c1 + j * c2) * a + (i * d1 + j * d2) * b) / w.delta
-    assert (p * a + q * b) / r == speed
-    assert ExpPoly.term(1, a, b).deriv(i, j, w) == ExpPoly.term(speed, a, b)
+    term = ExpPoly.term(1, a, b)
+    assert term.deriv(i, j, w) == ExpPoly.term(speed, a, b)
+    assert dict(exprat._spectral(term, w).deriv(i, j, w).terms) == (
+        {(a, b): speed} if speed else {})
     # T times the wave-exponent matrix [[d1, d2], [-c1, -c2]] is h*I
     t11, t12, t21, t22, h = w.basis
     assert (t11 * d1 - t12 * c1, t11 * d2 - t12 * c2) == (h, 0)
@@ -769,3 +771,65 @@ def test_a_sparse_sum_of_products_is_multiplied_term_by_term(monkeypatch, gap, p
                            {(F(0), F(0)): Fraction(-1, 2)}))
     assert dict(got.terms) == want
     assert (loops == 0) is packed
+
+
+# -- the spectral and the exponent form of one value -------------------------------
+
+@st.composite
+def random_constants(draw):
+    """Nondegenerate wave constants."""
+    c1, c2, d1, d2 = (draw(nonzero_rationals) for _ in range(4))
+    assume(c1 * d2 != c2 * d1)
+    return WaveConstants(c1, c2, d1, d2)
+
+
+def _canonical_exponents(p):
+    """p's canonical form in exponent coordinates, (scale, {(A, B): n}, content)."""
+    return ExpPoly.from_lattice(*p.lattice()).lattice()
+
+
+def _nonconstant(p):
+    return any(key != (0, 0) for key in p.lattice()[1])
+
+
+@settings(max_examples=60)
+@given(term_lists, term_lists, random_constants(), random_constants(),
+       st.sampled_from(DERIVATIVE_INDICES))
+def test_the_spectral_and_exponent_forms_are_one_value(ft, gt, w, w2, ij):
+    f, rf = _poly_and_reference(ft)
+    g, rg = _poly_and_reference(gt)
+    sf, sg = exprat._spectral(f, w), exprat._spectral(g, w)
+    # exponent -> spectral -> exponent is the identity
+    assert _canonical_exponents(sf) == f.lattice() and dict(sf.terms) == rf
+    assert ExpPoly.from_lattice(*f.lattice(), w) == sf
+    # == and hash agree across the two forms
+    assert sf == f and f == sf and hash(sf) == hash(f)
+    assert (sf == g) == (f == g) == (g == sf) == (sf == sg)
+    # +, *, deriv and divexact commute with the conversion, whichever
+    # operand brings the spectral form
+    for h in (sf + sg, f + sg, sf + g):
+        assert _canonical_exponents(h) == (f + g).lattice()
+    for h in (sf * sg, f * sg, sf * g):
+        assert _canonical_exponents(h) == (f * g).lattice()
+    assert dict(sf.deriv(*ij, w).terms) == dict(f.deriv(*ij, w).terms) == ref.deriv(rf, *ij, w)
+    # one evaluation of a value in either form, both forms in one call
+    if rf:
+        (_, _, vals), = exprat.grid_values({0: ExpRational(f), 1: ExpRational(sf)},
+                                           [Fraction(1, 3)], [Fraction(-1, 2)])
+        assert vals[0] == vals[1]
+    if rg:
+        for num, den in ((sf * sg, sg), (f * g, sg), (sf * sg, g)):
+            assert _canonical_exponents(divexact(num, den)) == f.lattice()
+        # a divisor's atom is split at its least exponent in either form
+        want = ExpRational(f, g)
+        for got in (ExpRational(sf, sg), ExpRational(f, sg), ExpRational(sf, g)):
+            assert _canonical_exponents(got.den) == want.den.lattice()
+            assert _canonical_exponents(got.num) == want.num.lattice()
+    # values with different constants never meet
+    if w2 != w and _nonconstant(f) and _nonconstant(g):
+        other = exprat._spectral(g, w2)
+        for meet in (lambda: sf + other, lambda: sf * other, lambda: sf == other,
+                     lambda: divexact(sf * sg, other), lambda: other.deriv(*ij, w),
+                     lambda: sum_of_products([[(1, sf, other)]], w)):
+            with pytest.raises(ValueError, match="different wave constants"):
+                meet()

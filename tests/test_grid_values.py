@@ -310,20 +310,23 @@ def _with_pole(algebra: str, on_lhs: bool):
 
 
 with_zero = coords.map(lambda c: c if 0 in c else [*c, Fraction(0)])
-cases = st.one_of(
-    st.tuples(st.sampled_from(["A2", "B2"]).flatmap(_random_config), coords, coords),
+#: The judge's cases by kind, each drawn on its own (see the test below).
+cases = {
+    "random": st.tuples(st.sampled_from(["A2", "B2"]).flatmap(_random_config), coords, coords),
     # tau solutions with one field off by eps: cancellation down to REL_TOL and past it
-    st.tuples(st.builds(_perturbed, st.sampled_from(["A2", "B2"]), st.integers(0, 7),
-                        st.sampled_from([Fraction(0), Fraction(1, 10 ** 12), Fraction(1, 10 ** 10),
-                                         Fraction(-1, 10 ** 9), Fraction(1, 10 ** 8),
-                                         Fraction(1, 10 ** 5)])),
-              coords, coords),
+    "perturbed": st.tuples(
+        st.builds(_perturbed, st.sampled_from(["A2", "B2"]), st.integers(0, 7),
+                  st.sampled_from([Fraction(0), Fraction(1, 10 ** 12), Fraction(1, 10 ** 10),
+                                   Fraction(-1, 10 ** 9), Fraction(1, 10 ** 8),
+                                   Fraction(1, 10 ** 5)])),
+        coords, coords),
     # a pole at (0, 0) of a left-hand field, and of a factor that is skipped
-    st.tuples(st.sampled_from(["A2", "B2"]).flatmap(lambda a: _with_pole(a, True)),
-              with_zero, with_zero),
-    st.tuples(st.sampled_from(["A2", "B2"]).flatmap(lambda a: _with_pole(a, False)),
-              with_zero, with_zero),
-)
+    "lhs-pole": st.tuples(st.sampled_from(["A2", "B2"]).flatmap(lambda a: _with_pole(a, True)),
+                          with_zero, with_zero),
+    "factor-pole": st.tuples(
+        st.sampled_from(["A2", "B2"]).flatmap(lambda a: _with_pole(a, False)),
+        with_zero, with_zero),
+}
 
 
 def _reference_residual(eq, ref_fields):
@@ -352,14 +355,16 @@ def _reference_residual(eq, ref_fields):
     return False, near, r, s, kappa
 
 
-@settings(max_examples=40, deadline=None)
-@given(cases)
-def test_the_integer_judge_matches_a_400_bit_residual(case):
+@pytest.mark.parametrize("kind", list(cases))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_the_integer_judge_matches_a_400_bit_residual(kind, data):
     # Per equation and point: a pole where the reference finds one, and
     # otherwise |R| > REL_TOL * S exactly when the reference's residual and
     # scale say so.  Points within 16x of the pole rule, or within the
-    # evaluator's error of the tolerance, are not decided by either.
-    cfg, ts, xs = case
+    # evaluator's error of the tolerance, are not decided by either.  Each
+    # kind of case has its 10 examples of its own, so none goes undrawn.
+    cfg, ts, xs = data.draw(cases[kind])
     m = model(cfg.algebra)
     d_index = {eq.lhs: eq.d_index for eq in m.equations}
     points = list(grid_values(cfg.fields, ts, xs, W, d_index))
