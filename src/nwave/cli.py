@@ -29,10 +29,8 @@ import sys
 from fractions import Fraction
 from math import gcd, lcm
 
-from mpmath import libmp
-
 from .exprat import (
-    DivisionByZeroField, ExpPoly, ExpRational, InexactDivision, grid_values, round_ratio,
+    DivisionByZeroField, ExpPoly, ExpRational, InexactDivision, grid_values, ratio_text,
     wave_constants,
 )
 from .spectral import InvalidSpectralData, spectral_data
@@ -361,7 +359,7 @@ def cmd_sample(args) -> int:
         for k in keys:
             v = vals.get(k)  # an identically zero field has no entry
             cells.append("0.0" if k not in vals else "" if v is None
-                         else libmp.to_str(round_ratio(v[0], v[2], v[6]), 17))
+                         else ratio_text(v[0], v[2], v[6]))
         lines.append(",".join(cells))
     _emit("\n".join(lines) + "\n", args.csv)
     return 0

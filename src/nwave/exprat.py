@@ -160,11 +160,7 @@ class ExpPoly:
 
     @staticmethod
     def term(coef: RatLike, a: RatLike, b: RatLike) -> "ExpPoly":
-        coef = as_frac(coef)
-        if not coef:
-            return _ZERO
-        key, scale = _over_one([as_frac(a), as_frac(b)])
-        return _poly(scale, {tuple(key): 1}, coef, None)
+        return ExpPoly({(a, b): coef})
 
     # -- the rational view -------------------------------------------------
 
@@ -251,6 +247,8 @@ class ExpPoly:
             return NotImplemented
         if not self._ints or not other._ints:
             return _ZERO
+        if self._w is not other._w:  # before the constant cases, so other constants raise
+            self, other = _meet(self, other)
         if _is_const(other):
             return _poly(self._scale, self._ints, self._content * other._content, self._w)
         if _is_const(self):
@@ -369,9 +367,7 @@ def _is_const(p: ExpPoly) -> bool:
 
 
 def _reduced(scale, ints, content, w) -> ExpPoly:
-    """Wrap primitive, sign-normalized coefficients, at the minimal scale."""
-    if not ints:
-        return _ZERO
+    """Wrap primitive, sign-normalized coefficients, at least one, at the minimal scale."""
     if scale != 1:
         s = scale
         for a, b in ints:
@@ -452,8 +448,7 @@ def _least(keys: Sequence[Tuple[int, int]], w: Optional[WaveConstants]) -> Tuple
     """The key, in w's coordinates, of the lexicographically least exponent."""
     if w is None:
         return min(keys)
-    exps = _exponent_keys(keys, w)
-    return list(keys)[exps.index(min(exps))]
+    return min(zip(_exponent_keys(keys, w), keys))[1]
 
 
 def _coerce_poly(v) -> ExpPoly:
@@ -731,35 +726,20 @@ def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
     return _reduced(scale, quot, num._content / den._content, num._w)
 
 
-def _times_term(y: ExpPoly, m: ExpPoly) -> ExpPoly:
-    """y * m for a one-term m: a translation of y's keys."""
-    if not y._ints:
-        return y
-    if y._w is not m._w:
-        y, m = _meet(y, m)
-    (ma, mb), = m._ints
-    content = y._content * m._content
-    if not (ma or mb):
-        return _poly(y._scale, y._ints, content, y._w)
-    scale = lcm(y._scale, m._scale)
-    f, g = scale // y._scale, scale // m._scale
-    ma, mb = ma * g, mb * g
-    return _reduced(scale, {(a * f + ma, b * f + mb): n for (a, b), n in y._ints.items()},
-                    content, y._w)
-
-
 def _split(y: ExpPoly, p: ExpPoly) -> Tuple[ExpPoly, Optional[ExpPoly]]:
     """(y / u, p / u) for u = c * exp(a*t + b*x) the term of p (nonzero)
     of lexicographically least exponent (_least), a unit of the ring: y over
-    p's unit part, and p's atom, None when p is a single term.
+    p's unit part, and p's atom, None when p is a single term.  Both are
+    ExpPoly products by the one term 1/u, formed at its minimal scale: a
+    product by a constant keeps the other factor's form as it is.
 
     The atom has least exponent 0 and coefficient 1 there, so equal
     polynomials up to a monomial and a constant share one atom, whichever
     coordinates it was split in.
     """
-    least, w = _least(p._ints, p._w), p._w
-    inverse = _poly(p._scale, {(-least[0], -least[1]): 1}, 1 / (p._content * p._ints[least]), w)
-    return _times_term(y, inverse), (_times_term(p, inverse) if len(p._ints) > 1 else None)
+    (a, b), w = _least(p._ints, p._w), p._w
+    inverse = _reduced(p._scale, {(-a, -b): 1}, 1 / (p._content * p._ints[a, b]), w)
+    return y * inverse, (p * inverse if len(p._ints) > 1 else None)
 
 
 class ExpRational:
@@ -816,10 +796,10 @@ class ExpRational:
 
     @staticmethod
     def all_over(nums: Iterable[ExpPoly], den) -> List["ExpRational"]:
-        """[ExpRational(num, den) for num in nums], with den split once:
-        every value holds the same denominator and atoms."""
+        """[ExpRational(num, den) for num in nums], with den split once: every
+        value is num times 1/u, u den's unit part, over the same atoms."""
         u = ExpRational(1, den)  # u.num is one term, the inverse of den's unit part
-        return [_rat(_times_term(n, u.num), u._atoms) for n in nums]
+        return [_rat(n * u.num, u._atoms) for n in nums]
 
     def is_zero(self) -> bool:
         return not self.num._ints
@@ -888,10 +868,6 @@ class ExpRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ExpRational":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise DivisionByZeroField("division by zero field value")
-            return _rat(self.num * (1 / Fraction(other)), self._atoms)
         other = _coerce_rational(other)
         if other is NotImplemented:
             return NotImplemented
@@ -1134,6 +1110,20 @@ def round_ratio(p: int, q: int, e: int, prec: int = EVAL_PRECISION) -> tuple:
             p = p << 1 | 1
             e -= 1
     return libmp.normalize(sign, p, e, p.bit_length(), prec, _RND)
+
+
+def ratio_text(p: int, q: int, e: int, sci: bool = False) -> str:
+    """p/q * 2**e (q > 0) as text, rounded once by round_ratio, without
+    float's range limit: 17 significant digits, as ``nwave sample`` writes
+    a value, or with sci ``'%.3e'`` text, as a report's detail prints it."""
+    if not sci:
+        return libmp.to_str(round_ratio(p, q, e), 17)
+    if not p:
+        return "0.000e+00"
+    s = libmp.to_str(round_ratio(p, q, e), 4, strip_zeros=False, min_fixed=1, max_fixed=0,
+                     show_zero_exponent=True)
+    mant, _, exp = s.partition("e")
+    return f"{mant}e{int(exp):+03d}"
 
 
 class _Sums:

@@ -12,7 +12,7 @@ for identical inputs, and carry at most one rendered counterexample.
 This module judges; it does not evaluate.  Numeric mode takes its numbers
 from ``exprat.grid_values``, the package's one numeric evaluator, as exact
 integers, and applies the tolerance rule to them exactly; it rounds only
-the numbers a detail prints, each once, with ``exprat.round_ratio``.
+the numbers a detail prints, each once, with ``exprat.ratio_text``.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from mpmath import libmp
-
-from .exprat import EVAL_PRECISION, ExpPoly, ExpRational, grid_values, round_ratio, wave_constants
+from .exprat import EVAL_PRECISION, ExpPoly, ExpRational, grid_values, ratio_text, wave_constants
 from .spectral import SpectralData, initial_config, spectral_data, wave_exponent
 from .tau import TauZero, check_gra, solution_from_tau, tau_U
 from .toda import ab_closed, ab_init, ab_step, hankel_chain, toda_residual
@@ -117,17 +115,6 @@ def _eq_name(eq) -> str:
 _TOL_NUM, _TOL_DEN = REL_TOL.as_integer_ratio()
 
 
-def _sci(p: int, q: int, e: int) -> str:
-    """``'%.3e'`` text of p/q * 2**e (q > 0), rounded once, without float's
-    range limit."""
-    if not p:
-        return "0.000e+00"
-    s = libmp.to_str(round_ratio(p, q, e), 4, strip_zeros=False, min_fixed=1, max_fixed=0,
-                     show_zero_exponent=True)
-    mant, _, exp = s.partition("e")
-    return f"{mant}e{int(exp):+03d}"
-
-
 def _exceeds(a, b) -> bool:
     """Whether p/q * 2**e of a = (p, q, e) exceeds that of b, both >= 0 with
     q > 0: by their binary magnitudes when these are 2 or more apart, else by
@@ -166,14 +153,14 @@ def _judge(points) -> Tuple[bool, str]:
         r, s, d, e = point
         r = abs(r)
         if r * _TOL_DEN > _TOL_NUM * s:
-            return False, (f"|residual| = {_sci(r, d, e)} > {_sci(_TOL_NUM * s, _TOL_DEN * d, e)}"
-                           f" at (t={t}, x={x})")
+            return False, (f"|residual| = {ratio_text(r, d, e, True)} > "
+                           f"{ratio_text(_TOL_NUM * s, _TOL_DEN * d, e, True)} at (t={t}, x={x})")
         if _exceeds((r, d, e), worst):
             worst = r, d, e
         checked += 1
     if not checked:
         return False, "no grid point judged; poles at " + ", ".join(poles)
-    detail = f"max |residual| {_sci(*worst)} over {checked} points"
+    detail = f"max |residual| {ratio_text(*worst, True)} over {checked} points"
     if poles:
         detail += "; poles skipped at " + ", ".join(poles)
     return True, detail

@@ -217,8 +217,7 @@ def residual(m: AlgebraModel, cfg: FieldConfig, eqs: Sequence[EquationSpec]) -> 
     for eq in eqs:
         terms = [(-coef, num[a], num[b]) for coef, a, b in eq.rhs]
         n = num[eq.lhs]
-        if n:
-            terms += [(1, (eq.d_index, n), d), (-1, n, (eq.d_index, d))]
+        terms += [(1, (eq.d_index, n), d), (-1, n, (eq.d_index, d))]
         sums.append(terms)
     return sum_of_products(sums, w)
 

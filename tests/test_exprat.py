@@ -291,6 +291,18 @@ def test_inverse_cancellation(r):
     assert (r - r).is_zero()
 
 
+@settings(max_examples=30)
+@given(exppolys(), nonzero_exppolys, st.integers(-6, 6), rationals)
+def test_a_scalar_minus_a_value_is_the_negated_difference(p, q, n, f):
+    # c - x runs __rsub__: on an exponent-keyed ExpPoly, the same value in
+    # W's spectral coordinates, and an ExpRational over an atom
+    r = ExpRational(q, ExpPoly.term(1, 1, 0) + 1)
+    assert not r.is_poly()
+    for x in (p, exprat._spectral(p, W), r):
+        for c in (n, f):
+            assert c - x == -(x - c)
+
+
 def test_division_by_zero_value():
     with pytest.raises(DivisionByZeroField):
         ExpRational.const(1) / ExpRational.zero()

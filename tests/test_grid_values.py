@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 import _gridref as ref
 from nwave import cli, exprat, verify
 from nwave.cli import config_to_doc
-from nwave.exprat import POLE_BITS, ExpPoly, ExpRational, grid_values, round_ratio, wave_constants
+from nwave.exprat import (
+    POLE_BITS, ExpPoly, ExpRational, grid_values, ratio_text, round_ratio, wave_constants,
+)
 from nwave.spectral import spectral_data
 from nwave.tau import solution_from_tau
 from nwave.wavesys import field_label, model, zero_config
@@ -193,8 +195,9 @@ def test_grid_values_rounds_no_value(monkeypatch):
 
 def test_sample_rounds_each_printed_value_once(monkeypatch, tmp_path):
     # A2 with one field polynomial, one with a pole on t = 0 and four
-    # identically zero, on a 5 x 3 grid: one rounding per cell that prints
-    # a value, none for a pole or a zero field, and none in the evaluator.
+    # identically zero, on a 5 x 3 grid: one rounding to text (ratio_text,
+    # through exprat's libmp) per cell that prints a value, none for a pole
+    # or a zero field, and none in the evaluator.
     cfg = zero_config("A2", W)
     keys = sorted(cfg.fields, key=field_label)
     pole = ExpRational(ExpPoly.const(1), ExpPoly.term(1, 1, 0) - 1)
@@ -205,17 +208,17 @@ def test_sample_rounds_each_printed_value_once(monkeypatch, tmp_path):
 
     def counting(*args):
         rounded.append(args)
-        return round_ratio(*args)
+        return ratio_text(*args)
 
     monkeypatch.setattr(exprat, "libmp", counter)
-    monkeypatch.setattr(cli, "round_ratio", counting)
+    monkeypatch.setattr(cli, "ratio_text", counting)
     assert cli.main(["sample", "--in", str(path), "--t0", "-1", "--t1", "1", "--nt", "5",
                      "--x0", "0", "--x1", "1", "--nx", "3", "--csv", str(tmp_path / "s.csv")]) == 0
     rows = [line.split(",")[2:] for line in (tmp_path / "s.csv").read_text().splitlines()[1:]]
     assert len(rows) == 15
     assert [sum(row[k] == "" for row in rows) for k in range(2)] == [0, 3]
     assert all(row[k] == "0.0" for row in rows for k in range(2, 6))
-    assert len(rounded) == 15 + 12
+    assert len(rounded) == counter.calls["to_str"] == 15 + 12
     assert counter.calls["mpf_pos"] == 0
 
 

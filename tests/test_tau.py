@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from nwave import exprat as exprat_module, spectral as spectral_module, tau as tau_module
+from nwave import spectral as spectral_module, tau as tau_module
 from nwave.cli import config_from_doc
 from nwave.exprat import ExpPoly, ExpRational, common_denominator, divexact, wave_constants
 from nwave.spectral import initial_config, spectral_data
@@ -359,7 +359,8 @@ def test_a_solution_normalizes_its_denominator_once(monkeypatch):
 def test_a_solution_s_taus_start_at_its_denominator_s_least_exponent(monkeypatch):
     # A ratio solution's tau values are divided by the base tau's least
     # exponential as they are built, so putting the numerators over the
-    # base tau translates none of them; a plain tau value is not moved.
+    # base tau translates none of them: every one-term ExpPoly multiplied
+    # in is a constant.  A plain tau value is not moved.
     s = spectral_data(W, P2, Q3)
     orders = [(1, (1, 1, 1)), (0, (2, 1, 1)), (2, (1, 1, 1)), (1, (0, 1, 1))]
     plain, anchored = _taus(s, orders), _taus(s, orders, True)
@@ -368,13 +369,14 @@ def test_a_solution_s_taus_start_at_its_denominator_s_least_exponent(monkeypatch
     for p, a in zip(plain, anchored):
         assert p * anchored[0] == a * plain[0]
     moves = []
-    times_term = exprat_module._times_term
+    mul = ExpPoly.__mul__
 
     def recording(y, m):
-        moves.append(next(iter(m.lattice()[1])))
-        return times_term(y, m)
+        if isinstance(m, ExpPoly) and len(m.terms) == 1:
+            moves.append(next(iter(m.lattice()[1])))
+        return mul(y, m)
 
-    monkeypatch.setattr(exprat_module, "_times_term", recording)
+    monkeypatch.setattr(ExpPoly, "__mul__", recording)
     solution_from_tau(model("G2"), s, 1, 1)
     assert moves and set(moves) == {(0, 0)}
 
