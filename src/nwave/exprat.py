@@ -749,11 +749,11 @@ class ExpRational:
     see ``_split``), so atoms key a dict, and two values share an atom exactly
     when the polynomials are equal.  The denominator is ``prod(atom**k)``,
     atoms with multiplicities.  A monomial is a unit of the ring, so where
-    a polynomial divides (the constructor, ``/`` and ``dlog``) its least
-    term is divided into the numerator and only its atom joins the
-    denominator.  Atoms come from the denominator given to the constructor
-    and from the numerator of every divisor.  No gcd is ever taken; known
-    factors are cancelled instead:
+    a polynomial divides (the constructor and ``/``) its least term is
+    divided into the numerator and only its atom joins the denominator.
+    Atoms come from the denominator given to the constructor and from the
+    numerator of every divisor.  No gcd is ever taken; known factors are
+    cancelled instead:
 
     - ``+`` and ``-`` work over the lcm of the two atom multisets, not over
       the product;
@@ -927,49 +927,35 @@ class ExpRational:
 
     # -- calculus ----------------------------------------------------------
 
-    def _top(self, i: int, j: int, w: WaveConstants) -> ExpPoly:
-        """T with D_{i,j}(self) = T / (Q * P), where Q is the product of
-        the atoms (with multiplicity) and P of the distinct atoms:
-        (n/Q)' = (n'P - n * sum(k * a' * P/a)) / (Q*P)."""
-        n, atoms = self.num, self._atoms
-        rest = sum((_times_powers(a.deriv(i, j, w) * k, [(b, 1) for b in atoms if b is not a])
-                    for a, k in atoms.items()), _ZERO)
-        return n.deriv(i, j, w) * _times_powers(None, [(a, 1) for a in atoms]) - n * rest
-
     def deriv(self, i: int, j: int, w: WaveConstants) -> "ExpRational":
         """Quotient-rule D_{i,j}: every atom's multiplicity rises by one.
+        With Q the product of the atoms (with multiplicity) and P of the
+        distinct atoms, (n/Q)' = (n'P - n * sum(k * a' * P/a)) / (Q*P).
         So over a one-atom denominator d the result is (n'd - nd')/d^2,
         numerator and denominator."""
-        if not self.num._ints:
+        n, atoms = self.num, self._atoms
+        if not n._ints:
             return self
-        return _rat(self._top(i, j, w), {a: k + 1 for a, k in self._atoms.items()})
+        rest = sum((_times_powers(a.deriv(i, j, w) * k, [(b, 1) for b in atoms if b is not a])
+                    for a, k in atoms.items()), _ZERO)
+        top = n.deriv(i, j, w) * _times_powers(None, [(a, 1) for a in atoms]) - n * rest
+        return _rat(top, {a: k + 1 for a, k in atoms.items()})
 
     def dlog(self, i: int, j: int, w: WaveConstants) -> "ExpRational":
-        """Logarithmic derivative D_{i,j} ln(self), equal to deriv/self.
-
-        Formed directly: D(self) = T / (Q * P) (see _top), so
-        D(self)/self = T / (n * P).  The numerator n brings its atom, its
-        unit part divided into T; every atom of the denominator stays, with
-        multiplicity one.
-        """
+        """Logarithmic derivative D_{i,j} ln(self): deriv over self."""
         if not self.num._ints:
             raise DivisionByZeroField("log derivative of zero")
-        top, atom = _split(self._top(i, j, w), self.num)
-        atoms = dict.fromkeys(self._atoms, 1)
-        if atom is not None:
-            atoms[atom] = atoms.get(atom, 0) + 1
-        return _rat(top, atoms)
+        return self.deriv(i, j, w) / self
 
     def as_constant(self):
-        """Return this value as a Fraction if it is constant, else None."""
+        """Return this value as a Fraction if it is constant, else None: a
+        value is constant exactly when ``cancel`` divides out every atom
+        and leaves a constant."""
         if self.is_zero():
             return _FRAC_ZERO
-        try:
-            quot = divexact(self.num, self.den)
-        except InexactDivision:
-            return None
-        if _is_const(quot):
-            return quot._content
+        c = self.cancel()
+        if c.is_poly() and _is_const(c.num):
+            return c.num._content
         return None
 
     def eval(self, t: RatLike, x: RatLike):
@@ -1090,15 +1076,13 @@ def _exps(ks: Sequence[int], n: int, d: int) -> List[tuple]:
 
 
 def round_ratio(p: int, q: int, e: int, prec: int = EVAL_PRECISION) -> tuple:
-    """p/q * 2**e (q != 0) as a libmp value, rounded once to prec bits: the
+    """p/q * 2**e (q > 0) as a libmp value, rounded once to prec bits: the
     package's one rounding of an integer ratio, which turns grid_values'
     integer form into the numbers the package prints.
 
     The quotient is taken to at least prec + 5 bits, with a sticky low bit
     when inexact, so that rounding it is rounding p/q.
     """
-    if q < 0:
-        p, q = -p, -q
     sign = 0
     if p < 0:
         sign, p = 1, -p

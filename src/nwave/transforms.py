@@ -10,10 +10,10 @@ Rows are written out for A2_T1, B2_TM and G2_T1 only.  B2_T2A2 composes
 B2_TM with B2_T10_INV; every other map is one of the three conjugated by an
 exchange of its algebra (see wavesys), its pivot the image of theirs.
 
-A map's rows are written once, as ``rows(F, d, dlog)``: ``F`` maps each
-FieldKey to a value, ``d(i, j, e)`` is the derivation D_{i,j} and
-``dlog(i, j, e)`` the log-derivative D_{i,j} e / e.  Rows use only field
-arithmetic, integer and Fraction scalars, ``d``, ``dlog`` and ``cancel()``,
+A map's rows are written once, as ``rows(F, d)``: ``F`` maps each
+FieldKey to a value and ``d(i, j, e)`` is the derivation D_{i,j}; a
+log-derivative is the quotient ``d(i, j, e) / e``.  Rows use only field
+arithmetic, integer and Fraction scalars, ``d`` and ``cancel()``,
 so the same functions run on ExpRational values (``apply``) and on sympy
 jets (the tests).  Every row is evaluated in the order written: an
 ExpRational's stored form depends on the order of operations.  ``apply``
@@ -48,7 +48,7 @@ class Transform:
     algebra: str
     #: Field that must not vanish identically for the map to be defined.
     pivot: FieldKey
-    #: rows(F, d, dlog) -> the image of every field.
+    #: rows(F, d) -> the image of every field.
     rows: Callable[..., Dict[FieldKey, object]]
 
 
@@ -76,7 +76,7 @@ def _values(F, algebra):
     return [F[(PLUS, r)] for r in roots] + [F[(MINUS, r)] for r in roots]
 
 
-def _a2_t1(F, d, dlog):
+def _a2_t1(F, d):
     p10, p01, p11, m10, m01, m11 = _values(F, "A2")
     return {
         (PLUS, (1, 0)): 1 / m10,
@@ -84,17 +84,17 @@ def _a2_t1(F, d, dlog):
         (PLUS, (1, 1)): -p01 / m10,
         (PLUS, (0, 1)): d(1, 1, p01 / m10) * m10,
         (MINUS, (1, 1)): d(0, 1, m11 / m10) * m10,
-        (MINUS, (1, 0)): (p10 * m10 + d(0, 1, dlog(1, 1, m10))) * m10,
+        (MINUS, (1, 0)): (p10 * m10 + d(0, 1, d(1, 1, m10) / m10)) * m10,
     }
 
 
-def _b2_tm(F, d, dlog):
+def _b2_tm(F, d):
     p10, p01, p11, p12, m10, m01, m11, m12 = _values(F, "B2")
 
     def D(f):
         return d(1, 0, f)
 
-    dlog12 = dlog(1, 0, m12)
+    dlog12 = D(m12) / m12
     tm12 = (
         D(dlog12) * QUARTER
         + (m11 * D(m01) - m01 * D(m11)) / (m12 * 2)
@@ -112,13 +112,13 @@ def _b2_tm(F, d, dlog):
     }
 
 
-def _g2_t1(F, d, dlog):
+def _g2_t1(F, d):
     p10, p01, p11, p12, p13, p23, m10, m01, m11, m12, m13, m23 = _values(F, "G2")
 
     def D(f):
         return d(1, 2, f)
 
-    dlog10 = dlog(1, 2, m10)
+    dlog10 = D(m10) / m10
 
     def half_deriv(f):
         # (m10*Df - (1/2) f*Dm10) / m10  ==  Df - (1/2) f * dlog10
@@ -173,23 +173,20 @@ def _g2_t1(F, d, dlog):
 
 def _conjugated(base: Transform, exchange: Exchange) -> Transform:
     """``base`` conjugated by the involution ``exchange``: inputs relabelled,
-    rows run with the derivations substituted, outputs relabelled back.  Its
+    rows run with the derivation substituted, outputs relabelled back.  Its
     linear map of exponent charges commutes with field arithmetic, so it
     cancels.  A sign is applied by negating, only where it is -1."""
     fields = [(key, *exchanged_field(exchange, key))
               for r in exchange for key in ((PLUS, r), (MINUS, r))]
 
-    def sub(deriv):
-        def out(i, j, f):
+    def rows(F, d):
+        def sub(i, j, f):
             eta, (i2, j2) = exchange[(i, j)]
-            v = deriv(i2, j2, f)
+            v = d(i2, j2, f)
             return -v if eta < 0 else v
 
-        return out
-
-    def rows(F, d, dlog):
         inner = {target: -F[key] if eta < 0 else F[key] for key, eta, target in fields}
-        image = base.rows(inner, sub(d), sub(dlog))
+        image = base.rows(inner, sub)
         return {target: -image[key] if eta < 0 else image[key] for key, eta, target in fields}
 
     return Transform(base.algebra, exchanged_field(exchange, base.pivot)[1], rows)
@@ -201,10 +198,10 @@ _B2_T10_INV = _conjugated(_B2_TM, B2_SWAP_10_12_MIRROR)
 _G2_T1 = Transform("G2", (MINUS, (1, 0)), _g2_t1)
 
 
-def _b2_t2a2(F, d, dlog):
+def _b2_t2a2(F, d):
     # the second-root map factors as TM followed by T10^-1; the TM image is
     # cancelled first, as apply cancels every image
-    return _B2_T10_INV.rows(_cancelled(_b2_tm(F, d, dlog)), d, dlog)
+    return _B2_T10_INV.rows(_cancelled(_b2_tm(F, d)), d)
 
 
 TRANSFORMS: Dict[str, Transform] = {
@@ -229,8 +226,7 @@ def apply(tid: str, cfg: FieldConfig) -> FieldConfig:
     if cfg[t.pivot].is_zero():
         raise PivotZero(tid, t.pivot)
     w = cfg.constants
-    fields = t.rows(cfg.fields,
-                    lambda i, j, f: f.deriv(i, j, w), lambda i, j, f: f.dlog(i, j, w))
+    fields = t.rows(cfg.fields, lambda i, j, f: f.deriv(i, j, w))
     return FieldConfig(cfg.algebra, w, _cancelled(fields))
 
 

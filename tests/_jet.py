@@ -9,9 +9,8 @@ in these coordinates, and an identity holds on the whole solution manifold
 iff its normal form is zero — no probe data involved.
 
 The transformation rows are the package's own (transforms.TRANSFORMS),
-run on jets with d = JetRing.d and dlog(i, j, e) = d(i, j, e) / e, and the
-equation tables come straight from the package model, so the proof covers
-the code that ships.
+run on jets with d = JetRing.d, and the equation tables come straight from
+the package model, so the proof covers the code that ships.
 """
 from fractions import Fraction
 
@@ -113,7 +112,7 @@ class JetRing:
 
 def _run(J, rows, F=None):
     """A registry row set on jets, each row normalised by sp.cancel (exact)."""
-    out = rows(J.F if F is None else F, J.d, lambda i, j, e: J.d(i, j, e) / e)
+    out = rows(J.F if F is None else F, J.d)
     return {k: sp.cancel(v) for k, v in out.items()}
 
 

@@ -257,7 +257,7 @@ def test_dlog_is_deriv_over_value():
     for u in (poly, quot):
         for i, j in ((1, 0), (0, 1), (1, 2)):
             assert u.dlog(i, j, W) == u.deriv(i, j, W) / u
-    # the direct form (n'd - nd')/(nd) carries no spare factor of d
+    # deriv / self cancels deriv's second factor of d: (n'd - nd')/(nd)
     assert quot.dlog(1, 1, W).den.terms.keys() == (quot.num * quot.den).terms.keys()
     with pytest.raises(DivisionByZeroField):
         ExpRational.zero().dlog(1, 0, W)
@@ -306,6 +306,35 @@ def test_a_scalar_minus_a_value_is_the_negated_difference(p, q, n, f):
 def test_division_by_zero_value():
     with pytest.raises(DivisionByZeroField):
         ExpRational.const(1) / ExpRational.zero()
+
+
+_P = ExpPoly.term(2, 1, 0) + ExpPoly.const(1)
+_R = ExpRational(_P, ExpPoly.term(1, 0, 1) + ExpPoly.const(1))
+_DUNDERS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__eq__")
+#: case -> (call, the exception it raises, or NotImplemented where it returns that)
+_REFUSALS = {
+    "divexact_by_zero": (lambda: divexact(_P, ExpPoly.zero()), DivisionByZeroField),
+    "as_frac_of_a_float": (lambda: exprat.as_frac(0.5), TypeError),
+    "ExpRational_of_a_float": (lambda: ExpRational(0.5), TypeError),
+    "ExpRational_over_a_float": (lambda: ExpRational(_P, 0.5), TypeError),
+}
+_REFUSALS.update({
+    f"{type(x).__name__}.{op}": (lambda x=x, op=op: getattr(x, op)(0.5), NotImplemented)
+    for x, ops in ((_P, _DUNDERS), (_R, _DUNDERS + ("__truediv__", "__rtruediv__")))
+    for op in ops})
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_a_zero_divisor_and_an_inexact_operand_are_refused(case):
+    # a float is no exact rational: the constructors raise, and every ring
+    # operator returns NotImplemented, so Python raises TypeError (== falls
+    # back to identity)
+    call, refusal = _REFUSALS[case]
+    if refusal is NotImplemented:
+        assert call() is NotImplemented
+    else:
+        with pytest.raises(refusal):
+            call()
 
 
 # -- exact division ------------------------------------------------------------
@@ -373,6 +402,11 @@ def test_as_constant():
     assert ExpRational(ONE, ONE + ExpPoly.term(1, 1, 0)).as_constant() is None
     half = ExpRational(ONE + ExpPoly.term(3, 1, 0), ONE * 2 + ExpPoly.term(6, 1, 0))
     assert half.as_constant() == Fraction(1, 2)
+    # an atom of multiplicity 2: constant only once both are divided out
+    a = ONE + ExpPoly.term(1, 1, 0)
+    over_a2 = ExpRational(ONE, a) * ExpRational(ONE, a)
+    assert (over_a2 * (a * a * 5)).as_constant() == 5
+    assert (over_a2 * (a * 5)).as_constant() is None
 
 
 def test_eval_basics():
@@ -763,6 +797,15 @@ def test_a_packed_sum_reads_back_no_zero_digit(monkeypatch):
     p, q = ExpPoly.const(6) + ExpPoly.term(1, 2, -1), ExpPoly.const(7) + ExpPoly.term(1, 0, 1)
     (got,) = sum_of_products([[(5, p, q)]], W)
     assert got == p * q * 5 and got.terms[(F(0), F(0))] == 210
+
+
+def test_a_packed_sum_with_only_zero_coefficients_is_zero(monkeypatch):
+    # products with coefficient 0 are dropped before packing, so a sum of
+    # none is zero: kept, they would make its content a quotient by gcd(0) == 0
+    monkeypatch.setattr(exprat, "PACK_SLOTS_PER_TERM", ALWAYS_PACK["PACK_SLOTS_PER_TERM"])
+    p, q = ExpPoly.const(6) + ExpPoly.term(1, 2, -1), ExpPoly.const(7) + ExpPoly.term(1, 0, 1)
+    zero, pq = sum_of_products([[(0, p, q), (F(0), ((1, 2), p))], [(3, p, q)]], W)
+    assert zero.is_zero() and pq == p * q * 3
 
 
 @pytest.mark.parametrize("gap, packed", [(1, True), (10 ** 6, False)])

@@ -207,6 +207,19 @@ def test_field_config_requires_total_assignment():
         FieldConfig("A2", W, fields)
 
 
+@pytest.mark.parametrize("other, equal", [
+    (zero_config("A2", wave_constants(1, "1/2", "1/3", 1)), True),  # equal constants, not W
+    (zero_config("B2", W), False),
+    (zero_config("A2", wave_constants(1, "1/2", "1/3", 2)), False),
+    (0, False),
+])
+def test_a_config_equals_only_a_config_of_its_algebra_and_constants(other, equal):
+    cfg = zero_config("A2", W)
+    assert (cfg == other) is equal and (other == cfg) is equal
+    if not isinstance(other, FieldConfig):
+        assert cfg.__eq__(other) is NotImplemented
+
+
 def test_zero_config_is_exact_solution():
     for name in ("A2", "B2", "G2"):
         assert verify_config(model(name), zero_config(name, W)).passed
