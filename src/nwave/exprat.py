@@ -19,6 +19,9 @@ at the boundary (``terms``, ``lattice``, ``repr``, numeric evaluation).
 rule.  It yields each value as exact integers; numeric verification judges
 that form, and a number is rounded (``round_ratio``) only where it leaves
 the package: ``nwave sample``, ``ExpRational.eval`` and a report's detail.
+The evaluator's exponential (``_exp``, with a proven error bound), the
+rounding and the decimal text (``ratio_text``) are integer arithmetic of
+this module's own: the package imports no numeric library.
 """
 
 from __future__ import annotations
@@ -26,14 +29,11 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
-
-import mpmath
-from mpmath import libmp
 
 # Exponent of one term: (a, b) meaning exp(a*t + b*x).
 LinForm = Tuple[Fraction, Fraction]
@@ -306,12 +306,14 @@ class ExpPoly:
 
     # -- inspection --------------------------------------------------------
 
-    def eval(self, t: RatLike, x: RatLike):
-        """High-precision numeric value at rational (t, x), as mpmath mpf."""
+    def eval(self, t: RatLike, x: RatLike) -> Fraction:
+        """Numeric value at rational (t, x), rounded once to EVAL_PRECISION
+        bits, as an exact Fraction (see ExpRational.eval)."""
         return ExpRational(self).eval(t, x)
 
-    def eval_mass(self, t: RatLike, x: RatLike):
-        """Sum of absolute term values at (t, x): the pre-cancellation scale."""
+    def eval_mass(self, t: RatLike, x: RatLike) -> Fraction:
+        """Sum of absolute term values at (t, x): the pre-cancellation scale,
+        rounded once to EVAL_PRECISION bits, as an exact Fraction."""
         return _eval_point(ExpRational(self), t, x, 1)
 
     def __repr__(self) -> str:
@@ -958,10 +960,11 @@ class ExpRational:
             return c.num._content
         return None
 
-    def eval(self, t: RatLike, x: RatLike):
-        """Numeric value at rational (t, x), as an mpmath mpf (no float
-        overflow or underflow); EvalPole where the denominator vanishes to
-        working precision (see POLE_BITS)."""
+    def eval(self, t: RatLike, x: RatLike) -> Fraction:
+        """Numeric value at rational (t, x), rounded once to EVAL_PRECISION
+        bits, as an exact Fraction (no float overflow or underflow);
+        EvalPole where the denominator vanishes to working precision (see
+        POLE_BITS)."""
         v = _eval_point(self, t, x, 0)
         if v is None:
             raise EvalPole(f"denominator vanishes to working precision at (t={t}, x={x})")
@@ -1030,84 +1033,238 @@ def common_denominator(values: Sequence[ExpRational]) -> Tuple[ExpPoly, List[Exp
 # -- numeric evaluation -----------------------------------------------------------
 #
 # A coordinate's exponentials are walked one distinct gap at a time (_exps)
-# and kept at the walk's own precision; each distinct polynomial's terms are
-# summed as integers once per point, and grid_values yields every value as
-# an integer ratio times a power of two.  Nothing goes through float, so no
-# value can overflow.  A number is rounded only where it leaves the package,
-# once, by round_ratio, to a raw mpmath.libmp value (sign, mantissa,
-# exponent, bitcount).
+# and kept at the walk's own precision, as integer pairs (mantissa,
+# exponent); each distinct polynomial's terms are summed as integers once
+# per point, and grid_values yields every value as an integer ratio times a
+# power of two.  Nothing goes through float, so no value can overflow.  A
+# number is rounded only where it leaves the package, once, by round_ratio,
+# to an integer pair (mantissa, exponent), and ratio_text writes that pair
+# as decimal text with integers alone.
 
-_RND = libmp.round_nearest
 #: Bits a sum keeps below its largest term, besides those of its coefficients.
 _GUARD = EVAL_PRECISION + 8
+#: Halvings of the reduced argument before _exp's Taylor sum (and squarings after).
+_HALVINGS = 12
 
 
-def _exps(ks: Sequence[int], n: int, d: int) -> List[tuple]:
-    """exp(k*n/d) (d > 0) for each integer k of ks, as libmp values.
+@cache
+def _ln2(bits: int) -> int:
+    """An integer L with ln2 * 2**bits - 2 < L <= ln2 * 2**bits.
+
+    ln 2 = sum_j 2 / ((2j+1) 3**(2j+1)) is summed at g = bits + c bits,
+    c = bitlen(bits): each term is its exact floor and the tail after the
+    first zero term is below one unit, so the sum lies less than
+    (terms + 1) < g/3 + 2 <= 2**c units of 2**-g below ln 2, and dropping
+    its c low bits leaves less than 2 units of 2**-bits.
+    """
+    c = bits.bit_length()
+    x, s, j = (2 << bits + c) // 3, 0, 1
+    while x:
+        s += x // j
+        x //= 9
+        j += 2
+    return s >> c
+
+
+def _exp(n: int, d: int, w: int) -> Tuple[int, int]:
+    """exp(n/d) (d > 0) as (m, e), m * 2**e, with 2**w <= m <= 2**(w+1)
+    and a relative error below 2**-w.
+
+    With x = n/d, p = w + H + g fixed-point bits (H = _HALVINGS, g =
+    bitlen(w) + 5) and f = p - H + bitlen(floor|x|) + 3 bits for the
+    reduction:
+
+    - Reduction by ln 2.  t = floor(x * 2**f), L = _ln2(f) and
+      k, r = divmod(t, L), so x - k ln2 - r/2**f is below
+      (1 + 2|k|) * 2**-f <= 2**-(p-H) in size (|x| < 2**(f-p+H-3) bounds
+      |k|), and r/2**f lies in [0, ln 2).  R = floor(r * 2**-(f-p+H))
+      keeps p - H bits of it: rho = R / 2**(p-H) is within 2**(1+H-p) of
+      x - k ln2, a relative error below 2**(2+H-p) in exp(rho) against
+      exp(x - k ln2).
+    - Taylor sum of exp(y), y = R / 2**p = rho / 2**H in [0, 2**-H), in
+      p-bit fixed point: T_0 = 2**p and T_j = floor(T_{j-1} R / 2**p / j),
+      so each T_j is at most and less than 1.001 units below its exact
+      term (an inherited deficit is scaled by y/j < 2**-12), until the
+      first T_J = 0: then the exact term J is below 1.001 and the tail
+      from it below 1.002 units, and J <= ceil(p/H), as the exact term j
+      is below 2**(p - Hj).  The sum S is at most exp(y) * 2**p and less
+      than 1.01 J units below it, a relative deficit below 1.01 J * 2**-p.
+    - H squarings, S <- floor(S**2 / 2**p): S stays at least 2**p, and
+      each squaring doubles the relative deficit and adds one below
+      2**-p, so S ends below exp(rho) * 2**p by a relative deficit below
+      2**H * (1.01 J + 1) * 2**-p = (1.01 J + 1) * 2**-(p-H).
+    - Together, below (1.01 J + 5) * 2**-(w+g) < 2**-(w+2), as
+      J <= p/H + 1 <= w/6 + 3 and 1.01 J + 5 < w/5 + 9 < 2**(g-2) =
+      8 * 2**bitlen(w).  Rounding S to w + 1 bits, m = round(S / 2**(p-w)),
+      adds at most 2**-(w+1), and 2**-(w+1) + 2**-(w+2) plus their product
+      is below 2**-w.
+
+    The result is exp(rho) * 2**k with exp(rho) in [1, 2), so
+    2**w <= m <= 2**(w+1).
+    """
+    p = w + _HALVINGS + w.bit_length() + 5
+    f = p - _HALVINGS + (abs(n) // d).bit_length() + 3
+    k, r = divmod((n << f) // d, _ln2(f))
+    r >>= f - p + _HALVINGS
+    s = term = 1 << p
+    j = 1
+    while term:
+        term = (term * r >> p) // j
+        s += term
+        j += 1
+    for _ in range(_HALVINGS):
+        s = s * s >> p
+    return (s + (1 << (p - w - 1))) >> (p - w), k - w
+
+
+def _exps(ks: Sequence[int], n: int, d: int) -> List[Tuple[int, int]]:
+    """exp(k*n/d) (d > 0) for each integer k of ks, as (mantissa,
+    exponent) pairs.
 
     One exponential per distinct gap: the distinct ks are walked in order
     from the least, and each value is its predecessor times exp(gap*n/d),
-    with exp of the least k and of each distinct gap computed once.  The
-    walk runs at prec = EVAL_PRECISION + 8 + bitlen(2N) bits for N distinct
-    ks, and every argument keeps prec bits after the binary point, so a
-    large one loses no relative accuracy.  The values are handed out at
-    prec: each carries at most 3N + 1 roundings there (two per exponential,
-    one per product), a relative error below 1.5 * 2**-(EVAL_PRECISION + 8)
-    whatever the size of the ks.
+    with exp of the least k and of each distinct gap computed once, by
+    _exp, at w = EVAL_PRECISION + 8 + bitlen(2N) bits for N distinct ks:
+    each within a relative 2**-w, whatever the size of the argument.  A
+    product is an integer product cut to w + 1 bits, a relative error
+    below 2**-w.  The i-th distinct k (from 0) carries i + 1 exponentials
+    and i products, so every value is within a relative
+    (1 + 2**-w)**(2N-1) - 1 < (2N - 1) * 2**-w * (1 + 2**-100)
+    < 2**-(EVAL_PRECISION + 8), as 2**bitlen(2N) > 2N.
     """
     if not n or not ks:
-        return [libmp.fone] * len(ks)
+        return [(1, 0)] * len(ks)
     walk = sorted(set(ks))
-    prec = _GUARD + (2 * len(walk)).bit_length()
-    # k -> exp(k*n/d) at prec, for the least k and each gap; a least k of 0 costs nothing
-    exps = {0: libmp.fone}
+    w = _GUARD + (2 * len(walk)).bit_length()
+    # k -> exp(k*n/d), for the least k and each gap; a least k of 0 costs nothing
+    exps = {0: (1 << w, -w)}
 
-    def exp(k: int) -> tuple:
+    def exp(k: int) -> Tuple[int, int]:
         if k not in exps:
-            x = round_ratio(k * n, d, 0, prec + (abs(k * n) // d).bit_length())
-            exps[k] = libmp.mpf_exp(x, prec, _RND)
+            exps[k] = _exp(k * n, d, w)
         return exps[k]
 
-    v = exp(walk[0])
-    walked = {walk[0]: v}
+    m, e = exp(walk[0])
+    walked = {walk[0]: (m, e)}
     for lo, hi in zip(walk, walk[1:]):
-        v = walked[hi] = libmp.mpf_mul(v, exp(hi - lo), prec, _RND)
+        gm, ge = exp(hi - lo)
+        m *= gm
+        cut = m.bit_length() - w - 1
+        m, e = walked[hi] = m >> cut, e + ge + cut
     return [walked[k] for k in ks]
 
 
-def round_ratio(p: int, q: int, e: int, prec: int = EVAL_PRECISION) -> tuple:
-    """p/q * 2**e (q > 0) as a libmp value, rounded once to prec bits: the
-    package's one rounding of an integer ratio, which turns grid_values'
-    integer form into the numbers the package prints.
+def round_ratio(p: int, q: int, e: int, prec: int = EVAL_PRECISION) -> Tuple[int, int]:
+    """p/q * 2**e (q > 0) rounded once to prec bits, to nearest with ties
+    to even, as a signed pair (m, x) meaning m * 2**x: the package's one
+    rounding of an integer ratio, which turns grid_values' integer form
+    into the numbers the package prints.
 
-    The quotient is taken to at least prec + 5 bits, with a sticky low bit
-    when inexact, so that rounding it is rounding p/q.
+    The quotient is taken to prec + 1 or prec + 2 bits and rounded with
+    the division's remainder as a sticky bit, so that rounding it is
+    rounding p/q.
     """
-    sign = 0
-    if p < 0:
-        sign, p = 1, -p
-    if q != 1:
-        shift = max(5, prec + 5 - p.bit_length() + q.bit_length())
-        p, rem = divmod(p << shift, q)
-        e -= shift
-        if rem:
-            p = p << 1 | 1
-            e -= 1
-    return libmp.normalize(sign, p, e, p.bit_length(), prec, _RND)
+    a = abs(p)
+    if not a:
+        return 0, 0
+    # a / q * 2**-s lies in (2**prec, 2**(prec+2))
+    s = a.bit_length() - q.bit_length() - prec - 1
+    m, rem = divmod(a, q << s) if s >= 0 else divmod(a << -s, q)
+    cut = m.bit_length() - prec
+    low, m = m & ((1 << cut) - 1), m >> cut
+    half = 1 << (cut - 1)
+    if low > half or low == half and (rem or m & 1):
+        m += 1
+    return (m if p > 0 else -m), e + s + cut
+
+
+def _pow5(a: int, prec: int, up: bool) -> Tuple[int, int]:
+    """(t, s) with t * 2**s <= 5**a (>= with up), by binary powering that
+    cuts each step's result to prec bits, rounding down (up); s = 0 exactly
+    when no step was cut, and then t = 5**a."""
+    t, s = 1, 0
+    for bit in bin(a)[2:]:
+        t, s = t * t * (5 if bit == "1" else 1), 2 * s
+        cut = t.bit_length() - prec
+        if cut > 0:
+            t, s = (-(-t >> cut) if up else t >> cut), s + cut
+    return t, s
+
+
+def _floor_scaled(m: int, x: int, k: int, prec: int = 128) -> int:
+    """floor(m * 2**x * 10**k) for m > 0, without forming 10**|k|.
+
+    10**k = 5**k * 2**k, and 5**|k| is enclosed by _pow5 at prec bits,
+    doubled until both ends of the enclosure give the same floor, which
+    they do once the enclosure is exact, if not before.
+    """
+    while True:
+        floors = []
+        for up in (False, True):
+            t, s = _pow5(abs(k), prec, up)
+            if k >= 0:  # m * t * 2**e
+                e = x + k + s
+                floors.append(m * t << e if e >= 0 else m * t >> -e)
+            else:  # m * 2**e / t
+                e = x + k - s
+                floors.append((m << e) // t if e >= 0 else m // (t << -e))
+            if not s:  # exact
+                return floors[0]
+        if floors[0] == floors[1]:
+            return floors[0]
+        prec *= 2
 
 
 def ratio_text(p: int, q: int, e: int, sci: bool = False) -> str:
     """p/q * 2**e (q > 0) as text, rounded once by round_ratio, without
     float's range limit: 17 significant digits, as ``nwave sample`` writes
-    a value, or with sci ``'%.3e'`` text, as a report's detail prints it."""
-    if not sci:
-        return libmp.to_str(round_ratio(p, q, e), 17)
-    if not p:
-        return "0.000e+00"
-    s = libmp.to_str(round_ratio(p, q, e), 4, strip_zeros=False, min_fixed=1, max_fixed=0,
-                     show_zero_exponent=True)
-    mant, _, exp = s.partition("e")
-    return f"{mant}e{int(exp):+03d}"
+    a value, or with sci ``'%.3e'`` text, as a report's detail prints it.
+
+    The digits are those of mpmath's ``to_str`` of the rounded value (17
+    digits, and 4 with an exponent for sci), formed with integers: for n
+    digits, the value is cut towards zero to B bits (76 for 17 digits, 33
+    for 4) or to an integer, whichever keeps more, its first n + 1
+    decimal digits are read exactly, and the last of them rounds the
+    first n half up.  Past 2**±3500 mpmath first divides by a power of
+    ten rounded to B bits, which reads the digits of an approximation of
+    the value instead; the texts then differ only for a value within
+    about 2**-B of a decimal tie.
+    """
+    m, x = round_ratio(p, q, e)
+    if not m:
+        return "0.000e+00" if sci else "0.0"
+    n, bits = (4, 33) if sci else (17, 76)
+    sign, m = ("-" if m < 0 else ""), abs(m)
+    size = m.bit_length() + x  # 2**(size-1) <= value < 2**size
+    cut = min(size - bits, 0) - x
+    if cut > 0:
+        m, x = m >> cut, x + cut
+    # digits = floor(value * 10**k) with n + 1 digits: the value's exponent is n - k
+    k = n - (size - 1) * 30103 // 100000
+    while True:
+        digits = _floor_scaled(m, x, k)
+        if digits >= 10 ** (n + 1):
+            k -= 1
+        elif digits < 10 ** n:
+            k += 1
+        else:
+            break
+    digits, last = divmod(digits, 10)
+    exp10 = n - k
+    if last >= 5:
+        digits += 1
+        if digits == 10 ** n:
+            digits, exp10 = 10 ** (n - 1), exp10 + 1
+    s = str(digits)
+    if sci:
+        return f"{sign}{s[0]}.{s[1:]}e{exp10:+03d}"
+    fixed = -5 < exp10 < 17  # to_str's fixed-point range for 17 digits
+    point = 1
+    if fixed:
+        s, point = "0" * max(-exp10, 0) + s, max(exp10, 0) + 1
+    s = (s[:point] + "." + s[point:]).rstrip("0")
+    s += "0" if s.endswith(".") else ""
+    return sign + s if fixed else f"{sign}{s}e{exp10:+d}"
 
 
 class _Sums:
@@ -1224,7 +1381,7 @@ def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveCon
     one scale, give the D weights.  At each nonzero t (and x) the distinct
     a (and b) are walked in order, one exponential per distinct gap between
     neighbours and one product per step (see _exps), so each exp(a*t) and
-    exp(b*x) is within a relative error of 1.5 * 2**-(EVAL_PRECISION + 8),
+    exp(b*x) is within a relative error of 2**-(EVAL_PRECISION + 8),
     whatever the size of the exponents; a term's exponential is their exact
     product.  Each distinct polynomial is summed once per point as integers
     by one _Sums (values that share a numerator, or a denominator, keyed by
@@ -1277,18 +1434,21 @@ def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveCon
     for t in ts:
         et = _exps(a_ks, t.numerator, scale * t.denominator)
         for x, ex in exp_x:
-            ms = [et[i][1] * ex[j][1] for i, j in pairs]
-            es = [et[i][2] + ex[j][2] for i, j in pairs]
+            ms = [et[i][0] * ex[j][0] for i, j in pairs]
+            es = [et[i][1] + ex[j][1] for i, j in pairs]
             tops = [e + m.bit_length() for m, e in zip(ms, es)]
             got = {s: s.at(ms, es, tops) for s in every}
             yield t, x, {key: f.at(got) for key, f in fields.items()}
 
 
-def _eval_point(u: ExpRational, t: RatLike, x: RatLike, part: int):
-    """u's value (part 0) or mass (part 1) at one point as an mpmath mpf,
-    rounded once; None at a pole."""
+def _eval_point(u: ExpRational, t: RatLike, x: RatLike, part: int) -> Optional[Fraction]:
+    """u's value (part 0) or mass (part 1) at one point, rounded once by
+    round_ratio, as an exact Fraction; None at a pole."""
     _, _, vals = next(grid_values({0: u}, (as_frac(t),), (as_frac(x),)))
     if 0 not in vals:  # u is identically zero
-        return mpmath.mpf(0)
+        return _FRAC_ZERO
     v = vals[0]
-    return None if v is None else mpmath.mp.make_mpf(round_ratio(v[part], v[2], v[6]))
+    if v is None:
+        return None
+    m, e = round_ratio(v[part], v[2], v[6])
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)

@@ -1,8 +1,10 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 
 import json
+import os
 import re
 import reprlib
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +13,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import nwave
 from nwave.cli import (
     InputError, _dump, _poly_from_terms, config_from_doc, config_to_doc, main,
 )
@@ -448,6 +451,39 @@ def test_sample_csv_layout_and_pole_cells(tmp_path):
     # Untouched fields sample to exactly 0.0 everywhere.
     other = lines[0].split(",").index(sorted(labels)[-1])
     assert {row[other] for row in rows} == {"0.0"}
+
+
+# Run in a fresh interpreter: after each step mpmath must not be loaded.
+_NO_MPMATH = """
+import sys
+import nwave.cli
+assert "mpmath" not in sys.modules, "import nwave.cli"
+from nwave.exprat import ExpPoly, ExpRational, wave_constants
+from nwave.verify import verify_config
+from nwave.wavesys import field_label, model, zero_config
+cfg = zero_config("A2", wave_constants("1", "1/2", "1/3", "1"))
+key = sorted(cfg.fields, key=field_label)[0]
+cfg = cfg.with_fields({key: ExpRational(ExpPoly.term(1, 1, 0))})
+rep = verify_config(model("A2"), cfg, "numeric")
+assert not rep.passed and any("|residual| = " in c.detail for c in rep.checks), rep.checks
+assert "mpmath" not in sys.modules, "a failing numeric verify"
+with open(sys.argv[1], "w") as f:
+    f.write(nwave.cli._dump(nwave.cli.config_to_doc(cfg)))
+assert nwave.cli.main(["sample", "--in", sys.argv[1], "--t0", "-1", "--t1", "1", "--nt", "3",
+                       "--x0", "0", "--x1", "1", "--nx", "2", "--csv", sys.argv[2]]) == 0
+assert "mpmath" not in sys.modules, "nwave sample"
+"""
+
+
+def test_no_step_of_the_package_imports_mpmath(tmp_path):
+    # import nwave.cli, a failing numeric verify (whose detail prints
+    # ratio_text(..., sci=True) text) and `nwave sample` (whose cells are
+    # ratio_text text) run without mpmath, which only the tests use.
+    env = {**os.environ, "PYTHONPATH": str(Path(nwave.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _NO_MPMATH, str(tmp_path / "cfg.json"),
+                           str(tmp_path / "s.csv")], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 1 + 3 * 2
 
 
 def test_sample_prints_values_past_the_float_range(tmp_path):

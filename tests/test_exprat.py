@@ -410,10 +410,18 @@ def test_as_constant():
 
 
 def test_eval_basics():
-    assert ExpRational.const(1).eval(0, 0) == 1.0
-    assert ExpRational(ExpPoly.term(1, 1, 0)).eval(0, 0) == 1.0
+    assert ExpRational.const(1).eval(0, 0) == 1
+    assert ExpRational(ExpPoly.term(1, 1, 0)).eval(0, 0) == 1
+    assert ExpRational.zero().eval(1, 0) == 0
+    # e, rounded once to EVAL_PRECISION bits (within one unit of 2**-118),
+    # as an exact Fraction; the mass of e^t - 1 is e + 1, rounded likewise
+    ulp = Fraction(1, 2 ** (exprat.EVAL_PRECISION - 2))
+    e = sum(Fraction(1, math.factorial(k)) for k in range(60))
     v = ExpRational(ExpPoly.term(1, 1, 0)).eval(1, 0)
-    assert abs(v - 2.718281828459045) < 1e-12
+    assert type(v) is Fraction and (v / ulp).denominator == 1 and abs(v - e) <= ulp
+    mass = (ExpPoly.term(1, 1, 0) - 1).eval_mass(1, 0)
+    assert type(mass) is Fraction and (mass / ulp).denominator == 1
+    assert abs(mass - (e + 1)) <= ulp
 
 
 def test_eval_pole():

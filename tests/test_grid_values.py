@@ -1,15 +1,16 @@
-"""The numeric evaluator exprat.grid_values, its integer form rounded
-through exprat.round_ratio, and the numeric judge on that form, against a
-400-bit reference."""
+"""The numeric evaluator exprat.grid_values, its exponential exprat._exp,
+its integer form rounded through exprat.round_ratio and written by
+exprat.ratio_text, and the numeric judge on that form, against 400-bit and
+500-bit mpmath references."""
 
 import functools
 import json
-from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from mpmath import libmp
 
 import _gridref as ref
 from nwave import cli, exprat, verify
@@ -47,7 +48,7 @@ coords = st.lists(st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2), Fr
 
 
 def _close(got, want, bound):
-    return abs(mpmath.mp.make_mpf(got) - want) <= bound
+    return abs(mpmath.ldexp(*got) - want) <= bound
 
 
 def _numbers(v):
@@ -113,32 +114,27 @@ def test_grid_values_keeps_the_reference_across_wide_exponent_spreads():
                     assert _close(got, want, mpmath.ldexp(scale, -115))
 
 
-class _CountingLibmp:
-    """Stands in for mpmath.libmp and counts the calls made through it, by name."""
-
-    def __init__(self):
-        self.calls = Counter()
-
-    def __getattr__(self, name):
-        v = getattr(mpmath.libmp, name)
-        if not callable(v):
-            return v
-
-        def counted(*args, **kwargs):
-            self.calls[name] += 1
-            return v(*args, **kwargs)
-        return counted
-
-
 TS, XS = [Fraction(-1), Fraction(1, 2)], [Fraction(0), Fraction(1, 3)]
 
 
-def _libmp_calls(monkeypatch, u, ts=TS, xs=XS) -> Counter:
-    counter = _CountingLibmp()
-    monkeypatch.setattr(exprat, "libmp", counter)
+def _counted(monkeypatch, name: str) -> list:
+    """The arguments of every call of exprat's function ``name`` from now
+    until monkeypatch is undone."""
+    calls, f = [], getattr(exprat, name)
+
+    def counting(*args):
+        calls.append(args)
+        return f(*args)
+    monkeypatch.setattr(exprat, name, counting)
+    return calls
+
+
+def _exp_calls(monkeypatch, u, ts=TS, xs=XS) -> int:
+    """The exponentials (exprat._exp calls) that grid_values computes for u."""
+    calls = _counted(monkeypatch, "_exp")
     list(grid_values({0: u}, ts, xs, W, {0: (1, 1)}))
     monkeypatch.undo()
-    return counter.calls
+    return len(calls)
 
 
 def _distinct_nonzero_exponents(u, ts, xs) -> int:
@@ -167,7 +163,7 @@ def test_grid_values_makes_no_library_call_per_term(monkeypatch):
     # terms, and they are integer arithmetic.
     u, wide, twenty = _values_over_one_den()
     assert len(twenty.terms) == 20
-    assert _libmp_calls(monkeypatch, wide) == _libmp_calls(monkeypatch, u)
+    assert _exp_calls(monkeypatch, wide) == _exp_calls(monkeypatch, u) > 0
 
 
 def test_grid_values_makes_one_exponential_per_distinct_gap(monkeypatch):
@@ -176,41 +172,40 @@ def test_grid_values_makes_one_exponential_per_distinct_gap(monkeypatch):
     even = ExpRational(ExpPoly({(2 + 3 * k, 2 + 3 * k): k + 1 for k in range(20)}),
                        ExpPoly.const(1))
     ts, xs = [Fraction(-1), Fraction(1, 2)], [Fraction(1, 3), Fraction(2)]
-    assert _libmp_calls(monkeypatch, even, ts, xs)["mpf_exp"] == 2 * 4
+    assert _exp_calls(monkeypatch, even, ts, xs) == 2 * 4
     # never more than one per distinct nonzero exponent and coordinate
     for u in (even, *_values_over_one_den()[:2]):
         for ts, xs in ((ts, xs), (TS, XS)):
-            assert _libmp_calls(monkeypatch, u, ts, xs)["mpf_exp"] <= \
-                _distinct_nonzero_exponents(u, ts, xs)
+            assert _exp_calls(monkeypatch, u, ts, xs) <= _distinct_nonzero_exponents(u, ts, xs)
 
 
 def test_grid_values_rounds_no_value(monkeypatch):
-    # The walked exponentials keep their own bits and the values are exact
-    # integers: the only rounding is each exponential's argument.
+    # The walked exponentials keep their own bits, their arguments are
+    # exact ratios, and the values are exact integers: the evaluator rounds
+    # nothing through round_ratio.
     for u in _values_over_one_den()[:2]:
-        calls = _libmp_calls(monkeypatch, u)
-        assert calls["mpf_pos"] == 0
-        assert calls["normalize"] == calls["mpf_exp"] > 0
+        rounded = _counted(monkeypatch, "round_ratio")
+        assert _exp_calls(monkeypatch, u) > 0
+        assert rounded == []
 
 
 def test_sample_rounds_each_printed_value_once(monkeypatch, tmp_path):
     # A2 with one field polynomial, one with a pole on t = 0 and four
     # identically zero, on a 5 x 3 grid: one rounding to text (ratio_text,
-    # through exprat's libmp) per cell that prints a value, none for a pole
-    # or a zero field, and none in the evaluator.
+    # through round_ratio) per cell that prints a value, none for a pole or
+    # a zero field, and none in the evaluator.
     cfg = zero_config("A2", W)
     keys = sorted(cfg.fields, key=field_label)
     pole = ExpRational(ExpPoly.const(1), ExpPoly.term(1, 1, 0) - 1)
     cfg = cfg.with_fields({keys[0]: ExpRational(ExpPoly.term(3, 2, -1) + 1), keys[1]: pole})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config_to_doc(cfg)))
-    counter, rounded = _CountingLibmp(), []
+    rounded, texts = _counted(monkeypatch, "round_ratio"), []
 
     def counting(*args):
-        rounded.append(args)
+        texts.append(args)
         return ratio_text(*args)
 
-    monkeypatch.setattr(exprat, "libmp", counter)
     monkeypatch.setattr(cli, "ratio_text", counting)
     assert cli.main(["sample", "--in", str(path), "--t0", "-1", "--t1", "1", "--nt", "5",
                      "--x0", "0", "--x1", "1", "--nx", "3", "--csv", str(tmp_path / "s.csv")]) == 0
@@ -218,8 +213,7 @@ def test_sample_rounds_each_printed_value_once(monkeypatch, tmp_path):
     assert len(rows) == 15
     assert [sum(row[k] == "" for row in rows) for k in range(2)] == [0, 3]
     assert all(row[k] == "0.0" for row in rows for k in range(2, 6))
-    assert len(rounded) == counter.calls["to_str"] == 15 + 12
-    assert counter.calls["mpf_pos"] == 0
+    assert len(texts) == len(rounded) == 15 + 12
 
 
 # Integer exponents for _exps: dense runs, multiples of a gcd above 1 (with
@@ -241,15 +235,118 @@ exp_lists = st.one_of(
        st.one_of(st.integers(1, 12), st.integers(1, 10 ** 30)))
 def test_exps_are_within_the_walks_bound_of_a_400_bit_reference(ks, n, d):
     # The walk's values are handed out at its own precision,
-    # EVAL_PRECISION + 8 + bitlen(2N) bits, after at most 3N + 1 roundings
-    # there, so each is within a relative 1.5 * 2**-(EVAL_PRECISION + 8).
+    # w = EVAL_PRECISION + 8 + bitlen(2N) bits, each after at most 2N - 1
+    # steps that are each within a relative 2**-w (an exponential or a
+    # product), so each is within a relative 2**-(EVAL_PRECISION + 8).
     got = exprat._exps(ks, n, d)
     assert len(got) == len(ks)
     with mpmath.workprec(ref.PREC):
-        bound = mpmath.ldexp(1.5, -(exprat.EVAL_PRECISION + 8))
-        for k, v in zip(ks, got):
+        bound = mpmath.ldexp(1, -(exprat.EVAL_PRECISION + 8))
+        for k, (m, e) in zip(ks, got):
             want = mpmath.exp(mpmath.mpf(k * n) / d)
-            assert abs(mpmath.mp.make_mpf(v) - want) <= bound * want, (k, n, d)
+            assert abs(mpmath.ldexp(m, e) - want) <= bound * want, (k, n, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-400, 400), st.integers(-2 ** 70, 2 ** 70),
+                 st.sampled_from([2 ** 20 + 1, -2 ** 20 - 1, 3 * 2 ** 40, -5 * 2 ** 52])),
+       st.one_of(st.integers(1, 64), st.integers(1, 10 ** 30)),
+       st.sampled_from([1, 2, 3, 24, 53, 129, 134, 140, 300]))
+@example(2 ** 21 + 5, 1, 134)
+@example(-(2 ** 21) - 5, 1, 134)
+def test_exp_is_within_its_documented_bound_of_a_500_bit_reference(n, d, w):
+    # exprat._exp(n, d, w) is m * 2**e with 2**w <= m <= 2**(w+1), within a
+    # relative 2**-w of exp(n/d), for arguments from 10**-30 to beyond 2**52
+    # in size.
+    m, e = exprat._exp(n, d, w)
+    assert 2 ** w <= m <= 2 ** (w + 1)
+    with mpmath.workprec(500):
+        want = mpmath.exp(mpmath.mpf(n) / d)
+        assert abs(mpmath.ldexp(m, e) - want) < mpmath.ldexp(want, -w), (n, d, w)
+
+
+def _mpmath_text(p: int, q: int, e: int, sci: bool) -> str:
+    """ratio_text as the package wrote it with mpmath: ``libmp.to_str`` of
+    ``libmp.normalize`` of p/q * 2**e, rounded to 120 bits with a sticky
+    bit."""
+    if sci and not p:
+        return "0.000e+00"
+    sign, a = (1, -p) if p < 0 else (0, p)
+    if q != 1:
+        shift = max(5, exprat.EVAL_PRECISION + 5 - a.bit_length() + q.bit_length())
+        a, rem = divmod(a << shift, q)
+        e -= shift
+        if rem:
+            a, e = a << 1 | 1, e - 1
+    v = libmp.normalize(sign, a, e, a.bit_length(), exprat.EVAL_PRECISION, libmp.round_nearest)
+    if not sci:
+        return libmp.to_str(v, 17)
+    s = libmp.to_str(v, 4, strip_zeros=False, min_fixed=1, max_fixed=0, show_zero_exponent=True)
+    mant, _, exp = s.partition("e")
+    return f"{mant}e{int(exp):+03d}"
+
+
+def _near_a_tie(p: int, q: int, e: int, digits: int, bits: int) -> bool:
+    """Whether the rounded value of p/q * 2**e lies within 2**-(bits - 8)
+    of a tie between two numbers of ``digits`` significant digits."""
+    m, x = round_ratio(p, q, e)
+    v = Fraction(abs(m)) * Fraction(2) ** x
+    k = digits - 1 - (len(str(v.numerator)) - len(str(v.denominator)))
+    for k in (k - 1, k, k + 1):  # v * 10**k has its point after digit `digits`
+        f = v * Fraction(10) ** k
+        if 10 ** (digits - 1) <= f < 10 ** digits:
+            frac = f - int(f)
+            return abs(frac - Fraction(1, 2)) < f * Fraction(1, 2 ** (bits - 8))
+    raise AssertionError(v)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.just(0), st.integers(-99, 99), st.integers(-2 ** 200, 2 ** 200),
+                 st.builds(lambda k, s: s * 5 * 10 ** k, st.integers(0, 40), st.sampled_from([1, -1]))),
+       st.one_of(st.just(1), st.integers(1, 2 ** 200),
+                 st.builds(lambda k: 5 ** k, st.integers(0, 60))),
+       st.one_of(st.integers(-60, 60), st.integers(-6000, 6000),
+                 st.integers(3450, 3700), st.integers(-3700, -3450)),
+       st.booleans())
+@example(0, 1, 0, False)
+@example(0, 1, 0, True)
+@example(-1, 1, 5000, False)
+@example(10 ** 17 + 5, 1, 0, False)  # an exact tie at the 18th digit: half up
+@example(-(10 ** 17 + 5), 1, 0, False)
+@example(99995, 1, 0, True)
+# just above a tie, by less than the 76 (33) bits the digits are read from: down
+@example(6404221934102794320636981323052867041407878366507,
+         1038459371706965525706099265844019200000000000000, 0, False)
+@example(123839982553434009, 2 ** 54, 0, True)
+@example(-1, 3, -3700, True)
+@example(7, 3, 10 ** 7, False)  # 4.3 million decimal digits: ratio_text never forms them
+@example(-7, 3, -(10 ** 7), True)
+def test_ratio_text_writes_the_text_of_mpmaths_to_str(p, q, e, sci):
+    # ratio_text writes what the package wrote with mpmath: libmp.to_str of
+    # the value that round_ratio rounds, with 17 digits or as '%.3e' text,
+    # for zero, negative values, exact decimal ties (rounded half up, as
+    # mpmath does) and both sides of 2**+-3500, where mpmath scales by a
+    # power of ten first.  There mpmath scales by a power of ten rounded to
+    # 76 (or 33) bits, and a value within about that of a decimal tie may
+    # round the other way; such values are not compared.  Below 2**3500 in
+    # size and above 2**-3500 the texts are always the same.
+    got, want = ratio_text(p, q, e, sci), _mpmath_text(p, q, e, sci)
+    if got != want:
+        m, x = round_ratio(p, q, e)
+        digits, bits = (4, 33) if sci else (17, 76)
+        assert abs(m.bit_length() + x) > 3500 and _near_a_tie(p, q, e, digits, bits), \
+            (got, want)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 2 ** 130), st.integers(-600, 600), st.integers(-300, 300),
+       st.sampled_from([2, 5, 40, 128]))
+def test_floor_scaled_is_the_exact_floor(m, x, k, prec):
+    # ratio_text's digits, floor(m * 2**x * 10**k), from enclosures of
+    # 5**|k| that start at prec bits: a few bits make it double its
+    # precision until the two ends agree.
+    v = Fraction(m) * Fraction(2) ** x * Fraction(10) ** k
+    assert exprat._floor_scaled(m, x, k, prec) == v.numerator // v.denominator
 
 
 @pytest.mark.parametrize("c, t, pole", [
@@ -392,3 +489,4 @@ def test_the_integer_judge_matches_a_400_bit_residual(kind, data):
                     continue
                 ok, _ = verify._judge([(t, x, point)])
                 assert ok == (abs(r) <= _TOL * s), (eq.lhs, t, x)
+

@@ -466,23 +466,32 @@ def test_a_model_of_another_algebra_is_refused(name, mode):
 
 def test_numeric_verify_of_g2_judges_on_integers_and_sums_each_polynomial_once_per_point(
         monkeypatch):
-    # The judge reads the evaluator's integer sums: no libmp product or sum
-    # is formed while judging.  The ten nonzero fields of a G2 tau solution
-    # share one denominator, tau, also as equal copies after a round trip
-    # through a document; it is summed once per grid point, as is each
-    # distinct numerator, not once per field.
+    # The judge reads the evaluator's integer sums: no exponential is
+    # computed while judging, and the one number rounded is the largest
+    # residual that the detail prints.  The ten nonzero fields of a G2 tau
+    # solution share one denominator, tau, also as equal copies after a
+    # round trip through a document; it is summed once per grid point, as is
+    # each distinct numerator, not once per field.
     m = model("G2")
     cfg = solution_from_tau(m, spectral_data(W, P2, Q4), 1, 1)
-    judge, at = verify._judge, exprat._Sums.at
+    judge, at, round_ratio = verify._judge, exprat._Sums.at, exprat.round_ratio
+    rounded = []
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("libmp arithmetic while judging")
+        raise AssertionError("an exponential while judging")
+
+    def counting_round(*args):
+        rounded.append(args)
+        return round_ratio(*args)
 
     def plain_judge(points):
         with monkeypatch.context() as patch:
-            patch.setattr(exprat.libmp, "mpf_mul", forbidden)
-            patch.setattr(exprat.libmp, "mpf_sum", forbidden)
-            return judge(points)
+            patch.setattr(exprat, "_exp", forbidden)
+            patch.setattr(exprat, "round_ratio", counting_round)
+            del rounded[:]
+            verdict = judge(points)
+            assert len(rounded) == 1
+            return verdict
 
     for c in (cfg, config_from_doc(config_to_doc(cfg))):
         live = [u for u in c.fields.values() if not u.is_zero()]
