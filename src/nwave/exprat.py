@@ -308,12 +308,14 @@ class ExpPoly:
 
     def eval(self, t: RatLike, x: RatLike) -> Fraction:
         """Numeric value at rational (t, x), rounded once to EVAL_PRECISION
-        bits, as an exact Fraction (see ExpRational.eval)."""
+        bits, as an exact Fraction whose size grows with the value's binary
+        exponent (see ExpRational.eval)."""
         return ExpRational(self).eval(t, x)
 
     def eval_mass(self, t: RatLike, x: RatLike) -> Fraction:
         """Sum of absolute term values at (t, x): the pre-cancellation scale,
-        rounded once to EVAL_PRECISION bits, as an exact Fraction."""
+        rounded once to EVAL_PRECISION bits, as an exact Fraction whose size
+        grows with the value's binary exponent (see ExpRational.eval)."""
         return _eval_point(ExpRational(self), t, x, 1)
 
     def __repr__(self) -> str:
@@ -964,7 +966,12 @@ class ExpRational:
         """Numeric value at rational (t, x), rounded once to EVAL_PRECISION
         bits, as an exact Fraction (no float overflow or underflow);
         EvalPole where the denominator vanishes to working precision (see
-        POLE_BITS)."""
+        POLE_BITS).
+
+        The Fraction is m * 2**e exactly, so its numerator or denominator
+        has about |e| bits: its cost grows with the value's binary
+        exponent, |t| / ln 2 bits for e^t (180 kB at t = 10**6, 180 MB at
+        t = 10**9)."""
         v = _eval_point(self, t, x, 0)
         if v is None:
             raise EvalPole(f"denominator vanishes to working precision at (t={t}, x={x})")
@@ -1191,13 +1198,14 @@ def _pow5(a: int, prec: int, up: bool) -> Tuple[int, int]:
     return t, s
 
 
-def _floor_scaled(m: int, x: int, k: int, prec: int = 128) -> int:
+def _floor_scaled(m: int, x: int, k: int) -> int:
     """floor(m * 2**x * 10**k) for m > 0, without forming 10**|k|.
 
-    10**k = 5**k * 2**k, and 5**|k| is enclosed by _pow5 at prec bits,
+    10**k = 5**k * 2**k, and 5**|k| is enclosed by _pow5 at 128 bits,
     doubled until both ends of the enclosure give the same floor, which
     they do once the enclosure is exact, if not before.
     """
+    prec = 128
     while True:
         floors = []
         for up in (False, True):
@@ -1443,7 +1451,8 @@ def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveCon
 
 def _eval_point(u: ExpRational, t: RatLike, x: RatLike, part: int) -> Optional[Fraction]:
     """u's value (part 0) or mass (part 1) at one point, rounded once by
-    round_ratio, as an exact Fraction; None at a pole."""
+    round_ratio, as an exact Fraction of about |exponent| bits; None at a
+    pole."""
     _, _, vals = next(grid_values({0: u}, (as_frac(t),), (as_frac(x),)))
     if 0 not in vals:  # u is identically zero
         return _FRAC_ZERO

@@ -424,6 +424,19 @@ def test_eval_basics():
     assert abs(mass - (e + 1)) <= ulp
 
 
+def test_eval_far_from_zero_is_a_fraction_of_the_exponents_size():
+    # e^t at t = +-10**6 is m * 2**e with |e| about 10**6 / ln 2: the exact
+    # Fraction carries that many bits, and no more, on one side; the two
+    # once-rounded values multiply to 1 within two roundings
+    e_t = ExpPoly.term(1, 1, 0)
+    big, small = e_t.eval(10 ** 6, 0), e_t.eval(-(10 ** 6), 0)
+    exponent = math.floor(10 ** 6 / math.log(2))
+    assert big.denominator == 1 and big.numerator.bit_length() == exponent + 1
+    assert small.numerator.bit_length() <= exprat.EVAL_PRECISION
+    assert small.denominator.bit_length() <= exponent + exprat.EVAL_PRECISION + 2
+    assert abs(big * small - 1) <= Fraction(1, 2 ** (exprat.EVAL_PRECISION - 1))
+
+
 def test_eval_pole():
     den = ExpPoly.term(1, 1, 0) + ExpPoly.const(-1)  # vanishes at t=0
     r = ExpRational(ExpPoly.const(1), den)
