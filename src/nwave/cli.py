@@ -30,8 +30,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .exprat import (
-    DivisionByZeroField, ExpPoly, ExpRational, InexactDivision, grid_values, ratio_text,
-    wave_constants,
+    DivisionByZeroField, ExpPoly, ExpRational, InexactDivision, _from_lattice, _lattice,
+    grid_values, ratio_text, wave_constants,
 )
 from .spectral import InvalidSpectralData, spectral_data
 from .tau import TauZero, solution_from_tau
@@ -167,8 +167,7 @@ def _ratio_str(n: int, d: int) -> str:
 
 
 def _poly_terms(p: ExpPoly) -> list:
-    scale, ints, content = p.lattice()
-    cn, cd = content.numerator, content.denominator
+    scale, ints, cn, cd = _lattice(p)
     return [[[_ratio_str(a, scale), _ratio_str(b, scale)], _ratio_str(cn * n, cd)]
             for (a, b), n in sorted(ints.items())]
 
@@ -215,7 +214,7 @@ def _poly_from_terms(items, what: str, w) -> ExpPoly:
     for (an, ad), (bn, bd), (cn, cd) in rows:
         key = (an * (scale // ad), bn * (scale // bd))
         ints[key] = ints.get(key, 0) + cn * (den // cd)
-    return ExpPoly.from_lattice(scale, ints, Fraction(1, den), w)
+    return _from_lattice(scale, ints, 1, den, w)
 
 
 def config_to_doc(cfg: FieldConfig) -> dict:

@@ -8,12 +8,14 @@ so every identity this package verifies reduces to ``is_zero`` on an exactly
 cancelled numerator.
 
 Internally an ExpPoly lives on an integer lattice: integer keys over a
-per-polynomial scale, and integer coefficients times one rational content.
+per-polynomial scale, and integer coefficients times one rational content,
+a coprime integer pair.
 Values built from spikes are keyed by spectral coordinates, the position
 sums (sP, sQ) of their spike waves under one ``WaveConstants``; values built
 from exponents (``ExpPoly.term``, ``ExpPoly(terms)``) by the exponents
-(a, b).  Ring operations run on ints in either; exponent pairs appear only
-at the boundary (``terms``, ``lattice``, ``repr``, numeric evaluation).
+(a, b).  Ring operations run on ints in either, contents included; exponent
+pairs and Fractions appear only at the boundary (``terms``, ``lattice``,
+``as_constant``, ``repr``, numeric evaluation).
 
 ``grid_values`` is the package's one numeric evaluator, with its one pole
 rule.  It yields each value as exact integers; numeric verification judges
@@ -81,6 +83,27 @@ def _over_one(values: Sequence[Fraction]) -> Tuple[List[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def _pair(v: RatLike) -> Tuple[int, int]:
+    """(numerator, denominator > 0) in lowest terms of an int, a 'p/q'
+    string or a Fraction."""
+    f = v if isinstance(v, int) else as_frac(v)
+    return f.numerator, f.denominator
+
+
+def _times(n1: int, d1: int, n2: int, d2: int) -> Tuple[int, int]:
+    """(n1/d1) * (n2/d2) in lowest terms, for factors in lowest terms with
+    positive denominators: each numerator is reduced against the other
+    factor's denominator (P. Henrici, J. ACM 3(1), 1956)."""
+    g1, g2 = gcd(n1, d2), gcd(n2, d1)
+    return (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
+
+
+def _quotient(n1: int, d1: int, n2: int, d2: int) -> Tuple[int, int]:
+    """(n1/d1) / (n2/d2) in lowest terms (n2 != 0), as _times: the divisor
+    inverted, its sign on the numerator."""
+    return _times(n1, d1, d2, n2) if n2 > 0 else _times(n1, d1, -d2, -n2)
+
+
 @dataclass(frozen=True)
 class WaveConstants:
     """Characteristic speeds (c1, c2, d1, d2) with delta = c1*d2 - c2*d1 != 0.
@@ -91,27 +114,38 @@ class WaveConstants:
     H, taking spectral keys over S to exponent keys over H*S.  ``basis`` is
     (t11, t12, t21, t22, h), the integer matrix T = h times theta's
     inverse, taking exponent keys over L to spectral keys over h*L.
+
+    Instances compare and hash by ``lattice``, which the speeds determine
+    and which determines them: equal speeds, however written, are equal
+    constants.
     """
 
-    c1: Fraction
-    c2: Fraction
-    d1: Fraction
-    d2: Fraction
-    delta: Fraction = field(init=False, repr=False, compare=False)
+    c1: Fraction = field(compare=False)
+    c2: Fraction = field(compare=False)
+    d1: Fraction = field(compare=False)
+    d2: Fraction = field(compare=False)
     basis: Tuple[int, int, int, int, int] = field(init=False, repr=False, compare=False)
-    lattice: Tuple[int, int, int, int, int] = field(init=False, repr=False, compare=False)
+    lattice: Tuple[int, int, int, int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("c1", "c2", "d1", "d2"):
             object.__setattr__(self, name, as_frac(getattr(self, name)))
-        delta = self.c1 * self.d2 - self.c2 * self.d1
-        if delta == 0:
+        (d1, d2, c1, c2), H = _over_one((self.d1, self.d2, self.c1, self.c2))
+        det = c1 * d2 - c2 * d1  # delta * H**2
+        if det == 0:
             raise ValueError("degenerate wave constants: c1*d2 - c2*d1 = 0")
-        t, h = _over_one((-self.c2 / delta, -self.d2 / delta, self.c1 / delta, self.d1 / delta))
-        speeds, H = _over_one((self.d1, self.d2, self.c1, self.c2))
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "basis", (*t, h))
-        object.__setattr__(self, "lattice", (H, *speeds))
+        # theta's inverse is H/det times [[-c2, -d2], [c1, d1]] in the
+        # integer speeds: T and h are those entries times H, and det, over
+        # their gcd taken with det's sign, so that h > 0
+        t = (-H * c2, -H * d2, H * c1, H * d1)
+        g = gcd(*t, det) if det > 0 else -gcd(*t, det)
+        object.__setattr__(self, "basis", (*[v // g for v in t], det // g))
+        object.__setattr__(self, "lattice", (H, d1, d2, c1, c2))
+
+    @property
+    def delta(self) -> Fraction:
+        """The determinant c1*d2 - c2*d1, a Fraction."""
+        return self.c1 * self.d2 - self.c2 * self.d1
 
 
 #: The factory name; WaveConstants coerces ints and 'p/q' strings itself.
@@ -121,22 +155,26 @@ wave_constants = WaveConstants
 class ExpPoly:
     """Canonical finite sum of rational multiples of exp(a*t + b*x).
 
-    Stored as ``content * sum_k n_k * exp(theta_k)`` with integer ``n_k``
-    and integer keys over a positive integer scale: with constants w, a key
+    Stored as ``content * sum_k n_k * exp(theta_k)`` with integer ``n_k``,
+    integer keys over a positive integer scale and the content a coprime
+    integer pair, its denominator positive: with constants w, a key
     (u, v) is the spike wave exp(theta((u, v)/scale)) of w (WaveConstants);
     with none, (A, B) is exp((A*t + B*x)/scale).  A value with no constants
     is converted once where it meets one with constants (``+``, ``*``,
     ``==``, ``divexact``, ``deriv(i, j, w)``, ``sum_of_products(..., w)``);
     different constants raise ValueError there.  The form is canonical in
     its coordinates: minimal scale, ``n_k`` nonzero, coprime and positive at
-    the lexicographically least key, the sign in the content.  So in one
-    coordinate system structural equality is functional equality; the hash
-    reads only the sizes of content and coefficients, which no coordinate
-    change alters.  Negation and scalar multiplication only change the
-    content, and zero is the empty term map.
+    the lexicographically least key, the sign in the content's numerator.
+    So in one coordinate system structural equality is functional equality;
+    the hash reads only the sizes of content and coefficients, which no
+    coordinate change alters.  Negation and scalar multiplication only
+    change the content, and zero is the empty term map.  Every ring
+    operation does its content arithmetic on the pair's ints; a Fraction is
+    formed only where a value leaves (``terms``, ``lattice``,
+    ``ExpRational.as_constant``).
     """
 
-    __slots__ = ("_scale", "_ints", "_content", "_w", "_hash")
+    __slots__ = ("_scale", "_ints", "_cn", "_cd", "_w", "_hash")
 
     def __init__(self, terms: Union[None, Mapping, Iterable] = None):
         """Sum of the given ((a, b), coefficient) terms; repeated keys add up."""
@@ -146,8 +184,9 @@ class ExpPoly:
         out: Dict[Tuple[int, int], int] = {}
         for k, n in zip(zip(exps[::2], exps[1::2]), ints):
             out[k] = out.get(k, 0) + n
-        p = _canonical(scale, out, Fraction(1, d), None)
-        self._scale, self._ints, self._content, self._w = p._scale, p._ints, p._content, None
+        p = _canonical(scale, out, 1, d, None)
+        self._scale, self._ints, self._cn, self._cd, self._w = (
+            p._scale, p._ints, p._cn, p._cd, None)
 
     @staticmethod
     def zero() -> "ExpPoly":
@@ -155,8 +194,8 @@ class ExpPoly:
 
     @staticmethod
     def const(c: RatLike) -> "ExpPoly":
-        c = as_frac(c)
-        return _poly(1, {_ZERO_KEY: 1}, c, None) if c else _ZERO
+        n, d = _pair(c)
+        return _poly(1, {_ZERO_KEY: 1}, n, d, None) if n else _ZERO
 
     @staticmethod
     def term(coef: RatLike, a: RatLike, b: RatLike) -> "ExpPoly":
@@ -176,11 +215,8 @@ class ExpPoly:
         With no constants, the canonical form, its dict shared (read only);
         spectral keys give their exponents in order, over H times their scale.
         """
-        w = self._w
-        if w is None:
-            return self._scale, self._ints, self._content
-        return (w.lattice[0] * self._scale,
-                dict(zip(_exponent_keys(self._ints, w), self._ints.values())), self._content)
+        scale, ints, cn, cd = _lattice(self)
+        return scale, ints, Fraction(cn, cd)
 
     @staticmethod
     def from_lattice(scale: int, ints: Mapping, content: RatLike,
@@ -188,9 +224,7 @@ class ExpPoly:
         """The polynomial sum(n * content * exp((A*t + B*x)/scale)) over
         {(A, B): n}, integers (zeros allowed) over a positive integer scale,
         canonicalized, in w's spectral coordinates when w is given."""
-        if w is None or not ints:
-            return _canonical(scale, dict(ints), as_frac(content), None)
-        return _spectral(_poly(scale, ints, as_frac(content), None), w)
+        return _from_lattice(scale, ints, *_pair(content), w)
 
     # -- ring operations ---------------------------------------------------
 
@@ -203,28 +237,28 @@ class ExpPoly:
         if not other._ints:
             return self
         self, other, scale, t1, t2 = _common_scale(self, other)
-        c1, c2 = self._content, other._content
-        if c1 == c2:
+        n1, d1, n2, d2 = self._cn, self._cd, other._cn, other._cd
+        if n1 == n2 and d1 == d2:
             m1 = m2 = 1
-            content = c1
         else:
-            g = gcd(c1.numerator, c2.numerator)
-            d = lcm(c1.denominator, c2.denominator)
-            content = Fraction(g, d)
-            m1 = c1.numerator // g * (d // c1.denominator)
-            m2 = c2.numerator // g * (d // c2.denominator)
+            # the content g/d, g the numerators' gcd and d the denominators'
+            # lcm, leaves integer multipliers; it is in lowest terms, as a
+            # prime of d divides some d_i, so not n_i, so not g
+            g, d = gcd(n1, n2), lcm(d1, d2)
+            m1, m2 = n1 // g * (d // d1), n2 // g * (d // d2)
+            n1, d1 = g, d
         out = dict(t1) if m1 == 1 else {k: v * m1 for k, v in t1.items()}
         get = out.get
         for k, v in t2.items():
             out[k] = get(k, 0) + v * m2
-        return _canonical(scale, out, content, self._w)
+        return _canonical(scale, out, n1, d1, self._w)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExpPoly":
         if not self._ints:
             return self
-        return _poly(self._scale, self._ints, -self._content, self._w)
+        return _poly(self._scale, self._ints, -self._cn, self._cd, self._w)
 
     def __sub__(self, other) -> "ExpPoly":
         other = _coerce_poly(other)
@@ -242,17 +276,19 @@ class ExpPoly:
         if isinstance(other, (int, Fraction)):
             if not other or not self._ints:
                 return _ZERO
-            return _poly(self._scale, self._ints, self._content * other, self._w)
+            return _poly(self._scale, self._ints,
+                         *_times(self._cn, self._cd, other.numerator, other.denominator), self._w)
         if not isinstance(other, ExpPoly):
             return NotImplemented
         if not self._ints or not other._ints:
             return _ZERO
         if self._w is not other._w:  # before the constant cases, so other constants raise
             self, other = _meet(self, other)
+        content = _times(self._cn, self._cd, other._cn, other._cd)
         if _is_const(other):
-            return _poly(self._scale, self._ints, self._content * other._content, self._w)
+            return _poly(self._scale, self._ints, *content, self._w)
         if _is_const(self):
-            return _poly(other._scale, other._ints, self._content * other._content, other._w)
+            return _poly(other._scale, other._ints, *content, other._w)
         self, other, scale, t1, t2 = _common_scale(self, other)
         if len(t1) > len(t2):
             t1, t2 = t2, t1
@@ -268,7 +304,7 @@ class ExpPoly:
         # Gauss's lemma keeps the product of primitive parts primitive, and
         # the least key of a product is the sum of the least keys, with
         # coefficient n1 * n2 > 0: only the scale can need reducing.
-        return _reduced(scale, out, self._content * other._content, self._w)
+        return _reduced(scale, out, *content, self._w)
 
     __rmul__ = __mul__
 
@@ -277,14 +313,14 @@ class ExpPoly:
         if other is NotImplemented:
             return NotImplemented
         p, q = (self, other) if self._w is other._w else _meet(self, other)
-        return p._content == q._content and p._scale == q._scale and p._ints == q._ints
+        return (p._cn == q._cn and p._cd == q._cd and p._scale == q._scale
+                and p._ints == q._ints)
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:  # computed once: the polynomial is immutable
-            c = self._content
-            self._hash = hash((abs(c.numerator), c.denominator, len(self._ints),
+            self._hash = hash((abs(self._cn), self._cd, len(self._ints),
                                frozenset(map(abs, self._ints.values()))))
             return self._hash
 
@@ -302,7 +338,7 @@ class ExpPoly:
         p = _spectral(self, w)
         ints = p._ints
         out = {k: n * f for (k, n), f in zip(ints.items(), _weights(i, j, ints)) if f}
-        return _canonical(p._scale, out, p._content / p._scale, p._w)
+        return _canonical(p._scale, out, *_times(p._cn, p._cd, 1, p._scale), p._w)
 
     # -- inspection --------------------------------------------------------
 
@@ -354,15 +390,15 @@ class _Terms(Mapping):
         return self._map
 
 
-def _poly(scale: int, ints: Dict[Tuple[int, int], int], content: Fraction,
+def _poly(scale: int, ints: Dict[Tuple[int, int], int], cn: int, cd: int,
           w: Optional[WaveConstants]) -> ExpPoly:
-    """Wrap an already-canonical lattice form without re-checking."""
+    """Wrap an already-canonical lattice form, content cn/cd, without re-checking."""
     p = object.__new__(ExpPoly)
-    p._scale, p._ints, p._content, p._w = scale, ints, content, w
+    p._scale, p._ints, p._cn, p._cd, p._w = scale, ints, cn, cd, w
     return p
 
 
-_ZERO = _poly(1, {}, _FRAC_ZERO, None)
+_ZERO = _poly(1, {}, 0, 1, None)
 
 
 def _is_const(p: ExpPoly) -> bool:
@@ -370,7 +406,7 @@ def _is_const(p: ExpPoly) -> bool:
     return len(p._ints) == 1 and _ZERO_KEY in p._ints
 
 
-def _reduced(scale, ints, content, w) -> ExpPoly:
+def _reduced(scale, ints, cn, cd, w) -> ExpPoly:
     """Wrap primitive, sign-normalized coefficients, at least one, at the minimal scale."""
     if scale != 1:
         s = scale
@@ -381,14 +417,15 @@ def _reduced(scale, ints, content, w) -> ExpPoly:
         if s != 1:
             ints = {(a // s, b // s): n for (a, b), n in ints.items()}
             scale //= s
-    return _poly(scale, ints, content, w)
+    return _poly(scale, ints, cn, cd, w)
 
 
-def _canonical(scale, ints, content, w) -> ExpPoly:
-    """Canonical ExpPoly from integer coefficients (zeros allowed) and a content."""
+def _canonical(scale, ints, cn, cd, w) -> ExpPoly:
+    """Canonical ExpPoly from integer coefficients (zeros allowed) and a
+    content cn/cd in lowest terms, cd > 0."""
     if 0 in ints.values():
         ints = {k: n for k, n in ints.items() if n}
-    if not ints or not content:
+    if not ints or not cn:
         return _ZERO
     least = min(ints)
     g = gcd(*ints.values())
@@ -396,8 +433,17 @@ def _canonical(scale, ints, content, w) -> ExpPoly:
         g = -g
     if g != 1:
         ints = {k: n // g for k, n in ints.items()}
-        content = content * g
-    return _reduced(scale, ints, content, w)
+        r = gcd(g, cd)  # cn and cd are coprime: cn * g / cd reduces by r alone
+        cn, cd = cn * (g // r), cd // r
+    return _reduced(scale, ints, cn, cd, w)
+
+
+def _from_lattice(scale: int, ints: Mapping, cn: int, cd: int,
+                  w: Optional[WaveConstants]) -> ExpPoly:
+    """ExpPoly.from_lattice with its content as a pair cn/cd in lowest terms, cd > 0."""
+    if w is None or not ints:
+        return _canonical(scale, dict(ints), cn, cd, None)
+    return _spectral(_poly(scale, ints, cn, cd, None), w)
 
 
 def _rescaled(ints, f):
@@ -433,7 +479,7 @@ def _spectral(p: ExpPoly, w: WaveConstants) -> ExpPoly:
         raise ValueError("values with different wave constants meet")
     t11, t12, t21, t22, h = w.basis
     return _canonical(h * p._scale, {(t11 * a + t12 * b, t21 * a + t22 * b): n
-                                     for (a, b), n in p._ints.items()}, p._content, w)
+                                     for (a, b), n in p._ints.items()}, p._cn, p._cd, w)
 
 
 def _meet(p: ExpPoly, q: ExpPoly) -> Tuple[ExpPoly, ExpPoly]:
@@ -446,6 +492,16 @@ def _exponent_keys(keys: Iterable, w: WaveConstants) -> List[Tuple[int, int]]:
     H*S by w.lattice for the key (u, v) over S."""
     _, d1, d2, c1, c2 = w.lattice
     return [(d1 * u + d2 * v, -c1 * u - c2 * v) for u, v in keys]
+
+
+def _lattice(p: ExpPoly) -> Tuple[int, Dict[Tuple[int, int], int], int, int]:
+    """ExpPoly.lattice with the content as its integer pair: (scale,
+    {(A, B): n}, cn, cd)."""
+    w = p._w
+    if w is None:
+        return p._scale, p._ints, p._cn, p._cd
+    return (w.lattice[0] * p._scale,
+            dict(zip(_exponent_keys(p._ints, w), p._ints.values())), p._cn, p._cd)
 
 
 def _least(keys: Sequence[Tuple[int, int]], w: Optional[WaveConstants]) -> Tuple[int, int]:
@@ -554,8 +610,8 @@ def sum_of_products(sums: Iterable[Iterable], w: WaveConstants) -> List[ExpPoly]
                 if op is None:  # a zero factor: a zero product
                     break
                 f.append(op)
-                n *= x._content.numerator
-                d *= x._content.denominator * (scale if ij else 1)
+                n *= x._cn
+                d *= x._cd * (scale if ij else 1)
                 norm *= op.norm
                 lo += op.lo
                 hi += op.hi
@@ -664,7 +720,7 @@ def _sum(prods, step: int, scale: int, w: WaveConstants) -> ExpPoly:
                 n = int.from_bytes(digits[j * nbytes:(j + 1) * nbytes], "little") - half
                 if n:
                     out[(u, lo + step * j)] = n
-    return _canonical(scale, out, Fraction(g, den), w)
+    return _canonical(scale, out, *_times(g, 1, 1, den), w)
 
 
 def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
@@ -727,7 +783,7 @@ def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
                 heappush(heap, (-k[0], -k[1]))
             else:
                 rem[k] = old - qn * n
-    return _reduced(scale, quot, num._content / den._content, num._w)
+    return _reduced(scale, quot, *_quotient(num._cn, num._cd, den._cn, den._cd), num._w)
 
 
 def _split(y: ExpPoly, p: ExpPoly) -> Tuple[ExpPoly, Optional[ExpPoly]]:
@@ -742,7 +798,8 @@ def _split(y: ExpPoly, p: ExpPoly) -> Tuple[ExpPoly, Optional[ExpPoly]]:
     coordinates it was split in.
     """
     (a, b), w = _least(p._ints, p._w), p._w
-    inverse = _reduced(p._scale, {(-a, -b): 1}, 1 / (p._content * p._ints[a, b]), w)
+    coef = _times(p._cn, p._cd, p._ints[a, b], 1)
+    inverse = _reduced(p._scale, {(-a, -b): 1}, *_quotient(1, 1, *coef), w)
     return y * inverse, (p * inverse if len(p._ints) > 1 else None)
 
 
@@ -959,7 +1016,7 @@ class ExpRational:
             return _FRAC_ZERO
         c = self.cancel()
         if c.is_poly() and _is_const(c.num):
-            return c.num._content
+            return Fraction(c.num._cn, c.num._cd)
         return None
 
     def eval(self, t: RatLike, x: RatLike) -> Fraction:
@@ -1278,12 +1335,12 @@ def ratio_text(p: int, q: int, e: int, sci: bool = False) -> str:
 class _Sums:
     """One polynomial of grid_values as integer dot products over the slots.
 
-    Its terms are n_k * exp_k, with the content c apart, and for each
-    derivative D_{i,j} asked of it dn_k * exp_k, dn_k = n_k times the D
-    weight of its spectral key (_weights), over grid_values' spectral scale.
-    Every value that holds the polynomial, in either coordinate system,
-    reads the same _Sums and c, so its value and mass sums are formed once
-    per point, and its D sums once per derivative.
+    Its terms are n_k * exp_k, with the content c (an integer pair) apart,
+    and for each derivative D_{i,j} asked of it dn_k * exp_k, dn_k = n_k
+    times the D weight of its spectral key (_weights), over grid_values'
+    spectral scale.  Every value that holds the polynomial, in either
+    coordinate system, reads the same _Sums and c, so its value and mass
+    sums are formed once per point, and its D sums once per derivative.
     """
 
     __slots__ = ("slots", "keys", "ns", "c", "abs_ns", "width", "derivs", "dsums", "anchors")
@@ -1327,17 +1384,17 @@ class _Sums:
 
 
 class _Field:
-    """One value of grid_values: c * num / den, with den None for a
-    polynomial value (denominator 1); r is grid_values' spectral scale, the
-    denominator of the D weights, and jn, jd the derivative's place in the
-    D sums of num and den, or all None without a derivative."""
+    """One value of grid_values: c * num / den, c = vn/vd, with den None
+    for a polynomial value (denominator 1); r is grid_values' spectral
+    scale, the denominator of the D weights, and jn, jd the derivative's
+    place in the D sums of num and den, or all None without a derivative."""
 
     __slots__ = ("num", "den", "vn", "vd", "r", "jn", "jd")
 
-    def __init__(self, num: _Sums, den: Optional[_Sums], c: Fraction,
+    def __init__(self, num: _Sums, den: Optional[_Sums], c: Tuple[int, int],
                  ij: Optional[Tuple[int, int]], r: int):
         self.num, self.den, self.r, self.jn, self.jd = num, den, r if ij else None, None, None
-        self.vn, self.vd = c.numerator, c.denominator
+        self.vn, self.vd = c
         if ij is not None:
             self.jn = num.derivative(*ij)
             self.jd = None if den is None else den.derivative(*ij)
@@ -1418,7 +1475,7 @@ def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveCon
 
     def prepare(key, poly) -> _Sums:
         if key not in sums:
-            own, exps, c = poly.lattice()  # in the order of poly's keys
+            own, exps, *c = _lattice(poly)  # in the order of poly's keys
             f, g = scale // own, sscale // poly._scale
             sums[key] = _Sums([slots.setdefault((a * f, b * f), len(slots)) for a, b in exps],
                               [(u * g, v * g) for u, v in poly._ints] if d_index else None,
@@ -1429,7 +1486,7 @@ def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveCon
     for key, (num, atoms) in live.items():
         sn, den = prepare(num, num), dens[atoms]
         fields[key] = _Field(sn, prepare(atoms, den) if atoms else None,
-                             sn.c / den._content, d_index.get(key), sscale)
+                             _quotient(*sn.c, den._cn, den._cd), d_index.get(key), sscale)
 
     # exp(a*t + b*x) = exp(a*t) * exp(b*x), each factor computed once
     a_slot: Dict[int, int] = {}

@@ -55,7 +55,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .exprat import ExpPoly, ExpRational, _canonical, _least, _over_one, _row_product
+from .exprat import ExpPoly, ExpRational, _canonical, _least, _over_one, _row_product, _times
 from .spectral import SpectralData
 from .wavesys import AlgebraModel, FieldConfig, FieldKey, MINUS, PLUS
 
@@ -131,7 +131,8 @@ def _taus(s: SpectralData, orders: Sequence[Tuple[int, Sequence[int]]],
         if 0 <= n1 <= len(P) and all(0 <= n <= len(Q) for n in qsizes):
             by_n1.setdefault(n1, []).append(i)
     qshapes: Dict[int, List[_Shape]] = {}
-    parts: List[Tuple[Dict[int, _Row], Fraction]] = [({}, Fraction(0))] * len(orders)
+    # each order's rows and content, a coprime pair
+    parts: List[Tuple[Dict[int, _Row], int, int]] = [({}, 0, 1)] * len(orders)
     for n1, users in by_n1.items():
         pshapes = _shapes(ppos, n1)
         coupled = [_coupled(qpos, qweights, [ppos[k] for k in idx]) for idx, _, _ in pshapes]
@@ -160,16 +161,16 @@ def _taus(s: SpectralData, orders: Sequence[Tuple[int, Sequence[int]]],
             # squared Vandermonde, the weight denominators and ell_all from
             # each coupled weight
             e = n1 * total - n1 * (n1 - 1) - sum(n * (n - 1) for n in qsizes)
-            content = Fraction(den ** max(e, 0),
-                               den ** max(-e, 0) * pden ** n1 * (qden * ell_all) ** total)
-            parts[i] = (rows[i], content)
+            content = _times(den ** max(e, 0), 1,
+                             1, den ** max(-e, 0) * pden ** n1 * (qden * ell_all) ** total)
+            parts[i] = (rows[i], *content)
     w, (ou, ov) = s.constants, (0, 0)
     if anchored:
         keys = [(psum, qsum) for psum, row in parts[0][0].items() for qsum, n in row.items() if n]
         ou, ov = _least(keys, w) if keys else (0, 0)
     return [_canonical(den, {(psum - ou, qsum - ov): n for psum, row in rows.items()
-                             for qsum, n in row.items()}, content, w)
-            for rows, content in parts]
+                             for qsum, n in row.items()}, cn, cd, w)
+            for rows, cn, cd in parts]
 
 
 def _tau(s: SpectralData, n1: int, qsizes: Sequence[int]) -> ExpPoly:
@@ -246,7 +247,7 @@ def _gra_sides(s: SpectralData, lams: Sequence[Fraction], size1: int, size2: int
     # the powers of D: the coupling to lam, both squared Vandermondes and
     # the multiplier
     e = size1 - size1 * (size1 - 1) - size2 * (size2 - 1) - int(multiplier)
-    content = Fraction(den) ** e / qden ** (size1 + size2)
+    cn, cd = den ** max(e, 0), den ** max(-e, 0) * qden ** (size1 + size2)
     out = []
     for lam in pos[len(Q):]:
         weights, ell = _coupled(qpos, qweights, [lam])
@@ -255,7 +256,7 @@ def _gra_sides(s: SpectralData, lams: Sequence[Fraction], size1: int, size2: int
         if multiplier:
             _row_product(s1, ts2, side)
         out.append(_canonical(den, {(0, qsum): n for qsum, n in side.items()},
-                              content / ell ** size1, s.constants))
+                              *_times(cn, 1, 1, cd * ell ** size1), s.constants))
     return out
 
 

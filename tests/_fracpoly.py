@@ -6,6 +6,7 @@ loops the integer-lattice ``ExpPoly`` must agree with.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _put(out, k, c):
@@ -48,3 +49,12 @@ def deriv(p, i, j, w):
         if f:
             out[(a, b)] = c * f
     return out
+
+
+def content(p):
+    """A nonzero polynomial's content: the gcd of its coefficients (their
+    numerators' gcd over their denominators' lcm), signed as its
+    coefficient at the least exponent."""
+    cs = p.values()
+    g = Fraction(gcd(*(c.numerator for c in cs)), lcm(*(c.denominator for c in cs)))
+    return g if p[min(p)] > 0 else -g

@@ -1,10 +1,12 @@
 """Exact-arithmetic core: ring/field laws, derivatives, division, evaluation."""
 
+import fractions
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nwave.exprat import (
     DivisionByZeroField,
@@ -19,6 +21,9 @@ from nwave.exprat import (
     wave_constants,
 )
 from nwave import exprat
+from nwave.spectral import spectral_data
+from nwave.tau import solution_from_tau
+from nwave.wavesys import model
 
 import _fracpoly as ref
 import _fracrat as rat
@@ -135,24 +140,56 @@ def _poly_and_reference(terms):
     return p, ref.from_terms(terms)
 
 
+def _assert_is(p, rp):
+    """p is the reference polynomial rp, its content a coprime pair of ints
+    with a positive denominator: rp's content (_fracpoly.content), in
+    spectral coordinates up to the sign, which goes with the least
+    spectral key there; and its integer coefficients are primitive and
+    positive at its least key."""
+    assert dict(p.terms) == rp
+    if rp:
+        cn, cd, ints = p._cn, p._cd, p._ints
+        assert type(cn) is int and type(cd) is int and cd > 0 and math.gcd(cn, cd) == 1
+        c = ref.content(rp)
+        assert Fraction(cn, cd) == c if p._w is None else abs(Fraction(cn, cd)) == abs(c)
+        assert math.gcd(*ints.values()) == 1 and ints[min(ints)] > 0
+
+
 @settings(max_examples=60)
 @given(term_lists, term_lists, st.integers(0, 2), st.integers(0, 3))
+# negative contents, -1/2 and -2/3
+@example([(F("-3/2"), 0, 0), (F("1/2"), 1, 0)], [(F("-2/3"), 0, 1), (F("4/3"), 1, 1)], 1, 0)
+# a divisor of content -2: divexact and / flip both signs of the inverse
+@example([(F(3), 0, 0), (F(1), 1, 0)], [(F(-2), 0, 0), (F(4), 1, 1)], 0, 1)
+# D_{1,0} of 5 exp(x) over W: the spectral scale 5 cancels the content's 5
+@example([(F(5), 0, 1)], [(F(1), 0, 0)], 1, 0)
+# the divisor (1/3)(3 + 2 e^t): its least coefficient 3 cancels its content's 3
+@example([(F(2), 1, 1)], [(F(1), 0, 0), (F("2/3"), 1, 0)], 0, 0)
+# contents 2/3 and 4/3 added: the numerators share 2, the denominators 3
+@example([(F("2/3"), 0, 0)], [(F("4/3"), 1, 0)], 1, 1)
 def test_lattice_core_matches_fraction_reference(ft, gt, i, j):
     f, rf = _poly_and_reference(ft)
     g, rg = _poly_and_reference(gt)
-    assert dict(f.terms) == rf
+    _assert_is(f, rf)
     assert len(f.terms) == len(rf)
-    assert dict((f + g).terms) == ref.add(rf, rg)
-    assert dict((f - g).terms) == ref.add(rf, {k: -c for k, c in rg.items()})
-    assert dict((f * g).terms) == ref.mul(rf, rg)
-    assert dict((f * Fraction(-3, 2)).terms) == ref.mul(rf, {(F(0), F(0)): Fraction(-3, 2)})
-    assert dict(f.deriv(i, j, W).terms) == ref.deriv(rf, i, j, W)
+    _assert_is(f + g, ref.add(rf, rg))
+    _assert_is(f - g, ref.add(rf, {k: -c for k, c in rg.items()}))
+    _assert_is(f * g, ref.mul(rf, rg))
+    _assert_is(f * Fraction(-3, 2), ref.mul(rf, {(F(0), F(0)): Fraction(-3, 2)}))
+    _assert_is(f.deriv(i, j, W), ref.deriv(rf, i, j, W))
     assert (f == g) == (rf == rg)
     # the same value reached another way is structurally equal, hash included
     same = (f + g) - g
     assert same == f and hash(same) == hash(f)
     if rg:
-        assert dict(divexact(f * g, g).terms) == rf
+        _assert_is(divexact(f * g, g), rf)
+    if rf and rg:
+        # / divides f and g by g's term of least exponent, a unit
+        (a, b) = min(rg)
+        unit = {(-a, -b): 1 / rg[a, b]}
+        q = ExpRational(f) / ExpRational(g)
+        _assert_is(q.num, ref.mul(rf, unit))
+        _assert_is(q.den, ref.mul(rg, unit))
 
 
 def test_mixed_scales_meet_on_the_finer_lattice():
@@ -744,7 +781,8 @@ def test_sum_of_products_matches_the_schoolbook_reference(sums):
             for name, value in forced.items():
                 mp.setattr(exprat, name, value)
             got = sum_of_products(systems, W)
-        assert [dict(g.terms) for g in got] == wants
+        for g, want in zip(got, wants):
+            _assert_is(g, want)
         for g, terms in zip(got, systems):
             assert g == sum((math.prod(map(as_poly, t[1:]), start=ExpPoly.const(t[0]))
                              for t in terms), ExpPoly())
@@ -907,5 +945,67 @@ def test_the_spectral_and_exponent_forms_are_one_value(ft, gt, w, w2, ij):
         for meet in (lambda: sf + other, lambda: sf * other, lambda: sf == other,
                      lambda: divexact(sf * sg, other), lambda: other.deriv(*ij, w),
                      lambda: sum_of_products([[(1, sf, other)]], w)):
+            with pytest.raises(ValueError, match="different wave constants"):
+                meet()
+
+
+# -- contents are integer pairs ----------------------------------------------------
+
+
+def test_the_ring_builds_no_fraction():
+    # Ring operations on spectral values of a tau solution, each kind at
+    # least once, call nothing of the fractions module: no Fraction is
+    # built, combined or compared.  On Python 3.12 and later Fraction's own
+    # arithmetic builds its results without Fraction.__new__, so every
+    # call into the module is counted, not only constructions.
+    s = spectral_data(W, [("2", "1"), ("-1", "1/2")], [("1", "1"), ("1/2", "2"), ("-3", "1/3")])
+    fields = solution_from_tau(model("B2"), s, 1, 2).fields
+    f, g = (fields[k] for k in sorted(fields)[:2])
+    p, q = f.num, g.num
+    assert p._w is q._w is W and not f.is_poly()
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        pq = p * q
+        total = pq + p - q * 3
+        dp = p.deriv(1, 2, W)
+        back = divexact(pq, q)
+        ratio = f / g
+        same = ratio * g == f
+        (hirota,) = sum_of_products([[(1, ((1, 0), p), q), (-2, p, ((0, 1), q)), (3, dp)]], W)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    assert back == p and same and total == p * q + p - 3 * q and dp
+    assert hirota == p.deriv(1, 0, W) * q - 2 * p * q.deriv(0, 1, W) + 3 * dp
+
+
+def test_equal_speeds_are_equal_constants_however_written():
+    w1, w2, w3 = (wave_constants(1, "1/2", "1/3", 1),
+                  wave_constants("1", Fraction(2, 4), "2/6", Fraction(3, 3)),
+                  wave_constants(Fraction(1), "0.5", "1/3", "1.0"))
+    assert w1 == w2 == w3 and hash(w1) == hash(w2) == hash(w3) and len({w1, w2, w3}) == 1
+    assert w2 is not w1
+    # values under two equal but distinct instances combine as under one
+    f = ExpPoly.term(2, 1, 0) + ExpPoly.const(1)
+    g = ExpPoly.term(3, 0, 1) - ExpPoly.term("1/2", 1, 1)
+    f1, g1, g2 = exprat._spectral(f, w1), exprat._spectral(g, w1), exprat._spectral(g, w2)
+    assert g2._w is w2 and g1 == g2 and hash(g1) == hash(g2)
+    for got, want in ((f1 + g2, f1 + g1), (g2 + f1, g1 + f1), (f1 * g2, f1 * g1),
+                      (g2 * f1, g1 * f1), (divexact(f1 * g2, g1), f1)):
+        assert got == want and got.lattice() == want.lattice()
+    assert (f1 == g2) is (f1 == g1) is False
+    # other speeds are other constants, and their values do not meet: the
+    # speeds times 2 have the same integer numerators over another lcm
+    for other in (wave_constants(1, "1/2", "1/3", 2), wave_constants(2, 1, "2/3", 2)):
+        assert other != w1 and other.lattice != w1.lattice
+        go = exprat._spectral(g, other)
+        for meet in (lambda: f1 + go, lambda: f1 * go, lambda: f1 == go,
+                     lambda: divexact(f1 * go, go)):
             with pytest.raises(ValueError, match="different wave constants"):
                 meet()
