@@ -124,28 +124,21 @@ class WaveConstants:
     c2: Fraction = field(compare=False)
     d1: Fraction = field(compare=False)
     d2: Fraction = field(compare=False)
+    delta: Fraction = field(init=False, repr=False, compare=False)
     basis: Tuple[int, int, int, int, int] = field(init=False, repr=False, compare=False)
     lattice: Tuple[int, int, int, int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("c1", "c2", "d1", "d2"):
             object.__setattr__(self, name, as_frac(getattr(self, name)))
-        (d1, d2, c1, c2), H = _over_one((self.d1, self.d2, self.c1, self.c2))
-        det = c1 * d2 - c2 * d1  # delta * H**2
-        if det == 0:
+        delta = self.c1 * self.d2 - self.c2 * self.d1
+        if delta == 0:
             raise ValueError("degenerate wave constants: c1*d2 - c2*d1 = 0")
-        # theta's inverse is H/det times [[-c2, -d2], [c1, d1]] in the
-        # integer speeds: T and h are those entries times H, and det, over
-        # their gcd taken with det's sign, so that h > 0
-        t = (-H * c2, -H * d2, H * c1, H * d1)
-        g = gcd(*t, det) if det > 0 else -gcd(*t, det)
-        object.__setattr__(self, "basis", (*[v // g for v in t], det // g))
-        object.__setattr__(self, "lattice", (H, d1, d2, c1, c2))
-
-    @property
-    def delta(self) -> Fraction:
-        """The determinant c1*d2 - c2*d1, a Fraction."""
-        return self.c1 * self.d2 - self.c2 * self.d1
+        t, h = _over_one((-self.c2 / delta, -self.d2 / delta, self.c1 / delta, self.d1 / delta))
+        speeds, H = _over_one((self.d1, self.d2, self.c1, self.c2))
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "basis", (*t, h))
+        object.__setattr__(self, "lattice", (H, *speeds))
 
 
 #: The factory name; WaveConstants coerces ints and 'p/q' strings itself.

@@ -781,6 +781,7 @@ def test_sum_of_products_matches_the_schoolbook_reference(sums):
             for name, value in forced.items():
                 mp.setattr(exprat, name, value)
             got = sum_of_products(systems, W)
+        assert len(got) == len(wants) == len(systems)
         for g, want in zip(got, wants):
             _assert_is(g, want)
         for g, terms in zip(got, systems):
@@ -969,6 +970,7 @@ def test_the_ring_builds_no_fraction():
         if event == "call" and frame.f_code.co_filename == fractions.__file__:
             calls.append(frame.f_code.co_name)
 
+    old = sys.getprofile()
     sys.setprofile(profile)
     try:
         pq = p * q
@@ -979,7 +981,7 @@ def test_the_ring_builds_no_fraction():
         same = ratio * g == f
         (hirota,) = sum_of_products([[(1, ((1, 0), p), q), (-2, p, ((0, 1), q)), (3, dp)]], W)
     finally:
-        sys.setprofile(None)
+        sys.setprofile(old)
     assert calls == []
     assert back == p and same and total == p * q + p - 3 * q and dp
     assert hirota == p.deriv(1, 0, W) * q - 2 * p * q.deriv(0, 1, W) + 3 * dp
