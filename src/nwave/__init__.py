@@ -6,6 +6,7 @@ from .exprat import (
     ExpPoly,
     ExpRational,
     InexactDivision,
+    TooManyDigits,
     WaveConstants,
     divexact,
     wave_constants,
@@ -17,6 +18,7 @@ __all__ = [
     "ExpPoly",
     "ExpRational",
     "InexactDivision",
+    "TooManyDigits",
     "WaveConstants",
     "divexact",
     "wave_constants",

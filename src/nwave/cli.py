@@ -17,7 +17,8 @@ that carries a monomial or a constant is read as the same value and
 written back with that factor divided into "num".
 
 Exit codes: 0 OK / verification passed; 1 verification failed;
-2 malformed input; 3 pivot or pole abort, or an inexact division.
+2 malformed input; 3 pivot or pole abort, an inexact division, or a
+number to write past the digit limit (exprat.TooManyDigits).
 """
 
 import argparse
@@ -27,11 +28,11 @@ import re
 import reprlib
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .exprat import (
-    DivisionByZeroField, ExpPoly, ExpRational, InexactDivision, _from_lattice, _lattice,
-    grid_values, ratio_text, wave_constants,
+    DivisionByZeroField, ExpPoly, ExpRational, InexactDivision, TooManyDigits, grid_values,
+    ratio_text, term_texts, wave_constants,
 )
 from .spectral import InvalidSpectralData, spectral_data
 from .tau import TauZero, solution_from_tau
@@ -160,18 +161,6 @@ def spectral_from_doc(doc: dict):
     return spectral_data(w, spikes["P"], spikes["Q"])
 
 
-def _ratio_str(n: int, d: int) -> str:
-    """n/d (d > 0) as str(Fraction(n, d)) writes it."""
-    g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
-
-
-def _poly_terms(p: ExpPoly) -> list:
-    scale, ints, cn, cd = _lattice(p)
-    return [[[_ratio_str(a, scale), _ratio_str(b, scale)], _ratio_str(cn * n, cd)]
-            for (a, b), n in sorted(ints.items())]
-
-
 #: The form documents are written in: an optional minus sign, ASCII digits,
 #: and an optional ASCII denominator.
 _PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -214,7 +203,7 @@ def _poly_from_terms(items, what: str, w) -> ExpPoly:
     for (an, ad), (bn, bd), (cn, cd) in rows:
         key = (an * (scale // ad), bn * (scale // bd))
         ints[key] = ints.get(key, 0) + cn * (den // cd)
-    return _from_lattice(scale, ints, 1, den, w)
+    return ExpPoly.from_lattice(scale, ints, 1, den, w)
 
 
 def config_to_doc(cfg: FieldConfig) -> dict:
@@ -223,8 +212,8 @@ def config_to_doc(cfg: FieldConfig) -> dict:
     for key in sorted(cfg.fields, key=field_label):
         v = cfg.fields[key]
         fields[field_label(key)] = {
-            "num": _poly_terms(v.num),
-            "den": _poly_terms(v.den),
+            "num": term_texts(v.num),
+            "den": term_texts(v.den),
         }
     return {
         "schema": SCHEMA,
@@ -416,7 +405,7 @@ def main(argv=None) -> int:
     except (InputError, InvalidSpectralData, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (TauZero, PivotZero, DivisionByZeroField, InexactDivision) as e:
+    except (TauZero, PivotZero, DivisionByZeroField, InexactDivision, TooManyDigits) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -14,8 +14,9 @@ Values built from spikes are keyed by spectral coordinates, the position
 sums (sP, sQ) of their spike waves under one ``WaveConstants``; values built
 from exponents (``ExpPoly.term``, ``ExpPoly(terms)``) by the exponents
 (a, b).  Ring operations run on ints in either, contents included; exponent
-pairs and Fractions appear only at the boundary (``terms``, ``lattice``,
-``as_constant``, ``repr``, numeric evaluation).
+pairs appear only at the boundary (``terms``, ``lattice``, numeric
+evaluation, and ``term_texts``, the one writer of exact numbers as text),
+Fractions only in ``terms``, ``as_constant`` and numeric evaluation.
 
 ``grid_values`` is the package's one numeric evaluator, with its one pole
 rule.  It yields each value as exact integers; numeric verification judges
@@ -28,6 +29,7 @@ this module's own: the package imports no numeric library.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -67,6 +69,10 @@ class InexactDivision(ArithmeticError):
     """divexact() was asked for a quotient that does not exist in the ring."""
 
 
+class TooManyDigits(ValueError):
+    """term_texts met a number past int's text limit, sys.get_int_max_str_digits()."""
+
+
 def as_frac(v: RatLike) -> Fraction:
     """Coerce int/str/Fraction to Fraction ('p/q' strings accepted)."""
     if isinstance(v, Fraction):
@@ -81,13 +87,6 @@ def _over_one(values: Sequence[Fraction]) -> Tuple[List[int], int]:
     denominator."""
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _pair(v: RatLike) -> Tuple[int, int]:
-    """(numerator, denominator > 0) in lowest terms of an int, a 'p/q'
-    string or a Fraction."""
-    f = v if isinstance(v, int) else as_frac(v)
-    return f.numerator, f.denominator
 
 
 def _times(n1: int, d1: int, n2: int, d2: int) -> Tuple[int, int]:
@@ -163,8 +162,7 @@ class ExpPoly:
     coordinate change alters.  Negation and scalar multiplication only
     change the content, and zero is the empty term map.  Every ring
     operation does its content arithmetic on the pair's ints; a Fraction is
-    formed only where a value leaves (``terms``, ``lattice``,
-    ``ExpRational.as_constant``).
+    formed only where a value leaves (``terms``, ``ExpRational.as_constant``).
     """
 
     __slots__ = ("_scale", "_ints", "_cn", "_cd", "_w", "_hash")
@@ -187,8 +185,8 @@ class ExpPoly:
 
     @staticmethod
     def const(c: RatLike) -> "ExpPoly":
-        n, d = _pair(c)
-        return _poly(1, {_ZERO_KEY: 1}, n, d, None) if n else _ZERO
+        f = c if isinstance(c, int) else as_frac(c)
+        return _poly(1, {_ZERO_KEY: 1}, f.numerator, f.denominator, None) if f else _ZERO
 
     @staticmethod
     def term(coef: RatLike, a: RatLike, b: RatLike) -> "ExpPoly":
@@ -201,23 +199,28 @@ class ExpPoly:
         """Read-only map (a, b) -> coefficient, keyed and valued by Fractions."""
         return _Terms(self)
 
-    def lattice(self) -> Tuple[int, Dict[Tuple[int, int], int], Fraction]:
-        """(scale, {(A, B): n}, content) in exponent coordinates, whatever
-        the value's own: the term n * content * exp((A*t + B*x)/scale).
+    def lattice(self) -> Tuple[int, Dict[Tuple[int, int], int], int, int]:
+        """(scale, {(A, B): n}, cn, cd) in exponent coordinates, whatever
+        the value's own: the term n * cn/cd * exp((A*t + B*x)/scale).
 
         With no constants, the canonical form, its dict shared (read only);
         spectral keys give their exponents in order, over H times their scale.
         """
-        scale, ints, cn, cd = _lattice(self)
-        return scale, ints, Fraction(cn, cd)
+        w = self._w
+        if w is None:
+            return self._scale, self._ints, self._cn, self._cd
+        return (w.lattice[0] * self._scale,
+                dict(zip(_exponent_keys(self._ints, w), self._ints.values())), self._cn, self._cd)
 
     @staticmethod
-    def from_lattice(scale: int, ints: Mapping, content: RatLike,
+    def from_lattice(scale: int, ints: Mapping, cn: int, cd: int,
                      w: Optional[WaveConstants] = None) -> "ExpPoly":
-        """The polynomial sum(n * content * exp((A*t + B*x)/scale)) over
-        {(A, B): n}, integers (zeros allowed) over a positive integer scale,
-        canonicalized, in w's spectral coordinates when w is given."""
-        return _from_lattice(scale, ints, *_pair(content), w)
+        """sum(n * cn/cd * exp((A*t + B*x)/scale)) over {(A, B): n}, integers
+        (zeros allowed) over a positive integer scale, cn/cd in lowest terms
+        with cd > 0, canonicalized, in w's spectral coordinates when w is given."""
+        if w is None or not ints:
+            return _canonical(scale, dict(ints), cn, cd, None)
+        return _spectral(_poly(scale, ints, cn, cd, None), w)
 
     # -- ring operations ---------------------------------------------------
 
@@ -351,8 +354,8 @@ class ExpPoly:
         if not self._ints:
             return "ExpPoly(0)"
         bits = []
-        for (a, b), c in sorted(self.terms.items()):
-            bsign = "+" if b >= 0 else ""
+        for (a, b), c in term_texts(self):
+            bsign = "" if b.startswith("-") else "+"
             bits.append(f"{c}*e^({a}t{bsign}{b}x)")
         return "ExpPoly(" + " + ".join(bits) + ")"
 
@@ -377,8 +380,8 @@ class _Terms(Mapping):
 
     def _terms(self) -> dict:
         if self._map is None:
-            scale, ints, c = self._p.lattice()
-            self._map = {(Fraction(a, scale), Fraction(b, scale)): c * n
+            scale, ints, cn, cd = self._p.lattice()
+            self._map = {(Fraction(a, scale), Fraction(b, scale)): Fraction(cn * n, cd)
                          for (a, b), n in ints.items()}
         return self._map
 
@@ -431,14 +434,6 @@ def _canonical(scale, ints, cn, cd, w) -> ExpPoly:
     return _reduced(scale, ints, cn, cd, w)
 
 
-def _from_lattice(scale: int, ints: Mapping, cn: int, cd: int,
-                  w: Optional[WaveConstants]) -> ExpPoly:
-    """ExpPoly.from_lattice with its content as a pair cn/cd in lowest terms, cd > 0."""
-    if w is None or not ints:
-        return _canonical(scale, dict(ints), cn, cd, None)
-    return _spectral(_poly(scale, ints, cn, cd, None), w)
-
-
 def _rescaled(ints, f):
     return {(a * f, b * f): n for (a, b), n in ints.items()}
 
@@ -487,16 +482,6 @@ def _exponent_keys(keys: Iterable, w: WaveConstants) -> List[Tuple[int, int]]:
     return [(d1 * u + d2 * v, -c1 * u - c2 * v) for u, v in keys]
 
 
-def _lattice(p: ExpPoly) -> Tuple[int, Dict[Tuple[int, int], int], int, int]:
-    """ExpPoly.lattice with the content as its integer pair: (scale,
-    {(A, B): n}, cn, cd)."""
-    w = p._w
-    if w is None:
-        return p._scale, p._ints, p._cn, p._cd
-    return (w.lattice[0] * p._scale,
-            dict(zip(_exponent_keys(p._ints, w), p._ints.values())), p._cn, p._cd)
-
-
 def _least(keys: Sequence[Tuple[int, int]], w: Optional[WaveConstants]) -> Tuple[int, int]:
     """The key, in w's coordinates, of the lexicographically least exponent."""
     if w is None:
@@ -513,6 +498,27 @@ def _coerce_poly(v) -> ExpPoly:
 
 
 ONE = ExpPoly.const(1)
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """n/d (d > 0) as str(Fraction(n, d)) writes it."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def term_texts(p: ExpPoly) -> list:
+    """p's terms sorted by exponent, [[[a, b], coef], ...], each number as
+    str(Fraction) writes it: the package's one writer of exact numbers, which
+    documents, witnesses and ``repr`` read, and so the one place that meets
+    int's digit limit for text (sys.get_int_max_str_digits()): a number past
+    it raises TooManyDigits."""
+    scale, ints, cn, cd = p.lattice()
+    try:
+        return [[[_ratio_str(a, scale), _ratio_str(b, scale)], _ratio_str(cn * n, cd)]
+                for (a, b), n in sorted(ints.items())]
+    except ValueError:  # str() of an int past the limit
+        raise TooManyDigits(f"a number to write has more than {sys.get_int_max_str_digits()} "
+                            "digits (PYTHONINTMAXSTRDIGITS sets the limit)") from None
 
 
 # -- sums of products -------------------------------------------------------------
@@ -762,8 +768,7 @@ def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
             continue
         qa, qb = -na - lead[0], -nb - lead[1]
         if not (lo_a <= qa <= hi_a and lo_b <= qb <= hi_b) or (qa, qb) < least:
-            raise InexactDivision(
-                f"quotient key ({qa}/{scale}, {qb}/{scale}) outside the Newton-polytope bounds")
+            raise InexactDivision("quotient key outside the Newton-polytope bounds")
         qn, left = divmod(r, lead_n)
         if left:
             raise InexactDivision("leading coefficient does not divide")
@@ -1211,23 +1216,23 @@ def _exps(ks: Sequence[int], n: int, d: int) -> List[Tuple[int, int]]:
     return [walked[k] for k in ks]
 
 
-def round_ratio(p: int, q: int, e: int, prec: int = EVAL_PRECISION) -> Tuple[int, int]:
-    """p/q * 2**e (q > 0) rounded once to prec bits, to nearest with ties
-    to even, as a signed pair (m, x) meaning m * 2**x: the package's one
-    rounding of an integer ratio, which turns grid_values' integer form
-    into the numbers the package prints.
+def round_ratio(p: int, q: int, e: int) -> Tuple[int, int]:
+    """p/q * 2**e (q > 0) rounded once to EVAL_PRECISION bits, to nearest
+    with ties to even, as a signed pair (m, x) meaning m * 2**x: the
+    package's one rounding of an integer ratio, which turns grid_values'
+    integer form into the numbers the package prints.
 
-    The quotient is taken to prec + 1 or prec + 2 bits and rounded with
-    the division's remainder as a sticky bit, so that rounding it is
+    The quotient is taken to EVAL_PRECISION + 1 or + 2 bits and rounded
+    with the division's remainder as a sticky bit, so that rounding it is
     rounding p/q.
     """
     a = abs(p)
     if not a:
         return 0, 0
-    # a / q * 2**-s lies in (2**prec, 2**(prec+2))
-    s = a.bit_length() - q.bit_length() - prec - 1
+    # a / q * 2**-s lies in (2**EVAL_PRECISION, 2**(EVAL_PRECISION+2))
+    s = a.bit_length() - q.bit_length() - EVAL_PRECISION - 1
     m, rem = divmod(a, q << s) if s >= 0 else divmod(a << -s, q)
-    cut = m.bit_length() - prec
+    cut = m.bit_length() - EVAL_PRECISION
     low, m = m & ((1 << cut) - 1), m >> cut
     half = 1 << (cut - 1)
     if low > half or low == half and (rem or m & 1):
@@ -1468,7 +1473,7 @@ def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveCon
 
     def prepare(key, poly) -> _Sums:
         if key not in sums:
-            own, exps, *c = _lattice(poly)  # in the order of poly's keys
+            own, exps, *c = poly.lattice()  # in the order of poly's keys
             f, g = scale // own, sscale // poly._scale
             sums[key] = _Sums([slots.setdefault((a * f, b * f), len(slots)) for a, b in exps],
                               [(u * g, v * g) for u, v in poly._ints] if d_index else None,

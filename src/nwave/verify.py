@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .exprat import EVAL_PRECISION, ExpPoly, ExpRational, grid_values, ratio_text, wave_constants
+from .exprat import (EVAL_PRECISION, ExpPoly, ExpRational, grid_values, ratio_text,
+                     term_texts, wave_constants)
 from .spectral import SpectralData, initial_config, spectral_data, wave_exponent
 from .tau import TauZero, check_gra, solution_from_tau, tau_U
 from .toda import ab_closed, ab_init, ab_step, hankel_chain, toda_residual
@@ -80,17 +81,19 @@ class Report:
 def render_poly(p: ExpPoly) -> dict:
     """Readable identity of an offending value: top terms plus a full hash.
 
-    The 20 largest-|coefficient| terms are listed; the sha256 digest of the
+    The 20 largest-|coefficient| terms (by |n|, as each is n times one
+    content; ties in exponent order) are listed; the sha256 digest of the
     canonical (exponent-sorted) serialization pins down the complete value.
     """
-    items = sorted(p.terms.items())
+    items = term_texts(p)
     canon = ";".join(f"{a},{b}:{c}" for (a, b), c in items)
-    by_size = sorted(items, key=lambda kv: (-abs(kv[1]), kv[0]))
+    ns = [n for _, n in sorted(p.lattice()[1].items())]  # in the order of items
+    by_size = [t for _, t in sorted(zip(ns, items), key=lambda nt: -abs(nt[0]))]
     return {
         "n_terms": len(items),
         "truncated": len(items) > 20,
         "terms": [
-            {"a": str(a), "b": str(b), "coef": str(c)} for (a, b), c in by_size[:20]
+            {"a": a, "b": b, "coef": c} for (a, b), c in by_size[:20]
         ],
         "sha256": hashlib.sha256(canon.encode()).hexdigest(),
     }

@@ -5,6 +5,7 @@ coefficients, meaning ``sum c * exp(a*t + b*x)``.  These are the direct
 loops the integer-lattice ``ExpPoly`` must agree with.
 """
 
+import hashlib
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -58,3 +59,38 @@ def content(p):
     cs = p.values()
     g = Fraction(gcd(*(c.numerator for c in cs)), lcm(*(c.denominator for c in cs)))
     return g if p[min(p)] > 0 else -g
+
+
+# -- text: the forms nwave writes, built from the Fractions --------------------
+
+
+def texts(p):
+    """A document's term list: [[[a, b], coef], ...] sorted by exponent,
+    each number as str(Fraction) writes it."""
+    return [[[str(a), str(b)], str(c)] for (a, b), c in sorted(p.items())]
+
+
+def repr_text(p):
+    """ExpPoly's repr."""
+    if not p:
+        return "ExpPoly(0)"
+    bits = []
+    for (a, b), c in sorted(p.items()):
+        bsign = "+" if b >= 0 else ""
+        bits.append(f"{c}*e^({a}t{bsign}{b}x)")
+    return "ExpPoly(" + " + ".join(bits) + ")"
+
+
+def render(p):
+    """A report's counterexample (verify.render_poly): the 20 terms of
+    largest |coefficient|, ties in exponent order, and the sha256 digest of
+    every term in exponent order."""
+    items = sorted(p.items())
+    canon = ";".join(f"{a},{b}:{c}" for (a, b), c in items)
+    by_size = sorted(items, key=lambda kv: (-abs(kv[1]), kv[0]))
+    return {
+        "n_terms": len(items),
+        "truncated": len(items) > 20,
+        "terms": [{"a": str(a), "b": str(b), "coef": str(c)} for (a, b), c in by_size[:20]],
+        "sha256": hashlib.sha256(canon.encode()).hexdigest(),
+    }

@@ -725,3 +725,31 @@ def test_document_numbers_too_large_to_write_back_exit_2(tmp_path, capsys, numbe
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: f-1.0.num[0].coef: too many digits to write back")
+
+
+#: Speeds within the digit limit (3001 digits) whose derived numbers pass it.
+BIG_C = ["1" + "0" * 3000, "1/" + "7" * 3000]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--in", "big.json"],
+    ["verify", "--in", "big.json", "--mode", "numeric"],
+    ["transform", "--chain", "T1", "--in", "big.json"],
+    ["construct", "--algebra", "A2", "--spectral", "spec_big.json", "--n1", "1", "--n2", "1"],
+], ids=["verify-exact", "verify-numeric", "transform-T1", "construct"])
+def test_numbers_past_the_digit_limit_to_write_exit_3(tmp_path, capsys, argv):
+    # Every number read is within the digit limit, but the witness, the
+    # written image or the constructed solution under these speeds has
+    # numbers past it: one error line from the one writer, no traceback
+    # (T1's trial divisions are refused without formatting a number).
+    out = construct(tmp_path, "A2", SPEC_22, 1, 1, "a2_11.json")
+    doc = json.loads(out.read_text())
+    doc["constants"]["c"] = BIG_C
+    write_json(tmp_path / "big.json", doc)
+    write_json(tmp_path / "spec_big.json", dict(SPEC_22, c=BIG_C))
+    capsys.readouterr()
+    assert main([str(tmp_path / a) if a.endswith(".json") else a for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: a number to write has more than {sys.get_int_max_str_digits()}"
+                            " digits (PYTHONINTMAXSTRDIGITS sets the limit)\n")

@@ -14,6 +14,7 @@ from nwave.exprat import (
     ExpPoly,
     ExpRational,
     InexactDivision,
+    TooManyDigits,
     WaveConstants,
     common_denominator,
     divexact,
@@ -23,6 +24,7 @@ from nwave.exprat import (
 from nwave import exprat
 from nwave.spectral import spectral_data
 from nwave.tau import solution_from_tau
+from nwave.verify import render_poly
 from nwave.wavesys import model
 
 import _fracpoly as ref
@@ -206,8 +208,8 @@ def test_mixed_scales_meet_on_the_finer_lattice():
 
 def test_canonical_form_is_primitive_with_positive_least_coefficient():
     p = ExpPoly.term("-4/3", 1, 0) + ExpPoly.term("2/3", 0, 0)  # (2/3)(1 - 2e^t)
-    assert p.lattice() == (1, {(0, 0): 1, (1, 0): -2}, Fraction(2, 3))
-    assert (-p).lattice() == (1, {(0, 0): 1, (1, 0): -2}, Fraction(-2, 3))
+    assert p.lattice() == (1, {(0, 0): 1, (1, 0): -2}, 2, 3)
+    assert (-p).lattice() == (1, {(0, 0): 1, (1, 0): -2}, -2, 3)
     assert p.terms[(0, 0)] == Fraction(2, 3) and p.terms[(F(1), 0)] == Fraction(-4, 3)
     assert (Fraction(1, 2), 0) not in p.terms
     with pytest.raises(TypeError):
@@ -899,7 +901,7 @@ def random_constants(draw):
 
 
 def _canonical_exponents(p):
-    """p's canonical form in exponent coordinates, (scale, {(A, B): n}, content)."""
+    """p's canonical form in exponent coordinates, (scale, {(A, B): n}, cn, cd)."""
     return ExpPoly.from_lattice(*p.lattice()).lattice()
 
 
@@ -948,6 +950,60 @@ def test_the_spectral_and_exponent_forms_are_one_value(ft, gt, w, w2, ij):
                      lambda: sum_of_products([[(1, sf, other)]], w)):
             with pytest.raises(ValueError, match="different wave constants"):
                 meet()
+
+
+# -- the one writer ----------------------------------------------------------------
+
+
+@st.composite
+def written_values(draw):
+    """(value, reference dict): up to 24 terms by exponents, or spike waves
+    spectral_key(sp, sq, w) under random constants w in w's spectral
+    coordinates; coefficients often of one size, with either sign, so that
+    equal |coefficients| rank by exponent."""
+    size = draw(lattice_rationals.filter(bool))
+    coefs = st.one_of(lattice_rationals.filter(bool), st.sampled_from([size, -size]))
+    n = draw(st.integers(0, 24))
+    if draw(st.booleans()):
+        w, keys = None, [draw(st.tuples(lattice_rationals, lattice_rationals)) for _ in range(n)]
+    else:
+        w, scale = draw(random_constants()), draw(st.sampled_from([1, 2, 3]))
+        keys = [spectral_key(Fraction(draw(st.integers(-2, 2)), scale),
+                             Fraction(draw(st.integers(0, 6)), scale), w) for _ in range(n)]
+    p, rp = _poly_and_reference([(draw(coefs), a, b) for a, b in keys])
+    return (p if w is None else exprat._spectral(p, w)), rp
+
+
+@settings(max_examples=80)
+@given(written_values())
+@example((ExpPoly(0), {}))
+# equal |coefficients| of opposite signs: the witness lists them in exponent order
+@example(_poly_and_reference([(F(-2), 1, 0), (F(2), 0, 1), (F(-2), 0, 0), (F(1), 2, 2)]))
+# spike waves over W: the witness ranks their exponents, not their spectral keys
+@example((exprat._spectral(ExpPoly({spectral_key(F(1), F(0)): 3, spectral_key(F(0), F(1)): -3}), W),
+          {spectral_key(F(1), F(0)): F(3), spectral_key(F(0), F(1)): F(-3)}))
+def test_the_writer_matches_the_fraction_forms(case):
+    # term_texts, repr and render_poly each equal their form built from
+    # the value's Fractions (tests/_fracpoly.py), in either coordinate system
+    p, rp = case
+    assert exprat.term_texts(p) == ref.texts(rp)
+    assert repr(p) == ref.repr_text(rp)
+    assert render_poly(p) == ref.render(rp)
+
+
+def test_the_writer_refuses_a_number_past_the_digit_limit():
+    # the one writer raises TooManyDigits, a ValueError, where str() of an
+    # int would refuse; raising the limit writes the number
+    limit = sys.get_int_max_str_digits()
+    for p in (ExpPoly.const(10 ** limit), ExpPoly.term(1, Fraction(1, 10 ** limit), 0)):
+        for write in (exprat.term_texts, repr, render_poly):
+            with pytest.raises(TooManyDigits, match=f"more than {limit} digits"):
+                write(p)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert exprat.term_texts(ExpPoly.const(10 ** limit)) == [[["0", "0"], "1" + "0" * limit]]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # -- contents are integer pairs ----------------------------------------------------
