@@ -28,11 +28,10 @@ import re
 import reprlib
 import sys
 from fractions import Fraction
-from math import lcm
 
 from .exprat import (
     DivisionByZeroField, ExpPoly, ExpRational, InexactDivision, TooManyDigits, grid_values,
-    ratio_text, term_texts, wave_constants,
+    poly_from_ratios, ratio_text, term_texts, wave_constants,
 )
 from .spectral import InvalidSpectralData, spectral_data
 from .tau import TauZero, solution_from_tau
@@ -70,10 +69,16 @@ def _read_json(path) -> dict:
             doc = json.load(fh)
         except UnicodeDecodeError as e:
             raise InputError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # int() refused an integer literal past its digit limit
+            raise InputError(f"{path}: a JSON integer has more than "
+                             f"{sys.get_int_max_str_digits()} digits (PYTHONINTMAXSTRDIGITS "
+                             "sets the limit)") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object")
     if doc.get("schema") != SCHEMA:
-        raise InputError(f"{path}: unsupported schema {doc.get('schema')!r}")
+        raise InputError(f"{path}: unsupported schema {reprlib.repr(doc.get('schema'))}")
     return doc
 
 
@@ -194,16 +199,9 @@ def _poly_from_terms(items, what: str, w) -> ExpPoly:
         if not ok:
             raise InputError(f"{what}[{k}]: expected [[a, b], coef]")
         (a, b), coef = item
-        rows.append((_ratio(a, what, k, "a"), _ratio(b, what, k, "b"),
+        rows.append(((_ratio(a, what, k, "a"), _ratio(b, what, k, "b")),
                      _ratio(coef, what, k, "coef")))
-    # every exponent over one scale, every coefficient over one denominator
-    scale = lcm(*(ad for (_, ad), _, _ in rows), *(bd for _, (_, bd), _ in rows))
-    den = lcm(*(cd for _, _, (_, cd) in rows))
-    ints = {}
-    for (an, ad), (bn, bd), (cn, cd) in rows:
-        key = (an * (scale // ad), bn * (scale // bd))
-        ints[key] = ints.get(key, 0) + cn * (den // cd)
-    return ExpPoly.from_lattice(scale, ints, 1, den, w)
+    return poly_from_ratios(rows, w)
 
 
 def config_to_doc(cfg: FieldConfig) -> dict:
@@ -226,7 +224,8 @@ def config_to_doc(cfg: FieldConfig) -> dict:
 def config_from_doc(doc: dict) -> FieldConfig:
     algebra = doc.get("algebra")
     if not isinstance(algebra, str):
-        raise InputError(f"'algebra' must be a string (A2, B2 or G2), got {algebra!r}")
+        raise InputError(f"'algebra' must be a string (A2, B2 or G2), got "
+                         f"{reprlib.repr(algebra)}")
     consts = doc.get("constants")
     if not isinstance(consts, dict):
         raise InputError("'constants' must be an object with 'c' and 'd'")
@@ -262,9 +261,8 @@ def _resolve_chain(spec: str, algebra: str) -> list:
         full = name if name in TRANSFORMS else f"{algebra}_{name}"
         if full not in TRANSFORMS or TRANSFORMS[full].algebra != algebra:
             valid = sorted(t for t, tr in TRANSFORMS.items() if tr.algebra == algebra)
-            raise InputError(
-                f"unknown transform {name!r} for {algebra} (valid: {', '.join(valid)})"
-            )
+            raise InputError(f"unknown transform {reprlib.repr(name)} for {algebra} "
+                             f"(valid: {', '.join(valid)})")
         tids.append(full)
     return tids
 
@@ -294,16 +292,12 @@ def cmd_verify(args) -> int:
         cfg = config_from_doc(_read_json(args.infile))
         rep = verify_config(model(cfg.algebra), cfg, args.mode or "exact")
     for c in rep.checks:
-        line = f"{'PASS' if c.passed else 'FAIL'}  {c.name}"
-        if c.detail:
-            line += f"  [{c.detail}]"
-        print(line)
-    failed = sum(1 for c in rep.checks if not c.passed)
-    verdict = "PASS" if rep.passed else "FAIL"
-    print(f"{rep.title}: {verdict} ({failed}/{len(rep.checks)} failed)")
-    if args.report is not None:
+        print(f"{'PASS' if c.passed else 'FAIL'}  {c.name}" + (c.detail and f"  [{c.detail}]"))
+    failed = sum(not c.passed for c in rep.checks)
+    print(f"{rep.title}: {'FAIL' if failed else 'PASS'} ({failed}/{len(rep.checks)} failed)")
+    if args.report is not None:  # the witness is rendered here, after the verdict is printed
         _emit(_dump_report(rep.as_dict()), args.report)
-    return 0 if rep.passed else 1
+    return 1 if failed else 0
 
 
 def _grid(lo: str, hi: str, n: int, what: str) -> list:
@@ -312,13 +306,13 @@ def _grid(lo: str, hi: str, n: int, what: str) -> list:
     if n < 1:
         raise InputError(f"{what}: need at least one point, got {n}")
     a, b = _frac(lo, f"{what} lower bound"), _frac(hi, f"{what} upper bound")
-    for bound, text, v in (("lower", lo, a), ("upper", hi, b)):
+    for bound, text, v in (("lower", reprlib.repr(lo), a), ("upper", reprlib.repr(hi), b)):
         try:
             f = float(v)
         except OverflowError:
-            raise InputError(f"{what} {bound} bound {text!r} is past the float range") from None
+            raise InputError(f"{what} {bound} bound {text} is past the float range") from None
         if v and not f:
-            raise InputError(f"{what} {bound} bound {text!r} is below the float range "
+            raise InputError(f"{what} {bound} bound {text} is below the float range "
                              "(it would print as 0.0)")
     if n == 1:
         return [a]

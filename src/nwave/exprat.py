@@ -13,10 +13,12 @@ a coprime integer pair.
 Values built from spikes are keyed by spectral coordinates, the position
 sums (sP, sQ) of their spike waves under one ``WaveConstants``; values built
 from exponents (``ExpPoly.term``, ``ExpPoly(terms)``) by the exponents
-(a, b).  Ring operations run on ints in either, contents included; exponent
-pairs appear only at the boundary (``terms``, ``lattice``, numeric
-evaluation, and ``term_texts``, the one writer of exact numbers as text),
-Fractions only in ``terms``, ``as_constant`` and numeric evaluation.
+(a, b); ``poly_from_ratios``, which documents are read through too, is
+the one builder from rational terms.  Ring operations run on ints in
+either, contents included; exponent pairs appear only at the boundary
+(``terms``, ``lattice``, numeric evaluation, and ``term_texts``, the one
+writer of exact numbers as text), Fractions only in ``terms``,
+``as_constant`` and numeric evaluation.
 
 ``grid_values`` is the package's one numeric evaluator, with its one pole
 rule.  It yields each value as exact integers; numeric verification judges
@@ -169,13 +171,9 @@ class ExpPoly:
 
     def __init__(self, terms: Union[None, Mapping, Iterable] = None):
         """Sum of the given ((a, b), coefficient) terms; repeated keys add up."""
-        items = list(terms.items() if isinstance(terms, Mapping) else terms or ())
-        ints, d = _over_one([as_frac(c) for _, c in items])
-        exps, scale = _over_one([as_frac(v) for (a, b), _ in items for v in (a, b)])
-        out: Dict[Tuple[int, int], int] = {}
-        for k, n in zip(zip(exps[::2], exps[1::2]), ints):
-            out[k] = out.get(k, 0) + n
-        p = _canonical(scale, out, 1, d, None)
+        items = terms.items() if isinstance(terms, Mapping) else terms or ()
+        p = poly_from_ratios([((as_frac(a).as_integer_ratio(), as_frac(b).as_integer_ratio()),
+                               as_frac(c).as_integer_ratio()) for (a, b), c in items])
         self._scale, self._ints, self._cn, self._cd, self._w = (
             p._scale, p._ints, p._cn, p._cd, None)
 
@@ -395,6 +393,19 @@ def _poly(scale: int, ints: Dict[Tuple[int, int], int], cn: int, cd: int,
 
 
 _ZERO = _poly(1, {}, 0, 1, None)
+
+
+def poly_from_ratios(rows: Sequence, w: Optional[WaveConstants] = None) -> ExpPoly:
+    """sum(c * exp(a*t + b*x)) over rows ((a, b), c) of integer pairs (n, d > 0),
+    repeated exponents adding up: the exponents over the lcm of their denominators
+    and the coefficients over that of theirs, through ExpPoly.from_lattice."""
+    scale = lcm(*(d for (a, b), _ in rows for _, d in (a, b)))
+    den = lcm(*(d for _, (_, d) in rows))
+    ints: Dict[Tuple[int, int], int] = {}
+    for ((an, ad), (bn, bd)), (cn, cd) in rows:
+        key = an * (scale // ad), bn * (scale // bd)
+        ints[key] = ints.get(key, 0) + cn * (den // cd)
+    return ExpPoly.from_lattice(scale, ints, 1, den, w)
 
 
 def _is_const(p: ExpPoly) -> bool:
@@ -999,12 +1010,6 @@ class ExpRational:
                     for a, k in atoms.items()), _ZERO)
         top = n.deriv(i, j, w) * _times_powers(None, [(a, 1) for a in atoms]) - n * rest
         return _rat(top, {a: k + 1 for a, k in atoms.items()})
-
-    def dlog(self, i: int, j: int, w: WaveConstants) -> "ExpRational":
-        """Logarithmic derivative D_{i,j} ln(self): deriv over self."""
-        if not self.num._ints:
-            raise DivisionByZeroField("log derivative of zero")
-        return self.deriv(i, j, w) / self
 
     def as_constant(self):
         """Return this value as a Fraction if it is constant, else None: a

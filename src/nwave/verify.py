@@ -6,8 +6,9 @@ claims by name (tau solutions and map images that solve their systems,
 which ``SOLUTIONS`` lists, map identities, determinant chains, the
 closed-form recursions, and group recombination).  A suite in ``SUITES``
 is a tuple of claim names; ``verify_claims`` runs any list of them.
-Reports are plain data (dicts of strings, bools and lists), deterministic
-for identical inputs, and carry at most one rendered counterexample.
+A report keeps its first failing check's witness as a value and renders
+it only in ``Report.as_dict``, which gives the report as plain data (dicts
+of strings, bools and lists), deterministic for identical inputs.
 
 This module judges; it does not evaluate.  Numeric mode takes its numbers
 from ``exprat.grid_values``, the package's one numeric evaluator, as exact
@@ -36,7 +37,6 @@ REL_TOL = 1e-9
 #: Rational evaluation grid shared by every numeric check: GRID_T x GRID_X.
 GRID_T = (Fraction(-1), Fraction(0), Fraction(1, 2))
 GRID_X = (Fraction(-1, 3), Fraction(0), Fraction(1))
-GRID: Tuple[Tuple[Fraction, Fraction], ...] = tuple(itertools.product(GRID_T, GRID_X))
 
 @dataclass
 class Check:
@@ -50,7 +50,7 @@ class Report:
     title: str
     mode: str
     checks: List[Check] = field(default_factory=list)
-    counterexample: Optional[dict] = None
+    witness: Optional[ExpPoly] = None
 
     @property
     def passed(self) -> bool:
@@ -59,8 +59,8 @@ class Report:
     def add(self, name: str, passed: bool, detail: str = "",
             witness: Optional[ExpPoly] = None):
         self.checks.append(Check(name, passed, detail))
-        if not passed and self.counterexample is None and witness is not None:
-            self.counterexample = render_poly(witness)
+        if not passed and self.witness is None:
+            self.witness = witness
 
     def as_dict(self) -> dict:
         failed = sum(1 for c in self.checks if not c.passed)
@@ -74,7 +74,7 @@ class Report:
                 {"name": c.name, "pass": c.passed, "detail": c.detail}
                 for c in self.checks
             ],
-            "counterexample": self.counterexample,
+            "counterexample": None if self.witness is None else render_poly(self.witness),
         }
 
 
@@ -241,7 +241,7 @@ def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Rep
     scale, decided exactly on those integers.  Points where the evaluator
     finds a denominator vanishing to working precision (|value| below its
     mass times 2**-POLE_BITS) are skipped and recorded rather than
-    aborting.  In either mode the report's counterexample is
+    aborting.  In either mode the report's witness is
     the first failing equation's own residual, residual(m, cfg, [eq]),
     over the least common denominator of that equation's fields.  A model
     of another algebra than the configuration's is refused (ValueError).
@@ -259,7 +259,7 @@ def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Rep
     rep = Report(title=f"{m.name} configuration", mode=mode)
     for eq, (ok, detail) in zip(m.equations, verdicts):
         rep.add(_eq_name(eq), ok, detail,
-                witness=None if ok or rep.counterexample is not None
+                witness=None if ok or rep.witness is not None
                 else residual(m, cfg, [eq])[0])
     return rep
 
@@ -288,9 +288,7 @@ def _solution_checks(solutions, rep: Report) -> None:
             continue
         sub = verify_config(m, cfg)
         bad = [c.name for c in sub.checks if not c.passed]
-        rep.add(name, not bad, "" if not bad else "nonzero: " + ", ".join(bad))
-        if rep.counterexample is None:
-            rep.counterexample = sub.counterexample
+        rep.add(name, not bad, "" if not bad else "nonzero: " + ", ".join(bad), sub.witness)
 
 
 def _tau_solutions(algebra: str, q, orders, label: str = "tau({},{}) residual-zero"):

@@ -23,6 +23,7 @@ is symmetric; ``transforms`` conjugates its maps by them.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
@@ -49,7 +50,7 @@ def parse_field_label(label: str) -> FieldKey:
     except ValueError:
         key = None
     if key is None or field_label(key) != label:
-        raise ValueError(f"bad field label: {label!r}")
+        raise ValueError(f"bad field label: {reprlib.repr(label)}")
     return key
 
 
@@ -140,7 +141,7 @@ def model(name: str) -> AlgebraModel:
         return _MODELS[name]
     except KeyError:
         expected = f"{', '.join(ALGEBRAS[:-1])} or {ALGEBRAS[-1]}"
-        raise ValueError(f"unknown algebra {name!r} (expected {expected})") from None
+        raise ValueError(f"unknown algebra {reprlib.repr(name)} (expected {expected})") from None
 
 
 @dataclass

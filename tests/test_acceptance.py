@@ -131,8 +131,8 @@ _LAWS = [
      lambda u: u * (1 / u) == ExpRational.const(1)),
     ("rat dlog additive",
      lambda g: (_rand_nonzero_rational(g), _rand_nonzero_rational(g), _rand_index(g)),
-     lambda u, v, ij: (u * v).dlog(*ij, W)
-     == u.dlog(*ij, W) + v.dlog(*ij, W)),
+     lambda u, v, ij: (u * v).deriv(*ij, W) / (u * v)
+     == u.deriv(*ij, W) / u + v.deriv(*ij, W) / v),
 ]
 
 

@@ -148,7 +148,7 @@ def test_a_written_configuration_round_trips_bytes(values, op):
     elif op == 2:
         values[0] = a.deriv(1, 2, W)
     elif op == 3 and not a.is_zero():
-        values[0] = a.dlog(0, 1, W)
+        values[0] = a.deriv(0, 1, W) / a
     keys = model("A2").field_keys
     cfg = FieldConfig("A2", W, dict(zip(keys, values)))
     text = _dump(config_to_doc(cfg))
@@ -731,25 +731,105 @@ def test_document_numbers_too_large_to_write_back_exit_2(tmp_path, capsys, numbe
 BIG_C = ["1" + "0" * 3000, "1/" + "7" * 3000]
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--in", "big.json"],
-    ["verify", "--in", "big.json", "--mode", "numeric"],
-    ["transform", "--chain", "T1", "--in", "big.json"],
-    ["construct", "--algebra", "A2", "--spectral", "spec_big.json", "--n1", "1", "--n2", "1"],
-], ids=["verify-exact", "verify-numeric", "transform-T1", "construct"])
-def test_numbers_past_the_digit_limit_to_write_exit_3(tmp_path, capsys, argv):
-    # Every number read is within the digit limit, but the witness, the
-    # written image or the constructed solution under these speeds has
-    # numbers past it: one error line from the one writer, no traceback
-    # (T1's trial divisions are refused without formatting a number).
+def _big_documents(tmp_path, capsys):
+    """The A2 (1,1) solution on SPEC_22 with speeds BIG_C, as a configuration
+    (big.json) and as spectral data (spec_big.json)."""
     out = construct(tmp_path, "A2", SPEC_22, 1, 1, "a2_11.json")
     doc = json.loads(out.read_text())
     doc["constants"]["c"] = BIG_C
     write_json(tmp_path / "big.json", doc)
     write_json(tmp_path / "spec_big.json", dict(SPEC_22, c=BIG_C))
     capsys.readouterr()
-    assert main([str(tmp_path / a) if a.endswith(".json") else a for a in argv]) == 3
+
+
+def _in(tmp_path, argv):
+    return [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+
+
+#: What verify prints on the A2 (1,1) solution under BIG_C: every check fails.
+BIG_VERDICT = "A2 configuration: FAIL (6/6 failed)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--in", "big.json", "--report", "report.json"],
+    ["verify", "--in", "big.json", "--mode", "numeric", "--report", "report.json"],
+    ["transform", "--chain", "T1", "--in", "big.json"],
+    ["construct", "--algebra", "A2", "--spectral", "spec_big.json", "--n1", "1", "--n2", "1"],
+], ids=["verify-exact", "verify-numeric", "transform-T1", "construct"])
+def test_numbers_past_the_digit_limit_to_write_exit_3(tmp_path, capsys, argv):
+    # Every number read is within the digit limit, but the report's
+    # witness, the written image or the constructed solution under these
+    # speeds has numbers past it: one error line from the one writer, no
+    # traceback (T1's trial divisions are refused without formatting a
+    # number).  verify prints its checks and verdict first, and writes no
+    # report.
+    _big_documents(tmp_path, capsys)
+    assert main(_in(tmp_path, argv)) == 3
     captured = capsys.readouterr()
-    assert captured.out == ""
+    lines = captured.out.splitlines()
+    if argv[0] == "verify":
+        assert len(lines) == 7 and lines[-1] == BIG_VERDICT
+    else:
+        assert lines == []
     assert captured.err == (f"error: a number to write has more than {sys.get_int_max_str_digits()}"
                             " digits (PYTHONINTMAXSTRDIGITS sets the limit)\n")
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+def test_a_witness_past_the_digit_limit_keeps_the_verdict(tmp_path, capsys, mode):
+    # A report renders its witness only when it is written, so without
+    # --report the verdict stands: every check fails, and nothing is wrong
+    # with the run.
+    _big_documents(tmp_path, capsys)
+    assert main(_in(tmp_path, ["verify", "--in", "big.json", "--mode", mode])) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 7 and lines[-1] == BIG_VERDICT
+    assert all(line.startswith("FAIL  D(") for line in lines[:6])
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--in"],
+    ["transform", "--chain", "T1", "--in"],
+    ["sample", "--t0", "0", "--t1", "1", "--x0", "0", "--x1", "1", "--in"],
+    ["construct", "--algebra", "A2", "--spectral"],
+], ids=["verify", "transform", "sample", "construct"])
+def test_a_json_integer_past_the_digit_limit_exits_2(tmp_path, capsys, argv):
+    # json.load refuses an integer literal past int's digit limit with a
+    # bare ValueError: malformed input, one error line, the number not echoed.
+    path = tmp_path / "doc.json"
+    path.write_text('{"schema": 1' + "0" * (LIMIT + 700) + "}")
+    assert main(argv + [str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {path}: a JSON integer has more than {LIMIT} digits "
+                   "(PYTHONINTMAXSTRDIGITS sets the limit)\n")
+
+
+@pytest.mark.parametrize("case", [
+    "schema", "algebra", "algebra-name", "field-label", "chain", "sample-bound"])
+def test_long_input_gives_one_short_error_line(tmp_path, capsys, monkeypatch, case):
+    # Each message quotes the offending input through reprlib, abbreviated.
+    monkeypatch.chdir(tmp_path)
+    doc = _zero_a2()
+    argv = ["verify", "--in", "doc.json"]
+    if case == "schema":
+        doc["schema"] = int("1" * 3001)
+    elif case == "algebra":
+        doc["algebra"] = ["A2"] * 3000
+    elif case == "algebra-name":
+        doc["algebra"] = "A" * 3000
+    elif case == "field-label":
+        doc["fields"]["f" * 3000] = doc["fields"].pop("f+1.0")
+    elif case == "chain":
+        argv = ["transform", "--chain", "T" * 3000, "--in", "doc.json"]
+    else:
+        argv = ["sample", "--t0", "1/" + "3" * 3000, "--t1", "1", "--x0", "0", "--x1", "1",
+                "--in", "doc.json"]
+    write_json(tmp_path / "doc.json", doc)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert err.count("\n") == 1 and len(err) < 200

@@ -1,4 +1,5 @@
 """Verification driver: per-equation verdicts, numeric grid, suite reports."""
+import itertools
 import json
 from collections import Counter
 from fractions import Fraction
@@ -17,7 +18,6 @@ from nwave.tau import solution_from_tau
 from nwave.transforms import TRANSFORMS, apply
 from nwave.verify import (
     CLAIMS,
-    GRID,
     GRID_T,
     GRID_X,
     SUITES,
@@ -32,6 +32,9 @@ from nwave.verify import (
     verify_suite,
 )
 from nwave.wavesys import MINUS, PLUS, model, residual, zero_config
+
+#: The numeric grid's nine points, in the order grid_values walks them.
+GRID = list(itertools.product(GRID_T, GRID_X))
 
 W = wave_constants(1, "1/2", "1/3", 1)
 P2 = [("2", "1"), ("-1", "1/2")]
@@ -54,7 +57,8 @@ def perturbed():
 def test_zero_config_passes(mode):
     rep = verify_config(model("A2"), zero_config("A2", W), mode)
     assert rep.passed
-    assert rep.counterexample is None
+    assert rep.witness is None
+    assert rep.as_dict()["counterexample"] is None
     assert len(rep.checks) == 6
 
 
@@ -90,11 +94,32 @@ def test_exact_and_numeric_verdicts_agree():
 
 def test_failing_report_carries_one_counterexample():
     rep = verify_config(model("A2"), perturbed(), "exact")
-    ce = rep.counterexample
-    assert ce is not None
+    ce = rep.as_dict()["counterexample"]
+    assert ce == render_poly(rep.witness)
     assert set(ce) == {"n_terms", "truncated", "terms", "sha256"}
     assert len(ce["sha256"]) == 64
     assert all(set(t) == {"a", "b", "coef"} for t in ce["terms"])
+
+
+def test_a_report_renders_its_witness_only_when_written(monkeypatch):
+    # Checking formats no number: the first failing check's witness is kept
+    # as a value, and as_dict renders it.
+    rendered = []
+    monkeypatch.setattr(verify, "render_poly", lambda p: rendered.append(p) or {"n_terms": 0})
+    rep = verify_config(model("A2"), perturbed(), "exact")
+    assert not rep.passed and rendered == []
+    assert rep.as_dict()["counterexample"] == {"n_terms": 0}
+    assert rendered == [rep.witness]
+
+
+def test_a_solution_claim_keeps_the_first_failing_witness():
+    # A claim's report takes the witness of its first configuration that fails.
+    bad = perturbed()
+    rep = Report("claim", "exact")
+    _solution_checks(lambda: [("good", model("A2"), a2_solution()), ("bad", model("A2"), bad),
+                              ("bad again", model("A2"), bad)], rep)
+    assert [c.passed for c in rep.checks] == [True, False, False]
+    assert rep.witness == verify_config(model("A2"), bad).witness
 
 
 def test_report_dict_shape_and_determinism():
@@ -171,7 +196,7 @@ def test_same_sign_denominator_never_makes_a_pole():
     # threshold, but it is positive everywhere: no grid point is a pole
     den = ExpPoly.term(1, 2000, 0) + ExpPoly.term(1, 2001, 0)
     points = list(grid_values({"r": ExpRational(ExpPoly.const(1), den)}, GRID_T, GRID_X))
-    assert [(t, x) for t, x, _ in points] == list(GRID)
+    assert [(t, x) for t, x, _ in points] == GRID
     assert all(values["r"] is not None for _, _, values in points)
 
 
@@ -249,7 +274,7 @@ def test_numeric_mode_fails_the_pole_a2_configuration():
     numeric = verify_config(m, pole_a2(), "numeric")
     assert not numeric.passed
     assert [c.passed for c in numeric.checks] == [c.passed for c in exact.checks]
-    assert numeric.counterexample is not None
+    assert numeric.witness is not None
 
 
 def test_numeric_judging_keeps_its_integers_small_across_a_vast_exponent_spread(monkeypatch):
@@ -314,7 +339,7 @@ def test_passing_numeric_check_builds_no_residual(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["exact", "numeric"])
 def test_failing_check_builds_one_witness_residual(monkeypatch, mode):
-    # The report renders only the first failing equation's residual, so
+    # The report keeps only the first failing equation's residual, so
     # besides exact mode's one pass over every equation only that one is
     # built, from that equation alone.
     m, bad = model("A2"), perturbed()
@@ -329,7 +354,7 @@ def test_failing_check_builds_one_witness_residual(monkeypatch, mode):
     failed = [eq for eq, c in zip(m.equations, rep.checks) if not c.passed]
     assert len(failed) >= 2
     assert built == ([m.equations] if mode == "exact" else []) + [failed[:1]]
-    assert rep.counterexample == render_poly(residual(m, bad, failed[:1])[0])
+    assert rep.witness == residual(m, bad, failed[:1])[0]
 
 
 def test_grid_is_nine_rational_points():
@@ -609,7 +634,7 @@ def test_exact_verify_of_a_tau_solution_forms_no_derivative_polynomial(monkeypat
 def test_a_witness_is_the_residual_over_its_equations_own_denominator(name, mode):
     # These map images hold fields over several denominators, and the first
     # failing equation's fields have a least common denominator of their
-    # own, below the configuration's: the counterexample is the residual
+    # own, below the configuration's: the witness is the residual
     # over that one, as the per-equation reference forms it.
     path = Path(__file__).resolve().parent.parent / "bench" / "data" / "configs" / f"{name}.json"
     cfg = config_from_doc(json.loads(path.read_text()))
@@ -621,4 +646,4 @@ def test_a_witness_is_the_residual_over_its_equations_own_denominator(name, mode
     eq = next(eq for eq in m.equations if _eq_name(eq) == first)
     L, r = equation_residual(bad, eq)
     assert L != common_denominator(list(bad.fields.values()))[0]
-    assert rep.counterexample == render_poly(r)
+    assert rep.witness == r
