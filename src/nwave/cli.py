@@ -71,6 +71,8 @@ def _read_json(path) -> dict:
             raise InputError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
         except json.JSONDecodeError:
             raise
+        except RecursionError:
+            raise InputError(f"{path}: JSON nested too deeply to read") from None
         except ValueError:  # int() refused an integer literal past its digit limit
             raise InputError(f"{path}: a JSON integer has more than "
                              f"{sys.get_int_max_str_digits()} digits (PYTHONINTMAXSTRDIGITS "

@@ -278,27 +278,10 @@ class ExpPoly:
             return _ZERO
         if self._w is not other._w:  # before the constant cases, so other constants raise
             self, other = _meet(self, other)
-        content = _times(self._cn, self._cd, other._cn, other._cd)
-        if _is_const(other):
-            return _poly(self._scale, self._ints, *content, self._w)
-        if _is_const(self):
-            return _poly(other._scale, other._ints, *content, other._w)
-        self, other, scale, t1, t2 = _common_scale(self, other)
-        if len(t1) > len(t2):
-            t1, t2 = t2, t1
-        out: Dict[Tuple[int, int], int] = {}
-        get = out.get
-        inner = list(t2.items())
-        for (a1, b1), n1 in t1.items():
-            for (a2, b2), n2 in inner:
-                k = (a1 + a2, b1 + b2)
-                out[k] = get(k, 0) + n1 * n2
-        if 0 in out.values():
-            out = {k: v for k, v in out.items() if v}
-        # Gauss's lemma keeps the product of primitive parts primitive, and
-        # the least key of a product is the sum of the least keys, with
-        # coefficient n1 * n2 > 0: only the scale can need reducing.
-        return _reduced(scale, out, *content, self._w)
+        n1, n2 = len(self._ints), len(other._ints)
+        if self._w is not None and n1 > 1 and n2 > 1 and n1 * n2 > PRODUCT_PAIRS:
+            return sum_of_products([[(1, self, other)]], self._w)[0]
+        return _product(self, other)
 
     __rmul__ = __mul__
 
@@ -393,6 +376,32 @@ def _poly(scale: int, ints: Dict[Tuple[int, int], int], cn: int, cd: int,
 
 
 _ZERO = _poly(1, {}, 0, 1, None)
+
+
+def _product(p: ExpPoly, q: ExpPoly) -> ExpPoly:
+    """p * q, nonzero and in one coordinate system, by the ring's one schoolbook
+    loop over term pairs: ``__mul__``'s below PRODUCT_PAIRS, and a sparse _sum's."""
+    content = _times(p._cn, p._cd, q._cn, q._cd)
+    if _is_const(q):
+        return _poly(p._scale, p._ints, *content, p._w)
+    if _is_const(p):
+        return _poly(q._scale, q._ints, *content, q._w)
+    p, q, scale, t1, t2 = _common_scale(p, q)
+    if len(t1) > len(t2):
+        t1, t2 = t2, t1
+    out: Dict[Tuple[int, int], int] = {}
+    get = out.get
+    inner = list(t2.items())
+    for (a1, b1), n1 in t1.items():
+        for (a2, b2), n2 in inner:
+            k = (a1 + a2, b1 + b2)
+            out[k] = get(k, 0) + n1 * n2
+    if 0 in out.values():
+        out = {k: v for k, v in out.items() if v}
+    # Gauss's lemma keeps the product of primitive parts primitive, and
+    # the least key of a product is the sum of the least keys, with
+    # coefficient n1 * n2 > 0: only the scale can need reducing.
+    return _reduced(scale, out, *content, p._w)
 
 
 def poly_from_ratios(rows: Sequence, w: Optional[WaveConstants] = None) -> ExpPoly:
@@ -550,6 +559,15 @@ def term_texts(p: ExpPoly) -> list:
 #: are multiplied term by term, so no row int is mostly zeros.
 PACK_SLOTS_PER_TERM = 8
 
+#: ExpPoly.__mul__ hands a product of more than this many term pairs under
+#: one set of constants to sum_of_products: on maps of 1,000-term values
+#: the kernel took 0.2 to 0.4 of the dict loop's time.
+PRODUCT_PAIRS = 2000
+
+#: divexact packs a division of |den| * (|num| - |den|) at least this many
+#: term pairs whose rows are dense (PACK_SLOTS_PER_TERM).
+DIVIDE_PAIRS = 400
+
 
 def sum_of_products(sums: Iterable[Iterable], w: WaveConstants) -> List[ExpPoly]:
     """[sum(c * x1 * ... * xk) over (c, x1, ..., xk) in terms] for each
@@ -558,7 +576,7 @@ def sum_of_products(sums: Iterable[Iterable], w: WaveConstants) -> List[ExpPoly]
 
     Factors are taken in w's spectral coordinates (u, v), converted first
     if they have no constants.  Sparse sums (PACK_SLOTS_PER_TERM) are formed
-    as ExpPoly products, the others by Kronecker substitution:
+    by the schoolbook pair loop (_product), the others by Kronecker substitution:
 
     - the keys of each distinct operand of all the sums are brought to one
       common scale S, once, and each operand is split into rows by u;
@@ -700,8 +718,8 @@ def _sum(prods, step: int, scale: int, w: WaveConstants) -> ExpPoly:
             slots += op.nrows * ((op.hi - op.lo) // step + 1)
             nterms += len(op.vs)
     if slots > PACK_SLOTS_PER_TERM * nterms:
-        return sum((reduce(mul, [x[1].deriv(*x[0], w) if type(x) is tuple else x
-                                 for x in t[1:]]) * t[0] for t, *_ in prods), _ZERO)
+        return sum((reduce(_product, [x[1].deriv(*x[0], w) if type(x) is tuple else x
+                                      for x in t[1:]]) * t[0] for t, *_ in prods), _ZERO)
     # the products' coefficients as integers over one content g/den
     den = lcm(*[p[3] for p in prods])
     nums = [p[2] * (den // p[3]) for p in prods]
@@ -718,19 +736,23 @@ def _sum(prods, step: int, scale: int, w: WaveConstants) -> ExpPoly:
         for op in mid:
             rows_p = _row_product(rows_p, op.pack(step, k)).items()
         _row_product([(u, (x * m) << shift) for u, x in rows_p], last.pack(step, k), acc)
-    # balanced digits: with 2**(k-1) added to every slot each digit is a
-    # nonnegative k-bit field; a zero digit is no term
-    half = 1 << (k - 1)
+    out = {(u, lo + step * j): n for u, j, n in _digits(acc.items(), nslots, nbytes)}
+    return _canonical(scale, out, *_times(g, 1, 1, den), w)
+
+
+def _digits(rows: Iterable, nslots: int, nbytes: int) -> Iterator[Tuple[int, int, int]]:
+    """(u, j, n) for each nonzero balanced digit n at slot j of each packed row
+    (u, x), k = 8 * nbytes bits a digit: with 2**(k-1) added to every slot each
+    digit is a nonnegative k-bit field; OverflowError past nslots digits."""
+    half = 1 << (8 * nbytes - 1)
     lift = int.from_bytes((bytes(nbytes - 1) + b"\x80") * nslots, "little")
-    out = {}
-    for u, x in acc.items():
+    for u, x in rows:
         if x:
             digits = (x + lift).to_bytes(nslots * nbytes, "little")
             for j in range(nslots):
                 n = int.from_bytes(digits[j * nbytes:(j + 1) * nbytes], "little") - half
                 if n:
-                    out[(u, lo + step * j)] = n
-    return _canonical(scale, out, *_times(g, 1, 1, den), w)
+                    yield u, j, n
 
 
 def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
@@ -748,9 +770,10 @@ def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
     the quotient of primitive integer parts is integral.  Every step takes
     a new candidate key, smaller than the one before, from the finite set of
     lattice points in the box, so the loop ends.  A one-term divisor is a
-    unit, so its quotient is a translation of num's keys.  All of this
-    holds in either coordinate system.  Raises InexactDivision if no ring
-    quotient exists.
+    unit, so its quotient is a translation of num's keys.  A large dense
+    division (DIVIDE_PAIRS) is first tried on packed rows (_packed_quotient).
+    All of this holds in either coordinate system.  Raises InexactDivision
+    if no ring quotient exists.
     """
     if den.is_zero():
         raise DivisionByZeroField("divexact by zero")
@@ -759,6 +782,11 @@ def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
     if len(den._ints) == 1:
         return _split(num, den)[0]
     num, den, scale, tn, td = _common_scale(num, den)
+    content = _quotient(num._cn, num._cd, den._cn, den._cd)
+    if len(td) * (len(tn) - len(td)) >= DIVIDE_PAIRS:
+        quot = _packed_quotient(tn, td)
+        if quot is not None:
+            return _reduced(scale, quot, *content, num._w)
     lead = max(td)
     lead_n = td[lead]
     lo_a = min(a for a, _ in tn) - min(a for a, _ in td)
@@ -792,7 +820,53 @@ def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
                 heappush(heap, (-k[0], -k[1]))
             else:
                 rem[k] = old - qn * n
-    return _reduced(scale, quot, *_quotient(num._cn, num._cd, den._cn, den._cd), num._w)
+    return _reduced(scale, quot, *content, num._w)
+
+
+def _packed_quotient(tn: dict, td: dict) -> Optional[dict]:
+    """The quotient {(u, v): n} of the terms tn by td, by long division in u
+    over rows packed as sum_of_products packs them, a k-bit digit per v slot,
+    2**k above |n|_inf * |d|_1; None when the rows are sparse
+    (PACK_SLOTS_PER_TERM) or the candidate is unproven: the heap loop decides.
+
+    Each step divides the greatest remainder row by the divisor's leading
+    row (one int divmod) and subtracts the quotient row times the other
+    divisor rows.  Setting the slot variable to 2**k is a ring homomorphism,
+    so if a quotient exists every such division is exact: a nonzero remainder
+    proves that none exists, and so does a quotient row below the Newton box.
+    At the end the packed product of the quotient rows and the divisor is
+    the numerator; their balanced digits q are accepted when they read the
+    rows exactly and |q|_inf * |d|_1 < 2**(k-1), as q*d and num then have
+    unique balanced digits and are equal.
+    """
+    n, d = (_Operand([u for u, _ in t], [v for _, v in t], list(t.values())) for t in (tn, td))
+    step = gcd(*[v - op.lo for op in (n, d) for v in op.vs]) or 1
+    nslots = (n.hi - d.hi - n.lo + d.lo) // step + 1
+    if nslots < 1:
+        raise InexactDivision("quotient key outside the Newton-polytope bounds")
+    slots = n.nrows * ((n.hi - n.lo) // step + 1) + d.nrows * ((d.hi - d.lo) // step + 1)
+    if slots > PACK_SLOTS_PER_TERM * (len(tn) + len(td)):
+        return None
+    nbytes = (max(map(abs, n.ns)) * d.norm).bit_length() // 8 + 1
+    rem, rows = dict(n.pack(step, 8 * nbytes)), dict(d.pack(step, 8 * nbytes))
+    top = max(rows)
+    lead, lo, quot = rows.pop(top), min(n.us) - min(d.us), {}
+    while rem:
+        u = max(rem)
+        r = rem.pop(u)
+        if r:
+            if u - top < lo:
+                raise InexactDivision("quotient key outside the Newton-polytope bounds")
+            x, left = divmod(r, lead)
+            if left:
+                raise InexactDivision("leading coefficient does not divide")
+            quot[u - top] = x
+            _row_product([(u - top, -x)], rows.items(), rem)
+    try:
+        q = {(u, n.lo - d.lo + step * j): c for u, j, c in _digits(quot.items(), nslots, nbytes)}
+    except OverflowError:
+        return None
+    return q if max(map(abs, q.values())) * d.norm >> (8 * nbytes - 1) == 0 else None
 
 
 def _split(y: ExpPoly, p: ExpPoly) -> Tuple[ExpPoly, Optional[ExpPoly]]:

@@ -11,6 +11,7 @@ correctness means residual zero for every equation, which the tests enforce.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -55,15 +56,17 @@ def validate(s: SpectralData) -> None:
         seen = set()
         for sp in spikes:
             if sp.weight == 0:
-                raise InvalidSpectralData(f"{kind}-spike at {sp.pos} has zero weight")
+                raise InvalidSpectralData(
+                    f"{kind}-spike at {reprlib.repr(str(sp.pos))} has zero weight")
             if sp.pos in seen:
-                raise InvalidSpectralData(f"duplicate {kind}-spike position {sp.pos}")
+                raise InvalidSpectralData(
+                    f"duplicate {kind}-spike position {reprlib.repr(str(sp.pos))}")
             seen.add(sp.pos)
     ppos = {sp.pos for sp in s.pspikes}
     for sp in s.qspikes:
         if sp.pos in ppos:
             raise InvalidSpectralData(
-                f"P-spike and Q-spike share position {sp.pos} (coupling pole)"
+                f"P-spike and Q-spike share position {reprlib.repr(str(sp.pos))} (coupling pole)"
             )
 
 

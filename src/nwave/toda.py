@@ -155,7 +155,7 @@ def toda_residual(chain: HankelChain, n: int) -> ExpRational:
 
     Zero identically iff level n of the chain satisfies the Toda relation.
     The logarithmic second derivative is realized polynomially as
-    (Det * D^2 Det - (D Det)^2) / Det^2.
+    (Det * D^2 Det - (D Det)^2) / Det^2, Det^2 formed for a nonzero sum only.
     """
     dn = chain.det(n)
     if dn.is_zero():
@@ -164,7 +164,7 @@ def toda_residual(chain: HankelChain, n: int) -> ExpRational:
     d1 = dn.deriv(i, j, chain.constants)
     d2 = d1.deriv(i, j, chain.constants)
     num = dn * d2 - d1 * d1 - chain.det(n - 1) * chain.det(n + 1)
-    return ExpRational(num, dn * dn)
+    return ExpRational(num, dn * dn) if num else ExpRational.zero()
 
 
 # -- the linear (A, B) chain riding on the Toda background -----------------------

@@ -808,6 +808,35 @@ def test_a_json_integer_past_the_digit_limit_exits_2(tmp_path, capsys, argv):
                    "(PYTHONINTMAXSTRDIGITS sets the limit)\n")
 
 
+@pytest.mark.parametrize("case", ["shared", "duplicate", "zero-weight"])
+def test_a_long_spike_position_gives_one_short_error_line(tmp_path, capsys, case):
+    # spectral's three spike messages quote the 3001-digit position through reprlib
+    spec = json.loads(json.dumps(SPEC_22))
+    big = "1" * 3001
+    if case == "shared":
+        spec["P"][0]["pos"] = spec["Q"][0]["pos"] = big
+    elif case == "duplicate":
+        spec["P"][0]["pos"] = spec["P"][1]["pos"] = big
+    else:
+        spec["P"][0] = {"pos": big, "w": "0"}
+    path = write_json(tmp_path / "spikes.json", spec)
+    assert main(["construct", "--algebra", "A2", "--spectral", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "1111" in err
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+def test_a_deeply_nested_document_exits_2(tmp_path, capsys):
+    # json.load ends 200,000 nested lists in RecursionError: malformed
+    # input, one error line that quotes none of it
+    path = tmp_path / "deep.json"
+    path.write_text('{"schema": 1, "x": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    assert main(["verify", "--in", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: JSON nested too deeply to read\n"
+
+
 @pytest.mark.parametrize("case", [
     "schema", "algebra", "algebra-name", "field-label", "chain", "sample-bound"])
 def test_long_input_gives_one_short_error_line(tmp_path, capsys, monkeypatch, case):

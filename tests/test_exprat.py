@@ -836,21 +836,20 @@ def test_packed_sums_read_back_under_random_wave_constants(case):
 
 
 def _pair_loops(monkeypatch, run):
-    """run() and the number of ExpPoly.__mul__ calls it made with two
-    ExpPolys (schoolbook products; a scalar product is not counted)."""
-    mul = ExpPoly.__mul__
+    """run() and the number of schoolbook products (exprat._product, the
+    dict pair loop) it ran, from ExpPoly.__mul__ or from _sum."""
+    product = exprat._product
     calls = []
 
     def counting(a, b):
-        if isinstance(b, ExpPoly):
-            calls.append(b)
-        return mul(a, b)
+        calls.append(b)
+        return product(a, b)
 
-    monkeypatch.setattr(ExpPoly, "__mul__", counting)
+    monkeypatch.setattr(exprat, "_product", counting)
     try:
         result = run()
     finally:
-        monkeypatch.setattr(ExpPoly, "__mul__", mul)
+        monkeypatch.setattr(exprat, "_product", product)
     return result, len(calls)
 
 
@@ -891,6 +890,89 @@ def test_a_sparse_sum_of_products_is_multiplied_term_by_term(monkeypatch, gap, p
                            {(F(0), F(0)): Fraction(-1, 2)}))
     assert dict(got.terms) == want
     assert (loops == 0) is packed
+
+
+# -- large products and exact division on packed rows ------------------------------
+
+#: The kernel (sum_of_products) on every product of two multi-term values under
+#: constants, and divexact's packed rows tried on every multi-term division; or neither.
+ALWAYS_KERNEL = {"PRODUCT_PAIRS": 0, "DIVIDE_PAIRS": 0}
+NEVER_KERNEL = {"PRODUCT_PAIRS": 10 ** 9, "DIVIDE_PAIRS": 10 ** 9}
+
+
+@st.composite
+def spectral_values(draw, min_terms=1):
+    """(value, reference dict): spike waves under W on a lattice of scale 1, 2
+    or 3, in W's spectral coordinates (from_lattice with W)."""
+    scale = draw(st.sampled_from([1, 2, 3]))
+    p, rp = _poly_and_reference([
+        (draw(big_coefs), *spectral_key(Fraction(draw(st.integers(-2, 2)), scale),
+                                        Fraction(draw(st.integers(0, 9)), scale)))
+        for _ in range(draw(st.integers(min_terms, 12)))])
+    assume(len(rp) >= min_terms)
+    return ExpPoly.from_lattice(*p.lattice(), W), rp
+
+
+@settings(max_examples=80)
+@given(spectral_values(), spectral_values(min_terms=2),
+       st.tuples(big_coefs, st.integers(-3, 3), st.integers(-2, 12)))
+def test_divexact_and_products_agree_on_both_sides_of_the_crossovers(qr, dr, extra):
+    # q*d on the kernel and by the pair loop is the reference product, and
+    # divexact(q*d, d) is q on packed rows and by the heap loop; q*d plus
+    # one term e has no quotient (d would divide e, a unit), and both refuse it
+    (q, rq), (d, rd), (c, u, v) = qr, dr, extra
+    e = ExpPoly.from_lattice(*ExpPoly.term(c, *spectral_key(F(u), F(v))).lattice(), W)
+    for forced in (ALWAYS_KERNEL, NEVER_KERNEL):
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in forced.items():
+                mp.setattr(exprat, name, value)
+            num = q * d
+            assert dict(num.terms) == ref.mul(rq, rd)
+            assert divexact(num, d) == q
+            with pytest.raises(InexactDivision):
+                divexact(num + e, d)
+
+
+def _packed_results(monkeypatch):
+    """The list that each result of exprat._packed_quotient, a quotient or
+    None, is appended to, from now on."""
+    packed, results = exprat._packed_quotient, []
+
+    def recording(tn, td):
+        results.append(packed(tn, td))
+        return results[-1]
+
+    monkeypatch.setattr(exprat, "_packed_quotient", recording)
+    return results
+
+
+def test_a_quotient_past_the_first_digit_width_is_still_exact(monkeypatch):
+    # q = sum (-1)^i min(i + 1, N - i) x^i with N = 1000, x = e^x, has
+    # coefficients up to 500, and (1 + x) q has coefficients +-1 alone: the
+    # digit width of the packed rows, 8 bits from |n|_inf |d|_1 = 2, is too
+    # narrow for q.  The long division is exact, but the candidate read back
+    # from its rows is refused by the width check, and the heap loop returns q.
+    n_terms = 1000
+    q = ExpPoly.from_lattice(1, {(0, i): (-1) ** i * min(i + 1, n_terms - i)
+                                 for i in range(n_terms)}, 3 ** 40, 7)
+    d = ExpPoly.from_lattice(1, {(0, 0): 1, (0, 1): 1}, 1, 1)
+    results = _packed_results(monkeypatch)
+    assert divexact(q * d, d) == q
+    assert results == [None]
+
+
+def test_a_large_sparse_division_stays_on_the_heap_loop(monkeypatch):
+    # keys some 10**4 apart: packed rows would hold thousands of slots per
+    # term, so divexact declines them (PACK_SLOTS_PER_TERM) and the heap
+    # loop divides
+    d = ExpPoly.from_lattice(1, {(0, 0): 1, (0, 1): -2, (0, 10 ** 4): 3}, 1, 1)
+    q = ExpPoly.from_lattice(1, {(0, 10 ** 4 * i + i * i): i + 1 for i in range(200)}, 1, 1)
+    assert len(d.terms) * (len((q * d).terms) - len(d.terms)) >= exprat.DIVIDE_PAIRS
+    results, heaps = _packed_results(monkeypatch), []
+    heapify = exprat.heapify
+    monkeypatch.setattr(exprat, "heapify", lambda h: heaps.append(len(h)) or heapify(h))
+    assert divexact(q * d, d) == q
+    assert results == [None] and len(heaps) == 1
 
 
 # -- the spectral and the exponent form of one value -------------------------------

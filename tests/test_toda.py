@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nwave import toda as toda_module
+from nwave import exprat, toda as toda_module
 from nwave.exprat import ExpPoly, ExpRational, wave_constants
 from nwave.spectral import initial_config, spectral_data
 from nwave.tau import solution_from_tau, tau_U
@@ -200,21 +200,36 @@ def test_ab_step_forms_its_products_without_pair_loops(monkeypatch):
     ch = hankel_chain(s)
     for n in range(3):
         ch.det(n)
-    mul = ExpPoly.__mul__
+    product = exprat._product
     pair_loops = []
 
     def counting(a, b):
-        if isinstance(b, ExpPoly) and all(set(x.terms) != {(0, 0)} for x in (a, b)):
+        if all(set(x.terms) != {(0, 0)} for x in (a, b)):
             pair_loops.append((a, b))
-        return mul(a, b)
+        return product(a, b)
 
-    monkeypatch.setattr(ExpPoly, "__mul__", counting)
+    monkeypatch.setattr(exprat, "_product", counting)
     c1 = ab_step(ab_init(s), ch)
     c2 = ab_step(c1, ch)
-    monkeypatch.setattr(ExpPoly, "__mul__", mul)
+    monkeypatch.setattr(exprat, "_product", product)
     assert not pair_loops
     for c in (c1, c2):
         assert (c.A, c.B) == ab_closed(s, c.level)
+
+
+def test_ab_step_divides_on_packed_rows(monkeypatch):
+    # From level 1 to 2, B's numerator (138 terms) is divided by 4 Det_1^4
+    # (58 terms) and A's (75 terms) by 2 Det_1: both are dense and past
+    # DIVIDE_PAIRS, so no heap step runs.
+    s = s6()
+    ch = hankel_chain(s)
+    ch.det(3)
+    c1 = ab_step(ab_init(s), ch)
+    heapify, heaps = exprat.heapify, []
+    monkeypatch.setattr(exprat, "heapify", lambda h: heaps.append(len(h)) or heapify(h))
+    c2 = ab_step(c1, ch)
+    assert heaps == []
+    assert (c2.A, c2.B) == ab_closed(s, 2)
 
 
 def test_ab_step_differentiates_its_factors_at_pack_time(monkeypatch):
