@@ -206,15 +206,29 @@ def _poly_from_terms(items, what: str, w) -> ExpPoly:
     return poly_from_ratios(rows, w)
 
 
+def _den_key(items):
+    """A hashable copy of a "den" list: a tuple of its [[a, b], coef] terms,
+    each [a, b] list made a tuple.  Only a list becomes a tuple, so a key
+    equal to a well-formed list's is that list's.  None for a value that
+    cannot be keyed."""
+    try:
+        key = tuple([(tuple(ab) if type(ab) is list else ab, c) for ab, c in items])
+        hash(key)
+    except (TypeError, ValueError):
+        return None
+    return key
+
+
 def config_to_doc(cfg: FieldConfig) -> dict:
+    """The config document; fields over one denominator share its term list."""
     w = cfg.constants
-    fields = {}
+    fields, dens = {}, {}  # a denominator's atoms -> its terms, written once
     for key in sorted(cfg.fields, key=field_label):
         v = cfg.fields[key]
-        fields[field_label(key)] = {
-            "num": term_texts(v.num),
-            "den": term_texts(v.den),
-        }
+        atoms = v.atoms
+        if atoms not in dens:
+            dens[atoms] = term_texts(v.den)
+        fields[field_label(key)] = {"num": term_texts(v.num), "den": dens[atoms]}
     return {
         "schema": SCHEMA,
         "algebra": cfg.algebra,
@@ -235,7 +249,8 @@ def config_from_doc(doc: dict) -> FieldConfig:
     raw = doc.get("fields")
     if not isinstance(raw, dict):
         raise InputError("'fields' must be an object keyed by field label")
-    fields = {}
+    fields = {}  # in document order, filled below
+    over = {}  # key of a "den" list, or the label for one with none -> (den, {key: num})
     for label, body in raw.items():
         try:
             key = parse_field_label(label)
@@ -244,10 +259,15 @@ def config_from_doc(doc: dict) -> FieldConfig:
         if not isinstance(body, dict) or set(body) != {"num", "den"}:
             raise InputError(f"{label}: expected {{'num': ..., 'den': ...}}")
         num = _poly_from_terms(body["num"], f"{label}.num", w)
-        den = _poly_from_terms(body["den"], f"{label}.den", w)
-        if den.is_zero():
-            raise InputError(f"{label}: zero denominator")
-        fields[key] = ExpRational(num, den)
+        k = _den_key(body["den"]) or label
+        if k not in over:  # the first field over a list reads it
+            den = _poly_from_terms(body["den"], f"{label}.den", w)
+            if den.is_zero():
+                raise InputError(f"{label}: zero denominator")
+            over[k] = den, {}
+        over[k][1][key] = fields[key] = num
+    for den, nums in over.values():  # one split of each den, one atom shared
+        fields.update(zip(nums, ExpRational.all_over(nums.values(), den)))
     try:
         return FieldConfig(algebra, w, fields)
     except ValueError as e:
@@ -332,7 +352,15 @@ def _grid(lo: str, hi: str, n: int, what: str) -> list:
     return points
 
 
+#: The most grid points (--nt times --nx) `nwave sample` evaluates: each costs
+#: about 65 us and 0.5 KiB, so the limit is about a minute and 0.5 GiB.
+SAMPLE_POINTS = 10 ** 6
+
+
 def cmd_sample(args) -> int:
+    if min(args.nt, args.nx) >= 1 and args.nt * args.nx > SAMPLE_POINTS:
+        raise InputError(f"--nt {reprlib.repr(args.nt)} by --nx {reprlib.repr(args.nx)} is "
+                         f"more than {SAMPLE_POINTS} grid points")
     cfg = config_from_doc(_read_json(args.infile))
     keys = sorted(cfg.fields, key=field_label)
     ts = _grid(args.t0, args.t1, args.nt, "t")

@@ -780,7 +780,7 @@ def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
     if num.is_zero():
         return _ZERO
     if len(den._ints) == 1:
-        return _split(num, den)[0]
+        return num * _split(den)[0]
     num, den, scale, tn, td = _common_scale(num, den)
     content = _quotient(num._cn, num._cd, den._cn, den._cd)
     if len(td) * (len(tn) - len(td)) >= DIVIDE_PAIRS:
@@ -869,12 +869,12 @@ def _packed_quotient(tn: dict, td: dict) -> Optional[dict]:
     return q if max(map(abs, q.values())) * d.norm >> (8 * nbytes - 1) == 0 else None
 
 
-def _split(y: ExpPoly, p: ExpPoly) -> Tuple[ExpPoly, Optional[ExpPoly]]:
-    """(y / u, p / u) for u = c * exp(a*t + b*x) the term of p (nonzero)
-    of lexicographically least exponent (_least), a unit of the ring: y over
-    p's unit part, and p's atom, None when p is a single term.  Both are
-    ExpPoly products by the one term 1/u, formed at its minimal scale: a
-    product by a constant keeps the other factor's form as it is.
+def _split(p: ExpPoly) -> Tuple[ExpPoly, Optional[ExpPoly]]:
+    """(1 / u, p / u) for u = c * exp(a*t + b*x) the term of p (nonzero)
+    of lexicographically least exponent (_least), a unit of the ring: the
+    inverse of p's unit part, one term at its minimal scale, and p's atom,
+    None when p is a single term.  A product by a constant keeps the other
+    factor's form as it is.
 
     The atom has least exponent 0 and coefficient 1 there, so equal
     polynomials up to a monomial and a constant share one atom, whichever
@@ -883,7 +883,7 @@ def _split(y: ExpPoly, p: ExpPoly) -> Tuple[ExpPoly, Optional[ExpPoly]]:
     (a, b), w = _least(p._ints, p._w), p._w
     coef = _times(p._cn, p._cd, p._ints[a, b], 1)
     inverse = _reduced(p._scale, {(-a, -b): 1}, *_quotient(1, 1, *coef), w)
-    return y * inverse, (p * inverse if len(p._ints) > 1 else None)
+    return inverse, (p * inverse if len(p._ints) > 1 else None)
 
 
 class ExpRational:
@@ -902,7 +902,8 @@ class ExpRational:
     - ``+`` and ``-`` work over the lcm of the two atom multisets, not over
       the product;
     - ``*`` adds multiplicities; ``/`` cancels the divisor's atoms against
-      the dividend's and adds the atom of the divisor's numerator;
+      the dividend's and adds the atom of the divisor's numerator, which a
+      divisor splits once, at the first division by it;
     - ``deriv`` multiplies the denominator by the product of its distinct
       atoms, not by the whole denominator;
     - ``cancel`` divides the numerator by each atom while ``divexact``
@@ -915,7 +916,7 @@ class ExpRational:
     lcm, so equal values always compare equal.
     """
 
-    __slots__ = ("num", "_atoms")
+    __slots__ = ("num", "_atoms", "_unit")  # _unit: _split(num), filled by the first / by it
 
     def __init__(self, num, den=None):
         num = _coerce_poly(num)
@@ -926,7 +927,8 @@ class ExpRational:
             raise DivisionByZeroField("zero denominator")
         self.num, self._atoms = num or _ZERO, _NO_ATOMS
         if num and den is not ONE:
-            self.num, atom = _split(num, den)
+            inverse, atom = _split(den)
+            self.num = num * inverse
             if atom is not None:
                 self._atoms = {atom: 1}
 
@@ -955,6 +957,12 @@ class ExpRational:
     def den(self) -> ExpPoly:
         """The denominator, the product of the atoms."""
         return _times_powers(None, self._atoms.items())
+
+    @property
+    def atoms(self) -> frozenset:
+        """The (atom, multiplicity) pairs of the denominator: values with
+        equal atoms have one denominator, so the atoms key what is made of it."""
+        return frozenset(self._atoms.items())
 
     def _over(self, atoms: Dict[ExpPoly, int]) -> ExpPoly:
         """The numerator over prod(atoms), a multiple of this value's
@@ -1024,7 +1032,11 @@ class ExpRational:
             have = atoms.pop(a, 0)
             if have > k:
                 atoms[a] = have - k
-        num, atom = _split(self._over(other._atoms), other.num)
+        try:
+            inverse, atom = other._unit
+        except AttributeError:  # split once: the value is immutable
+            inverse, atom = other._unit = _split(other.num)
+        num = self._over(other._atoms) * inverse
         if atom is not None:
             atoms[atom] = atoms.get(atom, 0) + 1
         return _rat(num, atoms)
@@ -1540,7 +1552,7 @@ def grid_values(values: Mapping, ts: Iterable, xs: Iterable, w: Optional[WaveCon
     dens: Dict[frozenset, ExpPoly] = {frozenset(): ONE}  # atoms -> their product, formed once
     for key, u in values.items():  # with a derivative, in w's spectral coordinates
         if not u.is_zero():
-            atoms = frozenset(u._atoms.items())
+            atoms = u.atoms
             if atoms not in dens:
                 dens[atoms] = _spectral(u.den, w) if d_index else u.den
             live[key] = _spectral(u.num, w) if d_index else u.num, atoms

@@ -6,6 +6,7 @@ import re
 import reprlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,15 +15,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nwave
+from nwave import exprat
 from nwave.cli import (
-    InputError, _dump, _poly_from_terms, config_from_doc, config_to_doc, main,
+    SAMPLE_POINTS, InputError, _dump, _poly_from_terms, config_from_doc, config_to_doc,
+    main,
 )
 from nwave.exprat import (
     EvalPole, ExpPoly, ExpRational, InexactDivision, grid_values, wave_constants,
 )
+from nwave.transforms import apply
 from nwave.verify import Check, Report
-from nwave.wavesys import FieldConfig, field_label, model, zero_config
+from nwave.wavesys import MINUS, FieldConfig, field_label, model, parse_field_label, zero_config
 
+import test_outputs
 from test_exprat import W, exprationals
 
 SPEC_11 = {
@@ -156,6 +161,77 @@ def test_a_written_configuration_round_trips_bytes(values, op):
     assert back == cfg
     assert [(back[k].num, back[k].den) for k in keys] == [(v.num, v.den) for v in values]
     assert _dump(config_to_doc(back)) == text
+
+
+def _golden_documents(tmp):
+    """(name, text) of every document the golden outputs hold: the frozen
+    configurations, their f-1.0 doubled copies, and what construct and
+    transform write."""
+    for name, path in test_outputs._inputs(tmp):
+        yield name, path.read_text()
+    for name, out in (*test_outputs._construct(tmp), *test_outputs._transform(tmp)):
+        code, text, _ = out.decode().split("\n", 2)
+        if code == "exit 0":
+            yield name, text + "\n"
+
+
+def test_a_document_is_read_as_each_field_alone_with_one_atom_per_den(tmp_path):
+    # A "den" list repeated in a document is read once: every value has the
+    # numerator and atoms of its own field read alone, fields with equal
+    # "den" text hold one atom object, and the values are written as the
+    # fields read alone are.
+    shared = 0
+    for name, text in _golden_documents(tmp_path):
+        doc = json.loads(text)
+        cfg = config_from_doc(doc)
+        w, alone = cfg.constants, {}
+        assert [field_label(k) for k in cfg.fields] == list(doc["fields"]), name
+        atoms = {}  # "den" text -> the atom objects of its first nonzero value
+        for label, body in doc["fields"].items():
+            key = parse_field_label(label)
+            v = cfg.fields[key]
+            alone[key] = ExpRational(_poly_from_terms(body["num"], label, w),
+                                     _poly_from_terms(body["den"], label, w))
+            assert (v.num, v.atoms) == (alone[key].num, alone[key].atoms), (name, label)
+            if not v.is_zero():
+                ids = sorted(map(id, v._atoms))
+                shared += json.dumps(body["den"]) in atoms
+                assert atoms.setdefault(json.dumps(body["den"]), ids) == ids, (name, label)
+        alone = FieldConfig(cfg.algebra, w, alone)
+        assert _dump(config_to_doc(cfg)) == _dump(config_to_doc(alone)), name
+    assert shared > 100
+
+
+@pytest.mark.parametrize("den, message", [
+    ([[["x", "0"], "1"]], ".den[0].a: not a rational: 'x'"),
+    ([[["0", "0"], "0"]], ": zero denominator"),
+    ([], ": zero denominator"),
+    ([[["0", "0"], ["1"]]], ".den[0].coef: expected an exact rational string, got ['1']"),
+])
+def test_a_repeated_bad_den_names_its_first_field(tmp_path, capsys, den, message):
+    # The second and third fields share one bad "den" list: it is read once,
+    # at the first of them, which the error names as when each field was
+    # read alone.
+    out = construct(tmp_path, "A2", SPEC_22, 1, 1, "a2_11.json")
+    doc = json.loads(out.read_text())
+    labels = list(doc["fields"])[1:3]
+    for label in labels:
+        doc["fields"][label]["den"] = den
+    assert main(["verify", "--in", write_json(tmp_path / "bad.json", doc)]) == 2
+    assert capsys.readouterr().err == f"error: {labels[0]}{message}\n"
+
+
+def test_a_map_splits_each_divisor_once(tmp_path, monkeypatch):
+    # B2_TM divides by its pivot f-1.2 six times and by twice it once: the
+    # unit part of each divisor is split off once, at its first division.
+    out = construct(tmp_path, "B2", SPEC_22, 1, 1, "b2_11.json")
+    doc = json.loads(out.read_text())
+    want, cfg = apply("B2_TM", config_from_doc(doc)), config_from_doc(doc)
+    split, calls = exprat._split, []
+    monkeypatch.setattr(exprat, "_split", lambda p: calls.append(p) or split(p))
+    assert apply("B2_TM", cfg) == want
+    pivot = cfg[(MINUS, (1, 2))].num
+    assert len(calls) == 2 and pivot in calls and pivot * 2 in calls
 
 
 def test_composition_chain_matches_direct_transform(tmp_path):
@@ -617,6 +693,22 @@ def test_sample_interior_points_that_print_alike_exit_2(tmp_path, capsys, x0, x1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert message in err
+    assert not csv_path.exists()
+
+
+def test_sample_past_the_point_limit_exits_2_at_once(tmp_path, capsys):
+    # Each grid point costs time and memory: a grid of more than
+    # SAMPLE_POINTS is refused before any point is built.
+    sol = construct(tmp_path, "A2", SPEC_11, 0, 0, "a2.json")
+    capsys.readouterr()
+    csv_path = tmp_path / "never.csv"
+    start = time.perf_counter()
+    rc = main(["sample", "--in", str(sol), "--t0", "0", "--t1", "1", "--nt", "100000",
+               "--x0", "0", "--x1", "1", "--nx", "100000", "--csv", str(csv_path)])
+    assert time.perf_counter() - start < 1
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: --nt 100000 by --nx 100000 is more than "
+                                       f"{SAMPLE_POINTS} grid points\n")
     assert not csv_path.exists()
 
 

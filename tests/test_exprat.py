@@ -520,7 +520,7 @@ def test_canonical_equality_matches_eval(r, s):
 
 # -- factored denominators -----------------------------------------------------
 
-_OPS = ("+", "-", "*", "/", "d", "dlog", "cancel", "*/")
+_OPS = ("+", "-", "*", "/", "d", "dlog", "cancel", "*/", "//")
 
 
 @settings(max_examples=30)
@@ -530,11 +530,15 @@ _OPS = ("+", "-", "*", "/", "d", "dlog", "cancel", "*/")
 def test_factored_arithmetic_agrees_with_the_cross_multiplied_reference(seeds, program):
     # Random programs over the factored operations, run in step with the
     # plain num/den reference; "*/" forms (x*y)/y and cancels it, so the
-    # cancel step has an atom to find.
+    # cancel step has an atom to find; "//" divides every seed by y, which
+    # splits y once.
     vals = [(r, rat.of(r)) for r in seeds]
     for op, a, b in program:
         (x, rx), (y, ry) = vals[a % len(vals)], vals[b % len(vals)]
-        if op in ("/", "*/") and y.is_zero() or op == "dlog" and x.is_zero():
+        if op in ("/", "*/", "//") and y.is_zero() or op == "dlog" and x.is_zero():
+            continue
+        if op == "//":
+            vals += [(v / y, rat.div(rv, ry)) for v, rv in vals[:len(seeds)]]
             continue
         if op == "+":
             z, rz = x + y, rat.add(rx, ry)
