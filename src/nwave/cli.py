@@ -22,6 +22,7 @@ number to write past the digit limit (exprat.TooManyDigits).
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import re
@@ -56,8 +57,9 @@ def _dump_report(doc: dict) -> str:
 
 
 def _emit(text: str, path) -> None:
-    if path is None:
-        sys.stdout.write(text)
+    """Write text to an open text file, or to stdout (path None) or a new file at path."""
+    if path is None or hasattr(path, "write"):
+        (path or sys.stdout).write(text)
     else:
         with open(path, "w", newline="\n") as fh:
             fh.write(text)
@@ -353,7 +355,7 @@ def _grid(lo: str, hi: str, n: int, what: str) -> list:
 
 
 #: The most grid points (--nt times --nx) `nwave sample` evaluates: each costs
-#: about 65 us and 0.5 KiB, so the limit is about a minute and 0.5 GiB.
+#: about 65 us, so the limit is about a minute; each row is written as evaluated.
 SAMPLE_POINTS = 10 ** 6
 
 
@@ -365,15 +367,17 @@ def cmd_sample(args) -> int:
     keys = sorted(cfg.fields, key=field_label)
     ts = _grid(args.t0, args.t1, args.nt, "t")
     xs = _grid(args.x0, args.x1, args.nx, "x")
-    lines = ["t,x," + ",".join(field_label(k) for k in keys)]
-    for t, x, vals in grid_values(cfg.fields, ts, xs):
-        cells = [str(float(t)), str(float(x))]
-        for k in keys:
-            v = vals.get(k)  # an identically zero field has no entry
-            cells.append("0.0" if k not in vals else "" if v is None
-                         else ratio_text(v[0], v[2], v[6]))
-        lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", args.csv)
+    # each row is written as it is evaluated: one row is held, not the file
+    with (contextlib.nullcontext(sys.stdout) if args.csv is None
+          else open(args.csv, "w", newline="\n")) as out:
+        _emit("t,x," + ",".join(field_label(k) for k in keys) + "\n", out)
+        for t, x, vals in grid_values(cfg.fields, ts, xs):
+            cells = [str(float(t)), str(float(x))]
+            for k in keys:
+                v = vals.get(k)  # an identically zero field has no entry
+                cells.append("0.0" if k not in vals else "" if v is None
+                             else ratio_text(v[0], v[2], v[6]))
+            _emit(",".join(cells) + "\n", out)
     return 0
 
 

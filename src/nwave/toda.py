@@ -8,24 +8,30 @@ runs a linear chain (A^n, B^n) on top of it, and the first-root analogue is
 solved by bordered Hankel minors.  Everything here is exact ExpPoly
 arithmetic.
 
-A chain's determinants come from one fraction-free (Bareiss) elimination of
-its Hankel matrix, kept level by level and extended a column at a time.  By
-Sylvester's identity (E. H. Bareiss, Math. Comp. 22, 1968) every entry of
-level k is a minor bordered on the leading k x k block, so all leading
-minors, and every minor bordered by an extra column, are read off one
-elimination.  The Hankel matrix of derivatives is the Wronskian matrix of
-(f, f', ...): once one minor vanishes identically every later one does
-(M. Bocher, Ann. Math. 2, 1900), so the elimination never swaps rows.
-``det_bareiss``, the general elimination with row swaps, is kept as the
-reference the tests check the chains against.
+A chain's minors are subset sums.  Group the seed's terms by D weight,
+r = sum_lam g_lam with D g_lam = lam g_lam: the Hankel matrix is
+V diag(g_lam) V^T, V the weights' Vandermonde matrix, and Cauchy-Binet
+gives Heine's identity (G. Szego, Orthogonal Polynomials, section 2.1)
+over the n-subsets L of the distinct weights,
+
+    Det_n = sum_L prod_{a<b} (lam_a - lam_b)^2 prod_{lam in L} g_lam;
+
+with its last column (D^i h)_i, h = sum_mu h_mu, the size-(n+1) minor is
+that sum with each term times sum_mu prod_{lam in L} (mu - lam) h_mu.  A
+minor costs one product per subset, C(m, n) for m distinct weights, and
+no division; past m, the matrix's rank, the sum is empty and the chain
+stops.  ``det_bareiss``, the general elimination with row swaps, is the
+independent reference the ``toda`` claim and the tests check against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from math import prod
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exprat import ONE, ExpPoly, ExpRational, WaveConstants, divexact, sum_of_products
+from .exprat import (ONE, ExpPoly, ExpRational, WaveConstants, _canonical, _common_scale,
+                     _spectral, _times, _weights, divexact, sum_of_products)
 from .spectral import SpectralData
 from .tau import tau_U, tau_V_B2
 from .transforms import PivotZero
@@ -73,31 +79,53 @@ CHAIN_SEED_KEY: FieldKey = (MINUS, (0, 1))
 CHAIN_DIRECTION = (1, 0)
 
 
+def _grouped(ints: Dict[Tuple[int, int], int], direction: Root) -> List[Tuple[int, list]]:
+    """(weight, [(key, n)]): spectral terms grouped by their D weight along ``direction``."""
+    groups: Dict[int, list] = {}
+    for term, lam in zip(ints.items(), _weights(*direction, ints)):
+        groups.setdefault(lam, []).append(term)
+    return list(groups.items())
+
+
+def _subset_sum(groups, n: int, border) -> Dict[Tuple[int, int], int]:
+    """Heine's sum over the n-subsets of ``groups``, bordered by ``border``'s
+    groups unless it is None, expanded into one dict, depth first: a shared
+    prefix's squared Vandermonde and product of groups are formed once."""
+    out: Dict[Tuple[int, int], int] = {}
+
+    def walk(start, lams, v2, terms):
+        if len(lams) == n:
+            if border is not None:
+                terms = [((u + a, v + b), c * d * prod(mu - lam for lam in lams))
+                         for mu, g in border for (a, b), d in g for (u, v), c in terms]
+            for k, c in terms:
+                out[k] = out.get(k, 0) + c * v2
+            return
+        for i in range(start, len(groups) - n + len(lams) + 1):
+            lam, g = groups[i]
+            walk(i + 1, lams + [lam], v2 * prod((lam - a) ** 2 for a in lams),
+                 [((u + a, v + b), c * d) for (u, v), c in terms for (a, b), d in g])
+
+    walk(0, [], 1, [((0, 0), 1)])
+    return out
+
+
 @dataclass
 class HankelChain:
-    """Main minors Det_n of the Hankel matrix of one seed, from one elimination.
+    """Main minors Det_n of the Hankel matrix of one seed, as subset sums.
 
     Entry (i, j) of the matrix is the (i+j)-th derivative of the seed along
     ``direction``; Det_0 = 1 and Det_{-1} = 0 by convention (the n = 0 and
-    n = -1 cases of the chain relations force both).
-
-    The chain keeps the levels of one fraction-free elimination of the
-    matrix's leading block of size c: level k holds its row k after k
-    steps, m^(k)[k][j] for k <= j < c.  By Sylvester's identity m^(k)[i][j]
-    is the minor on rows 0..k-1, i and columns 0..k-1, j, so every level is
-    symmetric and its row is also its column, and Det_{k+1} = m^(k)[k][k]
-    is the level's pivot.  Growing to size c+1 runs the new Hankel column
-    down the levels (``bordered_minors``) at c(c+1)/2 exact divisions;
-    its last entry is Det_{c+1}.  A zero pivot ends the chain: Det_n is the
-    Wronskian of the seed's first n derivatives, and once it vanishes
-    identically so does every later one, so no row is ever swapped.
+    n = -1 cases of the chain relations force both).  ``minor`` forms Det_n
+    and bordered minors by Heine's identity (module docstring): C(m, n)
+    products for m distinct D weights, no derivative, and zero past m.
     """
 
     seed: ExpPoly
     constants: WaveConstants
     direction: Root
     _ders: List[ExpPoly] = field(default_factory=list, repr=False)
-    _rows: List[List[ExpPoly]] = field(default_factory=list, repr=False)
+    _dets: Dict[int, ExpPoly] = field(default_factory=dict, repr=False)
 
     def derivative(self, k: int) -> ExpPoly:
         if not self._ders:
@@ -107,38 +135,24 @@ class HankelChain:
             self._ders.append(self._ders[-1].deriv(i, j, self.constants))
         return self._ders[k]
 
-    def bordered_minors(self, col: Sequence[ExpPoly]) -> List[ExpPoly]:
-        """Run a column, given on rows 0..c, down levels 0..c-1.
-
-        Entry k of the result is the column's entry on row k at level k:
-        the minor on rows 0..k and on columns 0..k-1 and ``col``.  Row c
-        may lie one past the rows the levels hold; it is then ``col``
-        itself (the block bordered symmetrically), so its entry on level k
-        is the column's own, and the last result is the bordered
-        determinant.  Levels 0..c-2 must have nonzero pivots.
-        """
-        x = list(col)
-        prev = ONE
-        for k in range(len(x) - 1):
-            row, xk = self._rows[k], x[k]
-            piv = row[0]
-            for i in range(k + 1, len(x)):
-                m_ik = row[i - k] if i - k < len(row) else xk
-                x[i] = divexact(piv * x[i] - m_ik * xk, prev)
-            prev = piv
-        return x
+    def minor(self, n: int, h: Optional[ExpPoly] = None) -> ExpPoly:
+        """Det_n; given h, the size-(n+1) minor on columns 0..n-1 and (D^i h)_i.
+        Weights are integers over the scale S: the sum is over S^(n(n-1)), S^(n^2) with h."""
+        w, ij = self.constants, self.direction
+        g = _spectral(self.seed, w)
+        scale, ints, border, k, cn, cd = g._scale, g._ints, None, n * (n - 1), 1, 1
+        if h is not None:
+            g, h, scale, ints, h_ints = _common_scale(g, _spectral(h, w))
+            border, k, cn, cd = _grouped(h_ints, ij), n * n, h._cn, h._cd
+        cn, cd = _times(*_times(cn, cd, g._cn ** n, g._cd ** n), 1, scale ** k)
+        return _canonical(scale, _subset_sum(_grouped(ints, ij), n, border), cn, cd, w)
 
     def det(self, n: int) -> ExpPoly:
         if n <= 0:
             return ONE if n == 0 else ExpPoly.zero()
-        rows = self._rows
-        while len(rows) < n and not (rows and rows[-1][0].is_zero()):
-            c = len(rows)
-            x = self.bordered_minors([self.derivative(c + i) for i in range(c + 1)])
-            for row, entry in zip(rows, x):
-                row.append(entry)
-            rows.append([x[c]])
-        return rows[n - 1][0] if n <= len(rows) else ExpPoly.zero()
+        if n not in self._dets:
+            self._dets[n] = self.minor(n)
+        return self._dets[n]
 
 
 def hankel_chain(s: SpectralData) -> HankelChain:
@@ -264,17 +278,14 @@ def first_root_chain(cfg: FieldConfig, steps: int) -> FieldConfig:
 
     w = cfg.constants
     g = HankelChain(_as_poly(cfg[(MINUS, (1, 0))], "f-1.0"), w, (0, 1))
-    h = HankelChain(_as_poly(cfg[(MINUS, (1, 1))], "f-1.1"), w, (0, 1))
+    h = _as_poly(cfg[(MINUS, (1, 1))], "f-1.1")
     k = _as_poly(cfg[(MINUS, (1, 2))], "f-1.2")
 
     den = g.det(steps)
     if den.is_zero():
         raise PivotZero("FIRST_ROOT_CHAIN", (MINUS, (1, 0)), step=steps)
-    # g's levels reach column `steps` once Det_{steps+1} is formed; on them
-    # h's column gives b[n-1], g's size-n minor with its last column
-    # replaced by h's derivatives
-    next_det = g.det(steps + 1)
-    b = g.bordered_minors([h.derivative(i) for i in range(steps + 1)])
+    # b[j]: g's size-(j+1) minor with its last column replaced by h's derivatives
+    b = [g.minor(j, h) for j in range(steps + 1)]
     # the size-(j+1) symmetric bordering with corner k, by Sylvester's
     # identity: c_0 = k, c_{j+1} = (Det_{j+1} c_j - b[j]^2) / Det_j
     corner = k
@@ -282,6 +293,6 @@ def first_root_chain(cfg: FieldConfig, steps: int) -> FieldConfig:
         corner = divexact(g.det(j + 1) * corner - b[j] * b[j], g.det(j))
     fields = {key: ExpRational.zero() for key in _FRC_ZERO_KEYS}
     keys = [(PLUS, (1, 0)), (MINUS, (1, 0)), (MINUS, (0, 1)), (MINUS, (1, 1)), (MINUS, (1, 2))]
-    nums = [g.det(steps - 1), next_det, b[steps - 1], b[steps], corner]
+    nums = [g.det(steps - 1), g.det(steps + 1), b[steps - 1], b[steps], corner]
     fields.update(zip(keys, ExpRational.all_over(nums, den)))
     return FieldConfig("B2", w, fields)

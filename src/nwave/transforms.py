@@ -225,9 +225,14 @@ def apply(tid: str, cfg: FieldConfig) -> FieldConfig:
         raise ValueError(f"{tid} acts on {t.algebra} configs, got {cfg.algebra}")
     if cfg[t.pivot].is_zero():
         raise PivotZero(tid, t.pivot)
-    w = cfg.constants
-    fields = t.rows(cfg.fields, lambda i, j, f: f.deriv(i, j, w))
-    return FieldConfig(cfg.algebra, w, _cancelled(fields))
+    w, memo = cfg.constants, {}  # (i, j, id(f)) -> (f, D_{i,j} f): f kept alive keeps its id
+
+    def d(i, j, f):
+        if (i, j, id(f)) not in memo:
+            memo[i, j, id(f)] = f, f.deriv(i, j, w)
+        return memo[i, j, id(f)][1]
+
+    return FieldConfig(cfg.algebra, w, _cancelled(t.rows(cfg.fields, d)))
 
 
 def apply_chain(tids, cfg: FieldConfig) -> FieldConfig:

@@ -18,7 +18,6 @@ from nwave.toda import (
     toda_residual,
 )
 from nwave.transforms import PivotZero, apply, apply_chain
-from nwave.verify import verify_suite
 from nwave.wavesys import MINUS, PLUS, model
 
 W = wave_constants(1, "1/2", "1/3", 1)
@@ -144,38 +143,64 @@ def test_first_root_chain_equals_the_reference_bordered_minors(spk, n_p, steps):
         assert cfg[key] == ExpRational(det_bareiss(rows), den)
 
 
-def test_one_elimination_per_chain(monkeypatch):
-    # Growing the chain from size c to c+1 runs one column down c levels,
-    # c(c+1)/2 exact divisions: Det_1..Det_5 take 20 (a fresh elimination
-    # per size takes 50).  The first-root chain at step 2 grows g to size
-    # 3 (4), runs h's column down two levels (3) and borders with the
-    # corner in two steps (2).  No path calls det_bareiss, and every
-    # derivative is formed once.
-    divisions, ders = [], []
-    divexact, deriv = toda_module.divexact, ExpPoly.deriv
-
-    def counting(num, den):
-        divisions.append(den)
-        return divexact(num, den)
-
-    def recording(p, *args):
-        ders.append((id(p),) + args[:2])
-        return deriv(p, *args)
-
-    def refused(rows):
-        raise AssertionError("det_bareiss called")
-
-    monkeypatch.setattr(toda_module, "divexact", counting)
-    monkeypatch.setattr(toda_module, "det_bareiss", refused)
-    monkeypatch.setattr(ExpPoly, "deriv", recording)
+def test_minors_are_subset_sums_without_division_product_or_derivative(monkeypatch):
+    # Det_n and the bordered minors are Heine's subset sums, read off the
+    # seeds' terms: no exact division, no ExpPoly product and no derivative.
+    # The first-root chain's divisions are its corner recursion's, one a step.
     s = spectral_data(W, P1, Q5)
-    hankel_chain(s).det(5)
-    assert (len(divisions), len(ders), len(set(ders))) == (20, 8, 8)
-    del divisions[:], ders[:]
-    first_root_chain(initial_config(model("B2"), spectral_data(W, P3[:2], Q5[:3] + Q5[4:])), 2)
-    assert (len(divisions), len(ders), len(set(ders))) == (9, 6, 6)
-    for suite in ("toda", "ab-chain"):
-        assert verify_suite(suite).passed
+    s_frc = spectral_data(W, P3[:2], Q5[:3] + Q5[4:])
+    seed = initial_config(model("B2"), s_frc)
+    g = HankelChain(seed[(MINUS, (1, 0))].num, W, (0, 1))
+    h = seed[(MINUS, (1, 1))].num
+    calls = []
+    divexact, product, deriv = toda_module.divexact, exprat._product, ExpPoly.deriv
+
+    def counting(name, f):
+        return lambda *args: calls.append(name) or f(*args)
+
+    monkeypatch.setattr(toda_module, "divexact", counting("divexact", divexact))
+    monkeypatch.setattr(exprat, "_product", counting("product", product))
+    monkeypatch.setattr(ExpPoly, "deriv", counting("deriv", deriv))
+    monkeypatch.setattr(exprat, "sum_of_products", counting("sum_of_products", exprat.sum_of_products))
+    dets = [hankel_chain(s).det(n) for n in range(7)]
+    bordered = [g.minor(j, h) for j in range(4)]
+    assert calls == []
+    cfg = first_root_chain(seed, 2)
+    assert calls.count("divexact") == 2
+    monkeypatch.undo()
+    assert [d.is_zero() for d in dets] == [False] * 6 + [True]
+    assert bordered[0] == h and bordered[3].is_zero()
+    for j in (1, 2):
+        assert bordered[j] == det_bareiss(bordered_rows(g, HankelChain(h, W, (0, 1)), j + 1))
+    assert cfg == solution_from_tau(model("B2"), s_frc, 2, 0)
+
+
+Q9 = Q6 + [("5/2", "1/4"), ("-5/3", "2/3"), ("7/4", "5")]
+
+
+def test_det_up_to_nine_equals_tau_on_nine_q_spikes():
+    s = spectral_data(W, P1, Q9)
+    ch = hankel_chain(s)
+    assert all(ch.det(n) == tau_U(s, 0, n) for n in range(10))
+    assert ch.det(10).is_zero()
+
+
+def test_det_on_equally_spaced_positions_equals_the_elimination():
+    # equal spacing makes many subsets share a position sum, so their
+    # terms meet on one key
+    ch = hankel_chain(spectral_data(W, [("9", "1")], [(str(k), "1") for k in range(1, 7)]))
+    for n in range(8):
+        assert ch.det(n) == det_bareiss(hankel_rows(ch, n))
+
+
+def test_a_seed_of_one_d_weight_has_rank_one():
+    # Along (1, 1) a spectral key (u, v) has D weight v - u, so the keys
+    # (0, 1) and (1, 2) share the weight 1: the Hankel matrix is that
+    # weight's powers times the seed, of rank 1, though the seed has two terms.
+    seed = exprat._canonical(1, {(0, 1): 1, (1, 2): 3}, 1, 1, W)
+    ch = HankelChain(seed, W, (1, 1))
+    assert ch.det(1) == seed
+    assert ch.det(2).is_zero() and det_bareiss(hankel_rows(ch, 2)).is_zero()
 
 
 # --- the Toda chain's interruption (the relation itself is claim `toda`)

@@ -160,3 +160,22 @@ def test_registry_pivots_are_pinned():
         "G2_T1": ("G2", (MINUS, (1, 0))),
         "G2_TA1_3A2": ("G2", (MINUS, (1, 3))),
     }
+
+
+@pytest.mark.parametrize("tid, derivatives", [("B2_TM", 4), ("B2_T2A2", 8), ("G2_T1", 5)])
+def test_a_map_forms_each_derivative_once(monkeypatch, tid, derivatives):
+    # A row set that names D(m12) or D(m01) twice, as B2_TM's and G2_T1's
+    # do, differentiates each value once per map (6, 12 and 10 calls if not).
+    t = TRANSFORMS[tid]
+    seed = initial_config(model(t.algebra), spectral_data(W, P2, Q2))
+    deriv, calls = ExpRational.deriv, []
+
+    def counting(self, i, j, w):
+        calls.append((i, j, self))
+        return deriv(self, i, j, w)
+
+    monkeypatch.setattr(ExpRational, "deriv", counting)
+    image = apply(tid, seed)
+    monkeypatch.undo()
+    assert len(calls) == derivatives
+    assert_solution(image)
