@@ -22,6 +22,13 @@ minor costs one product per subset, C(m, n) for m distinct weights, and
 no division; past m, the matrix's rank, the sum is empty and the chain
 stops.  ``det_bareiss``, the general elimination with row swaps, is the
 independent reference the ``toda`` claim and the tests check against.
+
+The (A, B) chain steps by a Hirota-type bilinear identity (R. Hirota, The
+Direct Method in Soliton Theory, 2004), Det_n B^{n+1} = D_{1,1} A^{n+1}
+Det_{n+1} - 2 A^{n+1} D Det_{n+1} + B^n Det_{n+2}: B^n alone gives the next
+level, by two divisions by Det_n.  The identity is checked, not proven;
+the paper's three-part recursion, which also reads A^n, is the witness
+``ab_recursion_holds`` that the ``ab-chain`` claim runs at every step.
 """
 
 from __future__ import annotations
@@ -186,7 +193,8 @@ def toda_residual(chain: HankelChain, n: int) -> ExpRational:
 
 @dataclass(frozen=True)
 class ABChain:
-    """Level-n pair: f^-_{1.1} = A / Det_n^2 and f^-_{1.2} = B / Det_n^2."""
+    """Level-n pair: f^-_{1.1} = A / Det_n^2 and f^-_{1.2} = B / Det_n^2.
+    ab_step reads B alone; ab_recursion_holds reads both."""
 
     level: int
     A: ExpPoly
@@ -205,34 +213,42 @@ def ab_init(s: SpectralData) -> ABChain:
 
 
 def ab_step(prev: ABChain, chain: HankelChain) -> ABChain:
-    """One exact step of the linear chain.
+    """One exact step of the linear chain; it reads B^n, not A^n.
 
-    A' = (Det_{n+1} D B / 2 - B D Det_{n+1}) / Det_n, and B' is the
-    three-part recursion cleared to a single numerator over 4 Det_n^4; both
-    divisions are exact on genuine chain data (InexactDivision otherwise).
-    The two numerators and 4 Det_n^4 are sums of products of up to five
-    factors, formed in one exprat.sum_of_products call: D B is its one
-    ExpPoly derivative, and D Det_{n+1}, D A, D Det_n and D(D B) are
-    factors ((i, j), x), differentiated at pack time.
+    2 Det_n A' = Det_{n+1} D B - 2 B D Det_{n+1}, and B' by the bilinear
+    identity Det_n B' = D_{1,1} A' Det_{n+1} - 2 A' D Det_{n+1} + B Det_{n+2}
+    (D = D_{1,0}, the chain's direction): each one sum_of_products call with
+    its derivatives as factors ((i, j), x), differentiated at pack time, and
+    one exact division by Det_n (InexactDivision off genuine chain data).
+    The identity stands in for the paper's three-part recursion, which
+    ``ab_recursion_holds`` checks without a division.
     """
     n = prev.level
     dn = chain.det(n)
     if dn.is_zero():
         raise PivotZero("AB_CHAIN", CHAIN_SEED_KEY, step=n)
-    dn1 = chain.det(n + 1)
-    w, ij = chain.constants, chain.direction
-    a, b = prev.A, prev.B
-    b1 = b.deriv(*ij, w)
-    dn1_1 = (ij, dn1)
-    num_a, num_b, den_b = sum_of_products([
-        [(1, dn1, b1), (-2, b, dn1_1)],
-        [(1, dn, dn, dn1, dn1, (ij, b1)), (-4, dn, dn, dn1, dn1_1, b1),
-         (4, dn, dn, dn1_1, dn1_1, b),
-         (2, dn, dn1, dn1, a, dn1_1), (-2, dn, dn1, dn1, dn1, (ij, a)),
-         (2, dn1, dn1, dn1, a, (ij, dn)), (2, dn1, dn1, dn1, b, chain.det(n - 1))],
-        [(4, dn, dn, dn, dn)],
-    ], w)
-    return ABChain(n + 1, divexact(num_a, dn * 2), divexact(num_b, den_b))
+    dn1, w, ij, b = chain.det(n + 1), chain.constants, chain.direction, prev.B
+    [num_a] = sum_of_products([[(1, dn1, (ij, b)), (-2, b, (ij, dn1))]], w)
+    a = divexact(num_a, dn * 2)
+    [num_b] = sum_of_products([[(1, ((1, 1), a), dn1), (-2, a, (ij, dn1)),
+                                (1, b, chain.det(n + 2))]], w)
+    return ABChain(n + 1, a, divexact(num_b, dn))
+
+
+def ab_recursion_holds(prev: ABChain, nxt: ABChain, chain: HankelChain) -> bool:
+    """Whether nxt.B meets the paper's three-part recursion from prev: its
+    numerator over 4 Det_n^4 minus 4 Det_n^4 nxt.B is zero, one
+    sum_of_products call of eight products of up to five factors, no
+    division, and D(D B) its one ExpPoly derivative."""
+    n = prev.level
+    dn, dn1, w, ij = chain.det(n), chain.det(n + 1), chain.constants, chain.direction
+    a, b, d1 = prev.A, prev.B, (ij, dn1)
+    [rest] = sum_of_products([[
+        (1, dn, dn, dn1, dn1, (ij, b.deriv(*ij, w))), (-4, dn, dn, dn1, d1, (ij, b)),
+        (4, dn, dn, d1, d1, b), (2, dn, dn1, dn1, a, d1), (-2, dn, dn1, dn1, dn1, (ij, a)),
+        (2, dn1, dn1, dn1, a, (ij, dn)), (2, dn1, dn1, dn1, b, chain.det(n - 1)),
+        (-4, dn, dn, dn, dn, nxt.B)]], w)
+    return rest.is_zero()
 
 
 def ab_closed(s: SpectralData, n: int) -> Tuple[ExpPoly, ExpPoly]:

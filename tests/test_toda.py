@@ -8,9 +8,11 @@ from nwave.exprat import ExpPoly, ExpRational, wave_constants
 from nwave.spectral import initial_config, spectral_data
 from nwave.tau import solution_from_tau, tau_U
 from nwave.toda import (
+    ABChain,
     HankelChain,
     ab_closed,
     ab_init,
+    ab_recursion_holds,
     ab_step,
     det_bareiss,
     first_root_chain,
@@ -218,12 +220,12 @@ def test_toda_residual_interrupted_chain():
 
 def test_ab_step_forms_its_products_without_pair_loops(monkeypatch):
     # With the determinants the steps read already formed, the numerators
-    # of A' and B' and 4 Det_n^4 are one packed sum of products: no
-    # ExpPoly product runs its pair loop (a product by a scalar or by a
-    # constant ExpPoly, such as divexact's by a constant unit, does not).
+    # of A' and B' are packed sums of products: no ExpPoly product runs its
+    # pair loop (a product by a scalar or by a constant ExpPoly, such as
+    # divexact's by a constant unit, does not).
     s = s6()
     ch = hankel_chain(s)
-    for n in range(3):
+    for n in range(4):
         ch.det(n)
     product = exprat._product
     pair_loops = []
@@ -243,8 +245,8 @@ def test_ab_step_forms_its_products_without_pair_loops(monkeypatch):
 
 
 def test_ab_step_divides_on_packed_rows(monkeypatch):
-    # From level 1 to 2, B's numerator (138 terms) is divided by 4 Det_1^4
-    # (58 terms) and A's (75 terms) by 2 Det_1: both are dense and past
+    # From level 1 to 2, A's numerator (75 terms) is divided by 2 Det_1 and
+    # B's (78 terms) by Det_1 (6 terms): both are dense and past
     # DIVIDE_PAIRS, so no heap step runs.
     s = s6()
     ch = hankel_chain(s)
@@ -258,12 +260,10 @@ def test_ab_step_divides_on_packed_rows(monkeypatch):
 
 
 def test_ab_step_differentiates_its_factors_at_pack_time(monkeypatch):
-    # With the determinants already formed, one step takes one ExpPoly
-    # derivative, D B; D Det_{n+1}, D A, D Det_n and D(D B) are packed
-    # factors.
+    # A step takes no ExpPoly derivative: D B, D Det_{n+1} and D_{1,1} A'
+    # are packed factors, and the minors are subset sums.
     s = s6()
     ch = hankel_chain(s)
-    ch.det(2)
     deriv = ExpPoly.deriv
     calls = []
 
@@ -273,9 +273,64 @@ def test_ab_step_differentiates_its_factors_at_pack_time(monkeypatch):
 
     monkeypatch.setattr(ExpPoly, "deriv", counting)
     c1 = ab_step(ab_init(s), ch)
+    c2 = ab_step(c1, ch)
     monkeypatch.setattr(ExpPoly, "deriv", deriv)
-    assert calls == [ab_init(s).B]
-    assert (c1.A, c1.B) == ab_closed(s, 1)
+    assert calls == []
+    for c in (c1, c2):
+        assert (c.A, c.B) == ab_closed(s, c.level)
+
+
+def test_ab_step_does_not_read_the_previous_a():
+    # A' and B' depend on B^n alone; the paper's recursion reads A^n too,
+    # so a wrong A^n fails the witness though the step is unchanged.
+    s = s6()
+    ch, c0 = hankel_chain(s), ab_init(s)
+    c1 = ab_step(c0, ch)
+    bad = ABChain(0, c0.A * 2, c0.B)
+    assert ab_step(bad, ch) == c1
+    assert ab_recursion_holds(c0, c1, ch)
+    assert not ab_recursion_holds(bad, c1, ch)
+
+
+speeds = st.tuples(*[small_rationals.filter(bool)] * 4).filter(
+    lambda c: c[0] * c[3] != c[1] * c[2])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 2), st.integers(3, 6), st.data(),
+       st.one_of(st.just((1, "1/2", "1/3", 1)), speeds))
+def test_every_ab_step_meets_the_papers_recursion(n_p, n_q, data, consts):
+    # 1-2 P-spikes and 3-6 Q-spikes, each step until PivotZero: the bilinear
+    # step meets the three-part recursion, and the closed form where there
+    # are 2n + 2 Q-spikes for it.  Det_n vanishes past n = n_q, so the
+    # last step, to level n_q + 1, gives A = B = 0.
+    spk = data.draw(spikes(n_p + n_q))
+    s = spectral_data(wave_constants(*consts), spk[:n_p], spk[n_p:])
+    ch, c = hankel_chain(s), ab_init(s)
+    while True:
+        try:
+            nxt = ab_step(c, ch)
+        except PivotZero:
+            break
+        assert ab_recursion_holds(c, nxt, ch)
+        if 2 * nxt.level + 2 <= len(s.qspikes):
+            assert (nxt.A, nxt.B) == ab_closed(s, nxt.level)
+        c = nxt
+    assert c.level == n_q + 1 and c.A.is_zero() and c.B.is_zero()
+
+
+def test_ab_step_runs_to_the_chains_rank():
+    # On P1 and nine Q-spikes Det_10 is the first zero minor: the step
+    # reaches level 10 and refuses the next; levels 1 to 3 equal their
+    # closed forms.
+    s = spectral_data(W, P1, Q9)
+    ch, levels = hankel_chain(s), [ab_init(s)]
+    for _ in range(10):
+        levels.append(ab_step(levels[-1], ch))
+    with pytest.raises(PivotZero):
+        ab_step(levels[-1], ch)
+    for c in levels[1:4]:
+        assert (c.A, c.B) == ab_closed(s, c.level)
 
 
 def test_ab_chain_reproduces_tau_solution_fields():

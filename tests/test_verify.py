@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from _hirota import equation_residual
-from nwave import exprat, transforms, verify, wavesys
+from nwave import exprat, toda, transforms, verify, wavesys
 from nwave.cli import config_from_doc, config_to_doc
 from nwave.exprat import (
     ONE, ExpPoly, ExpRational, common_denominator, grid_values, wave_constants,
@@ -426,6 +426,21 @@ def test_an_interruption_claim_fails_when_an_order_past_the_end_is_built(monkeyp
     rep = verify_claims("claim", [f"{algebra.lower()}-interruption"])
     assert [(c.passed, c.detail) for c in rep.checks] == [
         (True, ""), (False, "no TauZero raised at (2,3)")]
+
+
+def test_the_ab_chain_claim_fails_on_a_doubled_b(monkeypatch):
+    # B doubled at level 2 fails its closed form and the paper's recursion
+    # from level 1; level 3 then fails both too, the recursion because it
+    # reads level 2's A, which the step does not.
+    def doubling(prev, chain):
+        c = toda.ab_step(prev, chain)
+        return toda.ABChain(2, c.A, c.B * 2) if c.level == 2 else c
+
+    monkeypatch.setattr(verify, "ab_step", doubling)
+    rep = verify_suite("ab-chain")
+    assert [c.name for c in rep.checks if not c.passed] == [
+        "second step meets closed form", "second step meets the three-part recursion",
+        "third step meets closed form", "third step meets the three-part recursion"]
 
 
 def test_suite_reports_are_deterministic():
