@@ -16,6 +16,14 @@ there), so a document nwave wrote is written back byte-identical; a "den"
 that carries a monomial or a constant is read as the same value and
 written back with that factor divided into "num".
 
+Reading walks each term list once.  Every number, speeds and spikes
+included, is read as an integer pair: a plain "-12/5" by one match, any
+other spelling (or refusal) by Fraction, through _frac.  A list's terms
+go to exprat.quotient_reader as flat integers, which puts them on one
+lattice in the spectral coordinates of the document's speeds, over their
+"den"'s unit part, in one pass; a "den" list repeated in a document is
+read once.
+
 Exit codes: 0 OK / verification passed; 1 verification failed;
 2 malformed input; 3 pivot or pole abort, an inexact division, or a
 number to write past the digit limit (exprat.TooManyDigits).
@@ -31,8 +39,8 @@ import sys
 from fractions import Fraction
 
 from .exprat import (
-    DivisionByZeroField, ExpPoly, ExpRational, InexactDivision, TooManyDigits, grid_values,
-    poly_from_ratios, ratio_text, term_texts, wave_constants,
+    DivisionByZeroField, InexactDivision, TooManyDigits, grid_values, quotient_reader,
+    ratio_text, term_texts, wave_constants,
 )
 from .spectral import InvalidSpectralData, spectral_data
 from .tau import TauZero, solution_from_tau
@@ -143,10 +151,34 @@ def _pair(doc: dict, name: str):
     return v
 
 
+#: The form documents are written in: an optional minus sign, ASCII digits,
+#: and an optional ASCII denominator that is not zero.
+_NUMBER = r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?"
+_PLAIN = re.compile(_NUMBER)
+#: A term's three numbers joined by spaces, each in that form.
+_PLAIN_TERM = re.compile(" ".join([_NUMBER] * 3))
+
+
+def _ratio(v, what: str):
+    """(numerator, denominator > 0), not reduced, of the rational string v.
+
+    The plain form is read with int(); any other string is read, or
+    refused, by _frac, so both accept the same strings and fail alike.
+    """
+    m = _PLAIN.fullmatch(v) if isinstance(v, str) else None
+    if m is not None:
+        try:
+            return int(m[1]), int(m[2] or 1)
+        except ValueError:  # past int's digit limit: _frac refuses it too
+            pass
+    f = _frac(v, what)
+    return f.numerator, f.denominator
+
+
 def _constants(doc: dict):
     c, d = _pair(doc, "c"), _pair(doc, "d")
-    speeds = (_frac(c[0], "c[0]"), _frac(c[1], "c[1]"),
-              _frac(d[0], "d[0]"), _frac(d[1], "d[1]"))
+    speeds = (_ratio(c[0], "c[0]"), _ratio(c[1], "c[1]"),
+              _ratio(d[0], "d[0]"), _ratio(d[1], "d[1]"))
     try:
         return wave_constants(*speeds)
     except ValueError as e:  # degenerate speeds
@@ -164,48 +196,36 @@ def spectral_from_doc(doc: dict):
         for k, row in enumerate(rows):
             if not isinstance(row, dict) or set(row) != {"pos", "w"}:
                 raise InputError(f"{group}[{k}]: expected {{'pos': ..., 'w': ...}}")
-            out.append((_frac(row["pos"], f"{group}[{k}].pos"),
-                        _frac(row["w"], f"{group}[{k}].w")))
+            out.append((_ratio(row["pos"], f"{group}[{k}].pos"),
+                        _ratio(row["w"], f"{group}[{k}].w")))
         spikes[group] = out
     return spectral_data(w, spikes["P"], spikes["Q"])
 
 
-#: The form documents are written in: an optional minus sign, ASCII digits,
-#: and an optional ASCII denominator.
-_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
-def _ratio(v, what: str, k: int, part: str):
-    """(numerator, denominator > 0), not reduced, of the rational string v.
-
-    The plain form is read with int(); any other string is read, or
-    refused, by _frac, so both accept the same strings and fail alike.
-    """
-    m = _PLAIN.fullmatch(v) if isinstance(v, str) else None
-    if m is not None:
-        try:
-            n, d = int(m[1]), int(m[2] or 1)
-        except ValueError:  # past int's digit limit: _frac refuses it too
-            d = 0
-        if d:
-            return n, d
-    f = _frac(v, f"{what}[{k}].{part}")
-    return f.numerator, f.denominator
-
-
-def _poly_from_terms(items, what: str, w) -> ExpPoly:
+def _terms(items, what: str) -> list:
+    """The terms [[a, b], c] of a list as exprat._lattice takes them: six
+    integers a term, a's numerator and denominator (> 0), b's and c's, as
+    _ratio reads them.  A term of three plain numbers is read by one match;
+    any other is read by _ratio number by number, so that the first number
+    refused names the error."""
     if not isinstance(items, list):
         raise InputError(f"{what}: expected a list of terms")
-    rows = []
+    out = []
+    plain, join = _PLAIN_TERM.fullmatch, " ".join
     for k, item in enumerate(items):
         ok = (isinstance(item, list) and len(item) == 2
               and isinstance(item[0], list) and len(item[0]) == 2)
         if not ok:
             raise InputError(f"{what}[{k}]: expected [[a, b], coef]")
         (a, b), coef = item
-        rows.append(((_ratio(a, what, k, "a"), _ratio(b, what, k, "b")),
-                     _ratio(coef, what, k, "coef")))
-    return poly_from_ratios(rows, w)
+        try:
+            out += tuple(map(int, plain(join((a, b, coef))).groups("1")))
+        except (TypeError, AttributeError, ValueError):
+            # a number that is not a string, a term not all plain (no match),
+            # or digits past int's limit
+            for v, part in ((a, "a"), (b, "b"), (coef, "coef")):
+                out += _ratio(v, f"{what}[{k}].{part}")
+    return out
 
 
 def _den_key(items):
@@ -251,8 +271,8 @@ def config_from_doc(doc: dict) -> FieldConfig:
     raw = doc.get("fields")
     if not isinstance(raw, dict):
         raise InputError("'fields' must be an object keyed by field label")
-    fields = {}  # in document order, filled below
-    over = {}  # key of a "den" list, or the label for one with none -> (den, {key: num})
+    fields = {}
+    readers = {}  # key of a "den" list, or the label for one with none -> its quotient_reader
     for label, body in raw.items():
         try:
             key = parse_field_label(label)
@@ -260,16 +280,15 @@ def config_from_doc(doc: dict) -> FieldConfig:
             raise InputError(str(e)) from None
         if not isinstance(body, dict) or set(body) != {"num", "den"}:
             raise InputError(f"{label}: expected {{'num': ..., 'den': ...}}")
-        num = _poly_from_terms(body["num"], f"{label}.num", w)
+        num = _terms(body["num"], f"{label}.num")
         k = _den_key(body["den"]) or label
-        if k not in over:  # the first field over a list reads it
-            den = _poly_from_terms(body["den"], f"{label}.den", w)
-            if den.is_zero():
+        read = readers.get(k)
+        if read is None:  # the first field over a list reads it
+            read = quotient_reader(_terms(body["den"], f"{label}.den"), w)
+            if read is None:
                 raise InputError(f"{label}: zero denominator")
-            over[k] = den, {}
-        over[k][1][key] = fields[key] = num
-    for den, nums in over.values():  # one split of each den, one atom shared
-        fields.update(zip(nums, ExpRational.all_over(nums.values(), den)))
+            readers[k] = read
+        fields[key] = read(num)
     try:
         return FieldConfig(algebra, w, fields)
     except ValueError as e:

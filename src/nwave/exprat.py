@@ -13,8 +13,9 @@ a coprime integer pair.
 Values built from spikes are keyed by spectral coordinates, the position
 sums (sP, sQ) of their spike waves under one ``WaveConstants``; values built
 from exponents (``ExpPoly.term``, ``ExpPoly(terms)``) by the exponents
-(a, b); ``poly_from_ratios``, which documents are read through too, is
-the one builder from rational terms.  Ring operations run on ints in
+(a, b); ``_lattice`` is the one builder from rational terms, and
+``quotient_reader``, which documents are read through, takes them straight
+to spectral coordinates.  Ring operations run on ints in
 either, contents included; exponent pairs appear only at the boundary
 (``terms``, ``lattice``, numeric evaluation, and ``term_texts``, the one
 writer of exact numbers as text), Fractions only in ``terms``,
@@ -44,7 +45,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 # Exponent of one term: (a, b) meaning exp(a*t + b*x).
 LinForm = Tuple[Fraction, Fraction]
 
-RatLike = Union[int, str, Fraction]
+RatLike = Union[int, str, Fraction, Tuple[int, int]]
 
 #: Binary precision for numeric evaluation (well above a 64-bit significand).
 EVAL_PRECISION = 120
@@ -76,11 +77,14 @@ class TooManyDigits(ValueError):
 
 
 def as_frac(v: RatLike) -> Fraction:
-    """Coerce int/str/Fraction to Fraction ('p/q' strings accepted)."""
+    """Coerce int/str/Fraction, or an integer pair (n, d) meaning n/d, to
+    Fraction ('p/q' strings accepted)."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, (int, str)):
         return Fraction(v)
+    if type(v) is tuple and len(v) == 2 and type(v[0]) is int is type(v[1]):
+        return Fraction(*v)
     raise TypeError(f"not an exact rational: {v!r}")
 
 
@@ -118,7 +122,9 @@ class WaveConstants:
 
     Instances compare and hash by ``lattice``, which the speeds determine
     and which determines them: equal speeds, however written, are equal
-    constants.
+    constants.  Each speed is coerced by ``as_frac``, so an integer pair
+    (n, d) is read as n/d without any text; ``delta``, ``basis`` and
+    ``lattice`` are derived from the speeds' integers alone.
     """
 
     c1: Fraction = field(compare=False)
@@ -130,19 +136,28 @@ class WaveConstants:
     lattice: Tuple[int, int, int, int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        speeds = []
         for name in ("c1", "c2", "d1", "d2"):
-            object.__setattr__(self, name, as_frac(getattr(self, name)))
-        delta = self.c1 * self.d2 - self.c2 * self.d1
-        if delta == 0:
+            f = as_frac(getattr(self, name))
+            object.__setattr__(self, name, f)
+            speeds += f.as_integer_ratio()
+        # the speeds over their lcm H: d1 = D1/H and so on; delta = (C1 D2 - C2 D1) / H^2
+        c1, e1, c2, e2, d1, f1, d2, f2 = speeds
+        H = lcm(e1, e2, f1, f2)
+        D1, D2, C1, C2 = d1 * (H // f1), d2 * (H // f2), c1 * (H // e1), c2 * (H // e2)
+        det = C1 * D2 - C2 * D1
+        if det == 0:
             raise ValueError("degenerate wave constants: c1*d2 - c2*d1 = 0")
-        t, h = _over_one((-self.c2 / delta, -self.d2 / delta, self.c1 / delta, self.d1 / delta))
-        speeds, H = _over_one((self.d1, self.d2, self.c1, self.c2))
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "basis", (*t, h))
-        object.__setattr__(self, "lattice", (H, *speeds))
+        # theta's inverse is (-c2, -d2; c1, d1) / delta = (-C2, -D2; C1, D1) * H / det
+        g = gcd(C1, C2, D1, D2) * H
+        g = gcd(g, det) if det > 0 else -gcd(g, det)
+        object.__setattr__(self, "delta", Fraction(det, H * H))
+        object.__setattr__(self, "basis", (-C2 * H // g, -D2 * H // g, C1 * H // g,
+                                           D1 * H // g, det // g))
+        object.__setattr__(self, "lattice", (H, D1, D2, C1, C2))
 
 
-#: The factory name; WaveConstants coerces ints and 'p/q' strings itself.
+#: The factory name; WaveConstants coerces ints, 'p/q' strings and (n, d) pairs itself.
 wave_constants = WaveConstants
 
 
@@ -172,8 +187,8 @@ class ExpPoly:
     def __init__(self, terms: Union[None, Mapping, Iterable] = None):
         """Sum of the given ((a, b), coefficient) terms; repeated keys add up."""
         items = terms.items() if isinstance(terms, Mapping) else terms or ()
-        p = poly_from_ratios([((as_frac(a).as_integer_ratio(), as_frac(b).as_integer_ratio()),
-                               as_frac(c).as_integer_ratio()) for (a, b), c in items])
+        p = _canonical(*_lattice([n for (a, b), c in items for v in (a, b, c)
+                                  for n in as_frac(v).as_integer_ratio()]), None)
         self._scale, self._ints, self._cn, self._cd, self._w = (
             p._scale, p._ints, p._cn, p._cd, None)
 
@@ -404,17 +419,66 @@ def _product(p: ExpPoly, q: ExpPoly) -> ExpPoly:
     return _reduced(scale, out, *content, p._w)
 
 
-def poly_from_ratios(rows: Sequence, w: Optional[WaveConstants] = None) -> ExpPoly:
-    """sum(c * exp(a*t + b*x)) over rows ((a, b), c) of integer pairs (n, d > 0),
-    repeated exponents adding up: the exponents over the lcm of their denominators
-    and the coefficients over that of theirs, through ExpPoly.from_lattice."""
-    scale = lcm(*(d for (a, b), _ in rows for _, d in (a, b)))
-    den = lcm(*(d for _, (_, d) in rows))
+def _lattice(terms: Sequence[int], scale: int = 1,
+             to: Tuple[int, int, int, int, int, int] = (1, 0, 0, 1, 0, 0)
+             ) -> Tuple[int, Dict[Tuple[int, int], int], int, int]:
+    """(m, {key: n}, 1, den): the terms c * exp(a*t + b*x), given as one
+    flat list of six integers a term, the numerator and denominator (> 0)
+    of a, of b and of c, on one lattice, each as n/den * exp((A*t + B*x)/m):
+    m is the lcm of ``scale`` and the exponents' denominators, den that of
+    the coefficients'.  The key of (A, B) is (t11*A + t12*B - u*e,
+    t21*A + t22*B - v*e), e = m // scale, for ``to`` = (t11, t12, t21, t22,
+    u, v): by default (A, B) itself.  Repeated keys add up, zeros kept: the
+    lattice form ExpPoly.lattice gives and _canonical takes."""
+    it = iter(terms)
+    rows = list(zip(it, it, it, it, it, it))
+    m = den = 1
+    for _, ad, _, bd, _, cd in rows:
+        m, den = lcm(m, ad, bd), lcm(den, cd)
+    m = lcm(m, scale)
+    t11, t12, t21, t22, u, v = to
+    e = m // scale
+    u, v = u * e, v * e
     ints: Dict[Tuple[int, int], int] = {}
-    for ((an, ad), (bn, bd)), (cn, cd) in rows:
-        key = an * (scale // ad), bn * (scale // bd)
-        ints[key] = ints.get(key, 0) + cn * (den // cd)
-    return ExpPoly.from_lattice(scale, ints, 1, den, w)
+    get = ints.get
+    for an, ad, bn, bd, cn, cd in rows:
+        A, B = an * (m // ad), bn * (m // bd)
+        key = t11 * A + t12 * B - u, t21 * A + t22 * B - v
+        ints[key] = get(key, 0) + cn * (den // cd)
+    return m, ints, 1, den
+
+
+def quotient_reader(den: Sequence[int], w: WaveConstants):
+    """The reader of values over the terms ``den``, flat integers as
+    _lattice takes them: a function from a numerator's terms, given so too,
+    to num / den, an ExpRational in w's spectral coordinates; None when den
+    is zero.
+
+    It gives ExpRational(num, den) for the polynomials of the terms in one
+    pass over each list: den's unit part u = c * exp(a*t + b*x), its term
+    of least exponent (see _split), is read off den's lattice, and a
+    numerator is put on one lattice with den's, its keys changed to
+    spectral coordinates and divided by u as they are formed (_lattice),
+    then canonicalized once.  den / u, read so too, is the one atom every
+    value of the reader shares.
+    """
+    scale, ints, _, d = _lattice(den)
+    if 0 in ints.values():
+        ints = {k: n for k, n in ints.items() if n}
+    if not ints:
+        return None
+    a, b = min(ints)  # the least exponent: the keys share one positive scale
+    g = gcd(ints[a, b], d)
+    inverse = _quotient(1, 1, ints[a, b] // g, d // g)  # 1/c, c = ints[a, b] / d
+    t11, t12, t21, t22, h = w.basis
+    to = t11, t12, t21, t22, t11 * a + t12 * b, t21 * a + t22 * b  # u's key over h*scale
+
+    def over_unit(terms: Sequence[int]) -> ExpPoly:
+        m, keys, _, cd = _lattice(terms, scale, to)
+        return _canonical(h * m, keys, *_times(1, cd, *inverse), w)
+
+    atoms = {over_unit(den): 1} if len(ints) > 1 else _NO_ATOMS
+    return lambda num: _rat(over_unit(num), atoms) if num else _ZERO_RAT
 
 
 def _is_const(p: ExpPoly) -> bool:
@@ -422,18 +486,20 @@ def _is_const(p: ExpPoly) -> bool:
     return len(p._ints) == 1 and _ZERO_KEY in p._ints
 
 
-def _reduced(scale, ints, cn, cd, w) -> ExpPoly:
-    """Wrap primitive, sign-normalized coefficients, at least one, at the minimal scale."""
-    if scale != 1:
-        s = scale
+def _reduced(scale, ints, cn, cd, w, g: int = 1) -> ExpPoly:
+    """Wrap coefficients, at least one, at the minimal scale: primitive and
+    sign-normalized once divided by g, in the same pass as the keys."""
+    s = scale
+    if s != 1:
         for a, b in ints:
             s = gcd(s, a, b)
             if s == 1:
                 break
-        if s != 1:
-            ints = {(a // s, b // s): n for (a, b), n in ints.items()}
-            scale //= s
-    return _poly(scale, ints, cn, cd, w)
+    if s != 1:
+        ints = {(a // s, b // s): n // g for (a, b), n in ints.items()}
+    elif g != 1:
+        ints = {k: n // g for k, n in ints.items()}
+    return _poly(scale // s, ints, cn, cd, w)
 
 
 def _canonical(scale, ints, cn, cd, w) -> ExpPoly:
@@ -447,11 +513,8 @@ def _canonical(scale, ints, cn, cd, w) -> ExpPoly:
     g = gcd(*ints.values())
     if ints[least] < 0:
         g = -g
-    if g != 1:
-        ints = {k: n // g for k, n in ints.items()}
-        r = gcd(g, cd)  # cn and cd are coprime: cn * g / cd reduces by r alone
-        cn, cd = cn * (g // r), cd // r
-    return _reduced(scale, ints, cn, cd, w)
+    r = gcd(g, cd)  # cn and cd are coprime: cn * g / cd reduces by r alone
+    return _reduced(scale, ints, cn * (g // r), cd // r, w, g)
 
 
 def _rescaled(ints, f):
@@ -1179,8 +1242,13 @@ def common_denominator(values: Sequence[ExpRational]) -> Tuple[ExpPoly, List[Exp
     denominator, L is that atom as held, and a value whose atoms are L's
     has its own numerator as N.
     """
-    atoms = _lcm([v for v in values if v.num._ints] or [_ZERO_RAT])
+    atoms = _denominator_atoms(values)
     return _times_powers(None, atoms.items()), [v._over(atoms) for v in values]
+
+
+def _denominator_atoms(values: Sequence[ExpRational]) -> Dict[ExpPoly, int]:
+    """The atoms of common_denominator's L: the _lcm of the nonzero values."""
+    return _lcm([v for v in values if v.num._ints] or [_ZERO_RAT])
 
 
 # -- numeric evaluation -----------------------------------------------------------

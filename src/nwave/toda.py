@@ -222,12 +222,16 @@ def ab_step(prev: ABChain, chain: HankelChain) -> ABChain:
     one exact division by Det_n (InexactDivision off genuine chain data).
     The identity stands in for the paper's three-part recursion, which
     ``ab_recursion_holds`` checks without a division.
+
+    Level n + 1's fields are A' / Det_{n+1}^2 and B' / Det_{n+1}^2, so past
+    the chain's rank, where Det_{n+1} vanishes, the step is refused
+    (PivotZero at step n): the last level is the rank.
     """
     n = prev.level
-    dn = chain.det(n)
-    if dn.is_zero():
+    dn1 = chain.det(n + 1)
+    if dn1.is_zero():
         raise PivotZero("AB_CHAIN", CHAIN_SEED_KEY, step=n)
-    dn1, w, ij, b = chain.det(n + 1), chain.constants, chain.direction, prev.B
+    dn, w, ij, b = chain.det(n), chain.constants, chain.direction, prev.B
     [num_a] = sum_of_products([[(1, dn1, (ij, b)), (-2, b, (ij, dn1))]], w)
     a = divexact(num_a, dn * 2)
     [num_b] = sum_of_products([[(1, ((1, 1), a), dn1), (-2, a, (ij, dn1)),

@@ -29,10 +29,11 @@ from .exprat import (EVAL_PRECISION, ExpPoly, ExpRational, grid_values, ratio_te
                      term_texts, wave_constants)
 from .spectral import SpectralData, initial_config, spectral_data, wave_exponent
 from .tau import TauZero, check_gra, solution_from_tau, tau_U
-from .toda import (ab_closed, ab_init, ab_recursion_holds, ab_step, det_bareiss, hankel_chain,
-                   toda_residual)
-from .transforms import apply, apply_chain
-from .wavesys import AlgebraModel, FieldConfig, MINUS, PLUS, field_label, model, residual
+from .toda import (ab_closed, ab_init, ab_recursion_holds, ab_step, det_bareiss,
+                   first_root_chain, hankel_chain, toda_residual)
+from .transforms import PivotZero, apply, apply_chain
+from .wavesys import (AlgebraModel, EquationSpec, FieldConfig, MINUS, PLUS, field_label, model,
+                      residual, residual_atoms)
 
 REL_TOL = 1e-9
 #: Rational evaluation grid shared by every numeric check: GRID_T x GRID_X.
@@ -244,25 +245,39 @@ def verify_config(m: AlgebraModel, cfg: FieldConfig, mode: str = "exact") -> Rep
     mass times 2**-POLE_BITS) are skipped and recorded rather than
     aborting.  In either mode the report's witness is
     the first failing equation's own residual, residual(m, cfg, [eq]),
-    over the least common denominator of that equation's fields.  A model
-    of another algebra than the configuration's is refused (ValueError).
+    over the least common denominator of that equation's fields (see
+    _witness).  A model of another algebra than the configuration's is
+    refused (ValueError).
     """
     cfg.check_model(m)
     if mode not in ("exact", "numeric"):
         raise ValueError(f"unknown mode {mode!r} (expected 'exact' or 'numeric')")
     if mode == "exact":
+        sums = residual(m, cfg, m.equations)
         verdicts = [(True, "") if r.is_zero() else (False, "residual numerator nonzero")
-                    for r in residual(m, cfg, m.equations)]
+                    for r in sums]
     else:
+        sums = [None] * len(m.equations)
         points = list(grid_values(cfg.fields, GRID_T, GRID_X, cfg.constants,
                                   {eq.lhs: eq.d_index for eq in m.equations}))
         verdicts = [_judge(_equation_points(eq, points)) for eq in m.equations]
     rep = Report(title=f"{m.name} configuration", mode=mode)
-    for eq, (ok, detail) in zip(m.equations, verdicts):
+    for eq, r, (ok, detail) in zip(m.equations, sums, verdicts):
         rep.add(_eq_name(eq), ok, detail,
-                witness=None if ok or rep.witness is not None
-                else residual(m, cfg, [eq])[0])
+                witness=None if ok or rep.witness is not None else _witness(m, cfg, eq, r))
     return rep
+
+
+def _witness(m: AlgebraModel, cfg: FieldConfig, eq: EquationSpec,
+             formed: Optional[ExpPoly]) -> ExpPoly:
+    """residual(m, cfg, [eq])[0], eq's residual over the least common
+    denominator of its own fields.  ``formed`` is exact mode's residual of
+    eq over that of all of m's equations' fields (None in numeric mode):
+    over the same atoms it is that residual, and no second kernel run is
+    made."""
+    if formed is not None and residual_atoms(cfg, [eq]) == residual_atoms(cfg, m.equations):
+        return formed
+    return residual(m, cfg, [eq])[0]
 
 
 # -- the claims table ---------------------------------------------------------------
@@ -279,6 +294,7 @@ _Q4 = _Q2 + (("-3", "1/3"), ("3", "-1"))
 _Q5 = _Q2 + (("-3", "1/3"), ("2", "-1"), ("1/4", "1/2"))
 _Q6 = _Q5 + (("-1", "3"),)
 _Q8 = _Q6 + (("5/2", "1/4"), ("-5/3", "2/3"))
+_P4 = (("5", "1"), ("-2", "1/2"), ("4", "1/3"), ("7/2", "2"))
 
 
 def _solution_checks(solutions, rep: Report) -> None:
@@ -451,6 +467,25 @@ def _ab_chain(rep: Report) -> None:
     rep.add("first step meets the ordered-tuple literals", c1.A == lit_a1 and c1.B == lit_b1)
 
 
+def _first_root(rep: Report) -> None:
+    """The first-root chain on the B2 seed over 4P+6Q, by bordered Hankel
+    minors, to its rank: step n is the order-(n, 0) tau solution and solves
+    B2 for n = 1 to 4, and step 5, past the four P-spikes, is refused."""
+    m = model("B2")
+    s = spectral_data(_W, _P4, _Q6)
+    seed = initial_config(m, s)
+    steps = [(n, first_root_chain(seed, n)) for n in range(1, 5)]
+    for n, cfg in steps:
+        rep.add(f"step {n} equals tau({n},0)", cfg == solution_from_tau(m, s, n, 0))
+    _solution_checks(lambda: [(f"step {n} solves B2", m, cfg) for n, cfg in steps], rep)
+    try:
+        first_root_chain(seed, 5)
+    except PivotZero:
+        rep.add("step 5 past the rank raises PivotZero", True)
+    else:
+        rep.add("step 5 past the rank raises PivotZero", False, "step 5 was built")
+
+
 def _gra(rep: Report) -> None:
     s = spectral_data(_W, _P2, _Q4)
     for n in (0, 1):
@@ -466,6 +501,7 @@ CLAIMS: Dict[str, Callable[[Report], None]] = {
     "b2-maps": _b2_maps,
     "toda": _toda,
     "ab-chain": _ab_chain,
+    "first-root": _first_root,
     "gra": _gra,
 }
 
@@ -474,7 +510,7 @@ SUITES = {
     "a2-full": ("a2-tau-grid", "a2-interruption", "a2-composition", "a2-invariance"),
     "b2-full": ("b2-tau-grid", "b2-interruption", "b2-invariance", "b2-maps"),
     "g2-full": ("g2-orders", "g2-interruption", "g2-invariance"),
-    **{name: (name,) for name in ("toda", "ab-chain", "gra")},
+    **{name: (name,) for name in ("toda", "ab-chain", "first-root", "gra")},
 }
 
 

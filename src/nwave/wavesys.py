@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
-from .exprat import ExpPoly, ExpRational, WaveConstants, common_denominator, sum_of_products
+from .exprat import (ExpPoly, ExpRational, WaveConstants, _denominator_atoms, common_denominator,
+                     sum_of_products)
 
 Root = Tuple[int, int]
 #: A signed field key: (sign, (p, q)) with sign in {+1, -1} naming f^sign_{p.q}.
@@ -210,8 +211,7 @@ def residual(m: AlgebraModel, cfg: FieldConfig, eqs: Sequence[EquationSpec]) -> 
     """
     cfg.check_model(m)
     w = cfg.constants
-    used = {k for eq in eqs for _, a, b in eq.rhs for k in (a, b)} | {eq.lhs for eq in eqs}
-    keys = [k for k in cfg.fields if k in used]
+    keys = _used(cfg, eqs)
     d, nums = common_denominator([cfg[k] for k in keys])
     num = dict(zip(keys, nums))
     sums = []
@@ -221,6 +221,18 @@ def residual(m: AlgebraModel, cfg: FieldConfig, eqs: Sequence[EquationSpec]) -> 
         terms += [(1, (eq.d_index, n), d), (-1, n, (eq.d_index, d))]
         sums.append(terms)
     return sum_of_products(sums, w)
+
+
+def _used(cfg: FieldConfig, eqs: Sequence[EquationSpec]) -> List[FieldKey]:
+    """The keys of the fields eqs use, their lhs and rhs factors, in cfg's order."""
+    used = {k for eq in eqs for _, a, b in eq.rhs for k in (a, b)} | {eq.lhs for eq in eqs}
+    return [k for k in cfg.fields if k in used]
+
+
+def residual_atoms(cfg: FieldConfig, eqs: Sequence[EquationSpec]) -> Dict[ExpPoly, int]:
+    """The atoms, with multiplicities, of the L that residual(m, cfg, eqs)
+    puts the fields over: equal atoms, one L."""
+    return _denominator_atoms([cfg[k] for k in _used(cfg, eqs)])
 
 
 # -- Exchanges ------------------------------------------------------------------

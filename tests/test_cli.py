@@ -14,23 +14,27 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import nwave
 from nwave import cli, exprat
 from nwave.cli import (
-    SAMPLE_POINTS, InputError, _dump, _poly_from_terms, config_from_doc, config_to_doc,
-    main,
+    SAMPLE_POINTS, InputError, _dump, _terms, config_from_doc, config_to_doc, main,
 )
 from nwave.exprat import (
-    EvalPole, ExpPoly, ExpRational, InexactDivision, grid_values, wave_constants,
+    EvalPole, ExpPoly, ExpRational, InexactDivision, grid_values, quotient_reader,
+    wave_constants,
 )
-from nwave.transforms import apply
+from nwave.tau import TauZero, solution_from_tau
+from nwave.transforms import TRANSFORMS, PivotZero, apply
 from nwave.verify import Check, Report
 from nwave.wavesys import MINUS, FieldConfig, field_label, model, parse_field_label, zero_config
 
+import _docread
+import _refusals
 import test_outputs
 from test_exprat import W, exprationals
+from test_tau import MAP_SPIKES, lattice_constants, spike_data
 
 SPEC_11 = {
     "schema": 1,
@@ -165,6 +169,103 @@ def test_a_written_configuration_round_trips_bytes(values, op):
     assert _dump(config_to_doc(back)) == text
 
 
+@st.composite
+def solution_documents(draw):
+    """The document text of a random A2, B2 or G2 tau solution on up to
+    2P+3Q under random or fixed constants, or of a random map's image of
+    one on up to MAP_SPIKES spikes (fields over several denominators)."""
+    name = draw(st.sampled_from(["A2", "B2", "G2"]))
+    mapped = draw(st.booleans())
+    max_p, max_q = MAP_SPIKES[name] if mapped else (2, 3)
+    s = draw(spike_data(p=(int(mapped), max_p), q=(int(mapped), max_q),
+                        constants=st.one_of(st.just(W), lattice_constants())))
+    try:
+        cfg = solution_from_tau(model(name), s, *draw(st.sampled_from([(0, 0), (1, 0), (0, 1),
+                                                                      (1, 1)])))
+        if mapped:
+            cfg = apply(draw(st.sampled_from(
+                [t for t, tr in TRANSFORMS.items() if tr.algebra == name])), cfg)
+    except (TauZero, PivotZero):
+        assume(False)
+    return _dump(config_to_doc(cfg))
+
+
+def _read_as_the_reference(doc):
+    """config_from_doc(doc) and the two-step reference reading give every
+    field the same numerator and atoms, as held."""
+    got, want = config_from_doc(doc), _docread.config(doc)
+    assert got.constants == want.constants
+    assert list(got.fields) == list(want.fields)
+    for key, v in got.fields.items():
+        assert _docread.value_shape(v) == _docread.value_shape(want[key]), field_label(key)
+
+
+@settings(max_examples=40)
+@given(solution_documents())
+def test_a_document_reads_as_the_two_step_reference(text):
+    # Each term list is read once, straight to spectral coordinates over
+    # its denominator's unit part: the values are those of ExpPoly.from_lattice
+    # per list and ExpRational.all_over, scale, integers, content and atoms.
+    _read_as_the_reference(json.loads(text))
+
+
+def _respelled(f: Fraction, how: int) -> str:
+    """f as written (how 0), or in a spelling Fraction reads and nwave
+    never writes: "2/4" for 1/2 (how 1), "0.5" (how 2), "1e1" for 10,
+    "5e-1" for 1/2 or "-0" for 0 (how 3); as written where the spelling
+    does not apply."""
+    n, d = f.numerator, f.denominator
+    millionths = n * (10 ** 6 // d) if 10 ** 6 % d == 0 else None  # f * 10^6
+    if how == 1:
+        return f"{2 * n}/{2 * d}"
+    if how == 2 and millionths is not None:
+        whole, part = divmod(abs(millionths), 10 ** 6)
+        return f"{'-' * (millionths < 0)}{whole}.{part:06d}"
+    if how == 3 and not n:
+        return "-0"
+    if how == 3 and d == 1:
+        return f"{n // 10}e1" if n % 10 == 0 else f"{n}e0"
+    if how == 3 and millionths is not None:
+        return f"{millionths}e-6"
+    return str(f)
+
+
+@settings(max_examples=40)
+@given(solution_documents(), st.data())
+def test_a_respelled_document_reads_as_the_reference(text, data):
+    # Numbers spelled as Fraction reads them but nwave never writes them,
+    # each "den" with a constant and a monomial factor taken into its
+    # fields' numerators, and one "den" written two ways: each reading
+    # equals the reference's, as held.
+    doc = json.loads(text)
+    spell = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=8), "spellings")
+    k = iter(range(10 ** 9))
+
+    def terms(items, c, a, b):
+        return [[[_respelled(Fraction(x) + a, spell[next(k) % len(spell)]),
+                  _respelled(Fraction(y) + b, spell[next(k) % len(spell)])],
+                 _respelled(Fraction(z) * c, spell[next(k) % len(spell)])]
+                for (x, y), z in items]
+
+    factors = {}  # "den" text -> (c, a, b): the factor c * exp(a*t + b*x) taken in
+    labels = list(doc["fields"])
+    twice = data.draw(st.sampled_from(labels), "a field whose den is spelled anew")
+    for label in labels:
+        body = doc["fields"][label]
+        den = json.dumps(body["den"])
+        if den not in factors:
+            factors[den] = (data.draw(st.sampled_from([Fraction(1), Fraction(-2, 3), Fraction(5)])),
+                            data.draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-3)])),
+                            data.draw(st.sampled_from([Fraction(0), Fraction(2, 3)])))
+        c, a, b = factors[den]
+        body["num"] = terms(body["num"], c, a, b)
+        body["den"] = terms(body["den"], c, a, b)
+        if label == twice:  # the same den, its terms in reverse order and spelled anew
+            spell.append(1)
+            body["den"] = body["den"][::-1]
+    _read_as_the_reference(doc)
+
+
 def _golden_documents(tmp):
     """(name, text) of every document the golden outputs hold: the frozen
     configurations, their f-1.0 doubled copies, and what construct and
@@ -192,8 +293,7 @@ def test_a_document_is_read_as_each_field_alone_with_one_atom_per_den(tmp_path):
         for label, body in doc["fields"].items():
             key = parse_field_label(label)
             v = cfg.fields[key]
-            alone[key] = ExpRational(_poly_from_terms(body["num"], label, w),
-                                     _poly_from_terms(body["den"], label, w))
+            alone[key] = ExpRational(_docread.poly(body["num"], w), _docread.poly(body["den"], w))
             assert (v.num, v.atoms) == (alone[key].num, alone[key].atoms), (name, label)
             if not v.is_zero():
                 ids = sorted(map(id, v._atoms))
@@ -424,6 +524,15 @@ def test_each_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("case", _refusals.cases(), ids=lambda case: case[0])
+def test_each_refusal_in_the_table_exits_with_its_code_and_one_error_line(tmp_path, capsys, case):
+    # tests/data/refusals.json, run here through cli.main; CI runs the same
+    # table through the console script (python tests/_refusals.py).
+    argv, error = _refusals.prepared(case, tmp_path)
+    code = main(argv)
+    assert _refusals.failures(case, code, capsys.readouterr().err, error) == []
 
 
 def test_unsupported_schema_exits_2(tmp_path, capsys):
@@ -778,6 +887,11 @@ def _fraction_within_limit(v):
     return f if max(abs(f.numerator), f.denominator) < 10 ** LIMIT else None
 
 
+def _read_terms(items, what, w) -> ExpPoly:
+    """A numerator's term list read as config_from_doc reads it, over 1."""
+    return quotient_reader(_terms(_ONE, "den"), w)(_terms(items, what)).num
+
+
 @settings(max_examples=300)
 @given(numbers, st.integers(0, 2))
 @example("3/0", 2)
@@ -805,16 +919,16 @@ def test_document_numbers_read_as_fraction_reads_them(v, pos):
         want = [fraction_or_too_large(p) for p in parts]
     except (ValueError, ZeroDivisionError):
         with pytest.raises(InputError) as exc:
-            _poly_from_terms([[parts[:2], parts[2]]], "f+1.0.num", w)
+            _read_terms([[parts[:2], parts[2]]], "f+1.0.num", w)
         assert str(exc.value) == f"{what}: not a rational: {reprlib.repr(v)}"
         return
     if want[pos] is None:
         with pytest.raises(InputError) as exc:
-            _poly_from_terms([[parts[:2], parts[2]]], "f+1.0.num", w)
+            _read_terms([[parts[:2], parts[2]]], "f+1.0.num", w)
         assert str(exc.value).startswith(f"{what}: too many digits to write back "
                                          f"(limit {LIMIT}): ")
         return
-    got = _poly_from_terms([[parts[:2], parts[2]]], "f+1.0.num", w)
+    got = _read_terms([[parts[:2], parts[2]]], "f+1.0.num", w)
     assert got == ExpPoly([((want[0], want[1]), want[2])])
 
 

@@ -303,7 +303,7 @@ def test_every_ab_step_meets_the_papers_recursion(n_p, n_q, data, consts):
     # 1-2 P-spikes and 3-6 Q-spikes, each step until PivotZero: the bilinear
     # step meets the three-part recursion, and the closed form where there
     # are 2n + 2 Q-spikes for it.  Det_n vanishes past n = n_q, so the
-    # last step, to level n_q + 1, gives A = B = 0.
+    # last level is n_q: the step from it would divide by Det_{n_q + 1} = 0.
     spk = data.draw(spikes(n_p + n_q))
     s = spectral_data(wave_constants(*consts), spk[:n_p], spk[n_p:])
     ch, c = hankel_chain(s), ab_init(s)
@@ -316,16 +316,16 @@ def test_every_ab_step_meets_the_papers_recursion(n_p, n_q, data, consts):
         if 2 * nxt.level + 2 <= len(s.qspikes):
             assert (nxt.A, nxt.B) == ab_closed(s, nxt.level)
         c = nxt
-    assert c.level == n_q + 1 and c.A.is_zero() and c.B.is_zero()
+    assert c.level == n_q
 
 
 def test_ab_step_runs_to_the_chains_rank():
     # On P1 and nine Q-spikes Det_10 is the first zero minor: the step
-    # reaches level 10 and refuses the next; levels 1 to 3 equal their
+    # reaches level 9 and refuses the next; levels 1 to 3 equal their
     # closed forms.
     s = spectral_data(W, P1, Q9)
     ch, levels = hankel_chain(s), [ab_init(s)]
-    for _ in range(10):
+    for _ in range(9):
         levels.append(ab_step(levels[-1], ch))
     with pytest.raises(PivotZero):
         ab_step(levels[-1], ch)
@@ -352,14 +352,15 @@ def test_ab_chain_reproduces_tau_solution_fields():
 
 def test_ab_step_past_the_end_of_the_chain_is_a_pivot_zero():
     # On one P-spike and two Q-spikes Det_3 vanishes: the steps to levels
-    # 1, 2 and 3 run, and the step from level 3 has no pivot.
+    # 1 and 2 run, and the step from level 2 is refused, as level 3's
+    # fields would be 0/0.
     s = spectral_data(W, P1, [("1", "1"), ("1/2", "2")])
     ch, c = hankel_chain(s), ab_init(s)
-    for _ in range(3):
+    for _ in range(2):
         c = ab_step(c, ch)
     with pytest.raises(PivotZero) as e:
         ab_step(c, ch)
-    assert (e.value.transform_id, e.value.key, e.value.step) == ("AB_CHAIN", (MINUS, (0, 1)), 3)
+    assert (e.value.transform_id, e.value.key, e.value.step) == ("AB_CHAIN", (MINUS, (0, 1)), 2)
 
 
 def test_ab_closed_rejects_underresolved_data():

@@ -9,7 +9,7 @@ import pytest
 
 from _hirota import equation_residual
 from nwave import exprat, toda, transforms, verify, wavesys
-from nwave.cli import config_from_doc, config_to_doc
+from nwave.cli import config_from_doc, config_to_doc, main as cli_main
 from nwave.exprat import (
     ONE, ExpPoly, ExpRational, common_denominator, grid_values, wave_constants,
 )
@@ -339,9 +339,10 @@ def test_passing_numeric_check_builds_no_residual(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["exact", "numeric"])
 def test_failing_check_builds_one_witness_residual(monkeypatch, mode):
-    # The report keeps only the first failing equation's residual, so
-    # besides exact mode's one pass over every equation only that one is
-    # built, from that equation alone.
+    # The report keeps only the first failing equation's residual.  Every
+    # field is over one denominator, so exact mode takes it from its one
+    # pass over every equation, and numeric mode builds only that one, from
+    # that equation alone.
     m, bad = model("A2"), perturbed()
     built = []
 
@@ -353,8 +354,40 @@ def test_failing_check_builds_one_witness_residual(monkeypatch, mode):
     rep = verify_config(m, bad, mode)
     failed = [eq for eq, c in zip(m.equations, rep.checks) if not c.passed]
     assert len(failed) >= 2
-    assert built == ([m.equations] if mode == "exact" else []) + [failed[:1]]
+    assert built == ([m.equations] if mode == "exact" else [failed[:1]])
     assert rep.witness == residual(m, bad, failed[:1])[0]
+
+
+def _counted_sums(monkeypatch):
+    """The number of sum_of_products calls residual makes, as a one-item list."""
+    calls, run = [0], wavesys.sum_of_products
+
+    def counting(*args):
+        calls[0] += 1
+        return run(*args)
+
+    monkeypatch.setattr(wavesys, "sum_of_products", counting)
+    return calls
+
+
+def test_verify_of_a_corrupted_document_runs_the_kernel_once(tmp_path, monkeypatch):
+    # The A2 (1,1) solution with f-1.1 doubled: every field is over tau, so
+    # the first failing equation's witness is its residual from the one
+    # pass over every equation, and the report is what that equation's own
+    # residual gives.
+    path = Path(__file__).resolve().parent.parent / "bench" / "data" / "configs"
+    cfg = config_from_doc(json.loads((path / "tau_A2_P2Q2_11.json").read_text()))
+    key = (MINUS, (1, 1))
+    bad = cfg.with_fields({key: cfg[key] * 2})
+    doc, report = tmp_path / "corrupt.json", tmp_path / "report.json"
+    doc.write_text(json.dumps(config_to_doc(bad)))
+    calls = _counted_sums(monkeypatch)
+    assert cli_main(["verify", "--in", str(doc), "--report", str(report)]) == 1
+    assert calls == [1]
+    m = model("A2")
+    failed = next(eq for eq in m.equations if not residual(m, bad, [eq])[0].is_zero())
+    assert json.loads(report.read_text())["counterexample"] == render_poly(
+        residual(m, bad, [failed])[0])
 
 
 def test_grid_is_nine_rational_points():
@@ -367,7 +400,7 @@ def test_unknown_suite_rejected():
         verify_suite("a3-full")
 
 
-@pytest.mark.parametrize("name", ["toda", "gra", "ab-chain", "a2-full", "b2-full"])
+@pytest.mark.parametrize("name", ["toda", "gra", "ab-chain", "first-root", "a2-full", "b2-full"])
 def test_cheap_suites_pass(name):
     rep = verify_suite(name)
     assert rep.passed
@@ -452,7 +485,7 @@ def test_suite_reports_are_deterministic():
 def test_suite_list_is_stable():
     assert set(SUITES) == {
         "a2-full", "b2-full", "g2-full", "toda",
-        "ab-chain", "gra",
+        "ab-chain", "first-root", "gra",
     }
 
 
@@ -661,3 +694,20 @@ def test_a_witness_is_the_residual_over_its_equations_own_denominator(name, mode
     L, r = equation_residual(bad, eq)
     assert L != common_denominator(list(bad.fields.values()))[0]
     assert rep.witness == r
+
+
+@pytest.mark.parametrize("name", ["img_B2_T2A2_P2Q2", "img_B2_TM_P2Q2"])
+def test_a_witness_over_a_smaller_denominator_takes_its_own_kernel_run(monkeypatch, name):
+    # The first failing equation's fields have fewer atoms than the
+    # configuration's, so exact mode forms its witness by a second
+    # residual call, over that equation's own denominator.
+    path = Path(__file__).resolve().parent.parent / "bench" / "data" / "configs" / f"{name}.json"
+    cfg = config_from_doc(json.loads(path.read_text()))
+    key = (MINUS, (1, 0))
+    bad = cfg.with_fields({key: cfg[key] * 2})
+    m = model("B2")
+    calls = _counted_sums(monkeypatch)
+    rep = verify_config(m, bad)
+    assert calls == [2]
+    eq = next(eq for eq, c in zip(m.equations, rep.checks) if not c.passed)
+    assert rep.witness == residual(m, bad, [eq])[0]
