@@ -10,7 +10,8 @@ live in one calibration table.
 The sums run on integers: all spike positions (and check_gra's probes) over
 one common denominator D, the weights of each spike list over one of their
 own, so a subset's squared Vandermonde and position sum are integers
-(_shapes).  Once a P-subset is fixed, its coupling to a Q-subset,
+(_shapes, the package's one subset enumeration, which toda's Hankel minors
+read too).  Once a P-subset is fixed, its coupling to a Q-subset,
 1/prod_{lam, mu} (lam - mu), splits per Q-spike into the coupled weight
 w_mu / prod_lam (lam - mu), integers over ell, the lcm of the P-subset's
 couplings.  The sum over the independent Q-groups then factorises:
@@ -73,14 +74,15 @@ _Shape = Tuple[Tuple[int, ...], int, int]
 
 
 def _shapes(xs: Sequence[int], n: int) -> List[_Shape]:
-    """The shape of every n-subset of the integer positions ``xs``."""
+    """The shape of every n-subset of the integer positions ``xs`` with a nonzero Vandermonde."""
     out = []
     for idx in itertools.combinations(range(len(xs)), n):
         sub = [xs[k] for k in idx]
         vdm = 1
         for a, b in itertools.combinations(sub, 2):
             vdm *= (a - b) * (a - b)
-        out.append((idx, vdm, sum(sub)))
+        if vdm:
+            out.append((idx, vdm, sum(sub)))
     return out
 
 

@@ -8,20 +8,20 @@ runs a linear chain (A^n, B^n) on top of it, and the first-root analogue is
 solved by bordered Hankel minors.  Everything here is exact ExpPoly
 arithmetic.
 
-A chain's minors are subset sums.  Group the seed's terms by D weight,
-r = sum_lam g_lam with D g_lam = lam g_lam: the Hankel matrix is
-V diag(g_lam) V^T, V the weights' Vandermonde matrix, and Cauchy-Binet
-gives Heine's identity (G. Szego, Orthogonal Polynomials, section 2.1)
-over the n-subsets L of the distinct weights,
+A chain's minors are subset sums.  For the seed's terms r_k, D r_k =
+lam_k r_k, the Hankel matrix is V diag(r_k) V^T, V the weights' Vandermonde
+matrix, and Cauchy-Binet gives Heine's identity (G. Szego, Orthogonal
+Polynomials, section 2.1) over the n-subsets K of the terms,
 
-    Det_n = sum_L prod_{a<b} (lam_a - lam_b)^2 prod_{lam in L} g_lam;
+    Det_n = sum_K prod_{a<b in K} (lam_a - lam_b)^2 prod_{k in K} r_k,
 
-with its last column (D^i h)_i, h = sum_mu h_mu, the size-(n+1) minor is
-that sum with each term times sum_mu prod_{lam in L} (mu - lam) h_mu.  A
-minor costs one product per subset, C(m, n) for m distinct weights, and
-no division; past m, the matrix's rank, the sum is empty and the chain
-stops.  ``det_bareiss``, the general elimination with row swaps, is the
-independent reference the ``toda`` claim and the tests check against.
+tau's subset sum (tau._shapes): a subset with two terms of one weight has
+a zero Vandermonde and drops out.  With its last column (D^i h)_i, h =
+sum_mu h_mu, the size-(n+1) minor is that sum with each subset times
+sum_mu prod_{k in K} (mu - lam_k) h_mu.  No division; past the number of
+distinct weights, the matrix's rank, the sum is empty and the chain stops.
+``det_bareiss``, the general elimination with row swaps, is the tests'
+reference and, with the Toda relation, the ``toda`` claim's witness.
 
 The (A, B) chain steps by a Hirota-type bilinear identity (R. Hirota, The
 Direct Method in Soliton Theory, 2004), Det_n B^{n+1} = D_{1,1} A^{n+1}
@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exprat import (ONE, ExpPoly, ExpRational, WaveConstants, _canonical, _common_scale,
                      _spectral, _times, _weights, divexact, sum_of_products)
 from .spectral import SpectralData
-from .tau import tau_U, tau_V_B2
+from .tau import _shapes, tau_U, tau_V_B2
 from .transforms import PivotZero
 from .wavesys import MINUS, PLUS, FieldConfig, FieldKey, Root, model
 
@@ -86,37 +86,6 @@ CHAIN_SEED_KEY: FieldKey = (MINUS, (0, 1))
 CHAIN_DIRECTION = (1, 0)
 
 
-def _grouped(ints: Dict[Tuple[int, int], int], direction: Root) -> List[Tuple[int, list]]:
-    """(weight, [(key, n)]): spectral terms grouped by their D weight along ``direction``."""
-    groups: Dict[int, list] = {}
-    for term, lam in zip(ints.items(), _weights(*direction, ints)):
-        groups.setdefault(lam, []).append(term)
-    return list(groups.items())
-
-
-def _subset_sum(groups, n: int, border) -> Dict[Tuple[int, int], int]:
-    """Heine's sum over the n-subsets of ``groups``, bordered by ``border``'s
-    groups unless it is None, expanded into one dict, depth first: a shared
-    prefix's squared Vandermonde and product of groups are formed once."""
-    out: Dict[Tuple[int, int], int] = {}
-
-    def walk(start, lams, v2, terms):
-        if len(lams) == n:
-            if border is not None:
-                terms = [((u + a, v + b), c * d * prod(mu - lam for lam in lams))
-                         for mu, g in border for (a, b), d in g for (u, v), c in terms]
-            for k, c in terms:
-                out[k] = out.get(k, 0) + c * v2
-            return
-        for i in range(start, len(groups) - n + len(lams) + 1):
-            lam, g = groups[i]
-            walk(i + 1, lams + [lam], v2 * prod((lam - a) ** 2 for a in lams),
-                 [((u + a, v + b), c * d) for (u, v), c in terms for (a, b), d in g])
-
-    walk(0, [], 1, [((0, 0), 1)])
-    return out
-
-
 @dataclass
 class HankelChain:
     """Main minors Det_n of the Hankel matrix of one seed, as subset sums.
@@ -124,8 +93,8 @@ class HankelChain:
     Entry (i, j) of the matrix is the (i+j)-th derivative of the seed along
     ``direction``; Det_0 = 1 and Det_{-1} = 0 by convention (the n = 0 and
     n = -1 cases of the chain relations force both).  ``minor`` forms Det_n
-    and bordered minors by Heine's identity (module docstring): C(m, n)
-    products for m distinct D weights, no derivative, and zero past m.
+    and bordered minors by Heine's identity over the seed's terms (module
+    docstring): no derivative, and zero past the seed's distinct D weights.
     """
 
     seed: ExpPoly
@@ -150,9 +119,21 @@ class HankelChain:
         scale, ints, border, k, cn, cd = g._scale, g._ints, None, n * (n - 1), 1, 1
         if h is not None:
             g, h, scale, ints, h_ints = _common_scale(g, _spectral(h, w))
-            border, k, cn, cd = _grouped(h_ints, ij), n * n, h._cn, h._cd
+            border = list(zip(h_ints.items(), _weights(*ij, h_ints)))
+            k, cn, cd = n * n, h._cn, h._cd
         cn, cd = _times(*_times(cn, cd, g._cn ** n, g._cd ** n), 1, scale ** k)
-        return _canonical(scale, _subset_sum(_grouped(ints, ij), n, border), cn, cd, w)
+        terms, lams = list(ints.items()), _weights(*ij, ints)
+        out: Dict[Tuple[int, int], int] = {}
+        for idx, c, _ in _shapes(lams, n):
+            u = v = 0
+            for i in idx:
+                (a, b), d = terms[i]
+                u, v, c = u + a, v + b, c * d
+            for key, x in ([((u, v), c)] if border is None else
+                           [((u + a, v + b), c * d * prod([mu - lams[i] for i in idx]))
+                            for ((a, b), d), mu in border]):
+                out[key] = out.get(key, 0) + x
+        return _canonical(scale, out, cn, cd, w)
 
     def det(self, n: int) -> ExpPoly:
         if n <= 0:

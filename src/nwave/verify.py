@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .exprat import (EVAL_PRECISION, ExpPoly, ExpRational, grid_values, ratio_text,
-                     term_texts, wave_constants)
+from .exprat import (EVAL_PRECISION, ExpPoly, ExpRational, InexactDivision, grid_values,
+                     ratio_text, term_texts, wave_constants)
 from .spectral import SpectralData, initial_config, spectral_data, wave_exponent
 from .tau import TauZero, check_gra, solution_from_tau, tau_U
 from .toda import (ab_closed, ab_init, ab_recursion_holds, ab_step, det_bareiss,
@@ -294,6 +294,7 @@ _Q4 = _Q2 + (("-3", "1/3"), ("3", "-1"))
 _Q5 = _Q2 + (("-3", "1/3"), ("2", "-1"), ("1/4", "1/2"))
 _Q6 = _Q5 + (("-1", "3"),)
 _Q8 = _Q6 + (("5/2", "1/4"), ("-5/3", "2/3"))
+_Q9 = _Q8 + (("7/4", "5"),)
 _P4 = (("5", "1"), ("-2", "1/2"), ("4", "1/3"), ("7/2", "2"))
 
 
@@ -419,17 +420,33 @@ def _b2_maps(rep: Report) -> None:
             and not t2a2[(PLUS, (0, 1))].is_zero())
 
 
+def _chain_step(rep: Report, name: str, build):
+    """build(), a chain step; None if the step is refused (InexactDivision,
+    PivotZero), after a failing check ``name`` quoting the refusal."""
+    try:
+        return build()
+    except (InexactDivision, PivotZero) as e:
+        rep.add(name, False, f"{type(e).__name__}: {e}")
+        return None
+
+
 def _toda(rep: Report) -> None:
-    s = spectral_data(_W, _P1, _Q5)
+    """The Toda chain on P1+9Q to its rank.  Det_n and tau_U(0, n) are one
+    subset enumeration (tau._shapes): det_bareiss (n <= 4) and the Toda
+    relation are the claim's independent witnesses."""
+    s = spectral_data(_W, _P1, _Q9)
     ch = hankel_chain(s)
-    hankel = [[ch.derivative(i + j) for j in range(4)] for i in range(4)]  # independent witness
-    rep.add("Det_n equals single-group subset sum (n <= 4)",
-            all(ch.det(n) == det_bareiss([row[:n] for row in hankel[:n]]) == tau_U(s, 0, n)
-                for n in range(5)))
-    for n in range(1, 5):
-        r = toda_residual(ch, n)
-        rep.add(f"Toda relation at n={n}", r.is_zero(),
-                witness=None if r.is_zero() else r.num)
+    hankel = [[ch.derivative(i + j) for j in range(4)] for i in range(4)]
+    rep.add("Det_n equals its elimination det_bareiss, an independent witness (n <= 4)",
+            all(ch.det(n) == det_bareiss([row[:n] for row in hankel[:n]]) for n in range(5)))
+    rep.add("Det_n equals tau_U(0, n), the same subset sum (n <= 9)",
+            all(ch.det(n) == tau_U(s, 0, n) for n in range(10)))
+    for n in range(1, 10):
+        r = _chain_step(rep, f"Toda relation at n={n}", lambda: toda_residual(ch, n))
+        if r is not None:
+            rep.add(f"Toda relation at n={n}", r.is_zero(),
+                    witness=None if r.is_zero() else r.num)
+    rep.add("Det_10 vanishes past the rank", ch.det(10).is_zero())
 
 
 def _tuple_literal(s: SpectralData, npts: int, weight_fn, scale: Fraction) -> ExpPoly:
@@ -453,13 +470,19 @@ def _ab_chain(rep: Report) -> None:
     levels = [ab_init(s)]
     rep.add("level 0 pair equals closed form", (levels[0].A, levels[0].B) == ab_closed(s, 0))
     for n, step in enumerate(("first", "second", "third"), 1):
-        levels.append(ab_step(levels[-1], ch))
-        rep.add(f"{step} step meets closed form", (levels[n].A, levels[n].B) == ab_closed(s, n))
+        c = _chain_step(rep, f"{step} step meets closed form", lambda: ab_step(levels[-1], ch))
+        if c is None:
+            break
+        levels.append(c)
+        rep.add(f"{step} step meets closed form", (c.A, c.B) == ab_closed(s, n))
         rep.add(f"{step} step meets the three-part recursion",
-                ab_recursion_holds(levels[n - 1], levels[n], ch))
+                ab_recursion_holds(levels[n - 1], c, ch))
     # the literals take 0.35 s on eight Q-spikes, 0.11 s on six (2-core host)
     s = spectral_data(_W, _P1, _Q6)
-    c1 = ab_step(ab_init(s), hankel_chain(s))
+    c1 = _chain_step(rep, "first step meets the ordered-tuple literals",
+                     lambda: ab_step(ab_init(s), hankel_chain(s)))
+    if c1 is None:
+        return
     lit_a1 = _tuple_literal(s, 3, lambda mu: (mu[0] - mu[2]) ** 2, Fraction(1, 2))
     lit_b1 = _tuple_literal(
         s, 4, lambda mu: (mu[0] - mu[3]) ** 2 * (mu[1] - mu[2]) ** 2, Fraction(1, 4)
@@ -474,14 +497,19 @@ def _first_root(rep: Report) -> None:
     m = model("B2")
     s = spectral_data(_W, _P4, _Q6)
     seed = initial_config(m, s)
-    steps = [(n, first_root_chain(seed, n)) for n in range(1, 5)]
-    for n, cfg in steps:
-        rep.add(f"step {n} equals tau({n},0)", cfg == solution_from_tau(m, s, n, 0))
+    steps = []
+    for n in range(1, 5):
+        cfg = _chain_step(rep, f"step {n} equals tau({n},0)", lambda: first_root_chain(seed, n))
+        if cfg is not None:
+            rep.add(f"step {n} equals tau({n},0)", cfg == solution_from_tau(m, s, n, 0))
+            steps.append((n, cfg))
     _solution_checks(lambda: [(f"step {n} solves B2", m, cfg) for n, cfg in steps], rep)
     try:
         first_root_chain(seed, 5)
     except PivotZero:
         rep.add("step 5 past the rank raises PivotZero", True)
+    except InexactDivision as e:
+        rep.add("step 5 past the rank raises PivotZero", False, f"InexactDivision: {e}")
     else:
         rep.add("step 5 past the rank raises PivotZero", False, "step 5 was built")
 

@@ -390,7 +390,7 @@ def test_verify_report_file_schema(tmp_path):
     doc = json.loads(report.read_text())
     assert doc["schema"] == 1
     assert doc["pass"] is True
-    assert doc["counts"] == {"total": 5, "failed": 0}
+    assert doc["counts"] == {"total": 12, "failed": 0}
     assert all({"name", "pass"} <= set(c) for c in doc["checks"])
 
 

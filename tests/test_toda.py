@@ -20,6 +20,7 @@ from nwave.toda import (
     toda_residual,
 )
 from nwave.transforms import PivotZero, apply, apply_chain
+from nwave.verify import _Q9
 from nwave.wavesys import MINUS, PLUS, model
 
 W = wave_constants(1, "1/2", "1/3", 1)
@@ -177,22 +178,38 @@ def test_minors_are_subset_sums_without_division_product_or_derivative(monkeypat
     assert cfg == solution_from_tau(model("B2"), s_frc, 2, 0)
 
 
-Q9 = Q6 + [("5/2", "1/4"), ("-5/3", "2/3"), ("7/4", "5")]
-
-
-def test_det_up_to_nine_equals_tau_on_nine_q_spikes():
-    s = spectral_data(W, P1, Q9)
-    ch = hankel_chain(s)
-    assert all(ch.det(n) == tau_U(s, 0, n) for n in range(10))
-    assert ch.det(10).is_zero()
-
-
 def test_det_on_equally_spaced_positions_equals_the_elimination():
     # equal spacing makes many subsets share a position sum, so their
     # terms meet on one key
     ch = hankel_chain(spectral_data(W, [("9", "1")], [(str(k), "1") for k in range(1, 7)]))
     for n in range(8):
         assert ch.det(n) == det_bareiss(hankel_rows(ch, n))
+
+
+@st.composite
+def grid_seeds(draw, scale):
+    """1 to 4 terms with keys on a 3 x 3 grid over ``scale``, so that
+    several terms share a D weight along every direction."""
+    keys = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                         min_size=1, max_size=4, unique=True))
+    coefs = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=len(keys),
+                          max_size=len(keys)))
+    return exprat._canonical(scale, dict(zip(keys, coefs)), 1, 1, W)
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid_seeds(1), grid_seeds(2), st.sampled_from([(1, 0), (0, 1), (1, 1)]))
+def test_minors_of_seeds_with_repeated_d_weights_equal_the_elimination(seed, h, direction):
+    # A subset holding two terms of one D weight has a zero Vandermonde, so
+    # Heine's sum over the terms is the sum over the distinct weights: the
+    # rank is the number of distinct weights, and every minor to one past
+    # it, plain and bordered by h (over its own scale), is the elimination's.
+    g, hc = HankelChain(seed, W, direction), HankelChain(h, W, direction)
+    rank = len(set(exprat._weights(*direction, seed._ints)))
+    for n in range(1, rank + 2):
+        assert g.minor(n) == det_bareiss(hankel_rows(g, n))
+        assert g.minor(n - 1, h) == det_bareiss(bordered_rows(g, hc, n))
+    assert g.minor(rank + 1).is_zero()
 
 
 def test_a_seed_of_one_d_weight_has_rank_one():
@@ -323,7 +340,7 @@ def test_ab_step_runs_to_the_chains_rank():
     # On P1 and nine Q-spikes Det_10 is the first zero minor: the step
     # reaches level 9 and refuses the next; levels 1 to 3 equal their
     # closed forms.
-    s = spectral_data(W, P1, Q9)
+    s = spectral_data(W, P1, _Q9)
     ch, levels = hankel_chain(s), [ab_init(s)]
     for _ in range(9):
         levels.append(ab_step(levels[-1], ch))

@@ -476,6 +476,41 @@ def test_the_ab_chain_claim_fails_on_a_doubled_b(monkeypatch):
         "third step meets closed form", "third step meets the three-part recursion"]
 
 
+@pytest.mark.parametrize("suite, refused", [
+    ("ab-chain", "second step meets closed form"), ("first-root", "step 2 equals tau(2,0)")])
+def test_a_chain_claim_reports_a_refused_step_as_a_failing_check(monkeypatch, capsys, suite,
+                                                                 refused):
+    # Det_2 + 1 is no Hankel minor: the first step that divides by it is
+    # refused with InexactDivision.  The claim fails that step's first check,
+    # quoting the refusal, and the suite still ends in a report with exit 1.
+    minor = toda.HankelChain.minor
+    monkeypatch.setattr(toda.HankelChain, "minor", lambda self, n, h=None: minor(self, n, h)
+                        + (ONE if n == 2 and h is None else ExpPoly.zero()))
+    rep = verify_suite(suite)
+    failed = {c.name: c.detail for c in rep.checks if not c.passed}
+    assert failed[refused].startswith("InexactDivision: ")
+    assert len(rep.checks) > len(failed)
+    capsys.readouterr()
+    assert cli_main(["verify", "--suite", suite]) == 1
+    out, err = capsys.readouterr()
+    assert f"FAIL  {refused}  [InexactDivision: " in out
+    assert "error:" not in err
+
+
+def test_the_toda_claim_reports_a_vanishing_minor_as_a_failing_check(monkeypatch):
+    # Det_5 made zero: toda_residual refuses level 5 with PivotZero, which
+    # fails that level's check; levels 4 and 6 read Det_5 and fail as values.
+    minor = toda.HankelChain.minor
+    monkeypatch.setattr(toda.HankelChain, "minor", lambda self, n, h=None:
+                        ExpPoly.zero() if n == 5 else minor(self, n, h))
+    rep = verify_suite("toda")
+    failed = {c.name: c.detail for c in rep.checks if not c.passed}
+    assert failed["Toda relation at n=5"] == (
+        "PivotZero: TODA_CHAIN (chain step 5): pivot f-0.1 is identically zero")
+    assert {"Toda relation at n=4", "Toda relation at n=6"} <= set(failed)
+    assert "Toda relation at n=3" not in failed
+
+
 def test_suite_reports_are_deterministic():
     a = json.dumps(verify_suite("toda").as_dict(), sort_keys=True)
     b = json.dumps(verify_suite("toda").as_dict(), sort_keys=True)
