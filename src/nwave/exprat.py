@@ -632,17 +632,21 @@ PRODUCT_PAIRS = 2000
 DIVIDE_PAIRS = 400
 
 
-def sum_of_products(sums: Iterable[Iterable], w: WaveConstants) -> List[ExpPoly]:
+def sum_of_products(sums: Iterable[Iterable], w: WaveConstants,
+                    divisors: Optional[Sequence[Optional[ExpPoly]]] = None) -> List[ExpPoly]:
     """[sum(c * x1 * ... * xk) over (c, x1, ..., xk) in terms] for each
     terms in sums: c an int or Fraction, k >= 1 factors (k free per term),
-    each an ExpPoly x or ((i, j), x) for D_{i,j} x.
+    each an ExpPoly x or ((i, j), x) for D_{i,j} x.  With divisors, one per
+    sum, an ExpPoly or None, a sum with a divisor d gives divexact(sum, d)
+    instead, and raises as divexact does.
 
     Factors are taken in w's spectral coordinates (u, v), converted first
     if they have no constants.  Sparse sums (PACK_SLOTS_PER_TERM) are formed
     by the schoolbook pair loop (_product), the others by Kronecker substitution:
 
-    - the keys of each distinct operand of all the sums are brought to one
-      common scale S, once, and each operand is split into rows by u;
+    - the keys of each distinct operand of all the sums, a divisor of more
+      than one term included, are brought to one common scale S, once, and
+      each operand is split into rows by u;
     - ((i, j), x) is x's operand with each n times its D weight i*v - j*u
       (_weights), terms of weight 0 dropped, over a content divided by S;
     - a row becomes one int, the sum of n * 2**(k*j) over its terms, at
@@ -662,14 +666,29 @@ def sum_of_products(sums: Iterable[Iterable], w: WaveConstants) -> List[ExpPoly]
     balanced base-2**k digits of an output row are unique: a sum is zero
     exactly when each of its output row ints is 0.  Otherwise its nonzero
     digits are its terms, keyed (u, vmin + s*j) over S.
+
+    A packed sum with a divisor of more than one term is divided on its
+    output rows, which are never read back: the divisor's rows, packed at
+    the sum's own digit width, long-divide them (_packed_quotient, as in
+    divexact).  A nonzero remainder or a quotient row below the Newton box
+    refuses the division; a quotient whose digits are not proven at that
+    width, a sparse sum and a one-term divisor fall back to divexact on
+    the sum read back.  The divisor's v spacing joins the slot step; its
+    offset need not, as every v of a quotient q with q*d = sum lies in
+    the one class vmin - vmin(d) modulo s.
     """
     sums = [list(terms) for terms in sums]
+    divisors = [None] * len(sums) if divisors is None else list(divisors)
+    if len(divisors) != len(sums):
+        raise ValueError(f"{len(divisors)} divisors for {len(sums)} sums")
     xs = [x[1] if type(x) is tuple else x for terms in sums for t in terms for x in t[1:]]
     if any(x._w is not w for x in xs if x._ints):  # a factor in other coordinates
         sums = [[(t[0], *[(x[0], _spectral(x[1], w)) if type(x) is tuple else _spectral(x, w)
                           for x in t[1:]]) for t in terms] for terms in sums]
         xs = [x[1] if type(x) is tuple else x for terms in sums for t in terms for x in t[1:]]
-    scale = lcm(*[x._scale for x in xs])
+    # a divisor of more than one term is packed, in w's coordinates; others go to divexact
+    packed = [_spectral(d, w) if d is not None and len(d._ints) > 1 else None for d in divisors]
+    scale = lcm(*[x._scale for x in xs], *[d._scale for d in packed if d])
     ops: Dict[tuple, Optional[_Operand]] = {}
 
     def operand(x: ExpPoly, ij: Optional[Tuple[int, int]] = None) -> Optional[_Operand]:
@@ -711,9 +730,11 @@ def sum_of_products(sums: Iterable[Iterable], w: WaveConstants) -> List[ExpPoly]
                     f.append(operand(ONE))
                 prods.append((t, f, n, d, norm, lo, hi))
         products.append(prods)
+    ds = [operand(d) if d else None for d in packed]  # before the step, which they join
     step = gcd(*[v - op.lo for op in ops.values() if op for v in op.vs],
                *[p[5] - prods[0][5] for prods in products for p in prods]) or 1
-    return [_sum(prods, step, scale, w) for prods in products]
+    return [_sum(prods, p or d, op, step, scale, w)
+            for prods, d, p, op in zip(products, divisors, packed, ds)]
 
 
 class _Operand:
@@ -765,24 +786,26 @@ def _row_product(rows_p: Iterable, rows_q: Iterable, out: Optional[dict] = None)
     return out
 
 
-def _sum(prods, step: int, scale: int, w: WaveConstants) -> ExpPoly:
+def _sum(prods, divisor: Optional[ExpPoly], d: Optional[_Operand], step: int, scale: int,
+         w: WaveConstants) -> ExpPoly:
     """sum(c * x1 * ... * xk) over the products prods of one sum (see
-    sum_of_products): term by term when sparse, else packed: the rows of
-    all but the last factor chained, scaled and shifted to the product's
-    offset, the last pair added into the output rows, and their nonzero
-    digits read back."""
-    if not prods:
-        return _ZERO
-    lo = min([p[5] for p in prods])
-    nslots = (max([p[6] for p in prods]) - lo) // step + 1
+    sum_of_products), divided by divisor unless it is None, d its operand
+    when it has more than one term: term by term when sparse, else packed:
+    the rows of all but the last factor chained, scaled and shifted to the
+    product's offset, the last pair added into the output rows, and then
+    their quotient by d's rows or their nonzero digits read back."""
+    if not prods:  # zero, and so is its quotient by a divisor of more than one term
+        return _ZERO if divisor is None or d is not None else divexact(_ZERO, divisor)
+    lo, hi = min([p[5] for p in prods]), max([p[6] for p in prods])
+    nslots = (hi - lo) // step + 1
     slots, nterms = nslots, 0
-    for p in prods:
-        for op in p[1]:
-            slots += op.nrows * ((op.hi - op.lo) // step + 1)
-            nterms += len(op.vs)
+    for op in [op for p in prods for op in p[1]] + ([d] if d else []):
+        slots += op.nrows * ((op.hi - op.lo) // step + 1)
+        nterms += len(op.vs)
     if slots > PACK_SLOTS_PER_TERM * nterms:
-        return sum((reduce(_product, [x[1].deriv(*x[0], w) if type(x) is tuple else x
-                                      for x in t[1:]]) * t[0] for t, *_ in prods), _ZERO)
+        s = sum((reduce(_product, [x[1].deriv(*x[0], w) if type(x) is tuple else x
+                                   for x in t[1:]]) * t[0] for t, *_ in prods), _ZERO)
+        return s if divisor is None else divexact(s, divisor)
     # the products' coefficients as integers over one content g/den
     den = lcm(*[p[3] for p in prods])
     nums = [p[2] * (den // p[3]) for p in prods]
@@ -799,8 +822,17 @@ def _sum(prods, step: int, scale: int, w: WaveConstants) -> ExpPoly:
         for op in mid:
             rows_p = _row_product(rows_p, op.pack(step, k)).items()
         _row_product([(u, (x * m) << shift) for u, x in rows_p], last.pack(step, k), acc)
+    content = _times(g, 1, 1, den)
+    if d is not None:
+        rem = {u: x for u, x in acc.items() if x}
+        if not rem:
+            return _ZERO
+        quot = _packed_quotient(rem, d, min(rem), lo, hi, step, nbytes)
+        if quot is not None:
+            return _canonical(scale, quot, *_quotient(*content, divisor._cn, divisor._cd), w)
     out = {(u, lo + step * j): n for u, j, n in _digits(acc.items(), nslots, nbytes)}
-    return _canonical(scale, out, *_times(g, 1, 1, den), w)
+    s = _canonical(scale, out, *content, w)
+    return s if divisor is None else divexact(s, divisor)
 
 
 def _digits(rows: Iterable, nslots: int, nbytes: int) -> Iterator[Tuple[int, int, int]]:
@@ -847,9 +879,16 @@ def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
     num, den, scale, tn, td = _common_scale(num, den)
     content = _quotient(num._cn, num._cd, den._cn, den._cd)
     if len(td) * (len(tn) - len(td)) >= DIVIDE_PAIRS:
-        quot = _packed_quotient(tn, td)
-        if quot is not None:
-            return _reduced(scale, quot, *content, num._w)
+        # packed rows, each digit 2**k above |n|_inf * |d|_1, unless sparse
+        n, d = (_Operand([u for u, _ in t], [v for _, v in t], list(t.values())) for t in (tn, td))
+        step = gcd(*[v - op.lo for op in (n, d) for v in op.vs]) or 1
+        slots = sum(op.nrows * ((op.hi - op.lo) // step + 1) for op in (n, d))
+        if slots <= PACK_SLOTS_PER_TERM * (len(tn) + len(td)):
+            nbytes = (max(map(abs, n.ns)) * d.norm).bit_length() // 8 + 1
+            quot = _packed_quotient(dict(n.pack(step, 8 * nbytes)), d, min(n.us), n.lo, n.hi,
+                                    step, nbytes)
+            if quot is not None:
+                return _reduced(scale, quot, *content, num._w)
     lead = max(td)
     lead_n = td[lead]
     lo_a = min(a for a, _ in tn) - min(a for a, _ in td)
@@ -886,11 +925,14 @@ def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
     return _reduced(scale, quot, *content, num._w)
 
 
-def _packed_quotient(tn: dict, td: dict) -> Optional[dict]:
-    """The quotient {(u, v): n} of the terms tn by td, by long division in u
-    over rows packed as sum_of_products packs them, a k-bit digit per v slot,
-    2**k above |n|_inf * |d|_1; None when the rows are sparse
-    (PACK_SLOTS_PER_TERM) or the candidate is unproven: the heap loop decides.
+def _packed_quotient(rem: Dict[int, int], d: _Operand, ulo: int, vlo: int, vhi: int,
+                     step: int, nbytes: int) -> Optional[dict]:
+    """The quotient {(u, v): n} of a nonzero numerator by the divisor d, by
+    long division in u over rows packed as sum_of_products packs them, a
+    k = 8 * nbytes bit digit per v slot: rem {u: int} holds the numerator's
+    rows (it is consumed), slot 0 at vlo, its terms within u >= ulo and
+    vlo <= v <= vhi, every coefficient within +-2**(k-1).  None when the
+    candidate is unproven, and the caller divides another way.
 
     Each step divides the greatest remainder row by the divisor's leading
     row (one int divmod) and subtracts the quotient row times the other
@@ -902,18 +944,12 @@ def _packed_quotient(tn: dict, td: dict) -> Optional[dict]:
     rows exactly and |q|_inf * |d|_1 < 2**(k-1), as q*d and num then have
     unique balanced digits and are equal.
     """
-    n, d = (_Operand([u for u, _ in t], [v for _, v in t], list(t.values())) for t in (tn, td))
-    step = gcd(*[v - op.lo for op in (n, d) for v in op.vs]) or 1
-    nslots = (n.hi - d.hi - n.lo + d.lo) // step + 1
+    nslots = (vhi - d.hi - vlo + d.lo) // step + 1
     if nslots < 1:
         raise InexactDivision("quotient key outside the Newton-polytope bounds")
-    slots = n.nrows * ((n.hi - n.lo) // step + 1) + d.nrows * ((d.hi - d.lo) // step + 1)
-    if slots > PACK_SLOTS_PER_TERM * (len(tn) + len(td)):
-        return None
-    nbytes = (max(map(abs, n.ns)) * d.norm).bit_length() // 8 + 1
-    rem, rows = dict(n.pack(step, 8 * nbytes)), dict(d.pack(step, 8 * nbytes))
+    rows = dict(d.pack(step, 8 * nbytes))
     top = max(rows)
-    lead, lo, quot = rows.pop(top), min(n.us) - min(d.us), {}
+    lead, lo, quot = rows.pop(top), ulo - min(d.us), {}
     while rem:
         u = max(rem)
         r = rem.pop(u)
@@ -926,7 +962,7 @@ def _packed_quotient(tn: dict, td: dict) -> Optional[dict]:
             quot[u - top] = x
             _row_product([(u - top, -x)], rows.items(), rem)
     try:
-        q = {(u, n.lo - d.lo + step * j): c for u, j, c in _digits(quot.items(), nslots, nbytes)}
+        q = {(u, vlo - d.lo + step * j): c for u, j, c in _digits(quot.items(), nslots, nbytes)}
     except OverflowError:
         return None
     return q if max(map(abs, q.values())) * d.norm >> (8 * nbytes - 1) == 0 else None

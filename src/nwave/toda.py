@@ -200,7 +200,9 @@ def ab_step(prev: ABChain, chain: HankelChain) -> ABChain:
     identity Det_n B' = D_{1,1} A' Det_{n+1} - 2 A' D Det_{n+1} + B Det_{n+2}
     (D = D_{1,0}, the chain's direction): each one sum_of_products call with
     its derivatives as factors ((i, j), x), differentiated at pack time, and
-    one exact division by Det_n (InexactDivision off genuine chain data).
+    its divisor 2 Det_n or Det_n, so that the numerator is divided exactly
+    on its packed rows and never read back (InexactDivision off genuine
+    chain data).
     The identity stands in for the paper's three-part recursion, which
     ``ab_recursion_holds`` checks without a division.
 
@@ -213,11 +215,10 @@ def ab_step(prev: ABChain, chain: HankelChain) -> ABChain:
     if dn1.is_zero():
         raise PivotZero("AB_CHAIN", CHAIN_SEED_KEY, step=n)
     dn, w, ij, b = chain.det(n), chain.constants, chain.direction, prev.B
-    [num_a] = sum_of_products([[(1, dn1, (ij, b)), (-2, b, (ij, dn1))]], w)
-    a = divexact(num_a, dn * 2)
-    [num_b] = sum_of_products([[(1, ((1, 1), a), dn1), (-2, a, (ij, dn1)),
-                                (1, b, chain.det(n + 2))]], w)
-    return ABChain(n + 1, a, divexact(num_b, dn))
+    [a] = sum_of_products([[(1, dn1, (ij, b)), (-2, b, (ij, dn1))]], w, [dn * 2])
+    [b] = sum_of_products([[(1, ((1, 1), a), dn1), (-2, a, (ij, dn1)),
+                            (1, b, chain.det(n + 2))]], w, [dn])
+    return ABChain(n + 1, a, b)
 
 
 def ab_recursion_holds(prev: ABChain, nxt: ABChain, chain: HankelChain) -> bool:

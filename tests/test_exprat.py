@@ -938,12 +938,13 @@ def test_divexact_and_products_agree_on_both_sides_of_the_crossovers(qr, dr, ext
 
 
 def _packed_results(monkeypatch):
-    """The list that each result of exprat._packed_quotient, a quotient or
-    None, is appended to, from now on."""
+    """The list that each result of the long division on packed rows
+    (exprat._packed_quotient, shared by divexact and sum_of_products), a
+    quotient or None, is appended to, from now on."""
     packed, results = exprat._packed_quotient, []
 
-    def recording(tn, td):
-        results.append(packed(tn, td))
+    def recording(*args):
+        results.append(packed(*args))
         return results[-1]
 
     monkeypatch.setattr(exprat, "_packed_quotient", recording)
@@ -967,8 +968,8 @@ def test_a_quotient_past_the_first_digit_width_is_still_exact(monkeypatch):
 
 def test_a_large_sparse_division_stays_on_the_heap_loop(monkeypatch):
     # keys some 10**4 apart: packed rows would hold thousands of slots per
-    # term, so divexact declines them (PACK_SLOTS_PER_TERM) and the heap
-    # loop divides
+    # term, so divexact declines them (PACK_SLOTS_PER_TERM) before any long
+    # division on packed rows, and the heap loop divides
     d = ExpPoly.from_lattice(1, {(0, 0): 1, (0, 1): -2, (0, 10 ** 4): 3}, 1, 1)
     q = ExpPoly.from_lattice(1, {(0, 10 ** 4 * i + i * i): i + 1 for i in range(200)}, 1, 1)
     assert len(d.terms) * (len((q * d).terms) - len(d.terms)) >= exprat.DIVIDE_PAIRS
@@ -976,7 +977,138 @@ def test_a_large_sparse_division_stays_on_the_heap_loop(monkeypatch):
     heapify = exprat.heapify
     monkeypatch.setattr(exprat, "heapify", lambda h: heaps.append(len(h)) or heapify(h))
     assert divexact(q * d, d) == q
-    assert results == [None] and len(heaps) == 1
+    assert results == [] and len(heaps) == 1
+
+
+# -- sums divided on the kernel's rows ---------------------------------------------
+
+def _outcome(run):
+    """run()'s value, or the type of the exact-division error it raised."""
+    try:
+        return run()
+    except (InexactDivision, DivisionByZeroField) as e:
+        return type(e)
+
+
+def _unit(draw):
+    """A drawn one-term value."""
+    return _poly_and_reference(draw(operands())[:1])[0]
+
+
+@st.composite
+def divided_sums(draw):
+    """(sums, divisors) for sum_of_products: one or two sums of one to three
+    products of one to three factors, all drawn by factors or all spectral
+    values (dense rows, packed as shipped), each sum with a divisor: None,
+    one term, any value, or most often a value d that is one more factor
+    of every product, so that the sum divides; then sometimes the products
+    cancel (a zero sum) or one more term joins them (no quotient by d
+    unless d is a unit)."""
+    sums, divisors = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        spectral = draw(st.booleans())
+        factor = (lambda: draw(spectral_values())[0]) if spectral else (lambda: draw(factors())[0])
+        terms = [[draw(big_coefs), *[factor() for _ in range(draw(st.integers(1, 3)))]]
+                 for _ in range(draw(st.integers(1, 3)))]
+        kind = draw(st.sampled_from(["none", "unit", "any", "zero", "plus a term"] + ["factor"] * 3))
+        d = None if kind == "none" else _unit(draw) if kind == "unit" else (
+            draw(spectral_values(min_terms=2))[0] if spectral
+            else _poly_and_reference(draw(operands()))[0])
+        if kind in ("factor", "zero", "plus a term"):
+            for t in terms:
+                t.insert(draw(st.integers(1, len(t))), d)
+        if kind == "zero":
+            terms += [[-t[0], *t[:0:-1]] for t in terms]
+        if kind == "plus a term":
+            terms.append([draw(big_coefs), _unit(draw)])
+        sums.append([tuple(t) for t in terms])
+        divisors.append(d)
+    return sums, divisors
+
+
+@settings(max_examples=60)
+@given(divided_sums())
+def test_a_sum_with_a_divisor_is_divexact_of_the_sum(case):
+    # sum_of_products(sums, w, divisors) is divexact of each sum by its
+    # divisor, or both raise the same error; as shipped and with packing forced
+    sums, divisors = case
+    want = _outcome(lambda: [s if d is None else divexact(s, d)
+                             for s, d in zip(sum_of_products(sums, W), divisors)])
+    for forced in ({}, ALWAYS_PACK):
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in forced.items():
+                mp.setattr(exprat, name, value)
+            got = _outcome(lambda: sum_of_products(sums, W, divisors))
+        assert got == want
+
+
+def _spectral_poly(ints):
+    """sum(n * e^theta(u, v)) over {(u, v): n}, in W's spectral coordinates."""
+    return exprat._canonical(1, dict(ints), 1, 1, W)
+
+
+def _binomials(*powers):
+    """prod (1 - x**k) over powers, x = e^theta(0, 1): one spectral row."""
+    return math.prod((_spectral_poly({(0, 0): 1, (0, k): -1}) for k in powers), start=ExpPoly.const(1))
+
+
+def _sparse_pair():
+    """Two values of eight spike waves, the last 10**6 slot steps past the others."""
+    def wave(k):
+        return spectral_key(F(1), F(k if k < 7 else 6 + 10 ** 6))
+    return (_poly_and_reference([(k + 1, *wave(k)) for k in range(8)])[0],
+            _poly_and_reference([(2 * k - 5, *wave(k)) for k in range(8)])[0])
+
+
+def _division_cases():
+    """(id, sums, divisors, path, quotients or the refusal's message): the
+    path is "rows" for a quotient read off the long division of the
+    kernel's rows, "divexact" for a fallback to divexact on the sum read
+    back, and "refused" for a refusal by the long division."""
+    p, q = ExpPoly.const(6) + ExpPoly.term(1, 2, -1), ExpPoly.const(7) + ExpPoly.term(1, 0, 1)
+    sp, sq = _sparse_pair()
+    y1, y2 = _spectral_poly({(0, 0): 1, (1, 0): 1}), _spectral_poly({(0, 0): 1, (1, 0): 2})
+    return [
+        ("a one-term divisor", [[(3, p, q)]], [ExpPoly.term(2, 1, 1)], "divexact", None),
+        ("a zero sum", [[(1, p, q), (-1, q, p)]], [q], "rows", [ExpPoly.zero()]),
+        ("a sparse sum", [[(3, sp, sq)]], [sq], "divexact", [sp * 3]),
+        # (1 + y) / (1 + 2y), y = e^theta(1, 0): the leading row does not divide
+        ("a nonzero remainder", [[(1, y1)]], [y2], "refused", "leading coefficient does not divide"),
+        # (1 + y + 2y^2) / (1 + 2y): after the quotient row y the remainder
+        # is 1, which only a quotient row at y^-1, below the Newton box, removes
+        ("a quotient row below the u-bound", [[(1, y1 + _spectral_poly({(2, 0): 2}))]], [y2],
+         "refused", "quotient key outside the Newton-polytope bounds"),
+        # num = (1-x^16)...(1-x^19) and d = (1-x)...(1-x^4): the quotient is
+        # the Gaussian binomial [19 choose 4] in x, coefficients up to 150, but
+        # the sum's 1-norm 16 gives it 8-bit digits, and the width check
+        # refuses the quotient's misread digits
+        ("digits past the sum's width", [[(1, _binomials(16, 17, 18, 19))]],
+         [_binomials(1, 2, 3, 4)], "divexact", None),
+        # (1 - x^2) / (1 + x): the sum alone has a slot step of 2, the divisor 1
+        ("a divisor finer than the sum", [[(1, _binomials(2))]],
+         [_spectral_poly({(0, 0): 1, (0, 1): 1})], "rows", [_spectral_poly({(0, 0): 1, (0, 1): -1})]),
+    ]
+
+
+@pytest.mark.parametrize("case", _division_cases(), ids=lambda case: case[0])
+def test_a_divided_sum_takes_its_path_and_stays_exact(monkeypatch, case):
+    _, sums, divisors, path, expected = case
+    want = _outcome(lambda: [divexact(s, d) for s, d in zip(sum_of_products(sums, W), divisors)])
+    results, fallbacks, divexact_ = _packed_results(monkeypatch), [], exprat.divexact
+    monkeypatch.setattr(exprat, "divexact", lambda n, d: fallbacks.append(d) or divexact_(n, d))
+    if path == "refused":
+        assert want is InexactDivision
+        with pytest.raises(InexactDivision, match=expected):
+            sum_of_products(sums, W, divisors)
+        assert fallbacks == [] and results == []
+        return
+    got = sum_of_products(sums, W, divisors)
+    assert got == want and (expected is None or got == expected)
+    assert fallbacks == (divisors if path == "divexact" else [])
+    if path == "rows":
+        assert all(r is not None for r in results)
+    elif case[0] == "digits past the sum's width":
+        assert results == [None]
 
 
 # -- the spectral and the exponent form of one value -------------------------------

@@ -261,19 +261,27 @@ def test_ab_step_forms_its_products_without_pair_loops(monkeypatch):
         assert (c.A, c.B) == ab_closed(s, c.level)
 
 
-def test_ab_step_divides_on_packed_rows(monkeypatch):
-    # From level 1 to 2, A's numerator (75 terms) is divided by 2 Det_1 and
-    # B's (78 terms) by Det_1 (6 terms): both are dense and past
-    # DIVIDE_PAIRS, so no heap step runs.
-    s = s6()
-    ch = hankel_chain(s)
-    ch.det(3)
-    c1 = ab_step(ab_init(s), ch)
-    heapify, heaps = exprat.heapify, []
-    monkeypatch.setattr(exprat, "heapify", lambda h: heaps.append(len(h)) or heapify(h))
-    c2 = ab_step(c1, ch)
-    assert heaps == []
-    assert (c2.A, c2.B) == ab_closed(s, 2)
+def test_ab_step_above_level_zero_makes_no_divexact_call(monkeypatch):
+    # Above level 0, Det_n has more than one term, and each numerator is
+    # divided on the kernel's rows at its own digit width, never read back:
+    # no step to the rank of P1 and nine Q-spikes calls divexact, and each
+    # long division is proven: 14 of them, as A and B at the rank, level 9,
+    # are zero.  Level 0's Det_0 = 1 is a unit: divexact.
+    s = spectral_data(W, P1, _Q9)
+    ch, levels = hankel_chain(s), [ab_init(s)]
+    for n in range(10):
+        ch.det(n + 1)
+    levels.append(ab_step(levels[0], ch))
+    divexact, calls = exprat.divexact, []
+    monkeypatch.setattr(exprat, "divexact", lambda n, d: calls.append(d) or divexact(n, d))
+    packed, quotients = exprat._packed_quotient, []
+    monkeypatch.setattr(exprat, "_packed_quotient",
+                        lambda *args: quotients.append(packed(*args)) or quotients[-1])
+    for _ in range(8):
+        levels.append(ab_step(levels[-1], ch))
+    assert calls == [] and len(quotients) == 14 and None not in quotients
+    monkeypatch.undo()
+    assert (levels[2].A, levels[2].B) == ab_closed(s, 2)
 
 
 def test_ab_step_differentiates_its_factors_at_pack_time(monkeypatch):
