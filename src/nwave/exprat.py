@@ -123,15 +123,14 @@ class WaveConstants:
     Instances compare and hash by ``lattice``, which the speeds determine
     and which determines them: equal speeds, however written, are equal
     constants.  Each speed is coerced by ``as_frac``, so an integer pair
-    (n, d) is read as n/d without any text; ``delta``, ``basis`` and
-    ``lattice`` are derived from the speeds' integers alone.
+    (n, d) is read as n/d without any text; ``basis`` and ``lattice`` are
+    derived from the speeds' integers alone.
     """
 
     c1: Fraction = field(compare=False)
     c2: Fraction = field(compare=False)
     d1: Fraction = field(compare=False)
     d2: Fraction = field(compare=False)
-    delta: Fraction = field(init=False, repr=False, compare=False)
     basis: Tuple[int, int, int, int, int] = field(init=False, repr=False, compare=False)
     lattice: Tuple[int, int, int, int, int] = field(init=False, repr=False)
 
@@ -151,7 +150,6 @@ class WaveConstants:
         # theta's inverse is (-c2, -d2; c1, d1) / delta = (-C2, -D2; C1, D1) * H / det
         g = gcd(C1, C2, D1, D2) * H
         g = gcd(g, det) if det > 0 else -gcd(g, det)
-        object.__setattr__(self, "delta", Fraction(det, H * H))
         object.__setattr__(self, "basis", (-C2 * H // g, -D2 * H // g, C1 * H // g,
                                            D1 * H // g, det // g))
         object.__setattr__(self, "lattice", (H, D1, D2, C1, C2))
@@ -623,13 +621,10 @@ def term_texts(p: ExpPoly) -> list:
 PACK_SLOTS_PER_TERM = 8
 
 #: ExpPoly.__mul__ hands a product of more than this many term pairs under
-#: one set of constants to sum_of_products: on maps of 1,000-term values
-#: the kernel took 0.2 to 0.4 of the dict loop's time.
+#: one set of constants to sum_of_products, and divexact a division whose
+#: check product q * den has that many (|den| * (|num| - |den|)): on maps of
+#: 1,000-term values the kernel took 0.2 to 0.4 of the dict loop's time.
 PRODUCT_PAIRS = 2000
-
-#: divexact packs a division of |den| * (|num| - |den|) at least this many
-#: term pairs whose rows are dense (PACK_SLOTS_PER_TERM).
-DIVIDE_PAIRS = 400
 
 
 def sum_of_products(sums: Iterable[Iterable], w: WaveConstants,
@@ -669,13 +664,14 @@ def sum_of_products(sums: Iterable[Iterable], w: WaveConstants,
 
     A packed sum with a divisor of more than one term is divided on its
     output rows, which are never read back: the divisor's rows, packed at
-    the sum's own digit width, long-divide them (_packed_quotient, as in
-    divexact).  A nonzero remainder or a quotient row below the Newton box
-    refuses the division; a quotient whose digits are not proven at that
-    width, a sparse sum and a one-term divisor fall back to divexact on
-    the sum read back.  The divisor's v spacing joins the slot step; its
-    offset need not, as every v of a quotient q with q*d = sum lies in
-    the one class vmin - vmin(d) modulo s.
+    the sum's own digit width, long-divide them (_packed_quotient).  A
+    nonzero remainder or a quotient row below the Newton box refuses the
+    division.  A quotient whose digits are not proven at that width, and a
+    sparse sum, are divided by the heap loop (_heap_quotient) on the sum
+    read back, never by divexact, so a division enters the kernel once; a
+    one-term divisor is a unit, divided by divexact.  The divisor's v
+    spacing joins the slot step; its offset need not, as every v of a
+    quotient q with q*d = sum lies in the one class vmin - vmin(d) mod s.
     """
     sums = [list(terms) for terms in sums]
     divisors = [None] * len(sums) if divisors is None else list(divisors)
@@ -794,8 +790,10 @@ def _sum(prods, divisor: Optional[ExpPoly], d: Optional[_Operand], step: int, sc
     the rows of all but the last factor chained, scaled and shifted to the
     product's offset, the last pair added into the output rows, and then
     their quotient by d's rows or their nonzero digits read back."""
-    if not prods:  # zero, and so is its quotient by a divisor of more than one term
-        return _ZERO if divisor is None or d is not None else divexact(_ZERO, divisor)
+    if d is None and divisor is not None:  # a unit (or zero), which divexact never packs
+        return divexact(_sum(prods, None, None, step, scale, w), divisor)
+    if not prods:  # zero, and so is its quotient by d
+        return _ZERO
     lo, hi = min([p[5] for p in prods]), max([p[6] for p in prods])
     nslots = (hi - lo) // step + 1
     slots, nterms = nslots, 0
@@ -805,7 +803,7 @@ def _sum(prods, divisor: Optional[ExpPoly], d: Optional[_Operand], step: int, sc
     if slots > PACK_SLOTS_PER_TERM * nterms:
         s = sum((reduce(_product, [x[1].deriv(*x[0], w) if type(x) is tuple else x
                                    for x in t[1:]]) * t[0] for t, *_ in prods), _ZERO)
-        return s if divisor is None else divexact(s, divisor)
+        return s if d is None or not s else _heap_quotient(s, divisor)
     # the products' coefficients as integers over one content g/den
     den = lcm(*[p[3] for p in prods])
     nums = [p[2] * (den // p[3]) for p in prods]
@@ -827,12 +825,12 @@ def _sum(prods, divisor: Optional[ExpPoly], d: Optional[_Operand], step: int, sc
         rem = {u: x for u, x in acc.items() if x}
         if not rem:
             return _ZERO
-        quot = _packed_quotient(rem, d, min(rem), lo, hi, step, nbytes)
+        quot = _packed_quotient(rem, d, lo, hi, step, nbytes)
         if quot is not None:
             return _canonical(scale, quot, *_quotient(*content, divisor._cn, divisor._cd), w)
     out = {(u, lo + step * j): n for u, j, n in _digits(acc.items(), nslots, nbytes)}
     s = _canonical(scale, out, *content, w)
-    return s if divisor is None else divexact(s, divisor)
+    return s if d is None else _heap_quotient(s, divisor)
 
 
 def _digits(rows: Iterable, nslots: int, nbytes: int) -> Iterator[Tuple[int, int, int]]:
@@ -851,24 +849,13 @@ def _digits(rows: Iterable, nslots: int, nbytes: int) -> Iterator[Tuple[int, int
 
 
 def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
-    """Exact quotient num/den in the exponential-polynomial ring.
-
-    Eliminates the lexicographically greatest term of the remainder at each
-    step, updating the remainder in place and finding its greatest key with
-    a max-heap.  Every monomial is invertible, so the ring is an
-    ordered-group ring and an integral domain, and a quotient q with
-    num = q*den has Newton polytope N(num) = N(q) + N(den): each key of q
-    lies in the box [min(num) - min(den), max(num) - max(den)], taken per
-    coordinate, and is lexicographically at least min(num) - min(den).  A
-    candidate key outside those bounds proves that no quotient exists; so
-    does a leading coefficient that does not divide, since by Gauss's lemma
-    the quotient of primitive integer parts is integral.  Every step takes
-    a new candidate key, smaller than the one before, from the finite set of
-    lattice points in the box, so the loop ends.  A one-term divisor is a
-    unit, so its quotient is a translation of num's keys.  A large dense
-    division (DIVIDE_PAIRS) is first tried on packed rows (_packed_quotient).
-    All of this holds in either coordinate system.  Raises InexactDivision
-    if no ring quotient exists.
+    """Exact quotient num/den in the exponential-polynomial ring, an integral
+    domain in which every monomial is a unit: a one-term divisor translates
+    num's keys.  Under wave constants, a division whose check product q*den
+    has more than PRODUCT_PAIRS term pairs, |den| * (|num| - |den|), is the
+    one-product sum num over the divisor den of sum_of_products, divided on
+    the kernel's packed rows; any other runs the heap loop (_heap_quotient).
+    Raises InexactDivision if no ring quotient exists.
     """
     if den.is_zero():
         raise DivisionByZeroField("divexact by zero")
@@ -876,19 +863,29 @@ def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
         return _ZERO
     if len(den._ints) == 1:
         return num * _split(den)[0]
+    w = num._w if num._w is not None else den._w
+    nd = len(den._ints)
+    if w is not None and nd * (len(num._ints) - nd) > PRODUCT_PAIRS:
+        return sum_of_products([[(1, num)]], w, [den])[0]
+    return _heap_quotient(num, den)
+
+
+def _heap_quotient(num: ExpPoly, den: ExpPoly) -> ExpPoly:
+    """num/den for num nonzero and den of more than one term, in either
+    coordinate system: eliminates the lexicographically greatest term of the
+    remainder at each step, updating it in place, its greatest key found by
+    a max-heap.  The ring is an ordered-group ring, so a quotient q with
+    num = q*den has Newton polytope N(num) = N(q) + N(den): each key of q
+    lies in the box [min(num) - min(den), max(num) - max(den)], taken per
+    coordinate, and is lexicographically at least min(num) - min(den).  A
+    candidate key outside those bounds proves that no quotient exists; so
+    does a leading coefficient that does not divide, since by Gauss's lemma
+    the quotient of primitive integer parts is integral.  Every step takes
+    a new candidate key, smaller than the one before, from the finite set of
+    lattice points in the box, so the loop ends.
+    """
     num, den, scale, tn, td = _common_scale(num, den)
     content = _quotient(num._cn, num._cd, den._cn, den._cd)
-    if len(td) * (len(tn) - len(td)) >= DIVIDE_PAIRS:
-        # packed rows, each digit 2**k above |n|_inf * |d|_1, unless sparse
-        n, d = (_Operand([u for u, _ in t], [v for _, v in t], list(t.values())) for t in (tn, td))
-        step = gcd(*[v - op.lo for op in (n, d) for v in op.vs]) or 1
-        slots = sum(op.nrows * ((op.hi - op.lo) // step + 1) for op in (n, d))
-        if slots <= PACK_SLOTS_PER_TERM * (len(tn) + len(td)):
-            nbytes = (max(map(abs, n.ns)) * d.norm).bit_length() // 8 + 1
-            quot = _packed_quotient(dict(n.pack(step, 8 * nbytes)), d, min(n.us), n.lo, n.hi,
-                                    step, nbytes)
-            if quot is not None:
-                return _reduced(scale, quot, *content, num._w)
     lead = max(td)
     lead_n = td[lead]
     lo_a = min(a for a, _ in tn) - min(a for a, _ in td)
@@ -925,14 +922,14 @@ def divexact(num: ExpPoly, den: ExpPoly) -> ExpPoly:
     return _reduced(scale, quot, *content, num._w)
 
 
-def _packed_quotient(rem: Dict[int, int], d: _Operand, ulo: int, vlo: int, vhi: int,
-                     step: int, nbytes: int) -> Optional[dict]:
-    """The quotient {(u, v): n} of a nonzero numerator by the divisor d, by
-    long division in u over rows packed as sum_of_products packs them, a
-    k = 8 * nbytes bit digit per v slot: rem {u: int} holds the numerator's
-    rows (it is consumed), slot 0 at vlo, its terms within u >= ulo and
-    vlo <= v <= vhi, every coefficient within +-2**(k-1).  None when the
-    candidate is unproven, and the caller divides another way.
+def _packed_quotient(rem: Dict[int, int], d: _Operand, vlo: int, vhi: int, step: int,
+                     nbytes: int) -> Optional[dict]:
+    """The quotient {(u, v): n} of a nonzero packed sum by its divisor d (see
+    _sum), by long division in u over rows packed as sum_of_products packs
+    them, a k = 8 * nbytes bit digit per v slot: rem {u: int} holds the
+    sum's nonzero output rows (it is consumed), slot 0 at vlo, its terms
+    within vlo <= v <= vhi, every coefficient within +-2**(k-1).
+    None when the candidate is unproven, and _sum divides by the heap loop.
 
     Each step divides the greatest remainder row by the divisor's leading
     row (one int divmod) and subtracts the quotient row times the other
@@ -949,7 +946,7 @@ def _packed_quotient(rem: Dict[int, int], d: _Operand, ulo: int, vlo: int, vhi: 
         raise InexactDivision("quotient key outside the Newton-polytope bounds")
     rows = dict(d.pack(step, 8 * nbytes))
     top = max(rows)
-    lead, lo, quot = rows.pop(top), ulo - min(d.us), {}
+    lead, lo, quot = rows.pop(top), min(rem) - min(d.us), {}
     while rem:
         u = max(rem)
         r = rem.pop(u)

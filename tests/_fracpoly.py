@@ -42,8 +42,9 @@ def mul(p, q):
 
 
 def deriv(p, i, j, w):
-    speed_a = (i * w.c1 + j * w.c2) / w.delta
-    speed_b = (i * w.d1 + j * w.d2) / w.delta
+    delta = w.c1 * w.d2 - w.c2 * w.d1
+    speed_a = (i * w.c1 + j * w.c2) / delta
+    speed_b = (i * w.d1 + j * w.d2) / delta
     out = {}
     for (a, b), c in p.items():
         f = speed_a * a + speed_b * b

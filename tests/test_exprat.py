@@ -243,7 +243,7 @@ def test_integer_speeds_and_basis_on_random_constants(c1, c2, d1, d2, i, j, ab):
     # D_{i,j} scales exp(a*t + b*x) by ((i*c1 + j*c2)*a + (i*d1 + j*d2)*b)/delta,
     # whichever coordinates the term is held in
     a, b = ab
-    speed = ((i * c1 + j * c2) * a + (i * d1 + j * d2) * b) / w.delta
+    speed = ((i * c1 + j * c2) * a + (i * d1 + j * d2) * b) / (c1 * d2 - c2 * d1)
     term = ExpPoly.term(1, a, b)
     assert term.deriv(i, j, w) == ExpPoly.term(speed, a, b)
     assert dict(exprat._spectral(term, w).deriv(i, j, w).terms) == (
@@ -772,8 +772,20 @@ def product_systems(draw):
     return sums
 
 
+def _under_two_derivatives():
+    """One sum, D_{1,0} x * D_{0,1} x for one x of three spike waves in W's
+    spectral coordinates, so that both factors hold the one value x, as
+    product_systems draws it: each factor with its reference dict."""
+    x, rx = _poly_and_reference([(F(2), *spectral_key(F(1), F(0))), (F(-3), *spectral_key(F(0), F(1))),
+                                 (F(5), *spectral_key(F(1), F(2)))])
+    x = exprat._spectral(x, W)
+    return [[(F(1), [(((i, j), x), ref.deriv(rx, i, j, W)) for i, j in ((1, 0), (0, 1))])]]
+
+
 @settings(max_examples=120)
 @given(product_systems())
+# one operand under two derivatives in one call: each derived operand is its own
+@example(_under_two_derivatives())
 def test_sum_of_products_matches_the_schoolbook_reference(sums):
     wants = []
     for terms in sums:
@@ -898,10 +910,10 @@ def test_a_sparse_sum_of_products_is_multiplied_term_by_term(monkeypatch, gap, p
 
 # -- large products and exact division on packed rows ------------------------------
 
-#: The kernel (sum_of_products) on every product of two multi-term values under
-#: constants, and divexact's packed rows tried on every multi-term division; or neither.
-ALWAYS_KERNEL = {"PRODUCT_PAIRS": 0, "DIVIDE_PAIRS": 0}
-NEVER_KERNEL = {"PRODUCT_PAIRS": 10 ** 9, "DIVIDE_PAIRS": 10 ** 9}
+#: The kernel (sum_of_products) on every product of two multi-term values, and
+#: on every division of more than one quotient term, under constants; or neither.
+ALWAYS_KERNEL = {"PRODUCT_PAIRS": 0}
+NEVER_KERNEL = {"PRODUCT_PAIRS": 10 ** 9}
 
 
 @st.composite
@@ -937,10 +949,38 @@ def test_divexact_and_products_agree_on_both_sides_of_the_crossovers(qr, dr, ext
                 divexact(num + e, d)
 
 
+def _spectral_poly(ints):
+    """sum(n * e^theta(u, v)) over {(u, v): n}, in W's spectral coordinates."""
+    return exprat._canonical(1, dict(ints), 1, 1, W)
+
+
+def _binomials(*powers):
+    """prod (1 - x**k) over powers, x = e^theta(0, 1): one spectral row."""
+    return math.prod((_spectral_poly({(0, 0): 1, (0, k): -1}) for k in powers), start=ExpPoly.const(1))
+
+
+def _sparse_division():
+    """(num, d, q), num = q*d: q of 700 spike waves 60 slot steps apart and
+    d = 1 - 2x + 3x^50, x = e^theta(0, 1).  The check product has 6,291
+    term pairs, past PRODUCT_PAIRS, and the one-product sum num has about
+    40 slots per term, past PACK_SLOTS_PER_TERM."""
+    q = _spectral_poly({(0, 60 * i): i + 1 for i in range(700)})
+    d = _spectral_poly({(0, 0): 1, (0, 1): -2, (0, 50): 3})
+    return q * d, d, q
+
+
+def _wide_division():
+    """(num, d): (1-x^21)...(1-x^29) over (1-x)...(1-x^9), x = e^theta(0, 1),
+    3,136 term pairs.  The quotient is the Gaussian binomial [29 choose 9]
+    in x, coefficients up to 184,717, but num's 1-norm gives the sum's
+    rows 16-bit digits, and the width check refuses the candidate."""
+    return _binomials(*range(21, 30)), _binomials(*range(1, 10))
+
+
 def _packed_results(monkeypatch):
     """The list that each result of the long division on packed rows
-    (exprat._packed_quotient, shared by divexact and sum_of_products), a
-    quotient or None, is appended to, from now on."""
+    (exprat._packed_quotient, called by _sum), a quotient or None, is
+    appended to, from now on."""
     packed, results = exprat._packed_quotient, []
 
     def recording(*args):
@@ -952,32 +992,52 @@ def _packed_results(monkeypatch):
 
 
 def test_a_quotient_past_the_first_digit_width_is_still_exact(monkeypatch):
-    # q = sum (-1)^i min(i + 1, N - i) x^i with N = 1000, x = e^x, has
-    # coefficients up to 500, and (1 + x) q has coefficients +-1 alone: the
-    # digit width of the packed rows, 8 bits from |n|_inf |d|_1 = 2, is too
-    # narrow for q.  The long division is exact, but the candidate read back
-    # from its rows is refused by the width check, and the heap loop returns q.
+    # With the kernel on every division: q = sum (-1)^i min(i + 1, N - i) x^i
+    # with N = 1000, x = e^theta(0, 1), has coefficients up to 500, and
+    # (1 + x) q has coefficients +-1 alone, so its 1-norm 1001 gives the
+    # sum's rows 16-bit digits, wide enough for q: the quotient read off the
+    # rows is proven.  The Gaussian binomial [19 choose 4], coefficients up
+    # to 150, is (1-x^16)...(1-x^19) over (1-x)...(1-x^4), whose 1-norm 16
+    # gives 8-bit digits: the width check refuses the candidate read back,
+    # and the heap loop returns the quotient.
+    monkeypatch.setattr(exprat, "PRODUCT_PAIRS", ALWAYS_KERNEL["PRODUCT_PAIRS"])
     n_terms = 1000
-    q = ExpPoly.from_lattice(1, {(0, i): (-1) ** i * min(i + 1, n_terms - i)
-                                 for i in range(n_terms)}, 3 ** 40, 7)
-    d = ExpPoly.from_lattice(1, {(0, 0): 1, (0, 1): 1}, 1, 1)
+    q = _spectral_poly({(0, i): (-1) ** i * min(i + 1, n_terms - i)
+                        for i in range(n_terms)}) * Fraction(3 ** 40, 7)
+    d = _spectral_poly({(0, 0): 1, (0, 1): 1})
+    num, den = _binomials(16, 17, 18, 19), _binomials(1, 2, 3, 4)
     results = _packed_results(monkeypatch)
     assert divexact(q * d, d) == q
-    assert results == [None]
+    gauss = divexact(num, den)
+    assert gauss * den == num and max(gauss.terms.values()) == 150
+    assert [r is None for r in results] == [False, True]
 
 
 def test_a_large_sparse_division_stays_on_the_heap_loop(monkeypatch):
-    # keys some 10**4 apart: packed rows would hold thousands of slots per
-    # term, so divexact declines them (PACK_SLOTS_PER_TERM) before any long
-    # division on packed rows, and the heap loop divides
-    d = ExpPoly.from_lattice(1, {(0, 0): 1, (0, 1): -2, (0, 10 ** 4): 3}, 1, 1)
-    q = ExpPoly.from_lattice(1, {(0, 10 ** 4 * i + i * i): i + 1 for i in range(200)}, 1, 1)
-    assert len(d.terms) * (len((q * d).terms) - len(d.terms)) >= exprat.DIVIDE_PAIRS
+    # keys 60 slot steps apart: packed rows would hold about 40 slots per
+    # term, so the kernel declines them (PACK_SLOTS_PER_TERM) before any
+    # long division on packed rows, and the heap loop divides, once
+    num, d, q = _sparse_division()
+    assert len(d.terms) * (len(num.terms) - len(d.terms)) > exprat.PRODUCT_PAIRS
     results, heaps = _packed_results(monkeypatch), []
     heapify = exprat.heapify
     monkeypatch.setattr(exprat, "heapify", lambda h: heaps.append(len(h)) or heapify(h))
-    assert divexact(q * d, d) == q
+    assert divexact(num, d) == q
     assert results == [] and len(heaps) == 1
+
+
+def test_a_division_enters_the_kernel_once(monkeypatch):
+    # a large sparse division and a large quotient whose digits outgrow the
+    # sum's width: divexact makes one sum_of_products call for each, whose
+    # fallback is the heap loop and never divexact's gate again
+    (num, d, q), (wide, w) = _sparse_division(), _wide_division()
+    calls, kernel = [], exprat.sum_of_products
+    monkeypatch.setattr(exprat, "sum_of_products", lambda *args: calls.append(args) or kernel(*args))
+    results = _packed_results(monkeypatch)
+    assert divexact(num, d) == q and len(calls) == 1 and results == []
+    got = divexact(wide, w)
+    assert len(calls) == 2 and results == [None]
+    assert got * w == wide
 
 
 # -- sums divided on the kernel's rows ---------------------------------------------
@@ -1028,6 +1088,14 @@ def divided_sums(draw):
 
 @settings(max_examples=60)
 @given(divided_sums())
+# digits past the sum's width: the width check refuses them
+@example(([[(1, _binomials(16, 17, 18, 19))]], [_binomials(1, 2, 3, 4)]))
+# (1 - x^2) / (1 + x): the divisor's v spacing, 1, is finer than the sum's, 2
+@example(([[(1, _binomials(2))]], [_spectral_poly({(0, 0): 1, (0, 1): 1})]))
+# past PRODUCT_PAIRS, a sparse sum and an unproven quotient: the heap loop
+# divides them, and divexact would send them back to the kernel
+@example(([[(1, _sparse_division()[0])]], [_sparse_division()[1]]))
+@example(([[(1, _wide_division()[0])]], [_wide_division()[1]]))
 def test_a_sum_with_a_divisor_is_divexact_of_the_sum(case):
     # sum_of_products(sums, w, divisors) is divexact of each sum by its
     # divisor, or both raise the same error; as shipped and with packing forced
@@ -1042,16 +1110,6 @@ def test_a_sum_with_a_divisor_is_divexact_of_the_sum(case):
         assert got == want
 
 
-def _spectral_poly(ints):
-    """sum(n * e^theta(u, v)) over {(u, v): n}, in W's spectral coordinates."""
-    return exprat._canonical(1, dict(ints), 1, 1, W)
-
-
-def _binomials(*powers):
-    """prod (1 - x**k) over powers, x = e^theta(0, 1): one spectral row."""
-    return math.prod((_spectral_poly({(0, 0): 1, (0, k): -1}) for k in powers), start=ExpPoly.const(1))
-
-
 def _sparse_pair():
     """Two values of eight spike waves, the last 10**6 slot steps past the others."""
     def wave(k):
@@ -1063,15 +1121,16 @@ def _sparse_pair():
 def _division_cases():
     """(id, sums, divisors, path, quotients or the refusal's message): the
     path is "rows" for a quotient read off the long division of the
-    kernel's rows, "divexact" for a fallback to divexact on the sum read
-    back, and "refused" for a refusal by the long division."""
+    kernel's rows, "divexact" for a one-term divisor divided by divexact
+    on the sum read back, "_heap_quotient" for the heap loop on the sum
+    read back, and "refused" for a refusal by the long division."""
     p, q = ExpPoly.const(6) + ExpPoly.term(1, 2, -1), ExpPoly.const(7) + ExpPoly.term(1, 0, 1)
     sp, sq = _sparse_pair()
     y1, y2 = _spectral_poly({(0, 0): 1, (1, 0): 1}), _spectral_poly({(0, 0): 1, (1, 0): 2})
     return [
         ("a one-term divisor", [[(3, p, q)]], [ExpPoly.term(2, 1, 1)], "divexact", None),
         ("a zero sum", [[(1, p, q), (-1, q, p)]], [q], "rows", [ExpPoly.zero()]),
-        ("a sparse sum", [[(3, sp, sq)]], [sq], "divexact", [sp * 3]),
+        ("a sparse sum", [[(3, sp, sq)]], [sq], "_heap_quotient", [sp * 3]),
         # (1 + y) / (1 + 2y), y = e^theta(1, 0): the leading row does not divide
         ("a nonzero remainder", [[(1, y1)]], [y2], "refused", "leading coefficient does not divide"),
         # (1 + y + 2y^2) / (1 + 2y): after the quotient row y the remainder
@@ -1083,7 +1142,7 @@ def _division_cases():
         # the sum's 1-norm 16 gives it 8-bit digits, and the width check
         # refuses the quotient's misread digits
         ("digits past the sum's width", [[(1, _binomials(16, 17, 18, 19))]],
-         [_binomials(1, 2, 3, 4)], "divexact", None),
+         [_binomials(1, 2, 3, 4)], "_heap_quotient", None),
         # (1 - x^2) / (1 + x): the sum alone has a slot step of 2, the divisor 1
         ("a divisor finer than the sum", [[(1, _binomials(2))]],
          [_spectral_poly({(0, 0): 1, (0, 1): 1})], "rows", [_spectral_poly({(0, 0): 1, (0, 1): -1})]),
@@ -1094,17 +1153,19 @@ def _division_cases():
 def test_a_divided_sum_takes_its_path_and_stays_exact(monkeypatch, case):
     _, sums, divisors, path, expected = case
     want = _outcome(lambda: [divexact(s, d) for s, d in zip(sum_of_products(sums, W), divisors)])
-    results, fallbacks, divexact_ = _packed_results(monkeypatch), [], exprat.divexact
-    monkeypatch.setattr(exprat, "divexact", lambda n, d: fallbacks.append(d) or divexact_(n, d))
+    results, fallbacks = _packed_results(monkeypatch), {"divexact": [], "_heap_quotient": []}
+    for name, calls in fallbacks.items():
+        f = getattr(exprat, name)
+        monkeypatch.setattr(exprat, name, lambda n, d, f=f, calls=calls: calls.append(d) or f(n, d))
     if path == "refused":
         assert want is InexactDivision
         with pytest.raises(InexactDivision, match=expected):
             sum_of_products(sums, W, divisors)
-        assert fallbacks == [] and results == []
+        assert not any(fallbacks.values()) and results == []
         return
     got = sum_of_products(sums, W, divisors)
     assert got == want and (expected is None or got == expected)
-    assert fallbacks == (divisors if path == "divexact" else [])
+    assert fallbacks == {name: divisors if name == path else [] for name in fallbacks}
     if path == "rows":
         assert all(r is not None for r in results)
     elif case[0] == "digits past the sum's width":
