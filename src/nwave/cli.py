@@ -89,8 +89,9 @@ def _read_json(path) -> dict:
                              "sets the limit)") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object")
-    if doc.get("schema") != SCHEMA:
-        raise InputError(f"{path}: unsupported schema {reprlib.repr(doc.get('schema'))}")
+    schema = doc.get("schema")
+    if type(schema) is not int or schema != SCHEMA:  # true and 1.0 equal 1 but are not it
+        raise InputError(f"{path}: unsupported schema {reprlib.repr(schema)}")
     return doc
 
 

@@ -1320,6 +1320,26 @@ def _ln2(bits: int) -> int:
     return s >> c
 
 
+@cache
+def _log10_2(bits: int) -> int:
+    """An integer within 2 of log10(2) * 2**bits: ln 2 over
+    ln 10 = 3 ln 2 + 2 atanh(1/9), both at g = bits + bitlen(bits) + 8 bits.
+
+    Each atanh term is its exact floor, like _ln2's, so the sum is less
+    than g/4 + 4 units of 2**-g below 2 atanh(1/9) (a term per 6 bits,
+    each less than 1.4 units below), and _ln2(g) less than 2 below ln 2.
+    The quotient is then within a relative (g/9 + 8) * 2**-g of log10 2,
+    less than 0.01 of a unit of 2**-bits, and its floor adds less than 1.
+    """
+    g = bits + bits.bit_length() + 8
+    ln2, x, a, j = _ln2(g), (2 << g) // 9, 0, 1
+    while x:  # 2 atanh(1/9) = sum_j 2 / ((2j+1) 9**(2j+1))
+        a += x // j
+        x //= 81
+        j += 2
+    return (ln2 << bits) // (3 * ln2 + a)
+
+
 def _exp(n: int, d: int, w: int) -> Tuple[int, int]:
     """exp(n/d) (d > 0) as (m, e), m * 2**e, with 2**w <= m <= 2**(w+1)
     and a relative error below 2**-w.
@@ -1448,11 +1468,13 @@ def _pow5(a: int, prec: int, up: bool) -> Tuple[int, int]:
 def _floor_scaled(m: int, x: int, k: int) -> int:
     """floor(m * 2**x * 10**k) for m > 0, without forming 10**|k|.
 
-    10**k = 5**k * 2**k, and 5**|k| is enclosed by _pow5 at 128 bits,
-    doubled until both ends of the enclosure give the same floor, which
-    they do once the enclosure is exact, if not before.
+    10**k = 5**k * 2**k, and 5**|k| is enclosed by _pow5 at 128 +
+    bitlen(|k|) bits, as each of its bitlen(|k|) steps can double the
+    enclosure's relative width: the precision is doubled until both ends
+    of the enclosure give the same floor, which they do once the
+    enclosure is exact, if not before.
     """
-    prec = 128
+    prec = 128 + abs(k).bit_length()
     while True:
         floors = []
         for up in (False, True):
@@ -1494,8 +1516,10 @@ def ratio_text(p: int, q: int, e: int, sci: bool = False) -> str:
     cut = min(size - bits, 0) - x
     if cut > 0:
         m, x = m >> cut, x + cut
-    # digits = floor(value * 10**k) with n + 1 digits: the value's exponent is n - k
-    k = n - (size - 1) * 30103 // 100000
+    # digits = floor(value * 10**k) with n + 1 digits: the value's exponent is n - k,
+    # and floor(log10 value) is floor((size - 1) log10 2) or one more
+    w = size.bit_length() + 8
+    k = n - ((size - 1) * _log10_2(w) >> w)
     while True:
         digits = _floor_scaled(m, x, k)
         if digits >= 10 ** (n + 1):

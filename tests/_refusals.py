@@ -2,10 +2,13 @@
 
 Each case is a document, a command line and the exit code it must give,
 with one ``error:`` line on stderr (the exact line where the table gives
-one) and no traceback.  A document is JSON text, or a JSON value written
-as JSON; in either, ``{c*N}`` stands for the character c N times, so that
-numbers past the digit limit and deep nesting stay short in the table.
-``{doc}`` in the command line and the error line is the document's path.
+one), no traceback, nothing on stdout, and no file left beside the
+document.  A document is JSON text, or a JSON value written as JSON; in
+either, and in the command line, ``{text*N}`` stands for text N times,
+so that numbers past the digit limit, long inputs and deep nesting stay
+short in the table.  ``{doc}`` in the command line and the error line is
+the document's path; a case that writes a file writes it at
+``{doc}.csv`` or ``{doc}.out``, which a refusal must not create.
 
 Run as a script, it runs every case through the installed ``nwave``
 console script, with no pytest and no extras:
@@ -24,7 +27,7 @@ from pathlib import Path
 
 TABLE = Path(__file__).resolve().parent / "data" / "refusals.json"
 
-_RUN = re.compile(r"\{(.)\*(\d+)\}")
+_RUN = re.compile(r"\{([^{}*]+)\*(\d+)\}")
 
 
 def _expand(text: str) -> str:
@@ -37,7 +40,8 @@ def cases() -> list:
     out = []
     for row in json.loads(TABLE.read_text()):
         doc = row["doc"] if isinstance(row["doc"], str) else json.dumps(row["doc"])
-        out.append((row["name"], _expand(doc), row["argv"], row["exit"], row.get("error")))
+        out.append((row["name"], _expand(doc), [_expand(a) for a in row["argv"]], row["exit"],
+                    row.get("error")))
     return out
 
 
@@ -51,8 +55,9 @@ def prepared(case, tmp: Path):
             None if error is None else error.replace("{doc}", str(path)))
 
 
-def failures(case, code: int, err: str, error) -> list:
-    """What is wrong with a run that exited with code and wrote err."""
+def failures(case, code: int, out: str, err: str, error, files) -> list:
+    """What is wrong with a run that exited with code, wrote out and err, and
+    left the files named in its document's directory."""
     _, _, _, want, _ = case
     bad = []
     if code != want:
@@ -64,6 +69,11 @@ def failures(case, code: int, err: str, error) -> list:
         bad.append(f"error line {lines[0][:300]!r}, expected {error[:300]!r}")
     if "Traceback" in err:
         bad.append("a traceback")
+    if out:
+        bad.append(f"stdout is not empty: {out[:300]!r}")
+    extra = sorted(set(files) - {"doc.json"})
+    if extra:
+        bad.append(f"files left beside the document: {extra}")
     return bad
 
 
@@ -75,13 +85,14 @@ def main() -> int:
         print("the nwave console script is not installed", file=sys.stderr)
         return 2
     failed = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        for case in cases():
+    for case in cases():
+        with tempfile.TemporaryDirectory() as tmp:
             argv, error = prepared(case, Path(tmp))
             run = subprocess.run([nwave, *argv], capture_output=True, text=True, cwd=tmp)
-            bad = failures(case, run.returncode, run.stderr, error)
-            print(f"{'FAIL' if bad else 'ok  '}  {case[0]}" + "".join(f"\n      {b}" for b in bad))
-            failed += bool(bad)
+            files = [p.name for p in Path(tmp).iterdir()]
+        bad = failures(case, run.returncode, run.stdout, run.stderr, error, files)
+        print(f"{'FAIL' if bad else 'ok  '}  {case[0]}" + "".join(f"\n      {b}" for b in bad))
+        failed += bool(bad)
     print(f"{failed} of {len(cases())} refusal cases failed")
     return 1 if failed else 0
 

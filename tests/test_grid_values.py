@@ -321,6 +321,14 @@ def _near_a_tie(p: int, q: int, e: int, digits: int, bits: int) -> bool:
 @example(-1, 3, -3700, True)
 @example(7, 3, 10 ** 7, False)  # 4.3 million decimal digits: ratio_text never forms them
 @example(-7, 3, -(10 ** 7), True)
+# decimal exponents of 15 to 400 digits: found in a step or two, from log10 2
+# at the value's precision and 5**|k| enclosed at 128 + bitlen(|k|) bits
+@example(1, 3, 10 ** 15, False)
+@example(1, 3, -(10 ** 15), True)
+@example(1, 3, 10 ** 20, True)
+@example(1, 3, -(10 ** 20), False)
+@example(1, 3, 10 ** 400, False)
+@example(1, 3, 10 ** 400, True)
 def test_ratio_text_writes_the_text_of_mpmaths_to_str(p, q, e, sci):
     # ratio_text writes what the package wrote with mpmath: libmp.to_str of
     # the value that round_ratio rounds, with 17 digits or as '%.3e' text,
