@@ -79,8 +79,8 @@ def _read_json(path) -> dict:
             doc = json.load(fh)
         except UnicodeDecodeError as e:
             raise InputError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
-        except json.JSONDecodeError:
-            raise
+        except json.JSONDecodeError as e:
+            raise InputError(f"{path}: not JSON (line {e.lineno}, column {e.colno})") from None
         except RecursionError:
             raise InputError(f"{path}: JSON nested too deeply to read") from None
         except ValueError:  # int() refused an integer literal past its digit limit
@@ -450,7 +450,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, InvalidSpectralData, OSError, json.JSONDecodeError) as e:
+    except (InputError, InvalidSpectralData, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (TauZero, PivotZero, DivisionByZeroField, InexactDivision, TooManyDigits) as e:

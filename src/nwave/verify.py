@@ -19,7 +19,6 @@ the numbers a detail prints, each once, with ``exprat.ratio_text``.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -86,7 +85,11 @@ def render_poly(p: ExpPoly) -> dict:
     The 20 largest-|coefficient| terms (by |n|, as each is n times one
     content; ties in exponent order) are listed; the sha256 digest of the
     canonical (exponent-sorted) serialization pins down the complete value.
+    This digest is the package's one hash: ``hashlib`` (and with it OpenSSL)
+    is imported here, when a report renders a witness, and nowhere else.
     """
+    import hashlib
+
     items = term_texts(p)
     canon = ";".join(f"{a},{b}:{c}" for (a, b), c in items)
     ns = [n for _, n in sorted(p.lattice()[1].items())]  # in the order of items

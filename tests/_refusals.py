@@ -1,14 +1,14 @@
 """The table of refused inputs, ``data/refusals.json``, and its runner.
 
 Each case is a document, a command line and the exit code it must give,
-with one ``error:`` line on stderr (the exact line where the table gives
-one), no traceback, nothing on stdout, and no file left beside the
-document.  A document is JSON text, or a JSON value written as JSON; in
-either, and in the command line, ``{text*N}`` stands for text N times,
-so that numbers past the digit limit, long inputs and deep nesting stay
-short in the table.  ``{doc}`` in the command line and the error line is
-the document's path; a case that writes a file writes it at
-``{doc}.csv`` or ``{doc}.out``, which a refusal must not create.
+with its exact ``error:`` line as the one line on stderr, no traceback,
+nothing on stdout, and no file left beside the document.  A document is
+JSON text, or a JSON value written as JSON; in either, and in the
+command line, ``{text*N}`` stands for text N times, so that numbers past
+the digit limit, long inputs and deep nesting stay short in the table.
+``{doc}`` in the command line and the error line is the document's
+path; a case that writes a file writes it at ``{doc}.csv`` or
+``{doc}.out``, which a refusal must not create.
 
 Run as a script, it runs every case through the installed ``nwave``
 console script, with no pytest and no extras:
@@ -35,13 +35,13 @@ def _expand(text: str) -> str:
 
 
 def cases() -> list:
-    """(name, document text, command line, exit code, error line or None) of
-    every case, ``{doc}`` not yet replaced."""
+    """(name, document text, command line, exit code, error line) of every
+    case, ``{doc}`` not yet replaced."""
     out = []
     for row in json.loads(TABLE.read_text()):
         doc = row["doc"] if isinstance(row["doc"], str) else json.dumps(row["doc"])
         out.append((row["name"], _expand(doc), [_expand(a) for a in row["argv"]], row["exit"],
-                    row.get("error")))
+                    row["error"]))
     return out
 
 
@@ -51,8 +51,7 @@ def prepared(case, tmp: Path):
     _, text, argv, _, error = case
     path = tmp / "doc.json"
     path.write_text(text)
-    return ([a.replace("{doc}", str(path)) for a in argv],
-            None if error is None else error.replace("{doc}", str(path)))
+    return [a.replace("{doc}", str(path)) for a in argv], error.replace("{doc}", str(path))
 
 
 def failures(case, code: int, out: str, err: str, error, files) -> list:
@@ -65,7 +64,7 @@ def failures(case, code: int, out: str, err: str, error, files) -> list:
     lines = err.splitlines()
     if len(lines) != 1 or not lines[0].startswith("error: "):
         bad.append(f"stderr is not one error line: {err[:300]!r}")
-    elif error is not None and lines[0] != error:
+    elif lines[0] != error:
         bad.append(f"error line {lines[0][:300]!r}, expected {error[:300]!r}")
     if "Traceback" in err:
         bad.append("a traceback")

@@ -536,6 +536,51 @@ def test_no_step_of_the_package_imports_mpmath(tmp_path):
     assert len((tmp_path / "s.csv").read_text().splitlines()) == 1 + 3 * 2
 
 
+# Run in a fresh interpreter: hashlib, and with it OpenSSL, is loaded only
+# when a report renders a witness's sha256.
+_NO_HASHLIB = """
+import json, sys
+from fractions import Fraction
+from pathlib import Path
+from nwave.cli import main
+tmp = Path(sys.argv[1])
+(tmp / "spec.json").write_text(json.dumps(
+    {"schema": 1, "c": ["1", "1/2"], "d": ["1/3", "1"],
+     "P": [{"pos": "2", "w": "1"}, {"pos": "-1", "w": "1/2"}],
+     "Q": [{"pos": "1", "w": "1"}, {"pos": "1/2", "w": "2"}]}))
+sol, image = str(tmp / "sol.json"), str(tmp / "image.json")
+codes = [
+    main(["construct", "--algebra", "A2", "--spectral", str(tmp / "spec.json"), "--out", sol]),
+    main(["transform", "--chain", "T1", "--in", sol, "--out", image]),
+    main(["sample", "--in", sol, "--t0", "0", "--t1", "1", "--nt", "2", "--x0", "0", "--x1", "1",
+          "--nx", "2", "--csv", str(tmp / "s.csv")]),
+    main(["verify", "--in", image]),
+]
+before = sorted({"hashlib", "_hashlib"} & set(sys.modules))
+doc = json.loads(Path(sol).read_text())
+field = doc["fields"]["f-1.0"]
+field["num"] = [[key, str(2 * Fraction(coef))] for key, coef in field["num"]]
+(tmp / "doubled.json").write_text(json.dumps(doc))
+codes.append(main(["verify", "--in", str(tmp / "doubled.json"), "--report", str(tmp / "r.json")]))
+print(json.dumps({"codes": codes, "before": before, "after": "_hashlib" in sys.modules}))
+"""
+
+
+def test_only_a_reports_witness_loads_hashlib(tmp_path):
+    # construct, transform, sample and verify without --report hash nothing;
+    # a report's counterexample.sha256 is the package's one hash.
+    env = {**os.environ, "PYTHONPATH": str(Path(nwave.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _NO_HASHLIB, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    run = json.loads(done.stdout.splitlines()[-1])
+    assert run["codes"] == [0, 0, 0, 0, 1]
+    assert run["before"] == []
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert len(report["counterexample"]["sha256"]) == 64
+    assert run["after"]
+
+
 def test_sample_prints_values_past_the_float_range(tmp_path):
     # At t = 1, e^{2000t} overflows a float and 1/(e^{2000t} + e^{2001t})
     # underflows one; both cells must still be finite and nonzero.
