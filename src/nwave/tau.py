@@ -217,8 +217,6 @@ def solution_from_tau(m: AlgebraModel, s: SpectralData, n1: int, n2: int) -> Fie
         step = -sign  # f^- raises the orders, f^+ lowers them
         orders.append((n1 + step * p, [n2 + step * (g < q) for g in range(groups)]))
     den, *nums = _taus(s, orders, True)
-    if den.is_zero():
-        raise TauZero(interrupted)
     fields = dict(zip(m.field_keys, ExpRational.all_over(
         [num if _SIGNS[key] > 0 else -num for key, num in zip(m.field_keys, nums)], den)))
     return FieldConfig(m.name, s.constants, fields)

@@ -21,13 +21,10 @@ from nwave.exprat import ExpPoly, ExpRational, wave_constants
 from nwave.spectral import initial_config, spectral_data
 from nwave.tau import TauZero, solution_from_tau
 from nwave.transforms import PivotZero, apply, apply_chain
-from nwave.verify import SOLUTIONS, verify_claims, verify_config
+from nwave.verify import SOLUTIONS, _P2 as P2, _Q2 as Q2, _Q4, _W as W, verify_claims, verify_config
 from nwave.wavesys import PLUS, model
 
-W = wave_constants("1", "1/2", "1/3", "1")
-P2 = [("2", "1"), ("-1", "1/2")]
-Q2 = [("1", "1"), ("1/2", "2")]
-Q3 = Q2 + [("-3", "1/3")]
+Q3 = _Q4[:3]
 
 
 def _verdict(num, label, budget, t0):

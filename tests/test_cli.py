@@ -23,17 +23,17 @@ from nwave.cli import (
 )
 from nwave.exprat import (
     EvalPole, ExpPoly, ExpRational, InexactDivision, grid_values, quotient_reader,
-    wave_constants,
 )
 from nwave.tau import TauZero, solution_from_tau
 from nwave.transforms import TRANSFORMS, PivotZero, apply
-from nwave.verify import Check, Report
+from nwave.verify import Check, Report, _W as W
 from nwave.wavesys import MINUS, FieldConfig, field_label, model, parse_field_label, zero_config
 
 import _docread
 import _refusals
 import test_outputs
-from test_exprat import W, exprationals
+from _calls import recorded
+from test_exprat import exprationals
 from test_tau import MAP_SPIKES, lattice_constants, spike_data
 
 SPEC_11 = {
@@ -304,17 +304,16 @@ def test_a_document_is_read_as_each_field_alone_with_one_atom_per_den(tmp_path):
     assert shared > 100
 
 
-def test_a_map_splits_each_divisor_once(tmp_path, monkeypatch):
+def test_a_map_splits_each_divisor_once(tmp_path):
     # B2_TM divides by its pivot f-1.2 six times and by twice it once: the
     # unit part of each divisor is split off once, at its first division.
     out = construct(tmp_path, "B2", SPEC_22, 1, 1, "b2_11.json")
     doc = json.loads(out.read_text())
     want, cfg = apply("B2_TM", config_from_doc(doc)), config_from_doc(doc)
-    split, calls = exprat._split, []
-    monkeypatch.setattr(exprat, "_split", lambda p: calls.append(p) or split(p))
-    assert apply("B2_TM", cfg) == want
-    pivot = cfg[(MINUS, (1, 2))].num
-    assert len(calls) == 2 and pivot in calls and pivot * 2 in calls
+    with recorded("_split", exprat) as calls:
+        assert apply("B2_TM", cfg) == want
+    pivot, divisors = cfg[(MINUS, (1, 2))].num, [c.args[0] for c in calls]
+    assert len(divisors) == 2 and pivot in divisors and pivot * 2 in divisors
 
 
 def test_composition_chain_matches_direct_transform(tmp_path):
@@ -455,8 +454,7 @@ def test_inexact_division_exits_3(tmp_path, capsys, monkeypatch):
         raise InexactDivision("leading coefficient does not divide")
 
     monkeypatch.setattr("nwave.cli.apply_chain", inexact)
-    w = wave_constants("1", "1/2", "1/3", "1")
-    path = write_json(tmp_path / "b2_zero.json", config_to_doc(zero_config("B2", w)))
+    path = write_json(tmp_path / "b2_zero.json", config_to_doc(zero_config("B2", W)))
     rc = main(["transform", "--chain", "T10", "--in", path])
     assert rc == 3
     err = capsys.readouterr().err
@@ -471,8 +469,7 @@ def test_unknown_suite_rejected_by_parser(capsys):
 
 
 def test_sample_csv_layout_and_pole_cells(tmp_path):
-    w = wave_constants("1", "1/2", "1/3", "1")
-    cfg = zero_config("A2", w)
+    cfg = zero_config("A2", W)
     m = model("A2")
     # Give one field the value 1/(e^t - 1): a pole along t = 0.
     den = ExpPoly.term(1, 1, 0) - ExpPoly.const(1)
@@ -508,10 +505,10 @@ _NO_MPMATH = """
 import sys
 import nwave.cli
 assert "mpmath" not in sys.modules, "import nwave.cli"
-from nwave.exprat import ExpPoly, ExpRational, wave_constants
-from nwave.verify import verify_config
+from nwave.exprat import ExpPoly, ExpRational
+from nwave.verify import _W, verify_config
 from nwave.wavesys import field_label, model, zero_config
-cfg = zero_config("A2", wave_constants("1", "1/2", "1/3", "1"))
+cfg = zero_config("A2", _W)
 key = sorted(cfg.fields, key=field_label)[0]
 cfg = cfg.with_fields({key: ExpRational(ExpPoly.term(1, 1, 0))})
 rep = verify_config(model("A2"), cfg, "numeric")
@@ -584,8 +581,7 @@ def test_only_a_reports_witness_loads_hashlib(tmp_path):
 def test_sample_prints_values_past_the_float_range(tmp_path):
     # At t = 1, e^{2000t} overflows a float and 1/(e^{2000t} + e^{2001t})
     # underflows one; both cells must still be finite and nonzero.
-    w = wave_constants("1", "1/2", "1/3", "1")
-    cfg = zero_config("A2", w)
+    cfg = zero_config("A2", W)
     big, small = sorted(cfg.fields, key=field_label)[:2]
     huge = ExpPoly.term(1, 2000, 0)
     cfg = cfg.with_fields({
@@ -610,7 +606,7 @@ def test_values_of_a_huge_exponent_are_written_at_once(tmp_path, capsys):
     # e^(10^15 t) at t = 1 has a 15-digit decimal exponent, and e^(10^400 t)
     # a 400-digit one: the sample cell and the failing numeric check's
     # detail are each written in a step or two, never digit by digit.
-    doc = config_to_doc(zero_config("A2", wave_constants("1", "1/2", "1/3", "1")))
+    doc = config_to_doc(zero_config("A2", W))
     doc["fields"]["f+1.0"]["num"] = [[["1000000000000000", "0"], "1"]]
     path = write_json(tmp_path / "big.json", doc)
     start = time.perf_counter()
@@ -653,7 +649,7 @@ def test_sample_cells_of_an_a2_tau_solution_are_pinned(tmp_path):
 def test_sample_blanks_exactly_the_evaluator_poles(tmp_path):
     # 1/(e^t - 1) on a grid through t = 0: the evaluator's None points, the
     # EvalPole points of ExpRational.eval and the blank CSV cells coincide.
-    cfg = zero_config("A2", wave_constants("1", "1/2", "1/3", "1"))
+    cfg = zero_config("A2", W)
     key = sorted(cfg.fields, key=field_label)[0]
     pole = ExpRational(ExpPoly.const(1), ExpPoly.term(1, 1, 0) - ExpPoly.const(1))
     path = write_json(tmp_path / "pole.json", config_to_doc(cfg.with_fields({key: pole})))
@@ -785,7 +781,6 @@ def test_document_numbers_read_as_fraction_reads_them(v, pos):
     # coordinates of their constants; every string must still give
     # Fraction's value, or the error Fraction's refusal gives, or be refused
     # when it could not be written back.
-    w = wave_constants("1", "1/2", "1/3", "1")
     parts = ["0", "1", "1"]
     parts[pos] = v
     what = f"f+1.0.num[0].{('a', 'b', 'coef')[pos]}"
@@ -793,16 +788,16 @@ def test_document_numbers_read_as_fraction_reads_them(v, pos):
         want = [fraction_or_too_large(p) for p in parts]
     except (ValueError, ZeroDivisionError):
         with pytest.raises(InputError) as exc:
-            _read_terms([[parts[:2], parts[2]]], "f+1.0.num", w)
+            _read_terms([[parts[:2], parts[2]]], "f+1.0.num", W)
         assert str(exc.value) == f"{what}: not a rational: {reprlib.repr(v)}"
         return
     if want[pos] is None:
         with pytest.raises(InputError) as exc:
-            _read_terms([[parts[:2], parts[2]]], "f+1.0.num", w)
+            _read_terms([[parts[:2], parts[2]]], "f+1.0.num", W)
         assert str(exc.value).startswith(f"{what}: too many digits to write back "
                                          f"(limit {LIMIT}): ")
         return
-    got = _read_terms([[parts[:2], parts[2]]], "f+1.0.num", w)
+    got = _read_terms([[parts[:2], parts[2]]], "f+1.0.num", W)
     assert got == ExpPoly([((want[0], want[1]), want[2])])
 
 

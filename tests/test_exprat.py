@@ -24,13 +24,12 @@ from nwave.exprat import (
 from nwave import exprat
 from nwave.spectral import spectral_data
 from nwave.tau import solution_from_tau
-from nwave.verify import render_poly
+from nwave.verify import _W as W, render_poly
 from nwave.wavesys import model
 
 import _fracpoly as ref
 import _fracrat as rat
-
-W = wave_constants(1, "1/2", "1/3", 1)  # delta = 5/6
+from _calls import forced, recorded
 
 
 def F(v):
@@ -621,7 +620,7 @@ def test_scalar_operations_keep_a_given_denominator():
         assert out == ExpRational(want, den)
 
 
-def test_equality_over_the_same_atoms_forms_no_product(monkeypatch):
+def test_equality_over_the_same_atoms_forms_no_product():
     # Values over one atom, with different monomials in the denominator,
     # compare their numerators: one shift, no ExpPoly product.
     d = ONE + ExpPoly.term(1, 1, 0) + ExpPoly.term(3, 0, 2)
@@ -631,16 +630,8 @@ def test_equality_over_the_same_atoms_forms_no_product(monkeypatch):
     w = ExpRational(n + ONE, d)
     s = (v * v).deriv(1, 1, W)
     t = (w * v).deriv(1, 1, W)
-    mul = ExpPoly.__mul__
-    products = []
-
-    def recording(a, b):
-        products.append((a, b))
-        return mul(a, b)
-
-    monkeypatch.setattr(ExpPoly, "__mul__", recording)
-    verdicts = (u == v, v == w, s == s, s == t)
-    monkeypatch.setattr(ExpPoly, "__mul__", mul)
+    with recorded("__mul__", ExpPoly) as products:
+        verdicts = (u == v, v == w, s == s, s == t)
     assert verdicts == (True, False, True, False)
     assert not products
 
@@ -797,10 +788,8 @@ def test_sum_of_products_matches_the_schoolbook_reference(sums):
             want = ref.add(want, product)
         wants.append(want)
     systems = [[(c, *(x for x, _ in xs)) for c, xs in terms] for terms in sums]
-    for forced in ({}, ALWAYS_PACK):
-        with pytest.MonkeyPatch.context() as mp:
-            for name, value in forced.items():
-                mp.setattr(exprat, name, value)
+    for setting in ({}, ALWAYS_PACK):
+        with forced(**setting):
             got = sum_of_products(systems, W)
         assert len(got) == len(wants) == len(systems)
         for g, want in zip(got, wants):
@@ -845,51 +834,32 @@ def wave_constant_sums(draw):
 def test_packed_sums_read_back_under_random_wave_constants(case):
     # the Kronecker path alone, its digits read back through w's lattice
     w, terms, want = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exprat, "PACK_SLOTS_PER_TERM", ALWAYS_PACK["PACK_SLOTS_PER_TERM"])
+    with forced(**ALWAYS_PACK):
         (got,) = sum_of_products([terms], w)
     assert dict(got.terms) == want
 
 
-def _pair_loops(monkeypatch, run):
-    """run() and the number of schoolbook products (exprat._product, the
-    dict pair loop) it ran, from ExpPoly.__mul__ or from _sum."""
-    product = exprat._product
-    calls = []
-
-    def counting(a, b):
-        calls.append(b)
-        return product(a, b)
-
-    monkeypatch.setattr(exprat, "_product", counting)
-    try:
-        result = run()
-    finally:
-        monkeypatch.setattr(exprat, "_product", product)
-    return result, len(calls)
-
-
-def test_a_packed_sum_reads_back_no_zero_digit(monkeypatch):
+def test_a_packed_sum_reads_back_no_zero_digit():
     # 5*(6 + e^(2t-x))*(7 + e^x) packed on W: some slots of its output row
     # lie off the lattice, and a zero digit there floors onto the key of a
     # real term, the constant 210, which must not be overwritten.
-    monkeypatch.setattr(exprat, "PACK_SLOTS_PER_TERM", ALWAYS_PACK["PACK_SLOTS_PER_TERM"])
     p, q = ExpPoly.const(6) + ExpPoly.term(1, 2, -1), ExpPoly.const(7) + ExpPoly.term(1, 0, 1)
-    (got,) = sum_of_products([[(5, p, q)]], W)
+    with forced(**ALWAYS_PACK):
+        (got,) = sum_of_products([[(5, p, q)]], W)
     assert got == p * q * 5 and got.terms[(F(0), F(0))] == 210
 
 
-def test_a_packed_sum_with_only_zero_coefficients_is_zero(monkeypatch):
+def test_a_packed_sum_with_only_zero_coefficients_is_zero():
     # products with coefficient 0 are dropped before packing, so a sum of
     # none is zero: kept, they would make its content a quotient by gcd(0) == 0
-    monkeypatch.setattr(exprat, "PACK_SLOTS_PER_TERM", ALWAYS_PACK["PACK_SLOTS_PER_TERM"])
     p, q = ExpPoly.const(6) + ExpPoly.term(1, 2, -1), ExpPoly.const(7) + ExpPoly.term(1, 0, 1)
-    zero, pq = sum_of_products([[(0, p, q), (F(0), ((1, 2), p))], [(3, p, q)]], W)
+    with forced(**ALWAYS_PACK):
+        zero, pq = sum_of_products([[(0, p, q), (F(0), ((1, 2), p))], [(3, p, q)]], W)
     assert zero.is_zero() and pq == p * q * 3
 
 
 @pytest.mark.parametrize("gap, packed", [(1, True), (10 ** 6, False)])
-def test_a_sparse_sum_of_products_is_multiplied_term_by_term(monkeypatch, gap, packed):
+def test_a_sparse_sum_of_products_is_multiplied_term_by_term(gap, packed):
     # Eight spike waves per operand, the last one gap steps past the others.
     # With a gap of 10**6 the v span is 10**6 slot steps, over 1000 times
     # the 31 operand terms, and the sum is formed by ExpPoly products, the
@@ -899,13 +869,14 @@ def test_a_sparse_sum_of_products_is_multiplied_term_by_term(monkeypatch, gap, p
     p = [(k + 1, *wave(k)) for k in range(8)]
     q = [(2 * k - 5, *wave(k)) for k in range(8)]
     (fp, rp), (fq, rq) = _poly_and_reference(p), _poly_and_reference(q)
-    (got,), loops = _pair_loops(monkeypatch, lambda: sum_of_products(
-        [[(3, fp, fq), (Fraction(-1, 2), fq, ((1, 2), fq))]], W))
+    # exprat._product is the dict pair loop, of ExpPoly.__mul__ or of _sum
+    with recorded("_product", exprat) as loops:
+        (got,) = sum_of_products([[(3, fp, fq), (Fraction(-1, 2), fq, ((1, 2), fq))]], W)
     want = ref.add(ref.mul(ref.mul(rp, rq), {(F(0), F(0)): F(3)}),
                    ref.mul(ref.mul(rq, ref.deriv(rq, 1, 2, W)),
                            {(F(0), F(0)): Fraction(-1, 2)}))
     assert dict(got.terms) == want
-    assert (loops == 0) is packed
+    assert (not loops) is packed
 
 
 # -- large products and exact division on packed rows ------------------------------
@@ -938,10 +909,8 @@ def test_divexact_and_products_agree_on_both_sides_of_the_crossovers(qr, dr, ext
     # one term e has no quotient (d would divide e, a unit), and both refuse it
     (q, rq), (d, rd), (c, u, v) = qr, dr, extra
     e = ExpPoly.from_lattice(*ExpPoly.term(c, *spectral_key(F(u), F(v))).lattice(), W)
-    for forced in (ALWAYS_KERNEL, NEVER_KERNEL):
-        with pytest.MonkeyPatch.context() as mp:
-            for name, value in forced.items():
-                mp.setattr(exprat, name, value)
+    for setting in (ALWAYS_KERNEL, NEVER_KERNEL):
+        with forced(**setting):
             num = q * d
             assert dict(num.terms) == ref.mul(rq, rd)
             assert divexact(num, d) == q
@@ -977,21 +946,7 @@ def _wide_division():
     return _binomials(*range(21, 30)), _binomials(*range(1, 10))
 
 
-def _packed_results(monkeypatch):
-    """The list that each result of the long division on packed rows
-    (exprat._packed_quotient, called by _sum), a quotient or None, is
-    appended to, from now on."""
-    packed, results = exprat._packed_quotient, []
-
-    def recording(*args):
-        results.append(packed(*args))
-        return results[-1]
-
-    monkeypatch.setattr(exprat, "_packed_quotient", recording)
-    return results
-
-
-def test_a_quotient_past_the_first_digit_width_is_still_exact(monkeypatch):
+def test_a_quotient_past_the_first_digit_width_is_still_exact():
     # With the kernel on every division: q = sum (-1)^i min(i + 1, N - i) x^i
     # with N = 1000, x = e^theta(0, 1), has coefficients up to 500, and
     # (1 + x) q has coefficients +-1 alone, so its 1-norm 1001 gives the
@@ -999,44 +954,41 @@ def test_a_quotient_past_the_first_digit_width_is_still_exact(monkeypatch):
     # rows is proven.  The Gaussian binomial [19 choose 4], coefficients up
     # to 150, is (1-x^16)...(1-x^19) over (1-x)...(1-x^4), whose 1-norm 16
     # gives 8-bit digits: the width check refuses the candidate read back,
-    # and the heap loop returns the quotient.
-    monkeypatch.setattr(exprat, "PRODUCT_PAIRS", ALWAYS_KERNEL["PRODUCT_PAIRS"])
+    # and the heap loop returns the quotient.  exprat._packed_quotient is
+    # the long division on packed rows, whose result is a quotient or None.
     n_terms = 1000
     q = _spectral_poly({(0, i): (-1) ** i * min(i + 1, n_terms - i)
                         for i in range(n_terms)}) * Fraction(3 ** 40, 7)
     d = _spectral_poly({(0, 0): 1, (0, 1): 1})
     num, den = _binomials(16, 17, 18, 19), _binomials(1, 2, 3, 4)
-    results = _packed_results(monkeypatch)
-    assert divexact(q * d, d) == q
-    gauss = divexact(num, den)
+    with forced(**ALWAYS_KERNEL), recorded("_packed_quotient", exprat) as results:
+        assert divexact(q * d, d) == q
+        gauss = divexact(num, den)
     assert gauss * den == num and max(gauss.terms.values()) == 150
-    assert [r is None for r in results] == [False, True]
+    assert [r.result is None for r in results] == [False, True]
 
 
-def test_a_large_sparse_division_stays_on_the_heap_loop(monkeypatch):
+def test_a_large_sparse_division_stays_on_the_heap_loop():
     # keys 60 slot steps apart: packed rows would hold about 40 slots per
     # term, so the kernel declines them (PACK_SLOTS_PER_TERM) before any
     # long division on packed rows, and the heap loop divides, once
     num, d, q = _sparse_division()
     assert len(d.terms) * (len(num.terms) - len(d.terms)) > exprat.PRODUCT_PAIRS
-    results, heaps = _packed_results(monkeypatch), []
-    heapify = exprat.heapify
-    monkeypatch.setattr(exprat, "heapify", lambda h: heaps.append(len(h)) or heapify(h))
-    assert divexact(num, d) == q
+    with recorded("_packed_quotient", exprat) as results, recorded("heapify", exprat) as heaps:
+        assert divexact(num, d) == q
     assert results == [] and len(heaps) == 1
 
 
-def test_a_division_enters_the_kernel_once(monkeypatch):
+def test_a_division_enters_the_kernel_once():
     # a large sparse division and a large quotient whose digits outgrow the
     # sum's width: divexact makes one sum_of_products call for each, whose
     # fallback is the heap loop and never divexact's gate again
     (num, d, q), (wide, w) = _sparse_division(), _wide_division()
-    calls, kernel = [], exprat.sum_of_products
-    monkeypatch.setattr(exprat, "sum_of_products", lambda *args: calls.append(args) or kernel(*args))
-    results = _packed_results(monkeypatch)
-    assert divexact(num, d) == q and len(calls) == 1 and results == []
-    got = divexact(wide, w)
-    assert len(calls) == 2 and results == [None]
+    with (recorded("sum_of_products", exprat) as calls,
+          recorded("_packed_quotient", exprat) as results):
+        assert divexact(num, d) == q and len(calls) == 1 and results == []
+        got = divexact(wide, w)
+    assert len(calls) == 2 and [r.result for r in results] == [None]
     assert got * w == wide
 
 
@@ -1102,10 +1054,8 @@ def test_a_sum_with_a_divisor_is_divexact_of_the_sum(case):
     sums, divisors = case
     want = _outcome(lambda: [s if d is None else divexact(s, d)
                              for s, d in zip(sum_of_products(sums, W), divisors)])
-    for forced in ({}, ALWAYS_PACK):
-        with pytest.MonkeyPatch.context() as mp:
-            for name, value in forced.items():
-                mp.setattr(exprat, name, value)
+    for setting in ({}, ALWAYS_PACK):
+        with forced(**setting):
             got = _outcome(lambda: sum_of_products(sums, W, divisors))
         assert got == want
 
@@ -1146,30 +1096,59 @@ def _division_cases():
         # (1 - x^2) / (1 + x): the sum alone has a slot step of 2, the divisor 1
         ("a divisor finer than the sum", [[(1, _binomials(2))]],
          [_spectral_poly({(0, 0): 1, (0, 1): 1})], "rows", [_spectral_poly({(0, 0): 1, (0, 1): -1})]),
+        # a 100-term sum (u-rows 0-9, v 0-9) over 30 terms (u-rows 0-2, v 0-54
+        # in steps of 6), 2,100 check pairs, so that divexact takes the kernel
+        # too: a quotient would have no v slot
+        ("a divisor wider than the sum",
+         [[(1, _spectral_poly({(u, v): u - v + 11 for u in range(10) for v in range(10)}))]],
+         [_spectral_poly({(u, 6 * j): j + 1 for u in range(3) for j in range(10)})],
+         "refused", "quotient key outside the Newton-polytope bounds"),
     ]
 
 
 @pytest.mark.parametrize("case", _division_cases(), ids=lambda case: case[0])
-def test_a_divided_sum_takes_its_path_and_stays_exact(monkeypatch, case):
+def test_a_divided_sum_takes_its_path_and_stays_exact(case):
     _, sums, divisors, path, expected = case
     want = _outcome(lambda: [divexact(s, d) for s, d in zip(sum_of_products(sums, W), divisors)])
-    results, fallbacks = _packed_results(monkeypatch), {"divexact": [], "_heap_quotient": []}
-    for name, calls in fallbacks.items():
-        f = getattr(exprat, name)
-        monkeypatch.setattr(exprat, name, lambda n, d, f=f, calls=calls: calls.append(d) or f(n, d))
+    with (recorded("_packed_quotient", exprat) as results, recorded("divexact", exprat) as units,
+          recorded("_heap_quotient", exprat) as heaps):
+        if path == "refused":
+            with pytest.raises(InexactDivision, match=expected):
+                sum_of_products(sums, W, divisors)
+        else:
+            got = sum_of_products(sums, W, divisors)
+    fallbacks = {name: [c.args[1] for c in calls]
+                 for name, calls in (("divexact", units), ("_heap_quotient", heaps))}
     if path == "refused":
+        # the long division on the kernel's rows raised, and nothing else divided
         assert want is InexactDivision
-        with pytest.raises(InexactDivision, match=expected):
-            sum_of_products(sums, W, divisors)
-        assert not any(fallbacks.values()) and results == []
+        assert not any(fallbacks.values()) and [r.returned for r in results] == [False]
         return
-    got = sum_of_products(sums, W, divisors)
     assert got == want and (expected is None or got == expected)
     assert fallbacks == {name: divisors if name == path else [] for name in fallbacks}
     if path == "rows":
-        assert all(r is not None for r in results)
+        assert all(r.result is not None for r in results)
     elif case[0] == "digits past the sum's width":
-        assert results == [None]
+        assert [r.result for r in results] == [None]
+
+
+def test_a_quotient_row_wider_than_its_slots_goes_to_the_heap_loop():
+    # (1 + x + x^2) / (x - 255), x = e^theta(0, 1), on the sum's 8-bit
+    # digits: the divisor's row is 2**8 - 255 = 1, so the long division's one
+    # quotient row is the sum's row, 65,793, past the quotient's two slots;
+    # the heap loop then divides the sum read back, and refuses
+    num = _spectral_poly({(0, 0): 1, (0, 1): 1, (0, 2): 1})
+    d = _spectral_poly({(0, 0): -255, (0, 1): 1})
+    with recorded("_packed_quotient", exprat) as rows, recorded("_heap_quotient", exprat) as heaps:
+        with pytest.raises(InexactDivision, match="outside the Newton-polytope bounds"):
+            sum_of_products([[(1, num)]], W, [d])
+    assert [r.result for r in rows] == [None] and len(heaps) == 1
+
+
+def test_a_divisor_list_of_another_length_is_refused():
+    p = ExpPoly.const(6) + ExpPoly.term(1, 2, -1)
+    with pytest.raises(ValueError, match="2 divisors for 1 sums"):
+        sum_of_products([[(1, p)]], W, [None, p])
 
 
 # -- the spectral and the exponent form of one value -------------------------------

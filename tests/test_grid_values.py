@@ -13,16 +13,17 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import libmp
 
 import _gridref as ref
+from _calls import recorded
 from nwave import cli, exprat, verify
 from nwave.cli import config_to_doc
 from nwave.exprat import (
-    POLE_BITS, ExpPoly, ExpRational, grid_values, ratio_text, round_ratio, wave_constants,
+    POLE_BITS, ExpPoly, ExpRational, grid_values, ratio_text, round_ratio,
 )
 from nwave.spectral import spectral_data
 from nwave.tau import solution_from_tau
+from nwave.verify import _W as W
 from nwave.wavesys import field_label, model, zero_config
 
-W = wave_constants("1", "1/2", "1/3", "1")
 DERIVS = [None, (1, 0), (0, 1), (1, 1), (1, 2), (2, 3)]
 
 exponents = st.one_of(
@@ -117,23 +118,10 @@ def test_grid_values_keeps_the_reference_across_wide_exponent_spreads():
 TS, XS = [Fraction(-1), Fraction(1, 2)], [Fraction(0), Fraction(1, 3)]
 
 
-def _counted(monkeypatch, name: str) -> list:
-    """The arguments of every call of exprat's function ``name`` from now
-    until monkeypatch is undone."""
-    calls, f = [], getattr(exprat, name)
-
-    def counting(*args):
-        calls.append(args)
-        return f(*args)
-    monkeypatch.setattr(exprat, name, counting)
-    return calls
-
-
-def _exp_calls(monkeypatch, u, ts=TS, xs=XS) -> int:
+def _exp_calls(u, ts=TS, xs=XS) -> int:
     """The exponentials (exprat._exp calls) that grid_values computes for u."""
-    calls = _counted(monkeypatch, "_exp")
-    list(grid_values({0: u}, ts, xs, W, {0: (1, 1)}))
-    monkeypatch.undo()
+    with recorded("_exp", exprat) as calls:
+        list(grid_values({0: u}, ts, xs, W, {0: (1, 1)}))
     return len(calls)
 
 
@@ -157,39 +145,39 @@ def _values_over_one_den():
     return ExpRational(num, den), ExpRational(num * twenty, den), twenty
 
 
-def test_grid_values_makes_no_library_call_per_term(monkeypatch):
+def test_grid_values_makes_no_library_call_per_term():
     # The denominator already has every exponent of the product, so the
     # exponentials to compute are the same; only the sums grow, to 20x the
     # terms, and they are integer arithmetic.
     u, wide, twenty = _values_over_one_den()
     assert len(twenty.terms) == 20
-    assert _exp_calls(monkeypatch, wide) == _exp_calls(monkeypatch, u) > 0
+    assert _exp_calls(wide) == _exp_calls(u) > 0
 
 
-def test_grid_values_makes_one_exponential_per_distinct_gap(monkeypatch):
+def test_grid_values_makes_one_exponential_per_distinct_gap():
     # 20 exponents (2 + 3k)(t + x): at each nonzero coordinate the walk
     # computes exp of the least, 2, and of the one gap, 3.
     even = ExpRational(ExpPoly({(2 + 3 * k, 2 + 3 * k): k + 1 for k in range(20)}),
                        ExpPoly.const(1))
     ts, xs = [Fraction(-1), Fraction(1, 2)], [Fraction(1, 3), Fraction(2)]
-    assert _exp_calls(monkeypatch, even, ts, xs) == 2 * 4
+    assert _exp_calls(even, ts, xs) == 2 * 4
     # never more than one per distinct nonzero exponent and coordinate
     for u in (even, *_values_over_one_den()[:2]):
         for ts, xs in ((ts, xs), (TS, XS)):
-            assert _exp_calls(monkeypatch, u, ts, xs) <= _distinct_nonzero_exponents(u, ts, xs)
+            assert _exp_calls(u, ts, xs) <= _distinct_nonzero_exponents(u, ts, xs)
 
 
-def test_grid_values_rounds_no_value(monkeypatch):
+def test_grid_values_rounds_no_value():
     # The walked exponentials keep their own bits, their arguments are
     # exact ratios, and the values are exact integers: the evaluator rounds
     # nothing through round_ratio.
     for u in _values_over_one_den()[:2]:
-        rounded = _counted(monkeypatch, "round_ratio")
-        assert _exp_calls(monkeypatch, u) > 0
+        with recorded("round_ratio", exprat) as rounded:
+            assert _exp_calls(u) > 0
         assert rounded == []
 
 
-def test_sample_rounds_each_printed_value_once(monkeypatch, tmp_path):
+def test_sample_rounds_each_printed_value_once(tmp_path):
     # A2 with one field polynomial, one with a pole on t = 0 and four
     # identically zero, on a 5 x 3 grid: one rounding to text (ratio_text,
     # through round_ratio) per cell that prints a value, none for a pole or
@@ -200,15 +188,9 @@ def test_sample_rounds_each_printed_value_once(monkeypatch, tmp_path):
     cfg = cfg.with_fields({keys[0]: ExpRational(ExpPoly.term(3, 2, -1) + 1), keys[1]: pole})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config_to_doc(cfg)))
-    rounded, texts = _counted(monkeypatch, "round_ratio"), []
-
-    def counting(*args):
-        texts.append(args)
-        return ratio_text(*args)
-
-    monkeypatch.setattr(cli, "ratio_text", counting)
-    assert cli.main(["sample", "--in", str(path), "--t0", "-1", "--t1", "1", "--nt", "5",
-                     "--x0", "0", "--x1", "1", "--nx", "3", "--csv", str(tmp_path / "s.csv")]) == 0
+    with recorded("round_ratio", exprat) as rounded, recorded("ratio_text", cli) as texts:
+        assert cli.main(["sample", "--in", str(path), "--t0", "-1", "--t1", "1", "--nt", "5",
+                         "--x0", "0", "--x1", "1", "--nx", "3", "--csv", str(tmp_path / "s.csv")]) == 0
     rows = [line.split(",")[2:] for line in (tmp_path / "s.csv").read_text().splitlines()[1:]]
     assert len(rows) == 15
     assert [sum(row[k] == "" for row in rows) for k in range(2)] == [0, 3]
@@ -319,6 +301,9 @@ def _near_a_tie(p: int, q: int, e: int, digits: int, bits: int) -> bool:
          1038459371706965525706099265844019200000000000000, 0, False)
 @example(123839982553434009, 2 ** 54, 0, True)
 @example(-1, 3, -3700, True)
+# 2**-1651 = 10**-497.0005: log10 2 at the value's precision puts the first
+# decimal exponent tried one too high, and one step down corrects it
+@example(1, 1, -1651, False)
 @example(7, 3, 10 ** 7, False)  # 4.3 million decimal digits: ratio_text never forms them
 @example(-7, 3, -(10 ** 7), True)
 # decimal exponents of 15 to 400 digits: found in a step or two, from log10 2

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import nwave.tau as tau
-from nwave.exprat import ExpPoly, ExpRational, wave_constants
+from nwave.exprat import ExpPoly, ExpRational
 from nwave.spectral import (
     InvalidSpectralData,
     Spike,
@@ -11,13 +11,10 @@ from nwave.spectral import (
     initial_config,
     spectral_data,
 )
-from nwave.verify import verify_config
+from nwave.verify import _P2 as P2, _Q4, _W as W, verify_config
 from nwave.wavesys import model
 
-W = wave_constants(1, "1/2", "1/3", 1)
-
-P2 = [("2", "1"), ("-1", "1/2")]
-Q3 = [("1", "1"), ("1/2", "2"), ("-3", "1/3")]
+Q3 = _Q4[:3]
 
 
 def test_validate_rejects_duplicate_positions():
@@ -80,7 +77,7 @@ def test_seed_is_exact_solution_small(name):
 
 def test_adding_p_spike_leaves_f01_unchanged():
     s1 = spectral_data(W, P2, Q3)
-    s2 = spectral_data(W, P2 + [("3", "1/4")], Q3)
+    s2 = spectral_data(W, P2 + (("3", "1/4"),), Q3)
     c1 = initial_config(model("B2"), s1)
     c2 = initial_config(model("B2"), s2)
     assert c1[(-1, (0, 1))] == c2[(-1, (0, 1))]

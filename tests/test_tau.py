@@ -22,17 +22,14 @@ from nwave.tau import (
     _taus,
 )
 from nwave.transforms import TRANSFORMS, PivotZero, apply
-from nwave.verify import verify_config
+from nwave.verify import _P2 as P2, _Q2 as Q2, _Q4, _W as W, verify_config
 from nwave.wavesys import MINUS, model, residual
 
 import _tausum as ref
+from _calls import recorded
 from _hirota import equation_residual
 
-W = wave_constants(1, "1/2", "1/3", 1)
-
-P2 = [("2", "1"), ("-1", "1/2")]
-Q2 = [("1", "1"), ("1/2", "2")]
-Q3 = Q2 + [("-3", "1/3")]
+Q3 = _Q4[:3]
 
 
 def test_vandermonde_sq():
@@ -248,32 +245,22 @@ def test_tau_values_are_built_from_the_lattice_alone(monkeypatch):
     def no_fraction_keys(self, terms=None):
         raise AssertionError("ExpPoly built from Fraction-keyed terms")
 
-    p3 = P2 + [("4", "1/3")]
-    q4 = Q3 + [("3", "-1")]
+    p3 = P2 + (("4", "1/3"),)
     monkeypatch.setattr(ExpPoly, "__init__", no_fraction_keys)
-    cfg = solution_from_tau(model("G2"), spectral_data(W, p3, q4), 2, 2)
-    assert check_gra(spectral_data(W, P2, q4), 1)
+    cfg = solution_from_tau(model("G2"), spectral_data(W, p3, _Q4), 2, 2)
+    assert check_gra(spectral_data(W, P2, _Q4), 1)
     monkeypatch.undo()
     assert verify_config(model("G2"), cfg).passed
 
 
-def test_solution_validates_once_and_builds_its_taus_in_one_pass(monkeypatch):
+def test_solution_validates_once_and_builds_its_taus_in_one_pass():
     # Spectral data is validated once, when it is built; the solution then
     # builds its tau values in one pass.
-    calls = []
-
-    def count(module, name):
-        real = getattr(module, name)
-
-        def wrapper(*args):
-            calls.append(name)
-            return real(*args)
-        monkeypatch.setattr(module, name, wrapper)
-
-    count(spectral_module, "validate")
-    count(tau_module, "_taus")
-    cfg = solution_from_tau(model("G2"), spectral_data(W, P2, Q3), 1, 1)
-    assert calls == ["validate", "_taus"]
+    with recorded("validate", spectral_module) as validated, recorded("_taus", tau_module) as taus:
+        s = spectral_data(W, P2, Q3)
+        assert (len(validated), len(taus)) == (1, 0)
+        cfg = solution_from_tau(model("G2"), s, 1, 1)
+    assert (len(validated), len(taus)) == (1, 1)
     assert verify_config(model("G2"), cfg).passed
 
 
@@ -339,24 +326,17 @@ def test_random_tau_solutions_verify(name, s, orders, data):
     assert verify_config(m, image).passed
 
 
-def test_a_solution_normalizes_its_denominator_once(monkeypatch):
+def test_a_solution_normalizes_its_denominator_once():
     # The fields of a solution share one denominator object, normalized by
     # one constructor call, which the residual then takes as it is.
-    init, calls = ExpRational.__init__, []
-
-    def counting(self, *args):
-        calls.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(ExpRational, "__init__", counting)
-    cfg = solution_from_tau(model("G2"), spectral_data(W, P2, Q3), 1, 1)
-    monkeypatch.setattr(ExpRational, "__init__", init)
+    with recorded("__init__", ExpRational) as calls:
+        cfg = solution_from_tau(model("G2"), spectral_data(W, P2, Q3), 1, 1)
     assert len(calls) == 1
     dens = [f.den for f in cfg.fields.values() if not f.is_zero()]
     assert len(dens) > 1 and all(d is dens[0] for d in dens)
 
 
-def test_a_solution_s_taus_start_at_its_denominator_s_least_exponent(monkeypatch):
+def test_a_solution_s_taus_start_at_its_denominator_s_least_exponent():
     # A ratio solution's tau values are divided by the base tau's least
     # exponential as they are built, so putting the numerators over the
     # base tau translates none of them: every one-term ExpPoly multiplied
@@ -368,16 +348,10 @@ def test_a_solution_s_taus_start_at_its_denominator_s_least_exponent(monkeypatch
     assert min(anchored[0].lattice()[1]) == (0, 0) != min(plain[0].lattice()[1])
     for p, a in zip(plain, anchored):
         assert p * anchored[0] == a * plain[0]
-    moves = []
-    mul = ExpPoly.__mul__
-
-    def recording(y, m):
-        if isinstance(m, ExpPoly) and len(m.terms) == 1:
-            moves.append(next(iter(m.lattice()[1])))
-        return mul(y, m)
-
-    monkeypatch.setattr(ExpPoly, "__mul__", recording)
-    solution_from_tau(model("G2"), s, 1, 1)
+    with recorded("__mul__", ExpPoly) as products:
+        solution_from_tau(model("G2"), s, 1, 1)
+    moves = [next(iter(m.lattice()[1])) for _, m in (c.args for c in products)
+             if isinstance(m, ExpPoly) and len(m.terms) == 1]
     assert moves and set(moves) == {(0, 0)}
 
 

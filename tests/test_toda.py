@@ -20,14 +20,12 @@ from nwave.toda import (
     toda_residual,
 )
 from nwave.transforms import PivotZero, apply, apply_chain
-from nwave.verify import _Q9
+from nwave.verify import _P1 as P1, _P2, _Q2 as Q2, _Q9, _W as W
 from nwave.wavesys import MINUS, PLUS, model
 
-W = wave_constants(1, "1/2", "1/3", 1)
+from _calls import recorded
 
-P1 = [("5", "1")]
-Q5 = [("1", "1"), ("1/2", "2"), ("-3", "1/3"), ("2", "-1"), ("1/4", "1/2")]
-Q6 = Q5 + [("-1", "3")]
+Q5, Q6 = _Q9[:5], _Q9[:6]
 
 
 def s5():
@@ -146,7 +144,7 @@ def test_first_root_chain_equals_the_reference_bordered_minors(spk, n_p, steps):
         assert cfg[key] == ExpRational(det_bareiss(rows), den)
 
 
-def test_minors_are_subset_sums_without_division_product_or_derivative(monkeypatch):
+def test_minors_are_subset_sums_without_division_product_or_derivative():
     # Det_n and the bordered minors are Heine's subset sums, read off the
     # seeds' terms: no exact division, no ExpPoly product and no derivative.
     # The first-root chain's divisions are its corner recursion's, one a step.
@@ -155,22 +153,13 @@ def test_minors_are_subset_sums_without_division_product_or_derivative(monkeypat
     seed = initial_config(model("B2"), s_frc)
     g = HankelChain(seed[(MINUS, (1, 0))].num, W, (0, 1))
     h = seed[(MINUS, (1, 1))].num
-    calls = []
-    divexact, product, deriv = toda_module.divexact, exprat._product, ExpPoly.deriv
-
-    def counting(name, f):
-        return lambda *args: calls.append(name) or f(*args)
-
-    monkeypatch.setattr(toda_module, "divexact", counting("divexact", divexact))
-    monkeypatch.setattr(exprat, "_product", counting("product", product))
-    monkeypatch.setattr(ExpPoly, "deriv", counting("deriv", deriv))
-    monkeypatch.setattr(exprat, "sum_of_products", counting("sum_of_products", exprat.sum_of_products))
-    dets = [hankel_chain(s).det(n) for n in range(7)]
-    bordered = [g.minor(j, h) for j in range(4)]
-    assert calls == []
-    cfg = first_root_chain(seed, 2)
-    assert calls.count("divexact") == 2
-    monkeypatch.undo()
+    with (recorded("divexact", toda_module) as divisions, recorded("_product", exprat) as products,
+          recorded("deriv", ExpPoly) as derivs, recorded("sum_of_products", exprat) as sums):
+        dets = [hankel_chain(s).det(n) for n in range(7)]
+        bordered = [g.minor(j, h) for j in range(4)]
+        assert divisions == products == derivs == sums == []
+        cfg = first_root_chain(seed, 2)
+    assert len(divisions) == 2
     assert [d.is_zero() for d in dets] == [False] * 6 + [True]
     assert bordered[0] == h and bordered[3].is_zero()
     for j in (1, 2):
@@ -235,7 +224,7 @@ def test_toda_residual_interrupted_chain():
 
 # --- the linear (A, B) chain: recursion vs closed forms
 
-def test_ab_step_forms_its_products_without_pair_loops(monkeypatch):
+def test_ab_step_forms_its_products_without_pair_loops():
     # With the determinants the steps read already formed, the numerators
     # of A' and B' are packed sums of products: no ExpPoly product runs its
     # pair loop (a product by a scalar or by a constant ExpPoly, such as
@@ -244,24 +233,15 @@ def test_ab_step_forms_its_products_without_pair_loops(monkeypatch):
     ch = hankel_chain(s)
     for n in range(4):
         ch.det(n)
-    product = exprat._product
-    pair_loops = []
-
-    def counting(a, b):
-        if all(set(x.terms) != {(0, 0)} for x in (a, b)):
-            pair_loops.append((a, b))
-        return product(a, b)
-
-    monkeypatch.setattr(exprat, "_product", counting)
-    c1 = ab_step(ab_init(s), ch)
-    c2 = ab_step(c1, ch)
-    monkeypatch.setattr(exprat, "_product", product)
-    assert not pair_loops
+    with recorded("_product", exprat) as products:
+        c1 = ab_step(ab_init(s), ch)
+        c2 = ab_step(c1, ch)
+    assert not [c for c in products if all(set(x.terms) != {(0, 0)} for x in c.args)]
     for c in (c1, c2):
         assert (c.A, c.B) == ab_closed(s, c.level)
 
 
-def test_ab_step_above_level_zero_makes_no_divexact_call(monkeypatch):
+def test_ab_step_above_level_zero_makes_no_divexact_call():
     # Above level 0, Det_n has more than one term, and each numerator is
     # divided on the kernel's rows at its own digit width, never read back:
     # no step to the rank of P1 and nine Q-spikes calls divexact, and each
@@ -272,34 +252,21 @@ def test_ab_step_above_level_zero_makes_no_divexact_call(monkeypatch):
     for n in range(10):
         ch.det(n + 1)
     levels.append(ab_step(levels[0], ch))
-    divexact, calls = exprat.divexact, []
-    monkeypatch.setattr(exprat, "divexact", lambda n, d: calls.append(d) or divexact(n, d))
-    packed, quotients = exprat._packed_quotient, []
-    monkeypatch.setattr(exprat, "_packed_quotient",
-                        lambda *args: quotients.append(packed(*args)) or quotients[-1])
-    for _ in range(8):
-        levels.append(ab_step(levels[-1], ch))
-    assert calls == [] and len(quotients) == 14 and None not in quotients
-    monkeypatch.undo()
+    with recorded("divexact", exprat) as calls, recorded("_packed_quotient", exprat) as quotients:
+        for _ in range(8):
+            levels.append(ab_step(levels[-1], ch))
+    assert calls == [] and len(quotients) == 14 and None not in [q.result for q in quotients]
     assert (levels[2].A, levels[2].B) == ab_closed(s, 2)
 
 
-def test_ab_step_differentiates_its_factors_at_pack_time(monkeypatch):
+def test_ab_step_differentiates_its_factors_at_pack_time():
     # A step takes no ExpPoly derivative: D B, D Det_{n+1} and D_{1,1} A'
     # are packed factors, and the minors are subset sums.
     s = s6()
     ch = hankel_chain(s)
-    deriv = ExpPoly.deriv
-    calls = []
-
-    def counting(self, i, j, w):
-        calls.append(self)
-        return deriv(self, i, j, w)
-
-    monkeypatch.setattr(ExpPoly, "deriv", counting)
-    c1 = ab_step(ab_init(s), ch)
-    c2 = ab_step(c1, ch)
-    monkeypatch.setattr(ExpPoly, "deriv", deriv)
+    with recorded("deriv", ExpPoly) as calls:
+        c1 = ab_step(ab_init(s), ch)
+        c2 = ab_step(c1, ch)
     assert calls == []
     for c in (c1, c2):
         assert (c.A, c.B) == ab_closed(s, c.level)
@@ -397,8 +364,7 @@ def test_ab_closed_rejects_underresolved_data():
 
 # --- the first-root chain on an all-plus-zero background
 
-P3 = [("2", "1"), ("-1", "1/2"), ("3", "2")]
-Q2 = [("1", "1"), ("1/2", "2")]
+P3 = _P2 + (("3", "2"),)
 
 
 def frc_background():

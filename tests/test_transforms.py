@@ -3,19 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from nwave.exprat import ExpRational, wave_constants
+from nwave.exprat import ExpRational
 from nwave.spectral import initial_config, spectral_data
 from nwave.tau import solution_from_tau
 from nwave.transforms import TRANSFORMS, PivotZero, apply, apply_chain
-from nwave.verify import verify_config
+from nwave.verify import _P2 as P2, _Q2 as Q2, _Q4 as Q4, _W as W, verify_config
 from nwave.wavesys import MINUS, PLUS, FieldConfig, model
 
-W = wave_constants(1, "1/2", "1/3", 1)
+from _calls import recorded
 
-P2 = [("2", "1"), ("-1", "1/2")]
-Q1 = [("1", "1")]
-Q2 = [("1", "1"), ("1/2", "2")]
-Q4 = Q2 + [("-3", "1/3"), ("3", "-1")]
+Q1 = Q2[:1]
 
 
 def a2_data():
@@ -163,19 +160,12 @@ def test_registry_pivots_are_pinned():
 
 
 @pytest.mark.parametrize("tid, derivatives", [("B2_TM", 4), ("B2_T2A2", 8), ("G2_T1", 5)])
-def test_a_map_forms_each_derivative_once(monkeypatch, tid, derivatives):
+def test_a_map_forms_each_derivative_once(tid, derivatives):
     # A row set that names D(m12) or D(m01) twice, as B2_TM's and G2_T1's
     # do, differentiates each value once per map (6, 12 and 10 calls if not).
     t = TRANSFORMS[tid]
     seed = initial_config(model(t.algebra), spectral_data(W, P2, Q2))
-    deriv, calls = ExpRational.deriv, []
-
-    def counting(self, i, j, w):
-        calls.append((i, j, self))
-        return deriv(self, i, j, w)
-
-    monkeypatch.setattr(ExpRational, "deriv", counting)
-    image = apply(tid, seed)
-    monkeypatch.undo()
+    with recorded("deriv", ExpRational) as calls:
+        image = apply(tid, seed)
     assert len(calls) == derivatives
     assert_solution(image)

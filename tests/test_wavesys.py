@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from nwave.exprat import ExpPoly, ExpRational, wave_constants
-from nwave.verify import verify_config
+from nwave.verify import _W as W, verify_config
 from nwave.wavesys import (
     _A2_TABLE,
     _B2_TABLE,
@@ -24,7 +24,6 @@ from nwave.wavesys import (
     zero_config,
 )
 
-W = wave_constants(1, "1/2", "1/3", 1)
 
 
 def E(lam, coef=1):
